@@ -37,6 +37,7 @@
 #include "sketch/tdigest.h"
 #include "trace/block_io.h"
 #include "trace/columnar_io.h"
+#include "trace/log_reader.h"
 #include "util/sim_time.h"
 #include "util/stats.h"
 

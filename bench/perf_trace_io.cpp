@@ -24,6 +24,7 @@
 #include "trace/binary_io.h"
 #include "trace/block_io.h"
 #include "trace/csv_io.h"
+#include "trace/log_reader.h"
 #include "util/mapped_file.h"
 
 namespace {

@@ -1,116 +1,58 @@
 #include "fed/feed_filter.h"
 
 #include <fstream>
-#include <span>
+#include <limits>
 #include <string>
 
 #include "par/shard.h"
-#include "trace/block_io.h"
-#include "trace/record_codec.h"
-#include "util/crc32.h"
+#include "trace/log_reader.h"
 #include "util/error.h"
 #include "util/mapped_file.h"
-#include "util/span_decoder.h"
 
 namespace wearscope::fed {
 
 namespace {
 
-/// Streams one blocked v2 log frame by frame: a 12-byte frame header, one
-/// CRC check, one span decode per block, all through a reusable scratch
-/// buffer — the file is never mapped or read whole.
+/// One log of the bundle streamed through trace::LogCursor (one unit
+/// resident at a time, the file never mapped), checked for the (time,
+/// user) order the feed merge relies on.
 template <typename Record>
-class BlockStreamCursor {
+class SortedLog {
  public:
-  explicit BlockStreamCursor(const std::filesystem::path& path)
-      : path_(path.string()), in_(path, std::ios::binary) {
-    if (!in_.is_open()) {
-      throw util::IoError("cannot open " + path_);
+  explicit SortedLog(const std::filesystem::path& path)
+      : path_(path.string()), in_(path, std::ios::binary), cursor_(in_) {
+    if (!in_.is_open()) throw util::IoError("cannot open " + path_);
+    last_.timestamp = std::numeric_limits<util::SimTime>::min();
+  }
+  /// cursor_ holds the address of in_.
+  SortedLog(const SortedLog&) = delete;
+  SortedLog& operator=(const SortedLog&) = delete;
+
+  /// The next record, or nullptr at a clean end of log.  Throws
+  /// util::ParseError, naming the file, on damage or an order violation.
+  const Record* next() {
+    const Record* r = nullptr;
+    try {
+      r = cursor_.next();
+    } catch (const util::ParseError& e) {
+      throw util::ParseError(path_ + ": " + e.what());
     }
-    char header[kHeaderBytes] = {};
-    in_.read(header, static_cast<std::streamsize>(kHeaderBytes));
-    if (in_.gcount() != static_cast<std::streamsize>(kHeaderBytes)) {
-      throw util::ParseError(path_ + ": truncated log header");
-    }
-    const std::uint16_t version = trace::read_log_header<Record>(
-        std::as_bytes(std::span(header, kHeaderBytes)));
-    if (version != trace::kBinaryFormatV2) {
+    if (r == nullptr) return nullptr;
+    if (trace::ByTimeThenUser{}(*r, last_)) {
       throw util::ParseError(
-          path_ + ": partition feeds stream the blocked v2 format (log is "
-                  "version " +
-          std::to_string(version) + ")");
+          path_ + ": log is not (time, user)-sorted — sort the bundle "
+                  "before streaming a partition feed");
     }
+    last_.timestamp = r->timestamp;
+    last_.user_id = r->user_id;
+    return r;
   }
-
-  /// The record at the cursor, or nullptr at a clean end of log.
-  [[nodiscard]] const Record* peek() {
-    while (idx_ >= block_.size()) {
-      if (!refill()) return nullptr;
-    }
-    return &block_[idx_];
-  }
-
-  void advance() noexcept { ++idx_; }
 
  private:
-  static constexpr std::size_t kHeaderBytes = 8;  ///< File header.
-
-  /// Reads and decodes the next frame.  False on clean EOF; throws on a
-  /// torn frame, CRC mismatch, malformed payload or an order violation.
-  bool refill() {
-    char fh[trace::kFrameHeaderBytes];
-    in_.read(fh, sizeof fh);
-    const std::streamsize got = in_.gcount();
-    if (got == 0) return false;
-    if (got != static_cast<std::streamsize>(sizeof fh)) {
-      throw util::ParseError(path_ + ": truncated frame header");
-    }
-    util::MemorySpanDecoder header(std::as_bytes(std::span(fh, sizeof fh)));
-    const std::uint32_t record_count = header.get_u32();
-    const std::uint32_t byte_length = header.get_u32();
-    const std::uint32_t crc = header.get_u32();
-    if (record_count > byte_length) {
-      throw util::ParseError(path_ + ": impossible frame header (" +
-                             std::to_string(record_count) + " records in " +
-                             std::to_string(byte_length) + " bytes)");
-    }
-    scratch_.resize(byte_length);
-    in_.read(scratch_.data(), static_cast<std::streamsize>(byte_length));
-    if (in_.gcount() != static_cast<std::streamsize>(byte_length)) {
-      throw util::ParseError(path_ + ": truncated frame payload");
-    }
-    const std::span<const std::byte> payload =
-        std::as_bytes(std::span(scratch_.data(), scratch_.size()));
-    if (util::crc32(payload) != crc) {
-      throw util::ParseError(path_ + ": frame CRC mismatch");
-    }
-    util::MemorySpanDecoder dec(payload);
-    block_.resize(record_count);
-    idx_ = 0;
-    for (Record& r : block_) {
-      trace::decode_record(dec, r);
-      if (have_prev_ && trace::ByTimeThenUser{}(r, prev_)) {
-        throw util::ParseError(
-            path_ + ": log is not (time, user)-sorted — sort the bundle "
-                    "before streaming a partition feed");
-      }
-      prev_.timestamp = r.timestamp;
-      prev_.user_id = r.user_id;
-      have_prev_ = true;
-    }
-    if (!dec.at_eof()) {
-      throw util::ParseError(path_ + ": frame payload has trailing bytes");
-    }
-    return true;
-  }
-
   std::string path_;
   std::ifstream in_;
-  std::string scratch_;
-  std::vector<Record> block_;
-  std::size_t idx_ = 0;
-  Record prev_{};
-  bool have_prev_ = false;
+  trace::LogCursor<Record> cursor_;
+  Record last_;
 };
 
 /// Appends one unit of `kind` to the run-length op stream.
@@ -142,10 +84,10 @@ PartitionFeed load_partition_feed(const std::filesystem::path& dir,
         devices.bytes());
   }
 
-  BlockStreamCursor<trace::ProxyRecord> proxy(dir / "proxy.bin");
-  BlockStreamCursor<trace::MmeRecord> mme(dir / "mme.bin");
-  const trace::ProxyRecord* p = proxy.peek();
-  const trace::MmeRecord* m = mme.peek();
+  SortedLog<trace::ProxyRecord> proxy(dir / "proxy.bin");
+  SortedLog<trace::MmeRecord> mme(dir / "mme.bin");
+  const trace::ProxyRecord* p = proxy.next();
+  const trace::MmeRecord* m = mme.next();
   while (p != nullptr || m != nullptr) {
     // FeedReplayer's merge rule exactly: MME before proxy on equal stamps.
     const bool take_mme =
@@ -157,8 +99,7 @@ PartitionFeed load_partition_feed(const std::filesystem::path& dir,
       } else {
         append_op(feed.ops, FeedOp::kSkipMme);
       }
-      mme.advance();
-      m = mme.peek();
+      m = mme.next();
     } else {
       if (par::shard_of(p->user_id, partition_count) == partition_id) {
         feed.proxy.push_back(*p);
@@ -166,8 +107,7 @@ PartitionFeed load_partition_feed(const std::filesystem::path& dir,
       } else {
         append_op(feed.ops, FeedOp::kSkipProxy);
       }
-      proxy.advance();
-      p = proxy.peek();
+      p = proxy.next();
     }
     ++feed.feed_records;
   }

@@ -4,11 +4,11 @@
 // on-disk bundle interleaves everyone.  Materializing the whole
 // TraceStore just to filter it at the router forfeits the memory win of
 // partitioning: the full capture sits resident in every worker.
-// load_partition_feed instead streams the blocked v2 logs one
-// CRC-checked frame at a time through a reusable scratch buffer, keeps
-// only the records par::shard_of assigns to this partition, and records
-// everything else as run-length skip ops — peak memory is
-// O(owned records + one block), not O(feed).
+// load_partition_feed instead streams the v2 or v3 logs one CRC-checked
+// block or row group at a time through trace::LogCursor (fed never parses
+// trace bytes itself), keeps only the records par::shard_of assigns to
+// this partition, and records everything else as run-length skip ops —
+// peak memory is O(owned records + one unit), not O(feed).
 //
 // Equivalence contract: replay_partition_feed() drives a LiveEngine to a
 // state bitwise identical to FeedReplayer over the full time-sorted
@@ -74,12 +74,12 @@ struct PartitionFeed {
   std::uint64_t feed_records = 0;
 };
 
-/// Streams `dir`'s proxy.bin and mme.bin (blocked v2 format required —
-/// v1/v3 and CSV bundles must go through the materializing path) and
-/// returns the partition's filtered feed.  devices.bin loads whole (it is
-/// small and every partition needs all of it).  Throws util::IoError on
-/// missing files and util::ParseError on damage, a non-v2 log, or a log
-/// that is not (time, user)-sorted.
+/// Streams `dir`'s proxy.bin and mme.bin (v2 or v3 — v1 and CSV bundles
+/// must go through the materializing path) and returns the partition's
+/// filtered feed.  devices.bin loads whole (it is small and every
+/// partition needs all of it).  Throws util::IoError on missing files and
+/// util::ParseError on damage, a v1 log, or a log that is not (time,
+/// user)-sorted.
 [[nodiscard]] PartitionFeed load_partition_feed(
     const std::filesystem::path& dir, std::size_t partition_id,
     std::size_t partition_count);

@@ -12,6 +12,24 @@
 
 namespace wearscope::serve {
 
+namespace {
+
+/// Writes all of `bytes` to socket `fd`; false once the peer is gone.
+/// MSG_NOSIGNAL: a peer that resets mid-answer must cost its connection,
+/// never the process (SIGPIPE's default action is to terminate).
+bool send_all(int fd, const std::string& bytes) {
+  std::size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t w = ::send(fd, bytes.data() + written,
+                             bytes.size() - written, MSG_NOSIGNAL);
+    if (w <= 0) return false;
+    written += static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
+}  // namespace
+
 LineServer::~LineServer() { stop_listener(); }
 
 std::uint64_t LineServer::serve_stream(std::FILE* in, std::FILE* out) {
@@ -89,26 +107,21 @@ void LineServer::serve_connection(int fd) {
   // A connection is a byte stream of query lines; answer line by line.
   std::string pending;
   char buf[4096];
-  while (true) {
+  bool peer_alive = true;
+  while (peer_alive) {
     const ssize_t n = ::read(fd, buf, sizeof buf);
     if (n <= 0) break;
     pending.append(buf, static_cast<std::size_t>(n));
     std::size_t start = 0;
     std::size_t nl;
-    while ((nl = pending.find('\n', start)) != std::string::npos) {
+    while (peer_alive &&
+           (nl = pending.find('\n', start)) != std::string::npos) {
       std::string response =
           engine_->answer(std::string_view(pending).substr(start, nl - start));
       start = nl + 1;
       if (response.empty()) continue;
       response += '\n';
-      std::size_t written = 0;
-      while (written < response.size()) {
-        const ssize_t w =
-            ::write(fd, response.data() + written, response.size() - written);
-        if (w <= 0) break;
-        written += static_cast<std::size_t>(w);
-      }
-      if (written < response.size()) break;
+      peer_alive = send_all(fd, response);  // a failed write ends it
     }
     pending.erase(0, start);
   }

@@ -167,7 +167,7 @@ BinaryLogReader<Record>::BinaryLogReader(std::istream& in) : dec_(in) {
     if (version == 2)
       throw util::ParseError(
           "binary log: blocked v2 log given to the v1 stream reader (load "
-          "it via trace/block_io, which handles both versions)");
+          "it via trace/log_reader, which handles every version)");
     throw util::ParseError("binary log: unsupported format version " +
                            std::to_string(version));
   }

@@ -7,9 +7,9 @@
 // record at a time so multi-gigabyte logs never need to fit in memory.
 //
 // Version 2 (trace/block_io) keeps the identical record encoding but frames
-// records into CRC-checked blocks for zero-copy mmap reads and parallel
-// decode; the classes here remain the v1 reference codec (and the fallback
-// writer for `--trace-format v1`).  The field-level layout both versions
+// records into CRC-checked blocks; trace/log_reader reads every version
+// from mapped memory.  The classes here remain the v1 reference codec (and
+// the writer for `--trace-format v1`).  The field-level layout both versions
 // share lives in trace/record_codec.h.
 #pragma once
 

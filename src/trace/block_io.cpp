@@ -1,14 +1,9 @@
 #include "trace/block_io.h"
 
-#include <algorithm>
 #include <array>
-#include <utility>
 
-#include "par/task_pool.h"
-#include "trace/columnar_io.h"
 #include "trace/record_codec.h"
 #include "util/crc32.h"
-#include "util/span_decoder.h"
 
 namespace wearscope::trace {
 
@@ -25,54 +20,6 @@ void encode_frame_header(std::array<char, kFrameHeaderBytes>& out,
   put(0, record_count);
   put(4, byte_length);
   put(8, crc);
-}
-
-/// Strict/lenient shared header parse: returns the version, throws
-/// ParseError on wrong magic, short header or unknown version.
-template <typename Record>
-std::uint16_t parse_file_header(util::MemorySpanDecoder& dec) {
-  const std::uint32_t magic = dec.get_u32();
-  if (magic != magic_of<Record>())
-    throw util::ParseError("binary log: wrong magic (different record type?)");
-  const std::uint16_t version = dec.get_u16();
-  if (version != 1 && version != kBinaryFormatV2 &&
-      version != kBinaryFormatV3)
-    throw util::ParseError("binary log: unsupported format version " +
-                           std::to_string(version));
-  (void)dec.get_u16();  // reserved
-  return version;
-}
-
-/// Decodes one frame payload into `out[0..record_count)`.  Returns true
-/// when the CRC matches and exactly record_count records consume exactly
-/// byte_length bytes.
-template <typename Record>
-bool decode_block(std::span<const std::byte> payload, const BlockFrame& frame,
-                  Record* out) noexcept {
-  if (util::crc32(payload) != frame.crc) return false;
-  try {
-    util::MemorySpanDecoder dec(payload);
-    for (std::uint32_t i = 0; i < frame.record_count; ++i)
-      decode_record(dec, out[i]);
-    return dec.at_eof();
-    // The caller accounts every failed block as one quarantined unit
-    // (QuarantineStats::corrupt_blocks in BlockedLogDecode::finalize);
-    // nothing partial is kept, so no counter is touched here.
-    // wearscope-lint: allow(quarantine-pairing)
-  } catch (const util::ParseError&) {
-    return false;
-  }
-}
-
-/// Sequential v1 body decode (records until EOF), shared by the strict
-/// and lenient span readers.
-template <typename Record>
-void decode_v1_body(util::MemorySpanDecoder& dec, std::vector<Record>& out) {
-  Record r;
-  while (!dec.at_eof()) {
-    decode_record(dec, r);
-    out.push_back(std::move(r));
-  }
 }
 
 }  // namespace
@@ -142,286 +89,9 @@ void BlockLogWriter<Record>::flush_block() {
   ++blocks_;
 }
 
-// ---------------------------------------------------------------------------
-// Frame index scan
-// ---------------------------------------------------------------------------
-
-BlockIndex scan_block_index(std::span<const std::byte> body, bool lenient) {
-  BlockIndex index;
-  util::MemorySpanDecoder dec(body);
-  while (!dec.at_eof()) {
-    if (dec.remaining() < kFrameHeaderBytes) {
-      if (!lenient)
-        throw util::ParseError("blocked log: truncated frame header at byte " +
-                               std::to_string(dec.offset()));
-      ++index.corrupt_blocks;  // the chain is broken; one block lost
-      return index;
-    }
-    BlockFrame frame;
-    frame.record_count = dec.get_u32();
-    frame.byte_length = dec.get_u32();
-    frame.crc = dec.get_u32();
-    if (frame.byte_length > dec.remaining()) {
-      if (!lenient)
-        throw util::ParseError(
-            "blocked log: frame claims " + std::to_string(frame.byte_length) +
-            " payload bytes but only " + std::to_string(dec.remaining()) +
-            " remain (overlong byte_length at byte " +
-            std::to_string(dec.offset() - kFrameHeaderBytes) + ")");
-      ++index.corrupt_blocks;  // tail unaddressable past a broken length
-      return index;
-    }
-    frame.payload_offset = static_cast<std::size_t>(dec.offset());
-    (void)dec.take(frame.byte_length);
-    // record_count > byte_length is impossible (every record is at least
-    // one byte): cap the pre-size allocation at the file size and skip
-    // the frame — the chain is still intact, so the next frame resyncs.
-    if (frame.record_count > frame.byte_length) {
-      if (!lenient)
-        throw util::ParseError(
-            "blocked log: frame claims " + std::to_string(frame.record_count) +
-            " records in " + std::to_string(frame.byte_length) + " bytes");
-      frame.header_ok = false;
-      ++index.corrupt_blocks;
-    } else {
-      index.total_records += frame.record_count;
-    }
-    index.frames.push_back(frame);
-  }
-  return index;
-}
-
-// ---------------------------------------------------------------------------
-// BlockedLogDecode
-// ---------------------------------------------------------------------------
-
-template <typename Record>
-BlockedLogDecode<Record>::BlockedLogDecode(std::span<const std::byte> body,
-                                           bool lenient)
-    : body_(body), lenient_(lenient),
-      index_(scan_block_index(body, lenient)) {
-  frame_base_.reserve(index_.frames.size());
-  std::uint64_t base = 0;
-  for (const BlockFrame& frame : index_.frames) {
-    frame_base_.push_back(base);
-    if (frame.header_ok) base += frame.record_count;
-  }
-  frame_done_.assign(index_.frames.size(), 0);
-}
-
-template <typename Record>
-void BlockedLogDecode<Record>::schedule(
-    std::vector<Record>& out, std::vector<std::function<void()>>& batch) {
-  out.resize(static_cast<std::size_t>(index_.total_records));
-  for (std::size_t i = 0; i < index_.frames.size(); ++i) {
-    const BlockFrame& frame = index_.frames[i];
-    if (!frame.header_ok) continue;
-    const std::span<const std::byte> payload =
-        body_.subspan(frame.payload_offset, frame.byte_length);
-    Record* slice = out.data() + frame_base_[i];
-    std::uint8_t* done = &frame_done_[i];
-    const bool lenient = lenient_;
-    const std::size_t block_no = i;
-    batch.push_back([payload, &frame, slice, done, lenient, block_no] {
-      const bool ok = decode_block(payload, frame, slice);
-      if (!ok && !lenient)
-        throw util::ParseError("blocked log: block " +
-                               std::to_string(block_no) +
-                               " failed CRC or payload decode");
-      *done = ok ? 1 : 0;
-    });
-  }
-}
-
-template <typename Record>
-std::uint64_t BlockedLogDecode<Record>::finalize(std::vector<Record>& out) {
-  std::uint64_t corrupt = index_.corrupt_blocks;
-  std::uint64_t write_pos = 0;
-  for (std::size_t i = 0; i < index_.frames.size(); ++i) {
-    const BlockFrame& frame = index_.frames[i];
-    if (!frame.header_ok) continue;
-    if (frame_done_[i] == 0) {
-      ++corrupt;
-      continue;
-    }
-    const std::uint64_t base = frame_base_[i];
-    if (write_pos != base) {
-      std::move(out.begin() + static_cast<std::ptrdiff_t>(base),
-                out.begin() +
-                    static_cast<std::ptrdiff_t>(base + frame.record_count),
-                out.begin() + static_cast<std::ptrdiff_t>(write_pos));
-    }
-    write_pos += frame.record_count;
-  }
-  out.resize(static_cast<std::size_t>(write_pos));
-  return corrupt;
-}
-
-// ---------------------------------------------------------------------------
-// Whole-log readers
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Runs `batch` on `pool` (or inline when pool is null / single-threaded).
-void run_batch(std::vector<std::function<void()>> batch, par::TaskPool* pool) {
-  if (batch.empty()) return;
-  if (pool == nullptr) {
-    for (std::function<void()>& task : batch) task();
-    return;
-  }
-  pool->run(std::move(batch));
-}
-
-}  // namespace
-
-template <typename Record>
-std::vector<Record> read_binary_log(std::span<const std::byte> bytes,
-                                    par::TaskPool* pool) {
-  util::MemorySpanDecoder dec(bytes);
-  const std::uint16_t version = parse_file_header<Record>(dec);
-  std::vector<Record> out;
-  if (version == 1) {
-    decode_v1_body(dec, out);
-    return out;
-  }
-  if (version == kBinaryFormatV3) {
-    ColumnarLogDecode<Record> decode(bytes.subspan(8), /*lenient=*/false);
-    std::vector<std::function<void()>> batch;
-    decode.schedule(out, batch);
-    run_batch(std::move(batch), pool);
-    (void)decode.finalize(out);
-    return out;
-  }
-  BlockedLogDecode<Record> decode(bytes.subspan(8), /*lenient=*/false);
-  std::vector<std::function<void()>> batch;
-  decode.schedule(out, batch);
-  run_batch(std::move(batch), pool);
-  (void)decode.finalize(out);
-  return out;
-}
-
-template <typename Record>
-std::vector<Record> read_binary_log_lenient(std::span<const std::byte> bytes,
-                                            QuarantineStats& quarantine,
-                                            par::TaskPool* pool) {
-  std::vector<Record> out;
-  std::uint16_t version = 0;
-  util::MemorySpanDecoder dec(bytes);
-  try {
-    version = parse_file_header<Record>(dec);
-  } catch (const util::ParseError&) {
-    ++quarantine.corrupt_files;
-    return out;
-  }
-  if (version == 1) {
-    try {
-      decode_v1_body(dec, out);
-    } catch (const util::ParseError&) {
-      // v1 records carry no framing: the tail is unrecoverable past the
-      // first bad byte, mirroring the stream reader's semantics.
-      ++quarantine.corrupt_tails;
-    }
-    return out;
-  }
-  if (version == kBinaryFormatV3) {
-    ColumnarLogDecode<Record> decode(bytes.subspan(8), /*lenient=*/true);
-    if (!decode.dicts_ok()) {
-      ++quarantine.corrupt_files;  // indices are meaningless without dicts
-      return out;
-    }
-    std::vector<std::function<void()>> batch;
-    decode.schedule(out, batch);
-    run_batch(std::move(batch), pool);
-    quarantine.corrupt_blocks += decode.finalize(out);
-    return out;
-  }
-  BlockedLogDecode<Record> decode(bytes.subspan(8), /*lenient=*/true);
-  std::vector<std::function<void()>> batch;
-  decode.schedule(out, batch);
-  run_batch(std::move(batch), pool);
-  quarantine.corrupt_blocks += decode.finalize(out);
-  return out;
-}
-
-template <typename Record>
-std::uint16_t read_log_header(std::span<const std::byte> bytes) {
-  util::MemorySpanDecoder dec(bytes);
-  return parse_file_header<Record>(dec);
-}
-
-template <typename Record>
-BinaryLogInfo probe_binary_log(std::span<const std::byte> bytes) {
-  util::MemorySpanDecoder dec(bytes);
-  BinaryLogInfo info;
-  info.version = parse_file_header<Record>(dec);
-  if (info.version == kBinaryFormatV3) {
-    const ColumnarLayoutInfo layout =
-        probe_columnar_layout<Record>(bytes.subspan(8));
-    info.blocks = layout.groups;
-    info.records = layout.records;
-    return info;
-  }
-  if (info.version == kBinaryFormatV2) {
-    const BlockIndex index =
-        scan_block_index(bytes.subspan(8), /*lenient=*/true);
-    info.blocks = index.frames.size();
-    info.records = index.total_records;
-    return info;
-  }
-  try {
-    Record r;
-    while (!dec.at_eof()) {
-      decode_record(dec, r);
-      ++info.records;
-    }
-    // Audit context: report what a lenient reader would recover; the
-    // quarantine accounting itself happens on the real load path.
-    // wearscope-lint: allow(quarantine-pairing)
-  } catch (const util::ParseError&) {
-  }
-  return info;
-}
-
 template class BlockLogWriter<ProxyRecord>;
 template class BlockLogWriter<MmeRecord>;
 template class BlockLogWriter<DeviceRecord>;
 template class BlockLogWriter<SectorInfo>;
-template class BlockedLogDecode<ProxyRecord>;
-template class BlockedLogDecode<MmeRecord>;
-template class BlockedLogDecode<DeviceRecord>;
-template class BlockedLogDecode<SectorInfo>;
-
-template std::vector<ProxyRecord> read_binary_log<ProxyRecord>(
-    std::span<const std::byte>, par::TaskPool*);
-template std::vector<MmeRecord> read_binary_log<MmeRecord>(
-    std::span<const std::byte>, par::TaskPool*);
-template std::vector<DeviceRecord> read_binary_log<DeviceRecord>(
-    std::span<const std::byte>, par::TaskPool*);
-template std::vector<SectorInfo> read_binary_log<SectorInfo>(
-    std::span<const std::byte>, par::TaskPool*);
-
-template std::vector<ProxyRecord> read_binary_log_lenient<ProxyRecord>(
-    std::span<const std::byte>, QuarantineStats&, par::TaskPool*);
-template std::vector<MmeRecord> read_binary_log_lenient<MmeRecord>(
-    std::span<const std::byte>, QuarantineStats&, par::TaskPool*);
-template std::vector<DeviceRecord> read_binary_log_lenient<DeviceRecord>(
-    std::span<const std::byte>, QuarantineStats&, par::TaskPool*);
-template std::vector<SectorInfo> read_binary_log_lenient<SectorInfo>(
-    std::span<const std::byte>, QuarantineStats&, par::TaskPool*);
-
-template std::uint16_t read_log_header<ProxyRecord>(std::span<const std::byte>);
-template std::uint16_t read_log_header<MmeRecord>(std::span<const std::byte>);
-template std::uint16_t read_log_header<DeviceRecord>(
-    std::span<const std::byte>);
-template std::uint16_t read_log_header<SectorInfo>(std::span<const std::byte>);
-
-template BinaryLogInfo probe_binary_log<ProxyRecord>(
-    std::span<const std::byte>);
-template BinaryLogInfo probe_binary_log<MmeRecord>(std::span<const std::byte>);
-template BinaryLogInfo probe_binary_log<DeviceRecord>(
-    std::span<const std::byte>);
-template BinaryLogInfo probe_binary_log<SectorInfo>(
-    std::span<const std::byte>);
 
 }  // namespace wearscope::trace

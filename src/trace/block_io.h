@@ -11,43 +11,23 @@
 //     [record_count v1-encoded records]               payload, byte_length
 //   }                                                 bytes long
 //
-// Consequences the rest of the system builds on:
-//
-//   * the writer encodes into a per-block scratch buffer and issues two
-//     ostream::writes per block (header + payload) instead of one per
-//     primitive;
-//   * the reader scans the frame index without touching payloads, pre-sizes
-//     the destination vector, and decodes blocks concurrently on a
-//     par::TaskPool — each task writes its own contiguous slice, so the
-//     result is bitwise identical to the sequential decode for any thread
-//     count (the same determinism contract as ParPipeline);
-//   * corruption is block-granular: a bad CRC or an impossible frame header
-//     quarantines ONE block (`QuarantineStats::corrupt_blocks`) and the
-//     reader resyncs at the next frame header, because `byte_length` chains
-//     frames together.  Only a broken chain (truncated tail, overlong
-//     byte_length) loses the rest of the file — counted as one block.
-//
-// Block payloads are decoded with util::MemorySpanDecoder over an mmap'ed
-// file (util::MappedFile), so the hot path does zero virtual calls and
-// zero copies between the page cache and the record fields.
+// The writer encodes into a per-block scratch buffer and issues two
+// ostream::writes per block (header + payload) instead of one per
+// primitive.  Reading is trace/log_reader's job, shared with v3: the frame
+// chain is scanned without touching payloads and blocks decode
+// concurrently, and corruption is block-granular — a bad CRC or an
+// impossible frame header quarantines ONE block and the reader resyncs at
+// the next frame header, because `byte_length` chains frames together.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <ostream>
-#include <span>
 #include <string>
-#include <vector>
 
-#include "trace/quarantine.h"
 #include "trace/records.h"
 #include "util/error.h"
-
-namespace wearscope::par {
-class TaskPool;
-}  // namespace wearscope::par
 
 namespace wearscope::trace {
 
@@ -134,124 +114,9 @@ class BlockLogWriter {
   bool finished_ = false;
 };
 
-/// One frame of a v2 log as located by the index scan.
-struct BlockFrame {
-  std::size_t payload_offset = 0;  ///< Into the log body (after the header).
-  std::uint32_t record_count = 0;
-  std::uint32_t byte_length = 0;
-  std::uint32_t crc = 0;
-  /// False when the frame header itself is impossible (record_count
-  /// exceeds byte_length): the frame is skipped, never decoded.
-  bool header_ok = true;
-};
-
-/// Frame index of one v2 log body: every addressable frame plus what the
-/// scan had to give up on.
-struct BlockIndex {
-  std::vector<BlockFrame> frames;
-  /// Sum of record_count over frames with header_ok (the pre-size target).
-  std::uint64_t total_records = 0;
-  /// Blocks lost at scan time: impossible frame headers plus one for a
-  /// broken chain (truncated frame header/payload at the tail).
-  std::uint64_t corrupt_blocks = 0;
-};
-
-/// Scans the frame chain of a v2 log body (`body` starts AFTER the 8-byte
-/// file header) without decoding payloads.  Strict (`lenient == false`):
-/// throws util::ParseError on any structural damage.  Lenient: skips
-/// impossible frames when the chain allows it, counts a broken chain as
-/// one corrupt block and stops — corruption never cascades past the scan.
-[[nodiscard]] BlockIndex scan_block_index(std::span<const std::byte> body,
-                                          bool lenient);
-
-/// Summary of one binary log file for operator audits (wearscope_inspect).
-struct BinaryLogInfo {
-  std::uint16_t version = 0;   ///< 1, 2 or 3.
-  std::uint64_t blocks = 0;    ///< v2 frames / v3 row groups; 0 for v1.
-  std::uint64_t records = 0;   ///< v2/v3: claimed; v1: decoded count.
-};
-
-/// Probes a whole binary log (header included) of either version.
-/// Throws util::ParseError when the header is not a `Record` log at all;
-/// body damage is tolerated (the counts describe what a lenient reader
-/// would recover).
-template <typename Record>
-[[nodiscard]] BinaryLogInfo probe_binary_log(std::span<const std::byte> bytes);
-
-/// Validates the 8-byte file header of a `Record` log and returns its
-/// version (1, 2 or 3).  Throws util::ParseError on a short buffer, wrong
-/// magic or unknown version.  Cheap: touches only the first 8 bytes.
-template <typename Record>
-[[nodiscard]] std::uint16_t read_log_header(std::span<const std::byte> bytes);
-
-/// Strict whole-log read from memory, v1/v2/v3 by header version.  v2
-/// blocks and v3 row groups decode concurrently on `pool` when given
-/// (nullptr == inline); the result is identical for every pool size.
-/// Throws util::ParseError on any corruption.
-template <typename Record>
-[[nodiscard]] std::vector<Record> read_binary_log(
-    std::span<const std::byte> bytes, par::TaskPool* pool = nullptr);
-
-/// Lenient whole-log read from memory with skip-and-count quarantine:
-/// a rejected header counts one `corrupt_files`; v1 body damage counts
-/// one `corrupt_tails` (keeping the records before it); v2/v3 body damage
-/// counts one `corrupt_blocks` per lost block or row group, keeping every
-/// other one (a damaged v3 dictionary counts one `corrupt_files` — the
-/// indices are meaningless without it).  Never throws ParseError.
-template <typename Record>
-[[nodiscard]] std::vector<Record> read_binary_log_lenient(
-    std::span<const std::byte> bytes, QuarantineStats& quarantine,
-    par::TaskPool* pool = nullptr);
-
-// --- Bundle-loader building blocks ---------------------------------------
-// load_bundle wants ALL blocks of ALL four logs in one task batch, so the
-// schedule/finalize halves of the parallel decode are exposed here.
-
-/// A v2 log whose frames have been scanned and whose destination has been
-/// pre-sized: schedule() appends one decode task per frame to `batch`
-/// (tasks write disjoint slices of `out` and the per-frame ok flags);
-/// finalize() — sequential, after the batch ran — compacts failed blocks
-/// out of `out` in frame order and returns the total corrupt-block count.
-template <typename Record>
-class BlockedLogDecode {
- public:
-  /// `body` is the log body after the 8-byte header; it must stay alive
-  /// (and unmoved) until finalize() returns.  `lenient` selects scan and
-  /// decode behaviour: strict decode tasks throw on a bad block.
-  BlockedLogDecode(std::span<const std::byte> body, bool lenient);
-
-  /// Claimed record total (the pre-size target).
-  [[nodiscard]] std::uint64_t total_records() const noexcept {
-    return index_.total_records;
-  }
-  /// Frames found by the scan.
-  [[nodiscard]] const BlockIndex& index() const noexcept { return index_; }
-
-  /// Resizes `out` and appends the per-frame decode tasks to `batch`.
-  void schedule(std::vector<Record>& out,
-                std::vector<std::function<void()>>& batch);
-
-  /// Compacts `out` (stable, frame order) and returns corrupt blocks
-  /// (scan losses + decode/CRC failures).  Strict mode always returns 0 —
-  /// failures have already thrown out of the batch.
-  std::uint64_t finalize(std::vector<Record>& out);
-
- private:
-  std::span<const std::byte> body_;
-  bool lenient_ = false;
-  BlockIndex index_;
-  std::vector<std::uint64_t> frame_base_;  ///< Slice start per frame.
-  /// Written concurrently, one slot per frame, by the decode tasks.
-  std::vector<std::uint8_t> frame_done_;
-};
-
 extern template class BlockLogWriter<ProxyRecord>;
 extern template class BlockLogWriter<MmeRecord>;
 extern template class BlockLogWriter<DeviceRecord>;
 extern template class BlockLogWriter<SectorInfo>;
-extern template class BlockedLogDecode<ProxyRecord>;
-extern template class BlockedLogDecode<MmeRecord>;
-extern template class BlockedLogDecode<DeviceRecord>;
-extern template class BlockedLogDecode<SectorInfo>;
 
 }  // namespace wearscope::trace

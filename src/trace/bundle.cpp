@@ -11,6 +11,7 @@
 #include "par/task_pool.h"
 #include "trace/binary_io.h"
 #include "trace/csv_io.h"
+#include "trace/log_reader.h"
 #include "util/error.h"
 #include "util/mapped_file.h"
 
@@ -75,24 +76,24 @@ void warn_dual_format(const std::filesystem::path& dir,
 
 /// Per-log state of the one-batch bundle load.  prepare() — sequential —
 /// maps the file, validates the header and appends this log's decode tasks
-/// to the shared batch (one task per v2 block; one whole-log task for
-/// v1/CSV, since those have no internal framing to split on).  After the
-/// batch drains, finalize() — sequential again, called in fixed log
-/// order — compacts v2 blocks and merges this log's quarantine counters,
-/// keeping the accounting deterministic for every thread count.
+/// to the shared batch (one task per v2 block or v3 row group; one
+/// whole-log task for v1/CSV, since those have no internal framing to split
+/// on).  After the batch drains, finalize() — sequential again, called in
+/// fixed log order — compacts failed units and merges this log's
+/// quarantine counters, keeping the accounting deterministic for every
+/// thread count.
 template <typename Record>
 class LogLoad {
  public:
   void prepare(const std::filesystem::path& dir, const std::string& stem,
-               bool lenient, const LoadOptions& options,
-               std::vector<std::function<void()>>& batch) {
+               bool lenient, std::vector<std::function<void()>>& batch) {
     const std::filesystem::path bin = dir / (stem + ".bin");
     const std::filesystem::path csv = dir / (stem + ".csv");
     const bool have_bin = std::filesystem::exists(bin);
     const bool have_csv = std::filesystem::exists(csv);
     if (have_bin && have_csv) warn_dual_format(dir, stem);
     if (have_bin) {
-      prepare_binary(bin, lenient, options, batch);
+      prepare_binary(bin, lenient, batch);
     } else if (have_csv) {
       prepare_csv(csv, lenient, batch);
     } else {
@@ -103,23 +104,18 @@ class LogLoad {
   /// Merges this log's quarantine counters into `quarantine` (lenient
   /// loads only) and hands over the records.
   std::vector<Record> finalize(QuarantineStats* quarantine) {
-    if (decode_.has_value()) local_.corrupt_blocks += decode_->finalize(out_);
-    if (columnar_.has_value())
-      local_.corrupt_blocks += columnar_->finalize(out_);
+    if (decode_.has_value()) local_ += decode_->finalize(out_);
     if (quarantine != nullptr) *quarantine += local_;
     decode_.reset();
-    columnar_.reset();
     file_.reset();
     return std::move(out_);
   }
 
  private:
   void prepare_binary(const std::filesystem::path& bin, bool lenient,
-                      const LoadOptions& options,
                       std::vector<std::function<void()>>& batch) {
     errno = 0;
-    file_.emplace(bin, options.use_mmap ? util::MapMode::kAuto
-                                        : util::MapMode::kReadWholeFile);
+    file_.emplace(bin, util::MapMode::kAuto);
     const std::span<const std::byte> bytes = file_->bytes();
     std::uint16_t version = 0;
     if (lenient) {
@@ -132,18 +128,8 @@ class LogLoad {
     } else {
       version = read_log_header<Record>(bytes);
     }
-    if (version == kBinaryFormatV3) {
-      columnar_.emplace(bytes.subspan(8), lenient);
-      if (!columnar_->dicts_ok()) {
-        ++local_.corrupt_files;  // indices are meaningless without dicts
-        columnar_.reset();
-        return;
-      }
-      columnar_->schedule(out_, batch);
-      return;
-    }
-    if (version == kBinaryFormatV2) {
-      decode_.emplace(bytes.subspan(8), lenient);
+    if (version != 1) {
+      decode_.emplace(bytes.subspan(8), version, lenient);
       decode_->schedule(out_, batch);
       return;
     }
@@ -175,8 +161,7 @@ class LogLoad {
   }
 
   std::optional<util::MappedFile> file_;
-  std::optional<BlockedLogDecode<Record>> decode_;
-  std::optional<ColumnarLogDecode<Record>> columnar_;
+  std::optional<LogDecode<Record>> decode_;
   std::vector<Record> out_;
   QuarantineStats local_;
   std::filesystem::path csv_path_;
@@ -191,20 +176,20 @@ TraceStore load_bundle_impl(const std::filesystem::path& dir,
   LogLoad<MmeRecord> mme;
   LogLoad<DeviceRecord> devices;
   LogLoad<SectorInfo> sectors;
-  // Phase 1 (sequential): map files, validate headers, scan v2 frame
-  // indexes, pre-size destinations — and collect EVERY decode task of all
+  // Phase 1 (sequential): map files, validate headers, scan v2/v3 unit
+  // chains, pre-size destinations — and collect EVERY decode task of all
   // four logs into one flat batch, so a pool thread never idles while
   // another log still has blocks left.
   std::vector<std::function<void()>> batch;
-  proxy.prepare(dir, "proxy", lenient, options, batch);
-  mme.prepare(dir, "mme", lenient, options, batch);
-  devices.prepare(dir, "devices", lenient, options, batch);
-  sectors.prepare(dir, "sectors", lenient, options, batch);
+  proxy.prepare(dir, "proxy", lenient, batch);
+  mme.prepare(dir, "mme", lenient, batch);
+  devices.prepare(dir, "devices", lenient, batch);
+  sectors.prepare(dir, "sectors", lenient, batch);
   // Phase 2: drain the batch.  Tasks write disjoint slices (and their own
   // per-log counters), so any thread count produces the same bytes.
   par::TaskPool pool(static_cast<std::size_t>(options.threads));
   pool.run(std::move(batch));
-  // Phase 3 (sequential, fixed order): compact v2 blocks and merge
+  // Phase 3 (sequential, fixed order): compact failed units and merge
   // quarantine accounting.
   TraceStore store;
   store.proxy = proxy.finalize(quarantine);
@@ -249,6 +234,14 @@ const char* extension(BundleFormat format) {
 }
 
 }  // namespace
+
+std::uint16_t trace_format_version(const std::string& name) {
+  if (name == "v1") return 1;
+  if (name == "v2") return kBinaryFormatV2;
+  if (name == "v3") return kBinaryFormatV3;
+  throw util::ConfigError("unknown trace-format '" + name +
+                          "' (expected v1|v2|v3)");
+}
 
 void save_bundle(const TraceStore& store, const std::filesystem::path& dir,
                  BundleFormat format, std::uint16_t binary_version) {

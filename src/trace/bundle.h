@@ -6,9 +6,10 @@
 //   <dir>/devices.(bin|csv)  DeviceDB snapshot
 //   <dir>/sectors.(bin|csv)  antenna-sector positions
 //
-// Binary logs are written in the blocked v2 format by default
-// (trace/block_io: CRC-framed blocks, mmap + parallel decode); v1 streams
-// remain fully readable and can still be written for older consumers.
+// Binary logs are written in the columnar v3 format by default
+// (trace/columnar_io: dictionary-coded, CRC-framed row groups).  v1 streams
+// and v2 blocks remain fully readable — trace/log_reader reads all three —
+// and can still be written on request for older consumers.
 // When both <stem>.bin and <stem>.csv exist, the binary file wins and the
 // loader says so on stderr — a silent preference bit us in the field.
 #pragma once
@@ -18,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "trace/block_io.h"
 #include "trace/columnar_io.h"
 #include "trace/quarantine.h"
 #include "trace/store.h"
@@ -38,16 +38,18 @@ enum class BundleFormat {
 /// the message.
 void save_bundle(const TraceStore& store, const std::filesystem::path& dir,
                  BundleFormat format = BundleFormat::kBinary,
-                 std::uint16_t binary_version = kBinaryFormatV2);
+                 std::uint16_t binary_version = kBinaryFormatV3);
 
-/// Knobs for load_bundle.  With `threads > 1` every v2 block of every log
-/// joins ONE task batch on a par::TaskPool (v1/CSV logs contribute one
-/// whole-log task each); the loaded store is bitwise identical for any
-/// thread count.  `use_mmap` false forces the portable read-whole-file
-/// path (util::MapMode::kReadWholeFile) — same bytes, same result.
+/// The binary version a `--trace-format` name selects: "v1", "v2" or "v3".
+/// Throws util::ConfigError on any other name.
+[[nodiscard]] std::uint16_t trace_format_version(const std::string& name);
+
+/// Knobs for load_bundle.  With `threads > 1` every v2 block and v3 row
+/// group of every log joins ONE task batch on a par::TaskPool (v1/CSV logs
+/// contribute one whole-log task each); the loaded store is bitwise
+/// identical for any thread count.
 struct LoadOptions {
   int threads = 1;
-  bool use_mmap = true;
 };
 
 /// Loads a bundle previously written by save_bundle. The format is detected
@@ -62,7 +64,8 @@ TraceStore load_bundle(const std::filesystem::path& dir);
 /// Lenient variant for hostile captures: instead of aborting on the first
 /// malformed byte, recovers every record it can and accounts for the rest
 /// in `quarantine` (see trace/quarantine.h — rejected headers, abandoned
-/// v1 binary tails, quarantined v2 blocks, skipped CSV rows).  Missing
+/// v1 binary tails, quarantined v2 blocks and v3 row groups, skipped CSV
+/// rows).  Missing
 /// files still throw util::IoError: an absent log is a deployment error,
 /// not line noise.
 TraceStore load_bundle(const std::filesystem::path& dir,

@@ -1,9 +1,11 @@
 #include "trace/columnar_io.h"
 
 #include <algorithm>
+#include <array>
 #include <unordered_map>
 #include <utility>
 
+#include "trace/log_reader.h"
 #include "trace/record_codec.h"
 #include "util/crc32.h"
 #include "util/span_decoder.h"
@@ -37,15 +39,16 @@ struct DictBuilder {
 
   void intern_host(const std::string& host) {
     const auto id = static_cast<std::uint32_t>(dicts.hosts.size());
-    if (host_id.emplace(host, id).second) dicts.hosts.push_back(host);
+    if (host_id.try_emplace(host, id).second) dicts.hosts.push_back(host);
   }
   void intern_tac(std::uint32_t tac) {
     const auto id = static_cast<std::uint32_t>(dicts.tacs.size());
-    if (tac_id.emplace(tac, id).second) dicts.tacs.push_back(tac);
+    if (tac_id.try_emplace(tac, id).second) dicts.tacs.push_back(tac);
   }
   void intern_sector(std::uint32_t sector) {
     const auto id = static_cast<std::uint32_t>(dicts.sectors.size());
-    if (sector_id.emplace(sector, id).second) dicts.sectors.push_back(sector);
+    if (sector_id.try_emplace(sector, id).second)
+      dicts.sectors.push_back(sector);
   }
 };
 
@@ -87,52 +90,6 @@ void write_dict_sections(std::ostream& out, const ColumnDicts& dicts) {
   for (const std::uint32_t sector : dicts.sectors) enc.put_u32(sector);
   write_section(out, static_cast<std::uint32_t>(dicts.sectors.size()),
                 payload);
-}
-
-/// Parses the three dictionary sections.  Strict: throws ParseError on any
-/// damage.  Lenient: returns false (the caller quarantines the file).
-bool parse_dicts(util::MemorySpanDecoder& dec, bool lenient,
-                 ColumnDicts& dicts) {
-  const auto fail = [lenient](const std::string& what) -> bool {
-    if (!lenient) throw util::ParseError("columnar log: " + what);
-    return false;
-  };
-  for (int section = 0; section < 3; ++section) {
-    if (dec.remaining() < kDictHeaderBytes)
-      return fail("truncated dictionary section header");
-    const std::uint32_t entries = dec.get_u32();
-    const std::uint32_t byte_length = dec.get_u32();
-    const std::uint32_t crc = dec.get_u32();
-    if (byte_length > dec.remaining())
-      return fail("truncated dictionary payload");
-    const std::span<const std::byte> payload = dec.take(byte_length);
-    if (util::crc32(payload) != crc)
-      return fail("dictionary section failed CRC");
-    try {
-      util::MemorySpanDecoder body(payload);
-      if (section == 0) {
-        dicts.hosts.reserve(entries);
-        for (std::uint32_t i = 0; i < entries; ++i)
-          dicts.hosts.push_back(body.get_string());
-      } else {
-        if (byte_length != static_cast<std::uint64_t>(entries) * 4)
-          return fail("dictionary section length does not match entry count");
-        std::vector<std::uint32_t>& entries_out =
-            section == 1 ? dicts.tacs : dicts.sectors;
-        entries_out.reserve(entries);
-        for (std::uint32_t i = 0; i < entries; ++i)
-          entries_out.push_back(body.get_u32());
-      }
-      if (!body.at_eof())
-        return fail("dictionary section has trailing bytes");
-      // fail() rethrows in strict mode; lenient dictionary damage is
-      // accounted as corrupt_files by the caller (file-level state).
-      // wearscope-lint: allow(quarantine-pairing)
-    } catch (const util::ParseError&) {
-      return fail("dictionary payload decode failed");
-    }
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -379,12 +336,57 @@ void decode_columns(std::span<const std::span<const std::byte>> cols,
   }
 }
 
-/// Decodes one row group into `out[0..record_count)`.  Returns true when
-/// every column segment passes its CRC, decodes exactly record_count
-/// values and consumes exactly its byte_length.
+}  // namespace
+
+bool parse_column_dicts(util::MemorySpanDecoder& dec, bool lenient,
+                        ColumnDicts& dicts) {
+  const auto fail = [lenient](const std::string& what) -> bool {
+    if (!lenient) throw util::ParseError("columnar log: " + what);
+    return false;
+  };
+  for (int section = 0; section < 3; ++section) {
+    if (dec.remaining() < kDictHeaderBytes)
+      return fail("truncated dictionary section header");
+    const std::uint32_t entries = dec.get_u32();
+    const std::uint32_t byte_length = dec.get_u32();
+    const std::uint32_t crc = dec.get_u32();
+    if (byte_length > dec.remaining())
+      return fail("truncated dictionary payload");
+    const std::span<const std::byte> payload = dec.take(byte_length);
+    if (util::crc32(payload) != crc)
+      return fail("dictionary section failed CRC");
+    try {
+      util::MemorySpanDecoder body(payload);
+      if (section == 0) {
+        // Each host costs at least its u16 length prefix: bound the
+        // reserve by the payload, not by the (unchecked) header count.
+        dicts.hosts.reserve(std::min<std::size_t>(entries, byte_length / 2));
+        for (std::uint32_t i = 0; i < entries; ++i)
+          dicts.hosts.push_back(body.get_string());
+      } else {
+        if (byte_length != static_cast<std::uint64_t>(entries) * 4)
+          return fail("dictionary section length does not match entry count");
+        std::vector<std::uint32_t>& entries_out =
+            section == 1 ? dicts.tacs : dicts.sectors;
+        entries_out.reserve(entries);
+        for (std::uint32_t i = 0; i < entries; ++i)
+          entries_out.push_back(body.get_u32());
+      }
+      if (!body.at_eof())
+        return fail("dictionary section has trailing bytes");
+      // fail() rethrows in strict mode; lenient dictionary damage is
+      // accounted as corrupt_files by the caller (file-level state).
+      // wearscope-lint: allow(quarantine-pairing)
+    } catch (const util::ParseError&) {
+      return fail("dictionary payload decode failed");
+    }
+  }
+  return true;
+}
+
 template <typename Record>
 bool decode_column_group(std::span<const std::byte> payload,
-                         const ColumnGroup& group, const ColumnDicts& dicts,
+                         std::uint32_t record_count, const ColumnDicts& dicts,
                          Record* out) noexcept {
   constexpr std::size_t kColumns = columnar_column_count<Record>();
   try {
@@ -398,69 +400,15 @@ bool decode_column_group(std::span<const std::byte> payload,
     }
     if (!dec.at_eof()) return false;
     decode_columns(std::span<const std::span<const std::byte>>(cols),
-                   dicts, group.record_count, out);
+                   dicts, record_count, out);
     return true;
     // The caller accounts every failed group as one quarantined unit
-    // (ColumnarLogDecode::finalize), exactly like the v2 block decode;
+    // (LogDecode::finalize), exactly like the v2 block decode;
     // nothing partial is kept, so no counter is touched here.
     // wearscope-lint: allow(quarantine-pairing)
   } catch (const util::ParseError&) {
     return false;
   }
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Group scan
-// ---------------------------------------------------------------------------
-
-ColumnGroupIndex scan_column_groups(std::span<const std::byte> chain,
-                                    bool lenient) {
-  ColumnGroupIndex index;
-  util::MemorySpanDecoder dec(chain);
-  while (!dec.at_eof()) {
-    if (dec.remaining() < kGroupHeaderBytes) {
-      if (!lenient)
-        throw util::ParseError(
-            "columnar log: truncated group header at byte " +
-            std::to_string(dec.offset()));
-      ++index.corrupt_blocks;  // the chain is broken; one group lost
-      return index;
-    }
-    ColumnGroup group;
-    group.record_count = dec.get_u32();
-    group.byte_length = dec.get_u32();
-    if (group.byte_length > dec.remaining()) {
-      if (!lenient)
-        throw util::ParseError(
-            "columnar log: group claims " +
-            std::to_string(group.byte_length) + " payload bytes but only " +
-            std::to_string(dec.remaining()) + " remain (overlong "
-            "byte_length at byte " +
-            std::to_string(dec.offset() - kGroupHeaderBytes) + ")");
-      ++index.corrupt_blocks;  // tail unaddressable past a broken length
-      return index;
-    }
-    group.payload_offset = static_cast<std::size_t>(dec.offset());
-    (void)dec.take(group.byte_length);
-    // record_count > byte_length is impossible (every column costs at
-    // least one byte per record): cap the pre-size allocation and skip
-    // the group — the chain is intact, so the next group resyncs.
-    if (group.record_count > group.byte_length) {
-      if (!lenient)
-        throw util::ParseError(
-            "columnar log: group claims " +
-            std::to_string(group.record_count) + " records in " +
-            std::to_string(group.byte_length) + " bytes");
-      group.header_ok = false;
-      ++index.corrupt_blocks;
-    } else {
-      index.total_records += group.record_count;
-    }
-    index.groups.push_back(group);
-  }
-  return index;
 }
 
 // ---------------------------------------------------------------------------
@@ -524,79 +472,6 @@ ColumnarWriteInfo write_columnar_log(std::ostream& out,
 }
 
 // ---------------------------------------------------------------------------
-// ColumnarLogDecode
-// ---------------------------------------------------------------------------
-
-template <typename Record>
-ColumnarLogDecode<Record>::ColumnarLogDecode(std::span<const std::byte> body,
-                                             bool lenient)
-    : lenient_(lenient), dicts_ok_(true) {
-  util::MemorySpanDecoder dec(body);
-  if (!parse_dicts(dec, lenient, dicts_)) {
-    dicts_ok_ = false;  // lenient only: strict parse_dicts throws
-    return;
-  }
-  chain_ = body.subspan(static_cast<std::size_t>(dec.offset()));
-  index_ = scan_column_groups(chain_, lenient);
-  group_base_.reserve(index_.groups.size());
-  std::uint64_t base = 0;
-  for (const ColumnGroup& group : index_.groups) {
-    group_base_.push_back(base);
-    if (group.header_ok) base += group.record_count;
-  }
-  group_done_.assign(index_.groups.size(), 0);
-}
-
-template <typename Record>
-void ColumnarLogDecode<Record>::schedule(
-    std::vector<Record>& out, std::vector<std::function<void()>>& batch) {
-  out.resize(static_cast<std::size_t>(index_.total_records));
-  for (std::size_t i = 0; i < index_.groups.size(); ++i) {
-    const ColumnGroup& group = index_.groups[i];
-    if (!group.header_ok) continue;
-    const std::span<const std::byte> payload =
-        chain_.subspan(group.payload_offset, group.byte_length);
-    Record* slice = out.data() + group_base_[i];
-    std::uint8_t* done = &group_done_[i];
-    const ColumnDicts* dicts = &dicts_;
-    const bool lenient = lenient_;
-    const std::size_t group_no = i;
-    batch.push_back([payload, &group, slice, done, dicts, lenient, group_no] {
-      const bool ok = decode_column_group(payload, group, *dicts, slice);
-      if (!ok && !lenient)
-        throw util::ParseError("columnar log: group " +
-                               std::to_string(group_no) +
-                               " failed CRC or column decode");
-      *done = ok ? 1 : 0;
-    });
-  }
-}
-
-template <typename Record>
-std::uint64_t ColumnarLogDecode<Record>::finalize(std::vector<Record>& out) {
-  std::uint64_t corrupt = index_.corrupt_blocks;
-  std::uint64_t write_pos = 0;
-  for (std::size_t i = 0; i < index_.groups.size(); ++i) {
-    const ColumnGroup& group = index_.groups[i];
-    if (!group.header_ok) continue;
-    if (group_done_[i] == 0) {
-      ++corrupt;
-      continue;
-    }
-    const std::uint64_t base = group_base_[i];
-    if (write_pos != base) {
-      std::move(out.begin() + static_cast<std::ptrdiff_t>(base),
-                out.begin() +
-                    static_cast<std::ptrdiff_t>(base + group.record_count),
-                out.begin() + static_cast<std::ptrdiff_t>(write_pos));
-    }
-    write_pos += group.record_count;
-  }
-  out.resize(static_cast<std::size_t>(write_pos));
-  return corrupt;
-}
-
-// ---------------------------------------------------------------------------
 // Layout probe
 // ---------------------------------------------------------------------------
 
@@ -619,10 +494,10 @@ ColumnarLayoutInfo probe_columnar_layout(std::span<const std::byte> body) {
   }
   const std::span<const std::byte> chain =
       body.subspan(static_cast<std::size_t>(dec.offset()));
-  const ColumnGroupIndex index = scan_column_groups(chain, /*lenient=*/true);
-  info.groups = index.groups.size();
+  const UnitIndex index = scan_units(chain, kBinaryFormatV3, /*lenient=*/true);
+  info.groups = index.units.size();
   info.records = index.total_records;
-  for (const ColumnGroup& group : index.groups) {
+  for (const LogUnit& group : index.units) {
     if (!group.header_ok) continue;
     util::MemorySpanDecoder seg(
         chain.subspan(group.payload_offset, group.byte_length));
@@ -646,10 +521,18 @@ template ColumnarWriteInfo write_columnar_log<DeviceRecord>(
     std::ostream&, const std::vector<DeviceRecord>&, BlockWriterOptions);
 template ColumnarWriteInfo write_columnar_log<SectorInfo>(
     std::ostream&, const std::vector<SectorInfo>&, BlockWriterOptions);
-template class ColumnarLogDecode<ProxyRecord>;
-template class ColumnarLogDecode<MmeRecord>;
-template class ColumnarLogDecode<DeviceRecord>;
-template class ColumnarLogDecode<SectorInfo>;
+template bool decode_column_group<ProxyRecord>(
+    std::span<const std::byte>, std::uint32_t, const ColumnDicts&,
+    ProxyRecord*) noexcept;
+template bool decode_column_group<MmeRecord>(
+    std::span<const std::byte>, std::uint32_t, const ColumnDicts&,
+    MmeRecord*) noexcept;
+template bool decode_column_group<DeviceRecord>(
+    std::span<const std::byte>, std::uint32_t, const ColumnDicts&,
+    DeviceRecord*) noexcept;
+template bool decode_column_group<SectorInfo>(
+    std::span<const std::byte>, std::uint32_t, const ColumnDicts&,
+    SectorInfo*) noexcept;
 template ColumnarLayoutInfo probe_columnar_layout<ProxyRecord>(
     std::span<const std::byte>);
 template ColumnarLayoutInfo probe_columnar_layout<MmeRecord>(

@@ -29,8 +29,9 @@
 // bytes.  The hosts dictionary payload is a string sequence, the tac and
 // sector payloads are little-endian u32 arrays.
 //
-// Corruption semantics mirror v2 exactly, because the group headers chain
-// the same way frame headers do: a bad column CRC, an out-of-range
+// Corruption semantics are v2's exactly, because the group headers chain
+// the same way frame headers do and trace/log_reader walks both chains
+// with one scan: a bad column CRC, an out-of-range
 // dictionary index, a varint overrun or a segment that does not consume
 // exactly its byte_length quarantines ONE group (corrupt_blocks) and the
 // reader resyncs at the next group header.  record_count > byte_length is
@@ -41,10 +42,8 @@
 // (corrupt_files) rather than fabricating hosts.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <ostream>
 #include <span>
 #include <string>
@@ -52,10 +51,7 @@
 
 #include "trace/block_io.h"
 #include "trace/records.h"
-
-namespace wearscope::par {
-class TaskPool;
-}  // namespace wearscope::par
+#include "util/span_decoder.h"
 
 namespace wearscope::trace {
 
@@ -93,31 +89,6 @@ struct ColumnDicts {
   std::vector<std::uint32_t> sectors;
 };
 
-/// One row group as located by the group scan (offsets into the group
-/// chain, which starts AFTER the dictionary sections).
-struct ColumnGroup {
-  std::size_t payload_offset = 0;  ///< First column-segment header.
-  std::uint32_t record_count = 0;
-  std::uint32_t byte_length = 0;   ///< All column segments, headers included.
-  /// False when the group header is impossible (record_count exceeds
-  /// byte_length): the group is skipped, never decoded.
-  bool header_ok = true;
-};
-
-/// Group index of one v3 group chain, same contract as BlockIndex.
-struct ColumnGroupIndex {
-  std::vector<ColumnGroup> groups;
-  std::uint64_t total_records = 0;
-  std::uint64_t corrupt_blocks = 0;
-};
-
-/// Scans the group chain (`chain` starts at the first group header, after
-/// the dictionary sections) without touching payloads.  Strict: throws
-/// util::ParseError on structural damage.  Lenient: skips impossible
-/// group headers, counts a broken chain as one corrupt block and stops.
-[[nodiscard]] ColumnGroupIndex scan_column_groups(
-    std::span<const std::byte> chain, bool lenient);
-
 /// What write_columnar_log produced (mirrors BlockLogWriter's counters).
 struct ColumnarWriteInfo {
   std::uint64_t records = 0;
@@ -134,56 +105,22 @@ ColumnarWriteInfo write_columnar_log(std::ostream& out,
                                      const std::vector<Record>& records,
                                      BlockWriterOptions options = {});
 
-/// A v3 log body being decoded with the same schedule/finalize split as
-/// BlockedLogDecode: the constructor — sequential — parses the dictionary
-/// sections and scans the group chain; schedule() appends one decode task
-/// per group (tasks write disjoint slices of `out`); finalize() —
-/// sequential, after the batch ran — compacts failed groups in order and
-/// returns the corrupt-group count.
+/// Parses the three dictionary sections at the front of a v3 body,
+/// advancing `dec` past them.  Strict: throws util::ParseError on any
+/// damage.  Lenient: returns false instead (the caller quarantines the
+/// file).
+bool parse_column_dicts(util::MemorySpanDecoder& dec, bool lenient,
+                        ColumnDicts& dicts);
+
+/// Decodes one row-group payload (its column segments, headers included)
+/// into `out[0..record_count)`.  Returns true when every column segment
+/// passes its CRC, decodes exactly record_count values and consumes
+/// exactly its byte_length.
 template <typename Record>
-class ColumnarLogDecode {
- public:
-  /// `body` is the log body after the 8-byte file header; it must stay
-  /// alive (and unmoved) until finalize() returns.  Strict mode throws
-  /// util::ParseError on damaged dictionaries or a damaged chain; lenient
-  /// mode records the damage instead (see dicts_ok()).
-  ColumnarLogDecode(std::span<const std::byte> body, bool lenient);
-
-  /// False only in lenient mode, when a dictionary section was damaged:
-  /// the whole file is unusable and the caller must count one
-  /// corrupt_files (schedule()/finalize() degrade to no-ops).
-  [[nodiscard]] bool dicts_ok() const noexcept { return dicts_ok_; }
-
-  /// Claimed record total (the pre-size target).
-  [[nodiscard]] std::uint64_t total_records() const noexcept {
-    return index_.total_records;
-  }
-  /// Groups found by the scan.
-  [[nodiscard]] const ColumnGroupIndex& index() const noexcept {
-    return index_;
-  }
-  /// The parsed file-level dictionaries.
-  [[nodiscard]] const ColumnDicts& dicts() const noexcept { return dicts_; }
-
-  /// Resizes `out` and appends the per-group decode tasks to `batch`.
-  void schedule(std::vector<Record>& out,
-                std::vector<std::function<void()>>& batch);
-
-  /// Compacts `out` (stable, group order) and returns corrupt groups
-  /// (scan losses + decode/CRC failures).  Strict mode always returns 0 —
-  /// failures have already thrown out of the batch.
-  std::uint64_t finalize(std::vector<Record>& out);
-
- private:
-  std::span<const std::byte> chain_;
-  bool lenient_ = false;
-  bool dicts_ok_ = true;
-  ColumnDicts dicts_;
-  ColumnGroupIndex index_;
-  std::vector<std::uint64_t> group_base_;  ///< Slice start per group.
-  /// Written concurrently, one slot per group, by the decode tasks.
-  std::vector<std::uint8_t> group_done_;
-};
+[[nodiscard]] bool decode_column_group(std::span<const std::byte> payload,
+                                       std::uint32_t record_count,
+                                       const ColumnDicts& dicts,
+                                       Record* out) noexcept;
 
 /// Byte-level layout of one v3 log for operator audits (wearscope_inspect
 /// prints dictionary sizes and per-column compressed bytes next to the
@@ -216,10 +153,6 @@ extern template ColumnarWriteInfo write_columnar_log<DeviceRecord>(
     std::ostream&, const std::vector<DeviceRecord>&, BlockWriterOptions);
 extern template ColumnarWriteInfo write_columnar_log<SectorInfo>(
     std::ostream&, const std::vector<SectorInfo>&, BlockWriterOptions);
-extern template class ColumnarLogDecode<ProxyRecord>;
-extern template class ColumnarLogDecode<MmeRecord>;
-extern template class ColumnarLogDecode<DeviceRecord>;
-extern template class ColumnarLogDecode<SectorInfo>;
 extern template ColumnarLayoutInfo probe_columnar_layout<ProxyRecord>(
     std::span<const std::byte>);
 extern template ColumnarLayoutInfo probe_columnar_layout<MmeRecord>(

@@ -1,0 +1,425 @@
+#include "trace/log_reader.h"
+
+#include <algorithm>
+#include <utility>
+
+#include "par/task_pool.h"
+#include "trace/record_codec.h"
+#include "util/crc32.h"
+#include "util/span_decoder.h"
+
+namespace wearscope::trace {
+
+namespace {
+
+/// Error-message prefix naming the format of `version`.
+std::string log_kind(std::uint16_t version) {
+  if (version == kBinaryFormatV3) return "columnar log: ";
+  return version == kBinaryFormatV2 ? "blocked log: " : "binary log: ";
+}
+
+/// Strict/lenient shared header parse: returns the version, throws
+/// ParseError on wrong magic, short header or unknown version.
+template <typename Record>
+std::uint16_t parse_file_header(util::MemorySpanDecoder& dec) {
+  const std::uint32_t magic = dec.get_u32();
+  if (magic != magic_of<Record>())
+    throw util::ParseError("binary log: wrong magic (different record type?)");
+  const std::uint16_t version = dec.get_u16();
+  if (version != 1 && version != kBinaryFormatV2 &&
+      version != kBinaryFormatV3)
+    throw util::ParseError("binary log: unsupported format version " +
+                           std::to_string(version));
+  (void)dec.get_u16();  // reserved
+  return version;
+}
+
+/// Bytes of one unit header: v2 frames carry the payload CRC, v3 groups
+/// carry one CRC per column segment instead.
+std::size_t unit_header_bytes(std::uint16_t version) {
+  return version == kBinaryFormatV3 ? kGroupHeaderBytes : kFrameHeaderBytes;
+}
+
+/// Parses one unit header of unit_header_bytes(version) bytes.
+LogUnit parse_unit_header(std::span<const std::byte> header,
+                          std::uint16_t version) {
+  util::MemorySpanDecoder dec(header);
+  LogUnit unit;
+  unit.record_count = dec.get_u32();
+  unit.byte_length = dec.get_u32();
+  if (version == kBinaryFormatV2) unit.crc = dec.get_u32();
+  // Every record costs at least one payload byte (v2) or one byte per
+  // column (v3), so more records than bytes is impossible.
+  unit.header_ok = unit.record_count <= unit.byte_length;
+  return unit;
+}
+
+std::string impossible_header(const LogUnit& unit) {
+  return "unit claims " + std::to_string(unit.record_count) +
+         " records in " + std::to_string(unit.byte_length) + " bytes";
+}
+
+std::string failed_unit(std::uint64_t unit_no) {
+  return "unit " + std::to_string(unit_no) +
+         " failed CRC or payload decode";
+}
+
+/// Decodes one v2 frame payload into `out[0..record_count)`.  Returns true
+/// when the CRC matches and exactly record_count records consume exactly
+/// byte_length bytes.
+template <typename Record>
+bool decode_block(std::span<const std::byte> payload, const LogUnit& unit,
+                  Record* out) noexcept {
+  if (util::crc32(payload) != unit.crc) return false;
+  try {
+    util::MemorySpanDecoder dec(payload);
+    for (std::uint32_t i = 0; i < unit.record_count; ++i)
+      decode_record(dec, out[i]);
+    return dec.at_eof();
+    // The caller accounts every failed block as one quarantined unit
+    // (QuarantineStats::corrupt_blocks in LogDecode::finalize); nothing
+    // partial is kept, so no counter is touched here.
+    // wearscope-lint: allow(quarantine-pairing)
+  } catch (const util::ParseError&) {
+    return false;
+  }
+}
+
+/// The per-unit decoder of `version`.
+template <typename Record>
+bool decode_unit(std::span<const std::byte> payload, const LogUnit& unit,
+                 std::uint16_t version, const ColumnDicts& dicts,
+                 Record* out) noexcept {
+  if (version == kBinaryFormatV3)
+    return decode_column_group(payload, unit.record_count, dicts, out);
+  return decode_block(payload, unit, out);
+}
+
+/// Sequential v1 body decode (records until EOF), shared by the strict
+/// and lenient span readers.
+template <typename Record>
+void decode_v1_body(util::MemorySpanDecoder& dec, std::vector<Record>& out) {
+  Record r;
+  while (!dec.at_eof()) {
+    decode_record(dec, r);
+    out.push_back(std::move(r));
+  }
+}
+
+/// Schedules `decode` into `out`, runs the batch on `pool` (or inline when
+/// pool is null) and returns what finalize() lost.
+template <typename Record>
+QuarantineStats decode_all(LogDecode<Record>& decode, std::vector<Record>& out,
+                           par::TaskPool* pool) {
+  std::vector<std::function<void()>> batch;
+  decode.schedule(out, batch);
+  if (pool == nullptr || batch.empty()) {
+    for (std::function<void()>& task : batch) task();
+  } else {
+    pool->run(std::move(batch));
+  }
+  return decode.finalize(out);
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Chain scan
+// ---------------------------------------------------------------------------
+
+UnitIndex scan_units(std::span<const std::byte> chain, std::uint16_t version,
+                     bool lenient) {
+  const std::size_t header_bytes = unit_header_bytes(version);
+  UnitIndex index;
+  // Strict mode throws on any damage; lenient mode counts one lost unit.
+  const auto damaged = [&](const std::string& what) {
+    if (!lenient) throw util::ParseError(log_kind(version) + what);
+    ++index.corrupt_blocks;
+  };
+  util::MemorySpanDecoder dec(chain);
+  while (!dec.at_eof()) {
+    if (dec.remaining() < header_bytes) {
+      damaged("truncated unit header at byte " + std::to_string(dec.offset()));
+      return index;  // the chain is broken; one unit lost
+    }
+    LogUnit unit = parse_unit_header(dec.take(header_bytes), version);
+    if (unit.byte_length > dec.remaining()) {
+      damaged("unit claims " + std::to_string(unit.byte_length) +
+              " payload bytes but only " + std::to_string(dec.remaining()) +
+              " remain (overlong byte_length at byte " +
+              std::to_string(dec.offset() - header_bytes) + ")");
+      return index;  // tail unaddressable past a broken length
+    }
+    unit.payload_offset = static_cast<std::size_t>(dec.offset());
+    (void)dec.take(unit.byte_length);
+    // An impossible header skips the unit; the chain is still intact, so
+    // the next unit resyncs.
+    if (unit.header_ok) {
+      index.total_records += unit.record_count;
+    } else {
+      damaged(impossible_header(unit));
+    }
+    index.units.push_back(unit);
+  }
+  return index;
+}
+
+// ---------------------------------------------------------------------------
+// LogDecode
+// ---------------------------------------------------------------------------
+
+template <typename Record>
+LogDecode<Record>::LogDecode(std::span<const std::byte> body,
+                             std::uint16_t version, bool lenient)
+    : version_(version), lenient_(lenient), chain_(body) {
+  if (version == kBinaryFormatV3) {
+    util::MemorySpanDecoder dec(body);
+    dicts_ok_ = parse_column_dicts(dec, lenient, dicts_);  // strict throws
+    if (!dicts_ok_) return;
+    chain_ = body.subspan(static_cast<std::size_t>(dec.offset()));
+  }
+  index_ = scan_units(chain_, version, lenient);
+  unit_base_.reserve(index_.units.size());
+  std::uint64_t base = 0;
+  for (const LogUnit& unit : index_.units) {
+    unit_base_.push_back(base);
+    if (unit.header_ok) base += unit.record_count;
+  }
+  unit_done_.assign(index_.units.size(), 0);
+}
+
+template <typename Record>
+void LogDecode<Record>::schedule(std::vector<Record>& out,
+                                 std::vector<std::function<void()>>& batch) {
+  out.resize(static_cast<std::size_t>(index_.total_records));
+  for (std::size_t i = 0; i < index_.units.size(); ++i) {
+    const LogUnit& unit = index_.units[i];
+    if (!unit.header_ok) continue;
+    const std::span<const std::byte> payload =
+        chain_.subspan(unit.payload_offset, unit.byte_length);
+    Record* slice = out.data() + unit_base_[i];
+    batch.push_back([this, i, &unit, payload, slice] {
+      const bool ok = decode_unit(payload, unit, version_, dicts_, slice);
+      if (!ok && !lenient_)
+        throw util::ParseError(log_kind(version_) + failed_unit(i));
+      unit_done_[i] = ok ? 1 : 0;
+    });
+  }
+}
+
+template <typename Record>
+QuarantineStats LogDecode<Record>::finalize(std::vector<Record>& out) {
+  QuarantineStats lost;
+  if (!dicts_ok_) {
+    ++lost.corrupt_files;  // indices are meaningless without dicts
+    return lost;
+  }
+  lost.corrupt_blocks = index_.corrupt_blocks;
+  std::uint64_t write_pos = 0;
+  for (std::size_t i = 0; i < index_.units.size(); ++i) {
+    const LogUnit& unit = index_.units[i];
+    if (!unit.header_ok) continue;
+    if (unit_done_[i] == 0) {
+      ++lost.corrupt_blocks;
+      continue;
+    }
+    const std::uint64_t base = unit_base_[i];
+    if (write_pos != base) {
+      std::move(out.begin() + static_cast<std::ptrdiff_t>(base),
+                out.begin() +
+                    static_cast<std::ptrdiff_t>(base + unit.record_count),
+                out.begin() + static_cast<std::ptrdiff_t>(write_pos));
+    }
+    write_pos += unit.record_count;
+  }
+  out.resize(static_cast<std::size_t>(write_pos));
+  return lost;
+}
+
+// ---------------------------------------------------------------------------
+// LogCursor
+// ---------------------------------------------------------------------------
+
+template <typename Record>
+void LogCursor<Record>::append(std::size_t n, const char* what) {
+  // Grow as bytes arrive, so a hostile length cannot force a huge
+  // allocation before the stream runs dry.
+  constexpr std::size_t kChunk = std::size_t{1} << 20;
+  for (std::size_t left = n; left > 0;) {
+    const std::size_t at = scratch_.size();
+    const std::size_t want = std::min(kChunk, left);
+    scratch_.resize(at + want);
+    in_->read(scratch_.data() + at, static_cast<std::streamsize>(want));
+    if (in_->gcount() != static_cast<std::streamsize>(want))
+      throw util::ParseError(log_kind(version_) + "truncated " + what);
+    left -= want;
+  }
+}
+
+template <typename Record>
+std::span<const std::byte> LogCursor<Record>::scratch() const noexcept {
+  return std::as_bytes(std::span<const char>(scratch_.data(), scratch_.size()));
+}
+
+template <typename Record>
+void LogCursor<Record>::open() {
+  append(8, "file header");
+  const std::uint16_t version = read_log_header<Record>(scratch());
+  if (version == 1)
+    throw util::ParseError(
+        "binary log: v1 logs have no units to stream (rewrite as v2 or v3)");
+  version_ = version;
+  scratch_.clear();
+  if (version_ != kBinaryFormatV3) return;
+  // Gather the three `entry_count | byte_length | crc32 | payload`
+  // dictionary sections, then parse them as one buffer.
+  for (int section = 0; section < 3; ++section) {
+    append(kDictHeaderBytes, "dictionary section header");
+    util::MemorySpanDecoder header(scratch().last(kDictHeaderBytes));
+    (void)header.get_u32();  // entry_count
+    append(header.get_u32(), "dictionary section");
+  }
+  util::MemorySpanDecoder dec(scratch());
+  (void)parse_column_dicts(dec, /*lenient=*/false, dicts_);
+}
+
+template <typename Record>
+const Record* LogCursor<Record>::next() {
+  if (version_ == 0) open();
+  while (next_ == unit_.size()) {
+    if (in_->peek() == std::char_traits<char>::eof()) return nullptr;
+    scratch_.clear();
+    append(unit_header_bytes(version_), "unit header");
+    const LogUnit unit = parse_unit_header(scratch(), version_);
+    if (!unit.header_ok)
+      throw util::ParseError(log_kind(version_) + impossible_header(unit));
+    scratch_.clear();
+    append(unit.byte_length, "unit payload");
+    unit_.resize(unit.record_count);
+    next_ = 0;
+    if (!decode_unit(scratch(), unit, version_, dicts_, unit_.data()))
+      throw util::ParseError(log_kind(version_) + failed_unit(units_read_));
+    ++units_read_;
+  }
+  return &unit_[next_++];
+}
+
+// ---------------------------------------------------------------------------
+// Whole-log readers
+// ---------------------------------------------------------------------------
+
+template <typename Record>
+std::vector<Record> read_binary_log(std::span<const std::byte> bytes,
+                                    par::TaskPool* pool) {
+  util::MemorySpanDecoder dec(bytes);
+  const std::uint16_t version = parse_file_header<Record>(dec);
+  std::vector<Record> out;
+  if (version == 1) {
+    decode_v1_body(dec, out);
+  } else {
+    LogDecode<Record> decode(bytes.subspan(8), version, /*lenient=*/false);
+    (void)decode_all(decode, out, pool);
+  }
+  return out;
+}
+
+template <typename Record>
+std::vector<Record> read_binary_log_lenient(std::span<const std::byte> bytes,
+                                            QuarantineStats& quarantine,
+                                            par::TaskPool* pool) {
+  std::vector<Record> out;
+  std::uint16_t version = 0;
+  util::MemorySpanDecoder dec(bytes);
+  try {
+    version = parse_file_header<Record>(dec);
+  } catch (const util::ParseError&) {
+    ++quarantine.corrupt_files;
+    return out;
+  }
+  if (version == 1) {
+    try {
+      decode_v1_body(dec, out);
+    } catch (const util::ParseError&) {
+      // v1 records carry no framing: the tail is unrecoverable past the
+      // first bad byte, mirroring the stream reader's semantics.
+      ++quarantine.corrupt_tails;
+    }
+    return out;
+  }
+  LogDecode<Record> decode(bytes.subspan(8), version, /*lenient=*/true);
+  quarantine += decode_all(decode, out, pool);
+  return out;
+}
+
+template <typename Record>
+std::uint16_t read_log_header(std::span<const std::byte> bytes) {
+  util::MemorySpanDecoder dec(bytes);
+  return parse_file_header<Record>(dec);
+}
+
+template <typename Record>
+BinaryLogInfo probe_binary_log(std::span<const std::byte> bytes) {
+  util::MemorySpanDecoder dec(bytes);
+  BinaryLogInfo info;
+  info.version = parse_file_header<Record>(dec);
+  if (info.version != 1) {
+    const LogDecode<Record> decode(bytes.subspan(8), info.version,
+                                   /*lenient=*/true);
+    info.blocks = decode.index().units.size();
+    info.records = decode.total_records();
+    return info;
+  }
+  try {
+    Record r;
+    while (!dec.at_eof()) {
+      decode_record(dec, r);
+      ++info.records;
+    }
+    // Audit context: report what a lenient reader would recover; the
+    // quarantine accounting itself happens on the real load path.
+    // wearscope-lint: allow(quarantine-pairing)
+  } catch (const util::ParseError&) {
+  }
+  return info;
+}
+
+template class LogDecode<ProxyRecord>;
+template class LogDecode<MmeRecord>;
+template class LogDecode<DeviceRecord>;
+template class LogDecode<SectorInfo>;
+template class LogCursor<ProxyRecord>;
+template class LogCursor<MmeRecord>;
+
+template std::vector<ProxyRecord> read_binary_log<ProxyRecord>(
+    std::span<const std::byte>, par::TaskPool*);
+template std::vector<MmeRecord> read_binary_log<MmeRecord>(
+    std::span<const std::byte>, par::TaskPool*);
+template std::vector<DeviceRecord> read_binary_log<DeviceRecord>(
+    std::span<const std::byte>, par::TaskPool*);
+template std::vector<SectorInfo> read_binary_log<SectorInfo>(
+    std::span<const std::byte>, par::TaskPool*);
+
+template std::vector<ProxyRecord> read_binary_log_lenient<ProxyRecord>(
+    std::span<const std::byte>, QuarantineStats&, par::TaskPool*);
+template std::vector<MmeRecord> read_binary_log_lenient<MmeRecord>(
+    std::span<const std::byte>, QuarantineStats&, par::TaskPool*);
+template std::vector<DeviceRecord> read_binary_log_lenient<DeviceRecord>(
+    std::span<const std::byte>, QuarantineStats&, par::TaskPool*);
+template std::vector<SectorInfo> read_binary_log_lenient<SectorInfo>(
+    std::span<const std::byte>, QuarantineStats&, par::TaskPool*);
+
+template std::uint16_t read_log_header<ProxyRecord>(std::span<const std::byte>);
+template std::uint16_t read_log_header<MmeRecord>(std::span<const std::byte>);
+template std::uint16_t read_log_header<DeviceRecord>(
+    std::span<const std::byte>);
+template std::uint16_t read_log_header<SectorInfo>(std::span<const std::byte>);
+
+template BinaryLogInfo probe_binary_log<ProxyRecord>(
+    std::span<const std::byte>);
+template BinaryLogInfo probe_binary_log<MmeRecord>(std::span<const std::byte>);
+template BinaryLogInfo probe_binary_log<DeviceRecord>(
+    std::span<const std::byte>);
+template BinaryLogInfo probe_binary_log<SectorInfo>(
+    std::span<const std::byte>);
+
+}  // namespace wearscope::trace

@@ -1,0 +1,202 @@
+// The one reader of binary logs: v1 record streams, v2 framed blocks
+// (trace/block_io) and v3 row groups (trace/columnar_io).
+//
+// v2 and v3 bodies share one shape — a chain of framed units, each
+// `record_count u32 | byte_length u32 [| crc32 u32 for v2] | payload` —
+// so they share one reader:
+//
+//   * scan_units() walks the chain without touching payloads.  The same
+//     rules hold for both versions: an impossible header (record_count >
+//     byte_length; every record costs at least one payload byte) skips
+//     that unit and resyncs at the next one, a truncated header or an
+//     overlong byte_length breaks the chain and ends the scan;
+//   * LogDecode pre-sizes the destination and schedules one decode task
+//     per unit, each writing its own contiguous slice, so the result is
+//     bitwise identical for any thread count; finalize() compacts the
+//     units that failed and reports them as quarantine;
+//   * LogCursor streams a log one unit at a time from a std::istream
+//     through a reusable scratch buffer, for callers that must never hold
+//     the whole log (fed's partition feed).
+//
+// The per-unit decoders — the v2 block decode (CRC + v1 records) and
+// trace/columnar_io's decode_column_group plus its dictionary parse — are
+// the only format-specific code on the read path.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <istream>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "trace/columnar_io.h"
+#include "trace/quarantine.h"
+#include "trace/records.h"
+
+namespace wearscope::par {
+class TaskPool;
+}  // namespace wearscope::par
+
+namespace wearscope::trace {
+
+/// One framed unit of a v2 or v3 log body as located by the chain scan: a
+/// v2 block or a v3 row group.
+struct LogUnit {
+  std::size_t payload_offset = 0;  ///< Into the scanned chain.
+  std::uint32_t record_count = 0;
+  std::uint32_t byte_length = 0;
+  std::uint32_t crc = 0;  ///< v2 only; v3 CRCs sit per column segment.
+  /// False when the header itself is impossible (record_count exceeds
+  /// byte_length): the unit is skipped, never decoded.
+  bool header_ok = true;
+};
+
+/// Unit index of one chain: every addressable unit plus what the scan had
+/// to give up on.
+struct UnitIndex {
+  std::vector<LogUnit> units;
+  /// Sum of record_count over units with header_ok (the pre-size target).
+  std::uint64_t total_records = 0;
+  /// Units lost at scan time: impossible headers plus one for a broken
+  /// chain (truncated header or payload at the tail).
+  std::uint64_t corrupt_blocks = 0;
+};
+
+/// Scans the unit chain of a v2 body (`chain` starts after the 8-byte file
+/// header) or a v3 body (`chain` starts after the dictionary sections).
+/// Strict (`lenient == false`): throws util::ParseError on any structural
+/// damage.  Lenient: skips impossible headers, counts a broken chain as
+/// one corrupt block and stops — corruption never cascades past the scan.
+[[nodiscard]] UnitIndex scan_units(std::span<const std::byte> chain,
+                                   std::uint16_t version, bool lenient);
+
+/// A v2 or v3 log body being decoded: the constructor — sequential —
+/// parses the v3 dictionaries and scans the chain; schedule() appends one
+/// decode task per unit to a caller-owned batch (load_bundle puts the
+/// units of all four logs in one batch); finalize() — sequential, after
+/// the batch ran — compacts failed units out of `out` in chain order.
+template <typename Record>
+class LogDecode {
+ public:
+  /// `body` is the log body after the 8-byte file header; it must stay
+  /// alive (and unmoved) until finalize() returns.  Strict mode throws
+  /// util::ParseError on damaged dictionaries or a damaged chain, and its
+  /// decode tasks throw on a bad unit.
+  LogDecode(std::span<const std::byte> body, std::uint16_t version,
+            bool lenient);
+  /// Scheduled tasks hold `this`: the object must not move.
+  LogDecode(const LogDecode&) = delete;
+  LogDecode& operator=(const LogDecode&) = delete;
+
+  /// Claimed record total (the pre-size target).
+  [[nodiscard]] std::uint64_t total_records() const noexcept {
+    return index_.total_records;
+  }
+  /// Units found by the scan.
+  [[nodiscard]] const UnitIndex& index() const noexcept { return index_; }
+  /// The v3 file-level dictionaries (empty for v2).
+  [[nodiscard]] const ColumnDicts& dicts() const noexcept { return dicts_; }
+
+  /// Resizes `out` and appends the per-unit decode tasks to `batch`.
+  void schedule(std::vector<Record>& out,
+                std::vector<std::function<void()>>& batch);
+
+  /// Compacts `out` (stable, chain order) and returns what was lost: one
+  /// `corrupt_blocks` per unit lost to the scan or to its decode, or one
+  /// `corrupt_files` when lenient mode found the v3 dictionaries damaged
+  /// (every index in the file is meaningless without them).  Strict mode
+  /// always returns zeros — failures have already thrown.
+  QuarantineStats finalize(std::vector<Record>& out);
+
+ private:
+  std::uint16_t version_ = 0;
+  bool lenient_ = false;
+  std::span<const std::byte> chain_;
+  bool dicts_ok_ = true;
+  ColumnDicts dicts_;
+  UnitIndex index_;
+  std::vector<std::uint64_t> unit_base_;  ///< Slice start per unit.
+  /// Written concurrently, one slot per unit, by the decode tasks.
+  std::vector<std::uint8_t> unit_done_;
+};
+
+/// Sequential, strict reader of one v2 or v3 log from a stream: one unit
+/// at a time into a reusable scratch buffer (v3 reads its dictionaries
+/// first), decoded by the same per-unit decoder LogDecode uses.  Nothing is
+/// mapped and at most one unit is resident.  Throws util::ParseError on a
+/// v1 log (it has no units to stream) and on any damage.
+template <typename Record>
+class LogCursor {
+ public:
+  /// Reads nothing yet: the file header is validated by the first next().
+  explicit LogCursor(std::istream& in) : in_(&in) {}
+
+  /// The next record, or nullptr at a clean end of log.  The pointer stays
+  /// valid until the following call.
+  [[nodiscard]] const Record* next();
+
+ private:
+  /// Validates the file header and reads the v3 dictionaries.
+  void open();
+  /// Appends exactly `n` stream bytes to scratch_ or throws naming `what`.
+  void append(std::size_t n, const char* what);
+  [[nodiscard]] std::span<const std::byte> scratch() const noexcept;
+
+  std::istream* in_ = nullptr;
+  std::uint16_t version_ = 0;  ///< 0 until open().
+  ColumnDicts dicts_;
+  std::string scratch_;
+  std::vector<Record> unit_;
+  std::size_t next_ = 0;  ///< Into unit_.
+  std::uint64_t units_read_ = 0;
+};
+
+/// Summary of one binary log file for operator audits (wearscope_inspect).
+struct BinaryLogInfo {
+  std::uint16_t version = 0;   ///< 1, 2 or 3.
+  std::uint64_t blocks = 0;    ///< v2 frames / v3 row groups; 0 for v1.
+  std::uint64_t records = 0;   ///< v2/v3: claimed; v1: decoded count.
+};
+
+/// Probes a whole binary log (header included) of any version.  Throws
+/// util::ParseError when the header is not a `Record` log at all; body
+/// damage is tolerated (the counts describe what a lenient reader would
+/// recover).
+template <typename Record>
+[[nodiscard]] BinaryLogInfo probe_binary_log(std::span<const std::byte> bytes);
+
+/// Validates the 8-byte file header of a `Record` log and returns its
+/// version (1, 2 or 3).  Throws util::ParseError on a short buffer, wrong
+/// magic or unknown version.  Cheap: touches only the first 8 bytes.
+template <typename Record>
+[[nodiscard]] std::uint16_t read_log_header(std::span<const std::byte> bytes);
+
+/// Strict whole-log read from memory, v1/v2/v3 by header version.  v2
+/// blocks and v3 row groups decode concurrently on `pool` when given
+/// (nullptr == inline); the result is identical for every pool size.
+/// Throws util::ParseError on any corruption.
+template <typename Record>
+[[nodiscard]] std::vector<Record> read_binary_log(
+    std::span<const std::byte> bytes, par::TaskPool* pool = nullptr);
+
+/// Lenient whole-log read from memory with skip-and-count quarantine:
+/// a rejected header counts one `corrupt_files`; v1 body damage counts
+/// one `corrupt_tails` (keeping the records before it); v2/v3 body damage
+/// counts one `corrupt_blocks` per lost block or row group, keeping every
+/// other one (a damaged v3 dictionary counts one `corrupt_files` — the
+/// indices are meaningless without it).  Never throws ParseError.
+template <typename Record>
+[[nodiscard]] std::vector<Record> read_binary_log_lenient(
+    std::span<const std::byte> bytes, QuarantineStats& quarantine,
+    par::TaskPool* pool = nullptr);
+
+extern template class LogDecode<ProxyRecord>;
+extern template class LogDecode<MmeRecord>;
+extern template class LogDecode<DeviceRecord>;
+extern template class LogDecode<SectorInfo>;
+extern template class LogCursor<ProxyRecord>;
+extern template class LogCursor<MmeRecord>;
+
+}  // namespace wearscope::trace

@@ -2,7 +2,7 @@
 //
 // The byte layout of one record is defined exactly once here, templated on
 // the encoder/decoder type, so the v1 stream reader (trace/binary_io), the
-// v2 blocked reader (trace/block_io) and the zero-copy span decoder
+// v2 block decode (trace/log_reader) and the zero-copy span decoder
 // (util/span_decoder) can never disagree about what a record looks like on
 // disk.  Encoders provide put_u8..put_string, decoders get_u8..get_string;
 // all integers little-endian, strings u16-length-prefixed UTF-8.

@@ -54,7 +54,10 @@ core::AnalysisOptions analysis_for(const simnet::SimResult& sim) {
 // The differential contract, profile x seed, shards {1, 2, 4, 8}.
 // ---------------------------------------------------------------------------
 
-using ProfileSeed = std::pair<const char*, std::uint64_t>;
+// The profile is a std::string, not a const char*: gtest prints a pointer
+// parameter as its address, which would put a per-process random value into
+// the discovered ctest name.
+using ProfileSeed = std::pair<std::string, std::uint64_t>;
 
 class ChaosDifferential : public ::testing::TestWithParam<ProfileSeed> {};
 

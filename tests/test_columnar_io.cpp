@@ -18,6 +18,7 @@
 
 #include "par/task_pool.h"
 #include "trace/bundle.h"
+#include "trace/log_reader.h"
 #include "util/error.h"
 
 namespace wearscope::trace {
@@ -65,8 +66,8 @@ std::vector<Record> v3_round_trip(const std::vector<Record>& records,
   const std::span<const std::byte> bytes(
       reinterpret_cast<const std::byte*>(data.data()), data.size());
 
-  ColumnarLogDecode<Record> decode(bytes.subspan(8), /*lenient=*/false);
-  EXPECT_TRUE(decode.dicts_ok());
+  LogDecode<Record> decode(bytes.subspan(8), kBinaryFormatV3,
+                           /*lenient=*/false);
   EXPECT_EQ(decode.total_records(), records.size());
   std::vector<Record> out;
   std::vector<std::function<void()>> batch;
@@ -77,7 +78,7 @@ std::vector<Record> v3_round_trip(const std::vector<Record>& records,
   } else {
     for (const auto& task : batch) task();
   }
-  EXPECT_EQ(decode.finalize(out), 0u);
+  EXPECT_FALSE(decode.finalize(out).any());
   return out;
 }
 
@@ -141,7 +142,7 @@ TEST(ColumnarIo, DictionariesAreFirstAppearanceAndShared) {
   const std::string data = buf.str();
   const std::span<const std::byte> bytes(
       reinterpret_cast<const std::byte*>(data.data()), data.size());
-  ColumnarLogDecode<ProxyRecord> decode(bytes.subspan(8), false);
+  LogDecode<ProxyRecord> decode(bytes.subspan(8), kBinaryFormatV3, false);
   const ColumnDicts& dicts = decode.dicts();
   // 23 distinct hosts, 11 distinct TACs, in first-appearance order.
   ASSERT_EQ(dicts.hosts.size(), 23u);
@@ -160,22 +161,22 @@ TEST(ColumnarIo, ScanSkipsImpossibleGroupHeader) {
   std::string data = buf.str();
   const std::span<const std::byte> whole(
       reinterpret_cast<const std::byte*>(data.data()), data.size());
-  ColumnarLogDecode<MmeRecord> probe(whole.subspan(8), false);
-  ASSERT_EQ(probe.index().groups.size(), 1u);
+  LogDecode<MmeRecord> probe(whole.subspan(8), kBinaryFormatV3, false);
+  ASSERT_EQ(probe.index().units.size(), 1u);
 
   // The group chain starts after the header + 3 dict sections; corrupt
   // the record_count to something absurd.
   const std::size_t chain_off =
-      data.size() - (kGroupHeaderBytes + probe.index().groups[0].byte_length);
+      data.size() - (kGroupHeaderBytes + probe.index().units[0].byte_length);
   const std::uint32_t absurd = 0xffffffffu;
   std::memcpy(data.data() + chain_off, &absurd, 4);
   const std::span<const std::byte> bytes(
       reinterpret_cast<const std::byte*>(data.data()), data.size());
-  const ColumnarLogDecode<MmeRecord> decode(bytes.subspan(8), true);
+  const LogDecode<MmeRecord> decode(bytes.subspan(8), kBinaryFormatV3, true);
   EXPECT_EQ(decode.index().corrupt_blocks, 1u);
   EXPECT_EQ(decode.index().total_records, 0u);
   // Strict mode refuses the same damage loudly.
-  EXPECT_THROW(ColumnarLogDecode<MmeRecord>(bytes.subspan(8), false),
+  EXPECT_THROW(LogDecode<MmeRecord>(bytes.subspan(8), kBinaryFormatV3, false),
                util::ParseError);
 }
 

@@ -251,27 +251,30 @@ TEST(FedMerge, ChaosQuarantineAccountingCarriesThrough) {
 }
 
 TEST(FedStream, StreamedFeedMatchesFullStoreBitwise) {
-  const TempDir dir("stream");
   const simnet::SimResult& sim = capture();
   ASSERT_TRUE(sim.store.is_sorted());
-  trace::save_bundle(sim.store, dir.path);
+  for (const std::uint16_t format :
+       {trace::kBinaryFormatV2, trace::kBinaryFormatV3}) {
+    const TempDir dir("stream_v" + std::to_string(format));
+    trace::save_bundle(sim.store, dir.path, trace::BundleFormat::kBinary,
+                       format);
+    for (std::size_t partition = 0; partition < 3; ++partition) {
+      const live::LiveOptions opt = partition_options(partition, 3);
+      const PartitionFeed feed = load_partition_feed(dir.path, partition, 3);
+      EXPECT_EQ(feed.feed_records,
+                sim.store.proxy.size() + sim.store.mme.size());
+      live::LiveEngine engine(feed.devices, opt);
+      replay_partition_feed(feed, engine);
+      const PartialSnapshot streamed = make_partial(engine.stop(), opt);
 
-  for (std::size_t partition = 0; partition < 3; ++partition) {
-    const live::LiveOptions opt = partition_options(partition, 3);
-    const PartitionFeed feed = load_partition_feed(dir.path, partition, 3);
-    EXPECT_EQ(feed.feed_records,
-              sim.store.proxy.size() + sim.store.mme.size());
-    live::LiveEngine engine(feed.devices, opt);
-    replay_partition_feed(feed, engine);
-    const PartialSnapshot streamed = make_partial(engine.stop(), opt);
+      live::LiveEngine full(sim.store.devices, opt);
+      const live::FeedReplayer replayer(sim.store, live::ReplayOptions{});
+      (void)replayer.replay(full);
+      const PartialSnapshot materialized = make_partial(full.stop(), opt);
 
-    live::LiveEngine full(sim.store.devices, opt);
-    const live::FeedReplayer replayer(sim.store, live::ReplayOptions{});
-    (void)replayer.replay(full);
-    const PartialSnapshot materialized = make_partial(full.stop(), opt);
-
-    EXPECT_EQ(encode_partial(streamed), encode_partial(materialized))
-        << "partition " << partition;
+      EXPECT_EQ(encode_partial(streamed), encode_partial(materialized))
+          << "v" << format << " partition " << partition;
+    }
   }
 }
 
@@ -284,11 +287,15 @@ TEST(FedStream, RejectsUnsortedBundle) {
   EXPECT_THROW((void)load_partition_feed(dir.path, 0, 2), util::ParseError);
 }
 
-TEST(FedStream, RequiresBlockedV2Logs) {
-  const TempDir dir("v3");
-  trace::save_bundle(capture().store, dir.path, trace::BundleFormat::kBinary,
-                     3);
-  EXPECT_THROW((void)load_partition_feed(dir.path, 0, 2), util::ParseError);
+TEST(FedStream, RejectsV1AndCsvBundles) {
+  // v1 logs have no units to stream; a CSV bundle has no binary logs.
+  const TempDir v1("v1");
+  trace::save_bundle(capture().store, v1.path, trace::BundleFormat::kBinary,
+                     1);
+  EXPECT_THROW((void)load_partition_feed(v1.path, 0, 2), util::ParseError);
+  const TempDir csv("csv");
+  trace::save_bundle(capture().store, csv.path, trace::BundleFormat::kCsv);
+  EXPECT_THROW((void)load_partition_feed(csv.path, 0, 2), util::IoError);
 }
 
 TEST(FedStream, ReplayRequiresMatchingEnginePartition) {

@@ -22,6 +22,7 @@
 #include "trace/block_io.h"
 #include "trace/columnar_io.h"
 #include "trace/csv_io.h"
+#include "trace/log_reader.h"
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -283,18 +284,51 @@ std::string valid_v2_log(std::size_t records, std::size_t block_records) {
 }
 
 /// Frame index of a complete v2 blob (file header included).
-BlockIndex index_of(const std::string& blob) {
-  return scan_block_index(blob_bytes(blob).subspan(8), /*lenient=*/true);
+UnitIndex index_of(const std::string& blob) {
+  return scan_units(blob_bytes(blob).subspan(8), kBinaryFormatV2,
+                    /*lenient=*/true);
+}
+
+/// The strict streaming cursor and the strict whole-log reader must agree
+/// on `blob`: both throw util::ParseError or both return the same records.
+/// A header that (after mutation) says v1 has no units to stream, so there
+/// only the cursor's refusal is checked.
+void expect_cursor_agrees(const std::string& blob, const std::string& what) {
+  std::optional<std::vector<ProxyRecord>> whole;
+  try {
+    whole = read_binary_log<ProxyRecord>(blob_bytes(blob));
+  } catch (const util::ParseError&) {
+  }
+  std::optional<std::vector<ProxyRecord>> streamed;
+  try {
+    std::istringstream in(blob);
+    LogCursor<ProxyRecord> cursor(in);
+    std::vector<ProxyRecord> got;
+    while (const ProxyRecord* r = cursor.next()) got.push_back(*r);
+    streamed = std::move(got);
+  } catch (const util::ParseError&) {
+  }
+  bool v1 = false;
+  try {
+    v1 = read_log_header<ProxyRecord>(blob_bytes(blob)) == 1;
+  } catch (const util::ParseError&) {
+  }
+  if (v1) {
+    EXPECT_FALSE(streamed.has_value()) << what;
+    return;
+  }
+  ASSERT_EQ(whole.has_value(), streamed.has_value()) << what;
+  if (whole.has_value()) EXPECT_EQ(*whole, *streamed) << what;
 }
 
 /// `sample` minus the records of block `skip` (order otherwise preserved).
 std::vector<ProxyRecord> without_block(const std::vector<ProxyRecord>& sample,
-                                       const BlockIndex& index,
+                                       const UnitIndex& index,
                                        std::size_t skip) {
   std::vector<ProxyRecord> expect;
   std::size_t base = 0;
-  for (std::size_t i = 0; i < index.frames.size(); ++i) {
-    const std::size_t n = index.frames[i].record_count;
+  for (std::size_t i = 0; i < index.units.size(); ++i) {
+    const std::size_t n = index.units[i].record_count;
     if (i != skip) {
       expect.insert(expect.end(), sample.begin() + static_cast<long>(base),
                     sample.begin() + static_cast<long>(base + n));
@@ -306,13 +340,13 @@ std::vector<ProxyRecord> without_block(const std::vector<ProxyRecord>& sample,
 
 TEST(FuzzV2, TruncationAtEveryOffsetHonorsBlockAccounting) {
   const std::string blob = valid_v2_log(64, 8);
-  const BlockIndex index = index_of(blob);
-  ASSERT_EQ(index.frames.size(), 8u);
+  const UnitIndex index = index_of(blob);
+  ASSERT_EQ(index.units.size(), 8u);
   // File offset where each frame ends, and records recovered up to it.
   std::vector<std::size_t> frame_end;
   std::vector<std::size_t> records_before;
   std::size_t total = 0;
-  for (const BlockFrame& f : index.frames) {
+  for (const LogUnit& f : index.units) {
     total += f.record_count;
     frame_end.push_back(8 + f.payload_offset + f.byte_length);
     records_before.push_back(total);
@@ -324,6 +358,7 @@ TEST(FuzzV2, TruncationAtEveryOffsetHonorsBlockAccounting) {
     ASSERT_NO_THROW(
         got = read_binary_log_lenient<ProxyRecord>(blob_bytes(prefix), q))
         << "cut " << cut;
+    expect_cursor_agrees(prefix, "cut " + std::to_string(cut));
     if (cut < 8) {
       // Not even a file header: the whole file quarantines as one unit.
       EXPECT_EQ(q.corrupt_files, 1u) << "cut " << cut;
@@ -348,15 +383,16 @@ TEST(FuzzV2, TruncationAtEveryOffsetHonorsBlockAccounting) {
 TEST(FuzzV2, CorruptCrcQuarantinesExactlyThatBlock) {
   const std::vector<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v2_log(64, 8);
-  const BlockIndex index = index_of(blob);
-  for (std::size_t k = 0; k < index.frames.size(); ++k) {
+  const UnitIndex index = index_of(blob);
+  for (std::size_t k = 0; k < index.units.size(); ++k) {
     std::string mutated = blob;
-    mutated[8 + index.frames[k].payload_offset] ^= 0x01;
+    mutated[8 + index.units[k].payload_offset] ^= 0x01;
     QuarantineStats q;
     std::vector<ProxyRecord> got;
     ASSERT_NO_THROW(
         got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "block " << k;
+    expect_cursor_agrees(mutated, "block " + std::to_string(k));
     EXPECT_EQ(q.corrupt_blocks, 1u) << "block " << k;
     EXPECT_EQ(q.total_dropped(), 1u) << "block " << k;
     // Resync is exact: every OTHER block survives, in order.
@@ -371,17 +407,18 @@ TEST(FuzzV2, CorruptCrcQuarantinesExactlyThatBlock) {
 TEST(FuzzV2, OverlongByteLengthLosesOnlyTheTail) {
   const std::vector<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v2_log(64, 8);
-  const BlockIndex index = index_of(blob);
+  const UnitIndex index = index_of(blob);
   for (const std::size_t k : {std::size_t{0}, std::size_t{3}, std::size_t{7}}) {
     std::string mutated = blob;
     // byte_length lives 8 bytes before the payload (after record_count u32).
-    const std::size_t at = 8 + index.frames[k].payload_offset - 8;
+    const std::size_t at = 8 + index.units[k].payload_offset - 8;
     for (std::size_t i = 0; i < 4; ++i) mutated[at + i] = '\xff';
     QuarantineStats q;
     std::vector<ProxyRecord> got;
     ASSERT_NO_THROW(
         got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "block " << k;
+    expect_cursor_agrees(mutated, "block " + std::to_string(k));
     // The chain is unrecoverable past a broken length: one counted block,
     // every frame before it intact.
     EXPECT_EQ(q.corrupt_blocks, 1u) << "block " << k;
@@ -394,13 +431,13 @@ TEST(FuzzV2, OverlongByteLengthLosesOnlyTheTail) {
 TEST(FuzzV2, ImpossibleRecordCountSkipsFrameAndResyncs) {
   const std::vector<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v2_log(64, 8);
-  const BlockIndex index = index_of(blob);
-  for (std::size_t k = 0; k < index.frames.size(); ++k) {
+  const UnitIndex index = index_of(blob);
+  for (std::size_t k = 0; k < index.units.size(); ++k) {
     std::string mutated = blob;
     // record_count > byte_length is impossible (records are >= 1 byte);
     // the frame is skipped but byte_length still chains to the next one.
-    const std::uint32_t bogus = index.frames[k].byte_length + 1;
-    const std::size_t at = 8 + index.frames[k].payload_offset - 12;
+    const std::uint32_t bogus = index.units[k].byte_length + 1;
+    const std::size_t at = 8 + index.units[k].payload_offset - 12;
     for (std::size_t i = 0; i < 4; ++i)
       mutated[at + i] = static_cast<char>((bogus >> (8 * i)) & 0xff);
     QuarantineStats q;
@@ -408,6 +445,7 @@ TEST(FuzzV2, ImpossibleRecordCountSkipsFrameAndResyncs) {
     ASSERT_NO_THROW(
         got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "block " << k;
+    expect_cursor_agrees(mutated, "block " + std::to_string(k));
     EXPECT_EQ(q.corrupt_blocks, 1u) << "block " << k;
     EXPECT_EQ(got, without_block(sample, index, k)) << "block " << k;
   }
@@ -416,21 +454,22 @@ TEST(FuzzV2, ImpossibleRecordCountSkipsFrameAndResyncs) {
 TEST(FuzzV2, ZeroRecordBlockParsesCleanly) {
   const std::vector<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v2_log(64, 8);
-  const BlockIndex index = index_of(blob);
+  const UnitIndex index = index_of(blob);
   // Splice an empty frame (0 records, 0 bytes, crc32("") == 0, i.e. twelve
   // zero bytes) between two real frames: a valid no-op, not corruption.
-  const std::size_t at = 8 + index.frames[4].payload_offset - 12;
+  const std::size_t at = 8 + index.units[4].payload_offset - 12;
   std::string spliced = blob.substr(0, at) + std::string(12, '\0') +
                         blob.substr(at);
   QuarantineStats q;
   std::vector<ProxyRecord> lenient;
   ASSERT_NO_THROW(
       lenient = read_binary_log_lenient<ProxyRecord>(blob_bytes(spliced), q));
+  expect_cursor_agrees(spliced, "spliced");
   EXPECT_EQ(lenient, sample);
   EXPECT_FALSE(q.any());
   EXPECT_EQ(read_binary_log<ProxyRecord>(blob_bytes(spliced)), sample);
   const BinaryLogInfo info = probe_binary_log<ProxyRecord>(blob_bytes(spliced));
-  EXPECT_EQ(info.blocks, index.frames.size() + 1);
+  EXPECT_EQ(info.blocks, index.units.size() + 1);
   EXPECT_EQ(info.records, sample.size());
 }
 
@@ -450,6 +489,7 @@ TEST(FuzzV2, SingleByteFlipsNeverCrashLenient) {
     ASSERT_NO_THROW(
         got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "trial " << trial;
+    expect_cursor_agrees(mutated, "trial " + std::to_string(trial));
     EXPECT_LE(got.size(), 48u) << "trial " << trial;
     try {
       (void)read_binary_log<ProxyRecord>(blob_bytes(mutated));
@@ -490,9 +530,9 @@ std::size_t v3_chain_start(const std::string& blob) {
 }
 
 /// Group index of a complete v3 blob (header and dictionaries skipped).
-ColumnGroupIndex v3_index_of(const std::string& blob) {
-  return scan_column_groups(blob_bytes(blob).subspan(v3_chain_start(blob)),
-                            /*lenient=*/true);
+UnitIndex v3_index_of(const std::string& blob) {
+  return scan_units(blob_bytes(blob).subspan(v3_chain_start(blob)),
+                    kBinaryFormatV3, /*lenient=*/true);
 }
 
 /// One column segment of a row group, addressed by file offset.
@@ -504,7 +544,7 @@ struct ColumnSegment {
 
 /// Walks the column segments of `group` (file offsets into `blob`).
 std::vector<ColumnSegment> v3_columns_of(const std::string& blob,
-                                         const ColumnGroup& group,
+                                         const LogUnit& group,
                                          std::size_t columns) {
   std::vector<ColumnSegment> segments;
   std::size_t off = v3_chain_start(blob) + group.payload_offset;
@@ -527,12 +567,12 @@ void v3_restamp_crc(std::string& blob, const ColumnSegment& segment) {
 
 /// `sample` minus the records of row group `skip`.
 std::vector<ProxyRecord> without_group(const std::vector<ProxyRecord>& sample,
-                                       const ColumnGroupIndex& index,
+                                       const UnitIndex& index,
                                        std::size_t skip) {
   std::vector<ProxyRecord> expect;
   std::size_t base = 0;
-  for (std::size_t i = 0; i < index.groups.size(); ++i) {
-    const std::size_t n = index.groups[i].record_count;
+  for (std::size_t i = 0; i < index.units.size(); ++i) {
+    const std::size_t n = index.units[i].record_count;
     if (i != skip) {
       expect.insert(expect.end(), sample.begin() + static_cast<long>(base),
                     sample.begin() + static_cast<long>(base + n));
@@ -545,13 +585,13 @@ std::vector<ProxyRecord> without_group(const std::vector<ProxyRecord>& sample,
 TEST(FuzzV3, TruncationAtEveryOffsetHonorsGroupAccounting) {
   const std::string blob = valid_v3_log(64, 8);
   const std::size_t chain_start = v3_chain_start(blob);
-  const ColumnGroupIndex index = v3_index_of(blob);
-  ASSERT_EQ(index.groups.size(), 8u);
+  const UnitIndex index = v3_index_of(blob);
+  ASSERT_EQ(index.units.size(), 8u);
   // File offset where each group ends, and records recovered up to it.
   std::vector<std::size_t> group_end;
   std::vector<std::size_t> records_before;
   std::size_t total = 0;
-  for (const ColumnGroup& g : index.groups) {
+  for (const LogUnit& g : index.units) {
     total += g.record_count;
     group_end.push_back(chain_start + g.payload_offset + g.byte_length);
     records_before.push_back(total);
@@ -563,6 +603,7 @@ TEST(FuzzV3, TruncationAtEveryOffsetHonorsGroupAccounting) {
     ASSERT_NO_THROW(
         got = read_binary_log_lenient<ProxyRecord>(blob_bytes(prefix), q))
         << "cut " << cut;
+    expect_cursor_agrees(prefix, "cut " + std::to_string(cut));
     if (cut < chain_start) {
       // A truncated header or dictionary poisons every index in the file:
       // the whole file quarantines as one unit.
@@ -588,13 +629,13 @@ TEST(FuzzV3, TruncationAtEveryOffsetHonorsGroupAccounting) {
 TEST(FuzzV3, CorruptColumnCrcQuarantinesExactlyThatGroup) {
   const std::vector<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v3_log(64, 8);
-  const ColumnGroupIndex index = v3_index_of(blob);
+  const UnitIndex index = v3_index_of(blob);
   const std::size_t columns = columnar_column_count<ProxyRecord>();
-  for (std::size_t k = 0; k < index.groups.size(); ++k) {
+  for (std::size_t k = 0; k < index.units.size(); ++k) {
     // One flipped payload byte per trial, rotating through the columns so
     // every segment's CRC framing is exercised.
     const std::vector<ColumnSegment> segments =
-        v3_columns_of(blob, index.groups[k], columns);
+        v3_columns_of(blob, index.units[k], columns);
     std::string mutated = blob;
     mutated[segments[k % columns].payload_offset] ^= 0x01;
     QuarantineStats q;
@@ -602,6 +643,7 @@ TEST(FuzzV3, CorruptColumnCrcQuarantinesExactlyThatGroup) {
     ASSERT_NO_THROW(
         got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "group " << k;
+    expect_cursor_agrees(mutated, "group " + std::to_string(k));
     EXPECT_EQ(q.corrupt_blocks, 1u) << "group " << k;
     EXPECT_EQ(q.total_dropped(), 1u) << "group " << k;
     // Resync is exact: every OTHER group survives, in order.
@@ -616,10 +658,10 @@ TEST(FuzzV3, CorruptColumnCrcQuarantinesExactlyThatGroup) {
 TEST(FuzzV3, DictIndexOutOfRangeQuarantinesTheGroup) {
   const std::vector<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v3_log(64, 8);
-  const ColumnGroupIndex index = v3_index_of(blob);
+  const UnitIndex index = v3_index_of(blob);
   for (const std::size_t k : {std::size_t{0}, std::size_t{3}, std::size_t{7}}) {
     const std::vector<ColumnSegment> segments =
-        v3_columns_of(blob, index.groups[k],
+        v3_columns_of(blob, index.units[k],
                       columnar_column_count<ProxyRecord>());
     std::string mutated = blob;
     // Column 2 holds TAC dictionary indices; the sample has ONE distinct
@@ -633,6 +675,7 @@ TEST(FuzzV3, DictIndexOutOfRangeQuarantinesTheGroup) {
     ASSERT_NO_THROW(
         got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "group " << k;
+    expect_cursor_agrees(mutated, "group " + std::to_string(k));
     EXPECT_EQ(q.corrupt_blocks, 1u) << "group " << k;
     EXPECT_EQ(got, without_group(sample, index, k)) << "group " << k;
     EXPECT_THROW((void)read_binary_log<ProxyRecord>(blob_bytes(mutated)),
@@ -644,10 +687,10 @@ TEST(FuzzV3, DictIndexOutOfRangeQuarantinesTheGroup) {
 TEST(FuzzV3, VarintOverrunQuarantinesTheGroup) {
   const std::vector<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v3_log(64, 8);
-  const ColumnGroupIndex index = v3_index_of(blob);
+  const UnitIndex index = v3_index_of(blob);
   for (const std::size_t k : {std::size_t{0}, std::size_t{4}, std::size_t{7}}) {
     const std::vector<ColumnSegment> segments =
-        v3_columns_of(blob, index.groups[k],
+        v3_columns_of(blob, index.units[k],
                       columnar_column_count<ProxyRecord>());
     std::string mutated = blob;
     // Column 1 is plain user-id varints.  Setting the continuation bit on
@@ -663,6 +706,7 @@ TEST(FuzzV3, VarintOverrunQuarantinesTheGroup) {
     ASSERT_NO_THROW(
         got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "group " << k;
+    expect_cursor_agrees(mutated, "group " + std::to_string(k));
     EXPECT_EQ(q.corrupt_blocks, 1u) << "group " << k;
     EXPECT_EQ(got, without_group(sample, index, k)) << "group " << k;
     EXPECT_THROW((void)read_binary_log<ProxyRecord>(blob_bytes(mutated)),
@@ -682,6 +726,7 @@ TEST(FuzzV3, DictionaryDamageQuarantinesTheWholeFile) {
   std::vector<ProxyRecord> got;
   ASSERT_NO_THROW(
       got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q));
+  expect_cursor_agrees(mutated, "dictionary");
   EXPECT_EQ(q.corrupt_files, 1u);
   EXPECT_EQ(q.corrupt_blocks, 0u);
   EXPECT_TRUE(got.empty());
@@ -689,25 +734,41 @@ TEST(FuzzV3, DictionaryDamageQuarantinesTheWholeFile) {
                util::ParseError);
 }
 
+TEST(FuzzV3, DictionaryEntryCountBombIsBounded) {
+  // The section CRC covers the payload, not the header: a hosts section
+  // claiming 2^32-1 entries must fail as damage, not as a giant reserve.
+  std::string mutated = valid_v3_log(64, 8);
+  const std::uint32_t bomb = 0xffffffffu;
+  std::memcpy(mutated.data() + 8, &bomb, 4);
+  QuarantineStats q;
+  std::vector<ProxyRecord> got;
+  ASSERT_NO_THROW(
+      got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q));
+  EXPECT_EQ(q.corrupt_files, 1u);
+  EXPECT_TRUE(got.empty());
+  expect_cursor_agrees(mutated, "entry-count bomb");
+}
+
 TEST(FuzzV3, ImpossibleRecordCountSkipsGroupAndResyncs) {
   const std::vector<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v3_log(64, 8);
   const std::size_t chain_start = v3_chain_start(blob);
-  const ColumnGroupIndex index = v3_index_of(blob);
-  for (std::size_t k = 0; k < index.groups.size(); ++k) {
+  const UnitIndex index = v3_index_of(blob);
+  for (std::size_t k = 0; k < index.units.size(); ++k) {
     std::string mutated = blob;
     // record_count > byte_length is impossible (every column costs at
     // least one byte per record); the group is skipped but byte_length
     // still chains to the next one.
-    const std::uint32_t bogus = index.groups[k].byte_length + 1;
+    const std::uint32_t bogus = index.units[k].byte_length + 1;
     const std::size_t at =
-        chain_start + index.groups[k].payload_offset - kGroupHeaderBytes;
+        chain_start + index.units[k].payload_offset - kGroupHeaderBytes;
     std::memcpy(mutated.data() + at, &bogus, 4);
     QuarantineStats q;
     std::vector<ProxyRecord> got;
     ASSERT_NO_THROW(
         got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "group " << k;
+    expect_cursor_agrees(mutated, "group " + std::to_string(k));
     EXPECT_EQ(q.corrupt_blocks, 1u) << "group " << k;
     EXPECT_EQ(got, without_group(sample, index, k)) << "group " << k;
   }
@@ -717,7 +778,7 @@ TEST(FuzzV3, ZeroRecordGroupParsesCleanly) {
   const std::vector<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v3_log(64, 8);
   const std::size_t chain_start = v3_chain_start(blob);
-  const ColumnGroupIndex index = v3_index_of(blob);
+  const UnitIndex index = v3_index_of(blob);
   // Splice an empty group (0 records, one empty segment per column —
   // crc32("") == 0, so the whole thing is zero bytes except its
   // byte_length) between two real groups: a valid no-op, not corruption.
@@ -728,13 +789,14 @@ TEST(FuzzV3, ZeroRecordGroupParsesCleanly) {
       static_cast<std::uint32_t>(columns * kColumnHeaderBytes);
   std::memcpy(empty_group.data() + 4, &body_bytes, 4);
   const std::size_t at =
-      chain_start + index.groups[4].payload_offset - kGroupHeaderBytes;
+      chain_start + index.units[4].payload_offset - kGroupHeaderBytes;
   const std::string spliced =
       blob.substr(0, at) + empty_group + blob.substr(at);
   QuarantineStats q;
   std::vector<ProxyRecord> lenient;
   ASSERT_NO_THROW(
       lenient = read_binary_log_lenient<ProxyRecord>(blob_bytes(spliced), q));
+  expect_cursor_agrees(spliced, "spliced");
   EXPECT_EQ(lenient, sample);
   EXPECT_FALSE(q.any());
   EXPECT_EQ(read_binary_log<ProxyRecord>(blob_bytes(spliced)), sample);
@@ -756,6 +818,7 @@ TEST(FuzzV3, SingleByteFlipsNeverCrashLenient) {
     ASSERT_NO_THROW(
         got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "trial " << trial;
+    expect_cursor_agrees(mutated, "trial " + std::to_string(trial));
     EXPECT_LE(got.size(), 48u) << "trial " << trial;
     try {
       (void)read_binary_log<ProxyRecord>(blob_bytes(mutated));

@@ -342,6 +342,62 @@ TEST(LineServer, TcpListenerAnswersAndStops) {
   server.stop_listener();  // idempotent
 }
 
+TEST(LineServer, PeerResetMidAnswerEndsOnlyThatConnection) {
+  SnapshotStore store;
+  QueryEngine engine(store);
+  live::LiveSnapshot snap;
+  snap.epoch = 1;
+  // A long adoption curve makes every answer ~100 KB, so the answers to a
+  // burst of queries overrun the socket buffers and the server is still
+  // writing (with queries left unread) when the reset lands.
+  snap.adoption.daily_registered_norm.assign(10'000, 0.123456789);
+  store.publish(std::move(snap));
+
+  LineServer server(engine);
+  server.start_listener(0);
+  ASSERT_NE(server.bound_port(), 0u);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.bound_port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+
+  const int rude = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(rude, 0);
+  ASSERT_EQ(::connect(rude, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  std::string burst;
+  for (int i = 0; i < 2000; ++i) burst += "adoption\n";
+  // Never read; send what fits without blocking on a server that has
+  // stopped reading because its own writes are stuck.
+  ASSERT_GT(::send(rude, burst.data(), burst.size(),
+                   MSG_DONTWAIT | MSG_NOSIGNAL),
+            0);
+  ::usleep(200'000);
+  const linger reset{1, 0};  // close() sends RST instead of FIN
+  ASSERT_EQ(::setsockopt(rude, SOL_SOCKET, SO_LINGER, &reset, sizeof reset),
+            0);
+  ::close(rude);
+
+  // Still alive (no SIGPIPE), and a fresh client still gets answers.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const char request[] = "epochs\n";
+  ASSERT_EQ(::send(fd, request, sizeof(request) - 1, MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(request) - 1));
+  std::string response;
+  char buf[128];
+  while (response.find('\n') == std::string::npos) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0);
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(response, "OK epochs retained=1 capacity=64 published=1\n");
+  ::close(fd);
+  server.stop_listener();
+}
+
 // ------------------------------------------------------ epoch equivalence
 
 // The tentpole gate: at EVERY published epoch, the served answers must be

@@ -13,6 +13,7 @@
 #include "trace/block_io.h"
 #include "trace/bundle.h"
 #include "trace/csv_io.h"
+#include "trace/log_reader.h"
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/mapped_file.h"
@@ -470,10 +471,10 @@ class BundleParallel : public BundleTest {
       buf << in.rdbuf();
       blob = buf.str();
     }
-    const BlockIndex index =
-        scan_block_index(blob_bytes(blob).subspan(8), /*lenient=*/true);
-    ASSERT_GT(index.frames.size(), block);
-    blob[8 + index.frames[block].payload_offset] ^= 0x01;
+    const UnitIndex index = scan_units(blob_bytes(blob).subspan(8),
+                                       kBinaryFormatV2, /*lenient=*/true);
+    ASSERT_GT(index.units.size(), block);
+    blob[8 + index.units[block].payload_offset] ^= 0x01;
     std::ofstream out(bin, std::ios::binary | std::ios::trunc);
     out << blob;
   }
@@ -481,7 +482,7 @@ class BundleParallel : public BundleTest {
 
 TEST_F(BundleParallel, ThreadCountsProduceIdenticalStores) {
   const TraceStore in = make_big_store();
-  save_bundle(in, dir_, BundleFormat::kBinary);
+  save_bundle(in, dir_, BundleFormat::kBinary, kBinaryFormatV2);
   const TraceStore sequential = load_bundle(dir_, LoadOptions{});
   EXPECT_EQ(sequential.proxy, in.proxy);
   EXPECT_EQ(sequential.mme, in.mme);
@@ -514,7 +515,7 @@ TEST_F(BundleParallel, V2ParallelLoadMatchesV1SequentialLoad) {
 }
 
 TEST_F(BundleParallel, LenientAccountingIdenticalForEveryThreadCount) {
-  save_bundle(make_big_store(), dir_, BundleFormat::kBinary);
+  save_bundle(make_big_store(), dir_, BundleFormat::kBinary, kBinaryFormatV2);
   corrupt_proxy_block(1);
   QuarantineStats baseline;
   const TraceStore sequential = load_bundle(dir_, baseline, LoadOptions{});
@@ -529,21 +530,6 @@ TEST_F(BundleParallel, LenientAccountingIdenticalForEveryThreadCount) {
     EXPECT_EQ(parallel.proxy, sequential.proxy) << threads << " threads";
     EXPECT_EQ(parallel.mme, sequential.mme) << threads << " threads";
   }
-}
-
-TEST_F(BundleParallel, MmapOffProducesSameStore) {
-  save_bundle(make_big_store(), dir_, BundleFormat::kBinary);
-  LoadOptions mapped;
-  mapped.threads = 4;
-  LoadOptions copied;
-  copied.threads = 4;
-  copied.use_mmap = false;
-  const TraceStore a = load_bundle(dir_, mapped);
-  const TraceStore b = load_bundle(dir_, copied);
-  EXPECT_EQ(a.proxy, b.proxy);
-  EXPECT_EQ(a.mme, b.mme);
-  EXPECT_EQ(a.devices, b.devices);
-  EXPECT_EQ(a.sectors, b.sectors);
 }
 
 TEST_F(BundleTest, V1BundleRoundTrips) {
@@ -562,7 +548,7 @@ TEST_F(BundleTest, V1BundleRoundTrips) {
 }
 
 TEST_F(BundleTest, AuditReportsV2Layout) {
-  save_bundle(make_store(), dir_, BundleFormat::kBinary);
+  save_bundle(make_store(), dir_, BundleFormat::kBinary, kBinaryFormatV2);
   const std::vector<BundleLogAudit> audits = audit_bundle(dir_);
   ASSERT_EQ(audits.size(), 4u);
   EXPECT_EQ(audits[0].stem, "proxy");

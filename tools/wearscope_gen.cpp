@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
     std::string config_path;
     std::string out_dir = "wearscope-trace";
     std::string format = "binary";
-    std::string trace_format = "v2";
+    std::string trace_format = "v3";
     std::string write_config_path;
     std::int64_t seed = 42;
 
@@ -76,15 +76,8 @@ int main(int argc, char** argv) {
       throw util::ConfigError("unknown format '" + format +
                               "' (expected binary|csv)");
     }
-    std::uint16_t binary_version = trace::kBinaryFormatV2;
-    if (trace_format == "v1") {
-      binary_version = 1;
-    } else if (trace_format == "v3") {
-      binary_version = trace::kBinaryFormatV3;
-    } else if (trace_format != "v2") {
-      throw util::ConfigError("unknown trace-format '" + trace_format +
-                              "' (expected v1|v2|v3)");
-    }
+    const std::uint16_t binary_version =
+        trace::trace_format_version(trace_format);
 
     const auto t0 = std::chrono::steady_clock::now();
     const simnet::SimResult sim = simnet::Simulator(cfg).run();

@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
     std::int64_t anon_key = 1;
     std::int64_t anon_quantum = 1;
     std::string format = "csv";
-    std::string trace_format = "v2";
+    std::string trace_format = "v3";
     bool daily = false;
     bool devices = false;
     std::int64_t top_hosts = 0;
@@ -274,13 +274,8 @@ int main(int argc, char** argv) {
     }
     util::require(!trace_dir.empty(), "--trace is required");
     util::require(threads >= 1, "--threads must be >= 1");
-    util::require(trace_format == "v1" || trace_format == "v2" ||
-                      trace_format == "v3",
-                  "unknown --trace-format (expected v1|v2|v3)");
     const std::uint16_t binary_version =
-        trace_format == "v1"   ? std::uint16_t{1}
-        : trace_format == "v2" ? trace::kBinaryFormatV2
-                               : trace::kBinaryFormatV3;
+        trace::trace_format_version(trace_format);
 
     trace::LoadOptions load_options;
     load_options.threads = static_cast<int>(threads);
