@@ -138,6 +138,11 @@ void BM_AnalyzeThirdparty(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeThirdparty)->Unit(benchmark::kMillisecond);
 
+void BM_AnalyzeThroughDevice(benchmark::State& state) {
+  run_analysis_bench(state, core::analyze_throughdevice);
+}
+BENCHMARK(BM_AnalyzeThroughDevice)->Unit(benchmark::kMillisecond);
+
 void BM_StreamingAdoption(benchmark::State& state) {
   const simnet::SimResult& sim = shared_capture();
   const core::DeviceClassifier devices(sim.store.devices);

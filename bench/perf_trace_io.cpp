@@ -8,6 +8,7 @@
 // BENCH_trace_io.json, mirroring perf_analysis's emit mode.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -228,6 +229,24 @@ void BM_StoreSort(benchmark::State& state) {
       static_cast<std::int64_t>(records.size()) * state.iterations());
 }
 BENCHMARK(BM_StoreSort)->Unit(benchmark::kMillisecond);
+
+/// The same rows already in canonical order: the case every generated
+/// bundle hits on load, where sort_by_time only checks the order.
+void BM_StoreSortSorted(benchmark::State& state) {
+  std::vector<trace::ProxyRecord> sorted = sample_records();
+  std::stable_sort(sorted.begin(), sorted.end(), trace::ByTimeThenUser{});
+  for (auto _ : state) {
+    state.PauseTiming();
+    trace::TraceStore store;
+    store.proxy = sorted;
+    state.ResumeTiming();
+    store.sort_by_time();
+    benchmark::DoNotOptimize(store.proxy.size());
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(sorted.size()) * state.iterations());
+}
+BENCHMARK(BM_StoreSortSorted)->Unit(benchmark::kMillisecond);
 
 /// --emit-json mode: v1-vs-v2 encode/decode wall clock plus the v2 mmap
 /// decoder thread sweep, best of `kReps` runs per point.  Decode speedups

@@ -1,10 +1,10 @@
 #include "core/analysis_throughdevice.h"
 
+#include <cstdint>
 #include <map>
-#include <set>
 #include <span>
-#include <unordered_set>
 
+#include "util/error.h"
 #include "util/stats.h"
 #include "util/strings.h"
 
@@ -36,6 +36,8 @@ double entropy_of(const AnalysisContext& ctx, const UserView& u) {
 ThroughDeviceResult analyze_throughdevice(const AnalysisContext& ctx) {
   ThroughDeviceResult res;
   const auto sigs = appdb::companion_signatures();
+  util::require(sigs.size() <= 32,
+                "through-device: more than 32 companion signatures");
   res.per_signature.assign(sigs.size(), 0);
   for (const appdb::CompanionSignature& s : sigs)
     res.signature_names.push_back(s.wearable);
@@ -55,33 +57,47 @@ ThroughDeviceResult analyze_throughdevice(const AnalysisContext& ctx) {
   std::array<double, 24> td_hours{};
   std::array<double, 24> sim_hours{};
 
+  // Signature bitmask per host-dictionary entry (bit s == signature s): the
+  // suffix match runs once per distinct host instead of once per phone
+  // transaction.  A signature matches on its first matching domain.
+  const trace::TraceStore& store = ctx.store();
+  const trace::ProxyColumns& pc = store.proxy_columns();
+  std::vector<std::uint32_t> host_sigs(pc.hosts.size(), 0);
+  for (std::size_t k = 0; k < pc.hosts.size(); ++k) {
+    for (std::size_t s = 0; s < sigs.size(); ++s) {
+      for (const std::string& d : sigs[s].domains) {
+        if (util::host_matches_suffix(pc.hosts[k], d)) {
+          host_sigs[k] |= std::uint32_t{1} << s;
+          break;
+        }
+      }
+    }
+  }
+
   for (const UserView& u : ctx.users()) {
     double txns = 0.0;
     double bytes = 0.0;
     std::array<double, 24> hours{};
-    std::set<std::size_t> matched;
+    std::uint32_t matched = 0;
     for (const trace::ProxyRecord* r : u.phone_txns) {
       if (!ctx.in_detailed_window(r->timestamp)) continue;
       txns += 1.0;
       bytes += static_cast<double>(r->bytes_total());
       hours[static_cast<std::size_t>(util::hour_of(r->timestamp))] += 1.0;
-      for (std::size_t s = 0; s < sigs.size(); ++s) {
-        for (const std::string& d : sigs[s].domains) {
-          if (util::host_matches_suffix(r->host, d)) {
-            matched.insert(s);
-            break;
-          }
-        }
-      }
+      // phone_txns point into store.proxy, so the offset is the column row.
+      const auto row = static_cast<std::size_t>(r - store.proxy.data());
+      matched |= host_sigs[pc.host_id[row]];
     }
     if (u.has_wearable) {
       sim_txns.push_back(txns / days);
       sim_bytes.push_back(bytes / days);
       sim_entropy.push_back(entropy_of(ctx, u));
       for (std::size_t h = 0; h < 24; ++h) sim_hours[h] += hours[h];
-    } else if (!matched.empty()) {
+    } else if (matched != 0) {
       ++res.detected_users;
-      for (const std::size_t s : matched) ++res.per_signature[s];
+      for (std::size_t s = 0; s < sigs.size(); ++s) {
+        if ((matched >> s & 1U) != 0) ++res.per_signature[s];
+      }
       td_txns.push_back(txns / days);
       td_bytes.push_back(bytes / days);
       td_entropy.push_back(entropy_of(ctx, u));

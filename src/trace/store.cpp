@@ -6,9 +6,14 @@
 namespace wearscope::trace {
 
 void TraceStore::sort_by_time() {
-  std::stable_sort(proxy.begin(), proxy.end(), ByTimeThenUser{});
-  std::stable_sort(mme.begin(), mme.end(), ByTimeThenUser{});
-  // Row indices shifted: any column transpose is stale.
+  // A stable sort of an already-ordered log is the identity (tied rows
+  // included), so the linear check alone settles every bundle gen writes.
+  if (!std::is_sorted(proxy.begin(), proxy.end(), ByTimeThenUser{}))
+    std::stable_sort(proxy.begin(), proxy.end(), ByTimeThenUser{});
+  if (!std::is_sorted(mme.begin(), mme.end(), ByTimeThenUser{}))
+    std::stable_sort(mme.begin(), mme.end(), ByTimeThenUser{});
+  // Row indices may have shifted, and a caller may have edited rows without
+  // breaking the order: any column transpose is stale either way.
   proxy_columns_ = ProxyColumns{};
   mme_columns_ = MmeColumns{};
   columns_built_ = false;

@@ -37,8 +37,10 @@ class TraceStore {
   std::vector<DeviceRecord> devices; ///< DeviceDB snapshot.
   std::vector<SectorInfo> sectors;   ///< Antenna-sector positions.
 
-  /// Sorts both event logs into canonical (time, user) order.  Discards
-  /// previously built column views (row indices shift).
+  /// Sorts both event logs into canonical (time, user) order, stably.  A
+  /// log already in that order is left untouched after one linear check.
+  /// Always discards previously built column views: row indices may shift,
+  /// and rows may have been edited in place without breaking the order.
   void sort_by_time();
 
   /// True when both event logs are in canonical order.

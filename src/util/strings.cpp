@@ -54,14 +54,12 @@ std::string_view to_lower_into(std::string_view text, std::string& out) {
 
 bool host_matches_suffix(std::string_view host, std::string_view suffix) {
   if (suffix.empty() || host.size() < suffix.size()) return false;
-  const std::string h = to_lower(host);
-  const std::string s = to_lower(suffix);
-  if (h == s) return true;
-  if (h.size() > s.size() && h.compare(h.size() - s.size(), s.size(), s) == 0 &&
-      h[h.size() - s.size() - 1] == '.') {
-    return true;
-  }
-  return false;
+  const std::size_t cut = host.size() - suffix.size();
+  if (cut != 0 && host[cut - 1] != '.') return false;
+  return std::equal(suffix.begin(), suffix.end(), host.begin() + cut,
+                    [](unsigned char a, unsigned char b) {
+                      return std::tolower(a) == std::tolower(b);
+                    });
 }
 
 std::string registrable_domain(std::string_view host) {

@@ -378,5 +378,40 @@ TEST(MicroThroughDevice, DetectsCompanionTraffic) {
   EXPECT_GT(r.daily_txn_ratio, 0.0);
 }
 
+TEST(MicroThroughDevice, MatchesPerHostSemantics) {
+  // Signature order: Fitbit, Xiaomi-Band, AccuWeather-Wear, Strava-Wear,
+  // Runtastic-Wear.  The detailed window starts on day 1.
+  MicroTrace t;
+  // User 1 owns a SIM wearable: companion traffic never makes it a TD user.
+  t.mme(1, 8, 1, kWearTac, trace::MmeEvent::kAttach, 1);
+  t.proxy(1, 9, 0, 0, 1, kPhoneTac, "api.fitbit.com", 1000);
+  t.proxy(1, 10, 0, 0, 1, kPhoneTac, "eu.wear.strava.com", 1000);
+  // User 2: mixed-case Fitbit host twice plus a deeper Strava subdomain —
+  // two signatures, each counted once.
+  t.proxy(1, 9, 0, 0, 2, kPhoneTac, "API.FITBIT.COM", 1000);
+  t.proxy(1, 11, 0, 0, 2, kPhoneTac, "API.FITBIT.COM", 1000);
+  t.proxy(2, 9, 0, 0, 2, kPhoneTac, "eu.wear.strava.com", 1000);
+  // User 3: near misses only.
+  t.proxy(1, 9, 0, 0, 3, kPhoneTac, "notwear.strava.com", 1000);
+  t.proxy(1, 10, 0, 0, 3, kPhoneTac, "wear.strava.com.evil.net", 1000);
+  // User 4: companion traffic only before the detailed window.
+  t.proxy(0, 9, 0, 0, 4, kPhoneTac, "api.fitbit.com", 1000);
+  t.proxy(1, 9, 0, 0, 4, kPhoneTac, "api.twitter.com", 1000);
+  // User 5 reuses user 2's Strava host (one dictionary entry, two users).
+  t.proxy(3, 9, 0, 0, 5, kPhoneTac, "eu.wear.strava.com", 1000);
+
+  const AnalysisContext ctx = t.context(14, 1);
+  const ThroughDeviceResult r = analyze_throughdevice(ctx);
+  EXPECT_EQ(r.detected_users, 2u);  // users 2 and 5
+  ASSERT_EQ(r.per_signature.size(), 5u);
+  EXPECT_EQ(r.per_signature[0], 1u);  // Fitbit: user 2
+  EXPECT_EQ(r.per_signature[1], 0u);
+  EXPECT_EQ(r.per_signature[2], 0u);
+  EXPECT_EQ(r.per_signature[3], 2u);  // Strava: users 2 and 5
+  EXPECT_EQ(r.per_signature[4], 0u);
+  // Daily in-window phone txns: TD users {3, 1} (median 2), SIM user {2}.
+  EXPECT_NEAR(r.daily_txn_ratio, 1.0, 1e-12);
+}
+
 }  // namespace
 }  // namespace wearscope::core

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace wearscope::trace {
 namespace {
 
@@ -31,6 +33,60 @@ TEST(TraceStore, SortByTimeThenUser) {
   EXPECT_EQ(s.proxy[1].user_id, 1u);  // ties broken by user id
   EXPECT_EQ(s.proxy[2].user_id, 2u);
   EXPECT_EQ(s.mme[0].timestamp, 1);
+}
+
+ProxyRecord proxy_host(util::SimTime t, UserId u, const char* host) {
+  ProxyRecord r = proxy_at(t, u);
+  r.host = host;
+  return r;
+}
+
+TEST(TraceStore, SortOnSortedStoreIsIdentity) {
+  // Tied (time, user) rows differ only in host / sector, so any reordering
+  // among them — which a stable sort must not do — would show.
+  TraceStore s;
+  s.proxy = {proxy_host(5, 1, "a.example"), proxy_host(5, 1, "b.example"),
+             proxy_host(5, 1, "c.example"), proxy_host(7, 2, "d.example"),
+             proxy_host(7, 2, "a.example")};
+  s.mme = {mme_at(3, 1, 30), mme_at(3, 1, 10), mme_at(3, 1, 20),
+           mme_at(4, 2, 5)};
+  ASSERT_TRUE(s.is_sorted());
+  const std::vector<ProxyRecord> proxy_before = s.proxy;
+  const std::vector<MmeRecord> mme_before = s.mme;
+  s.build_columns();
+  ASSERT_TRUE(s.columns_built());
+
+  s.sort_by_time();
+  EXPECT_EQ(s.proxy, proxy_before);
+  EXPECT_EQ(s.mme, mme_before);
+  // The column views are discarded even though no row moved.
+  EXPECT_FALSE(s.columns_built());
+}
+
+TEST(TraceStore, SortFixesOnlyTheUnsortedLog) {
+  TraceStore s;
+  s.proxy = {proxy_host(9, 1, "late.example"), proxy_host(2, 1, "a.example"),
+             proxy_host(2, 1, "b.example")};
+  s.mme = {mme_at(1, 1, 30), mme_at(1, 1, 10), mme_at(6, 2, 5)};
+  const std::vector<MmeRecord> mme_before = s.mme;
+
+  s.sort_by_time();
+  EXPECT_TRUE(s.is_sorted());
+  ASSERT_EQ(s.proxy.size(), 3u);
+  EXPECT_EQ(s.proxy[0].host, "a.example");  // stable among the tie
+  EXPECT_EQ(s.proxy[1].host, "b.example");
+  EXPECT_EQ(s.proxy[2].host, "late.example");
+  EXPECT_EQ(s.mme, mme_before);
+
+  // The mirror case: only the MME log is out of order.
+  const std::vector<ProxyRecord> proxy_before = s.proxy;
+  s.mme = {mme_at(8, 3, 1), mme_at(1, 1, 30), mme_at(1, 1, 10)};
+  s.sort_by_time();
+  EXPECT_TRUE(s.is_sorted());
+  EXPECT_EQ(s.proxy, proxy_before);
+  EXPECT_EQ(s.mme[0].sector_id, 30u);
+  EXPECT_EQ(s.mme[1].sector_id, 10u);
+  EXPECT_EQ(s.mme[2].timestamp, 8);
 }
 
 TEST(TraceStore, SummarizeCounts) {

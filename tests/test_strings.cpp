@@ -52,10 +52,22 @@ TEST(HostSuffix, CaseInsensitive) {
   EXPECT_TRUE(host_matches_suffix("api.fitbit.com", "FITBIT.COM"));
 }
 
+TEST(HostSuffix, MixedCaseOnBothSides) {
+  EXPECT_TRUE(host_matches_suffix("FitBit.Com", "fITbIT.cOM"));
+  EXPECT_TRUE(host_matches_suffix("Eu.Wear.STRAVA.com", "wear.Strava.COM"));
+  // Case folding must not turn a near miss into a match.
+  EXPECT_FALSE(host_matches_suffix("NotFitbit.COM", "fitbit.com"));
+  EXPECT_FALSE(host_matches_suffix("FITBIT.COM.EVIL.NET", "Fitbit.Com"));
+  EXPECT_FALSE(host_matches_suffix("API-FITBIT.COM", "fitbit.com"));
+}
+
 TEST(HostSuffix, EmptyAndShort) {
   EXPECT_FALSE(host_matches_suffix("a.com", ""));
   EXPECT_FALSE(host_matches_suffix("", "a.com"));
+  EXPECT_FALSE(host_matches_suffix("", ""));
   EXPECT_FALSE(host_matches_suffix("om", "a.com"));
+  EXPECT_FALSE(host_matches_suffix(".", "a.com"));
+  EXPECT_TRUE(host_matches_suffix(".a.com", "a.com"));
 }
 
 TEST(RegistrableDomain, TwoLabelHosts) {
