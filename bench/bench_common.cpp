@@ -1,6 +1,5 @@
 #include "bench_common.h"
 
-#include <chrono>
 #include <cstdio>
 #include <thread>
 
@@ -8,12 +7,11 @@
 #include <sys/resource.h>
 #endif
 
-#include "util/ascii_chart.h"
-#include "util/error.h"
-#include "util/flags.h"
-
 namespace wearscope::bench {
 
+namespace {
+
+/// Process peak resident set size in bytes (0 where unavailable).
 std::size_t peak_rss_bytes() {
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage usage {};
@@ -27,6 +25,8 @@ std::size_t peak_rss_bytes() {
   return 0;
 #endif
 }
+
+}  // namespace
 
 std::size_t own_peak_rss_bytes() {
 #if defined(__linux__)
@@ -60,142 +60,6 @@ unsigned emit_hardware_concurrency(std::FILE* out) {
                  hc);
   }
   return hc;
-}
-
-namespace {
-
-double elapsed_s(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-}  // namespace
-
-simnet::SimConfig config_for_preset(const std::string& preset,
-                                    std::uint64_t seed) {
-  simnet::SimConfig cfg;
-  if (preset == "small") {
-    cfg = simnet::SimConfig::small();
-  } else if (preset == "standard") {
-    cfg = simnet::SimConfig::standard();
-  } else if (preset == "paper") {
-    cfg = simnet::SimConfig::paper();
-  } else {
-    throw util::ConfigError("unknown preset '" + preset +
-                            "' (expected small|standard|paper)");
-  }
-  cfg.seed = seed;
-  return cfg;
-}
-
-PipelineRun run_pipeline(const BenchOptions& opts) {
-  const simnet::SimConfig cfg =
-      config_for_preset(opts.preset, static_cast<std::uint64_t>(opts.seed));
-  const auto t0 = std::chrono::steady_clock::now();
-  simnet::SimResult sim = simnet::Simulator(cfg).run();
-  const double gen_s = elapsed_s(t0);
-
-  core::AnalysisOptions aopt;
-  aopt.observation_days = sim.observation_days;
-  aopt.detailed_start_day = sim.detailed_start_day;
-  aopt.long_tail_apps = cfg.long_tail_apps;
-
-  const auto t1 = std::chrono::steady_clock::now();
-  const core::Pipeline pipeline(sim.store, aopt);
-  core::StudyReport report = pipeline.run();
-  const double an_s = elapsed_s(t1);
-
-  const trace::TraceSummary sum = sim.store.summarize();
-  std::printf(
-      "[trace] preset=%s seed=%llu proxy=%zu mme=%zu users=%zu "
-      "(gen %.2fs, analyze %.2fs)\n",
-      opts.preset.c_str(), static_cast<unsigned long long>(opts.seed),
-      sum.proxy_records, sum.mme_records, sum.distinct_mme_users, gen_s, an_s);
-  return PipelineRun{std::move(sim), std::move(report)};
-}
-
-void print_series(const core::FigureData& fig, bool log_scale,
-                  std::size_t limit) {
-  for (const core::Series& s : fig.series) {
-    std::printf("-- series: %s --\n", s.name.c_str());
-    if (!s.labels.empty()) {
-      std::vector<util::Bar> bars;
-      for (std::size_t i = 0; i < s.labels.size() && i < limit; ++i) {
-        bars.push_back({s.labels[i], s.y[i]});
-      }
-      std::fputs(util::bar_chart(bars, 44, log_scale).c_str(), stdout);
-      if (s.labels.size() > limit) {
-        std::printf("   ... (%zu more rows)\n", s.labels.size() - limit);
-      }
-    } else if (s.x.size() == 24) {
-      // Hour-of-day profile: sparkline plus peak annotation.
-      std::printf("   hours 0-23: [%s]\n", util::sparkline(s.y).c_str());
-    } else {
-      // CDF / relation: print decile rows.
-      std::vector<std::vector<std::string>> rows;
-      for (int q = 0; q <= 10; ++q) {
-        const std::size_t idx =
-            s.x.empty() ? 0
-                        : std::min(s.x.size() - 1, s.x.size() * static_cast<std::size_t>(q) / 10);
-        if (s.x.empty()) break;
-        rows.push_back({util::format_num(static_cast<double>(q) / 10.0),
-                        util::format_num(s.x[idx]),
-                        util::format_num(s.y[idx])});
-      }
-      std::fputs(util::table({"frac", "x", "y"}, rows).c_str(), stdout);
-    }
-  }
-}
-
-int run_figure_main(int argc, const char* const* argv,
-                    const std::string& figure_id,
-                    const std::string& description) {
-  try {
-    BenchOptions opts;
-    util::FlagParser flags(description);
-    flags.add_string("preset", &opts.preset,
-                     "population preset: small|standard|paper");
-    flags.add_int("seed", &opts.seed, "generator seed");
-    flags.add_string("csv-dir", &opts.csv_dir,
-                     "export the figure series as CSV into this directory");
-    flags.add_bool("quiet", &opts.quiet, "suppress series rendering");
-    if (!flags.parse(argc, argv)) return 0;
-
-    const PipelineRun run = run_pipeline(opts);
-    const core::FigureData& fig = run.report.figure(figure_id);
-    std::fputs(fig.to_text().c_str(), stdout);
-    if (!opts.quiet) print_series(fig);
-    if (!opts.csv_dir.empty()) {
-      fig.write_csv(opts.csv_dir);
-      std::printf("[csv] series written to %s\n", opts.csv_dir.c_str());
-    }
-    std::printf("[result] %s: %s\n", figure_id.c_str(),
-                fig.all_pass() ? "ALL CHECKS PASS" : "CHECK FAILURES (see above)");
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
-
-int run_custom_main(int argc, const char* const* argv,
-                    const std::string& description,
-                    const std::function<int(const BenchOptions&)>& body) {
-  try {
-    BenchOptions opts;
-    util::FlagParser flags(description);
-    flags.add_string("preset", &opts.preset,
-                     "population preset: small|standard|paper");
-    flags.add_int("seed", &opts.seed, "generator seed");
-    flags.add_string("csv-dir", &opts.csv_dir, "CSV export directory");
-    flags.add_bool("quiet", &opts.quiet, "suppress series rendering");
-    if (!flags.parse(argc, argv)) return 0;
-    return body(opts);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
 }
 
 }  // namespace wearscope::bench

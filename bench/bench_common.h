@@ -1,16 +1,9 @@
-// Shared runtime of the figure-regeneration harnesses.
-//
-// Every fig*/sec6 binary follows the same protocol: simulate the ISP at the
-// chosen preset, run the analysis pipeline over the logs, pretty-print the
-// regenerated series of its figure, and report paper-vs-measured checks.
+// Shared helpers of the google-benchmark perf suites: the machine facts
+// every BENCH_*.json records.
 #pragma once
 
+#include <cstddef>
 #include <cstdio>
-#include <functional>
-#include <string>
-
-#include "core/pipeline.h"
-#include "simnet/simulator.h"
 
 namespace wearscope::bench {
 
@@ -25,53 +18,13 @@ namespace wearscope::bench {
 /// (getrusage), so call this after the measured work ran.
 unsigned emit_hardware_concurrency(std::FILE* out);
 
-/// Process peak resident set size in bytes (0 where unavailable).
-std::size_t peak_rss_bytes();
-
 /// Peak RSS of THIS address space in bytes.  getrusage's ru_maxrss is a
 /// per-task high-water mark that survives execve, so a worker forked from
 /// a parent that held a large capture inherits the parent's peak — on
 /// Linux this reads VmHWM from /proc/self/status instead, which exec
-/// resets with the address space.  Falls back to peak_rss_bytes()
-/// elsewhere.  Use for re-exec'ed measurement workers (perf_fed).
+/// resets with the address space.  Falls back to the getrusage peak
+/// elsewhere (0 where unavailable).  Use for re-exec'ed measurement
+/// workers (perf_fed).
 std::size_t own_peak_rss_bytes();
-
-/// Parsed command line shared by every figure harness.
-struct BenchOptions {
-  std::string preset = "standard";  ///< small | standard | paper.
-  std::int64_t seed = 42;
-  std::string csv_dir;              ///< When set, series are exported here.
-  bool quiet = false;               ///< Suppress series rendering.
-};
-
-/// Resolves a preset name to a simulator configuration.
-simnet::SimConfig config_for_preset(const std::string& preset,
-                                    std::uint64_t seed);
-
-/// Runs the simulation and the full pipeline for `opts`.
-struct PipelineRun {
-  simnet::SimResult sim;
-  core::StudyReport report;
-};
-PipelineRun run_pipeline(const BenchOptions& opts);
-
-/// Pretty-prints a label-indexed series as a log-scale bar chart (top
-/// `limit` entries) and an x/y series as quantile rows or sparkline.
-void print_series(const core::FigureData& fig, bool log_scale = true,
-                  std::size_t limit = 20);
-
-/// Entry point used by each figure binary:
-/// parses flags, runs the pipeline, extracts figure `figure_id`, renders it
-/// and returns the process exit code (0 even on check failure — failures
-/// are reported in the output; CI asserts via the test suite instead).
-int run_figure_main(int argc, const char* const* argv,
-                    const std::string& figure_id,
-                    const std::string& description);
-
-/// Variant for custom harnesses (ablations): parses flags and hands the
-/// options to `body`.
-int run_custom_main(int argc, const char* const* argv,
-                    const std::string& description,
-                    const std::function<int(const BenchOptions&)>& body);
 
 }  // namespace wearscope::bench

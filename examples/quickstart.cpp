@@ -26,9 +26,7 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 0;
 
   // 1. Simulate the ISP.
-  simnet::SimConfig cfg = preset == "paper"      ? simnet::SimConfig::paper()
-                          : preset == "standard" ? simnet::SimConfig::standard()
-                                                 : simnet::SimConfig::small();
+  simnet::SimConfig cfg = simnet::SimConfig::preset(preset);
   cfg.seed = static_cast<std::uint64_t>(seed);
   const simnet::SimResult sim = simnet::Simulator(cfg).run();
   const trace::TraceSummary sum = sim.store.summarize();

@@ -36,9 +36,7 @@ int main(int argc, char** argv) {
                   : std::filesystem::path(out);
 
   // The "internal" capture.
-  simnet::SimConfig cfg = preset == "paper"      ? simnet::SimConfig::paper()
-                          : preset == "standard" ? simnet::SimConfig::standard()
-                                                 : simnet::SimConfig::small();
+  simnet::SimConfig cfg = simnet::SimConfig::preset(preset);
   cfg.seed = static_cast<std::uint64_t>(seed);
   const simnet::SimResult sim = simnet::Simulator(cfg).run();
   std::printf("internal capture: %zu proxy records\n",

@@ -25,9 +25,7 @@ int main(int argc, char** argv) {
   flags.add_int("top", &top, "rows in the per-app scorecard");
   if (!flags.parse(argc, argv)) return 0;
 
-  simnet::SimConfig cfg = preset == "paper"   ? simnet::SimConfig::paper()
-                          : preset == "small" ? simnet::SimConfig::small()
-                                              : simnet::SimConfig::standard();
+  simnet::SimConfig cfg = simnet::SimConfig::preset(preset);
   cfg.seed = static_cast<std::uint64_t>(seed);
   const simnet::SimResult sim = simnet::Simulator(cfg).run();
 

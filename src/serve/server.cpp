@@ -105,7 +105,10 @@ void LineServer::accept_loop() {
 
 void LineServer::serve_connection(int fd) {
   // A connection is a byte stream of query lines; answer line by line.
+  // `pending[0, scanned)` is known to hold no newline, so every byte is
+  // scanned once however many reads a line spans.
   std::string pending;
+  std::size_t scanned = 0;
   char buf[4096];
   bool peer_alive = true;
   while (peer_alive) {
@@ -115,15 +118,23 @@ void LineServer::serve_connection(int fd) {
     std::size_t start = 0;
     std::size_t nl;
     while (peer_alive &&
-           (nl = pending.find('\n', start)) != std::string::npos) {
+           (nl = pending.find('\n', scanned)) != std::string::npos) {
       std::string response =
           engine_->answer(std::string_view(pending).substr(start, nl - start));
       start = nl + 1;
+      scanned = start;
       if (response.empty()) continue;
       response += '\n';
       peer_alive = send_all(fd, response);  // a failed write ends it
     }
     pending.erase(0, start);
+    scanned = pending.size();
+    if (pending.size() > kMaxLineBytes) {
+      // Refuse the line and end only this connection; a client that never
+      // sends a newline must not grow the server's memory.
+      send_all(fd, "ERR line too long\n");
+      break;
+    }
   }
   {
     // Deregister before close so stop_listener() never shuts down a

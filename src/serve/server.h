@@ -10,6 +10,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <thread>
@@ -34,6 +35,11 @@ class LineServer {
   /// query to `out` (flushed per response — callers may be pipes).  Blank
   /// and "#"-comment lines produce no output.  Returns responses written.
   std::uint64_t serve_stream(std::FILE* in, std::FILE* out);
+
+  /// Longest query line a TCP connection may hold without a newline.  A
+  /// longer one is answered with `ERR line too long` and its connection is
+  /// closed; other connections keep being served.
+  static constexpr std::size_t kMaxLineBytes = 64 * 1024;
 
   /// Starts the TCP listener on 127.0.0.1:`port` (0 = kernel-assigned;
   /// read the result back with bound_port()).  Throws util::IoError when

@@ -1,5 +1,7 @@
 #include "simnet/config.h"
 
+#include <string>
+
 #include "util/error.h"
 
 namespace wearscope::simnet {
@@ -76,6 +78,14 @@ SimConfig SimConfig::paper() {
   c.through_device_users = 1200;
   c.detailed_days = 49;
   return c;
+}
+
+SimConfig SimConfig::preset(std::string_view name) {
+  if (name == "small") return small();
+  if (name == "standard") return standard();
+  if (name == "paper") return paper();
+  throw util::ConfigError("unknown preset '" + std::string(name) +
+                          "' (expected small|standard|paper)");
 }
 
 }  // namespace wearscope::simnet

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 #include "util/sim_time.h"
 
@@ -138,6 +139,9 @@ struct SimConfig {
   static SimConfig standard();
   /// Full-fidelity preset mirroring the paper's seven-week window.
   static SimConfig paper();
+  /// The preset called `name` ("small", "standard" or "paper").  Throws
+  /// util::ConfigError naming the value for any other name.
+  static SimConfig preset(std::string_view name);
 };
 
 }  // namespace wearscope::simnet

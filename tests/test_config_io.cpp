@@ -3,6 +3,7 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -51,6 +52,32 @@ TEST(ConfigIo, CommentsAndBlankLinesIgnored) {
   std::stringstream buf(
       "# a comment\n\nseed = 9   # trailing comment\n   \n");
   EXPECT_EQ(read_config(buf).seed, 9u);
+}
+
+TEST(ConfigIo, PresetNamesResolveToTheirFactories) {
+  const auto text = [](const SimConfig& cfg) {
+    std::stringstream buf;
+    write_config(cfg, buf);
+    return buf.str();
+  };
+  EXPECT_EQ(text(SimConfig::preset("small")), text(SimConfig::small()));
+  EXPECT_EQ(text(SimConfig::preset("standard")), text(SimConfig::standard()));
+  EXPECT_EQ(text(SimConfig::preset("paper")), text(SimConfig::paper()));
+  // The three presets differ, so the checks above pin each name.
+  EXPECT_NE(text(SimConfig::small()), text(SimConfig::standard()));
+  EXPECT_NE(text(SimConfig::standard()), text(SimConfig::paper()));
+}
+
+TEST(ConfigIo, UnknownPresetThrowsNamingTheValue) {
+  try {
+    (void)SimConfig::preset("papr");
+    FAIL() << "unknown preset accepted";
+  } catch (const util::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'papr'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)SimConfig::preset(""), util::ConfigError);
+  EXPECT_THROW((void)SimConfig::preset("Small"), util::ConfigError);
 }
 
 TEST(ConfigIo, UnknownKeyRejected) {

@@ -10,6 +10,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -395,6 +396,79 @@ TEST(LineServer, PeerResetMidAnswerEndsOnlyThatConnection) {
   }
   EXPECT_EQ(response, "OK epochs retained=1 capacity=64 published=1\n");
   ::close(fd);
+  server.stop_listener();
+}
+
+TEST(LineServer, OverlongLineIsRejectedOthersKeepServing) {
+  SnapshotStore store;
+  QueryEngine engine(store);
+  live::LiveSnapshot snap;
+  snap.epoch = 1;
+  store.publish(std::move(snap));
+
+  LineServer server(engine);
+  server.start_listener(0);
+  ASSERT_NE(server.bound_port(), 0u);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.bound_port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const auto connect_client = [&addr] {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    // A server that never answers fails the test instead of hanging it.
+    const timeval timeout{5, 0};
+    EXPECT_EQ(
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout),
+        0);
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+        0);
+    return fd;
+  };
+  // Sends `request` and reads until a newline, EOF or an error.
+  const auto ask = [](int fd, const std::string& request) {
+    std::size_t sent = 0;
+    while (sent < request.size()) {
+      const ssize_t w = ::send(fd, request.data() + sent,
+                               request.size() - sent, MSG_NOSIGNAL);
+      if (w <= 0) break;
+      sent += static_cast<std::size_t>(w);
+    }
+    std::string response;
+    char buf[128];
+    while (response.find('\n') == std::string::npos) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      response.append(buf, static_cast<std::size_t>(n));
+    }
+    return response;
+  };
+  const std::string epochs_ok = "OK epochs retained=1 capacity=64 published=1\n";
+
+  const int polite = connect_client();
+  EXPECT_EQ(ask(polite, "epochs\n"), epochs_ok);
+
+  // One byte over the cap and no newline: the server reads every byte,
+  // answers once and closes this connection only.
+  const int rude = connect_client();
+  EXPECT_EQ(ask(rude, std::string(LineServer::kMaxLineBytes + 1, 'x')),
+            "ERR line too long\n");
+  char byte;
+  EXPECT_EQ(::recv(rude, &byte, 1, 0), 0);  // closed by the server
+  ::close(rude);
+
+  // A line right at the cap is still a (bogus) query, not an overflow.
+  const int edge = connect_client();
+  const std::string at_cap =
+      ask(edge, std::string(LineServer::kMaxLineBytes, 'x') + "\n");
+  EXPECT_EQ(at_cap.rfind("ERR ", 0), 0u);
+  EXPECT_NE(at_cap, "ERR line too long\n");
+  EXPECT_EQ(ask(edge, "epochs\n"), epochs_ok);
+  ::close(edge);
+
+  EXPECT_EQ(ask(polite, "epochs\n"), epochs_ok);
+  ::close(polite);
   server.stop_listener();
 }
 

@@ -47,18 +47,9 @@ int main(int argc, char** argv) {
                      "without generating when --out is empty");
     if (!flags.parse(argc, argv)) return 0;
 
-    simnet::SimConfig cfg;
-    if (!config_path.empty()) {
-      cfg = simnet::load_config_file(config_path);
-    } else if (preset == "small") {
-      cfg = simnet::SimConfig::small();
-    } else if (preset == "paper") {
-      cfg = simnet::SimConfig::paper();
-    } else if (preset == "standard") {
-      cfg = simnet::SimConfig::standard();
-    } else {
-      throw util::ConfigError("unknown preset '" + preset + "'");
-    }
+    simnet::SimConfig cfg = config_path.empty()
+                                ? simnet::SimConfig::preset(preset)
+                                : simnet::load_config_file(config_path);
     cfg.seed = static_cast<std::uint64_t>(seed);
 
     if (!write_config_path.empty()) {
