@@ -1,11 +1,13 @@
 // Google-benchmark performance suite for trace serialization: binary v1,
 // blocked v2 and CSV encode/decode throughput on realistic proxy-log
-// records.  The v2 decode is swept across TaskPool sizes over an mmap'ed
-// file — the exact production path of load_bundle.
+// records.  Both binary decodes read an mmap'ed file through
+// trace::read_binary_log — the exact production path of load_bundle — and
+// the v2 decode is swept across TaskPool sizes.
 //
 // `--emit-json[=PATH]` skips google-benchmark and writes a v1-vs-v2
 // encode/decode summary plus the decoder thread sweep to
-// BENCH_trace_io.json, mirroring perf_analysis's emit mode.
+// BENCH_trace_io.json, mirroring perf_analysis's emit mode.  Decode
+// speedups are relative to the sequential v1 read of the same records.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -22,7 +24,6 @@
 #include "bench_common.h"
 #include "par/task_pool.h"
 #include "simnet/simulator.h"
-#include "trace/binary_io.h"
 #include "trace/block_io.h"
 #include "trace/csv_io.h"
 #include "trace/log_reader.h"
@@ -103,15 +104,11 @@ const std::filesystem::path& v2_file() {
   return path;
 }
 
-/// The pre-v2 production load path, verbatim: buffered ifstream into the
-/// v1 stream reader, records copied into a growing vector.
-std::size_t drain_v1_file() {
-  std::ifstream in(v1_file(), std::ios::binary);
-  trace::BinaryLogReader<trace::ProxyRecord> reader(in);
-  std::vector<trace::ProxyRecord> records;
-  trace::ProxyRecord r;
-  while (reader.next(r)) records.push_back(r);
-  return records.size();
+/// The v1 production load path: mmap + one sequential record decode (v1
+/// has no framing to split across threads).
+std::size_t drain_v1_mmap() {
+  const util::MappedFile file(v1_file(), util::MapMode::kAuto);
+  return trace::read_binary_log<trace::ProxyRecord>(file.bytes()).size();
 }
 
 /// The v2 production load path: mmap + frame scan + (parallel) block
@@ -152,7 +149,7 @@ BENCHMARK(BM_V2Encode)->Unit(benchmark::kMillisecond);
 void BM_BinaryDecode(benchmark::State& state) {
   const auto& records = sample_records();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(drain_v1_file());
+    benchmark::DoNotOptimize(drain_v1_mmap());
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(records.size()) * state.iterations());
@@ -250,7 +247,7 @@ BENCHMARK(BM_StoreSortSorted)->Unit(benchmark::kMillisecond);
 
 /// --emit-json mode: v1-vs-v2 encode/decode wall clock plus the v2 mmap
 /// decoder thread sweep, best of `kReps` runs per point.  Decode speedups
-/// are relative to the v1 istream reader — the path v2 replaces.
+/// are relative to the sequential v1 mmap read.
 int emit_json(const std::string& path) {
   using Clock = std::chrono::steady_clock;
   constexpr int kReps = 3;
@@ -294,7 +291,7 @@ int emit_json(const std::string& path) {
     benchmark::DoNotOptimize(enc.str().size());
   });
   const double v1_decode_ms =
-      best_of([&] { benchmark::DoNotOptimize(drain_v1_file()); });
+      best_of([&] { benchmark::DoNotOptimize(drain_v1_mmap()); });
 
   std::fprintf(out, "{\n  \"bench\": \"perf_trace_io\",\n");
   bench::emit_hardware_concurrency(out);
@@ -308,7 +305,7 @@ int emit_json(const std::string& path) {
                v1_encode_ms, v2_encode_ms);
   std::fprintf(out, "  \"v1_decode_ms\": %.2f,\n", v1_decode_ms);
   std::fprintf(out, "  \"v2_decode\": [\n");
-  std::printf("encode: v1 %.2f ms, v2 %.2f ms; v1 istream decode %.2f ms\n",
+  std::printf("encode: v1 %.2f ms, v2 %.2f ms; v1 mmap decode %.2f ms\n",
               v1_encode_ms, v2_encode_ms, v1_decode_ms);
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
     const std::size_t threads = thread_counts[i];

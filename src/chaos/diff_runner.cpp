@@ -51,21 +51,6 @@ class Mismatches {
       }
     }
   }
-  void eq_quarantine(const std::string& what, const trace::QuarantineStats& a,
-                     const trace::QuarantineStats& b) {
-    eq_u64(what + ".corrupt_files", a.corrupt_files, b.corrupt_files);
-    eq_u64(what + ".corrupt_tails", a.corrupt_tails, b.corrupt_tails);
-    eq_u64(what + ".corrupt_rows", a.corrupt_rows, b.corrupt_rows);
-    eq_u64(what + ".duplicates", a.duplicates, b.duplicates);
-    eq_u64(what + ".regressions", a.regressions, b.regressions);
-    eq_u64(what + ".unknown_tac", a.unknown_tac, b.unknown_tac);
-    eq_u64(what + ".bad_host", a.bad_host, b.bad_host);
-    eq_u64(what + ".reordered", a.reordered, b.reordered);
-    eq_u64(what + ".transient_retries", a.transient_retries,
-           b.transient_retries);
-    eq_u64(what + ".dropped_after_retry", a.dropped_after_retry,
-           b.dropped_after_retry);
-  }
 
  private:
   std::vector<std::string>* out_;
@@ -193,6 +178,14 @@ std::string DiffReport::summary() const {
   return s;
 }
 
+void diff_quarantine(const std::string& what, const trace::QuarantineStats& a,
+                     const trace::QuarantineStats& b,
+                     std::vector<std::string>& mismatches) {
+  Mismatches m(mismatches);
+  for (const trace::QuarantineCounter& c : trace::kQuarantineCounters)
+    m.eq_u64(what + "." + c.key, a.*c.member, b.*c.member);
+}
+
 DiffReport run_differential(const trace::TraceStore& clean,
                             const DiffOptions& options) {
   util::require(!clean.devices.empty(),
@@ -213,7 +206,8 @@ DiffReport run_differential(const trace::TraceStore& clean,
   rep.observed = trace::sanitize_store(hostile);
   rep.surviving_proxy = hostile.proxy.size();
   rep.surviving_mme = hostile.mme.size();
-  m.eq_quarantine("sanitize", rep.observed, rep.manifest.expected);
+  diff_quarantine("sanitize", rep.observed, rep.manifest.expected,
+                  rep.mismatches);
   m.eq_u64("survivors.proxy", hostile.proxy.size(), canon.proxy.size());
   m.eq_u64("survivors.mme", hostile.mme.size(), canon.mme.size());
   if (!(hostile.proxy == canon.proxy && hostile.mme == canon.mme)) {
@@ -264,11 +258,12 @@ DiffReport run_differential(const trace::TraceStore& clean,
 
     m.eq_u64(label + ".records_pushed", replay.records_pushed,
              expected_pushed);
-    m.eq_quarantine(label + ".replay.quarantine", replay.quarantine,
-                    rf.expected);
+    diff_quarantine(label + ".replay.quarantine", replay.quarantine,
+                    rf.expected, rep.mismatches);
     trace::QuarantineStats total = rep.observed;
     total += rf.expected;
-    m.eq_quarantine(label + ".snapshot.quarantine", snap.quarantine, total);
+    diff_quarantine(label + ".snapshot.quarantine", snap.quarantine, total,
+                    rep.mismatches);
     m.eq_u64(label + ".records", snap.records, expected_pushed);
     compare_adoption(m, label + ".adoption", snap.adoption, batch.adoption);
     compare_activity(m, label + ".activity", snap.activity, batch.activity);

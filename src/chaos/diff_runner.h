@@ -62,6 +62,13 @@ struct DiffReport {
   [[nodiscard]] std::string summary() const;
 };
 
+/// Appends one "<what>.<counter>: a != b" line to `mismatches` per
+/// QuarantineStats counter that differs — the comparison every quarantine
+/// check of run_differential makes.
+void diff_quarantine(const std::string& what, const trace::QuarantineStats& a,
+                     const trace::QuarantineStats& b,
+                     std::vector<std::string>& mismatches);
+
 /// Runs the full differential contract for (clean capture, seed, profile).
 /// `clean` is copied; the capture needs a non-empty DeviceDB snapshot
 /// (both the TAC filter and the live engine classify against it).

@@ -8,7 +8,7 @@
 #include <unordered_set>
 #include <utility>
 
-#include "trace/binary_io.h"
+#include "trace/block_io.h"
 #include "trace/sanitize.h"
 #include "util/error.h"
 

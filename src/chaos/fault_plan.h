@@ -4,7 +4,8 @@
 // three levels of the ingest stack:
 //
 //   * byte level     — corrupted binary log images (truncation, length
-//                      bombs, bad magic, bit flips) for trace/binary_io;
+//                      bombs, bad magic, bit flips) for the v1 reader in
+//                      trace/log_reader;
 //   * record level   — duplicates, bounded reordering, timestamp
 //                      regressions, unknown TACs and hostile SNIs spliced
 //                      into a clean capture, for trace/sanitize;
@@ -50,7 +51,7 @@ struct FaultProfile {
                                       ///< recovers within the retry budget.
   std::uint32_t permanent_reads = 0;  ///< Records failing past the budget.
 
-  // --- Byte level (trace/binary_io fuzz corpus sizing) -----------------
+  // --- Byte level (v1 log fuzz corpus sizing) ---------------------------
   std::uint32_t truncations = 0;
   std::uint32_t length_bombs = 0;
   std::uint32_t bad_magics = 0;
@@ -104,7 +105,8 @@ struct BinaryImage {
   std::vector<std::size_t> record_offsets;  ///< First record at offset 8.
 };
 
-/// Serializes `records` through trace::BinaryLogWriter, tracking offsets.
+/// Serializes `records` as a v1 log (trace::BinaryLogWriter), tracking
+/// offsets.
 template <typename Record>
 BinaryImage image_of(const std::vector<Record>& records);
 

@@ -5,7 +5,7 @@
 // counters are maintained online at the vantage points (paper §3.1).  This
 // header provides the streaming counterpart of analyze_adoption(): feed it
 // time-ordered records one at a time (e.g. straight from a
-// trace::BinaryLogReader) and finalize at the end of the window.
+// trace::LogCursor) and finalize at the end of the window.
 //
 // Memory: O(users) for the presence sets plus O(days) counters — never
 // O(records).

@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <fstream>
-#include <map>
+#include <type_traits>
 #include <utility>
 
 #include "live/engine.h"
-#include "trace/block_io.h"
+#include "util/byte_codec.h"
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/mapped_file.h"
 #include "util/rng.h"
-#include "util/span_decoder.h"
 
 namespace wearscope::fed {
 
@@ -35,385 +34,354 @@ constexpr std::uint32_t kRequiredSections[] = {
   return util::crc32(std::as_bytes(std::span(payload.data(), payload.size())));
 }
 
-// --- Section encoders ----------------------------------------------------
-// Every map is emitted in sorted key order: the bytes are a function of
-// the logical state alone, never of hash iteration.
+// --- Section layouts -----------------------------------------------------
+// Each section's layout is ONE overload of layout(io, value), a template
+// over SectionWriter (value by const reference, appended) or SectionReader
+// (value default-constructed, then filled), listing its fields once.
+// Readers throw util::ParseError on damage (MemorySpanDecoder does for
+// short payloads); checks only a reader needs sit next to the field list
+// under `if constexpr (kReads<IO>)`.
 
-void encode_header(trace::BufferEncoder& enc, const PartitionHeader& h) {
-  enc.put_u32(h.partition_id);
-  enc.put_u32(h.partition_count);
-  enc.put_u64(h.epoch);
-  enc.put_u64(h.records);
-  enc.put_u64(h.feed_records);
-  enc.put_i64(h.observation_days);
-  enc.put_i64(h.detailed_start_day);
-  enc.put_i64(h.usage_gap_s);
-  enc.put_u32(h.long_tail_apps);
-  enc.put_f64(h.signature_coverage);
-  enc.put_u8(h.sketch_enabled);
-  enc.put_u64(h.payload_checksum);
+using u8 = std::uint8_t;
+using u32 = std::uint32_t;
+using u64 = std::uint64_t;
+using i64 = std::int64_t;
+using f64 = double;
+
+struct SectionWriter {
+  util::BufferEncoder enc;
+};
+
+struct SectionReader {
+  util::MemorySpanDecoder dec;
+};
+
+template <typename IO>
+inline constexpr bool kReads = std::is_same_v<IO, SectionReader>;
+
+/// The value a layout visits: mutable for a reader, const for a writer.
+template <typename IO, typename T>
+using Ref = std::conditional_t<kReads<IO>, T&, const T&>;
+
+/// Smallest encoding of one `Wire` value (a string is its u16 prefix).
+template <typename Wire>
+inline constexpr std::size_t kWireBytes =
+    std::is_same_v<Wire, std::string> ? 2 : sizeof(Wire);
+
+/// One field stored as `Wire` on disk.
+template <typename Wire, typename T>
+void field(SectionWriter& w, const T& v) {
+  if constexpr (std::is_same_v<Wire, std::string>) {
+    w.enc.put_string(v);
+  } else if constexpr (std::is_same_v<Wire, f64>) {
+    w.enc.put_f64(v);
+  } else if constexpr (std::is_same_v<Wire, i64>) {
+    w.enc.put_i64(static_cast<i64>(v));
+  } else if constexpr (std::is_same_v<Wire, u64>) {
+    w.enc.put_u64(static_cast<u64>(v));
+  } else if constexpr (std::is_same_v<Wire, u32>) {
+    w.enc.put_u32(static_cast<u32>(v));
+  } else {
+    static_assert(std::is_same_v<Wire, u8>);
+    w.enc.put_u8(static_cast<u8>(v));
+  }
 }
 
-void encode_adoption(trace::BufferEncoder& enc,
-                     const core::AdoptionTally& tally) {
-  enc.put_i64(tally.observation_days);
-  enc.put_u64(tally.consumed);
-  enc.put_u64(tally.daily_counts.size());
-  for (const std::size_t count : tally.daily_counts) enc.put_u64(count);
-  enc.put_u64(tally.ever_registered);
-  enc.put_u64(tally.ever_transacted);
-  enc.put_u64(tally.first_week);
-  enc.put_u64(tally.last_week);
-  enc.put_u64(tally.both_weeks);
+template <typename Wire, typename T>
+void field(SectionReader& r, T& v) {
+  if constexpr (std::is_same_v<Wire, std::string>) {
+    v = r.dec.get_string();
+  } else if constexpr (std::is_same_v<Wire, f64>) {
+    v = r.dec.get_f64();
+  } else if constexpr (std::is_same_v<Wire, i64>) {
+    v = static_cast<T>(r.dec.get_i64());
+  } else if constexpr (std::is_same_v<Wire, u64>) {
+    v = static_cast<T>(r.dec.get_u64());
+  } else if constexpr (std::is_same_v<Wire, u32>) {
+    v = static_cast<T>(r.dec.get_u32());
+  } else {
+    static_assert(std::is_same_v<Wire, u8>);
+    v = static_cast<T>(r.dec.get_u8());
+  }
+}
+
+/// u64 entry count of a sequence.  A reader rejects a count whose entries
+/// (each at least `min_bytes` long) cannot fit in the rest of the payload,
+/// before anything is allocated for them.
+u64 length(SectionWriter& w, u64 n, std::size_t /*min_bytes*/,
+           const char* /*what*/) {
+  w.enc.put_u64(n);
+  return n;
+}
+
+u64 length(SectionReader& r, u64 /*n*/, std::size_t min_bytes,
+           const char* what) {
+  const u64 n = r.dec.get_u64();
+  if (n > r.dec.remaining() / min_bytes) {
+    throw util::ParseError(std::string("partial snapshot: impossible ") +
+                           what + " length");
+  }
+  return n;
+}
+
+/// Length-prefixed vector of `Wire` fields.
+template <typename Wire, typename IO, typename Vec>
+void sequence(IO& io, Vec& v, const char* what) {
+  const u64 n = length(io, v.size(), kWireBytes<Wire>, what);
+  if constexpr (kReads<IO>) v.resize(n);
+  for (auto& e : v) field<Wire>(io, e);
 }
 
 template <typename Map>
-[[nodiscard]] std::vector<typename Map::key_type> sorted_keys(const Map& map) {
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(map.size());
-  // Key collection is order-free; the sort below canonicalizes.
-  // wearscope-lint: allow(unordered-flow)
-  for (const auto& [key, value] : map) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
+inline constexpr bool kIsMap = requires { typename Map::mapped_type; };
 
-void encode_activity(trace::BufferEncoder& enc,
-                     const core::ActivityTally& tally) {
-  enc.put_i64(tally.observation_days);
-  enc.put_i64(tally.detailed_start_day);
-  enc.put_u64(tally.users.size());
-  for (const trace::UserId user : sorted_keys(tally.users)) {
-    const core::ActivityTally::UserActivity& act = tally.users.at(user);
-    enc.put_u64(user);
-    enc.put_u64(act.day_hours.size());
-    for (const auto& [day, hours] : act.day_hours) {
-      enc.put_i64(day);
-      enc.put_u64(hours.size());
-      for (const int hour : hours) enc.put_i64(hour);
+template <typename Map>
+inline constexpr bool kIsOrdered = requires { typename Map::key_compare; };
+
+/// Mapped values of a set: nothing to visit.
+struct NoFields {
+  template <typename T>
+  void operator()(T& /*unused*/) const {}
+};
+
+/// Length-prefixed map (or set) keyed by `KeyWire` fields, in strictly
+/// ascending key order; `entry` visits each mapped value.  The bytes are a
+/// function of the logical state alone, never of hash iteration.
+template <typename KeyWire, typename Map, typename Entry = NoFields>
+void keyed(SectionWriter& w, const Map& map, const char* what,
+           Entry entry = {}) {
+  (void)length(w, map.size(), kWireBytes<KeyWire>, what);
+  if constexpr (!kIsMap<Map>) {
+    for (const auto& key : map) field<KeyWire>(w, key);
+  } else if constexpr (kIsOrdered<Map>) {
+    for (const auto& [key, value] : map) {
+      field<KeyWire>(w, key);
+      entry(value);
     }
-    enc.put_u64(act.hour_txns.size());
-    for (const int slot : sorted_keys(act.hour_txns)) {
-      enc.put_i64(slot);
-      enc.put_f64(act.hour_txns.at(slot));
+  } else {
+    std::vector<const typename Map::value_type*> sorted;
+    sorted.reserve(map.size());
+    // Collection is order-free; the sort below canonicalizes.
+    // wearscope-lint: allow(unordered-flow)
+    for (const auto& element : map) sorted.push_back(&element);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    for (const auto* element : sorted) {
+      field<KeyWire>(w, element->first);
+      entry(element->second);
     }
-    enc.put_u64(act.hour_bytes.size());
-    for (const int slot : sorted_keys(act.hour_bytes)) {
-      enc.put_i64(slot);
-      enc.put_f64(act.hour_bytes.at(slot));
+  }
+}
+
+/// Reader twin: rejects a key that is not strictly greater than the one
+/// before it, so every logical state has exactly one accepted encoding.
+template <typename KeyWire, typename Map, typename Entry = NoFields>
+void keyed(SectionReader& r, Map& map, const char* what, Entry entry = {}) {
+  const u64 n = length(r, 0, kWireBytes<KeyWire>, what);
+  typename Map::key_type prev{};
+  for (u64 i = 0; i < n; ++i) {
+    typename Map::key_type key{};
+    field<KeyWire>(r, key);
+    if (i > 0 && !(prev < key)) {
+      throw util::ParseError(std::string("partial snapshot: ") + what +
+                             " keys not strictly ascending");
+    }
+    prev = key;
+    if constexpr (!kIsMap<Map>) {
+      map.insert(map.end(), key);
+    } else if constexpr (kIsOrdered<Map>) {
+      entry(map.try_emplace(map.end(), key)->second);
+    } else {
+      entry(map.try_emplace(key).first->second);
     }
   }
-  enc.put_u64(tally.first_seen.size());
-  for (const trace::UserId user : sorted_keys(tally.first_seen)) {
-    enc.put_u64(user);
-    enc.put_u64(tally.first_seen.at(user));
-  }
-  enc.put_u64(tally.txn_sizes.size());
-  for (const double size : tally.txn_sizes) enc.put_f64(size);
 }
 
-void encode_apps(trace::BufferEncoder& enc, const live::AppTally& tally) {
-  for (const std::uint64_t txns : tally.class_txns) enc.put_u64(txns);
-  enc.put_u64(tally.apps.size());
-  for (const appdb::AppId app : sorted_keys(tally.apps)) {
-    const live::AppTally::Counter& c = tally.apps.at(app);
-    enc.put_u32(app);
-    enc.put_u64(c.transactions);
-    enc.put_u64(c.bytes);
-    enc.put_u64(c.usages);
-    enc.put_u64(c.distinct_users);
-  }
-}
-
-void encode_sectors(trace::BufferEncoder& enc, const live::SectorTally& tally) {
-  enc.put_u64(tally.sectors.size());
-  for (const trace::SectorId sector : sorted_keys(tally.sectors)) {
-    const live::SectorTally::Counter& c = tally.sectors.at(sector);
-    enc.put_u32(sector);
-    enc.put_u64(c.events);
-    enc.put_u64(c.attaches);
-    enc.put_u64(c.handovers);
-    enc.put_u64(c.wearable_events);
-    enc.put_u64(c.distinct_users);
-    enc.put_u64(c.wearable_users);
+template <typename IO>
+void layout(IO& io, Ref<IO, PartitionHeader> h) {
+  field<u32>(io, h.partition_id);
+  field<u32>(io, h.partition_count);
+  field<u64>(io, h.epoch);
+  field<u64>(io, h.records);
+  field<u64>(io, h.feed_records);
+  field<i64>(io, h.observation_days);
+  field<i64>(io, h.detailed_start_day);
+  field<i64>(io, h.usage_gap_s);
+  field<u32>(io, h.long_tail_apps);
+  field<f64>(io, h.signature_coverage);
+  field<u8>(io, h.sketch_enabled);
+  field<u64>(io, h.payload_checksum);
+  if constexpr (kReads<IO>) {
+    if (h.partition_count == 0 || h.partition_id >= h.partition_count) {
+      throw util::ParseError("partial snapshot: partition id out of range");
+    }
   }
 }
 
-void encode_hll(trace::BufferEncoder& enc, const sketch::Hll& hll) {
-  const std::vector<std::uint8_t>& regs = hll.registers();
-  enc.put_u64(regs.size());
-  for (const std::uint8_t r : regs) enc.put_u8(r);
+template <typename IO>
+void layout(IO& io, Ref<IO, core::AdoptionTally> t) {
+  field<i64>(io, t.observation_days);
+  field<u64>(io, t.consumed);
+  sequence<u64>(io, t.daily_counts, "daily-count");
+  field<u64>(io, t.ever_registered);
+  field<u64>(io, t.ever_transacted);
+  field<u64>(io, t.first_week);
+  field<u64>(io, t.last_week);
+  field<u64>(io, t.both_weeks);
 }
 
-void encode_sketch(trace::BufferEncoder& enc, const live::SketchTally& tally) {
-  encode_hll(enc, tally.registered_users);
-  encode_hll(enc, tally.transacting_users);
-  const sketch::TDigestState digest = tally.txn_sizes.state();
-  enc.put_f64(digest.compression);
-  enc.put_u8(digest.empty ? 1 : 0);
-  enc.put_f64(digest.min);
-  enc.put_f64(digest.max);
-  enc.put_u64(digest.means.size());
-  for (std::size_t i = 0; i < digest.means.size(); ++i) {
-    enc.put_f64(digest.means[i]);
-    enc.put_f64(digest.weights[i]);
+template <typename IO>
+void layout(IO& io, Ref<IO, core::ActivityTally> t) {
+  field<i64>(io, t.observation_days);
+  field<i64>(io, t.detailed_start_day);
+  keyed<u64>(io, t.users, "user", [&io](auto& act) {
+    keyed<i64>(io, act.day_hours, "day",
+               [&io](auto& hours) { keyed<i64>(io, hours, "hour"); });
+    keyed<i64>(io, act.hour_txns, "hour-txn",
+               [&io](auto& txns) { field<f64>(io, txns); });
+    keyed<i64>(io, act.hour_bytes, "hour-byte",
+               [&io](auto& bytes) { field<f64>(io, bytes); });
+  });
+  keyed<u64>(io, t.first_seen, "first-seen",
+             [&io](auto& seq) { field<u64>(io, seq); });
+  sequence<f64>(io, t.txn_sizes, "txn-size");
+}
+
+template <typename IO>
+void layout(IO& io, Ref<IO, live::AppTally> t) {
+  for (auto& txns : t.class_txns) field<u64>(io, txns);
+  keyed<u32>(io, t.apps, "app", [&io](auto& c) {
+    field<u64>(io, c.transactions);
+    field<u64>(io, c.bytes);
+    field<u64>(io, c.usages);
+    field<u64>(io, c.distinct_users);
+  });
+}
+
+template <typename IO>
+void layout(IO& io, Ref<IO, live::SectorTally> t) {
+  keyed<u32>(io, t.sectors, "sector", [&io](auto& c) {
+    field<u64>(io, c.events);
+    field<u64>(io, c.attaches);
+    field<u64>(io, c.handovers);
+    field<u64>(io, c.wearable_events);
+    field<u64>(io, c.distinct_users);
+    field<u64>(io, c.wearable_users);
+  });
+}
+
+/// The sketch section's wire form: what each sketch exposes for
+/// serialization, rebuilt into live sketches by the reader.
+struct SketchState {
+  std::vector<u8> registered_users;
+  std::vector<u8> transacting_users;
+  sketch::TDigestState digest;
+  u64 capacity = 0;
+  u64 depth = 0;
+  u64 width = 0;
+  std::vector<u64> table;
+  std::vector<std::pair<std::string, u64>> candidates;
+};
+
+template <typename IO>
+void layout(IO& io, Ref<IO, live::SketchTally> t) {
+  SketchState s;
+  if constexpr (!kReads<IO>) {
+    const sketch::CountMin& counts = t.apps.counters();
+    s = {t.registered_users.registers(), t.transacting_users.registers(),
+         t.txn_sizes.state(),           t.apps.capacity(),
+         counts.depth(),                counts.width(),
+         counts.table(),                t.apps.sorted_candidates()};
   }
-  enc.put_u64(tally.apps.capacity());
-  const sketch::CountMin& counts = tally.apps.counters();
-  enc.put_u64(counts.depth());
-  enc.put_u64(counts.width());
-  for (const std::uint64_t counter : counts.table()) enc.put_u64(counter);
-  const auto candidates = tally.apps.sorted_candidates();
-  enc.put_u64(candidates.size());
-  for (const auto& [key, count] : candidates) {
-    enc.put_string(key);
-    enc.put_u64(count);
+  sequence<u8>(io, s.registered_users, "HLL register");
+  sequence<u8>(io, s.transacting_users, "HLL register");
+  field<f64>(io, s.digest.compression);
+  field<u8>(io, s.digest.empty);
+  field<f64>(io, s.digest.min);
+  field<f64>(io, s.digest.max);
+  const u64 centroids = length(io, s.digest.means.size(), 16, "centroid");
+  if constexpr (kReads<IO>) {
+    s.digest.means.resize(centroids);
+    s.digest.weights.resize(centroids);
+  }
+  for (u64 i = 0; i < centroids; ++i) {
+    field<f64>(io, s.digest.means[i]);
+    field<f64>(io, s.digest.weights[i]);
+  }
+  field<u64>(io, s.capacity);
+  field<u64>(io, s.depth);
+  field<u64>(io, s.width);
+  if constexpr (kReads<IO>) {
+    if (s.depth > 64 || s.width > (u64{1} << 24) ||
+        s.depth * s.width > io.dec.remaining() / 8) {
+      throw util::ParseError("partial snapshot: impossible count-min shape");
+    }
+    s.table.resize(s.depth * s.width);
+  }
+  for (auto& counter : s.table) field<u64>(io, counter);
+  const u64 candidates = length(
+      io, s.candidates.size(), kWireBytes<std::string> + 8, "candidate");
+  if constexpr (kReads<IO>) s.candidates.resize(candidates);
+  for (auto& [key, count] : s.candidates) {
+    field<std::string>(io, key);
+    field<u64>(io, count);
+  }
+  if constexpr (kReads<IO>) {
+    try {
+      t.enabled = true;
+      t.registered_users =
+          sketch::Hll::from_registers(std::move(s.registered_users));
+      t.transacting_users =
+          sketch::Hll::from_registers(std::move(s.transacting_users));
+      t.txn_sizes = sketch::TDigest::from_state(s.digest);
+      t.apps = sketch::HeavyHitters::from_state(
+          static_cast<std::size_t>(s.capacity),
+          sketch::CountMin::from_table(static_cast<std::size_t>(s.depth),
+                                       static_cast<std::size_t>(s.width),
+                                       std::move(s.table)),
+          std::move(s.candidates));
+    } catch (const util::ConfigError& e) {
+      throw util::ParseError(e.what());
+    }
   }
 }
 
-void encode_quarantine(trace::BufferEncoder& enc,
-                       const trace::QuarantineStats& q) {
-  enc.put_u64(q.corrupt_files);
-  enc.put_u64(q.corrupt_tails);
-  enc.put_u64(q.corrupt_blocks);
-  enc.put_u64(q.corrupt_rows);
-  enc.put_u64(q.duplicates);
-  enc.put_u64(q.regressions);
-  enc.put_u64(q.unknown_tac);
-  enc.put_u64(q.bad_host);
-  enc.put_u64(q.reordered);
-  enc.put_u64(q.transient_retries);
-  enc.put_u64(q.dropped_after_retry);
+template <typename IO>
+void layout(IO& io, Ref<IO, trace::QuarantineStats> q) {
+  for (const trace::QuarantineCounter& c : trace::kQuarantineCounters) {
+    field<u64>(io, q.*c.member);
+  }
 }
 
-// --- Section decoders ----------------------------------------------------
-// All throw util::ParseError (via MemorySpanDecoder) on damage; each must
-// consume its payload exactly.
+template <typename T>
+[[nodiscard]] std::string write_section(const T& value) {
+  std::string payload;
+  SectionWriter w{util::BufferEncoder(payload)};
+  layout(w, value);
+  return payload;
+}
 
-void finish_section(util::MemorySpanDecoder& dec, const char* what) {
-  if (!dec.at_eof()) {
+/// Decodes section `id` into `out`, which is assigned only when the whole
+/// payload decodes (a lenient reader leaves a damaged section's tally
+/// default-initialized).
+template <typename T>
+void read_section(std::span<const std::byte> payload, std::uint32_t id,
+                  T& out) {
+  SectionReader r{util::MemorySpanDecoder(payload)};
+  T value;
+  layout(r, value);
+  if (!r.dec.at_eof()) {
     throw util::ParseError(std::string("partial snapshot: trailing bytes in ") +
-                           what + " section");
+                           section_name(id) + " section");
   }
+  out = std::move(value);
 }
 
 [[nodiscard]] PartitionHeader decode_header(std::span<const std::byte> bytes) {
-  util::MemorySpanDecoder dec(bytes);
-  PartitionHeader h;
-  h.partition_id = dec.get_u32();
-  h.partition_count = dec.get_u32();
-  h.epoch = dec.get_u64();
-  h.records = dec.get_u64();
-  h.feed_records = dec.get_u64();
-  h.observation_days = static_cast<std::int32_t>(dec.get_i64());
-  h.detailed_start_day = static_cast<std::int32_t>(dec.get_i64());
-  h.usage_gap_s = dec.get_i64();
-  h.long_tail_apps = dec.get_u32();
-  h.signature_coverage = dec.get_f64();
-  h.sketch_enabled = dec.get_u8();
-  h.payload_checksum = dec.get_u64();
-  finish_section(dec, "partition");
-  if (h.partition_count == 0 || h.partition_id >= h.partition_count) {
-    throw util::ParseError("partial snapshot: partition id out of range");
-  }
-  return h;
-}
-
-[[nodiscard]] core::AdoptionTally decode_adoption(
-    std::span<const std::byte> bytes) {
-  util::MemorySpanDecoder dec(bytes);
-  core::AdoptionTally tally;
-  tally.observation_days = static_cast<int>(dec.get_i64());
-  tally.consumed = dec.get_u64();
-  const std::uint64_t days = dec.get_u64();
-  if (days > dec.remaining() / 8) {
-    throw util::ParseError("partial snapshot: impossible daily-count length");
-  }
-  tally.daily_counts.reserve(days);
-  for (std::uint64_t d = 0; d < days; ++d) {
-    tally.daily_counts.push_back(static_cast<std::size_t>(dec.get_u64()));
-  }
-  tally.ever_registered = static_cast<std::size_t>(dec.get_u64());
-  tally.ever_transacted = static_cast<std::size_t>(dec.get_u64());
-  tally.first_week = static_cast<std::size_t>(dec.get_u64());
-  tally.last_week = static_cast<std::size_t>(dec.get_u64());
-  tally.both_weeks = static_cast<std::size_t>(dec.get_u64());
-  finish_section(dec, "adoption");
-  return tally;
-}
-
-[[nodiscard]] core::ActivityTally decode_activity(
-    std::span<const std::byte> bytes) {
-  util::MemorySpanDecoder dec(bytes);
-  core::ActivityTally tally;
-  tally.observation_days = static_cast<int>(dec.get_i64());
-  tally.detailed_start_day = static_cast<int>(dec.get_i64());
-  const std::uint64_t users = dec.get_u64();
-  for (std::uint64_t u = 0; u < users; ++u) {
-    const trace::UserId user = dec.get_u64();
-    core::ActivityTally::UserActivity& act = tally.users[user];
-    const std::uint64_t days = dec.get_u64();
-    for (std::uint64_t d = 0; d < days; ++d) {
-      const int day = static_cast<int>(dec.get_i64());
-      const std::uint64_t hours = dec.get_u64();
-      std::set<int>& slot = act.day_hours[day];
-      for (std::uint64_t i = 0; i < hours; ++i) {
-        slot.insert(static_cast<int>(dec.get_i64()));
-      }
-    }
-    const std::uint64_t txn_slots = dec.get_u64();
-    for (std::uint64_t i = 0; i < txn_slots; ++i) {
-      const int slot = static_cast<int>(dec.get_i64());
-      act.hour_txns[slot] = dec.get_f64();
-    }
-    const std::uint64_t byte_slots = dec.get_u64();
-    for (std::uint64_t i = 0; i < byte_slots; ++i) {
-      const int slot = static_cast<int>(dec.get_i64());
-      act.hour_bytes[slot] = dec.get_f64();
-    }
-  }
-  const std::uint64_t seen = dec.get_u64();
-  for (std::uint64_t i = 0; i < seen; ++i) {
-    const trace::UserId user = dec.get_u64();
-    tally.first_seen[user] = dec.get_u64();
-  }
-  const std::uint64_t sizes = dec.get_u64();
-  if (sizes > dec.remaining() / 8) {
-    throw util::ParseError("partial snapshot: impossible txn-size length");
-  }
-  tally.txn_sizes.reserve(sizes);
-  for (std::uint64_t i = 0; i < sizes; ++i) {
-    tally.txn_sizes.push_back(dec.get_f64());
-  }
-  finish_section(dec, "activity");
-  return tally;
-}
-
-[[nodiscard]] live::AppTally decode_apps(std::span<const std::byte> bytes) {
-  util::MemorySpanDecoder dec(bytes);
-  live::AppTally tally;
-  for (std::uint64_t& txns : tally.class_txns) txns = dec.get_u64();
-  const std::uint64_t apps = dec.get_u64();
-  for (std::uint64_t a = 0; a < apps; ++a) {
-    const appdb::AppId app = dec.get_u32();
-    live::AppTally::Counter& c = tally.apps[app];
-    c.transactions = dec.get_u64();
-    c.bytes = dec.get_u64();
-    c.usages = dec.get_u64();
-    c.distinct_users = dec.get_u64();
-  }
-  finish_section(dec, "apps");
-  return tally;
-}
-
-[[nodiscard]] live::SectorTally decode_sectors(
-    std::span<const std::byte> bytes) {
-  util::MemorySpanDecoder dec(bytes);
-  live::SectorTally tally;
-  const std::uint64_t sectors = dec.get_u64();
-  for (std::uint64_t s = 0; s < sectors; ++s) {
-    const trace::SectorId sector = dec.get_u32();
-    live::SectorTally::Counter& c = tally.sectors[sector];
-    c.events = dec.get_u64();
-    c.attaches = dec.get_u64();
-    c.handovers = dec.get_u64();
-    c.wearable_events = dec.get_u64();
-    c.distinct_users = dec.get_u64();
-    c.wearable_users = dec.get_u64();
-  }
-  finish_section(dec, "sectors");
-  return tally;
-}
-
-[[nodiscard]] sketch::Hll decode_hll(util::MemorySpanDecoder& dec) {
-  const std::uint64_t size = dec.get_u64();
-  if (size > dec.remaining()) {
-    throw util::ParseError("partial snapshot: impossible HLL register count");
-  }
-  std::vector<std::uint8_t> registers;
-  registers.reserve(size);
-  for (std::uint64_t i = 0; i < size; ++i) registers.push_back(dec.get_u8());
-  try {
-    return sketch::Hll::from_registers(std::move(registers));
-  } catch (const util::ConfigError& e) {
-    throw util::ParseError(e.what());
-  }
-}
-
-[[nodiscard]] live::SketchTally decode_sketch(
-    std::span<const std::byte> bytes) {
-  util::MemorySpanDecoder dec(bytes);
-  live::SketchTally tally;
-  tally.enabled = true;
-  tally.registered_users = decode_hll(dec);
-  tally.transacting_users = decode_hll(dec);
-  sketch::TDigestState digest;
-  digest.compression = dec.get_f64();
-  digest.empty = dec.get_u8() != 0;
-  digest.min = dec.get_f64();
-  digest.max = dec.get_f64();
-  const std::uint64_t centroids = dec.get_u64();
-  if (centroids > dec.remaining() / 16) {
-    throw util::ParseError("partial snapshot: impossible centroid count");
-  }
-  digest.means.reserve(centroids);
-  digest.weights.reserve(centroids);
-  for (std::uint64_t i = 0; i < centroids; ++i) {
-    digest.means.push_back(dec.get_f64());
-    digest.weights.push_back(dec.get_f64());
-  }
-  const std::uint64_t capacity = dec.get_u64();
-  const std::uint64_t depth = dec.get_u64();
-  const std::uint64_t width = dec.get_u64();
-  if (depth > 64 || width > (std::uint64_t{1} << 24) ||
-      depth * width > dec.remaining() / 8) {
-    throw util::ParseError("partial snapshot: impossible count-min shape");
-  }
-  std::vector<std::uint64_t> table;
-  table.reserve(depth * width);
-  for (std::uint64_t i = 0; i < depth * width; ++i) {
-    table.push_back(dec.get_u64());
-  }
-  const std::uint64_t candidates = dec.get_u64();
-  std::vector<std::pair<std::string, std::uint64_t>> entries;
-  entries.reserve(std::min<std::uint64_t>(candidates, 1 << 16));
-  for (std::uint64_t i = 0; i < candidates; ++i) {
-    std::string key = dec.get_string();
-    const std::uint64_t count = dec.get_u64();
-    entries.emplace_back(std::move(key), count);
-  }
-  finish_section(dec, "sketch");
-  try {
-    tally.txn_sizes = sketch::TDigest::from_state(digest);
-    tally.apps = sketch::HeavyHitters::from_state(
-        static_cast<std::size_t>(capacity),
-        sketch::CountMin::from_table(static_cast<std::size_t>(depth),
-                                     static_cast<std::size_t>(width),
-                                     std::move(table)),
-        std::move(entries));
-  } catch (const util::ConfigError& e) {
-    throw util::ParseError(e.what());
-  }
-  return tally;
-}
-
-[[nodiscard]] trace::QuarantineStats decode_quarantine(
-    std::span<const std::byte> bytes) {
-  util::MemorySpanDecoder dec(bytes);
-  trace::QuarantineStats q;
-  q.corrupt_files = dec.get_u64();
-  q.corrupt_tails = dec.get_u64();
-  q.corrupt_blocks = dec.get_u64();
-  q.corrupt_rows = dec.get_u64();
-  q.duplicates = dec.get_u64();
-  q.regressions = dec.get_u64();
-  q.unknown_tac = dec.get_u64();
-  q.bad_host = dec.get_u64();
-  q.reordered = dec.get_u64();
-  q.transient_retries = dec.get_u64();
-  q.dropped_after_retry = dec.get_u64();
-  finish_section(dec, "quarantine");
-  return q;
+  PartitionHeader header;
+  read_section(bytes, static_cast<std::uint32_t>(SectionId::kPartition),
+               header);
+  return header;
 }
 
 /// Applies one decoded non-header section to `out`.  Throws ParseError on
@@ -422,22 +390,22 @@ void apply_section(std::uint32_t id, std::span<const std::byte> payload,
                    PartialSnapshot& out) {
   switch (static_cast<SectionId>(id)) {
     case SectionId::kAdoption:
-      out.tallies.adoption = decode_adoption(payload);
+      read_section(payload, id, out.tallies.adoption);
       break;
     case SectionId::kActivity:
-      out.tallies.activity = decode_activity(payload);
+      read_section(payload, id, out.tallies.activity);
       break;
     case SectionId::kApps:
-      out.tallies.apps = decode_apps(payload);
+      read_section(payload, id, out.tallies.apps);
       break;
     case SectionId::kSectors:
-      out.tallies.sectors = decode_sectors(payload);
+      read_section(payload, id, out.tallies.sectors);
       break;
     case SectionId::kSketch:
-      out.tallies.sketch = decode_sketch(payload);
+      read_section(payload, id, out.tallies.sketch);
       break;
     case SectionId::kQuarantine:
-      out.feed_quarantine = decode_quarantine(payload);
+      read_section(payload, id, out.feed_quarantine);
       break;
     default:
       break;  // Unknown ids skip silently (forward compatibility).
@@ -546,32 +514,17 @@ std::string encode_partial(const PartialSnapshot& partial) {
     std::string payload;
   };
   std::vector<Pending> sections;
-  const auto add = [&sections](SectionId id, auto&& encode) {
-    Pending pending{static_cast<std::uint32_t>(id), {}};
-    trace::BufferEncoder enc(pending.payload);
-    encode(enc);
-    sections.push_back(std::move(pending));
+  const auto add = [&sections](SectionId id, const auto& value) {
+    sections.push_back({static_cast<std::uint32_t>(id), write_section(value)});
   };
-  add(SectionId::kAdoption, [&](trace::BufferEncoder& enc) {
-    encode_adoption(enc, partial.tallies.adoption);
-  });
-  add(SectionId::kActivity, [&](trace::BufferEncoder& enc) {
-    encode_activity(enc, partial.tallies.activity);
-  });
-  add(SectionId::kApps, [&](trace::BufferEncoder& enc) {
-    encode_apps(enc, partial.tallies.apps);
-  });
-  add(SectionId::kSectors, [&](trace::BufferEncoder& enc) {
-    encode_sectors(enc, partial.tallies.sectors);
-  });
+  add(SectionId::kAdoption, partial.tallies.adoption);
+  add(SectionId::kActivity, partial.tallies.activity);
+  add(SectionId::kApps, partial.tallies.apps);
+  add(SectionId::kSectors, partial.tallies.sectors);
   if (partial.header.sketch_enabled != 0) {
-    add(SectionId::kSketch, [&](trace::BufferEncoder& enc) {
-      encode_sketch(enc, partial.tallies.sketch);
-    });
+    add(SectionId::kSketch, partial.tallies.sketch);
   }
-  add(SectionId::kQuarantine, [&](trace::BufferEncoder& enc) {
-    encode_quarantine(enc, partial.feed_quarantine);
-  });
+  add(SectionId::kQuarantine, partial.feed_quarantine);
 
   std::uint64_t fold = kPartialMagic;
   std::vector<std::uint32_t> crcs;
@@ -584,14 +537,10 @@ std::string encode_partial(const PartialSnapshot& partial) {
 
   PartitionHeader header = partial.header;
   header.payload_checksum = fold;
-  std::string header_payload;
-  {
-    trace::BufferEncoder enc(header_payload);
-    encode_header(enc, header);
-  }
+  const std::string header_payload = write_section(header);
 
   std::string out;
-  trace::BufferEncoder enc(out);
+  util::BufferEncoder enc(out);
   enc.put_u32(kPartialMagic);
   enc.put_u16(kPartialVersion);
   enc.put_u16(0);  // reserved

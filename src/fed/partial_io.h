@@ -7,8 +7,8 @@
 // `wearscope_merge` coordinator can federate N user-disjoint partials
 // into the single-process snapshot bitwise (fed/merge.h proves it).
 //
-// Layout, same framing discipline as the blocked v2 trace format
-// (trace/block_io.h):
+// Layout, same framing discipline as the blocked v2 trace format, written
+// and read through the one byte codec (util/byte_codec.h):
 //
 //   [magic "WSFD" u32][version=1 u16][reserved u16]    file header
 //   repeat {
@@ -17,9 +17,9 @@
 //   }
 //
 // The partition-header section must come first; the others follow in
-// ascending id order.  Every map serializes in sorted key order, so the
-// bytes are a pure function of the logical state (no hash-iteration
-// leakage).  `payload_checksum` in the partition header folds every
+// ascending id order.  Every map serializes in strictly ascending key
+// order, so the bytes are a pure function of the logical state (no
+// hash-iteration leakage); readers reject any other key order.  `payload_checksum` in the partition header folds every
 // subsequent section's (id, crc) pair through util::splitmix64, which
 // pins the section *set* — a cleanly deleted section cannot go unnoticed.
 //

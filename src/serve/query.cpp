@@ -240,17 +240,8 @@ std::string render_quarantine(std::uint64_t epoch,
   std::string out = "OK quarantine";
   append_field_u64(out, "epoch", epoch);
   append_field_u64(out, "dropped", q.total_dropped());
-  append_field_u64(out, "corrupt_files", q.corrupt_files);
-  append_field_u64(out, "corrupt_tails", q.corrupt_tails);
-  append_field_u64(out, "corrupt_blocks", q.corrupt_blocks);
-  append_field_u64(out, "corrupt_rows", q.corrupt_rows);
-  append_field_u64(out, "duplicates", q.duplicates);
-  append_field_u64(out, "regressions", q.regressions);
-  append_field_u64(out, "unknown_tac", q.unknown_tac);
-  append_field_u64(out, "bad_host", q.bad_host);
-  append_field_u64(out, "reordered", q.reordered);
-  append_field_u64(out, "transient_retries", q.transient_retries);
-  append_field_u64(out, "dropped_after_retry", q.dropped_after_retry);
+  for (const trace::QuarantineCounter& c : trace::kQuarantineCounters)
+    append_field_u64(out, c.key, q.*c.member);
   return out;
 }
 

@@ -3,7 +3,9 @@
 #include <array>
 
 #include "trace/record_codec.h"
+#include "util/byte_codec.h"
 #include "util/crc32.h"
+#include "util/error.h"
 
 namespace wearscope::trace {
 
@@ -22,7 +24,40 @@ void encode_frame_header(std::array<char, kFrameHeaderBytes>& out,
   put(8, crc);
 }
 
+void write_bytes(std::ostream& out, const std::string& bytes) {
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!out) throw util::IoError("binary write failed");
+}
+
+/// Writes the 8-byte file header shared by every binary version.
+template <typename Record>
+void write_file_header(std::ostream& out, std::uint16_t version) {
+  std::string header;
+  util::BufferEncoder enc(header);
+  enc.put_u32(magic_of<Record>());
+  enc.put_u16(version);
+  enc.put_u16(0);  // reserved
+  write_bytes(out, header);
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// BinaryLogWriter
+// ---------------------------------------------------------------------------
+
+template <typename Record>
+BinaryLogWriter<Record>::BinaryLogWriter(std::ostream& out) : out_(&out) {
+  write_file_header<Record>(out, kBinaryFormatV1);
+}
+
+template <typename Record>
+void BinaryLogWriter<Record>::write(const Record& r) {
+  scratch_.clear();
+  util::BufferEncoder enc(scratch_);
+  encode_record(enc, r);
+  write_bytes(*out_, scratch_);
+}
 
 // ---------------------------------------------------------------------------
 // BlockLogWriter
@@ -35,13 +70,7 @@ BlockLogWriter<Record>::BlockLogWriter(std::ostream& out,
   util::require(options_.target_block_bytes > 0 &&
                     options_.max_block_records > 0,
                 "block writer limits must be positive");
-  std::string header;
-  BufferEncoder enc(header);
-  enc.put_u32(magic_of<Record>());
-  enc.put_u16(kBinaryFormatV2);
-  enc.put_u16(0);  // reserved
-  out_->write(header.data(), static_cast<std::streamsize>(header.size()));
-  if (!*out_) throw util::IoError("binary write failed");
+  write_file_header<Record>(out, kBinaryFormatV2);
 }
 
 template <typename Record>
@@ -57,7 +86,7 @@ BlockLogWriter<Record>::~BlockLogWriter() {
 template <typename Record>
 void BlockLogWriter<Record>::write(const Record& r) {
   util::ensure(!finished_, "BlockLogWriter: write after finish");
-  BufferEncoder enc(scratch_);
+  util::BufferEncoder enc(scratch_);
   encode_record(enc, r);
   ++pending_records_;
   ++count_;
@@ -89,6 +118,10 @@ void BlockLogWriter<Record>::flush_block() {
   ++blocks_;
 }
 
+template class BinaryLogWriter<ProxyRecord>;
+template class BinaryLogWriter<MmeRecord>;
+template class BinaryLogWriter<DeviceRecord>;
+template class BinaryLogWriter<SectorInfo>;
 template class BlockLogWriter<ProxyRecord>;
 template class BlockLogWriter<MmeRecord>;
 template class BlockLogWriter<DeviceRecord>;

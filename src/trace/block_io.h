@@ -1,72 +1,55 @@
-// Blocked binary log format (on-disk version 2).
+// Binary trace log writers, on-disk versions 1 and 2.
 //
-// v1 (trace/binary_io) streams records one primitive at a time through
-// std::istream virtual dispatch and quarantines the whole file tail on one
-// corrupt byte.  v2 keeps the identical record encoding but groups records
-// into framed blocks behind the same 8-byte header:
+// Both versions open with the same 8-byte file header and share one record
+// encoding (trace/record_codec.h):
 //
-//   [magic u32][version=2 u16][reserved u16]          file header
-//   repeat {
-//     [record_count u32][byte_length u32][crc32 u32]  frame header
-//     [record_count v1-encoded records]               payload, byte_length
-//   }                                                 bytes long
+//   [magic u32][version u16][reserved u16]            file header
+//   v1: records back to back until EOF
+//   v2: repeat {
+//         [record_count u32][byte_length u32][crc32 u32]  frame header
+//         [record_count records]                          payload, byte_length
+//       }                                                 bytes long
 //
-// The writer encodes into a per-block scratch buffer and issues two
-// ostream::writes per block (header + payload) instead of one per
-// primitive.  Reading is trace/log_reader's job, shared with v3: the frame
-// chain is scanned without touching payloads and blocks decode
-// concurrently, and corruption is block-granular — a bad CRC or an
-// impossible frame header quarantines ONE block and the reader resyncs at
-// the next frame header, because `byte_length` chains frames together.
+// v1 carries no framing, so one corrupt byte costs the rest of the file;
+// v2 frames records into CRC-checked blocks so corruption costs one block.
+// Both writers encode through util::BufferEncoder into a scratch buffer:
+// v1 makes one ostream::write per record (tellp() between writes is a
+// record boundary, which chaos::image_of relies on), v2 two per block.
+// Reading every version is trace/log_reader's job, shared with v3: the
+// frame chain is scanned without touching payloads, blocks decode
+// concurrently, and a bad CRC or impossible frame header quarantines ONE
+// block while the reader resyncs at the next frame header, because
+// `byte_length` chains frames together.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
 
 #include "trace/records.h"
-#include "util/error.h"
 
 namespace wearscope::trace {
 
-/// On-disk version written by BlockLogWriter.
+/// On-disk versions written by BinaryLogWriter and BlockLogWriter.
+inline constexpr std::uint16_t kBinaryFormatV1 = 1;
 inline constexpr std::uint16_t kBinaryFormatV2 = 2;
 
 /// Bytes of one frame header: record_count + byte_length + crc32.
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 
-/// Little-endian primitive encoder appending to an in-memory scratch
-/// buffer (exposed for tests).  Same API as BinaryEncoder, no streams.
-class BufferEncoder {
+/// Typed v1 writer: header on construction, then one record per write().
+/// Throws util::IoError on write failure.
+template <typename Record>
+class BinaryLogWriter {
  public:
-  explicit BufferEncoder(std::string& out) : out_(&out) {}
-
-  void put_u8(std::uint8_t v) { out_->push_back(static_cast<char>(v)); }
-  void put_u16(std::uint16_t v) {
-    put_u8(static_cast<std::uint8_t>(v & 0xff));
-    put_u8(static_cast<std::uint8_t>((v >> 8) & 0xff));
-  }
-  void put_u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      put_u8(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-  void put_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-      put_u8(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-  void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
-  void put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
-  /// u16 length prefix + bytes; strings over 65535 bytes are rejected.
-  void put_string(const std::string& s) {
-    util::require(s.size() <= 0xffff, "binary string field too long");
-    put_u16(static_cast<std::uint16_t>(s.size()));
-    out_->append(s);
-  }
+  explicit BinaryLogWriter(std::ostream& out);
+  /// Appends one record.
+  void write(const Record& r);
 
  private:
-  std::string* out_ = nullptr;
+  std::ostream* out_ = nullptr;
+  std::string scratch_;
 };
 
 /// Writer knobs: a block closes when either limit is reached.  The
@@ -114,6 +97,10 @@ class BlockLogWriter {
   bool finished_ = false;
 };
 
+extern template class BinaryLogWriter<ProxyRecord>;
+extern template class BinaryLogWriter<MmeRecord>;
+extern template class BinaryLogWriter<DeviceRecord>;
+extern template class BinaryLogWriter<SectorInfo>;
 extern template class BlockLogWriter<ProxyRecord>;
 extern template class BlockLogWriter<MmeRecord>;
 extern template class BlockLogWriter<DeviceRecord>;

@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "par/task_pool.h"
-#include "trace/binary_io.h"
+#include "trace/block_io.h"
 #include "trace/csv_io.h"
 #include "trace/log_reader.h"
 #include "util/error.h"

@@ -8,8 +8,8 @@
 //
 // Binary logs are written in the columnar v3 format by default
 // (trace/columnar_io: dictionary-coded, CRC-framed row groups).  v1 streams
-// and v2 blocks remain fully readable — trace/log_reader reads all three —
-// and can still be written on request for older consumers.
+// and v2 blocks (trace/block_io) remain fully readable — trace/log_reader is
+// the one reader of all three — and can still be written on request.
 // When both <stem>.bin and <stem>.csv exist, the binary file wins and the
 // loader says so on stderr — a silent preference bit us in the field.
 #pragma once

@@ -7,8 +7,8 @@
 
 #include "trace/log_reader.h"
 #include "trace/record_codec.h"
+#include "util/byte_codec.h"
 #include "util/crc32.h"
-#include "util/span_decoder.h"
 #include "util/varint.h"
 
 namespace wearscope::trace {
@@ -68,7 +68,7 @@ void write_section(std::ostream& out, std::uint32_t entry_count,
   util::require(payload.size() <= kMaxU32,
                 "columnar writer: dictionary section too large");
   std::string header;
-  BufferEncoder enc(header);
+  util::BufferEncoder enc(header);
   enc.put_u32(entry_count);
   enc.put_u32(static_cast<std::uint32_t>(payload.size()));
   enc.put_u32(util::crc32(std::as_bytes(
@@ -80,7 +80,7 @@ void write_section(std::ostream& out, std::uint32_t entry_count,
 
 void write_dict_sections(std::ostream& out, const ColumnDicts& dicts) {
   std::string payload;
-  BufferEncoder enc(payload);
+  util::BufferEncoder enc(payload);
   for (const std::string& host : dicts.hosts) enc.put_string(host);
   write_section(out, static_cast<std::uint32_t>(dicts.hosts.size()), payload);
   payload.clear();
@@ -110,7 +110,7 @@ void encode_columns(const ProxyRecord* r, std::size_t n, const DictBuilder& b,
     cols[3].push_back(static_cast<char>(r[i].protocol));
   for (std::size_t i = 0; i < n; ++i)
     util::put_varint(cols[4], b.host_id.at(r[i].host));
-  BufferEncoder url(cols[5]);
+  util::BufferEncoder url(cols[5]);
   for (std::size_t i = 0; i < n; ++i) url.put_string(r[i].url_path);
   for (std::size_t i = 0; i < n; ++i) util::put_varint(cols[6], r[i].bytes_up);
   for (std::size_t i = 0; i < n; ++i)
@@ -138,12 +138,12 @@ void encode_columns(const MmeRecord* r, std::size_t n, const DictBuilder& b,
 void encode_columns(const DeviceRecord* r, std::size_t n, const DictBuilder&,
                     std::vector<std::string>& cols) {
   for (std::size_t i = 0; i < n; ++i) util::put_varint(cols[0], r[i].tac);
-  BufferEncoder model(cols[1]);
+  util::BufferEncoder model(cols[1]);
   for (std::size_t i = 0; i < n; ++i) model.put_string(r[i].model);
-  BufferEncoder manufacturer(cols[2]);
+  util::BufferEncoder manufacturer(cols[2]);
   for (std::size_t i = 0; i < n; ++i)
     manufacturer.put_string(r[i].manufacturer);
-  BufferEncoder os(cols[3]);
+  util::BufferEncoder os(cols[3]);
   for (std::size_t i = 0; i < n; ++i) os.put_string(r[i].os);
 }
 
@@ -151,9 +151,9 @@ void encode_columns(const SectorInfo* r, std::size_t n, const DictBuilder&,
                     std::vector<std::string>& cols) {
   for (std::size_t i = 0; i < n; ++i)
     util::put_varint(cols[0], r[i].sector_id);
-  BufferEncoder lat(cols[1]);
+  util::BufferEncoder lat(cols[1]);
   for (std::size_t i = 0; i < n; ++i) lat.put_f64(r[i].position.lat_deg);
-  BufferEncoder lon(cols[2]);
+  util::BufferEncoder lon(cols[2]);
   for (std::size_t i = 0; i < n; ++i) lon.put_f64(r[i].position.lon_deg);
 }
 
@@ -422,7 +422,7 @@ ColumnarWriteInfo write_columnar_log(std::ostream& out,
   util::require(options.max_block_records > 0,
                 "columnar writer: max_block_records must be positive");
   std::string header;
-  BufferEncoder enc(header);
+  util::BufferEncoder enc(header);
   enc.put_u32(magic_of<Record>());
   enc.put_u16(kBinaryFormatV3);
   enc.put_u16(0);  // reserved
@@ -450,14 +450,14 @@ ColumnarWriteInfo write_columnar_log(std::ostream& out,
     util::require(group_bytes <= kMaxU32,
                   "columnar writer: row group too large");
     std::string group_header;
-    BufferEncoder ghe(group_header);
+    util::BufferEncoder ghe(group_header);
     ghe.put_u32(static_cast<std::uint32_t>(n));
     ghe.put_u32(static_cast<std::uint32_t>(group_bytes));
     out.write(group_header.data(),
               static_cast<std::streamsize>(group_header.size()));
     for (const std::string& col : cols) {
       std::string col_header;
-      BufferEncoder che(col_header);
+      util::BufferEncoder che(col_header);
       che.put_u32(static_cast<std::uint32_t>(col.size()));
       che.put_u32(util::crc32(
           std::as_bytes(std::span<const char>(col.data(), col.size()))));

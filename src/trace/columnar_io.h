@@ -51,7 +51,7 @@
 
 #include "trace/block_io.h"
 #include "trace/records.h"
-#include "util/span_decoder.h"
+#include "util/byte_codec.h"
 
 namespace wearscope::trace {
 

@@ -5,8 +5,8 @@
 
 #include "par/task_pool.h"
 #include "trace/record_codec.h"
+#include "util/byte_codec.h"
 #include "util/crc32.h"
-#include "util/span_decoder.h"
 
 namespace wearscope::trace {
 
@@ -341,7 +341,7 @@ std::vector<Record> read_binary_log_lenient(std::span<const std::byte> bytes,
       decode_v1_body(dec, out);
     } catch (const util::ParseError&) {
       // v1 records carry no framing: the tail is unrecoverable past the
-      // first bad byte, mirroring the stream reader's semantics.
+      // first bad byte.
       ++quarantine.corrupt_tails;
     }
     return out;

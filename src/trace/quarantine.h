@@ -11,6 +11,7 @@
 // of injected faults bit-for-bit.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -51,24 +52,54 @@ struct QuarantineStats {
     return total_dropped() + reordered + transient_retries > 0;
   }
 
-  QuarantineStats& operator+=(const QuarantineStats& o) noexcept {
-    corrupt_files += o.corrupt_files;
-    corrupt_tails += o.corrupt_tails;
-    corrupt_blocks += o.corrupt_blocks;
-    corrupt_rows += o.corrupt_rows;
-    duplicates += o.duplicates;
-    regressions += o.regressions;
-    unknown_tac += o.unknown_tac;
-    bad_host += o.bad_host;
-    reordered += o.reordered;
-    transient_retries += o.transient_retries;
-    dropped_after_retry += o.dropped_after_retry;
-    return *this;
-  }
+  QuarantineStats& operator+=(const QuarantineStats& o) noexcept;
 
   friend bool operator==(const QuarantineStats&,
                          const QuarantineStats&) = default;
 };
+
+/// One counter of QuarantineStats: its machine key (serve's `quarantine`
+/// answer), its human label (to_text) and the member itself.  Every place
+/// that handles all counters walks kQuarantineCounters, so adding a counter
+/// is one table row.
+struct QuarantineCounter {
+  const char* key = nullptr;
+  const char* label = nullptr;
+  std::uint64_t QuarantineStats::*member = nullptr;
+};
+
+/// Every counter, in declaration order (which is also the WSFD wire order).
+inline constexpr std::array<QuarantineCounter, 11> kQuarantineCounters = {{
+    {"corrupt_files", "corrupt files rejected   ",
+     &QuarantineStats::corrupt_files},
+    {"corrupt_tails", "corrupt binary tails     ",
+     &QuarantineStats::corrupt_tails},
+    {"corrupt_blocks", "corrupt v2 blocks        ",
+     &QuarantineStats::corrupt_blocks},
+    {"corrupt_rows", "corrupt csv rows         ",
+     &QuarantineStats::corrupt_rows},
+    {"duplicates", "duplicates dropped       ", &QuarantineStats::duplicates},
+    {"regressions", "timestamp regressions    ",
+     &QuarantineStats::regressions},
+    {"unknown_tac", "unknown TACs dropped     ",
+     &QuarantineStats::unknown_tac},
+    {"bad_host", "bad hosts dropped        ", &QuarantineStats::bad_host},
+    {"reordered", "late arrivals repaired   ", &QuarantineStats::reordered},
+    {"transient_retries", "transient reads recovered",
+     &QuarantineStats::transient_retries},
+    {"dropped_after_retry", "dropped after retries    ",
+     &QuarantineStats::dropped_after_retry},
+}};
+static_assert(kQuarantineCounters.size() * sizeof(std::uint64_t) ==
+                  sizeof(QuarantineStats),
+              "kQuarantineCounters must list every QuarantineStats counter");
+
+inline QuarantineStats& QuarantineStats::operator+=(
+    const QuarantineStats& o) noexcept {
+  for (const QuarantineCounter& c : kQuarantineCounters)
+    this->*c.member += o.*c.member;
+  return *this;
+}
 
 /// Multi-line human-readable rendering (empty string when !stats.any()).
 std::string to_text(const QuarantineStats& stats);

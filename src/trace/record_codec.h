@@ -1,16 +1,16 @@
-// Field-level codec shared by every binary trace serializer.
+// Field-level record codec shared by the v1 and v2 trace formats.
 //
-// The byte layout of one record is defined exactly once here, templated on
-// the encoder/decoder type, so the v1 stream reader (trace/binary_io), the
-// v2 block decode (trace/log_reader) and the zero-copy span decoder
-// (util/span_decoder) can never disagree about what a record looks like on
-// disk.  Encoders provide put_u8..put_string, decoders get_u8..get_string;
-// all integers little-endian, strings u16-length-prefixed UTF-8.
+// The byte layout of one record is defined exactly once here, over the one
+// byte codec (util/byte_codec.h), so the writers (trace/block_io) and the
+// reader (trace/log_reader) can never disagree about what a record looks
+// like on disk.  All integers little-endian, strings u16-length-prefixed
+// UTF-8.
 #pragma once
 
 #include <cstdint>
 
 #include "trace/records.h"
+#include "util/byte_codec.h"
 #include "util/error.h"
 
 namespace wearscope::trace {
@@ -36,8 +36,7 @@ constexpr std::uint32_t magic_of<SectorInfo>() {
   return 0x57534543;  // "WSEC"
 }
 
-template <typename Encoder>
-void encode_record(Encoder& enc, const ProxyRecord& r) {
+inline void encode_record(util::BufferEncoder& enc, const ProxyRecord& r) {
   enc.put_i64(r.timestamp);
   enc.put_u64(r.user_id);
   enc.put_u32(r.tac);
@@ -49,8 +48,7 @@ void encode_record(Encoder& enc, const ProxyRecord& r) {
   enc.put_u32(r.duration_ms);
 }
 
-template <typename Decoder>
-void decode_record(Decoder& dec, ProxyRecord& r) {
+inline void decode_record(util::MemorySpanDecoder& dec, ProxyRecord& r) {
   r.timestamp = dec.get_i64();
   r.user_id = dec.get_u64();
   r.tac = dec.get_u32();
@@ -64,8 +62,7 @@ void decode_record(Decoder& dec, ProxyRecord& r) {
   r.duration_ms = dec.get_u32();
 }
 
-template <typename Encoder>
-void encode_record(Encoder& enc, const MmeRecord& r) {
+inline void encode_record(util::BufferEncoder& enc, const MmeRecord& r) {
   enc.put_i64(r.timestamp);
   enc.put_u64(r.user_id);
   enc.put_u32(r.tac);
@@ -73,8 +70,7 @@ void encode_record(Encoder& enc, const MmeRecord& r) {
   enc.put_u32(r.sector_id);
 }
 
-template <typename Decoder>
-void decode_record(Decoder& dec, MmeRecord& r) {
+inline void decode_record(util::MemorySpanDecoder& dec, MmeRecord& r) {
   r.timestamp = dec.get_i64();
   r.user_id = dec.get_u64();
   r.tac = dec.get_u32();
@@ -84,31 +80,27 @@ void decode_record(Decoder& dec, MmeRecord& r) {
   r.sector_id = dec.get_u32();
 }
 
-template <typename Encoder>
-void encode_record(Encoder& enc, const DeviceRecord& r) {
+inline void encode_record(util::BufferEncoder& enc, const DeviceRecord& r) {
   enc.put_u32(r.tac);
   enc.put_string(r.model);
   enc.put_string(r.manufacturer);
   enc.put_string(r.os);
 }
 
-template <typename Decoder>
-void decode_record(Decoder& dec, DeviceRecord& r) {
+inline void decode_record(util::MemorySpanDecoder& dec, DeviceRecord& r) {
   r.tac = dec.get_u32();
   r.model = dec.get_string();
   r.manufacturer = dec.get_string();
   r.os = dec.get_string();
 }
 
-template <typename Encoder>
-void encode_record(Encoder& enc, const SectorInfo& r) {
+inline void encode_record(util::BufferEncoder& enc, const SectorInfo& r) {
   enc.put_u32(r.sector_id);
   enc.put_f64(r.position.lat_deg);
   enc.put_f64(r.position.lon_deg);
 }
 
-template <typename Decoder>
-void decode_record(Decoder& dec, SectorInfo& r) {
+inline void decode_record(util::MemorySpanDecoder& dec, SectorInfo& r) {
   r.sector_id = dec.get_u32();
   r.position.lat_deg = dec.get_f64();
   r.position.lon_deg = dec.get_f64();

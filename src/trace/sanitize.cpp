@@ -164,25 +164,15 @@ QuarantineStats sanitize_store(TraceStore& store,
 std::string to_text(const QuarantineStats& s) {
   if (!s.any()) return {};
   std::string out = "quarantine:\n";
-  const auto line = [&](const char* what, std::uint64_t n) {
-    if (n == 0) return;
+  for (const QuarantineCounter& c : kQuarantineCounters) {
+    const std::uint64_t n = s.*c.member;
+    if (n == 0) continue;
     out += "  ";
-    out += what;
+    out += c.label;
     out += " : ";
     out += std::to_string(n);
     out += '\n';
-  };
-  line("corrupt files rejected   ", s.corrupt_files);
-  line("corrupt binary tails     ", s.corrupt_tails);
-  line("corrupt v2 blocks        ", s.corrupt_blocks);
-  line("corrupt csv rows         ", s.corrupt_rows);
-  line("duplicates dropped       ", s.duplicates);
-  line("timestamp regressions    ", s.regressions);
-  line("unknown TACs dropped     ", s.unknown_tac);
-  line("bad hosts dropped        ", s.bad_host);
-  line("late arrivals repaired   ", s.reordered);
-  line("transient reads recovered", s.transient_retries);
-  line("dropped after retries    ", s.dropped_after_retry);
+  }
   return out;
 }
 

@@ -14,8 +14,8 @@
 #include <cstdint>
 #include <string>
 
+#include "util/byte_codec.h"
 #include "util/error.h"
-#include "util/span_decoder.h"
 
 namespace wearscope::util {
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -17,7 +18,7 @@
 
 #include "chaos/fault_plan.h"
 #include "simnet/simulator.h"
-#include "trace/binary_io.h"
+#include "trace/log_reader.h"
 #include "trace/sanitize.h"
 #include "util/error.h"
 
@@ -193,6 +194,23 @@ TEST(FaultProfile, NamedPresetsRoundTripAndRejectUnknown) {
                util::ConfigError);
 }
 
+TEST(DiffQuarantine, EveryCounterIsCompared) {
+  // One pair per counter, differing in that counter alone: each must be
+  // reported, by name.
+  for (const trace::QuarantineCounter& c : trace::kQuarantineCounters) {
+    trace::QuarantineStats a;
+    trace::QuarantineStats b;
+    b.*c.member = 1;
+    std::vector<std::string> mismatches;
+    chaos::diff_quarantine("q", a, b, mismatches);
+    ASSERT_EQ(mismatches.size(), 1u) << c.key;
+    EXPECT_EQ(mismatches.front(), std::string("q.") + c.key + ": 0 != 1");
+  }
+  std::vector<std::string> none;
+  chaos::diff_quarantine("q", {}, {}, none);
+  EXPECT_TRUE(none.empty());
+}
+
 // ---------------------------------------------------------------------------
 // Byte level: every exact corpus entry honors its own accounting promise.
 // ---------------------------------------------------------------------------
@@ -212,10 +230,11 @@ TEST(FaultPlan, ByteCorpusAccountingIsExact) {
 
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     const chaos::ByteFault& fault = corpus[i];
-    std::istringstream in(fault.bytes);
     trace::QuarantineStats q;
     const std::vector<trace::ProxyRecord> got =
-        trace::read_binary_log_lenient<trace::ProxyRecord>(in, q);
+        trace::read_binary_log_lenient<trace::ProxyRecord>(
+            std::as_bytes(std::span(fault.bytes.data(), fault.bytes.size())),
+            q);
     if (!fault.exact) {
       // Bit flips promise survival, not specific counts.
       EXPECT_LE(got.size(), sample.size()) << "corpus entry " << i;

@@ -18,18 +18,21 @@
 #include "fed/merge.h"
 #include "live/engine.h"
 #include "test_support.h"
-#include "trace/binary_io.h"
 #include "trace/block_io.h"
 #include "trace/columnar_io.h"
 #include "trace/csv_io.h"
 #include "trace/log_reader.h"
+#include "util/byte_codec.h"
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/rng.h"
-#include "util/span_decoder.h"
 
 namespace wearscope::trace {
 namespace {
+
+std::span<const std::byte> blob_bytes(const std::string& blob) {
+  return std::as_bytes(std::span<const char>(blob.data(), blob.size()));
+}
 
 std::string valid_binary_log(std::size_t records) {
   std::ostringstream out;
@@ -50,15 +53,10 @@ std::string valid_binary_log(std::size_t records) {
   return out.str();
 }
 
-/// Consumes the whole stream; returns records parsed before error/EOF.
+/// Strict read of a whole log; returns the record count (may throw).
 template <typename Record>
 std::size_t drain_binary(const std::string& blob) {
-  std::istringstream in(blob);
-  BinaryLogReader<Record> reader(in);  // may throw
-  Record r;
-  std::size_t n = 0;
-  while (reader.next(r)) ++n;
-  return n;
+  return read_binary_log<Record>(blob_bytes(blob)).size();
 }
 
 TEST(FuzzBinary, TruncationAtEveryOffsetIsHandled) {
@@ -110,8 +108,8 @@ TEST(FuzzBinary, RandomGarbageIsRejectedOrEmpty) {
 TEST(FuzzBinary, LengthPrefixBombIsBounded) {
   // A corrupted string length must fail with ParseError, not allocate
   // unbounded memory: the u16 prefix bounds strings to 64 KiB by design.
-  std::ostringstream out;
-  BinaryEncoder enc(out);
+  std::string blob;
+  util::BufferEncoder enc(blob);
   enc.put_u32(0x57505258);  // proxy magic
   enc.put_u16(1);           // version
   enc.put_u16(0);
@@ -120,8 +118,7 @@ TEST(FuzzBinary, LengthPrefixBombIsBounded) {
   enc.put_u32(3);           // tac
   enc.put_u8(0);            // protocol
   enc.put_u16(0xFFFF);      // host length claims 65535 bytes...
-  out << "short";           // ...but only 5 follow
-  const std::string blob = out.str();
+  blob += "short";          // ...but only 5 follow
   EXPECT_THROW(drain_binary<ProxyRecord>(blob), util::ParseError);
 }
 
@@ -229,11 +226,11 @@ void drive_corpus(const std::vector<Record>& sample, bool proxy_layout,
 
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     const chaos::ByteFault& fault = corpus[i];
-    std::istringstream in(fault.bytes);
     QuarantineStats q;
     std::vector<Record> got;
     // Lenient reads never throw — corruption lands in `q`, not exceptions.
-    ASSERT_NO_THROW(got = read_binary_log_lenient<Record>(in, q))
+    ASSERT_NO_THROW(got = read_binary_log_lenient<Record>(
+                        blob_bytes(fault.bytes), q))
         << "seed " << seed << " corpus entry " << i;
     if (fault.exact) {
       EXPECT_EQ(got.size(), fault.expected_survivors)
@@ -267,10 +264,6 @@ TEST(FuzzChaosCorpus, MmeCorpusHonorsExactAccounting) {
 // here asserts EXACT QuarantineStats accounting (one counted block per
 // injected fault) and that the reader resyncs at the next frame header.
 // ---------------------------------------------------------------------------
-
-std::span<const std::byte> blob_bytes(const std::string& blob) {
-  return std::as_bytes(std::span<const char>(blob.data(), blob.size()));
-}
 
 /// A v2 proxy log of `records` records in blocks of `block_records`.
 std::string valid_v2_log(std::size_t records, std::size_t block_records) {
@@ -1054,6 +1047,68 @@ TEST(FuzzFed, SingleByteFlipsNeverCrashLenient) {
       // expected for damaged framing/CRC/checksum bytes
     }
   }
+}
+
+/// Re-stamps every section CRC and the partition header's payload_checksum
+/// of an edited partial, so only the edit itself is left to catch.
+void reseal_partial(std::string& blob) {
+  const std::vector<SectionSpan> spans = scan_spans(blob);
+  const auto put_u32 = [&blob](std::size_t at, std::uint32_t v) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      blob[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+  };
+  const auto crc_of = [&blob](const SectionSpan& s) {
+    return util::crc32(
+        blob_bytes(blob).subspan(s.payload_begin, s.end - s.payload_begin));
+  };
+  std::uint64_t fold = fed::kPartialMagic;
+  for (std::size_t i = 1; i < spans.size(); ++i) {
+    const std::uint32_t crc = crc_of(spans[i]);
+    put_u32(spans[i].payload_begin - 4, crc);
+    fold = util::splitmix64(fold ^ ((std::uint64_t{spans[i].id} << 32) | crc));
+  }
+  // payload_checksum is the partition header's last field.
+  const std::size_t checksum_at = spans.front().end - 8;
+  put_u32(checksum_at, static_cast<std::uint32_t>(fold));
+  put_u32(checksum_at + 4, static_cast<std::uint32_t>(fold >> 32));
+  put_u32(spans.front().payload_begin - 4, crc_of(spans.front()));
+}
+
+TEST(FuzzFed, RepeatedMapKeyIsRejected) {
+  // Two users with empty activity: each entry is its u64 id plus three
+  // zero-length maps, 32 bytes, after the 24-byte section preamble.
+  fed::PartialSnapshot partial;
+  partial.tallies.activity.users[5];
+  partial.tallies.activity.users[9];
+  std::string blob = fed::encode_partial(partial);
+  const std::vector<SectionSpan> spans = scan_spans(blob);
+  const auto activity = std::find_if(
+      spans.begin(), spans.end(), [](const SectionSpan& s) {
+        return s.id == static_cast<std::uint32_t>(fed::SectionId::kActivity);
+      });
+  ASSERT_NE(activity, spans.end());
+  ASSERT_EQ(activity->end - activity->payload_begin, 24u + 2 * 32 + 2 * 8);
+  const std::size_t first_user = activity->payload_begin + 24;
+  ASSERT_EQ(blob[first_user], 5);
+  ASSERT_EQ(blob[first_user + 32], 9);
+  blob[first_user + 32] = 5;  // user 5 twice
+  reseal_partial(blob);
+
+  EXPECT_THROW((void)fed::decode_partial(blob_bytes(blob)), util::ParseError);
+  QuarantineStats q;
+  const std::optional<fed::PartialSnapshot> got =
+      fed::read_partial_lenient(blob_bytes(blob), q);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(q.corrupt_blocks, 1u);
+  EXPECT_EQ(q.corrupt_files, 0u);
+  EXPECT_TRUE(got->tallies.activity.users.empty());
+
+  // The resealing itself is sound: the unedited bytes still decode.
+  blob[first_user + 32] = 9;
+  reseal_partial(blob);
+  EXPECT_EQ(fed::decode_partial(blob_bytes(blob)).tallies.activity.users.size(),
+            2u);
 }
 
 TEST(FuzzChaosCorpus, StrictReaderRejectsEveryExactFault) {

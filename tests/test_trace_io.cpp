@@ -9,11 +9,11 @@
 #include <gtest/gtest.h>
 
 #include "par/task_pool.h"
-#include "trace/binary_io.h"
 #include "trace/block_io.h"
 #include "trace/bundle.h"
 #include "trace/csv_io.h"
 #include "trace/log_reader.h"
+#include "util/byte_codec.h"
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/mapped_file.h"
@@ -47,20 +47,24 @@ SectorInfo sample_sector() {
   return SectorInfo{7, {40.123456, -3.654321}};
 }
 
+std::span<const std::byte> blob_bytes(const std::string& blob) {
+  return std::as_bytes(std::span<const char>(blob.data(), blob.size()));
+}
+
+template <typename Record>
+std::string v1_blob(const std::vector<Record>& records) {
+  std::ostringstream out;
+  BinaryLogWriter<Record> writer(out);
+  for (const Record& r : records) writer.write(r);
+  return out.str();
+}
+
 template <typename Record>
 Record binary_round_trip(const Record& in) {
-  std::stringstream buf;
-  {
-    BinaryLogWriter<Record> w(buf);
-    w.write(in);
-    EXPECT_EQ(w.count(), 1u);
-  }
-  BinaryLogReader<Record> r(buf);
-  Record out;
-  EXPECT_TRUE(r.next(out));
-  Record extra;
-  EXPECT_FALSE(r.next(extra));
-  return out;
+  const std::string blob = v1_blob(std::vector<Record>{in});
+  const std::vector<Record> out = read_binary_log<Record>(blob_bytes(blob));
+  EXPECT_EQ(out.size(), 1u);
+  return out.empty() ? Record{} : out.front();
 }
 
 TEST(BinaryIo, ProxyRoundTrip) {
@@ -80,59 +84,45 @@ TEST(BinaryIo, SectorRoundTrip) {
 }
 
 TEST(BinaryIo, ManyRecordsPreserveOrder) {
-  std::stringstream buf;
-  BinaryLogWriter<ProxyRecord> w(buf);
+  std::vector<ProxyRecord> records;
   for (int i = 0; i < 500; ++i) {
     ProxyRecord r = sample_proxy();
     r.timestamp = i;
     r.host = "host" + std::to_string(i) + ".example";
-    w.write(r);
+    records.push_back(r);
   }
-  BinaryLogReader<ProxyRecord> reader(buf);
-  ProxyRecord r;
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(reader.next(r));
-    EXPECT_EQ(r.timestamp, i);
-    EXPECT_EQ(r.host, "host" + std::to_string(i) + ".example");
-  }
-  EXPECT_FALSE(reader.next(r));
+  const std::string blob = v1_blob(records);
+  EXPECT_EQ(read_binary_log<ProxyRecord>(blob_bytes(blob)), records);
 }
 
 TEST(BinaryIo, WrongMagicRejected) {
-  std::stringstream buf;
-  { BinaryLogWriter<MmeRecord> w(buf); }
-  EXPECT_THROW(BinaryLogReader<ProxyRecord>{buf}, util::ParseError);
+  const std::string blob = v1_blob(std::vector<MmeRecord>{});
+  EXPECT_THROW((void)read_binary_log<ProxyRecord>(blob_bytes(blob)),
+               util::ParseError);
 }
 
 TEST(BinaryIo, TruncatedRecordRejected) {
-  std::stringstream buf;
-  {
-    BinaryLogWriter<ProxyRecord> w(buf);
-    w.write(sample_proxy());
-  }
-  std::string data = buf.str();
-  data.resize(data.size() - 3);  // chop the tail
-  std::stringstream cut(data);
-  BinaryLogReader<ProxyRecord> reader(cut);
-  ProxyRecord r;
-  EXPECT_THROW(reader.next(r), util::ParseError);
+  std::string blob = v1_blob(std::vector<ProxyRecord>{sample_proxy()});
+  blob.resize(blob.size() - 3);  // chop the tail
+  EXPECT_THROW((void)read_binary_log<ProxyRecord>(blob_bytes(blob)),
+               util::ParseError);
 }
 
 TEST(BinaryIo, EmptyStreamRejected) {
-  std::stringstream buf;
-  EXPECT_THROW(BinaryLogReader<ProxyRecord>{buf}, util::ParseError);
+  EXPECT_THROW((void)read_binary_log<ProxyRecord>(blob_bytes("")),
+               util::ParseError);
 }
 
 TEST(BinaryIo, PrimitivesLittleEndian) {
-  std::stringstream buf;
-  BinaryEncoder enc(buf);
+  std::string bytes;
+  util::BufferEncoder enc(bytes);
   enc.put_u32(0x01020304u);
-  const std::string bytes = buf.str();
   ASSERT_EQ(bytes.size(), 4u);
   EXPECT_EQ(static_cast<unsigned char>(bytes[0]), 0x04);
   EXPECT_EQ(static_cast<unsigned char>(bytes[3]), 0x01);
-  BinaryDecoder dec(buf);
+  util::MemorySpanDecoder dec(blob_bytes(bytes));
   EXPECT_EQ(dec.get_u32(), 0x01020304u);
+  EXPECT_TRUE(dec.at_eof());
 }
 
 TEST(BinaryIo, NegativeTimestampSurvives) {
@@ -271,10 +261,6 @@ TEST_F(BundleTest, MissingDirectoryThrows) {
 // Blocked v2 format (trace/block_io)
 // ---------------------------------------------------------------------------
 
-std::span<const std::byte> blob_bytes(const std::string& blob) {
-  return std::as_bytes(std::span<const char>(blob.data(), blob.size()));
-}
-
 template <typename Record>
 std::string v2_blob(const std::vector<Record>& records,
                     BlockWriterOptions options = {}) {
@@ -370,20 +356,12 @@ TEST(TraceV2, ParallelDecodeIsBitwiseIdentical) {
 
 TEST(TraceV2, V1LogsReadableThroughSpanReader) {
   const std::vector<ProxyRecord> records = many_proxy(50);
-  std::ostringstream out;
-  BinaryLogWriter<ProxyRecord> writer(out);
-  for (const ProxyRecord& r : records) writer.write(r);
-  const std::string blob = out.str();
+  const std::string blob = v1_blob(records);
   EXPECT_EQ(read_binary_log<ProxyRecord>(blob_bytes(blob)), records);
   const BinaryLogInfo info = probe_binary_log<ProxyRecord>(blob_bytes(blob));
   EXPECT_EQ(info.version, 1);
   EXPECT_EQ(info.blocks, 0u);
   EXPECT_EQ(info.records, records.size());
-}
-
-TEST(TraceV2, V1StreamReaderRejectsV2WithHint) {
-  std::stringstream buf(v2_blob(std::vector<ProxyRecord>{sample_proxy()}));
-  EXPECT_THROW(BinaryLogReader<ProxyRecord> reader(buf), util::ParseError);
 }
 
 TEST(TraceV2, EmptyLogRoundTrips) {
