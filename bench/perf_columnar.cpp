@@ -1,13 +1,11 @@
 // Google-benchmark performance suite for the columnar work: the v3
-// struct-of-arrays analysis kernels against their row-scan references,
-// v2-vs-v3 encode/decode throughput, and the bounded-memory sketch
-// aggregates against their exact counterparts.
+// struct-of-arrays analysis kernels, v2-vs-v3 encode/decode throughput,
+// and the bounded-memory sketch aggregates against their exact
+// counterparts.
 //
-// `--emit-json[=PATH]` skips google-benchmark and writes the kernel
-// rows-vs-columnar comparison, the encode/decode sweep and the
-// sketch-vs-exact deltas to BENCH_columnar.json.  The speedups recorded
-// there back the claim the columnar rewrite makes: the hottest analyze_*
-// kernels beat the v2 row scans they replaced, on the same context.
+// `--emit-json[=PATH]` skips google-benchmark and writes the v2/v3
+// encode/decode sweep and the sketch-vs-exact deltas to
+// BENCH_columnar.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -62,7 +60,7 @@ const simnet::SimResult& shared_capture() {
 }
 
 /// One shared context with the column views already materialized, so the
-/// kernel timings compare scan strategies, not lazy build cost.
+/// kernel timings measure the scans, not lazy build cost.
 const core::AnalysisContext& shared_context() {
   static const core::AnalysisContext& ctx = []() -> const auto& {
     const simnet::SimResult& sim = shared_capture();
@@ -77,53 +75,34 @@ const core::AnalysisContext& shared_context() {
   return ctx;
 }
 
-/// The five rewritten kernels, each in both scan strategies.
-struct KernelPair {
+/// The five columnar kernels BM_KernelColumnar sweeps.
+struct Kernel {
   const char* name;
-  std::function<void(const core::AnalysisContext&)> rows;
-  std::function<void(const core::AnalysisContext&)> columnar;
+  void (*run)(const core::AnalysisContext&);
 };
 
-const std::vector<KernelPair>& kernel_pairs() {
-  static const std::vector<KernelPair> kernels = {
-      {"adoption",
-       [](const core::AnalysisContext& c) {
-         benchmark::DoNotOptimize(core::analyze_adoption_rows(c));
-       },
-       [](const core::AnalysisContext& c) {
-         benchmark::DoNotOptimize(core::analyze_adoption(c));
-       }},
-      {"activity",
-       [](const core::AnalysisContext& c) {
-         benchmark::DoNotOptimize(core::analyze_activity_rows(c));
-       },
-       [](const core::AnalysisContext& c) {
-         benchmark::DoNotOptimize(core::analyze_activity(c));
-       }},
-      {"diurnal",
-       [](const core::AnalysisContext& c) {
-         benchmark::DoNotOptimize(core::analyze_diurnal_rows(c));
-       },
-       [](const core::AnalysisContext& c) {
-         benchmark::DoNotOptimize(core::analyze_diurnal(c));
-       }},
-      {"usage",
-       [](const core::AnalysisContext& c) {
-         benchmark::DoNotOptimize(core::analyze_usage_rows(c));
-       },
-       [](const core::AnalysisContext& c) {
-         benchmark::DoNotOptimize(core::analyze_usage(c));
-       }},
-      {"thirdparty",
-       [](const core::AnalysisContext& c) {
-         benchmark::DoNotOptimize(core::analyze_thirdparty_rows(c));
-       },
-       [](const core::AnalysisContext& c) {
-         benchmark::DoNotOptimize(core::analyze_thirdparty(c));
-       }},
-  };
-  return kernels;
-}
+constexpr Kernel kKernels[] = {
+    {"adoption",
+     [](const core::AnalysisContext& c) {
+       benchmark::DoNotOptimize(core::analyze_adoption(c));
+     }},
+    {"activity",
+     [](const core::AnalysisContext& c) {
+       benchmark::DoNotOptimize(core::analyze_activity(c));
+     }},
+    {"diurnal",
+     [](const core::AnalysisContext& c) {
+       benchmark::DoNotOptimize(core::analyze_diurnal(c));
+     }},
+    {"usage",
+     [](const core::AnalysisContext& c) {
+       benchmark::DoNotOptimize(core::analyze_usage(c));
+     }},
+    {"thirdparty",
+     [](const core::AnalysisContext& c) {
+       benchmark::DoNotOptimize(core::analyze_thirdparty(c));
+     }},
+};
 
 trace::BlockWriterOptions bench_block_options() {
   trace::BlockWriterOptions options;
@@ -158,21 +137,11 @@ std::span<const std::byte> blob_bytes(const std::string& blob) {
   return std::as_bytes(std::span<const char>(blob.data(), blob.size()));
 }
 
-void BM_KernelRows(benchmark::State& state) {
-  const KernelPair& k = kernel_pairs()[static_cast<std::size_t>(
-      state.range(0))];
-  const core::AnalysisContext& ctx = shared_context();
-  state.SetLabel(k.name);
-  for (auto _ : state) k.rows(ctx);
-}
-BENCHMARK(BM_KernelRows)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
-
 void BM_KernelColumnar(benchmark::State& state) {
-  const KernelPair& k = kernel_pairs()[static_cast<std::size_t>(
-      state.range(0))];
+  const Kernel& k = kKernels[static_cast<std::size_t>(state.range(0))];
   const core::AnalysisContext& ctx = shared_context();
   state.SetLabel(k.name);
-  for (auto _ : state) k.columnar(ctx);
+  for (auto _ : state) k.run(ctx);
 }
 BENCHMARK(BM_KernelColumnar)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 
@@ -314,9 +283,9 @@ SketchDeltas sketch_vs_exact() {
   return d;
 }
 
-/// --emit-json mode: rows-vs-columnar kernel wall clock, the v2/v3
-/// encode/decode comparison (with a v3 decoder thread sweep), and the
-/// sketch-vs-exact deltas, best of `kReps` runs per timed point.
+/// --emit-json mode: the v2/v3 encode/decode comparison (with a v3
+/// decoder thread sweep) and the sketch-vs-exact deltas, best of `kReps`
+/// runs per timed point.
 int emit_json(const std::string& path) {
   using Clock = std::chrono::steady_clock;
   constexpr int kReps = 5;
@@ -328,7 +297,6 @@ int emit_json(const std::string& path) {
     return 1;
   }
   const simnet::SimResult& sim = shared_capture();
-  const core::AnalysisContext& ctx = shared_context();
 
   const auto best_of = [&](const auto& fn) {
     double best_ms = 0.0;
@@ -346,22 +314,6 @@ int emit_json(const std::string& path) {
   std::fprintf(out, "  \"records\": %llu,\n",
                static_cast<unsigned long long>(sim.store.proxy.size() +
                                                sim.store.mme.size()));
-
-  std::fprintf(out, "  \"kernels\": [\n");
-  for (std::size_t i = 0; i < kernel_pairs().size(); ++i) {
-    const KernelPair& k = kernel_pairs()[i];
-    const double rows_ms = best_of([&] { k.rows(ctx); });
-    const double columnar_ms = best_of([&] { k.columnar(ctx); });
-    const double speedup = columnar_ms > 0.0 ? rows_ms / columnar_ms : 0.0;
-    std::fprintf(out,
-                 "    {\"kernel\": \"%s\", \"rows_ms\": %.3f, "
-                 "\"columnar_ms\": %.3f, \"speedup\": %.2f}%s\n",
-                 k.name, rows_ms, columnar_ms, speedup,
-                 i + 1 < kernel_pairs().size() ? "," : "");
-    std::printf("%-10s rows %.3f ms, columnar %.3f ms (%.2fx)\n", k.name,
-                rows_ms, columnar_ms, speedup);
-  }
-  std::fprintf(out, "  ],\n");
 
   const double v2_encode_ms = best_of([&] {
     std::ostringstream enc;

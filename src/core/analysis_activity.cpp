@@ -2,114 +2,67 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <set>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace wearscope::core {
 
-ActivityResult analyze_activity_rows(const AnalysisContext& ctx) {
-  ActivityResult res;
-  const int weeks = ctx.detailed_weeks();
-
-  std::vector<double> days_per_week;
-  std::vector<double> hours_per_day;
-  std::vector<double> txn_sizes;
-  std::vector<double> hourly_txns;
-  std::vector<double> hourly_bytes;
-  std::vector<double> rel_hours;  // per user: mean active hours/day
-  std::vector<double> rel_txns;   // per user: mean txns per active hour
-
-  for (const UserView* u : ctx.wearable_users()) {
-    // Per-day distinct hours and per-(day,hour) counts for this user.
-    std::map<int, std::set<int>> day_hours;
-    std::unordered_map<int, double> hour_txn_count;   // day*24+h -> txns
-    std::unordered_map<int, double> hour_byte_count;  // day*24+h -> bytes
-    for (const trace::ProxyRecord* r : u->wearable_txns) {
-      if (!ctx.in_detailed_window(r->timestamp)) continue;
-      const int day = util::day_of(r->timestamp);
-      const int hour = util::hour_of(r->timestamp);
-      day_hours[day].insert(hour);
-      hour_txn_count[day * 24 + hour] += 1.0;
-      hour_byte_count[day * 24 + hour] +=
-          static_cast<double>(r->bytes_total());
-      txn_sizes.push_back(static_cast<double>(r->bytes_total()));
-    }
-    if (day_hours.empty()) continue;  // registered but silent in window
-
-    days_per_week.push_back(static_cast<double>(day_hours.size()) /
-                            std::max(1, weeks));
-    double hour_sum = 0.0;
-    for (const auto& [day, hours] : day_hours)
-      hour_sum += static_cast<double>(hours.size());
-    const double mean_hours =
-        hour_sum / static_cast<double>(day_hours.size());
-    hours_per_day.push_back(mean_hours);
-
-    // Emit per-slot values in slot order, not hash order: these vectors
-    // reach the report ECDFs and must not depend on bucket layout.  Both
-    // maps always hold the same keys (filled by the same record).
-    std::vector<int> slots;
-    slots.reserve(hour_txn_count.size());
-    for (const auto& [slot, n] : hour_txn_count) slots.push_back(slot);
-    std::sort(slots.begin(), slots.end());
-    double txn_sum = 0.0;
-    for (const int slot : slots) {
-      const double n = hour_txn_count.at(slot);
-      hourly_txns.push_back(n);
-      txn_sum += n;
-    }
-    for (const int slot : slots)
-      hourly_bytes.push_back(hour_byte_count.at(slot));
-
-    rel_hours.push_back(mean_hours);
-    rel_txns.push_back(txn_sum / std::max(1.0, hour_sum));
+void ActivityFinisher::add_user(std::size_t distinct_days,
+                                std::span<const double> slot_txns,
+                                std::span<const double> slot_bytes) {
+  if (distinct_days == 0) return;  // registered but silent in window
+  days_per_week_.push_back(static_cast<double>(distinct_days) /
+                           std::max(1, weeks_));
+  // Every slot is one distinct (day, hour): the summed hours-per-day count
+  // is the slot count.
+  const double hour_sum = static_cast<double>(slot_txns.size());
+  hours_per_day_.push_back(hour_sum / static_cast<double>(distinct_days));
+  double txn_sum = 0.0;
+  for (const double n : slot_txns) {
+    hourly_txns_.push_back(n);
+    txn_sum += n;
   }
+  hourly_bytes_.insert(hourly_bytes_.end(), slot_bytes.begin(),
+                       slot_bytes.end());
+  txns_per_hour_.push_back(txn_sum / std::max(1.0, hour_sum));
+}
 
-  res.active_days_per_week = util::Ecdf(std::move(days_per_week));
-  res.active_hours_per_day = util::Ecdf(hours_per_day);
+ActivityResult ActivityFinisher::finish(std::vector<double> txn_sizes) && {
+  ActivityResult res;
+  res.active_days_per_week = util::Ecdf(std::move(days_per_week_));
+  res.active_hours_per_day = util::Ecdf(hours_per_day_);
   res.mean_active_days = res.active_days_per_week.mean();
   res.mean_active_hours = res.active_hours_per_day.mean();
-  if (!hours_per_day.empty()) {
+  if (!hours_per_day_.empty()) {
     res.frac_over_10h = 1.0 - res.active_hours_per_day.at(10.0);
     res.frac_under_5h = res.active_hours_per_day.at(5.0 - 1e-9);
   }
 
   res.txn_size_bytes = util::Ecdf(std::move(txn_sizes));
-  res.hourly_txns_per_user = util::Ecdf(std::move(hourly_txns));
-  res.hourly_bytes_per_user = util::Ecdf(std::move(hourly_bytes));
+  res.hourly_txns_per_user = util::Ecdf(std::move(hourly_txns_));
+  res.hourly_bytes_per_user = util::Ecdf(std::move(hourly_bytes_));
   res.mean_txn_bytes = res.txn_size_bytes.mean();
   res.median_txn_bytes = res.txn_size_bytes.quantile(0.5);
   res.frac_txn_under_10kb = res.txn_size_bytes.at(10'000.0);
 
-  res.txns_vs_hours = util::binned_relation(rel_hours, rel_txns, 10);
-  res.correlation = util::pearson(rel_hours, rel_txns);
+  res.txns_vs_hours = util::binned_relation(hours_per_day_, txns_per_hour_, 10);
+  res.correlation = util::pearson(hours_per_day_, txns_per_hour_);
   res.binned_trend_corr = util::pearson(res.txns_vs_hours.x_centers,
                                         res.txns_vs_hours.y_means);
   return res;
 }
 
 ActivityResult analyze_activity(const AnalysisContext& ctx) {
-  ActivityResult res;
-  const int weeks = ctx.detailed_weeks();
   const trace::ProxyColumns& pc = ctx.store().proxy_columns();
-
-  std::vector<double> days_per_week;
-  std::vector<double> hours_per_day;
+  ActivityFinisher finisher(ctx.detailed_weeks());
   std::vector<double> txn_sizes;
-  std::vector<double> hourly_txns;
-  std::vector<double> hourly_bytes;
-  std::vector<double> rel_hours;  // per user: mean active hours/day
-  std::vector<double> rel_txns;   // per user: mean txns per active hour
 
   // Per-user scratch, reused across users.  A user's wearable rows are
   // time-sorted, so the (day, hour) slot is nondecreasing along them: the
-  // row version's per-slot hash maps collapse into run accumulation, and
-  // slots complete already in the sorted order the report needs.  The
-  // detailed window is a time-suffix of each user's rows, so one binary
-  // search replaces the per-row window test — rows before the window are
-  // never touched.
+  // per-slot totals are run accumulation, and slots complete already in
+  // the sorted order the finisher needs.  The detailed window is a
+  // time-suffix of each user's rows, so one binary search replaces the
+  // per-row window test — rows before the window are never touched.
   std::vector<double> slot_txns;
   std::vector<double> slot_bytes;
   const util::SimTime window_start = ctx.detailed_start();
@@ -120,8 +73,6 @@ ActivityResult analyze_activity(const AnalysisContext& ctx) {
     std::int64_t prev_slot = -1;
     int prev_day = -1;
     std::size_t distinct_days = 0;
-    double cur_txns = 0.0;
-    double cur_bytes = 0.0;
     const auto first_in_window = std::partition_point(
         u->wearable_rows.begin(), u->wearable_rows.end(),
         [&](std::uint32_t row) { return pc.timestamp[row] < window_start; });
@@ -132,70 +83,22 @@ ActivityResult analyze_activity(const AnalysisContext& ctx) {
       const std::int64_t slot =
           static_cast<std::int64_t>(day) * 24 + util::hour_of(t);
       if (slot != prev_slot) {
-        if (prev_slot >= 0) {
-          slot_txns.push_back(cur_txns);
-          slot_bytes.push_back(cur_bytes);
-        }
         prev_slot = slot;
-        cur_txns = 0.0;
-        cur_bytes = 0.0;
+        slot_txns.push_back(0.0);
+        slot_bytes.push_back(0.0);
         if (day != prev_day) {
           prev_day = day;
           ++distinct_days;
         }
       }
       const double bytes = static_cast<double>(pc.bytes_total[row]);
-      cur_txns += 1.0;
-      cur_bytes += bytes;
+      slot_txns.back() += 1.0;
+      slot_bytes.back() += bytes;
       txn_sizes.push_back(bytes);
     }
-    if (prev_slot >= 0) {
-      slot_txns.push_back(cur_txns);
-      slot_bytes.push_back(cur_bytes);
-    }
-    if (distinct_days == 0) continue;  // registered but silent in window
-
-    days_per_week.push_back(static_cast<double>(distinct_days) /
-                            std::max(1, weeks));
-    // Every distinct slot is one distinct (day, hour): the summed
-    // hours-per-day count is the slot count.
-    const double hour_sum = static_cast<double>(slot_txns.size());
-    const double mean_hours =
-        hour_sum / static_cast<double>(distinct_days);
-    hours_per_day.push_back(mean_hours);
-
-    double txn_sum = 0.0;
-    for (const double n : slot_txns) {
-      hourly_txns.push_back(n);
-      txn_sum += n;
-    }
-    for (const double b : slot_bytes) hourly_bytes.push_back(b);
-
-    rel_hours.push_back(mean_hours);
-    rel_txns.push_back(txn_sum / std::max(1.0, hour_sum));
+    finisher.add_user(distinct_days, slot_txns, slot_bytes);
   }
-
-  res.active_days_per_week = util::Ecdf(std::move(days_per_week));
-  res.active_hours_per_day = util::Ecdf(hours_per_day);
-  res.mean_active_days = res.active_days_per_week.mean();
-  res.mean_active_hours = res.active_hours_per_day.mean();
-  if (!hours_per_day.empty()) {
-    res.frac_over_10h = 1.0 - res.active_hours_per_day.at(10.0);
-    res.frac_under_5h = res.active_hours_per_day.at(5.0 - 1e-9);
-  }
-
-  res.txn_size_bytes = util::Ecdf(std::move(txn_sizes));
-  res.hourly_txns_per_user = util::Ecdf(std::move(hourly_txns));
-  res.hourly_bytes_per_user = util::Ecdf(std::move(hourly_bytes));
-  res.mean_txn_bytes = res.txn_size_bytes.mean();
-  res.median_txn_bytes = res.txn_size_bytes.quantile(0.5);
-  res.frac_txn_under_10kb = res.txn_size_bytes.at(10'000.0);
-
-  res.txns_vs_hours = util::binned_relation(rel_hours, rel_txns, 10);
-  res.correlation = util::pearson(rel_hours, rel_txns);
-  res.binned_trend_corr = util::pearson(res.txns_vs_hours.x_centers,
-                                        res.txns_vs_hours.y_means);
-  return res;
+  return std::move(finisher).finish(std::move(txn_sizes));
 }
 
 namespace {

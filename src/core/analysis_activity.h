@@ -4,6 +4,7 @@
 //   (d) the relation between hourly transactions and daily active hours.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/context.h"
@@ -37,13 +38,37 @@ struct ActivityResult {
   double binned_trend_corr = 0.0;
 };
 
+/// The one Fig. 3b/c/d arithmetic, shared by analyze_activity() and
+/// ActivityTally::finalize() (core/streaming_activity.h).  Feed every user
+/// in first-appearance order — binned_relation breaks ties in x by input
+/// position, so the Fig. 3d scalars depend on that order — then finish
+/// with the size of every detailed-window transaction.
+class ActivityFinisher {
+ public:
+  /// `weeks`: whole weeks in the detailed window.
+  explicit ActivityFinisher(int weeks) : weeks_(weeks) {}
+
+  /// One user: `distinct_days` active days and the transactions / bytes
+  /// of each active (day, hour) slot, in slot order.  A user with no
+  /// active day is skipped.
+  void add_user(std::size_t distinct_days, std::span<const double> slot_txns,
+                std::span<const double> slot_bytes);
+
+  /// The ECDFs, means/fractions and correlation scalars.
+  [[nodiscard]] ActivityResult finish(std::vector<double> txn_sizes) &&;
+
+ private:
+  int weeks_;
+  std::vector<double> days_per_week_;
+  std::vector<double> hours_per_day_;  ///< Also Fig. 3d's x per user.
+  std::vector<double> txns_per_hour_;  ///< Fig. 3d's y per user.
+  std::vector<double> hourly_txns_;
+  std::vector<double> hourly_bytes_;
+};
+
 /// Runs the analysis over the detailed window (wearable traffic only;
 /// columnar kernel: monotone-slot run accumulation, no per-user maps).
 ActivityResult analyze_activity(const AnalysisContext& ctx);
-
-/// Row-layout reference implementation, bitwise-identical to
-/// analyze_activity; kept for the differential tests and BENCH_columnar.
-ActivityResult analyze_activity_rows(const AnalysisContext& ctx);
 
 /// Renders Fig. 3(b) with its checks.
 FigureData figure3b(const ActivityResult& r);

@@ -3,263 +3,112 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
-#include "util/stats.h"
+#include "core/streaming.h"
 
 namespace wearscope::core {
 
-AdoptionResult analyze_adoption_rows(const AnalysisContext& ctx) {
-  AdoptionResult res;
-  const int days = ctx.options().observation_days;
+namespace {
 
-  // Distinct wearable users registered per day, from wearable-TAC MME rows.
-  std::vector<std::unordered_set<trace::UserId>> daily(
-      static_cast<std::size_t>(days));
-  std::unordered_set<trace::UserId> first_week;
-  std::unordered_set<trace::UserId> last_week;
-  std::unordered_set<trace::UserId> ever;
-  for (const trace::MmeRecord& r : ctx.store().mme) {
-    if (!ctx.devices().is_wearable(r.tac)) continue;
-    const int d = util::day_of(r.timestamp);
-    if (d < 0 || d >= days) continue;
-    daily[static_cast<std::size_t>(d)].insert(r.user_id);
-    ever.insert(r.user_id);
-    if (d < 7) first_week.insert(r.user_id);
-    if (d >= days - 7) last_week.insert(r.user_id);
+/// Fills `t`'s daily counts and presence cardinalities from the MME
+/// columns; `index_of(row)` maps a row's user to a dense index below
+/// `users`.  One int32 stamp + one membership-bit byte per user: a day's
+/// distinct count increments exactly once per (user, day), and the
+/// ever/first-week/last-week cardinalities are bit tallies at the end —
+/// the exact cardinalities the streaming counter's hash sets hold.
+template <typename IndexOf>
+void count_users(const trace::MmeColumns& mc,
+                 const std::vector<std::uint8_t>& wearable, std::size_t users,
+                 IndexOf index_of, AdoptionTally& t) {
+  const int days = t.observation_days;
+  std::vector<std::int32_t> last_day(users, -1);
+  std::vector<std::uint8_t> flags(users, 0);
+  // The log is globally time-sorted, so each day is one contiguous run of
+  // rows whose end is one binary search over the timestamp column.
+  std::size_t i = 0;
+  while (i < mc.size()) {
+    const int d = util::day_of(mc.timestamp[i]);
+    const auto end = std::lower_bound(
+        mc.timestamp.begin() + static_cast<std::ptrdiff_t>(i),
+        mc.timestamp.end(), util::day_start(d + 1));
+    const auto j = static_cast<std::size_t>(end - mc.timestamp.begin());
+    if (d >= 0 && d < days) {
+      const auto day_bits = static_cast<std::uint8_t>(
+          1 | (d < 7 ? 2 : 0) | (d >= days - 7 ? 4 : 0));
+      std::size_t today = 0;
+      for (std::size_t k = i; k < j; ++k) {
+        if (wearable[mc.tac_id[k]] == 0) continue;
+        const auto u = static_cast<std::size_t>(index_of(k));
+        if (last_day[u] == d) continue;
+        last_day[u] = d;
+        flags[u] |= day_bits;
+        ++today;
+      }
+      t.daily_counts[static_cast<std::size_t>(d)] = today;
+    }
+    i = j;
   }
-
-  std::unordered_set<trace::UserId> transacted;
-  for (const UserView* u : ctx.wearable_users()) {
-    if (!u->wearable_txns.empty()) transacted.insert(u->user_id);
-  }
-
-  res.ever_registered = ever.size();
-  res.ever_transacted = transacted.size();
-  res.ever_transacting_fraction =
-      ever.empty() ? 0.0
-                   : static_cast<double>(transacted.size()) /
-                         static_cast<double>(ever.size());
-
-  const double last_count =
-      daily.empty() ? 0.0 : static_cast<double>(daily.back().size());
-  res.daily_registered_norm.reserve(daily.size());
-  for (const auto& day_users : daily) {
-    res.daily_registered_norm.push_back(
-        last_count > 0.0 ? static_cast<double>(day_users.size()) / last_count
-                         : 0.0);
-  }
-
-  // Growth: first-week average vs last-week average of the daily counts.
-  util::OnlineStats first_avg;
-  util::OnlineStats last_avg;
-  for (int d = 0; d < 7 && d < days; ++d)
-    first_avg.add(static_cast<double>(daily[static_cast<std::size_t>(d)].size()));
-  for (int d = std::max(0, days - 7); d < days; ++d)
-    last_avg.add(static_cast<double>(daily[static_cast<std::size_t>(d)].size()));
-  if (first_avg.mean() > 0.0) {
-    res.total_growth = last_avg.mean() / first_avg.mean() - 1.0;
-    res.monthly_growth = res.total_growth / (static_cast<double>(days) / 30.4);
-  }
-
-  // Fig. 2b shares.  The intersection count is a pure set cardinality —
-  // order-independent, so hash-order iteration is sound here.
+  std::size_t ever = 0;
+  std::size_t first_week = 0;
+  std::size_t last_week = 0;
   std::size_t both = 0;
-  // wearscope-lint: allow(unordered-emit)
-  for (const trace::UserId u : first_week)
-    if (last_week.contains(u)) ++both;
-  const std::size_t uni = first_week.size() + last_week.size() - both;
-  if (uni > 0) {
-    res.still_active_share = static_cast<double>(both) / static_cast<double>(uni);
-    res.gone_share =
-        static_cast<double>(first_week.size() - both) / static_cast<double>(uni);
-    res.new_share =
-        static_cast<double>(last_week.size() - both) / static_cast<double>(uni);
+  for (const std::uint8_t f : flags) {
+    ever += f & 1;
+    first_week += (f >> 1) & 1;
+    last_week += (f >> 2) & 1;
+    both += static_cast<std::size_t>((f & 6) == 6);
   }
-  if (!first_week.empty()) {
-    res.churned_of_initial = static_cast<double>(first_week.size() - both) /
-                             static_cast<double>(first_week.size());
-  }
-  return res;
+  t.ever_registered = ever;
+  t.first_week = first_week;
+  t.last_week = last_week;
+  t.both_weeks = both;
 }
 
-AdoptionResult analyze_adoption(const AnalysisContext& ctx) {
-  AdoptionResult res;
-  const int days = ctx.options().observation_days;
+}  // namespace
 
-  // The MME log is globally time-sorted, so each day is one contiguous run
-  // of rows whose end is one binary search over the timestamp column — no
-  // per-row day arithmetic.  Wearable classification is one flag per
-  // TAC-dictionary entry.  Distinct-user accounting is a dense last-seen-day
-  // stamp per user when the id space is compact (the generator hands out
-  // sequential ids); otherwise it falls back to per-day sort+unique.  Both
-  // paths compute the same exact cardinalities, so reports stay bitwise
-  // identical to the row kernel.
+AdoptionResult analyze_adoption(const AnalysisContext& ctx) {
+  // Batch adoption fills the same mergeable tally the live shards keep and
+  // finishes through AdoptionTally::finalize(): one arithmetic for Fig. 2,
+  // whichever way the counters were fed.
+  AdoptionTally t;
+  t.observation_days = ctx.options().observation_days;
+  t.daily_counts.assign(static_cast<std::size_t>(t.observation_days), 0);
+
+  // Wearable classification is one flag per TAC-dictionary entry.
   const trace::MmeColumns& mc = ctx.store().mme_columns();
   std::vector<std::uint8_t> wearable(mc.tacs.size());
   for (std::size_t k = 0; k < mc.tacs.size(); ++k)
     wearable[k] = ctx.devices().is_wearable(mc.tacs[k]) ? 1 : 0;
 
-  const std::size_t n = mc.size();
-  std::vector<std::size_t> daily_count(static_cast<std::size_t>(days), 0);
-  std::size_t ever_count = 0;
-  std::size_t fw_count = 0;
-  std::size_t lw_count = 0;
-  std::size_t both = 0;
-
+  // A user's dense index is its id offset when the id space is compact
+  // (the generator hands out sequential ids), else its rank among the
+  // sorted distinct ids (e.g. anonymized ids spread over 64 bits).
   trace::UserId umin = ~trace::UserId{0};
   trace::UserId umax = 0;
   for (const trace::UserId u : mc.user_id) {
     umin = std::min(umin, u);
     umax = std::max(umax, u);
   }
-  const bool dense = n > 0 && umax - umin <= n + 1024;
-
-  const auto day_end = [&](std::size_t i, int d) {
-    const auto it = std::lower_bound(
-        mc.timestamp.begin() + static_cast<std::ptrdiff_t>(i),
-        mc.timestamp.end(), util::day_start(d + 1));
-    return static_cast<std::size_t>(it - mc.timestamp.begin());
-  };
-
-  if (dense) {
-    // One int32 stamp + one membership-bit byte per user id in the range:
-    // a day's distinct count increments exactly once per (user, day), and
-    // the ever/first-week/last-week cardinalities are bit tallies at the
-    // end.  No hashing, no sorting.
-    const std::size_t range = static_cast<std::size_t>(umax - umin) + 1;
-    std::vector<std::int32_t> last_day(range, -1);
-    std::vector<std::uint8_t> flags(range, 0);
-    std::size_t i = 0;
-    while (i < n) {
-      const int d = util::day_of(mc.timestamp[i]);
-      const std::size_t j = day_end(i, d);
-      if (d >= 0 && d < days) {
-        const auto day_bits = static_cast<std::uint8_t>(
-            1 | (d < 7 ? 2 : 0) | (d >= days - 7 ? 4 : 0));
-        std::size_t today = 0;
-        for (std::size_t k = i; k < j; ++k) {
-          if (wearable[mc.tac_id[k]] == 0) continue;
-          const auto u = static_cast<std::size_t>(mc.user_id[k] - umin);
-          if (last_day[u] == d) continue;
-          last_day[u] = d;
-          flags[u] |= day_bits;
-          ++today;
-        }
-        daily_count[static_cast<std::size_t>(d)] = today;
-      }
-      i = j;
-    }
-    for (const std::uint8_t f : flags) {
-      ever_count += f & 1;
-      fw_count += (f >> 1) & 1;
-      lw_count += (f >> 2) & 1;
-      both += static_cast<std::size_t>((f & 6) == 6);
-    }
+  if (mc.size() > 0 && umax - umin <= mc.size() + 1024) {
+    count_users(mc, wearable, static_cast<std::size_t>(umax - umin) + 1,
+                [&mc, umin](std::size_t k) { return mc.user_id[k] - umin; },
+                t);
   } else {
-    std::vector<trace::UserId> ever;
-    std::vector<trace::UserId> first_week;
-    std::vector<trace::UserId> last_week;
-    std::vector<trace::UserId> seg;
-    std::size_t i = 0;
-    while (i < n) {
-      const int d = util::day_of(mc.timestamp[i]);
-      const std::size_t j = day_end(i, d);
-      if (d >= 0 && d < days) {
-        seg.clear();
-        for (std::size_t k = i; k < j; ++k) {
-          if (wearable[mc.tac_id[k]] != 0) seg.push_back(mc.user_id[k]);
-        }
-        if (!seg.empty()) {
-          std::sort(seg.begin(), seg.end());
-          seg.erase(std::unique(seg.begin(), seg.end()), seg.end());
-          daily_count[static_cast<std::size_t>(d)] = seg.size();
-          ever.insert(ever.end(), seg.begin(), seg.end());
-          if (d < 7)
-            first_week.insert(first_week.end(), seg.begin(), seg.end());
-          if (d >= days - 7)
-            last_week.insert(last_week.end(), seg.begin(), seg.end());
-        }
-      }
-      i = j;
-    }
-    const auto sort_unique = [](std::vector<trace::UserId>& v) {
-      std::sort(v.begin(), v.end());
-      v.erase(std::unique(v.begin(), v.end()), v.end());
-    };
-    sort_unique(ever);
-    sort_unique(first_week);
-    sort_unique(last_week);
-    ever_count = ever.size();
-    fw_count = first_week.size();
-    lw_count = last_week.size();
-    // Linear intersection count over the two sorted vectors.
-    auto a = first_week.begin();
-    auto b = last_week.begin();
-    while (a != first_week.end() && b != last_week.end()) {
-      if (*a < *b) {
-        ++a;
-      } else if (*b < *a) {
-        ++b;
-      } else {
-        ++both;
-        ++a;
-        ++b;
-      }
-    }
+    std::vector<trace::UserId> ids(mc.user_id.begin(), mc.user_id.end());
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    count_users(mc, wearable, ids.size(), [&](std::size_t k) {
+      return std::lower_bound(ids.begin(), ids.end(), mc.user_id[k]) -
+             ids.begin();
+    }, t);
   }
 
   // wearable_users() holds each user once, so the transacted "set" is a
   // plain count.
-  std::size_t transacted = 0;
   for (const UserView* u : ctx.wearable_users())
-    if (!u->wearable_txns.empty()) ++transacted;
-
-  res.ever_registered = ever_count;
-  res.ever_transacted = transacted;
-  res.ever_transacting_fraction =
-      ever_count == 0 ? 0.0
-                      : static_cast<double>(transacted) /
-                            static_cast<double>(ever_count);
-
-  const double last_count =
-      daily_count.empty() ? 0.0
-                          : static_cast<double>(daily_count.back());
-  res.daily_registered_norm.reserve(daily_count.size());
-  for (const std::size_t c : daily_count) {
-    res.daily_registered_norm.push_back(
-        last_count > 0.0 ? static_cast<double>(c) / last_count : 0.0);
-  }
-
-  // Growth: first-week average vs last-week average of the daily counts.
-  util::OnlineStats first_avg;
-  util::OnlineStats last_avg;
-  for (int d = 0; d < 7 && d < days; ++d)
-    first_avg.add(
-        static_cast<double>(daily_count[static_cast<std::size_t>(d)]));
-  for (int d = std::max(0, days - 7); d < days; ++d)
-    last_avg.add(
-        static_cast<double>(daily_count[static_cast<std::size_t>(d)]));
-  if (first_avg.mean() > 0.0) {
-    res.total_growth = last_avg.mean() / first_avg.mean() - 1.0;
-    res.monthly_growth = res.total_growth / (static_cast<double>(days) / 30.4);
-  }
-
-  // Fig. 2b shares, from the exact cardinalities tallied above.
-  const std::size_t uni = fw_count + lw_count - both;
-  if (uni > 0) {
-    res.still_active_share = static_cast<double>(both) / static_cast<double>(uni);
-    res.gone_share =
-        static_cast<double>(fw_count - both) / static_cast<double>(uni);
-    res.new_share =
-        static_cast<double>(lw_count - both) / static_cast<double>(uni);
-  }
-  if (fw_count > 0) {
-    res.churned_of_initial = static_cast<double>(fw_count - both) /
-                             static_cast<double>(fw_count);
-  }
-  return res;
+    if (!u->wearable_txns.empty()) ++t.ever_transacted;
+  return t.finalize();
 }
 
 FigureData figure2a(const AdoptionResult& r) {

@@ -33,13 +33,10 @@ struct AdoptionResult {
   std::size_t ever_transacted = 0;
 };
 
-/// Runs the analysis over the full observation window (columnar kernel:
-/// day-segmented sort+unique over the MME columns).
+/// Runs the analysis over the full observation window: fills an
+/// AdoptionTally (core/streaming.h) from the MME columns with day-segmented
+/// distinct-user counts and returns its finalize().
 AdoptionResult analyze_adoption(const AnalysisContext& ctx);
-
-/// Row-layout reference implementation, bitwise-identical to
-/// analyze_adoption; kept for the differential tests and BENCH_columnar.
-AdoptionResult analyze_adoption_rows(const AnalysisContext& ctx);
 
 /// Renders Fig. 2(a) with its checks.
 FigureData figure2a(const AdoptionResult& r);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include <unordered_set>
-
 namespace wearscope::core {
 
 namespace {
@@ -25,9 +23,10 @@ struct HourAccumulator {
     total += amount;
   }
 
-  /// Normalizes to per-day averages over the weekly total.
+  /// Normalizes to per-day averages over the weekly total (`weeks` >= 1:
+  /// require_analysis_window() guarantees a whole detailed week).
   void finalize(int weeks) {
-    if (total <= 0.0 || weeks <= 0) return;
+    if (total <= 0.0) return;
     const double weekly_total = total / weeks;
     for (std::size_t h = 0; h < 24; ++h) {
       // Average day of each kind, as share of the average weekly total.
@@ -49,115 +48,6 @@ Series to_series(const char* name, const HourProfile& p) {
 
 }  // namespace
 
-DiurnalResult analyze_diurnal_rows(const AnalysisContext& ctx) {
-  DiurnalResult res;
-  const int weeks = ctx.detailed_weeks();
-
-  HourAccumulator users_acc;
-  HourAccumulator data_acc;
-  HourAccumulator txns_acc;
-  for (int d = ctx.options().detailed_start_day;
-       d < ctx.options().observation_days; ++d) {
-    (util::is_weekend_day(d) ? users_acc.weekend_days
-                             : users_acc.weekday_days)++;
-  }
-  data_acc.weekday_days = txns_acc.weekday_days = users_acc.weekday_days;
-  data_acc.weekend_days = txns_acc.weekend_days = users_acc.weekend_days;
-
-  // Distinct active users per (day, hour) / per day / per week.
-  std::unordered_set<std::uint64_t> seen_day_hour;  // user ^ day ^ hour key
-  std::unordered_set<std::uint64_t> seen_day;
-  std::unordered_set<std::uint64_t> seen_week;
-  std::array<std::size_t, 2> weekly_bytes{};  // [weekday, weekend] wearable
-  std::array<std::size_t, 2> weekly_bytes_all{};
-  std::array<double, 7> dow_txns{};       // Mon..Sun wearable transactions
-  std::array<double, 7> dow_user_days{};  // Mon..Sun distinct active users
-
-  for (const UserView* u : ctx.wearable_users()) {
-    for (const trace::ProxyRecord* r : u->wearable_txns) {
-      if (!ctx.in_detailed_window(r->timestamp)) continue;
-      const int day = util::day_of(r->timestamp);
-      const int hour = util::hour_of(r->timestamp);
-      const std::uint64_t day_hour_key =
-          (u->user_id << 16) ^ static_cast<std::uint64_t>(day * 24 + hour);
-      if (seen_day_hour.insert(day_hour_key).second) {
-        users_acc.add(r->timestamp, 1.0);
-      }
-      if (seen_day.insert((u->user_id << 12) ^
-                          static_cast<std::uint64_t>(day))
-              .second) {
-        dow_user_days[static_cast<std::size_t>(
-            util::weekday_of_day(day))] += 1.0;
-      }
-      seen_week.insert((u->user_id << 8) ^
-                       static_cast<std::uint64_t>(util::week_of(r->timestamp)));
-      data_acc.add(r->timestamp, static_cast<double>(r->bytes_total()));
-      txns_acc.add(r->timestamp, 1.0);
-      weekly_bytes[util::is_weekend(r->timestamp) ? 1 : 0] +=
-          r->bytes_total();
-      dow_txns[static_cast<std::size_t>(util::weekday_of(r->timestamp))] +=
-          1.0;
-    }
-  }
-  // Total traffic (wearable + everything else) for the relative-usage
-  // comparison of §4.2.
-  for (const trace::ProxyRecord& r : ctx.store().proxy) {
-    if (!ctx.in_detailed_window(r.timestamp)) continue;
-    weekly_bytes_all[util::is_weekend(r.timestamp) ? 1 : 0] += r.bytes_total();
-  }
-
-  users_acc.finalize(weeks);
-  data_acc.finalize(weeks);
-  txns_acc.finalize(weeks);
-  res.users_weekday = users_acc.weekday;
-  res.users_weekend = users_acc.weekend;
-  res.data_weekday = data_acc.weekday;
-  res.data_weekend = data_acc.weekend;
-  res.txns_weekday = txns_acc.weekday;
-  res.txns_weekend = txns_acc.weekend;
-
-  if (!seen_week.empty()) {
-    // days in window = weeks * 7; mean distinct users per day over mean
-    // distinct users per week.
-    const double per_day =
-        static_cast<double>(seen_day.size()) / (weeks * 7.0);
-    const double per_week = static_cast<double>(seen_week.size()) / weeks;
-    if (per_week > 0.0) res.daily_active_fraction = per_day / per_week;
-  }
-
-  double wd_morning = 0.0;
-  double we_morning = 0.0;
-  for (std::size_t h = 6; h < 9; ++h) {
-    wd_morning += res.users_weekday[h];
-    we_morning += res.users_weekend[h];
-  }
-  if (we_morning > 0.0) res.commute_bump_ratio = wd_morning / we_morning;
-
-  double dow_total = 0.0;
-  for (const double v : dow_txns) dow_total += v;
-  if (dow_total > 0.0) {
-    for (std::size_t d = 0; d < 7; ++d)
-      res.dow_txn_share[d] = dow_txns[d] / dow_total;
-  }
-  double ud_min = 1e300;
-  double ud_max = 0.0;
-  for (const double v : dow_user_days) {
-    ud_min = std::min(ud_min, v);
-    ud_max = std::max(ud_max, v);
-  }
-  if (ud_min > 0.0) res.day_of_week_spread = ud_max / ud_min;
-
-  if (weekly_bytes_all[0] > 0 && weekly_bytes_all[1] > 0 &&
-      weekly_bytes[0] > 0) {
-    const double wd_share = static_cast<double>(weekly_bytes[0]) /
-                            static_cast<double>(weekly_bytes_all[0]);
-    const double we_share = static_cast<double>(weekly_bytes[1]) /
-                            static_cast<double>(weekly_bytes_all[1]);
-    res.weekend_relative_usage = we_share / wd_share;
-  }
-  return res;
-}
-
 DiurnalResult analyze_diurnal(const AnalysisContext& ctx) {
   DiurnalResult res;
   const int weeks = ctx.detailed_weeks();
@@ -174,12 +64,12 @@ DiurnalResult analyze_diurnal(const AnalysisContext& ctx) {
   data_acc.weekday_days = txns_acc.weekday_days = users_acc.weekday_days;
   data_acc.weekend_days = txns_acc.weekend_days = users_acc.weekend_days;
 
-  // The row version dedups (user, day-hour) / (user, day) / (user, week)
-  // in global hash sets.  A user's wearable rows are time-sorted, so each
-  // of those keys is nondecreasing along them: "first time seen" is just
-  // "different from the previous one", per user.
-  std::size_t user_days = 0;   // == seen_day.size() of the row version
-  std::size_t user_weeks = 0;  // == seen_week.size()
+  // Distinct (user, day-hour) / (user, day) / (user, week) keys need no
+  // hash sets: a user's wearable rows are time-sorted, so each key is
+  // nondecreasing along them and "first time seen" is just "different
+  // from the previous one", per user.
+  std::size_t user_days = 0;   // distinct (user, day)
+  std::size_t user_weeks = 0;  // distinct (user, week)
   std::array<std::size_t, 2> weekly_bytes{};  // [weekday, weekend] wearable
   std::array<std::size_t, 2> weekly_bytes_all{};
   std::array<double, 7> dow_txns{};       // Mon..Sun wearable transactions

@@ -43,10 +43,6 @@ struct DiurnalResult {
 /// monotone slot/day/week dedup instead of global hash sets).
 DiurnalResult analyze_diurnal(const AnalysisContext& ctx);
 
-/// Row-layout reference implementation, bitwise-identical to
-/// analyze_diurnal; kept for the differential tests and BENCH_columnar.
-DiurnalResult analyze_diurnal_rows(const AnalysisContext& ctx);
-
 /// Renders Fig. 3(a) with its checks.
 FigureData figure3a(const DiurnalResult& r);
 

@@ -1,90 +1,19 @@
 #include "core/analysis_thirdparty.h"
 
 #include <cstdint>
-#include <unordered_set>
 
 namespace wearscope::core {
-
-namespace {
-
-/// Per-class accumulation shared by both kernels: distinct-user count,
-/// transactions and bytes.
-struct RawClass {
-  std::size_t users = 0;
-  double txns = 0.0;
-  double bytes = 0.0;
-};
-
-/// Shares + ratio from the accumulated per-class counters.
-ThirdPartyResult finish_thirdparty(
-    const std::array<RawClass, appdb::kTransactionClassCount>& raw) {
-  ThirdPartyResult res;
-  double total_users = 0.0;
-  double total_txns = 0.0;
-  double total_bytes = 0.0;
-  for (const RawClass& a : raw) {
-    total_users += static_cast<double>(a.users);
-    total_txns += a.txns;
-    total_bytes += a.bytes;
-  }
-  for (std::size_t c = 0; c < appdb::kTransactionClassCount; ++c) {
-    ClassStats s;
-    s.cls = static_cast<appdb::TransactionClass>(c);
-    if (total_users > 0.0)
-      s.user_share_pct =
-          100.0 * static_cast<double>(raw[c].users) / total_users;
-    if (total_txns > 0.0) s.txn_share_pct = 100.0 * raw[c].txns / total_txns;
-    if (total_bytes > 0.0)
-      s.data_share_pct = 100.0 * raw[c].bytes / total_bytes;
-    res.classes[c] = s;
-  }
-
-  const double app_bytes =
-      raw[static_cast<std::size_t>(appdb::TransactionClass::kApplication)]
-          .bytes;
-  const double third_bytes =
-      raw[static_cast<std::size_t>(appdb::TransactionClass::kUtilities)].bytes +
-      raw[static_cast<std::size_t>(appdb::TransactionClass::kAdvertising)]
-          .bytes +
-      raw[static_cast<std::size_t>(appdb::TransactionClass::kAnalytics)].bytes;
-  if (third_bytes > 0.0) res.app_over_thirdparty_data = app_bytes / third_bytes;
-  return res;
-}
-
-}  // namespace
-
-ThirdPartyResult analyze_thirdparty_rows(const AnalysisContext& ctx) {
-  struct Raw {
-    std::unordered_set<trace::UserId> users;
-    double txns = 0.0;
-    double bytes = 0.0;
-  };
-  std::array<Raw, appdb::kTransactionClassCount> sets{};
-
-  for (const UserView* u : ctx.wearable_users()) {
-    for (std::size_t i = 0; i < u->wearable_txns.size(); ++i) {
-      const trace::ProxyRecord* r = u->wearable_txns[i];
-      if (!ctx.in_detailed_window(r->timestamp)) continue;
-      Raw& a = sets[static_cast<std::size_t>(u->wearable_classes[i].cls)];
-      a.users.insert(u->user_id);
-      a.txns += 1.0;
-      a.bytes += static_cast<double>(r->bytes_total());
-    }
-  }
-  std::array<RawClass, appdb::kTransactionClassCount> raw{};
-  for (std::size_t c = 0; c < appdb::kTransactionClassCount; ++c) {
-    raw[c].users = sets[c].users.size();
-    raw[c].txns = sets[c].txns;
-    raw[c].bytes = sets[c].bytes;
-  }
-  return finish_thirdparty(raw);
-}
 
 ThirdPartyResult analyze_thirdparty(const AnalysisContext& ctx) {
   // Each user appears once in wearable_users(), so per-class distinct-user
   // sets collapse into a per-user seen flag per class: the inner loop reads
   // only the timestamp/byte columns and the attribution array.
   const trace::ProxyColumns& pc = ctx.store().proxy_columns();
+  struct RawClass {
+    std::size_t users = 0;
+    double txns = 0.0;
+    double bytes = 0.0;
+  };
   std::array<RawClass, appdb::kTransactionClassCount> raw{};
 
   for (const UserView* u : ctx.wearable_users()) {
@@ -102,7 +31,37 @@ ThirdPartyResult analyze_thirdparty(const AnalysisContext& ctx) {
       a.bytes += static_cast<double>(pc.bytes_total[row]);
     }
   }
-  return finish_thirdparty(raw);
+
+  ThirdPartyResult res;
+  double total_users = 0.0;
+  double total_txns = 0.0;
+  double total_bytes = 0.0;
+  for (const RawClass& a : raw) {
+    total_users += static_cast<double>(a.users);
+    total_txns += a.txns;
+    total_bytes += a.bytes;
+  }
+  for (std::size_t c = 0; c < appdb::kTransactionClassCount; ++c) {
+    ClassStats& s = res.classes[c];
+    s.cls = static_cast<appdb::TransactionClass>(c);
+    if (total_users > 0.0)
+      s.user_share_pct =
+          100.0 * static_cast<double>(raw[c].users) / total_users;
+    if (total_txns > 0.0) s.txn_share_pct = 100.0 * raw[c].txns / total_txns;
+    if (total_bytes > 0.0)
+      s.data_share_pct = 100.0 * raw[c].bytes / total_bytes;
+  }
+
+  const double app_bytes =
+      raw[static_cast<std::size_t>(appdb::TransactionClass::kApplication)]
+          .bytes;
+  const double third_bytes =
+      raw[static_cast<std::size_t>(appdb::TransactionClass::kUtilities)].bytes +
+      raw[static_cast<std::size_t>(appdb::TransactionClass::kAdvertising)]
+          .bytes +
+      raw[static_cast<std::size_t>(appdb::TransactionClass::kAnalytics)].bytes;
+  if (third_bytes > 0.0) res.app_over_thirdparty_data = app_bytes / third_bytes;
+  return res;
 }
 
 FigureData figure8(const ThirdPartyResult& r) {

@@ -31,10 +31,6 @@ struct ThirdPartyResult {
 /// columnar kernel: per-user class flags instead of per-class user sets).
 ThirdPartyResult analyze_thirdparty(const AnalysisContext& ctx);
 
-/// Row-layout reference implementation, bitwise-identical to
-/// analyze_thirdparty; kept for the differential tests and BENCH_columnar.
-ThirdPartyResult analyze_thirdparty_rows(const AnalysisContext& ctx);
-
 /// Renders Fig. 8 with its checks.
 FigureData figure8(const ThirdPartyResult& r);
 

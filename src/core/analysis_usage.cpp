@@ -1,66 +1,22 @@
 #include "core/analysis_usage.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <string>
 #include <utility>
 #include <vector>
 
 namespace wearscope::core {
 
-namespace {
-
-/// Per-app accumulator shared by both kernel variants.
-struct RawUsage {
-  double txns = 0.0;
-  double bytes = 0.0;
-  double duration_s = 0.0;
-  std::size_t usages = 0;
-};
-
-/// Means + figure ordering from the accumulated (app, RawUsage) pairs.
-template <typename Pairs>
-UsageResult finish_usage(const AnalysisContext& ctx, const Pairs& pairs) {
-  UsageResult res;
-  for (const auto& [app, a] : pairs) {
-    if (a.usages == 0) continue;
-    PerUsageStats s;
-    s.app = app;
-    s.name = std::string(ctx.signatures().app_name(app));
-    s.usages = a.usages;
-    s.mean_txns_per_usage = a.txns / static_cast<double>(a.usages);
-    s.mean_kb_per_usage = a.bytes / static_cast<double>(a.usages) / 1000.0;
-    s.mean_duration_s = a.duration_s / static_cast<double>(a.usages);
-    res.apps.push_back(std::move(s));
-  }
-  std::sort(res.apps.begin(), res.apps.end(),
-            [](const PerUsageStats& a, const PerUsageStats& b) {
-              return a.mean_kb_per_usage > b.mean_kb_per_usage;
-            });
-  return res;
-}
-
-}  // namespace
-
-UsageResult analyze_usage_rows(const AnalysisContext& ctx) {
-  std::unordered_map<appdb::AppId, RawUsage> raw;
-  for (const UserView* u : ctx.wearable_users()) {
-    for (const Usage& usage : u->usages) {
-      if (!ctx.in_detailed_window(usage.start)) continue;
-      if (usage.app == kUnknownApp) continue;
-      RawUsage& a = raw[usage.app];
-      a.txns += usage.transactions;
-      a.bytes += static_cast<double>(usage.bytes);
-      a.duration_s += static_cast<double>(usage.duration_s());
-      a.usages += 1;
-    }
-  }
-  return finish_usage(ctx, raw);
-}
-
 UsageResult analyze_usage(const AnalysisContext& ctx) {
   // App ids are small catalog indexes (kUnknownApp aside), so a dense
-  // grow-on-demand vector replaces the hash map: one indexed add per
-  // usage, no hashing, and the finish pass walks apps in id order.
+  // grow-on-demand vector accumulates them: one indexed add per usage, no
+  // hashing, and the finish pass walks apps in id order.
+  struct RawUsage {
+    double txns = 0.0;
+    double bytes = 0.0;
+    double duration_s = 0.0;
+    std::size_t usages = 0;
+  };
   std::vector<RawUsage> raw;
   for (const UserView* u : ctx.wearable_users()) {
     for (const Usage& usage : u->usages) {
@@ -74,13 +30,25 @@ UsageResult analyze_usage(const AnalysisContext& ctx) {
       a.usages += 1;
     }
   }
-  std::vector<std::pair<appdb::AppId, RawUsage>> pairs;
-  pairs.reserve(raw.size());
+
+  UsageResult res;
   for (std::size_t app = 0; app < raw.size(); ++app) {
-    if (raw[app].usages > 0)
-      pairs.emplace_back(static_cast<appdb::AppId>(app), raw[app]);
+    const RawUsage& a = raw[app];
+    if (a.usages == 0) continue;
+    PerUsageStats s;
+    s.app = static_cast<appdb::AppId>(app);
+    s.name = std::string(ctx.signatures().app_name(s.app));
+    s.usages = a.usages;
+    s.mean_txns_per_usage = a.txns / static_cast<double>(a.usages);
+    s.mean_kb_per_usage = a.bytes / static_cast<double>(a.usages) / 1000.0;
+    s.mean_duration_s = a.duration_s / static_cast<double>(a.usages);
+    res.apps.push_back(std::move(s));
   }
-  return finish_usage(ctx, pairs);
+  std::sort(res.apps.begin(), res.apps.end(),
+            [](const PerUsageStats& a, const PerUsageStats& b) {
+              return a.mean_kb_per_usage > b.mean_kb_per_usage;
+            });
+  return res;
 }
 
 FigureData figure7(const UsageResult& r) {

@@ -30,11 +30,6 @@ struct UsageResult {
 /// app-id-indexed accumulation instead of a hash map).
 UsageResult analyze_usage(const AnalysisContext& ctx);
 
-/// Hash-map reference implementation; kept for the differential tests and
-/// BENCH_columnar.  Output matches analyze_usage whenever no two apps tie
-/// exactly on mean KB per usage (the sort key).
-UsageResult analyze_usage_rows(const AnalysisContext& ctx);
-
 /// Renders Fig. 7 with its checks.
 FigureData figure7(const UsageResult& r);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <string>
 
 #include "par/shard.h"
 #include "par/task_pool.h"
@@ -25,13 +26,23 @@ struct UserShard {
 
 }  // namespace
 
+void require_analysis_window(int observation_days, int detailed_start_day) {
+  if (detailed_start_day >= 0 &&
+      detailed_window_weeks(observation_days, detailed_start_day) >= 1) {
+    return;
+  }
+  throw util::ConfigError(
+      "analysis window: the detailed window (from day " +
+      std::to_string(detailed_start_day) + " of " +
+      std::to_string(observation_days) +
+      ") must hold at least 7 days inside the observation window");
+}
+
 AnalysisContext::AnalysisContext(const trace::TraceStore& store,
                                  AnalysisOptions options)
     : store_(&store), options_(options) {
-  util::require(options_.observation_days > 0 &&
-                    options_.detailed_start_day >= 0 &&
-                    options_.detailed_start_day < options_.observation_days,
-                "analysis options: bad observation window");
+  require_analysis_window(options_.observation_days,
+                          options_.detailed_start_day);
   util::require(options_.threads >= 1, "analysis options: threads must be >= 1");
   util::require(store.is_sorted(),
                 "analysis context requires time-sorted logs");

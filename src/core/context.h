@@ -28,7 +28,8 @@ struct AnalysisOptions {
   /// Length of the observation window in days (the analysts know their
   /// own collection schedule).
   int observation_days = util::kObservationDays;
-  /// First day of the detailed-log window.
+  /// First day of the detailed-log window, at least 7 days before the
+  /// end of the observation window (require_analysis_window()).
   int detailed_start_day = util::kObservationDays - 21;
   /// Usage sessionization gap (paper: 60 s).
   util::SimTime usage_gap_s = kDefaultUsageGapS;
@@ -44,6 +45,19 @@ struct AnalysisOptions {
   /// bitwise-identical output (see docs/DESIGN.md, determinism contract).
   int threads = 1;
 };
+
+/// The one check of an analysis window, shared by the batch context, the
+/// live engine and the streaming counters: a positive observation window
+/// and a detailed window [detailed_start_day, observation_days) holding at
+/// least one whole week (the per-week and per-day normalizations divide by
+/// it).  Throws util::ConfigError otherwise.
+void require_analysis_window(int observation_days, int detailed_start_day);
+
+/// Whole weeks in the detailed window [detailed_start_day, observation_days).
+[[nodiscard]] constexpr int detailed_window_weeks(
+    int observation_days, int detailed_start_day) noexcept {
+  return (observation_days - detailed_start_day) / 7;
+}
 
 /// Everything the analyses know about one subscriber.
 struct UserView {
@@ -120,7 +134,8 @@ class AnalysisContext {
 
   /// Number of whole weeks in the detailed window.
   [[nodiscard]] int detailed_weeks() const noexcept {
-    return (options_.observation_days - options_.detailed_start_day) / 7;
+    return detailed_window_weeks(options_.observation_days,
+                                 options_.detailed_start_day);
   }
 
  private:

@@ -3,9 +3,11 @@
 // The real collection infrastructure cannot hold five months of a tier-1
 // ISP's logs in memory; summary statistics such as Fig. 2's daily adoption
 // counters are maintained online at the vantage points (paper §3.1).  This
-// header provides the streaming counterpart of analyze_adoption(): feed it
-// time-ordered records one at a time (e.g. straight from a
-// trace::LogCursor) and finalize at the end of the window.
+// header provides those counters: feed StreamingAdoption time-ordered
+// records one at a time (e.g. straight from a trace::LogCursor) and
+// finalize at the end of the window.  Batch is one more way of feeding
+// them — analyze_adoption() fills an AdoptionTally from the in-memory
+// columns — so AdoptionTally::finalize() is the only Fig. 2 arithmetic.
 //
 // Memory: O(users) for the presence sets plus O(days) counters — never
 // O(records).
@@ -41,8 +43,9 @@ struct AdoptionTally {
   /// Throws util::ConfigError on mismatched observation windows.
   void merge(const AdoptionTally& other);
 
-  /// Produces the AdoptionResult analyze_adoption() computes from an
-  /// in-memory capture — identical arithmetic, shard-count independent.
+  /// The Fig. 2 growth, share and churn arithmetic; batch, live and
+  /// federated results all come from here, shard-count independent.
+  /// Requires daily_counts.size() == observation_days.
   [[nodiscard]] AdoptionResult finalize() const;
 };
 
@@ -61,8 +64,8 @@ class StreamingAdoption {
   /// Feeds one proxy transaction (any device; only wearable TACs count).
   void on_proxy(const trace::ProxyRecord& record);
 
-  /// Produces the same AdoptionResult analyze_adoption() computes from an
-  /// in-memory capture.
+  /// tally().finalize(): the AdoptionResult analyze_adoption() computes
+  /// from the same capture held in memory.
   [[nodiscard]] AdoptionResult finalize() const;
 
   /// Snapshots the counters into a mergeable tally (shard workers call

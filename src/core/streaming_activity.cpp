@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "util/error.h"
 #include "util/sim_time.h"
@@ -12,9 +13,7 @@ StreamingActivity::StreamingActivity(const DeviceClassifier& devices,
                                      int observation_days,
                                      int detailed_start_day)
     : devices_(&devices) {
-  util::require(observation_days > 0 && detailed_start_day >= 0 &&
-                    detailed_start_day < observation_days,
-                "StreamingActivity: bad observation window");
+  require_analysis_window(observation_days, detailed_start_day);
   tally_.observation_days = observation_days;
   tally_.detailed_start_day = detailed_start_day;
   detailed_start_ = util::day_start(detailed_start_day);
@@ -62,88 +61,42 @@ void ActivityTally::merge(ActivityTally other) {
 }
 
 ActivityResult ActivityTally::finalize() const {
-  // Mirrors analyze_activity() line for line, including its user iteration
-  // order: the batch walks users by first appearance in the proxy log, and
-  // binned_relation's tie-breaking makes the Fig. 3d scalars depend on
-  // that order, so we replay it from the first_seen stamps (user id breaks
-  // the never-occurring tie, keeping the order total either way).
-  ActivityResult res;
-  const int weeks = (observation_days - detailed_start_day) / 7;
-
-  std::vector<double> days_per_week;
-  std::vector<double> hours_per_day;
-  std::vector<double> hourly_txns;
-  std::vector<double> hourly_bytes;
-  std::vector<double> rel_hours;
-  std::vector<double> rel_txns;
-
-  std::vector<trace::UserId> ids;
-  ids.reserve(users.size());
-  for (const auto& [id, activity] : users) ids.push_back(id);
-  const auto order_of = [&](trace::UserId id) {
+  // Replays the batch user order: analyze_activity() walks users by first
+  // appearance in the proxy log, and the shared finisher's Fig. 3d
+  // scalars depend on that order, so sort on the first_seen stamps (user
+  // id breaks the never-occurring tie, keeping the order total either way).
+  std::vector<std::pair<std::uint64_t, trace::UserId>> order;
+  order.reserve(users.size());
+  for (const auto& [id, activity] : users) {
     const auto it = first_seen.find(id);
-    return it != first_seen.end() ? it->second
-                                  : std::numeric_limits<std::uint64_t>::max();
-  };
-  std::sort(ids.begin(), ids.end(), [&](trace::UserId a, trace::UserId b) {
-    const std::uint64_t oa = order_of(a);
-    const std::uint64_t ob = order_of(b);
-    return oa != ob ? oa < ob : a < b;
-  });
+    order.emplace_back(it != first_seen.end()
+                           ? it->second
+                           : std::numeric_limits<std::uint64_t>::max(),
+                       id);
+  }
+  std::sort(order.begin(), order.end());
 
-  for (const trace::UserId id : ids) {
+  ActivityFinisher finisher(
+      detailed_window_weeks(observation_days, detailed_start_day));
+  std::vector<int> slots;
+  std::vector<double> slot_txns;
+  std::vector<double> slot_bytes;
+  for (const auto& [seq, id] : order) {
     const UserActivity& u = users.at(id);
-    if (u.day_hours.empty()) continue;
-
-    days_per_week.push_back(static_cast<double>(u.day_hours.size()) /
-                            std::max(1, weeks));
-    double hour_sum = 0.0;
-    for (const auto& [day, hours] : u.day_hours)
-      hour_sum += static_cast<double>(hours.size());
-    const double mean_hours =
-        hour_sum / static_cast<double>(u.day_hours.size());
-    hours_per_day.push_back(mean_hours);
-
-    // Emit per-slot values in slot order, not hash order — the same
-    // canonicalization analyze_activity() applies, which keeps the two
-    // pipelines bitwise-identical for any bucket layout.
-    std::vector<int> slots;
-    slots.reserve(u.hour_txns.size());
+    // Per-slot values in slot order, not hash order, exactly as the batch
+    // kernel's run accumulation emits them.
+    slots.clear();
+    slot_txns.clear();
+    slot_bytes.clear();
     for (const auto& [slot, n] : u.hour_txns) slots.push_back(slot);
     std::sort(slots.begin(), slots.end());
-    double txn_sum = 0.0;
     for (const int slot : slots) {
-      const double n = u.hour_txns.at(slot);
-      hourly_txns.push_back(n);
-      txn_sum += n;
+      slot_txns.push_back(u.hour_txns.at(slot));
+      slot_bytes.push_back(u.hour_bytes.at(slot));
     }
-    for (const int slot : slots) hourly_bytes.push_back(u.hour_bytes.at(slot));
-
-    rel_hours.push_back(mean_hours);
-    rel_txns.push_back(txn_sum / std::max(1.0, hour_sum));
+    finisher.add_user(u.day_hours.size(), slot_txns, slot_bytes);
   }
-
-  res.active_days_per_week = util::Ecdf(std::move(days_per_week));
-  res.active_hours_per_day = util::Ecdf(hours_per_day);
-  res.mean_active_days = res.active_days_per_week.mean();
-  res.mean_active_hours = res.active_hours_per_day.mean();
-  if (!hours_per_day.empty()) {
-    res.frac_over_10h = 1.0 - res.active_hours_per_day.at(10.0);
-    res.frac_under_5h = res.active_hours_per_day.at(5.0 - 1e-9);
-  }
-
-  res.txn_size_bytes = util::Ecdf(txn_sizes);
-  res.hourly_txns_per_user = util::Ecdf(std::move(hourly_txns));
-  res.hourly_bytes_per_user = util::Ecdf(std::move(hourly_bytes));
-  res.mean_txn_bytes = res.txn_size_bytes.mean();
-  res.median_txn_bytes = res.txn_size_bytes.quantile(0.5);
-  res.frac_txn_under_10kb = res.txn_size_bytes.at(10'000.0);
-
-  res.txns_vs_hours = util::binned_relation(rel_hours, rel_txns, 10);
-  res.correlation = util::pearson(rel_hours, rel_txns);
-  res.binned_trend_corr = util::pearson(res.txns_vs_hours.x_centers,
-                                        res.txns_vs_hours.y_means);
-  return res;
+  return std::move(finisher).finish(txn_sizes);
 }
 
 }  // namespace wearscope::core

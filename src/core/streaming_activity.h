@@ -1,15 +1,16 @@
 // Streaming counterpart of analyze_activity() (Fig. 3b/c/d): single-pass,
 // per-user microscopic activity counters over the detailed window.
 //
-// Feed time-ordered proxy records one at a time; finalize() reproduces the
-// batch ActivityResult from the same capture *bitwise*.  ECDF-derived
-// statistics are order-free because util::Ecdf canonicalizes sample order.
-// The two Fig. 3d correlation scalars are order-*sensitive* — the batch
-// iterates users in proxy-log appearance order, and binned_relation breaks
-// ties in x by input position — so each on_proxy() call takes the record's
-// global stream position and finalize() replays the batch's exact user
-// order from the per-user first-appearance sequence.  The result is
-// independent of how users were partitioned across instances.
+// Feed time-ordered proxy records one at a time; finalize() hands the
+// per-user day counts and per-slot runs to the same ActivityFinisher the
+// batch kernel uses, so both produce the ActivityResult of a capture
+// *bitwise*.  ECDF-derived statistics are order-free because util::Ecdf
+// canonicalizes sample order.  The two Fig. 3d correlation scalars are
+// order-*sensitive* — the finisher must see users in proxy-log appearance
+// order — so each on_proxy() call takes the record's global stream
+// position and finalize() replays the batch's exact user order from the
+// per-user first-appearance sequence.  The result is independent of how
+// users were partitioned across instances.
 //
 // Memory: O(users x active day-hours in the detailed window), one sequence
 // number per distinct proxy user, plus one double per detailed-window
@@ -37,7 +38,7 @@ namespace wearscope::core {
 struct ActivityTally {
   /// Per-user activity in the detailed window.
   struct UserActivity {
-    /// day -> distinct active hours (ordered like the batch temporaries).
+    /// day -> distinct active hours.
     std::map<int, std::set<int>> day_hours;
     /// day*24+hour -> transactions / bytes in that hour.
     std::unordered_map<int, double> hour_txns;
@@ -59,7 +60,8 @@ struct ActivityTally {
   /// (which would mean the partitioner broke the shard-by-user invariant).
   void merge(ActivityTally other);
 
-  /// Reproduces analyze_activity() over everything consumed so far.
+  /// Finishes everything consumed so far through the ActivityFinisher
+  /// analyze_activity() uses.
   [[nodiscard]] ActivityResult finalize() const;
 };
 

@@ -228,6 +228,14 @@ void layout(IO& io, Ref<IO, core::AdoptionTally> t) {
   field<u64>(io, t.first_week);
   field<u64>(io, t.last_week);
   field<u64>(io, t.both_weeks);
+  if constexpr (kReads<IO>) {
+    // finalize() indexes the first and last week of daily_counts by the
+    // window, so a tally whose counts do not cover it is damage.
+    if (t.daily_counts.size() != static_cast<u64>(t.observation_days)) {
+      throw util::ParseError(
+          "partial snapshot: adoption daily counts do not match its window");
+    }
+  }
 }
 
 template <typename IO>
@@ -361,12 +369,11 @@ template <typename T>
   return payload;
 }
 
-/// Decodes section `id` into `out`, which is assigned only when the whole
-/// payload decodes (a lenient reader leaves a damaged section's tally
-/// default-initialized).
+/// Decodes section `id` whole (callers assign the result only on success,
+/// so a lenient reader leaves a damaged section's tally default-initialized).
 template <typename T>
-void read_section(std::span<const std::byte> payload, std::uint32_t id,
-                  T& out) {
+[[nodiscard]] T read_section(std::span<const std::byte> payload,
+                             std::uint32_t id) {
   SectionReader r{util::MemorySpanDecoder(payload)};
   T value;
   layout(r, value);
@@ -374,38 +381,44 @@ void read_section(std::span<const std::byte> payload, std::uint32_t id,
     throw util::ParseError(std::string("partial snapshot: trailing bytes in ") +
                            section_name(id) + " section");
   }
-  out = std::move(value);
+  return value;
 }
 
 [[nodiscard]] PartitionHeader decode_header(std::span<const std::byte> bytes) {
-  PartitionHeader header;
-  read_section(bytes, static_cast<std::uint32_t>(SectionId::kPartition),
-               header);
-  return header;
+  return read_section<PartitionHeader>(
+      bytes, static_cast<std::uint32_t>(SectionId::kPartition));
 }
 
-/// Applies one decoded non-header section to `out`.  Throws ParseError on
-/// a malformed payload.
+/// Applies one decoded non-header section to `out`, whose header is
+/// already decoded.  Throws ParseError on a malformed payload.
 void apply_section(std::uint32_t id, std::span<const std::byte> payload,
                    PartialSnapshot& out) {
   switch (static_cast<SectionId>(id)) {
-    case SectionId::kAdoption:
-      read_section(payload, id, out.tallies.adoption);
+    case SectionId::kAdoption: {
+      core::AdoptionTally adoption =
+          read_section<core::AdoptionTally>(payload, id);
+      if (adoption.observation_days != out.header.observation_days) {
+        throw util::ParseError(
+            "partial snapshot: adoption window differs from the partition "
+            "header's");
+      }
+      out.tallies.adoption = std::move(adoption);
       break;
+    }
     case SectionId::kActivity:
-      read_section(payload, id, out.tallies.activity);
+      out.tallies.activity = read_section<core::ActivityTally>(payload, id);
       break;
     case SectionId::kApps:
-      read_section(payload, id, out.tallies.apps);
+      out.tallies.apps = read_section<live::AppTally>(payload, id);
       break;
     case SectionId::kSectors:
-      read_section(payload, id, out.tallies.sectors);
+      out.tallies.sectors = read_section<live::SectorTally>(payload, id);
       break;
     case SectionId::kSketch:
-      read_section(payload, id, out.tallies.sketch);
+      out.tallies.sketch = read_section<live::SketchTally>(payload, id);
       break;
     case SectionId::kQuarantine:
-      read_section(payload, id, out.feed_quarantine);
+      out.feed_quarantine = read_section<trace::QuarantineStats>(payload, id);
       break;
     default:
       break;  // Unknown ids skip silently (forward compatibility).
@@ -730,6 +743,10 @@ PartialAudit audit_partial(std::span<const std::byte> bytes) {
   if (!check_file_header(bytes)) return audit;
 
   const SectionScan scan = scan_sections(bytes);
+  // Sections are judged against the first partition header that decodes
+  // (the adoption tally must match its window).
+  PartialSnapshot scratch;
+  bool have_header = false;
   for (const SectionEntry& entry : scan.entries) {
     SectionAudit section;
     section.id = entry.id;
@@ -739,9 +756,10 @@ PartialAudit audit_partial(std::span<const std::byte> bytes) {
     if (entry.crc_ok) {
       try {
         if (entry.id == static_cast<std::uint32_t>(SectionId::kPartition)) {
-          (void)decode_header(entry.payload);
+          const PartitionHeader header = decode_header(entry.payload);
+          if (!have_header) scratch.header = header;
+          have_header = true;
         } else {
-          PartialSnapshot scratch;
           apply_section(entry.id, entry.payload, scratch);
         }
         section.decode_ok = true;

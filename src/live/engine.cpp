@@ -1,5 +1,6 @@
 #include "live/engine.h"
 
+#include "core/context.h"
 #include "util/error.h"
 
 namespace wearscope::live {
@@ -12,9 +13,8 @@ LiveEngine::LiveEngine(const std::vector<trace::DeviceRecord>& devices,
       signatures_(catalog_, options.signature_coverage),
       router_(options.shards, options.ring_capacity),
       coordinator_(options.shards, signatures_, options.capture_tallies) {
-  util::require(opt_.observation_days > 0 && opt_.detailed_start_day >= 0 &&
-                    opt_.detailed_start_day < opt_.observation_days,
-                "LiveEngine: bad observation window");
+  core::require_analysis_window(opt_.observation_days,
+                                opt_.detailed_start_day);
   util::require(opt_.partition_count >= 1 &&
                     opt_.partition_id < opt_.partition_count,
                 "LiveEngine: partition id out of range");

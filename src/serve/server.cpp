@@ -39,6 +39,13 @@ std::uint64_t LineServer::serve_stream(std::FILE* in, std::FILE* out) {
   while (true) {
     line.clear();
     while ((ch = std::fgetc(in)) != EOF && ch != '\n') {
+      if (line.size() == kMaxLineBytes) {
+        // Same cap as a TCP connection: refuse the line and end the
+        // session rather than grow without bound.
+        std::fputs("ERR line too long\n", out);
+        std::fflush(out);
+        return responses + 1;
+      }
       line += static_cast<char>(ch);
     }
     if (line.empty() && ch == EOF) break;

@@ -33,12 +33,15 @@ class LineServer {
 
   /// Reads query lines from `in` until EOF, writing one response line per
   /// query to `out` (flushed per response — callers may be pipes).  Blank
-  /// and "#"-comment lines produce no output.  Returns responses written.
+  /// and "#"-comment lines produce no output.  A line over kMaxLineBytes
+  /// is answered with `ERR line too long` and ends the session.  Returns
+  /// responses written.
   std::uint64_t serve_stream(std::FILE* in, std::FILE* out);
 
-  /// Longest query line a TCP connection may hold without a newline.  A
-  /// longer one is answered with `ERR line too long` and its connection is
-  /// closed; other connections keep being served.
+  /// Longest query line a session may hold without a newline.  A longer
+  /// one is answered with `ERR line too long` and its session (the stdin
+  /// stream, or one TCP connection) ends; other connections keep being
+  /// served.
   static constexpr std::size_t kMaxLineBytes = 64 * 1024;
 
   /// Starts the TCP listener on 127.0.0.1:`port` (0 = kernel-assigned;

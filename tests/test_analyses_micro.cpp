@@ -17,6 +17,8 @@
 #include "core/analysis_throughdevice.h"
 #include "core/analysis_usage.h"
 #include "core/context.h"
+#include "core/streaming.h"
+#include "core/streaming_activity.h"
 #include "util/geo.h"
 
 namespace wearscope::core {
@@ -115,6 +117,55 @@ TEST(MicroAdoption, EmptyStore) {
   EXPECT_DOUBLE_EQ(r.still_active_share, 0.0);
 }
 
+// A 10-day window: the first week (days 0-6) and the last week (days 3-9)
+// overlap, so a user seen only on days 3-6 is in both.  Checked through the
+// batch kernel's dense-stamp fill (compact ids) and sort+unique fill (ids
+// 2^40 apart) and through the streaming counter, which all finish in
+// AdoptionTally::finalize().
+TEST(MicroAdoption, OverlappingFirstAndLastWeeks) {
+  for (const trace::UserId stride :
+       {trace::UserId{1}, trace::UserId{1} << 40}) {
+    MicroTrace t;
+    const auto reg = [&](int day, trace::UserId user) {
+      t.mme(day, 8, stride * user, kWearTac, trace::MmeEvent::kAttach, 1);
+    };
+    for (int d = 0; d < 10; ++d) reg(d, 1);  // every day
+    reg(1, 2);                               // first week only: gone
+    reg(8, 3);                               // last week only: new
+    reg(7, 6);                               // last week only: new
+    reg(4, 4);                               // overlap day: both weeks
+    reg(2, 5);                               // first-only day ...
+    reg(9, 5);                               // ... and last-only day: both
+    t.proxy(3, 10, 0, 0, stride, kWearTac, "api.weather.com", 1000);
+    const AnalysisContext ctx = t.context(10, 3);
+
+    StreamingAdoption streaming(ctx.devices(), 10);
+    for (const trace::MmeRecord& r : ctx.store().mme) streaming.on_mme(r);
+    for (const trace::ProxyRecord& r : ctx.store().proxy) {
+      streaming.on_proxy(r);
+    }
+    for (const AdoptionResult& r :
+         {analyze_adoption(ctx), streaming.finalize()}) {
+      SCOPED_TRACE(stride == 1 ? "dense ids" : "sparse ids");
+      EXPECT_EQ(r.ever_registered, 6u);
+      EXPECT_EQ(r.ever_transacted, 1u);
+      EXPECT_DOUBLE_EQ(r.ever_transacting_fraction, 1.0 / 6.0);
+      // Daily counts 1,2,2,1,2,1,1,2,2,2; normalized by the last day's 2.
+      const std::vector<double> norm = {0.5, 1.0, 1.0, 0.5, 1.0,
+                                        0.5, 0.5, 1.0, 1.0, 1.0};
+      EXPECT_EQ(r.daily_registered_norm, norm);
+      // First-week mean 10/7, last-week (days 3-9) mean 11/7.
+      EXPECT_NEAR(r.total_growth, 0.1, 1e-12);
+      EXPECT_NEAR(r.monthly_growth, 0.1 / (10.0 / 30.4), 1e-12);
+      // First week {1,2,4,5}, last week {1,3,4,5,6}: both 3, union 6.
+      EXPECT_DOUBLE_EQ(r.still_active_share, 0.5);
+      EXPECT_DOUBLE_EQ(r.gone_share, 1.0 / 6.0);
+      EXPECT_DOUBLE_EQ(r.new_share, 2.0 / 6.0);
+      EXPECT_DOUBLE_EQ(r.churned_of_initial, 0.25);
+    }
+  }
+}
+
 // ---- Fig. 3a: diurnal -------------------------------------------------------
 
 TEST(MicroDiurnal, HourProfilesAndWeekendSplit) {
@@ -199,6 +250,41 @@ TEST(MicroActivity, IgnoresTrafficOutsideDetailedWindow) {
   const ActivityResult r = analyze_activity(ctx);
   EXPECT_EQ(r.txn_size_bytes.size(), 1u);
   EXPECT_DOUBLE_EQ(r.mean_txn_bytes, 2000.0);
+}
+
+// User A's slots straddle the boundary between the two detailed weeks
+// (day 20 late evening, day 21 just after midnight and late evening): the
+// slot runs must split at midnight, not merge by hour of day, in the batch
+// kernel and the streaming counter alike.
+TEST(MicroActivity, SlotsAcrossWeekBoundary) {
+  MicroTrace t;
+  t.proxy(14, 8, 0, 0, 2, kWearTac, "api.weather.com", 500);  // B
+  t.proxy(14, 9, 0, 0, 2, kWearTac, "api.weather.com", 500);  // B
+  t.proxy(20, 23, 10, 0, 1, kWearTac, "api.weather.com", 1000);
+  t.proxy(20, 23, 50, 0, 1, kWearTac, "api.weather.com", 2000);
+  t.proxy(21, 0, 5, 0, 1, kWearTac, "api.weather.com", 4000);
+  t.proxy(21, 23, 30, 0, 1, kWearTac, "api.weather.com", 8000);
+  const AnalysisContext ctx = t.context(28, 14);
+
+  StreamingActivity streaming(ctx.devices(), 28, 14);
+  for (std::size_t i = 0; i < ctx.store().proxy.size(); ++i) {
+    streaming.on_proxy(ctx.store().proxy[i], i);
+  }
+  for (const ActivityResult& r :
+       {analyze_activity(ctx), streaming.finalize()}) {
+    // A: 2 days / 2 weeks = 1.0, slots (20,23) (21,0) (21,23) -> 3 hours
+    // over 2 days = 1.5 h/day, 4 txns over 3 hours.  B: 1 day = 0.5/week,
+    // 2 hours, 1 txn/hour.
+    EXPECT_EQ(r.active_days_per_week.sorted(), (std::vector<double>{0.5, 1.0}));
+    EXPECT_EQ(r.active_hours_per_day.sorted(), (std::vector<double>{1.5, 2.0}));
+    EXPECT_EQ(r.hourly_txns_per_user.sorted(),
+              (std::vector<double>{1.0, 1.0, 1.0, 1.0, 2.0}));
+    EXPECT_EQ(r.hourly_bytes_per_user.sorted(),
+              (std::vector<double>{500.0, 500.0, 3000.0, 4000.0, 8000.0}));
+    EXPECT_DOUBLE_EQ(r.mean_txn_bytes, 16000.0 / 6.0);
+    // Fig. 3d: (1.5 h, 4/3 txns/h) and (2 h, 1 txn/h).
+    EXPECT_NEAR(r.correlation, -1.0, 1e-12);
+  }
 }
 
 // ---- Fig. 4a/4b: comparison ------------------------------------------------

@@ -1,7 +1,8 @@
 // Tests for the in-memory columnar transpose (trace/columns.h) and the
-// row-vs-columnar kernel equivalence: every rewritten analyze_* kernel
-// must reproduce its analyze_*_rows reference implementation bitwise on
-// the same context, because the column views are built FROM the rows.
+// columnar kernels' equivalence with independent references on the same
+// capture: adoption and activity against the streaming counters fed
+// record by record (hash sets and maps, the live shards' code), diurnal,
+// usage and third-party against the row oracles of row_oracle.h.
 #include "trace/columns.h"
 
 #include <gtest/gtest.h>
@@ -17,7 +18,10 @@
 #include "core/analysis_thirdparty.h"
 #include "core/analysis_usage.h"
 #include "core/context.h"
+#include "core/streaming.h"
+#include "core/streaming_activity.h"
 #include "par/task_pool.h"
+#include "row_oracle.h"
 #include "simnet/simulator.h"
 #include "trace/store.h"
 
@@ -157,7 +161,7 @@ TEST(Columns, StoreBuildIsLazyAndSortInvalidates) {
   EXPECT_TRUE(store.columns_built());
 }
 
-// ---- Row-vs-columnar kernel equivalence ------------------------------------
+// ---- Columnar kernels vs independent references ----------------------------
 
 const simnet::SimResult& capture() {
   static const simnet::SimResult sim = [] {
@@ -186,33 +190,54 @@ void expect_same_ecdf(const util::Ecdf& a, const util::Ecdf& b,
   }
 }
 
-TEST(ColumnarKernels, AdoptionMatchesRowReference) {
+/// The streaming counters fed the context's whole store, record by record.
+core::AdoptionResult streamed_adoption(const core::AnalysisContext& ctx) {
+  core::StreamingAdoption streaming(ctx.devices(),
+                                    ctx.options().observation_days);
+  for (const MmeRecord& r : ctx.store().mme) streaming.on_mme(r);
+  for (const ProxyRecord& r : ctx.store().proxy) streaming.on_proxy(r);
+  return streaming.finalize();
+}
+
+core::ActivityResult streamed_activity(const core::AnalysisContext& ctx) {
+  core::StreamingActivity streaming(ctx.devices(),
+                                    ctx.options().observation_days,
+                                    ctx.options().detailed_start_day);
+  const std::vector<ProxyRecord>& proxy = ctx.store().proxy;
+  for (std::size_t i = 0; i < proxy.size(); ++i) {
+    streaming.on_proxy(proxy[i], i);
+  }
+  return streaming.finalize();
+}
+
+TEST(ColumnarKernels, AdoptionMatchesStreamingReference) {
   const core::AnalysisContext ctx = make_context();
   const core::AdoptionResult cols = core::analyze_adoption(ctx);
-  const core::AdoptionResult rows = core::analyze_adoption_rows(ctx);
-  EXPECT_EQ(cols.ever_registered, rows.ever_registered);
-  EXPECT_EQ(cols.ever_transacted, rows.ever_transacted);
+  const core::AdoptionResult ref = streamed_adoption(ctx);
+  EXPECT_GT(ref.ever_registered, 0u);
+  EXPECT_EQ(cols.ever_registered, ref.ever_registered);
+  EXPECT_EQ(cols.ever_transacted, ref.ever_transacted);
   EXPECT_DOUBLE_EQ(cols.ever_transacting_fraction,
-                   rows.ever_transacting_fraction);
-  EXPECT_DOUBLE_EQ(cols.total_growth, rows.total_growth);
-  EXPECT_DOUBLE_EQ(cols.monthly_growth, rows.monthly_growth);
-  EXPECT_DOUBLE_EQ(cols.still_active_share, rows.still_active_share);
-  EXPECT_DOUBLE_EQ(cols.gone_share, rows.gone_share);
-  EXPECT_DOUBLE_EQ(cols.new_share, rows.new_share);
-  EXPECT_DOUBLE_EQ(cols.churned_of_initial, rows.churned_of_initial);
+                   ref.ever_transacting_fraction);
+  EXPECT_DOUBLE_EQ(cols.total_growth, ref.total_growth);
+  EXPECT_DOUBLE_EQ(cols.monthly_growth, ref.monthly_growth);
+  EXPECT_DOUBLE_EQ(cols.still_active_share, ref.still_active_share);
+  EXPECT_DOUBLE_EQ(cols.gone_share, ref.gone_share);
+  EXPECT_DOUBLE_EQ(cols.new_share, ref.new_share);
+  EXPECT_DOUBLE_EQ(cols.churned_of_initial, ref.churned_of_initial);
   ASSERT_EQ(cols.daily_registered_norm.size(),
-            rows.daily_registered_norm.size());
+            ref.daily_registered_norm.size());
   for (std::size_t d = 0; d < cols.daily_registered_norm.size(); ++d) {
     EXPECT_DOUBLE_EQ(cols.daily_registered_norm[d],
-                     rows.daily_registered_norm[d])
+                     ref.daily_registered_norm[d])
         << "day " << d;
   }
 }
 
 // The adoption kernel's dense last-seen-stamp fast path only engages for
 // compact user-id spaces; ids spread across the 64-bit range must take
-// the sort+unique fallback and still match the row reference exactly.
-TEST(ColumnarKernels, AdoptionSparseUserIdsMatchRowReference) {
+// the sort+unique fallback and still match the streaming counter exactly.
+TEST(ColumnarKernels, AdoptionSparseUserIdsMatchStreamingReference) {
   constexpr Tac kWearTac = 35254208u;  // Gear S3 frontier LTE
   TraceStore store;
   store.devices = {{kWearTac, "Gear S3 frontier LTE", "Samsung", "Tizen"}};
@@ -234,50 +259,51 @@ TEST(ColumnarKernels, AdoptionSparseUserIdsMatchRowReference) {
   opt.long_tail_apps = 10;
   const core::AnalysisContext ctx(store, opt);
   const core::AdoptionResult cols = core::analyze_adoption(ctx);
-  const core::AdoptionResult rows = core::analyze_adoption_rows(ctx);
-  EXPECT_EQ(cols.ever_registered, rows.ever_registered);
-  EXPECT_EQ(rows.ever_registered, 4u);
-  EXPECT_DOUBLE_EQ(cols.still_active_share, rows.still_active_share);
-  EXPECT_DOUBLE_EQ(cols.gone_share, rows.gone_share);
-  EXPECT_DOUBLE_EQ(cols.new_share, rows.new_share);
-  EXPECT_DOUBLE_EQ(cols.churned_of_initial, rows.churned_of_initial);
+  const core::AdoptionResult ref = streamed_adoption(ctx);
+  EXPECT_EQ(cols.ever_registered, ref.ever_registered);
+  EXPECT_EQ(ref.ever_registered, 4u);
+  EXPECT_DOUBLE_EQ(cols.still_active_share, ref.still_active_share);
+  EXPECT_DOUBLE_EQ(cols.gone_share, ref.gone_share);
+  EXPECT_DOUBLE_EQ(cols.new_share, ref.new_share);
+  EXPECT_DOUBLE_EQ(cols.churned_of_initial, ref.churned_of_initial);
   ASSERT_EQ(cols.daily_registered_norm.size(),
-            rows.daily_registered_norm.size());
+            ref.daily_registered_norm.size());
   for (std::size_t d = 0; d < cols.daily_registered_norm.size(); ++d) {
     EXPECT_DOUBLE_EQ(cols.daily_registered_norm[d],
-                     rows.daily_registered_norm[d])
+                     ref.daily_registered_norm[d])
         << "day " << d;
   }
 }
 
-TEST(ColumnarKernels, ActivityMatchesRowReference) {
+TEST(ColumnarKernels, ActivityMatchesStreamingReference) {
   const core::AnalysisContext ctx = make_context();
   const core::ActivityResult cols = core::analyze_activity(ctx);
-  const core::ActivityResult rows = core::analyze_activity_rows(ctx);
-  expect_same_ecdf(cols.active_days_per_week, rows.active_days_per_week,
+  const core::ActivityResult ref = streamed_activity(ctx);
+  EXPECT_GT(ref.txn_size_bytes.size(), 0u);
+  expect_same_ecdf(cols.active_days_per_week, ref.active_days_per_week,
                    "days/week");
-  expect_same_ecdf(cols.active_hours_per_day, rows.active_hours_per_day,
+  expect_same_ecdf(cols.active_hours_per_day, ref.active_hours_per_day,
                    "hours/day");
-  expect_same_ecdf(cols.txn_size_bytes, rows.txn_size_bytes, "txn bytes");
-  expect_same_ecdf(cols.hourly_txns_per_user, rows.hourly_txns_per_user,
+  expect_same_ecdf(cols.txn_size_bytes, ref.txn_size_bytes, "txn bytes");
+  expect_same_ecdf(cols.hourly_txns_per_user, ref.hourly_txns_per_user,
                    "hourly txns");
-  expect_same_ecdf(cols.hourly_bytes_per_user, rows.hourly_bytes_per_user,
+  expect_same_ecdf(cols.hourly_bytes_per_user, ref.hourly_bytes_per_user,
                    "hourly bytes");
-  EXPECT_DOUBLE_EQ(cols.mean_active_days, rows.mean_active_days);
-  EXPECT_DOUBLE_EQ(cols.mean_active_hours, rows.mean_active_hours);
-  EXPECT_DOUBLE_EQ(cols.frac_over_10h, rows.frac_over_10h);
-  EXPECT_DOUBLE_EQ(cols.frac_under_5h, rows.frac_under_5h);
-  EXPECT_DOUBLE_EQ(cols.mean_txn_bytes, rows.mean_txn_bytes);
-  EXPECT_DOUBLE_EQ(cols.median_txn_bytes, rows.median_txn_bytes);
-  EXPECT_DOUBLE_EQ(cols.frac_txn_under_10kb, rows.frac_txn_under_10kb);
-  EXPECT_DOUBLE_EQ(cols.correlation, rows.correlation);
-  EXPECT_DOUBLE_EQ(cols.binned_trend_corr, rows.binned_trend_corr);
+  EXPECT_DOUBLE_EQ(cols.mean_active_days, ref.mean_active_days);
+  EXPECT_DOUBLE_EQ(cols.mean_active_hours, ref.mean_active_hours);
+  EXPECT_DOUBLE_EQ(cols.frac_over_10h, ref.frac_over_10h);
+  EXPECT_DOUBLE_EQ(cols.frac_under_5h, ref.frac_under_5h);
+  EXPECT_DOUBLE_EQ(cols.mean_txn_bytes, ref.mean_txn_bytes);
+  EXPECT_DOUBLE_EQ(cols.median_txn_bytes, ref.median_txn_bytes);
+  EXPECT_DOUBLE_EQ(cols.frac_txn_under_10kb, ref.frac_txn_under_10kb);
+  EXPECT_DOUBLE_EQ(cols.correlation, ref.correlation);
+  EXPECT_DOUBLE_EQ(cols.binned_trend_corr, ref.binned_trend_corr);
 }
 
 TEST(ColumnarKernels, DiurnalMatchesRowReference) {
   const core::AnalysisContext ctx = make_context();
   const core::DiurnalResult cols = core::analyze_diurnal(ctx);
-  const core::DiurnalResult rows = core::analyze_diurnal_rows(ctx);
+  const core::DiurnalResult rows = oracle::diurnal_rows(ctx);
   for (int h = 0; h < 24; ++h) {
     EXPECT_DOUBLE_EQ(cols.users_weekday[h], rows.users_weekday[h]) << h;
     EXPECT_DOUBLE_EQ(cols.users_weekend[h], rows.users_weekend[h]) << h;
@@ -298,7 +324,7 @@ TEST(ColumnarKernels, DiurnalMatchesRowReference) {
 TEST(ColumnarKernels, UsageMatchesRowReference) {
   const core::AnalysisContext ctx = make_context();
   const core::UsageResult cols = core::analyze_usage(ctx);
-  const core::UsageResult rows = core::analyze_usage_rows(ctx);
+  const core::UsageResult rows = oracle::usage_rows(ctx);
   ASSERT_EQ(cols.apps.size(), rows.apps.size());
   for (std::size_t i = 0; i < cols.apps.size(); ++i) {
     EXPECT_EQ(cols.apps[i].app, rows.apps[i].app) << i;
@@ -317,7 +343,7 @@ TEST(ColumnarKernels, UsageMatchesRowReference) {
 TEST(ColumnarKernels, ThirdPartyMatchesRowReference) {
   const core::AnalysisContext ctx = make_context();
   const core::ThirdPartyResult cols = core::analyze_thirdparty(ctx);
-  const core::ThirdPartyResult rows = core::analyze_thirdparty_rows(ctx);
+  const core::ThirdPartyResult rows = oracle::thirdparty_rows(ctx);
   for (std::size_t c = 0; c < cols.classes.size(); ++c) {
     EXPECT_EQ(cols.classes[c].cls, rows.classes[c].cls) << c;
     EXPECT_DOUBLE_EQ(cols.classes[c].user_share_pct,

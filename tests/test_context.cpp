@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/streaming_activity.h"
+#include "live/engine.h"
 #include "util/error.h"
 
 namespace wearscope::core {
@@ -127,6 +129,36 @@ TEST(Context, RejectsBadWindow) {
   AnalysisOptions o = micro_options();
   o.detailed_start_day = o.observation_days;
   EXPECT_THROW(AnalysisContext(store, o), util::ConfigError);
+}
+
+// The per-week and per-day normalizations divide by the detailed window's
+// whole weeks: under 7 days that is 0, and Fig. 3a came out as inf/inf.
+// The batch context, the streaming counter and the live engine share one
+// window check, so all three refuse it and all three accept a full week.
+TEST(Context, RejectsDetailedWindowUnderOneWeek) {
+  const trace::TraceStore store = micro_store();
+  const DeviceClassifier devices(store.devices);
+  AnalysisOptions o = micro_options();
+  o.observation_days = 30;
+  live::LiveOptions live_opt;
+  live_opt.shards = 1;
+  live_opt.observation_days = 30;
+  for (const int start : {24, 25, 29}) {
+    o.detailed_start_day = start;
+    live_opt.detailed_start_day = start;
+    EXPECT_THROW(AnalysisContext(store, o), util::ConfigError) << start;
+    EXPECT_THROW(StreamingActivity(devices, 30, start), util::ConfigError)
+        << start;
+    EXPECT_THROW(live::LiveEngine(store.devices, live_opt), util::ConfigError)
+        << start;
+  }
+  o.detailed_start_day = 23;
+  live_opt.detailed_start_day = 23;
+  const AnalysisContext ctx(store, o);
+  EXPECT_EQ(ctx.detailed_weeks(), 1);
+  EXPECT_NO_THROW(StreamingActivity(devices, 30, 23));
+  live::LiveEngine engine(store.devices, live_opt);
+  (void)engine.stop();
 }
 
 TEST(Context, SignatureCoverageOptionPropagates) {

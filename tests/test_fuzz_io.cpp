@@ -1111,6 +1111,50 @@ TEST(FuzzFed, RepeatedMapKeyIsRejected) {
             2u);
 }
 
+TEST(FuzzFed, AdoptionTallyMustCoverItsWindow) {
+  // AdoptionTally::finalize() indexes daily_counts by its window's first
+  // and last week, and the first merge copies a tally unchecked, so a
+  // tally that does not cover the partition's window is section damage.
+  const fed::PartialSnapshot base = sample_partial();
+  ASSERT_EQ(base.tallies.adoption.observation_days,
+            base.header.observation_days);
+  ASSERT_EQ(base.tallies.adoption.daily_counts.size(),
+            static_cast<std::size_t>(base.header.observation_days));
+  const auto expect_adoption_rejected = [](const std::string& blob) {
+    EXPECT_THROW((void)fed::decode_partial(blob_bytes(blob)),
+                 util::ParseError);
+    QuarantineStats q;
+    const std::optional<fed::PartialSnapshot> got =
+        fed::read_partial_lenient(blob_bytes(blob), q);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(q.corrupt_blocks, 1u);
+    EXPECT_EQ(q.corrupt_files, 0u);
+    EXPECT_TRUE(got->tallies.adoption.daily_counts.empty());
+  };
+
+  // Three daily counts for a multi-week window.
+  fed::PartialSnapshot short_counts = base;
+  short_counts.tallies.adoption.daily_counts.resize(3);
+  expect_adoption_rejected(fed::encode_partial(short_counts));
+
+  // A consistent tally whose window is not the partition header's: the
+  // header's observation_days (i64 after two u32s and three u64s) is
+  // edited and the file resealed.
+  std::string blob = fed::encode_partial(base);
+  const std::size_t days_at = scan_spans(blob).front().payload_begin + 32;
+  ASSERT_EQ(static_cast<int>(static_cast<unsigned char>(blob[days_at])),
+            base.header.observation_days);
+  blob[days_at] = static_cast<char>(blob[days_at] + 1);
+  reseal_partial(blob);
+  expect_adoption_rejected(blob);
+
+  // The resealing itself is sound: the unedited bytes still decode.
+  blob[days_at] = static_cast<char>(blob[days_at] - 1);
+  reseal_partial(blob);
+  EXPECT_EQ(fed::decode_partial(blob_bytes(blob)).tallies.adoption.daily_counts,
+            base.tallies.adoption.daily_counts);
+}
+
 TEST(FuzzChaosCorpus, StrictReaderRejectsEveryExactFault) {
   // The strict reader path must refuse what the lenient path quarantines:
   // an exact fault that drops records must surface as ParseError there.

@@ -307,6 +307,33 @@ TEST(LineServer, ServesStreamOneResponsePerQuery) {
   std::fclose(out);
 }
 
+TEST(LineServer, StreamRefusesOverlongLine) {
+  SnapshotStore store;
+  QueryEngine engine(store);
+  std::FILE* in = std::tmpfile();
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(in, nullptr);
+  ASSERT_NE(out, nullptr);
+  // 70 KiB and no newline: the stdin session gets the TCP path's answer
+  // and ends, instead of buffering an unbounded line.
+  const std::string line(70 * 1024, 'x');
+  ASSERT_GT(line.size(), LineServer::kMaxLineBytes);
+  std::fwrite(line.data(), 1, line.size(), in);
+  std::rewind(in);
+
+  LineServer server(engine);
+  EXPECT_EQ(server.serve_stream(in, out), 1u);
+
+  std::rewind(out);
+  char buf[256];
+  std::vector<std::string> lines;
+  while (std::fgets(buf, sizeof(buf), out) != nullptr) lines.emplace_back(buf);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0], "ERR line too long\n");
+  std::fclose(in);
+  std::fclose(out);
+}
+
 TEST(LineServer, TcpListenerAnswersAndStops) {
   SnapshotStore store;
   QueryEngine engine(store);

@@ -12,9 +12,9 @@
 # analysis over the tree and writes BENCH_lint.json (wall time plus
 # file/rule/finding counts) — the fast pre-commit loop, no ctest.
 # With --trace-bench it builds the columnar perf suite and refreshes
-# BENCH_columnar.json: the rows-vs-columnar kernel comparison, the v2/v3
-# encode/decode sweep and the sketch-vs-exact deltas — the numbers behind
-# the v3 TraceStore's performance claims.
+# BENCH_columnar.json: the v2/v3 encode/decode sweep and the
+# sketch-vs-exact deltas — the numbers behind the v3 format's and the
+# sketch mode's claims.
 # With --fed it builds the federation path only and drives the
 # partition/merge differential end to end: partitioned live runs at
 # 1/2/4/8 processes over one small bundle, each cover federated by
@@ -94,7 +94,7 @@ fi
 if [ "$trace_bench" -eq 1 ]; then
   echo "== build (columnar perf suite)"
   cmake --build "$build" -j "$jobs" --target perf_columnar
-  echo "== columnar kernels + v2/v3 IO + sketch deltas (BENCH_columnar.json)"
+  echo "== v2/v3 IO + sketch deltas (BENCH_columnar.json)"
   "$build/bench/perf_columnar" --emit-json="$root/BENCH_columnar.json"
   echo "== OK"
   exit 0
