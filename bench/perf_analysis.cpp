@@ -72,7 +72,8 @@ void BM_HostClassification(benchmark::State& state) {
   const simnet::SimResult& sim = shared_capture();
   std::size_t i = 0;
   for (auto _ : state) {
-    const auto& host = sim.store.proxy[i % sim.store.proxy.size()].host;
+    const auto& host =
+        sim.store.hosts[sim.store.proxy[i % sim.store.proxy.size()].host_id];
     benchmark::DoNotOptimize(ctx.signatures().classify_host(host));
     ++i;
   }
@@ -83,10 +84,11 @@ BENCHMARK(BM_HostClassification);
 void BM_HostClassificationCached(benchmark::State& state) {
   const core::AnalysisContext& ctx = shared_context();
   const simnet::SimResult& sim = shared_capture();
-  core::HostClassCache cache(ctx.signatures());
+  core::HostClassCache cache(ctx.signatures(), sim.store.hosts);
   std::size_t i = 0;
   for (auto _ : state) {
-    const auto& host = sim.store.proxy[i % sim.store.proxy.size()].host;
+    const std::uint32_t host =
+        sim.store.proxy[i % sim.store.proxy.size()].host_id;
     benchmark::DoNotOptimize(cache.classify(host));
     ++i;
   }

@@ -113,8 +113,8 @@ trace::BlockWriterOptions bench_block_options() {
 const std::string& v2_blob() {
   static const std::string blob = [] {
     std::ostringstream out;
-    trace::BlockLogWriter<trace::ProxyRecord> writer(out,
-                                                     bench_block_options());
+    trace::BlockLogWriter<trace::ProxyRecord> writer(
+        out, shared_capture().store, bench_block_options());
     for (const trace::ProxyRecord& r : shared_capture().store.proxy)
       writer.write(r);
     writer.finish();
@@ -127,6 +127,7 @@ const std::string& v3_blob() {
   static const std::string blob = [] {
     std::ostringstream out;
     (void)trace::write_columnar_log(out, shared_capture().store.proxy,
+                                    shared_capture().store,
                                     bench_block_options());
     return out.str();
   }();
@@ -149,7 +150,8 @@ void BM_V3Encode(benchmark::State& state) {
   const auto& records = shared_capture().store.proxy;
   for (auto _ : state) {
     std::ostringstream out;
-    (void)trace::write_columnar_log(out, records, bench_block_options());
+    (void)trace::write_columnar_log(out, records, shared_capture().store,
+                                    bench_block_options());
     benchmark::DoNotOptimize(out.str().size());
   }
   state.SetItemsProcessed(
@@ -162,9 +164,10 @@ void BM_V3Decode(benchmark::State& state) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
   par::TaskPool pool(threads);
   for (auto _ : state) {
+    trace::ProxyPools pools;
     benchmark::DoNotOptimize(
         trace::read_binary_log<trace::ProxyRecord>(
-            blob_bytes(v3_blob()), threads > 1 ? &pool : nullptr)
+            blob_bytes(v3_blob()), pools, threads > 1 ? &pool : nullptr)
             .size());
   }
   state.SetItemsProcessed(
@@ -178,7 +181,8 @@ BENCHMARK(BM_V3Decode)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 void BM_SketchIngest(benchmark::State& state) {
   // The per-record cost of the bounded-memory live mode: one HLL add, one
   // t-digest add and one heavy-hitter add per wearable transaction.
-  const auto& records = shared_capture().store.proxy;
+  const trace::TraceStore& store = shared_capture().store;
+  const auto& records = store.proxy;
   for (auto _ : state) {
     sketch::Hll users;
     sketch::TDigest sizes;
@@ -186,7 +190,7 @@ void BM_SketchIngest(benchmark::State& state) {
     for (const trace::ProxyRecord& r : records) {
       users.add(r.user_id);
       sizes.add(static_cast<double>(r.bytes_total()));
-      apps.add(r.host);
+      apps.add(store.hosts[r.host_id]);
     }
     benchmark::DoNotOptimize(users.estimate());
   }
@@ -226,14 +230,14 @@ SketchDeltas sketch_vs_exact() {
   sketch::HeavyHitters hitters;
   std::vector<double> sizes;
   std::unordered_map<std::string, std::uint64_t> exact_apps;
-  core::HostClassCache host_class(ctx.signatures());
+  core::HostClassCache host_class(ctx.signatures(), sim.store.hosts);
   for (const trace::ProxyRecord& r : sim.store.proxy) {
     if (!ctx.devices().is_wearable(r.tac)) continue;
     if (r.timestamp >= detailed_start) {
       digest.add(static_cast<double>(r.bytes_total()));
       sizes.push_back(static_cast<double>(r.bytes_total()));
     }
-    const core::EndpointClass cls = host_class.classify(r.host);
+    const core::EndpointClass cls = host_class.classify(r.host_id);
     if (cls.cls != appdb::TransactionClass::kApplication) continue;
     const std::string name(ctx.signatures().app_name(cls.app));
     hitters.add(name);
@@ -317,7 +321,7 @@ int emit_json(const std::string& path) {
 
   const double v2_encode_ms = best_of([&] {
     std::ostringstream enc;
-    trace::BlockLogWriter<trace::ProxyRecord> writer(enc,
+    trace::BlockLogWriter<trace::ProxyRecord> writer(enc, sim.store,
                                                      bench_block_options());
     for (const trace::ProxyRecord& r : sim.store.proxy) writer.write(r);
     writer.finish();
@@ -325,7 +329,7 @@ int emit_json(const std::string& path) {
   });
   const double v3_encode_ms = best_of([&] {
     std::ostringstream enc;
-    (void)trace::write_columnar_log(enc, sim.store.proxy,
+    (void)trace::write_columnar_log(enc, sim.store.proxy, sim.store,
                                     bench_block_options());
     benchmark::DoNotOptimize(enc.str().size());
   });
@@ -344,13 +348,15 @@ int emit_json(const std::string& path) {
     par::TaskPool pool(threads);
     par::TaskPool* pool_ptr = threads > 1 ? &pool : nullptr;
     const double v2_ms = best_of([&] {
+      trace::ProxyPools pools;
       benchmark::DoNotOptimize(trace::read_binary_log<trace::ProxyRecord>(
-                                   blob_bytes(v2_blob()), pool_ptr)
+                                   blob_bytes(v2_blob()), pools, pool_ptr)
                                    .size());
     });
     const double v3_ms = best_of([&] {
+      trace::ProxyPools pools;
       benchmark::DoNotOptimize(trace::read_binary_log<trace::ProxyRecord>(
-                                   blob_bytes(v3_blob()), pool_ptr)
+                                   blob_bytes(v3_blob()), pools, pool_ptr)
                                    .size());
     });
     std::fprintf(out,

@@ -100,10 +100,10 @@ void BM_WearableDayGeneration(benchmark::State& state) {
     }
   }
   util::Pcg32 rng(10);
-  std::vector<trace::ProxyRecord> out;
+  trace::TraceStore out;
   int day = 0;
   for (auto _ : state) {
-    out.clear();
+    out.proxy.clear();
     simnet::WearableDayPlan plan;
     // Force an active plan by retrying days (planning cost included).
     while (!plan.active) {
@@ -111,7 +111,7 @@ void BM_WearableDayGeneration(benchmark::State& state) {
     }
     const simnet::DayItinerary it = mobility.build_day(*sub, day, rng);
     traffic.generate_wearable_day(*sub, plan, it, rng, out);
-    benchmark::DoNotOptimize(out.size());
+    benchmark::DoNotOptimize(out.proxy.size());
   }
 }
 BENCHMARK(BM_WearableDayGeneration);

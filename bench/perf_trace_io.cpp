@@ -33,8 +33,9 @@ namespace {
 
 using namespace wearscope;
 
-const std::vector<trace::ProxyRecord>& sample_records() {
-  static const std::vector<trace::ProxyRecord> records = [] {
+/// The sample capture: its proxy rows and the pools their ids index.
+const trace::TraceStore& sample_store() {
+  static const trace::TraceStore store = [] {
     simnet::SimConfig cfg;
     cfg.seed = 3;
     cfg.wearable_users = 100;
@@ -47,9 +48,13 @@ const std::vector<trace::ProxyRecord>& sample_records() {
     simnet::SimResult sim = simnet::Simulator(cfg).run();
     sim.store.proxy.resize(std::min<std::size_t>(sim.store.proxy.size(),
                                                  20000));
-    return std::move(sim.store.proxy);
+    return std::move(sim.store);
   }();
-  return records;
+  return store;
+}
+
+const std::vector<trace::ProxyRecord>& sample_records() {
+  return sample_store().proxy;
 }
 
 /// Block size small enough that an 8-thread sweep has work on every
@@ -63,7 +68,7 @@ trace::BlockWriterOptions bench_block_options() {
 const std::string& v1_blob() {
   static const std::string blob = [] {
     std::ostringstream out;
-    trace::BinaryLogWriter<trace::ProxyRecord> writer(out);
+    trace::BinaryLogWriter<trace::ProxyRecord> writer(out, sample_store());
     for (const trace::ProxyRecord& r : sample_records()) writer.write(r);
     return out.str();
   }();
@@ -73,7 +78,7 @@ const std::string& v1_blob() {
 const std::string& v2_blob() {
   static const std::string blob = [] {
     std::ostringstream out;
-    trace::BlockLogWriter<trace::ProxyRecord> writer(out,
+    trace::BlockLogWriter<trace::ProxyRecord> writer(out, sample_store(),
                                                      bench_block_options());
     for (const trace::ProxyRecord& r : sample_records()) writer.write(r);
     writer.finish();
@@ -108,21 +113,25 @@ const std::filesystem::path& v2_file() {
 /// has no framing to split across threads).
 std::size_t drain_v1_mmap() {
   const util::MappedFile file(v1_file(), util::MapMode::kAuto);
-  return trace::read_binary_log<trace::ProxyRecord>(file.bytes()).size();
+  trace::ProxyPools pools;
+  return trace::read_binary_log<trace::ProxyRecord>(file.bytes(), pools)
+      .size();
 }
 
 /// The v2 production load path: mmap + frame scan + (parallel) block
 /// decode into a pre-sized vector.
 std::size_t drain_v2_mmap(par::TaskPool* pool) {
   const util::MappedFile file(v2_file(), util::MapMode::kAuto);
-  return trace::read_binary_log<trace::ProxyRecord>(file.bytes(), pool).size();
+  trace::ProxyPools pools;
+  return trace::read_binary_log<trace::ProxyRecord>(file.bytes(), pools, pool)
+      .size();
 }
 
 void BM_BinaryEncode(benchmark::State& state) {
   const auto& records = sample_records();
   for (auto _ : state) {
     std::ostringstream out;
-    trace::BinaryLogWriter<trace::ProxyRecord> writer(out);
+    trace::BinaryLogWriter<trace::ProxyRecord> writer(out, sample_store());
     for (const trace::ProxyRecord& r : records) writer.write(r);
     benchmark::DoNotOptimize(out.str().size());
   }
@@ -135,7 +144,7 @@ void BM_V2Encode(benchmark::State& state) {
   const auto& records = sample_records();
   for (auto _ : state) {
     std::ostringstream out;
-    trace::BlockLogWriter<trace::ProxyRecord> writer(out,
+    trace::BlockLogWriter<trace::ProxyRecord> writer(out, sample_store(),
                                                      bench_block_options());
     for (const trace::ProxyRecord& r : records) writer.write(r);
     writer.finish();
@@ -179,7 +188,7 @@ void BM_CsvEncode(benchmark::State& state) {
   const auto& records = sample_records();
   for (auto _ : state) {
     std::ostringstream out;
-    trace::CsvLogWriter<trace::ProxyRecord> writer(out);
+    trace::CsvLogWriter<trace::ProxyRecord> writer(out, sample_store());
     for (const trace::ProxyRecord& r : records) writer.write(r);
     benchmark::DoNotOptimize(out.str().size());
   }
@@ -192,13 +201,14 @@ void BM_CsvDecode(benchmark::State& state) {
   const auto& records = sample_records();
   std::ostringstream out;
   {
-    trace::CsvLogWriter<trace::ProxyRecord> writer(out);
+    trace::CsvLogWriter<trace::ProxyRecord> writer(out, sample_store());
     for (const trace::ProxyRecord& r : records) writer.write(r);
   }
   const std::string blob = out.str();
   for (auto _ : state) {
     std::istringstream in(blob);
-    trace::CsvLogReader<trace::ProxyRecord> reader(in);
+    trace::ProxyPools pools;
+    trace::CsvLogReader<trace::ProxyRecord> reader(in, pools);
     trace::ProxyRecord r;
     std::size_t n = 0;
     while (reader.next(r)) ++n;
@@ -278,13 +288,13 @@ int emit_json(const std::string& path) {
 
   const double v1_encode_ms = best_of([&] {
     std::ostringstream enc;
-    trace::BinaryLogWriter<trace::ProxyRecord> writer(enc);
+    trace::BinaryLogWriter<trace::ProxyRecord> writer(enc, sample_store());
     for (const trace::ProxyRecord& r : records) writer.write(r);
     benchmark::DoNotOptimize(enc.str().size());
   });
   const double v2_encode_ms = best_of([&] {
     std::ostringstream enc;
-    trace::BlockLogWriter<trace::ProxyRecord> writer(enc,
+    trace::BlockLogWriter<trace::ProxyRecord> writer(enc, sample_store(),
                                                      bench_block_options());
     for (const trace::ProxyRecord& r : records) writer.write(r);
     writer.finish();

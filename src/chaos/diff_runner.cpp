@@ -140,6 +140,7 @@ trace::TraceStore drop_permanent(const trace::TraceStore& canon,
   trace::TraceStore out;
   out.devices = canon.devices;
   out.sectors = canon.sectors;
+  static_cast<trace::ProxyPools&>(out) = canon;
   out.proxy.reserve(canon.proxy.size());
   out.mme.reserve(canon.mme.size());
   std::size_t pi = 0;
@@ -160,6 +161,8 @@ trace::TraceStore drop_permanent(const trace::TraceStore& canon,
     take_mme ? ++mi : ++pi;
     ++seq;
   }
+  // Dropped records may have been the last users of a host or path.
+  trace::canonicalize_pools(out.proxy, out);
   return out;
 }
 
@@ -210,7 +213,8 @@ DiffReport run_differential(const trace::TraceStore& clean,
                   rep.mismatches);
   m.eq_u64("survivors.proxy", hostile.proxy.size(), canon.proxy.size());
   m.eq_u64("survivors.mme", hostile.mme.size(), canon.mme.size());
-  if (!(hostile.proxy == canon.proxy && hostile.mme == canon.mme)) {
+  if (!(hostile.proxy == canon.proxy && hostile.mme == canon.mme &&
+        static_cast<const trace::ProxyPools&>(hostile) == canon)) {
     m.note("survivors differ from canonical capture record-for-record");
   }
 

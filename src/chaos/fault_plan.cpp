@@ -215,9 +215,10 @@ std::vector<std::string> FaultProfile::names() {
 }
 
 template <typename Record>
-BinaryImage image_of(const std::vector<Record>& records) {
+BinaryImage image_of(const std::vector<Record>& records,
+                     const trace::ProxyPools& pools) {
   std::ostringstream out(std::ios::binary);
-  trace::BinaryLogWriter<Record> writer(out);
+  trace::BinaryLogWriter<Record> writer(out, pools);
   BinaryImage image;
   image.record_offsets.reserve(records.size());
   for (const Record& r : records) {
@@ -229,9 +230,9 @@ BinaryImage image_of(const std::vector<Record>& records) {
 }
 
 template BinaryImage image_of<trace::ProxyRecord>(
-    const std::vector<trace::ProxyRecord>&);
+    const std::vector<trace::ProxyRecord>&, const trace::ProxyPools&);
 template BinaryImage image_of<trace::MmeRecord>(
-    const std::vector<trace::MmeRecord>&);
+    const std::vector<trace::MmeRecord>&, const trace::ProxyPools&);
 
 ByteFault inject_bytes(const BinaryImage& image, ByteFaultKind kind,
                        util::Pcg32& rng, bool proxy_layout) {
@@ -343,8 +344,8 @@ FaultManifest FaultPlan::inject_records(trace::TraceStore& store) const {
   if (!store.proxy.empty()) {
     for (std::uint32_t j = 0; j < profile_.bad_hosts; ++j) {
       trace::ProxyRecord r = store.proxy[draw_index(rng, store.proxy.size())];
-      r.host = std::string("\x01") + "chaos-bad-sni-" +
-               std::to_string(invalid_salt++);
+      r.host_id = store.hosts.intern(std::string("\x01") + "chaos-bad-sni-" +
+                                     std::to_string(invalid_salt++));
       bad_proxy.push_back(std::move(r));
       ++manifest.expected.bad_host;
     }

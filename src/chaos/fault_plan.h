@@ -106,9 +106,14 @@ struct BinaryImage {
 };
 
 /// Serializes `records` as a v1 log (trace::BinaryLogWriter), tracking
-/// offsets.
+/// offsets.  Proxy records' ids resolve through `pools`.
 template <typename Record>
-BinaryImage image_of(const std::vector<Record>& records);
+BinaryImage image_of(const std::vector<Record>& records,
+                     const trace::ProxyPools& pools);
+template <trace::PoolFree Record>
+BinaryImage image_of(const std::vector<Record>& records) {
+  return image_of(records, trace::ProxyPools{});
+}
 
 /// The byte-level injector kinds.
 enum class ByteFaultKind {

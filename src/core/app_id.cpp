@@ -168,15 +168,16 @@ std::optional<appdb::Category> AppSignatureTable::app_category(
   return app_categories_[id];
 }
 
-EndpointClass HostClassCache::classify(std::string_view host) {
-  const auto it = memo_.find(host);
-  if (it != memo_.end()) {
+EndpointClass HostClassCache::classify(std::uint32_t host_id) {
+  if (host_id >= memo_.size()) memo_.resize(hosts_->size());
+  std::optional<EndpointClass>& slot = memo_[host_id];
+  if (slot.has_value()) {
     ++hits_;
-    return it->second;
+    return *slot;
   }
-  const EndpointClass cls = table_->classify_host(host);
-  memo_.emplace(std::string(host), cls);
-  return cls;
+  slot = table_->classify_host((*hosts_)[host_id]);
+  ++distinct_;
+  return *slot;
 }
 
 namespace {
@@ -190,7 +191,7 @@ std::vector<EndpointClass> attribute_stream_impl(
   std::vector<EndpointClass> out;
   out.reserve(records.size());
   for (const trace::ProxyRecord* r : records) {
-    out.push_back(classify(r->host));
+    out.push_back(classify(r->host_id));
   }
   // Temporal-proximity attribution pass: third-party transactions inherit
   // the app of the nearest direct signature match within the window
@@ -222,12 +223,13 @@ std::vector<EndpointClass> attribute_stream_impl(
 }  // namespace
 
 std::vector<EndpointClass> attribute_user_stream(
-    const AppSignatureTable& table,
+    const AppSignatureTable& table, const trace::StringPool& hosts,
     std::span<const trace::ProxyRecord* const> records,
     util::SimTime proximity_window_s) {
   return attribute_stream_impl(
-      records, proximity_window_s,
-      [&table](const std::string& host) { return table.classify_host(host); });
+      records, proximity_window_s, [&table, &hosts](std::uint32_t host_id) {
+        return table.classify_host(hosts[host_id]);
+      });
 }
 
 std::vector<EndpointClass> attribute_user_stream(
@@ -236,7 +238,7 @@ std::vector<EndpointClass> attribute_user_stream(
     util::SimTime proximity_window_s) {
   return attribute_stream_impl(
       records, proximity_window_s,
-      [&cache](const std::string& host) { return cache.classify(host); });
+      [&cache](std::uint32_t host_id) { return cache.classify(host_id); });
 }
 
 }  // namespace wearscope::core

@@ -22,6 +22,7 @@
 #include "appdb/categories.h"
 #include "appdb/third_party.h"
 #include "trace/records.h"
+#include "trace/string_pool.h"
 #include "util/strings.h"
 
 namespace wearscope::core {
@@ -103,45 +104,50 @@ class AppSignatureTable {
   std::size_t mapped_app_count_ = 0;
 };
 
-/// Memoizing wrapper over AppSignatureTable::classify_host.  Hosts repeat
-/// heavily across transactions, so per-shard workers keep one of these and
-/// classify each distinct host once.  Pure cache: results are identical to
-/// the uncached table.  Not thread-safe — one instance per shard/worker.
+/// Memoizing wrapper over AppSignatureTable::classify_host, indexed by
+/// host id: hosts repeat heavily across transactions, so per-shard
+/// workers keep one of these and classify each distinct host once.  Pure
+/// cache: results are identical to the uncached table.  Not thread-safe —
+/// one instance per shard/worker.
 class HostClassCache {
  public:
-  /// `table` must outlive the cache.
-  explicit HostClassCache(const AppSignatureTable& table) : table_(&table) {}
+  /// `table` and `hosts` (the pool the host ids index) must outlive the
+  /// cache; `hosts` may grow, never change.
+  HostClassCache(const AppSignatureTable& table, const trace::StringPool& hosts)
+      : table_(&table), hosts_(&hosts) {}
 
-  /// Memoized classify_host.
-  [[nodiscard]] EndpointClass classify(std::string_view host);
+  /// Memoized classify_host of host `host_id`.
+  [[nodiscard]] EndpointClass classify(std::uint32_t host_id);
 
-  /// Distinct hosts seen so far.
+  /// Distinct hosts classified so far.
   [[nodiscard]] std::size_t distinct_hosts() const noexcept {
-    return memo_.size();
+    return distinct_;
   }
   /// Lookups served from the memo.
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
 
  private:
   const AppSignatureTable* table_;
-  std::unordered_map<std::string, EndpointClass, util::StringHash,
-                     std::equal_to<>>
-      memo_;
+  const trace::StringPool* hosts_;
+  std::vector<std::optional<EndpointClass>> memo_;
+  std::size_t distinct_ = 0;
   std::uint64_t hits_ = 0;
 };
 
 /// Attributes every proxy record of one user to an app id, combining direct
 /// signature matches with temporal proximity for third-party endpoints.
 ///
-/// `records` must be the time-sorted proxy records of a single user.
-/// Returns one EndpointClass per record, index-aligned.
+/// `records` must be the time-sorted proxy records of a single user, their
+/// host ids indexing `hosts`.  Returns one EndpointClass per record,
+/// index-aligned.
 std::vector<EndpointClass> attribute_user_stream(
-    const AppSignatureTable& table,
+    const AppSignatureTable& table, const trace::StringPool& hosts,
     std::span<const trace::ProxyRecord* const> records,
     util::SimTime proximity_window_s = 120);
 
 /// Cached overload: identical output, but host classification goes through
-/// `cache`, which persists across calls (one cache per shard/worker).
+/// `cache` (and the pool it was built over), which persists across calls
+/// (one cache per shard/worker).
 std::vector<EndpointClass> attribute_user_stream(
     HostClassCache& cache,
     std::span<const trace::ProxyRecord* const> records,

@@ -157,7 +157,7 @@ AnalysisContext::AnalysisContext(const trace::TraceStore& store,
   // pure memo over classify_host, so results match the uncached path.
   pool.for_slices(users_.size(),
                   [this](std::size_t lo, std::size_t hi, std::size_t) {
-                    HostClassCache cache(*signatures_);
+                    HostClassCache cache(*signatures_, store_->hosts);
                     for (std::size_t i = lo; i < hi; ++i) {
                       UserView& u = users_[i];
                       if (u.wearable_txns.empty()) continue;

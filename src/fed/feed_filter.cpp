@@ -3,6 +3,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "par/shard.h"
 #include "trace/log_reader.h"
@@ -27,6 +28,9 @@ class SortedLog {
   /// cursor_ holds the address of in_.
   SortedLog(const SortedLog&) = delete;
   SortedLog& operator=(const SortedLog&) = delete;
+
+  /// The pools the returned records' ids index.
+  trace::ProxyPools& pools() noexcept { return cursor_.pools(); }
 
   /// The next record, or nullptr at a clean end of log.  Throws
   /// util::ParseError, naming the file, on damage or an order violation.
@@ -111,6 +115,7 @@ PartitionFeed load_partition_feed(const std::filesystem::path& dir,
     }
     ++feed.feed_records;
   }
+  static_cast<trace::ProxyPools&>(feed) = std::move(proxy.pools());
   return feed;
 }
 
@@ -120,6 +125,7 @@ void replay_partition_feed(const PartitionFeed& feed,
       engine.options().partition_id == feed.partition_id &&
           engine.options().partition_count == feed.partition_count,
       "replay_partition_feed: engine partition does not match the feed");
+  engine.bind_hosts(feed.hosts);
   std::size_t pi = 0;
   std::size_t mi = 0;
   for (const std::uint32_t op : feed.ops) {

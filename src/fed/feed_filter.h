@@ -36,6 +36,7 @@
 
 #include "live/engine.h"
 #include "trace/records.h"
+#include "trace/string_pool.h"
 
 namespace wearscope::fed {
 
@@ -59,7 +60,9 @@ inline constexpr std::uint32_t kFeedOpMaxRun = (1u << kFeedOpCountBits) - 1;
 }
 
 /// One bundle reduced to what a single partition must feed its engine.
-struct PartitionFeed {
+/// The `hosts`/`paths` pools (inherited) are the proxy cursor's: they hold
+/// every string of the log, owned or not, and `proxy` ids index them.
+struct PartitionFeed : trace::ProxyPools {
   std::uint32_t partition_id = 0;
   std::uint32_t partition_count = 1;
   std::vector<trace::ProxyRecord> proxy;  ///< Owned records, feed order.
@@ -84,8 +87,9 @@ struct PartitionFeed {
     const std::filesystem::path& dir, std::size_t partition_id,
     std::size_t partition_count);
 
-/// Replays the filtered feed into `engine`, which must be configured with
-/// the same partition_id/partition_count (hard error otherwise).  After
+/// Binds the feed's host pool to `engine` and replays the filtered feed
+/// into it; the engine must be configured with the same
+/// partition_id/partition_count (hard error otherwise).  After
 /// this returns, engine.feed_records() == feed.feed_records and the
 /// engine state matches a full-feed replay bitwise.
 void replay_partition_feed(const PartitionFeed& feed,

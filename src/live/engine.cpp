@@ -23,7 +23,7 @@ LiveEngine::LiveEngine(const std::vector<trace::DeviceRecord>& devices,
   for (std::size_t s = 0; s < router_.shards(); ++s) {
     workers_.push_back(std::make_unique<ShardWorker>(
         s, router_.ring(s),
-        ShardStats(devices_, signatures_, opt_.observation_days,
+        ShardStats(devices_, signatures_, hosts_, opt_.observation_days,
                    opt_.detailed_start_day, opt_.usage_gap_s,
                    opt_.sketch_aggregates),
         coordinator_));
@@ -35,8 +35,14 @@ LiveEngine::~LiveEngine() {
   if (!stopped_) stop();
 }
 
+void LiveEngine::bind_hosts(const trace::StringPool& hosts) {
+  util::require(hosts_.pool == nullptr || hosts_.pool == &hosts,
+                "LiveEngine::bind_hosts: another host pool is already bound");
+  hosts_.pool = &hosts;
+}
+
 bool LiveEngine::push(trace::ProxyRecord record) {
-  return router_.route(std::move(record));
+  return router_.route(record);
 }
 
 bool LiveEngine::push(trace::MmeRecord record) {

@@ -18,9 +18,10 @@
 //
 // Threading contract: exactly one thread calls push()/snapshot()/stop().
 // Worker threads are internal; all shared state is either immutable after
-// construction (DeviceClassifier, AppSignatureTable) or owned by exactly
-// one thread (ShardStats), so the only synchronization on the hot path is
-// the SPSC ring per shard.
+// construction (DeviceClassifier, AppSignatureTable), bound once by the
+// feed thread before the first push (the host pool, bind_hosts), or owned
+// by exactly one thread (ShardStats), so the only synchronization on the
+// hot path is the SPSC ring per shard.
 #pragma once
 
 #include <cstdint>
@@ -88,6 +89,13 @@ class LiveEngine {
   LiveEngine(const LiveEngine&) = delete;
   LiveEngine& operator=(const LiveEngine&) = delete;
 
+  /// Binds the pool that pushed proxy records' host ids index.  Feed
+  /// thread, before the first proxy push; `hosts` must stay alive and
+  /// unchanged while the engine runs.  Binding the bound pool again is a
+  /// no-op; binding another one is an error.  FeedReplayer::replay and
+  /// fed::replay_partition_feed bind their capture's pool.
+  void bind_hosts(const trace::StringPool& hosts);
+
   /// Feeds one record, blocking when the target shard's ring is full.
   /// Returns false after stop().
   bool push(trace::ProxyRecord record);
@@ -150,6 +158,7 @@ class LiveEngine {
   appdb::AppCatalog catalog_;
   core::DeviceClassifier devices_;
   core::AppSignatureTable signatures_;
+  HostBinding hosts_;
   IngestRouter router_;
   SnapshotCoordinator coordinator_;
   std::vector<std::unique_ptr<ShardWorker>> workers_;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <variant>
 
 #include "trace/records.h"
@@ -26,6 +27,7 @@ struct StampedProxy {
   std::uint64_t seq = 0;
   trace::ProxyRecord record;
 };
+static_assert(std::is_trivially_copyable_v<StampedProxy>);
 
 /// One element of a shard's ingest ring.
 using LiveEvent =

@@ -37,6 +37,7 @@ ReplayReport FeedReplayer::replay(LiveEngine& engine) const {
 
   const std::vector<trace::ProxyRecord>& proxy = store_->proxy;
   const std::vector<trace::MmeRecord>& mme = store_->mme;
+  engine.bind_hosts(store_->hosts);
   std::size_t pi = 0;
   std::size_t mi = 0;
   const bool paced = opt_.speedup > 0.0;

@@ -80,9 +80,10 @@ class FeedReplayer {
  public:
   FeedReplayer(const trace::TraceStore& store, ReplayOptions options);
 
-  /// Pushes every proxy/MME record into `engine` in timestamp order
-  /// (ties: MME before proxy — registration precedes traffic).  Does NOT
-  /// call engine.stop(); the caller decides when to drain.
+  /// Binds the store's host pool to `engine`, then pushes every proxy/MME
+  /// record into it in timestamp order (ties: MME before proxy —
+  /// registration precedes traffic).  Does NOT call engine.stop(); the
+  /// caller decides when to drain.
   ReplayReport replay(LiveEngine& engine) const;
 
  private:

@@ -1,5 +1,6 @@
 #include "live/shard_stats.h"
 
+#include "util/error.h"
 #include "util/sim_time.h"
 
 namespace wearscope::live {
@@ -44,10 +45,12 @@ void AppTally::merge(const AppTally& other) {
 
 ShardStats::ShardStats(const core::DeviceClassifier& devices,
                        const core::AppSignatureTable& signatures,
-                       int observation_days, int detailed_start_day,
-                       util::SimTime usage_gap_s, bool sketch_mode)
+                       const HostBinding& hosts, int observation_days,
+                       int detailed_start_day, util::SimTime usage_gap_s,
+                       bool sketch_mode)
     : devices_(&devices),
       signatures_(&signatures),
+      hosts_(&hosts),
       usage_gap_s_(usage_gap_s),
       detailed_start_(util::day_start(detailed_start_day)),
       sketch_mode_(sketch_mode),
@@ -65,7 +68,12 @@ void ShardStats::on_proxy(const trace::ProxyRecord& record,
   }
 
   if (!devices_->is_wearable(record.tac)) return;
-  const core::EndpointClass cls = signatures_->classify_host(record.host);
+  if (!host_classes_.has_value()) {
+    util::require(hosts_->pool != nullptr,
+                  "live: proxy record pushed before a host pool was bound");
+    host_classes_.emplace(*signatures_, *hosts_->pool);
+  }
+  const core::EndpointClass cls = host_classes_->classify(record.host_id);
   app_tally_.class_txns[static_cast<std::size_t>(cls.cls)] += 1;
   if (sketch_mode_) {
     sketch_.transacting_users.add(record.user_id);

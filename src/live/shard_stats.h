@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -27,6 +28,7 @@
 #include "sketch/hll.h"
 #include "sketch/tdigest.h"
 #include "trace/records.h"
+#include "trace/string_pool.h"
 
 namespace wearscope::live {
 
@@ -101,18 +103,28 @@ struct ShardSnapshot {
   SketchTally sketch;
 };
 
+/// Where a live feed's host pool is published.  The feed thread sets
+/// `pool` (LiveEngine::bind_hosts) before it pushes the first proxy record;
+/// a shard reads it only after popping one, so the ring hand-off orders
+/// the two.  The pool must stay alive and unchanged while records flow.
+struct HostBinding {
+  const trace::StringPool* pool = nullptr;
+};
+
 /// All streaming state of one shard.
 class ShardStats {
  public:
-  /// `devices` and `signatures` must outlive the stats (the engine owns
-  /// both; they are immutable after construction, hence safe to share
-  /// read-only across shards).  With `sketch_mode` set, every per-user
+  /// `devices`, `signatures` and `hosts` must outlive the stats (the
+  /// engine owns all three; they are immutable while records flow, hence
+  /// safe to share read-only across shards); proxy host ids index
+  /// `hosts.pool`.  With `sketch_mode` set, every per-user
   /// structure is replaced by the bounded SketchTally: the shard holds
   /// O(sketch + apps + sectors) bytes however many users it sees, at the
   /// price of approximate distinct counts and quantiles (and no exact
   /// adoption/activity results or usage counts in the snapshot).
   ShardStats(const core::DeviceClassifier& devices,
-             const core::AppSignatureTable& signatures, int observation_days,
+             const core::AppSignatureTable& signatures,
+             const HostBinding& hosts, int observation_days,
              int detailed_start_day, util::SimTime usage_gap_s,
              bool sketch_mode = false);
 
@@ -134,6 +146,10 @@ class ShardStats {
  private:
   const core::DeviceClassifier* devices_ = nullptr;
   const core::AppSignatureTable* signatures_ = nullptr;
+  const HostBinding* hosts_ = nullptr;
+  /// Per-shard classify memo over the bound pool, built at the first
+  /// wearable transaction.
+  std::optional<core::HostClassCache> host_classes_;
   util::SimTime usage_gap_s_ = 0;
   util::SimTime detailed_start_ = 0;  ///< First second of the detailed window.
   bool sketch_mode_ = false;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <string_view>
 #include <utility>
 
 #include "chaos/fault_plan.h"
@@ -40,15 +41,18 @@ constexpr trace::Tac kPhoneTac = 99100200;
   return r;
 }
 
-[[nodiscard]] trace::ProxyRecord txn(util::SimTime t, trace::UserId user,
-                                     std::string host,
+/// A wearable HTTPS transaction whose host is interned into `store`.
+[[nodiscard]] trace::ProxyRecord txn(trace::TraceStore& store,
+                                     util::SimTime t, trace::UserId user,
+                                     std::string_view host,
                                      std::uint64_t bytes_down) {
   trace::ProxyRecord r;
   r.timestamp = t;
   r.user_id = user;
   r.tac = kWearTac;
   r.protocol = trace::Protocol::kHttps;
-  r.host = std::move(host);
+  r.host_id = store.hosts.intern(host);
+  r.path_id = store.paths.intern("");
   r.bytes_up = 160;
   r.bytes_down = bytes_down;
   r.duration_ms = 40;
@@ -101,8 +105,8 @@ const LiveFixture& tiny_live_fixture() {
                      {kPhoneTac, "iPhone 8", "Apple", "iOS"}};
     store.sectors = {{7, {}}, {9, {}}};
     store.mme = {attach(3600, u0, 7), attach(7200, u1, 9)};
-    store.proxy = {txn(10000, u0, "api.weather.com", 2400),
-                   txn(14000, u1, "unattributed.example", 900)};
+    store.proxy = {txn(store, 10000, u0, "api.weather.com", 2400),
+                   txn(store, 14000, u1, "unattributed.example", 900)};
     store.sort_by_time();
 
     fx.survivors = std::move(store);
@@ -129,10 +133,11 @@ const LiveFixture& walk_live_fixture() {
       const util::SimTime base = static_cast<util::SimTime>(day) * 86400;
       clean.mme.push_back(attach(base + 3600, u0, 7));
       clean.mme.push_back(attach(base + 3700, u1, day % 2 == 0 ? 9 : 11));
-      clean.proxy.push_back(txn(base + 4000 + day, u0, "api.weather.com",
+      clean.proxy.push_back(txn(clean, base + 4000 + day, u0,
+                                "api.weather.com",
                                 1000 + static_cast<std::uint64_t>(day)));
       clean.proxy.push_back(
-          txn(base + 5000 + day, u1,
+          txn(clean, base + 5000 + day, u1,
               day % 2 == 0 ? "maps.googleapis.com" : "unattributed.example",
               500 + static_cast<std::uint64_t>(day) * 7));
     }
@@ -493,6 +498,7 @@ namespace {
 void run_live_model(Scheduler& sched, const LiveFixture& fx,
                     serve::SnapshotStore* store) {
   live::LiveEngine engine(fx.survivors.devices, fx.options);
+  engine.bind_hosts(fx.survivors.hosts);
   engine.add_quarantine(fx.quarantine);
 
   std::uint64_t fed = 0;

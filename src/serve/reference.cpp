@@ -47,12 +47,15 @@ trace::TraceStore prefix_store(const trace::TraceStore& store,
   trace::TraceStore prefix;
   prefix.devices = store.devices;
   prefix.sectors = store.sectors;
+  static_cast<trace::ProxyPools&>(prefix) = store;
   walk_merge_order(
       store, records,
       [&](const trace::MmeRecord& record) { prefix.mme.push_back(record); },
       [&](const trace::ProxyRecord& record, std::uint64_t) {
         prefix.proxy.push_back(record);
       });
+  // The cut drops the pool entries only later records use.
+  trace::canonicalize_pools(prefix.proxy, prefix);
   return prefix;
 }
 
@@ -72,7 +75,8 @@ live::LiveSnapshot reference_snapshot(const trace::TraceStore& store,
   const core::DeviceClassifier devices(store.devices);
   const core::AppSignatureTable signatures(catalog,
                                            options.signature_coverage);
-  live::ShardStats stats(devices, signatures, options.observation_days,
+  const live::HostBinding hosts{&store.hosts};
+  live::ShardStats stats(devices, signatures, hosts, options.observation_days,
                          options.detailed_start_day, options.usage_gap_s);
   walk_merge_order(
       store, cut,

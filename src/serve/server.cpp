@@ -4,9 +4,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "util/error.h"
 
@@ -100,14 +102,38 @@ void LineServer::accept_loop() {
     const int listen_fd = listen_fd_.load(std::memory_order_acquire);
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) return;  // Listener shut down (or fatal error): stop.
-    util::MutexLock lock(mutex_);
-    if (stopping_) {
-      ::close(fd);
-      return;
+    std::vector<std::thread> finished;
+    {
+      util::MutexLock lock(mutex_);
+      if (stopping_) {
+        ::close(fd);
+        return;
+      }
+      finished = take_finished();
+      connection_fds_.push_back(fd);
+      connection_threads_.emplace_back([this, fd] { serve_connection(fd); });
     }
-    connection_fds_.push_back(fd);
-    connection_threads_.emplace_back([this, fd] { serve_connection(fd); });
+    // Joined outside the lock: a finished thread only has its close() left.
+    for (std::thread& thread : finished) thread.join();
   }
+}
+
+std::vector<std::thread> LineServer::take_finished() {
+  std::vector<std::thread> done;
+  std::vector<std::thread> running;
+  for (std::thread& thread : connection_threads_) {
+    const bool finished = std::find(finished_.begin(), finished_.end(),
+                                    thread.get_id()) != finished_.end();
+    (finished ? done : running).push_back(std::move(thread));
+  }
+  connection_threads_.swap(running);
+  finished_.clear();
+  return done;
+}
+
+std::size_t LineServer::connection_threads() const {
+  util::MutexLock lock(mutex_);
+  return connection_threads_.size();
 }
 
 void LineServer::serve_connection(int fd) {
@@ -145,9 +171,10 @@ void LineServer::serve_connection(int fd) {
   }
   {
     // Deregister before close so stop_listener() never shuts down a
-    // recycled descriptor.
+    // recycled descriptor, and offer this thread to the next reap.
     util::MutexLock lock(mutex_);
     std::erase(connection_fds_, fd);
+    finished_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
 }
@@ -173,6 +200,7 @@ void LineServer::stop_listener() {
     util::MutexLock lock(mutex_);
     threads.swap(connection_threads_);
     connection_fds_.clear();
+    finished_.clear();
   }
   for (std::thread& thread : threads) thread.join();
   bound_port_.store(0, std::memory_order_relaxed);

@@ -58,9 +58,19 @@ class LineServer {
     return bound_port_.load(std::memory_order_relaxed);
   }
 
+  /// Connection threads the listener still holds: the open connections
+  /// plus finished ones not yet joined.  The accept loop joins finished
+  /// threads whenever a connection arrives, so a long-running listener
+  /// holds about as many threads as it has open connections, not one per
+  /// connection it ever served.
+  [[nodiscard]] std::size_t connection_threads() const WS_EXCLUDES(mutex_);
+
  private:
   void accept_loop();
   void serve_connection(int fd);
+  /// Takes the finished connection threads out of connection_threads_;
+  /// the caller joins them after releasing the lock.
+  [[nodiscard]] std::vector<std::thread> take_finished() WS_REQUIRES(mutex_);
 
   QueryEngine* engine_ = nullptr;
   /// Atomic: the accept thread re-reads it each iteration while
@@ -69,9 +79,11 @@ class LineServer {
   std::atomic<std::uint16_t> bound_port_{0};
   std::thread accept_thread_;
 
-  util::Mutex mutex_;
+  mutable util::Mutex mutex_;
   std::vector<int> connection_fds_ WS_GUARDED_BY(mutex_);
   std::vector<std::thread> connection_threads_ WS_GUARDED_BY(mutex_);
+  /// Connection threads that have deregistered and are about to return.
+  std::vector<std::thread::id> finished_ WS_GUARDED_BY(mutex_);
   bool stopping_ WS_GUARDED_BY(mutex_) = false;
 };
 

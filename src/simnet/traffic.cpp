@@ -200,7 +200,7 @@ void TrafficModel::emit_usage(const Subscriber& sub,
                               const appdb::AppInfo& app, util::SimTime start,
                               util::SimTime end_limit, double intensity,
                               trace::Tac tac, util::Pcg32& rng,
-                              std::vector<trace::ProxyRecord>& out) const {
+                              trace::TraceStore& out) const {
   const appdb::TrafficProfile& prof = appdb::profile_for(app.profile);
   // Usage length is a property of the app class, not of the user: user
   // intensity scales how often usages happen, not how long they are.
@@ -216,8 +216,8 @@ void TrafficModel::emit_usage(const Subscriber& sub,
     r.user_id = sub.user_id;
     r.tac = tac;
     r.protocol = ep.is_http ? trace::Protocol::kHttp : trace::Protocol::kHttps;
-    r.host = ep.host;
-    r.url_path = ep.path;
+    r.host_id = out.hosts.intern(ep.host);
+    r.path_id = out.paths.intern(ep.path);
     const double bytes =
         rng.lognormal(prof.bytes_log_mu, prof.bytes_log_sigma) *
         ep.bytes_scale;
@@ -229,7 +229,7 @@ void TrafficModel::emit_usage(const Subscriber& sub,
     r.bytes_down = total - r.bytes_up;
     r.duration_ms = static_cast<std::uint32_t>(
         std::clamp(rng.exponential(1.0 / prof.duration_mean_ms), 20.0, 60000.0));
-    out.push_back(std::move(r));
+    out.proxy.push_back(r);
     // Intra-usage gap: exponential, capped below the 60 s sessionization
     // threshold so one usage never splits (paper's definition §5.1).
     const double gap =
@@ -241,7 +241,7 @@ void TrafficModel::emit_usage(const Subscriber& sub,
 void TrafficModel::generate_wearable_day(
     const Subscriber& sub, const WearableDayPlan& plan,
     const DayItinerary& itinerary, util::Pcg32& rng,
-    std::vector<trace::ProxyRecord>& out) const {
+    trace::TraceStore& out) const {
   if (!plan.active) return;
   const std::vector<appdb::AppId> day_apps = pick_day_apps(sub, rng);
 
@@ -322,7 +322,7 @@ void TrafficModel::generate_wearable_day(
 
 void TrafficModel::generate_phone_day(
     const Subscriber& sub, int day, const DayItinerary& itinerary,
-    util::Pcg32& rng, std::vector<trace::ProxyRecord>& out) const {
+    util::Pcg32& rng, trace::TraceStore& out) const {
   // Phones are active nearly every day.
   if (!rng.bernoulli(0.96)) return;
 
@@ -375,8 +375,8 @@ void TrafficModel::generate_phone_day(
     r.user_id = sub.user_id;
     r.tac = sub.phone_tac;
     r.protocol = ep.is_http ? trace::Protocol::kHttp : trace::Protocol::kHttps;
-    r.host = ep.host;
-    r.url_path = ep.path;
+    r.host_id = out.hosts.intern(ep.host);
+    r.path_id = out.paths.intern(ep.path);
     // Phone records are coarse foreground bursts, not individual fetches.
     const double bytes = rng.lognormal(config_->phone_bytes_log_mu,
                                        config_->phone_bytes_log_sigma) *
@@ -387,7 +387,7 @@ void TrafficModel::generate_phone_day(
     r.bytes_down = total - r.bytes_up;
     r.duration_ms = static_cast<std::uint32_t>(
         std::clamp(rng.exponential(1.0 / 900.0), 30.0, 120000.0));
-    out.push_back(std::move(r));
+    out.proxy.push_back(r);
   }
 
   // Companion sync traffic of fingerprintable Through-Device wearables:
@@ -407,14 +407,15 @@ void TrafficModel::generate_phone_day(
       r.protocol = trace::Protocol::kHttps;
       const auto d = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(sig.domains.size()) - 1));
-      r.host = sig.domains[d];
+      r.host_id = out.hosts.intern(sig.domains[d]);
+      r.path_id = out.paths.intern("");
       const auto total = static_cast<std::uint64_t>(
           std::clamp(rng.lognormal(8.3, 0.8), 256.0, 1.0e8));
       r.bytes_up = total * 6 / 10;  // mostly uplink: sensor sync
       r.bytes_down = total - r.bytes_up;
       r.duration_ms = static_cast<std::uint32_t>(
           std::clamp(rng.exponential(1.0 / 500.0), 30.0, 60000.0));
-      out.push_back(std::move(r));
+      out.proxy.push_back(r);
     }
   }
   (void)itinerary;

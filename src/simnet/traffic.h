@@ -19,7 +19,7 @@
 #include "simnet/config.h"
 #include "simnet/mobility.h"
 #include "simnet/population.h"
-#include "trace/records.h"
+#include "trace/store.h"
 #include "util/rng.h"
 
 namespace wearscope::simnet {
@@ -44,16 +44,19 @@ class TrafficModel {
                                                   int day,
                                                   util::Pcg32& rng) const;
 
-  /// Materializes the wearable's proxy transactions for an active day.
+  /// Materializes the wearable's proxy transactions for an active day,
+  /// appending them to `out.proxy` with hosts and paths interned into
+  /// `out`'s pools.
   void generate_wearable_day(const Subscriber& sub,
                              const WearableDayPlan& plan,
                              const DayItinerary& itinerary, util::Pcg32& rng,
-                             std::vector<trace::ProxyRecord>& out) const;
+                             trace::TraceStore& out) const;
 
-  /// Materializes the smartphone's proxy transactions for one day.
+  /// Materializes the smartphone's proxy transactions for one day (same
+  /// output contract as generate_wearable_day).
   void generate_phone_day(const Subscriber& sub, int day,
                           const DayItinerary& itinerary, util::Pcg32& rng,
-                          std::vector<trace::ProxyRecord>& out) const;
+                          trace::TraceStore& out) const;
 
   /// Per-user mean active hours per day (Fig. 3b mixture; exposed for
   /// calibration tests).
@@ -66,7 +69,7 @@ class TrafficModel {
   void emit_usage(const Subscriber& sub, const appdb::AppInfo& app,
                   util::SimTime start, util::SimTime end_limit,
                   double intensity, trace::Tac tac, util::Pcg32& rng,
-                  std::vector<trace::ProxyRecord>& out) const;
+                  trace::TraceStore& out) const;
 
   /// Picks today's distinct wearable app set.
   [[nodiscard]] std::vector<appdb::AppId> pick_day_apps(

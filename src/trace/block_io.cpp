@@ -40,6 +40,13 @@ void write_file_header(std::ostream& out, std::uint16_t version) {
   write_bytes(out, header);
 }
 
+/// The pools handed to the codec by writers of pool-free record types,
+/// which never read them.
+const ProxyPools& no_pools() {
+  static const ProxyPools none;
+  return none;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -47,15 +54,22 @@ void write_file_header(std::ostream& out, std::uint16_t version) {
 // ---------------------------------------------------------------------------
 
 template <typename Record>
-BinaryLogWriter<Record>::BinaryLogWriter(std::ostream& out) : out_(&out) {
+BinaryLogWriter<Record>::BinaryLogWriter(std::ostream& out,
+                                         const ProxyPools& pools)
+    : out_(&out), pools_(&pools) {
   write_file_header<Record>(out, kBinaryFormatV1);
 }
+
+template <typename Record>
+BinaryLogWriter<Record>::BinaryLogWriter(std::ostream& out)
+  requires PoolFree<Record>
+    : BinaryLogWriter(out, no_pools()) {}
 
 template <typename Record>
 void BinaryLogWriter<Record>::write(const Record& r) {
   scratch_.clear();
   util::BufferEncoder enc(scratch_);
-  encode_record(enc, r);
+  encode_record(enc, r, *pools_);
   write_bytes(*out_, scratch_);
 }
 
@@ -66,7 +80,14 @@ void BinaryLogWriter<Record>::write(const Record& r) {
 template <typename Record>
 BlockLogWriter<Record>::BlockLogWriter(std::ostream& out,
                                        BlockWriterOptions options)
-    : out_(&out), options_(options) {
+  requires PoolFree<Record>
+    : BlockLogWriter(out, no_pools(), options) {}
+
+template <typename Record>
+BlockLogWriter<Record>::BlockLogWriter(std::ostream& out,
+                                       const ProxyPools& pools,
+                                       BlockWriterOptions options)
+    : out_(&out), pools_(&pools), options_(options) {
   util::require(options_.target_block_bytes > 0 &&
                     options_.max_block_records > 0,
                 "block writer limits must be positive");
@@ -87,7 +108,7 @@ template <typename Record>
 void BlockLogWriter<Record>::write(const Record& r) {
   util::ensure(!finished_, "BlockLogWriter: write after finish");
   util::BufferEncoder enc(scratch_);
-  encode_record(enc, r);
+  encode_record(enc, r, *pools_);
   ++pending_records_;
   ++count_;
   if (scratch_.size() >= options_.target_block_bytes ||

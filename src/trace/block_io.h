@@ -28,6 +28,7 @@
 #include <string>
 
 #include "trace/records.h"
+#include "trace/string_pool.h"
 
 namespace wearscope::trace {
 
@@ -43,12 +44,17 @@ inline constexpr std::size_t kFrameHeaderBytes = 12;
 template <typename Record>
 class BinaryLogWriter {
  public:
-  explicit BinaryLogWriter(std::ostream& out);
+  /// Proxy records' ids resolve through `pools`, which must outlive the
+  /// writer.
+  BinaryLogWriter(std::ostream& out, const ProxyPools& pools);
+  explicit BinaryLogWriter(std::ostream& out)
+    requires PoolFree<Record>;
   /// Appends one record.
   void write(const Record& r);
 
  private:
   std::ostream* out_ = nullptr;
+  const ProxyPools* pools_ = nullptr;
   std::string scratch_;
 };
 
@@ -67,7 +73,12 @@ struct BlockWriterOptions {
 template <typename Record>
 class BlockLogWriter {
  public:
-  explicit BlockLogWriter(std::ostream& out, BlockWriterOptions options = {});
+  /// Proxy records' ids resolve through `pools`, which must outlive the
+  /// writer.
+  BlockLogWriter(std::ostream& out, const ProxyPools& pools,
+                 BlockWriterOptions options = {});
+  explicit BlockLogWriter(std::ostream& out, BlockWriterOptions options = {})
+    requires PoolFree<Record>;
   ~BlockLogWriter();
 
   BlockLogWriter(const BlockLogWriter&) = delete;
@@ -89,6 +100,7 @@ class BlockLogWriter {
   void flush_block();
 
   std::ostream* out_ = nullptr;
+  const ProxyPools* pools_ = nullptr;
   BlockWriterOptions options_;
   std::string scratch_;
   std::uint32_t pending_records_ = 0;

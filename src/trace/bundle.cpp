@@ -33,8 +33,9 @@ namespace {
   throw util::IoError(msg);
 }
 
+/// Writes one log; proxy ids resolve through `pools` (the store's).
 template <typename Record>
-void save_log(const std::vector<Record>& records,
+void save_log(const std::vector<Record>& records, const ProxyPools& pools,
               const std::filesystem::path& path, BundleFormat format,
               std::uint16_t binary_version) {
   errno = 0;
@@ -42,17 +43,17 @@ void save_log(const std::vector<Record>& records,
   if (!out) fail_io("cannot open for writing", path);
   if (format == BundleFormat::kBinary) {
     if (binary_version == kBinaryFormatV3) {
-      (void)write_columnar_log(out, records);
+      (void)write_columnar_log(out, records, pools);
     } else if (binary_version == kBinaryFormatV2) {
-      BlockLogWriter<Record> writer(out);
+      BlockLogWriter<Record> writer(out, pools);
       for (const Record& r : records) writer.write(r);
       writer.finish();
     } else {
-      BinaryLogWriter<Record> writer(out);
+      BinaryLogWriter<Record> writer(out, pools);
       for (const Record& r : records) writer.write(r);
     }
   } else {
-    CsvLogWriter<Record> writer(out);
+    CsvLogWriter<Record> writer(out, pools);
     for (const Record& r : records) writer.write(r);
   }
   out.flush();
@@ -81,7 +82,9 @@ void warn_dual_format(const std::filesystem::path& dir,
 /// on).  After the batch drains, finalize() — sequential again, called in
 /// fixed log order — compacts failed units and merges this log's
 /// quarantine counters, keeping the accounting deterministic for every
-/// thread count.
+/// thread count.  Each decode unit interns proxy strings into pools of its
+/// own (a v1 or CSV log is one unit); finalize() merges them into the
+/// store's pools in unit order.
 template <typename Record>
 class LogLoad {
  public:
@@ -102,9 +105,15 @@ class LogLoad {
   }
 
   /// Merges this log's quarantine counters into `quarantine` (lenient
-  /// loads only) and hands over the records.
-  std::vector<Record> finalize(QuarantineStats* quarantine) {
-    if (decode_.has_value()) local_ += decode_->finalize(out_);
+  /// loads only) and its proxy strings into `pools`, and hands over the
+  /// records.
+  std::vector<Record> finalize(QuarantineStats* quarantine,
+                               ProxyPools& pools) {
+    if (decode_.has_value()) {
+      local_ += decode_->finalize(out_, pools);
+    } else if constexpr (!PoolFree<Record>) {
+      remap_ids(out_, log_pools_, pools);
+    }
     if (quarantine != nullptr) *quarantine += local_;
     decode_.reset();
     file_.reset();
@@ -136,9 +145,10 @@ class LogLoad {
     // v1 stream: one contiguous record run, decoded as a single task.
     batch.push_back([this, bytes, lenient] {
       if (lenient) {
-        out_ = read_binary_log_lenient<Record>(bytes, local_, nullptr);
+        out_ = read_binary_log_lenient<Record>(bytes, local_, log_pools_,
+                                               nullptr);
       } else {
-        out_ = read_binary_log<Record>(bytes, nullptr);
+        out_ = read_binary_log<Record>(bytes, log_pools_, nullptr);
       }
     });
   }
@@ -151,9 +161,9 @@ class LogLoad {
       std::ifstream in(csv_path_);
       if (!in) fail_io("cannot open", csv_path_);
       if (lenient) {
-        out_ = read_csv_log_lenient<Record>(in, local_);
+        out_ = read_csv_log_lenient<Record>(in, local_, log_pools_);
       } else {
-        CsvLogReader<Record> reader(in);
+        CsvLogReader<Record> reader(in, log_pools_);
         Record r;
         while (reader.next(r)) out_.push_back(r);
       }
@@ -163,6 +173,7 @@ class LogLoad {
   std::optional<util::MappedFile> file_;
   std::optional<LogDecode<Record>> decode_;
   std::vector<Record> out_;
+  ProxyPools log_pools_;  ///< A whole-log (v1/CSV) unit's string tables.
   QuarantineStats local_;
   std::filesystem::path csv_path_;
 };
@@ -192,10 +203,10 @@ TraceStore load_bundle_impl(const std::filesystem::path& dir,
   // Phase 3 (sequential, fixed order): compact failed units and merge
   // quarantine accounting.
   TraceStore store;
-  store.proxy = proxy.finalize(quarantine);
-  store.mme = mme.finalize(quarantine);
-  store.devices = devices.finalize(quarantine);
-  store.sectors = sectors.finalize(quarantine);
+  store.proxy = proxy.finalize(quarantine, store);
+  store.mme = mme.finalize(quarantine, store);
+  store.devices = devices.finalize(quarantine, store);
+  store.sectors = sectors.finalize(quarantine, store);
   return store;
 }
 
@@ -222,7 +233,8 @@ BundleLogAudit audit_log(const std::filesystem::path& dir,
     std::ifstream in(csv);
     if (!in) fail_io("cannot open", csv);
     QuarantineStats scratch;  // audit only reports; the load path accounts
-    audit.records = read_csv_log_lenient<Record>(in, scratch).size();
+    ProxyPools strings;
+    audit.records = read_csv_log_lenient<Record>(in, scratch, strings).size();
   } else {
     fail_missing(dir, stem);
   }
@@ -254,10 +266,13 @@ void save_bundle(const TraceStore& store, const std::filesystem::path& dir,
     throw util::IoError("cannot create directory: " + dir.string() + " (" +
                         ec.message() + ")");
   const std::string ext = extension(format);
-  save_log(store.proxy, dir / ("proxy" + ext), format, binary_version);
-  save_log(store.mme, dir / ("mme" + ext), format, binary_version);
-  save_log(store.devices, dir / ("devices" + ext), format, binary_version);
-  save_log(store.sectors, dir / ("sectors" + ext), format, binary_version);
+  save_log(store.proxy, store, dir / ("proxy" + ext), format,
+           binary_version);
+  save_log(store.mme, store, dir / ("mme" + ext), format, binary_version);
+  save_log(store.devices, store, dir / ("devices" + ext), format,
+           binary_version);
+  save_log(store.sectors, store, dir / ("sectors" + ext), format,
+           binary_version);
 }
 
 TraceStore load_bundle(const std::filesystem::path& dir,

@@ -51,6 +51,7 @@
 
 #include "trace/block_io.h"
 #include "trace/records.h"
+#include "trace/string_pool.h"
 #include "util/byte_codec.h"
 
 namespace wearscope::trace {
@@ -98,12 +99,20 @@ struct ColumnarWriteInfo {
 /// Writes `records` as one v3 log: two passes, the first building the
 /// dictionaries in first-appearance order, the second encoding row groups
 /// of up to `options.max_block_records` records (the byte target does not
-/// apply: columns are encoded a whole group at a time).  Throws
-/// util::IoError on write failure.
+/// apply: columns are encoded a whole group at a time).  Proxy records'
+/// ids resolve through `pools`; the host dictionary is the pool remapped
+/// into first-appearance order.  Throws util::IoError on write failure.
 template <typename Record>
 ColumnarWriteInfo write_columnar_log(std::ostream& out,
                                      const std::vector<Record>& records,
+                                     const ProxyPools& pools,
                                      BlockWriterOptions options = {});
+template <PoolFree Record>
+ColumnarWriteInfo write_columnar_log(std::ostream& out,
+                                     const std::vector<Record>& records,
+                                     BlockWriterOptions options = {}) {
+  return write_columnar_log(out, records, ProxyPools{}, options);
+}
 
 /// Parses the three dictionary sections at the front of a v3 body,
 /// advancing `dec` past them.  Strict: throws util::ParseError on any
@@ -115,12 +124,13 @@ bool parse_column_dicts(util::MemorySpanDecoder& dec, bool lenient,
 /// Decodes one row-group payload (its column segments, headers included)
 /// into `out[0..record_count)`.  Returns true when every column segment
 /// passes its CRC, decodes exactly record_count values and consumes
-/// exactly its byte_length.
+/// exactly its byte_length.  Proxy host ids come out as indices into
+/// `dicts.hosts`; URL paths are interned into `pools.paths`.
 template <typename Record>
 [[nodiscard]] bool decode_column_group(std::span<const std::byte> payload,
                                        std::uint32_t record_count,
-                                       const ColumnDicts& dicts,
-                                       Record* out) noexcept;
+                                       const ColumnDicts& dicts, Record* out,
+                                       ProxyPools& pools) noexcept;
 
 /// Byte-level layout of one v3 log for operator audits (wearscope_inspect
 /// prints dictionary sizes and per-column compressed bytes next to the
@@ -146,13 +156,17 @@ template <typename Record>
     std::span<const std::byte> body);
 
 extern template ColumnarWriteInfo write_columnar_log<ProxyRecord>(
-    std::ostream&, const std::vector<ProxyRecord>&, BlockWriterOptions);
+    std::ostream&, const std::vector<ProxyRecord>&, const ProxyPools&,
+    BlockWriterOptions);
 extern template ColumnarWriteInfo write_columnar_log<MmeRecord>(
-    std::ostream&, const std::vector<MmeRecord>&, BlockWriterOptions);
+    std::ostream&, const std::vector<MmeRecord>&, const ProxyPools&,
+    BlockWriterOptions);
 extern template ColumnarWriteInfo write_columnar_log<DeviceRecord>(
-    std::ostream&, const std::vector<DeviceRecord>&, BlockWriterOptions);
+    std::ostream&, const std::vector<DeviceRecord>&, const ProxyPools&,
+    BlockWriterOptions);
 extern template ColumnarWriteInfo write_columnar_log<SectorInfo>(
-    std::ostream&, const std::vector<SectorInfo>&, BlockWriterOptions);
+    std::ostream&, const std::vector<SectorInfo>&, const ProxyPools&,
+    BlockWriterOptions);
 extern template ColumnarLayoutInfo probe_columnar_layout<ProxyRecord>(
     std::span<const std::byte>);
 extern template ColumnarLayoutInfo probe_columnar_layout<MmeRecord>(

@@ -25,6 +25,7 @@ void run_batch(std::vector<std::function<void()>> batch,
 }  // namespace
 
 ProxyColumns build_proxy_columns(const std::vector<ProxyRecord>& rows,
+                                 const StringPool& hosts,
                                  par::TaskPool* pool) {
   ProxyColumns cols;
   const std::size_t n = rows.size();
@@ -47,15 +48,10 @@ ProxyColumns build_proxy_columns(const std::vector<ProxyRecord>& rows,
       cols.tac_id[i] = it->second;
     }
   });
-  batch.push_back([&rows, &cols, n] {
+  batch.push_back([&rows, &hosts, &cols, n] {
     cols.host_id.resize(n);
-    std::unordered_map<std::string, std::uint32_t> ids;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto next = static_cast<std::uint32_t>(cols.hosts.size());
-      const auto [it, inserted] = ids.emplace(rows[i].host, next);
-      if (inserted) cols.hosts.push_back(rows[i].host);
-      cols.host_id[i] = it->second;
-    }
+    for (std::size_t i = 0; i < n; ++i) cols.host_id[i] = rows[i].host_id;
+    cols.hosts = hosts.strings();
   });
   batch.push_back([&rows, &cols, n] {
     cols.protocol.resize(n);

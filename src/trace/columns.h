@@ -2,20 +2,23 @@
 //
 // The analysis kernels (core/analysis_*) spend their time streaming a few
 // fields of millions of ProxyRecord/MmeRecord rows; the row layout drags
-// two std::strings and every unused field through the cache per record.
-// These views transpose the logs into dense per-field vectors once, so a
-// kernel that wants timestamps and byte counts touches exactly those
-// bytes.  Hosts and TACs are dictionary-coded in first-appearance order —
-// the same order the v3 on-disk dictionaries use (trace/columnar_io) —
-// which lets per-record string/hash work become a per-dictionary-entry
-// precomputation (e.g. one wearable flag per TAC entry instead of one
-// DeviceDB hash lookup per record).
+// every unused field through the cache per record.  These views transpose
+// the logs into dense per-field vectors once, so a kernel that wants
+// timestamps and byte counts touches exactly those bytes.  Hosts and TACs
+// are dictionary-coded in first-appearance order — the same order the v3
+// on-disk dictionaries use (trace/columnar_io) — which lets per-record
+// string/hash work become a per-dictionary-entry precomputation (e.g. one
+// wearable flag per TAC entry instead of one DeviceDB hash lookup per
+// record).
 //
-// The views are built FROM the row vectors, for every input format, so
-// v1/v2/v3 inputs produce identical columns and therefore identical
-// reports.  Free-form strings (url_path) stay row-side: no rewritten
-// kernel reads them.  Row vectors remain the mutation interface; call
-// TraceStore::build_columns() after the store reaches its final order.
+// The host column and dictionary are a plain copy of the rows' host ids
+// and the store's host pool: once TraceStore::sort_by_time() has made the
+// pool canonical (trace/string_pool.h), that is exactly first-appearance
+// order, for every input format, so v1/v2/v3/CSV inputs produce identical
+// columns and therefore identical reports.  No kernel reads URL paths, so
+// the path ids stay row-side.  Row vectors remain the mutation interface;
+// call TraceStore::build_columns() after the store reaches its final
+// order.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "trace/records.h"
+#include "trace/string_pool.h"
 
 namespace wearscope::par {
 class TaskPool;
@@ -64,11 +68,13 @@ struct MmeColumns {
   [[nodiscard]] std::size_t size() const noexcept { return timestamp.size(); }
 };
 
-/// Builds the transpose of `rows`.  The independent columns fill as
-/// separate tasks on `pool` when given (nullptr == inline); the result is
-/// bitwise identical for any pool size — each task owns whole columns.
+/// Builds the transpose of `rows`, whose host ids index `hosts`.  The
+/// independent columns fill as separate tasks on `pool` when given
+/// (nullptr == inline); the result is bitwise identical for any pool size
+/// — each task owns whole columns.
 [[nodiscard]] ProxyColumns build_proxy_columns(
-    const std::vector<ProxyRecord>& rows, par::TaskPool* pool = nullptr);
+    const std::vector<ProxyRecord>& rows, const StringPool& hosts,
+    par::TaskPool* pool = nullptr);
 [[nodiscard]] MmeColumns build_mme_columns(const std::vector<MmeRecord>& rows,
                                            par::TaskPool* pool = nullptr);
 

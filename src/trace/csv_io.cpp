@@ -64,14 +64,17 @@ void expect_fields(const std::vector<std::string>& f, std::size_t n,
                            std::to_string(n));
 }
 
-void write_record(std::ostream& out, const ProxyRecord& r) {
+void write_record(std::ostream& out, const ProxyRecord& r,
+                  const ProxyPools& pools) {
   util::CsvWriter w(out);
   w.row(r.timestamp, r.user_id, r.tac,
-        r.protocol == Protocol::kHttp ? "http" : "https", r.host, r.url_path,
-        r.bytes_up, r.bytes_down, r.duration_ms);
+        r.protocol == Protocol::kHttp ? "http" : "https",
+        pools.hosts[r.host_id], pools.paths[r.path_id], r.bytes_up,
+        r.bytes_down, r.duration_ms);
 }
 
-void parse_record(const std::vector<std::string>& f, ProxyRecord& r) {
+void parse_record(const std::vector<std::string>& f, ProxyRecord& r,
+                  ProxyPools& pools) {
   expect_fields(f, 9, "proxy");
   r.timestamp = parse_int<std::int64_t>(f[0], "timestamp");
   r.user_id = parse_int<std::uint64_t>(f[1], "user_id");
@@ -83,11 +86,12 @@ void parse_record(const std::vector<std::string>& f, ProxyRecord& r) {
   } else {
     throw util::ParseError("csv log: bad protocol '" + f[3] + "'");
   }
-  r.host = f[4];
-  r.url_path = f[5];
   r.bytes_up = parse_int<std::uint64_t>(f[6], "bytes_up");
   r.bytes_down = parse_int<std::uint64_t>(f[7], "bytes_down");
   r.duration_ms = parse_int<std::uint32_t>(f[8], "duration_ms");
+  // Interned last, so a row rejected above leaves no pool entry behind.
+  r.host_id = pools.hosts.intern(f[4]);
+  r.path_id = pools.paths.intern(f[5]);
 }
 
 const char* event_name(MmeEvent e) {
@@ -158,17 +162,42 @@ void parse_record(const std::vector<std::string>& f, SectorInfo& r) {
 }  // namespace
 
 template <typename Record>
-CsvLogWriter<Record>::CsvLogWriter(std::ostream& out) : out_(&out) {
+CsvLogWriter<Record>::CsvLogWriter(std::ostream& out, const ProxyPools& pools)
+    : out_(&out), pools_(&pools) {
+  *out_ << header_of<Record>() << '\n';
+}
+
+template <typename Record>
+CsvLogWriter<Record>::CsvLogWriter(std::ostream& out)
+  requires PoolFree<Record>
+    : out_(&out) {
   *out_ << header_of<Record>() << '\n';
 }
 
 template <typename Record>
 void CsvLogWriter<Record>::write(const Record& r) {
-  write_record(*out_, r);
+  if constexpr (PoolFree<Record>) {
+    write_record(*out_, r);
+  } else {
+    write_record(*out_, r, *pools_);
+  }
 }
 
 template <typename Record>
-CsvLogReader<Record>::CsvLogReader(std::istream& in) : in_(&in) {
+CsvLogReader<Record>::CsvLogReader(std::istream& in, ProxyPools& pools)
+    : in_(&in), pools_(&pools) {
+  read_header();
+}
+
+template <typename Record>
+CsvLogReader<Record>::CsvLogReader(std::istream& in)
+  requires PoolFree<Record>
+    : in_(&in) {
+  read_header();
+}
+
+template <typename Record>
+void CsvLogReader<Record>::read_header() {
   std::string header;
   if (!std::getline(*in_, header))
     throw util::ParseError("csv log: missing header row");
@@ -183,7 +212,11 @@ bool CsvLogReader<Record>::next(Record& out) {
   while (std::getline(*in_, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    parse_record(util::csv_parse_line(line), out);
+    if constexpr (PoolFree<Record>) {
+      parse_record(util::csv_parse_line(line), out);
+    } else {
+      parse_record(util::csv_parse_line(line), out, *pools_);
+    }
     return true;
   }
   return false;
@@ -191,11 +224,12 @@ bool CsvLogReader<Record>::next(Record& out) {
 
 template <typename Record>
 std::vector<Record> read_csv_log_lenient(std::istream& in,
-                                         QuarantineStats& quarantine) {
+                                         QuarantineStats& quarantine,
+                                         ProxyPools& pools) {
   std::vector<Record> records;
   std::optional<CsvLogReader<Record>> reader;
   try {
-    reader.emplace(in);
+    reader.emplace(in, pools);
   } catch (const util::ParseError&) {
     ++quarantine.corrupt_files;
     return records;
@@ -215,13 +249,13 @@ std::vector<Record> read_csv_log_lenient(std::istream& in,
 }
 
 template std::vector<ProxyRecord> read_csv_log_lenient<ProxyRecord>(
-    std::istream&, QuarantineStats&);
+    std::istream&, QuarantineStats&, ProxyPools&);
 template std::vector<MmeRecord> read_csv_log_lenient<MmeRecord>(
-    std::istream&, QuarantineStats&);
+    std::istream&, QuarantineStats&, ProxyPools&);
 template std::vector<DeviceRecord> read_csv_log_lenient<DeviceRecord>(
-    std::istream&, QuarantineStats&);
+    std::istream&, QuarantineStats&, ProxyPools&);
 template std::vector<SectorInfo> read_csv_log_lenient<SectorInfo>(
-    std::istream&, QuarantineStats&);
+    std::istream&, QuarantineStats&, ProxyPools&);
 
 template class CsvLogWriter<ProxyRecord>;
 template class CsvLogWriter<MmeRecord>;

@@ -9,6 +9,7 @@
 
 #include "trace/quarantine.h"
 #include "trace/records.h"
+#include "trace/string_pool.h"
 
 namespace wearscope::trace {
 
@@ -16,12 +17,17 @@ namespace wearscope::trace {
 template <typename Record>
 class CsvLogWriter {
  public:
-  explicit CsvLogWriter(std::ostream& out);
+  /// Proxy records' ids resolve through `pools`, which must outlive the
+  /// writer.
+  CsvLogWriter(std::ostream& out, const ProxyPools& pools);
+  explicit CsvLogWriter(std::ostream& out)
+    requires PoolFree<Record>;
   /// Appends one record as a CSV row.
   void write(const Record& r);
 
  private:
   std::ostream* out_ = nullptr;
+  const ProxyPools* pools_ = nullptr;  ///< Null for pool-free record types.
 };
 
 /// Streaming CSV reader for one record type.
@@ -29,22 +35,37 @@ class CsvLogWriter {
 template <typename Record>
 class CsvLogReader {
  public:
-  explicit CsvLogReader(std::istream& in);
+  /// Proxy hosts and paths are interned into `pools`, which must outlive
+  /// the reader.
+  CsvLogReader(std::istream& in, ProxyPools& pools);
+  explicit CsvLogReader(std::istream& in)
+    requires PoolFree<Record>;
   /// Reads the next record; returns false at EOF. Blank lines are skipped.
   bool next(Record& out);
 
  private:
+  void read_header();
+
   std::istream* in_ = nullptr;
+  ProxyPools* pools_ = nullptr;  ///< Null for pool-free record types.
 };
 
 /// Lenient read of one whole CSV log with skip-and-count quarantine
 /// semantics.  Unlike the binary format, CSV rows are line-framed, so a
 /// malformed row is skipped *individually* (one `corrupt_rows` each) and
 /// parsing resumes on the next line; only a rejected header abandons the
-/// file (one `corrupt_files`).  Never throws ParseError.
+/// file (one `corrupt_files`).  Never throws ParseError.  Proxy hosts and
+/// paths are interned into `pools`; a skipped row interns nothing.
 template <typename Record>
 std::vector<Record> read_csv_log_lenient(std::istream& in,
-                                         QuarantineStats& quarantine);
+                                         QuarantineStats& quarantine,
+                                         ProxyPools& pools);
+template <PoolFree Record>
+std::vector<Record> read_csv_log_lenient(std::istream& in,
+                                         QuarantineStats& quarantine) {
+  ProxyPools unused;
+  return read_csv_log_lenient<Record>(in, quarantine, unused);
+}
 
 extern template class CsvLogWriter<ProxyRecord>;
 extern template class CsvLogWriter<MmeRecord>;

@@ -69,12 +69,12 @@ std::string failed_unit(std::uint64_t unit_no) {
 /// byte_length bytes.
 template <typename Record>
 bool decode_block(std::span<const std::byte> payload, const LogUnit& unit,
-                  Record* out) noexcept {
+                  Record* out, ProxyPools& pools) noexcept {
   if (util::crc32(payload) != unit.crc) return false;
   try {
     util::MemorySpanDecoder dec(payload);
     for (std::uint32_t i = 0; i < unit.record_count; ++i)
-      decode_record(dec, out[i]);
+      decode_record(dec, out[i], pools);
     return dec.at_eof();
     // The caller accounts every failed block as one quarantined unit
     // (QuarantineStats::corrupt_blocks in LogDecode::finalize); nothing
@@ -85,23 +85,53 @@ bool decode_block(std::span<const std::byte> payload, const LogUnit& unit,
   }
 }
 
-/// The per-unit decoder of `version`.
+/// The per-unit decoder of `version`: proxy strings go to the unit-local
+/// `pools` (v3 host ids index `dicts.hosts` instead).
 template <typename Record>
 bool decode_unit(std::span<const std::byte> payload, const LogUnit& unit,
-                 std::uint16_t version, const ColumnDicts& dicts,
-                 Record* out) noexcept {
+                 std::uint16_t version, const ColumnDicts& dicts, Record* out,
+                 ProxyPools& pools) noexcept {
   if (version == kBinaryFormatV3)
-    return decode_column_group(payload, unit.record_count, dicts, out);
-  return decode_block(payload, unit, out);
+    return decode_column_group(payload, unit.record_count, dicts, out, pools);
+  return decode_block(payload, unit, out, pools);
+}
+
+/// remap_ids for proxy rows; a no-op for pool-free records.
+template <typename Record>
+void merge_ids(std::span<Record> rows, const ProxyPools& from,
+               ProxyPools& to) {
+  if constexpr (!PoolFree<Record>) remap_ids(rows, from, to);
+}
+
+/// Moves the ids of one decoded unit's proxy rows from the unit's own
+/// tables into `pools`, in row order: v3 host ids index the file
+/// dictionary (through `dict_hosts`, shared by every group of the file),
+/// everything else the unit-local `unit` pools.
+template <typename Record>
+void merge_unit_ids(std::span<Record> rows, std::uint16_t version,
+                    const ColumnDicts& dicts, IdRemap& dict_hosts,
+                    const ProxyPools& unit, ProxyPools& pools) {
+  if constexpr (!PoolFree<Record>) {
+    if (version != kBinaryFormatV3) {
+      remap_ids(rows, unit, pools);
+      return;
+    }
+    IdRemap paths(unit.paths.size());
+    for (ProxyRecord& r : rows) {
+      r.host_id = dict_hosts(r.host_id, dicts.hosts, pools.hosts);
+      r.path_id = paths(r.path_id, unit.paths.strings(), pools.paths);
+    }
+  }
 }
 
 /// Sequential v1 body decode (records until EOF), shared by the strict
-/// and lenient span readers.
+/// and lenient span readers.  Proxy strings are interned into `pools`.
 template <typename Record>
-void decode_v1_body(util::MemorySpanDecoder& dec, std::vector<Record>& out) {
+void decode_v1_body(util::MemorySpanDecoder& dec, std::vector<Record>& out,
+                    ProxyPools& pools) {
   Record r;
   while (!dec.at_eof()) {
-    decode_record(dec, r);
+    decode_record(dec, r, pools);
     out.push_back(std::move(r));
   }
 }
@@ -110,7 +140,7 @@ void decode_v1_body(util::MemorySpanDecoder& dec, std::vector<Record>& out) {
 /// pool is null) and returns what finalize() lost.
 template <typename Record>
 QuarantineStats decode_all(LogDecode<Record>& decode, std::vector<Record>& out,
-                           par::TaskPool* pool) {
+                           ProxyPools& pools, par::TaskPool* pool) {
   std::vector<std::function<void()>> batch;
   decode.schedule(out, batch);
   if (pool == nullptr || batch.empty()) {
@@ -118,7 +148,7 @@ QuarantineStats decode_all(LogDecode<Record>& decode, std::vector<Record>& out,
   } else {
     pool->run(std::move(batch));
   }
-  return decode.finalize(out);
+  return decode.finalize(out, pools);
 }
 
 }  // namespace
@@ -186,6 +216,7 @@ LogDecode<Record>::LogDecode(std::span<const std::byte> body,
     if (unit.header_ok) base += unit.record_count;
   }
   unit_done_.assign(index_.units.size(), 0);
+  unit_pools_.resize(index_.units.size());
 }
 
 template <typename Record>
@@ -199,7 +230,8 @@ void LogDecode<Record>::schedule(std::vector<Record>& out,
         chain_.subspan(unit.payload_offset, unit.byte_length);
     Record* slice = out.data() + unit_base_[i];
     batch.push_back([this, i, &unit, payload, slice] {
-      const bool ok = decode_unit(payload, unit, version_, dicts_, slice);
+      const bool ok =
+          decode_unit(payload, unit, version_, dicts_, slice, unit_pools_[i]);
       if (!ok && !lenient_)
         throw util::ParseError(log_kind(version_) + failed_unit(i));
       unit_done_[i] = ok ? 1 : 0;
@@ -208,13 +240,17 @@ void LogDecode<Record>::schedule(std::vector<Record>& out,
 }
 
 template <typename Record>
-QuarantineStats LogDecode<Record>::finalize(std::vector<Record>& out) {
+QuarantineStats LogDecode<Record>::finalize(std::vector<Record>& out,
+                                            ProxyPools& pools) {
   QuarantineStats lost;
   if (!dicts_ok_) {
     ++lost.corrupt_files;  // indices are meaningless without dicts
     return lost;
   }
   lost.corrupt_blocks = index_.corrupt_blocks;
+  // Units merge their strings in chain order, whatever order the batch
+  // decoded them in: the pools come out the same for any thread count.
+  IdRemap dict_hosts(dicts_.hosts.size());
   std::uint64_t write_pos = 0;
   for (std::size_t i = 0; i < index_.units.size(); ++i) {
     const LogUnit& unit = index_.units[i];
@@ -230,9 +266,12 @@ QuarantineStats LogDecode<Record>::finalize(std::vector<Record>& out) {
                     static_cast<std::ptrdiff_t>(base + unit.record_count),
                 out.begin() + static_cast<std::ptrdiff_t>(write_pos));
     }
+    merge_unit_ids(std::span<Record>(out).subspan(write_pos, unit.record_count),
+                   version_, dicts_, dict_hosts, unit_pools_[i], pools);
     write_pos += unit.record_count;
   }
   out.resize(static_cast<std::size_t>(write_pos));
+  unit_pools_.clear();
   return lost;
 }
 
@@ -281,6 +320,7 @@ void LogCursor<Record>::open() {
   }
   util::MemorySpanDecoder dec(scratch());
   (void)parse_column_dicts(dec, /*lenient=*/false, dicts_);
+  dict_hosts_ = IdRemap(dicts_.hosts.size());
 }
 
 template <typename Record>
@@ -297,8 +337,13 @@ const Record* LogCursor<Record>::next() {
     append(unit.byte_length, "unit payload");
     unit_.resize(unit.record_count);
     next_ = 0;
-    if (!decode_unit(scratch(), unit, version_, dicts_, unit_.data()))
+    unit_pools_.hosts.clear();
+    unit_pools_.paths.clear();
+    if (!decode_unit(scratch(), unit, version_, dicts_, unit_.data(),
+                     unit_pools_))
       throw util::ParseError(log_kind(version_) + failed_unit(units_read_));
+    merge_unit_ids(std::span<Record>(unit_), version_, dicts_, dict_hosts_,
+                   unit_pools_, pools_);
     ++units_read_;
   }
   return &unit_[next_++];
@@ -310,15 +355,17 @@ const Record* LogCursor<Record>::next() {
 
 template <typename Record>
 std::vector<Record> read_binary_log(std::span<const std::byte> bytes,
-                                    par::TaskPool* pool) {
+                                    ProxyPools& pools, par::TaskPool* pool) {
   util::MemorySpanDecoder dec(bytes);
   const std::uint16_t version = parse_file_header<Record>(dec);
   std::vector<Record> out;
   if (version == 1) {
-    decode_v1_body(dec, out);
+    ProxyPools local;
+    decode_v1_body(dec, out, local);
+    merge_ids(std::span<Record>(out), local, pools);
   } else {
     LogDecode<Record> decode(bytes.subspan(8), version, /*lenient=*/false);
-    (void)decode_all(decode, out, pool);
+    (void)decode_all(decode, out, pools, pool);
   }
   return out;
 }
@@ -326,6 +373,7 @@ std::vector<Record> read_binary_log(std::span<const std::byte> bytes,
 template <typename Record>
 std::vector<Record> read_binary_log_lenient(std::span<const std::byte> bytes,
                                             QuarantineStats& quarantine,
+                                            ProxyPools& pools,
                                             par::TaskPool* pool) {
   std::vector<Record> out;
   std::uint16_t version = 0;
@@ -337,17 +385,21 @@ std::vector<Record> read_binary_log_lenient(std::span<const std::byte> bytes,
     return out;
   }
   if (version == 1) {
+    // Strings go to a log-local table first: a record abandoned mid-decode
+    // may have interned its host, and must leave nothing in `pools`.
+    ProxyPools local;
     try {
-      decode_v1_body(dec, out);
+      decode_v1_body(dec, out, local);
     } catch (const util::ParseError&) {
       // v1 records carry no framing: the tail is unrecoverable past the
       // first bad byte.
       ++quarantine.corrupt_tails;
     }
+    merge_ids(std::span<Record>(out), local, pools);
     return out;
   }
   LogDecode<Record> decode(bytes.subspan(8), version, /*lenient=*/true);
-  quarantine += decode_all(decode, out, pool);
+  quarantine += decode_all(decode, out, pools, pool);
   return out;
 }
 
@@ -371,8 +423,9 @@ BinaryLogInfo probe_binary_log(std::span<const std::byte> bytes) {
   }
   try {
     Record r;
+    ProxyPools scratch;
     while (!dec.at_eof()) {
-      decode_record(dec, r);
+      decode_record(dec, r, scratch);
       ++info.records;
     }
     // Audit context: report what a lenient reader would recover; the
@@ -391,22 +444,26 @@ template class LogCursor<ProxyRecord>;
 template class LogCursor<MmeRecord>;
 
 template std::vector<ProxyRecord> read_binary_log<ProxyRecord>(
-    std::span<const std::byte>, par::TaskPool*);
+    std::span<const std::byte>, ProxyPools&, par::TaskPool*);
 template std::vector<MmeRecord> read_binary_log<MmeRecord>(
-    std::span<const std::byte>, par::TaskPool*);
+    std::span<const std::byte>, ProxyPools&, par::TaskPool*);
 template std::vector<DeviceRecord> read_binary_log<DeviceRecord>(
-    std::span<const std::byte>, par::TaskPool*);
+    std::span<const std::byte>, ProxyPools&, par::TaskPool*);
 template std::vector<SectorInfo> read_binary_log<SectorInfo>(
-    std::span<const std::byte>, par::TaskPool*);
+    std::span<const std::byte>, ProxyPools&, par::TaskPool*);
 
 template std::vector<ProxyRecord> read_binary_log_lenient<ProxyRecord>(
-    std::span<const std::byte>, QuarantineStats&, par::TaskPool*);
+    std::span<const std::byte>, QuarantineStats&, ProxyPools&,
+    par::TaskPool*);
 template std::vector<MmeRecord> read_binary_log_lenient<MmeRecord>(
-    std::span<const std::byte>, QuarantineStats&, par::TaskPool*);
+    std::span<const std::byte>, QuarantineStats&, ProxyPools&,
+    par::TaskPool*);
 template std::vector<DeviceRecord> read_binary_log_lenient<DeviceRecord>(
-    std::span<const std::byte>, QuarantineStats&, par::TaskPool*);
+    std::span<const std::byte>, QuarantineStats&, ProxyPools&,
+    par::TaskPool*);
 template std::vector<SectorInfo> read_binary_log_lenient<SectorInfo>(
-    std::span<const std::byte>, QuarantineStats&, par::TaskPool*);
+    std::span<const std::byte>, QuarantineStats&, ProxyPools&,
+    par::TaskPool*);
 
 template std::uint16_t read_log_header<ProxyRecord>(std::span<const std::byte>);
 template std::uint16_t read_log_header<MmeRecord>(std::span<const std::byte>);

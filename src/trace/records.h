@@ -10,11 +10,14 @@
 //
 // These records are the *only* interface between the synthetic ISP (simnet)
 // and the analysis pipeline (core): the pipeline never sees ground truth.
+// A proxy record names its host and URL path by id; the strings live once
+// per capture in the pools of trace/string_pool.h.
 #pragma once
 
 #include <compare>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "util/geo.h"
 #include "util/sim_time.h"
@@ -38,14 +41,18 @@ enum class Protocol : std::uint8_t {
   kHttps = 1,  ///< Only the TLS SNI visible.
 };
 
-/// One HTTP/HTTPS transaction logged by the transparent Web-proxy.
+/// One HTTP/HTTPS transaction logged by the transparent Web-proxy.  The
+/// host and URL path are ids into string pools kept next to the rows
+/// (trace/string_pool.h), which keeps the record trivially copyable.
 struct ProxyRecord {
   util::SimTime timestamp = 0;   ///< Transaction start time.
   UserId user_id = 0;            ///< Anonymized subscriber.
   Tac tac = 0;                   ///< TAC of the device that sent it.
   Protocol protocol = Protocol::kHttps;
-  std::string host;              ///< SNI (HTTPS) or URL host (HTTP).
-  std::string url_path;          ///< URL path; empty for HTTPS.
+  std::uint32_t host_id = 0;     ///< SNI (HTTPS) or URL host (HTTP), as
+                                 ///< an id into the store's host pool.
+  std::uint32_t path_id = 0;     ///< URL path ("" for HTTPS), as an id
+                                 ///< into the store's path pool.
   std::uint64_t bytes_up = 0;    ///< Uplink payload bytes.
   std::uint64_t bytes_down = 0;  ///< Downlink payload bytes.
   std::uint32_t duration_ms = 0; ///< Transaction duration.
@@ -57,6 +64,8 @@ struct ProxyRecord {
 
   friend bool operator==(const ProxyRecord&, const ProxyRecord&) = default;
 };
+
+static_assert(std::is_trivially_copyable_v<ProxyRecord>);
 
 /// MME signalling event kinds retained by the collection pipeline.
 enum class MmeEvent : std::uint8_t {

@@ -22,8 +22,8 @@ std::uint64_t hash_of(const ProxyRecord& r) noexcept {
   h = mix(h, r.user_id);
   h = mix(h, r.tac);
   h = mix(h, static_cast<std::uint64_t>(r.protocol));
-  h = mix(h, std::hash<std::string>{}(r.host));
-  h = mix(h, std::hash<std::string>{}(r.url_path));
+  h = mix(h, r.host_id);  // pools are deduplicated: equal ids, equal strings
+  h = mix(h, r.path_id);
   h = mix(h, r.bytes_up);
   h = mix(h, r.bytes_down);
   h = mix(h, r.duration_ms);
@@ -143,11 +143,15 @@ QuarantineStats sanitize_store(TraceStore& store,
   known_tacs.reserve(store.devices.size());
   for (const DeviceRecord& d : store.devices) known_tacs.insert(d.tac);
   const bool check_tac = options.drop_unknown_tac && !known_tacs.empty();
+  // One validity check per distinct host, not per record.
+  std::vector<std::uint8_t> host_ok(store.hosts.size());
+  for (std::uint32_t id = 0; id < store.hosts.size(); ++id)
+    host_ok[id] = host_is_valid(store.hosts[id]) ? 1 : 0;
 
   store.proxy = sanitize_log(
       std::move(store.proxy), options, q,
       [&](const ProxyRecord& r) -> std::uint64_t* {
-        if (options.drop_bad_host && !host_is_valid(r.host))
+        if (options.drop_bad_host && host_ok[r.host_id] == 0)
           return &q.bad_host;
         if (check_tac && !known_tacs.contains(r.tac)) return &q.unknown_tac;
         return nullptr;
@@ -158,6 +162,8 @@ QuarantineStats sanitize_store(TraceStore& store,
                                return &q.unknown_tac;
                              return nullptr;
                            });
+  // Dropped records may have been the last users of a host or path.
+  canonicalize_pools(store.proxy, store);
   return q;
 }
 

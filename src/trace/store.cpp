@@ -12,6 +12,7 @@ void TraceStore::sort_by_time() {
     std::stable_sort(proxy.begin(), proxy.end(), ByTimeThenUser{});
   if (!std::is_sorted(mme.begin(), mme.end(), ByTimeThenUser{}))
     std::stable_sort(mme.begin(), mme.end(), ByTimeThenUser{});
+  canonicalize_pools(proxy, *this);
   // Row indices may have shifted, and a caller may have edited rows without
   // breaking the order: any column transpose is stale either way.
   proxy_columns_ = ProxyColumns{};
@@ -21,7 +22,8 @@ void TraceStore::sort_by_time() {
 
 bool TraceStore::is_sorted() const noexcept {
   return std::is_sorted(proxy.begin(), proxy.end(), ByTimeThenUser{}) &&
-         std::is_sorted(mme.begin(), mme.end(), ByTimeThenUser{});
+         std::is_sorted(mme.begin(), mme.end(), ByTimeThenUser{}) &&
+         pools_canonical(proxy, *this);
 }
 
 TraceSummary TraceStore::summarize() const {
@@ -88,7 +90,7 @@ std::optional<SectorInfo> TraceStore::find_sector(SectorId id) const {
 
 void TraceStore::build_columns(par::TaskPool* pool) const {
   if (columns_built_) return;
-  proxy_columns_ = build_proxy_columns(proxy, pool);
+  proxy_columns_ = build_proxy_columns(proxy, hosts, pool);
   mme_columns_ = build_mme_columns(mme, pool);
   columns_built_ = true;
 }

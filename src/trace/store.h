@@ -8,6 +8,7 @@
 
 #include "trace/columns.h"
 #include "trace/records.h"
+#include "trace/string_pool.h"
 
 namespace wearscope::par {
 class TaskPool;
@@ -29,21 +30,27 @@ struct TraceSummary {
 };
 
 /// Holds one complete capture: the three vantage-point logs plus the sector
-/// database. Value-semantic; the analyses take it by const reference.
-class TraceStore {
+/// database, and (inherited from ProxyPools) the `hosts` and `paths` pools
+/// the proxy rows' ids index — so a store can be handed to any reader or
+/// writer that interns or resolves those ids.  Value-semantic; the
+/// analyses take it by const reference.
+class TraceStore : public ProxyPools {
  public:
   std::vector<ProxyRecord> proxy;    ///< Transparent-proxy transaction log.
   std::vector<MmeRecord> mme;        ///< MME mobility log.
   std::vector<DeviceRecord> devices; ///< DeviceDB snapshot.
   std::vector<SectorInfo> sectors;   ///< Antenna-sector positions.
 
-  /// Sorts both event logs into canonical (time, user) order, stably.  A
-  /// log already in that order is left untouched after one linear check.
-  /// Always discards previously built column views: row indices may shift,
-  /// and rows may have been edited in place without breaking the order.
+  /// Sorts both event logs into canonical (time, user) order, stably, then
+  /// makes the pools canonical over the sorted proxy rows (first-appearance
+  /// order, no unused entry; see trace/string_pool.h).  A log or pool
+  /// already canonical is left untouched after one linear check.  Always
+  /// discards previously built column views: row indices may shift, and
+  /// rows may have been edited in place without breaking the order.
   void sort_by_time();
 
-  /// True when both event logs are in canonical order.
+  /// True when both event logs are in canonical order and the pools are
+  /// canonical over the proxy rows — what sort_by_time() establishes.
   [[nodiscard]] bool is_sorted() const noexcept;
 
   /// Computes aggregate counters (distinct users, volumes, time span).

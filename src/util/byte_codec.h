@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "util/error.h"
 
@@ -42,7 +43,7 @@ class BufferEncoder {
   void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
   void put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
   /// u16 length prefix + bytes; strings over 65535 bytes are rejected.
-  void put_string(const std::string& s) {
+  void put_string(std::string_view s) {
     require(s.size() <= 0xffff, "binary string field too long");
     put_u16(static_cast<std::uint16_t>(s.size()));
     out_->append(s);
@@ -98,6 +99,11 @@ class MemorySpanDecoder {
   /// against the remaining span *before* any allocation, so a corrupt
   /// prefix fails cleanly instead of over-reading.
   [[nodiscard]] std::string get_string() {
+    return std::string(get_string_view());
+  }
+
+  /// get_string() without the copy: the view borrows the decoded span.
+  [[nodiscard]] std::string_view get_string_view() {
     const std::uint64_t prefix_at = offset_;
     const std::uint16_t len = get_u16();
     if (len == 0) return {};
@@ -107,8 +113,8 @@ class MemorySpanDecoder {
                        " remaining bytes (corrupt length prefix at byte " +
                        std::to_string(prefix_at) + ")");
     }
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + offset_),
-                  len);
+    const std::string_view s(
+        reinterpret_cast<const char*>(bytes_.data() + offset_), len);
     offset_ += len;
     return s;
   }

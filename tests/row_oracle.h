@@ -1,4 +1,13 @@
-// Row-layout reference implementations of three columnar analysis kernels.
+// Row-layout reference implementations of the proxy column transpose and
+// of three columnar analysis kernels.
+//
+// proxy_columns_rows transposes proxy rows the way the library did before
+// rows carried pool ids: it resolves every row's host to its string and
+// hashes the strings into a first-appearance dictionary.  The store's own
+// transpose instead copies the canonical ids and the host pool
+// (trace/columns.h), so the two agree exactly when the store's pools are
+// canonical — which test_columns.cpp checks for every input format and
+// mutator.
 //
 // analyze_diurnal, analyze_usage and analyze_thirdparty stream the proxy
 // columns with per-user run dedup and dense per-app arrays.  The oracles
@@ -14,8 +23,16 @@
 #include "core/analysis_thirdparty.h"
 #include "core/analysis_usage.h"
 #include "core/context.h"
+#include "trace/columns.h"
+#include "trace/string_pool.h"
 
 namespace wearscope::oracle {
+
+/// The proxy transpose of `rows` (ids indexing `hosts`) built by hashing
+/// each row's host string.
+trace::ProxyColumns proxy_columns_rows(
+    const std::vector<trace::ProxyRecord>& rows,
+    const trace::StringPool& hosts);
 
 /// Bitwise-identical to core::analyze_diurnal.
 core::DiurnalResult diurnal_rows(const core::AnalysisContext& ctx);

@@ -20,6 +20,7 @@
 #include "core/streaming.h"
 #include "core/streaming_activity.h"
 #include "util/geo.h"
+#include "test_support.h"
 
 namespace wearscope::core {
 namespace {
@@ -50,7 +51,7 @@ class MicroTrace {
     r.timestamp = util::day_start(day) + hour * 3600 + minute * 60 + second;
     r.user_id = user;
     r.tac = tac;
-    r.host = host;
+    testing::set_strings(r, store_, host);
     r.bytes_up = bytes / 10;
     r.bytes_down = bytes - bytes / 10;
     store_.proxy.push_back(std::move(r));

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_set>
+#include <vector>
+
 #include "core/pipeline.h"
 #include "simnet/simulator.h"
+#include "test_support.h"
 #include "util/error.h"
 
 namespace wearscope::trace {
@@ -34,8 +39,7 @@ TEST(Anonymize, RewritesIdsHostsPathsAndTimes) {
   p.timestamp = 3723;  // 01:02:03
   p.user_id = 5;
   p.tac = 1;
-  p.host = "api.weather.com";
-  p.url_path = "/v1/secret?user=5";
+  testing::set_strings(p, store, "api.weather.com", "/v1/secret?user=5");
   p.bytes_down = 100;
   store.proxy.push_back(p);
   store.mme.push_back({3724, 5, 1, MmeEvent::kAttach, 9});
@@ -48,8 +52,8 @@ TEST(Anonymize, RewritesIdsHostsPathsAndTimes) {
   EXPECT_EQ(store.proxy[0].user_id, anonymize_user_id(5, 1234));
   EXPECT_EQ(store.proxy[0].user_id, store.mme[0].user_id)
       << "joinability across vantage points must survive";
-  EXPECT_EQ(store.proxy[0].host, "weather.com");
-  EXPECT_TRUE(store.proxy[0].url_path.empty());
+  EXPECT_EQ(store.hosts[store.proxy[0].host_id], "weather.com");
+  EXPECT_TRUE(store.paths[store.proxy[0].path_id].empty());
   EXPECT_EQ(store.proxy[0].timestamp, 3720);  // floored to the minute
   EXPECT_EQ(store.mme[0].timestamp, 3720);
   EXPECT_EQ(store.proxy[0].bytes_down, 100u);  // volumes untouched
@@ -61,17 +65,40 @@ TEST(Anonymize, PolicyTogglesRespected) {
   ProxyRecord p;
   p.timestamp = 100;
   p.user_id = 5;
-  p.host = "api.weather.com";
-  p.url_path = "/x";
+  testing::set_strings(p, store, "api.weather.com", "/x");
   store.proxy.push_back(p);
 
   AnonymizePolicy policy;
   policy.coarsen_hosts = false;
   policy.drop_url_paths = false;
   anonymize(store, policy);
-  EXPECT_EQ(store.proxy[0].host, "api.weather.com");
-  EXPECT_EQ(store.proxy[0].url_path, "/x");
+  EXPECT_EQ(store.hosts[store.proxy[0].host_id], "api.weather.com");
+  EXPECT_EQ(store.paths[store.proxy[0].path_id], "/x");
   EXPECT_EQ(store.proxy[0].timestamp, 100);  // quantum 1 keeps exact times
+}
+
+TEST(Anonymize, CoarseningMergesHostsIntoOnePoolId) {
+  // Two hosts under one registrable domain, and two paths, must each
+  // collapse to one pool entry that every row shares.
+  TraceStore store;
+  for (int i = 0; i < 4; ++i) {
+    ProxyRecord p;
+    p.timestamp = 100 + i;
+    p.user_id = 5;
+    testing::set_strings(p, store,
+                         i % 2 == 0 ? "api.weather.com" : "img.weather.com",
+                         i % 2 == 0 ? "/a" : "/b");
+    store.proxy.push_back(p);
+  }
+  ASSERT_EQ(store.hosts.size(), 2u);
+  anonymize(store, AnonymizePolicy{});
+  EXPECT_EQ(store.hosts.strings(), std::vector<std::string>{"weather.com"});
+  EXPECT_EQ(store.paths.strings(), std::vector<std::string>{""});
+  for (const ProxyRecord& r : store.proxy) {
+    EXPECT_EQ(r.host_id, 0u);
+    EXPECT_EQ(r.path_id, 0u);
+  }
+  EXPECT_TRUE(store.is_sorted());
 }
 
 TEST(Anonymize, RejectsBadQuantum) {

@@ -1,5 +1,6 @@
 // Unit tests for app identification and endpoint classification.
 #include "core/app_id.h"
+#include "test_support.h"
 
 #include <gtest/gtest.h>
 
@@ -101,11 +102,17 @@ TEST_F(AppIdTest, CoverageFractionShrinksTable) {
 
 // --- temporal-proximity attribution ---------------------------------------
 
+/// The pools the attribution rows below intern into.
+trace::ProxyPools& rec_pools() {
+  static trace::ProxyPools pools;
+  return pools;
+}
+
 trace::ProxyRecord rec(util::SimTime t, const char* host) {
   trace::ProxyRecord r;
   r.timestamp = t;
   r.user_id = 1;
-  r.host = host;
+  testing::set_strings(r, rec_pools(), host);
   r.bytes_down = 100;
   return r;
 }
@@ -118,7 +125,7 @@ TEST_F(AppIdTest, ThirdPartyInheritsNearbyAppWithinWindow) {
   };
   std::vector<const trace::ProxyRecord*> ptrs;
   for (const auto& r : recs) ptrs.push_back(&r);
-  const auto classes = attribute_user_stream(table_, ptrs, 120);
+  const auto classes = attribute_user_stream(table_, rec_pools().hosts, ptrs, 120);
   ASSERT_EQ(classes.size(), 3u);
   EXPECT_EQ(table_.app_name(classes[0].app), "Weather");
   EXPECT_EQ(table_.app_name(classes[1].app), "Weather");
@@ -133,7 +140,7 @@ TEST_F(AppIdTest, ThirdPartyOutsideWindowStaysUnknown) {
   };
   std::vector<const trace::ProxyRecord*> ptrs;
   for (const auto& r : recs) ptrs.push_back(&r);
-  const auto classes = attribute_user_stream(table_, ptrs, 120);
+  const auto classes = attribute_user_stream(table_, rec_pools().hosts, ptrs, 120);
   EXPECT_EQ(classes[1].app, kUnknownApp);
   EXPECT_EQ(classes[1].cls, appdb::TransactionClass::kAdvertising);
 }
@@ -146,7 +153,7 @@ TEST_F(AppIdTest, NearestAnchorWins) {
   };
   std::vector<const trace::ProxyRecord*> ptrs;
   for (const auto& r : recs) ptrs.push_back(&r);
-  const auto classes = attribute_user_stream(table_, ptrs, 120);
+  const auto classes = attribute_user_stream(table_, rec_pools().hosts, ptrs, 120);
   EXPECT_EQ(table_.app_name(classes[1].app), "WhatsApp");  // 10 s vs 100 s
 }
 
@@ -159,7 +166,7 @@ TEST_F(AppIdTest, UnknownFirstPartyIsNotReattributed) {
   };
   std::vector<const trace::ProxyRecord*> ptrs;
   for (const auto& r : recs) ptrs.push_back(&r);
-  const auto classes = attribute_user_stream(table_, ptrs, 120);
+  const auto classes = attribute_user_stream(table_, rec_pools().hosts, ptrs, 120);
   EXPECT_EQ(classes[1].app, kUnknownApp);
 }
 
@@ -170,12 +177,12 @@ TEST_F(AppIdTest, StreamWithNoAnchorsStaysUnknown) {
   };
   std::vector<const trace::ProxyRecord*> ptrs;
   for (const auto& r : recs) ptrs.push_back(&r);
-  const auto classes = attribute_user_stream(table_, ptrs, 120);
+  const auto classes = attribute_user_stream(table_, rec_pools().hosts, ptrs, 120);
   for (const EndpointClass& c : classes) EXPECT_EQ(c.app, kUnknownApp);
 }
 
 TEST_F(AppIdTest, EmptyStream) {
-  const auto classes = attribute_user_stream(table_, {}, 120);
+  const auto classes = attribute_user_stream(table_, rec_pools().hosts, {}, 120);
   EXPECT_TRUE(classes.empty());
 }
 

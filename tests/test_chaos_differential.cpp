@@ -222,7 +222,7 @@ TEST(FaultPlan, ByteCorpusAccountingIsExact) {
       sim.store.proxy.begin() +
           static_cast<std::ptrdiff_t>(
               std::min<std::size_t>(200, sim.store.proxy.size())));
-  const chaos::BinaryImage image = chaos::image_of(sample);
+  const chaos::BinaryImage image = chaos::image_of(sample, sim.store);
 
   const chaos::FaultPlan plan(31, chaos::FaultProfile::named("io"));
   const std::vector<chaos::ByteFault> corpus = plan.byte_corpus(image, true);
@@ -231,10 +231,13 @@ TEST(FaultPlan, ByteCorpusAccountingIsExact) {
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     const chaos::ByteFault& fault = corpus[i];
     trace::QuarantineStats q;
+    // Decoding into a copy of the capture's pools maps every intact string
+    // back to the id it was written with.
+    trace::ProxyPools pools = sim.store;
     const std::vector<trace::ProxyRecord> got =
         trace::read_binary_log_lenient<trace::ProxyRecord>(
             std::as_bytes(std::span(fault.bytes.data(), fault.bytes.size())),
-            q);
+            q, pools);
     if (!fault.exact) {
       // Bit flips promise survival, not specific counts.
       EXPECT_LE(got.size(), sample.size()) << "corpus entry " << i;

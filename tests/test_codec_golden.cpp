@@ -16,6 +16,7 @@
 #include "fed/partial_io.h"
 #include "trace/bundle.h"
 #include "util/crc32.h"
+#include "test_support.h"
 
 namespace wearscope {
 namespace {
@@ -45,8 +46,8 @@ trace::TraceStore fixed_store() {
     r.user_id = 1'000'000 + i % 7;
     r.tac = 35254208 + i % 3;
     r.protocol = i % 2 == 0 ? trace::Protocol::kHttps : trace::Protocol::kHttp;
-    r.host = "host" + std::to_string(i % 5) + ".example";
-    r.url_path = i % 3 == 0 ? "" : "/p/" + std::to_string(i);
+    testing::set_strings(r, store, "host" + std::to_string(i % 5) + ".example",
+                         i % 3 == 0 ? "" : "/p/" + std::to_string(i));
     r.bytes_up = i * 11;
     r.bytes_down = i * 101 + 1;
     r.duration_ms = i + 1;

@@ -6,6 +6,7 @@
 #include "core/context.h"
 #include "simnet/simulator.h"
 #include "util/geo.h"
+#include "test_support.h"
 
 namespace wearscope::core {
 namespace {
@@ -33,7 +34,7 @@ trace::TraceStore micro_store() {
     r.timestamp = util::day_start(day) + 1000 + static_cast<util::SimTime>(u);
     r.user_id = u;
     r.tac = tac;
-    r.host = "api.weather.com";
+    testing::set_strings(r, s, "api.weather.com");
     r.bytes_down = 1000;
     s.proxy.push_back(r);
   };

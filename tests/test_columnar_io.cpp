@@ -10,21 +10,30 @@
 #include <cstddef>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <span>
 #include <sstream>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
+#include "core/pipeline.h"
 #include "par/task_pool.h"
+#include "simnet/simulator.h"
+#include "test_support.h"
 #include "trace/bundle.h"
 #include "trace/log_reader.h"
+#include "util/byte_codec.h"
+#include "util/crc32.h"
 #include "util/error.h"
 
 namespace wearscope::trace {
 namespace {
 
-std::vector<ProxyRecord> make_proxy(int n) {
+/// `n` proxy rows whose strings are interned into `pools` in row order
+/// (so `pools` is canonical over them).
+std::vector<ProxyRecord> make_proxy(int n, ProxyPools& pools) {
   std::vector<ProxyRecord> rows;
   for (int i = 0; i < n; ++i) {
     ProxyRecord r;
@@ -32,8 +41,9 @@ std::vector<ProxyRecord> make_proxy(int n) {
     r.user_id = 1'000'000 + static_cast<UserId>(i % 97);
     r.tac = 35254208u + static_cast<Tac>(i % 11);
     r.protocol = i % 3 == 0 ? Protocol::kHttp : Protocol::kHttps;
-    r.host = "host" + std::to_string(i % 23) + ".example.com";
-    r.url_path = "/path/" + std::to_string(i);
+    testing::set_strings(r, pools,
+                         "host" + std::to_string(i % 23) + ".example.com",
+                         "/path/" + std::to_string(i));
     r.bytes_up = static_cast<std::uint64_t>(i) * 13;
     r.bytes_down = static_cast<std::uint64_t>(i) * 131 + 1;
     r.duration_ms = static_cast<std::uint32_t>(i % 5000);
@@ -53,14 +63,18 @@ std::vector<MmeRecord> make_mme(int n) {
   return rows;
 }
 
-/// Writes `records` as a v3 log and decodes the body back (optionally on
-/// a pool), asserting zero corruption.
+/// Writes `records` (ids resolving through `pools`, which must be
+/// canonical over them) as a v3 log and decodes the body back (optionally
+/// on a pool) into fresh pools, asserting zero corruption and that the
+/// fresh pools equal `pools`.
 template <typename Record>
 std::vector<Record> v3_round_trip(const std::vector<Record>& records,
+                                  const ProxyPools& pools = {},
                                   int threads = 1,
                                   BlockWriterOptions wopt = {}) {
   std::stringstream buf;
-  const ColumnarWriteInfo info = write_columnar_log(buf, records, wopt);
+  const ColumnarWriteInfo info =
+      write_columnar_log(buf, records, pools, wopt);
   EXPECT_EQ(info.records, records.size());
   const std::string data = buf.str();
   const std::span<const std::byte> bytes(
@@ -78,13 +92,16 @@ std::vector<Record> v3_round_trip(const std::vector<Record>& records,
   } else {
     for (const auto& task : batch) task();
   }
-  EXPECT_FALSE(decode.finalize(out).any());
+  ProxyPools got;
+  EXPECT_FALSE(decode.finalize(out, got).any());
+  EXPECT_EQ(got, pools);
   return out;
 }
 
 TEST(ColumnarIo, ProxyRoundTrip) {
-  const std::vector<ProxyRecord> in = make_proxy(1000);
-  EXPECT_EQ(v3_round_trip(in), in);
+  ProxyPools pools;
+  const std::vector<ProxyRecord> in = make_proxy(1000, pools);
+  EXPECT_EQ(v3_round_trip(in, pools), in);
 }
 
 TEST(ColumnarIo, MmeRoundTrip) {
@@ -110,9 +127,10 @@ TEST(ColumnarIo, EmptyLogRoundTrips) {
 }
 
 TEST(ColumnarIo, ThreadCountDoesNotChangeTheDecode) {
-  const std::vector<ProxyRecord> in = make_proxy(5000);
+  ProxyPools pools;
+  const std::vector<ProxyRecord> in = make_proxy(5000, pools);
   for (int threads : {1, 2, 4, 8}) {
-    EXPECT_EQ(v3_round_trip(in, threads), in) << "threads=" << threads;
+    EXPECT_EQ(v3_round_trip(in, pools, threads), in) << "threads=" << threads;
   }
 }
 
@@ -121,13 +139,15 @@ TEST(ColumnarIo, SmallGroupsChainCorrectly) {
   // timestamp deltas restart per group).
   BlockWriterOptions wopt;
   wopt.max_block_records = 17;
-  const std::vector<ProxyRecord> in = make_proxy(400);
-  EXPECT_EQ(v3_round_trip(in, 4, wopt), in);
+  ProxyPools pools;
+  const std::vector<ProxyRecord> in = make_proxy(400, pools);
+  EXPECT_EQ(v3_round_trip(in, pools, 4, wopt), in);
 }
 
 TEST(ColumnarIo, HeaderSaysVersionThree) {
   std::stringstream buf;
-  (void)write_columnar_log(buf, make_proxy(3));
+  ProxyPools pools;
+  (void)write_columnar_log(buf, make_proxy(3, pools), pools);
   const std::string data = buf.str();
   ASSERT_GE(data.size(), 8u);
   std::uint16_t version = 0;
@@ -136,9 +156,10 @@ TEST(ColumnarIo, HeaderSaysVersionThree) {
 }
 
 TEST(ColumnarIo, DictionariesAreFirstAppearanceAndShared) {
-  const std::vector<ProxyRecord> in = make_proxy(200);
+  ProxyPools pools;
+  const std::vector<ProxyRecord> in = make_proxy(200, pools);
   std::stringstream buf;
-  (void)write_columnar_log(buf, in);
+  (void)write_columnar_log(buf, in, pools);
   const std::string data = buf.str();
   const std::span<const std::byte> bytes(
       reinterpret_cast<const std::byte*>(data.data()), data.size());
@@ -181,9 +202,10 @@ TEST(ColumnarIo, ScanSkipsImpossibleGroupHeader) {
 }
 
 TEST(ColumnarIo, ProbeLayoutCountsDictsAndColumns) {
-  const std::vector<ProxyRecord> in = make_proxy(500);
+  ProxyPools pools;
+  const std::vector<ProxyRecord> in = make_proxy(500, pools);
   std::stringstream buf;
-  (void)write_columnar_log(buf, in);
+  (void)write_columnar_log(buf, in, pools);
   const std::string data = buf.str();
   const std::span<const std::byte> bytes(
       reinterpret_cast<const std::byte*>(data.data()), data.size());
@@ -208,7 +230,7 @@ TEST(ColumnarIo, ProbeLayoutCountsDictsAndColumns) {
 
 TEST(ColumnarIo, BundleRoundTripsAcrossAllThreeVersions) {
   TraceStore store;
-  store.proxy = make_proxy(800);
+  store.proxy = make_proxy(800, store);
   store.mme = make_mme(800);
   store.devices = {{35254208u, "Gear S3 frontier LTE", "Samsung", "Tizen"}};
   store.sectors = {{7, {40.1, -3.6}}};
@@ -228,6 +250,8 @@ TEST(ColumnarIo, BundleRoundTripsAcrossAllThreeVersions) {
   }
   for (int v = 0; v < 3; ++v) {
     EXPECT_EQ(loaded[v].proxy, store.proxy) << "v" << (v + 1);
+    EXPECT_EQ(static_cast<const ProxyPools&>(loaded[v]), store)
+        << "v" << (v + 1);
     EXPECT_EQ(loaded[v].mme, store.mme) << "v" << (v + 1);
     EXPECT_EQ(loaded[v].devices, store.devices) << "v" << (v + 1);
     EXPECT_EQ(loaded[v].sectors, store.sectors) << "v" << (v + 1);
@@ -237,7 +261,7 @@ TEST(ColumnarIo, BundleRoundTripsAcrossAllThreeVersions) {
 
 TEST(ColumnarIo, AuditReportsColumnarLayout) {
   TraceStore store;
-  store.proxy = make_proxy(300);
+  store.proxy = make_proxy(300, store);
   store.mme = make_mme(300);
   store.devices = {{35254208u, "Gear S3 frontier LTE", "Samsung", "Tizen"}};
   store.sectors = {{7, {40.1, -3.6}}};
@@ -253,6 +277,169 @@ TEST(ColumnarIo, AuditReportsColumnarLayout) {
     EXPECT_EQ(audit.version, kBinaryFormatV3) << audit.stem;
     EXPECT_FALSE(audit.columnar.column_bytes.empty()) << audit.stem;
     EXPECT_EQ(audit.columnar.records, audit.records) << audit.stem;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// ---- Pool invariants at the file boundary ---------------------------------
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+void write_file(const std::filesystem::path& path, const std::string& data) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << data;
+}
+
+std::span<const std::byte> as_bytes_of(const std::string& data) {
+  return std::as_bytes(std::span<const char>(data.data(), data.size()));
+}
+
+/// Overwrites host dictionary entry `index` of a whole v3 log with
+/// `replacement` (same length) and re-seals the section CRC.
+void patch_host_entry(std::string& log, std::uint32_t index,
+                      const std::string& replacement) {
+  constexpr std::size_t kPayload = 8 + kDictHeaderBytes;
+  util::MemorySpanDecoder header(as_bytes_of(log).subspan(8, 12));
+  (void)header.get_u32();  // entry_count
+  const std::uint32_t byte_length = header.get_u32();
+  std::size_t at = kPayload;
+  for (std::uint32_t i = 0; i < index; ++i) {
+    util::MemorySpanDecoder len(as_bytes_of(log).subspan(at, 2));
+    at += 2 + len.get_u16();
+  }
+  util::MemorySpanDecoder len(as_bytes_of(log).subspan(at, 2));
+  ASSERT_EQ(len.get_u16(), replacement.size());
+  log.replace(at + 2, replacement.size(), replacement);
+  std::string crc;
+  util::BufferEncoder enc(crc);
+  enc.put_u32(util::crc32(as_bytes_of(log).subspan(kPayload, byte_length)));
+  log.replace(8 + 8, 4, crc);
+}
+
+/// Byte offset of the row-group chain of a whole v3 log (after the file
+/// header and the three dictionary sections).
+std::size_t chain_offset(const std::string& log) {
+  std::size_t at = 8;
+  for (int section = 0; section < 3; ++section) {
+    util::MemorySpanDecoder header(as_bytes_of(log).subspan(at, 12));
+    (void)header.get_u32();
+    at += kDictHeaderBytes + header.get_u32();
+  }
+  return at;
+}
+
+TEST(ColumnarIo, RepeatedDictionaryEntryLoadsLikeTheDeduplicatedFile) {
+  simnet::SimConfig cfg = simnet::SimConfig::small();
+  cfg.seed = 23;
+  const simnet::SimResult sim = simnet::Simulator(cfg).run();
+  const TraceStore& store = sim.store;
+  // Two hosts whose names have the same length, so one can be rewritten
+  // into the other in place.
+  std::uint32_t a = 0;
+  std::uint32_t b = 0;
+  for (std::uint32_t i = 0; i < store.hosts.size() && b == 0; ++i) {
+    for (std::uint32_t j = i + 1; j < store.hosts.size(); ++j) {
+      if (store.hosts[i].size() == store.hosts[j].size()) {
+        a = i;
+        b = j;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(b, 0u);
+  // The file without the repeat: b's rows name a's host.
+  TraceStore merged = store;
+  for (ProxyRecord& r : merged.proxy) {
+    if (r.host_id == b) r.host_id = a;
+  }
+  merged.sort_by_time();
+  ASSERT_EQ(merged.hosts.size() + 1, store.hosts.size());
+
+  const std::filesystem::path base =
+      std::filesystem::temp_directory_path() /
+      ("wearscope_v3_repeat_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(base);
+  save_bundle(merged, base / "dedup", BundleFormat::kBinary, kBinaryFormatV3);
+  // The file with the repeat: the original, whose dictionary lists hosts
+  // in pool order, with entry b renamed to a's name.  Rows still name
+  // both entries.
+  save_bundle(store, base / "repeat", BundleFormat::kBinary, kBinaryFormatV3);
+  std::string log = read_file(base / "repeat" / "proxy.bin");
+  patch_host_entry(log, b, store.hosts[a]);
+  write_file(base / "repeat" / "proxy.bin", log);
+
+  LoadOptions lopt;
+  lopt.threads = 4;
+  TraceStore dedup = load_bundle(base / "dedup", lopt);
+  TraceStore repeat = load_bundle(base / "repeat", lopt);
+  dedup.sort_by_time();
+  repeat.sort_by_time();
+  EXPECT_EQ(repeat.hosts, dedup.hosts);
+  EXPECT_EQ(repeat.paths, dedup.paths);
+  EXPECT_EQ(repeat.proxy, dedup.proxy);
+  EXPECT_EQ(repeat.proxy_columns().hosts, dedup.proxy_columns().hosts);
+  EXPECT_EQ(repeat.proxy_columns().host_id, dedup.proxy_columns().host_id);
+
+  core::AnalysisOptions opt;
+  opt.observation_days = sim.observation_days;
+  opt.detailed_start_day = sim.detailed_start_day;
+  opt.long_tail_apps = cfg.long_tail_apps;
+  EXPECT_EQ(core::Pipeline(repeat, opt).run().to_text(),
+            core::Pipeline(dedup, opt).run().to_text());
+  std::filesystem::remove_all(base);
+}
+
+TEST(ColumnarIo, QuarantinedGroupLeavesNoUnusedPoolEntry) {
+  // Three row groups under the default writer options; the host and the
+  // paths of the middle group appear nowhere else.
+  TraceStore store;
+  const int group = static_cast<int>(BlockWriterOptions{}.max_block_records);
+  for (int i = 0; i < 3 * group; ++i) {
+    ProxyRecord r;
+    r.timestamp = i;
+    r.user_id = 1'000'000 + static_cast<UserId>(i % 97);
+    r.tac = 35254208u;
+    const bool middle = i >= group && i < 2 * group;
+    testing::set_strings(r, store,
+                         middle ? "lost.example" : "kept.example",
+                         middle ? "/lost/" + std::to_string(i % 7) : "/kept");
+    store.proxy.push_back(r);
+  }
+  store.mme = make_mme(10);
+  store.sort_by_time();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("wearscope_v3_quarantine_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  save_bundle(store, dir, BundleFormat::kBinary, kBinaryFormatV3);
+
+  // Flip one payload byte of the middle group: its column CRC fails.
+  std::string log = read_file(dir / "proxy.bin");
+  const std::size_t chain = chain_offset(log);
+  const UnitIndex index =
+      scan_units(as_bytes_of(log).subspan(chain), kBinaryFormatV3, true);
+  ASSERT_EQ(index.units.size(), 3u);
+  log[chain + index.units[1].payload_offset + kColumnHeaderBytes] ^= 0x01;
+  write_file(dir / "proxy.bin", log);
+
+  for (const int threads : {1, 4}) {
+    QuarantineStats q;
+    LoadOptions lopt;
+    lopt.threads = threads;
+    const TraceStore loaded = load_bundle(dir, q, lopt);
+    EXPECT_EQ(q.corrupt_blocks, 1u) << threads;
+    EXPECT_EQ(loaded.proxy.size(), 2u * static_cast<std::size_t>(group));
+    EXPECT_TRUE(pools_canonical(loaded.proxy, loaded)) << threads;
+    EXPECT_EQ(loaded.hosts.strings(),
+              std::vector<std::string>{"kept.example"})
+        << threads;
+    EXPECT_EQ(loaded.paths.strings(), std::vector<std::string>{"/kept"})
+        << threads;
   }
   std::filesystem::remove_all(dir);
 }

@@ -9,7 +9,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <string>
+#include <type_traits>
+#include <unistd.h>
 #include <vector>
 
 #include "core/analysis_activity.h"
@@ -21,14 +24,21 @@
 #include "core/streaming.h"
 #include "core/streaming_activity.h"
 #include "par/task_pool.h"
+#include "chaos/fault_plan.h"
+#include "live/event.h"
 #include "row_oracle.h"
 #include "simnet/simulator.h"
+#include "test_support.h"
+#include "trace/anonymize.h"
+#include "trace/bundle.h"
+#include "trace/sanitize.h"
 #include "trace/store.h"
 
 namespace wearscope::trace {
 namespace {
 
-std::vector<ProxyRecord> sample_proxy_rows() {
+/// Four proxy rows (hosts interned into `pools` in row order).
+std::vector<ProxyRecord> sample_proxy_rows(ProxyPools& pools) {
   std::vector<ProxyRecord> rows;
   const char* hosts[] = {"api.weather.com", "gw.gear.samsung.com",
                          "api.weather.com", "ads.example.net"};
@@ -39,19 +49,35 @@ std::vector<ProxyRecord> sample_proxy_rows() {
     r.user_id = 100 + static_cast<UserId>(i % 2);
     r.tac = tacs[i];
     r.protocol = i % 2 == 0 ? Protocol::kHttps : Protocol::kHttp;
-    r.host = hosts[i];
-    r.url_path = "/p" + std::to_string(i);
+    testing::set_strings(r, pools, hosts[i], "/p" + std::to_string(i));
     r.bytes_up = 10u * static_cast<std::uint64_t>(i + 1);
     r.bytes_down = 100u * static_cast<std::uint64_t>(i + 1);
     r.duration_ms = 250u + static_cast<std::uint32_t>(i);
-    rows.push_back(std::move(r));
+    rows.push_back(r);
   }
   return rows;
 }
 
+/// Every column and dictionary of `a` equals `b`'s.
+void expect_same_columns(const ProxyColumns& a, const ProxyColumns& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.timestamp, b.timestamp) << what;
+  EXPECT_EQ(a.user_id, b.user_id) << what;
+  EXPECT_EQ(a.tac_id, b.tac_id) << what;
+  EXPECT_EQ(a.protocol, b.protocol) << what;
+  EXPECT_EQ(a.host_id, b.host_id) << what;
+  EXPECT_EQ(a.bytes_up, b.bytes_up) << what;
+  EXPECT_EQ(a.bytes_down, b.bytes_down) << what;
+  EXPECT_EQ(a.bytes_total, b.bytes_total) << what;
+  EXPECT_EQ(a.duration_ms, b.duration_ms) << what;
+  EXPECT_EQ(a.hosts, b.hosts) << what;
+  EXPECT_EQ(a.tacs, b.tacs) << what;
+}
+
 TEST(Columns, ProxyTransposeMatchesRows) {
-  const std::vector<ProxyRecord> rows = sample_proxy_rows();
-  const ProxyColumns cols = build_proxy_columns(rows);
+  ProxyPools pools;
+  const std::vector<ProxyRecord> rows = sample_proxy_rows(pools);
+  const ProxyColumns cols = build_proxy_columns(rows, pools.hosts);
   ASSERT_EQ(cols.size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(cols.timestamp[i], rows[i].timestamp) << i;
@@ -59,16 +85,20 @@ TEST(Columns, ProxyTransposeMatchesRows) {
     EXPECT_EQ(cols.tacs[cols.tac_id[i]], rows[i].tac) << i;
     EXPECT_EQ(cols.protocol[i], static_cast<std::uint8_t>(rows[i].protocol))
         << i;
-    EXPECT_EQ(cols.hosts[cols.host_id[i]], rows[i].host) << i;
+    EXPECT_EQ(cols.hosts[cols.host_id[i]], pools.hosts[rows[i].host_id]) << i;
     EXPECT_EQ(cols.bytes_up[i], rows[i].bytes_up) << i;
     EXPECT_EQ(cols.bytes_down[i], rows[i].bytes_down) << i;
     EXPECT_EQ(cols.bytes_total[i], rows[i].bytes_total()) << i;
     EXPECT_EQ(cols.duration_ms[i], rows[i].duration_ms) << i;
   }
+  expect_same_columns(cols, oracle::proxy_columns_rows(rows, pools.hosts),
+                      "oracle");
 }
 
 TEST(Columns, DictionariesAreFirstAppearanceOrder) {
-  const ProxyColumns cols = build_proxy_columns(sample_proxy_rows());
+  ProxyPools pools;
+  const ProxyColumns cols =
+      build_proxy_columns(sample_proxy_rows(pools), pools.hosts);
   // Hosts: weather first, gear gateway second, ads third (repeat reuses).
   ASSERT_EQ(cols.hosts.size(), 3u);
   EXPECT_EQ(cols.hosts[0], "api.weather.com");
@@ -101,7 +131,7 @@ TEST(Columns, MmeTransposeMatchesRows) {
 }
 
 TEST(Columns, EmptyInputBuildsEmptyColumns) {
-  const ProxyColumns p = build_proxy_columns({});
+  const ProxyColumns p = build_proxy_columns({}, StringPool{});
   EXPECT_EQ(p.size(), 0u);
   EXPECT_TRUE(p.hosts.empty());
   const MmeColumns m = build_mme_columns({});
@@ -109,31 +139,25 @@ TEST(Columns, EmptyInputBuildsEmptyColumns) {
 }
 
 TEST(Columns, PoolSizeDoesNotChangeTheColumns) {
-  const std::vector<ProxyRecord> rows = [] {
-    std::vector<ProxyRecord> out;
-    for (int i = 0; i < 2000; ++i) {
-      ProxyRecord r;
-      r.timestamp = i;
-      r.user_id = static_cast<UserId>(i % 37);
-      r.tac = 35254208u + static_cast<Tac>(i % 5);
-      r.host = "host" + std::to_string(i % 61);
-      r.bytes_up = static_cast<std::uint64_t>(i);
-      r.bytes_down = static_cast<std::uint64_t>(2 * i);
-      out.push_back(std::move(r));
-    }
-    return out;
-  }();
-  const ProxyColumns seq = build_proxy_columns(rows, nullptr);
+  TraceStore store;
+  for (int i = 0; i < 2000; ++i) {
+    ProxyRecord r;
+    r.timestamp = i;
+    r.user_id = static_cast<UserId>(i % 37);
+    r.tac = 35254208u + static_cast<Tac>(i % 5);
+    testing::set_strings(r, store, "host" + std::to_string(i % 61));
+    r.bytes_up = static_cast<std::uint64_t>(i);
+    r.bytes_down = static_cast<std::uint64_t>(2 * i);
+    store.proxy.push_back(r);
+  }
+  ASSERT_TRUE(store.is_sorted());
+  const ProxyColumns seq = build_proxy_columns(store.proxy, store.hosts);
+  expect_same_columns(seq, oracle::proxy_columns_rows(store.proxy, store.hosts),
+                      "oracle");
   for (int threads : {2, 4, 8}) {
     par::TaskPool pool(threads);
-    const ProxyColumns par_cols = build_proxy_columns(rows, &pool);
-    EXPECT_EQ(par_cols.timestamp, seq.timestamp) << threads;
-    EXPECT_EQ(par_cols.user_id, seq.user_id) << threads;
-    EXPECT_EQ(par_cols.tac_id, seq.tac_id) << threads;
-    EXPECT_EQ(par_cols.host_id, seq.host_id) << threads;
-    EXPECT_EQ(par_cols.bytes_total, seq.bytes_total) << threads;
-    EXPECT_EQ(par_cols.hosts, seq.hosts) << threads;
-    EXPECT_EQ(par_cols.tacs, seq.tacs) << threads;
+    expect_same_columns(build_proxy_columns(store.proxy, store.hosts, &pool),
+                        seq, std::to_string(threads) + " threads");
   }
 }
 
@@ -143,10 +167,10 @@ TEST(Columns, StoreBuildIsLazyAndSortInvalidates) {
   r.timestamp = 10;
   r.user_id = 1;
   r.tac = 35254208u;
-  r.host = "a.example";
+  testing::set_strings(r, store, "a.example");
   store.proxy.push_back(r);
   r.timestamp = 5;
-  r.host = "b.example";
+  testing::set_strings(r, store, "b.example");
   store.proxy.push_back(r);
 
   EXPECT_FALSE(store.columns_built());
@@ -156,10 +180,18 @@ TEST(Columns, StoreBuildIsLazyAndSortInvalidates) {
 
   store.sort_by_time();
   EXPECT_FALSE(store.columns_built());
-  // On-demand rebuild reflects the new row order.
+  // On-demand rebuild reflects the new row order, and the sort renumbered
+  // the host pool into first-appearance order over it.
   EXPECT_EQ(store.proxy_columns().timestamp[0], 5);
   EXPECT_TRUE(store.columns_built());
+  EXPECT_EQ(store.proxy_columns().hosts,
+            (std::vector<std::string>{"b.example", "a.example"}));
+  EXPECT_EQ(store.proxy_columns().host_id,
+            (std::vector<std::uint32_t>{0, 1}));
 }
+
+static_assert(std::is_trivially_copyable_v<ProxyRecord>);
+static_assert(std::is_trivially_copyable_v<live::StampedProxy>);
 
 // ---- Columnar kernels vs independent references ----------------------------
 
@@ -369,6 +401,85 @@ TEST(ColumnarKernels, ThreadCountDoesNotChangeTheAnswer) {
   EXPECT_DOUBLE_EQ(a1.monthly_growth, a8.monthly_growth);
   expect_same_ecdf(core::analyze_activity(one).txn_size_bytes,
                    core::analyze_activity(eight).txn_size_bytes, "txn bytes");
+}
+
+// ---- Store columns vs the string-hashing oracle ----------------------------
+
+/// The store's column build at 1, 2, 4 and 8 threads equals the oracle's
+/// string-hashing transpose of the same rows.
+void expect_columns_match_oracle(const TraceStore& store,
+                                 const std::string& what) {
+  ASSERT_TRUE(store.is_sorted()) << what;
+  const ProxyColumns want = oracle::proxy_columns_rows(store.proxy, store.hosts);
+  expect_same_columns(build_proxy_columns(store.proxy, store.hosts, nullptr),
+                      want, what + ", inline");
+  for (const int threads : {1, 2, 4, 8}) {
+    par::TaskPool pool(static_cast<std::size_t>(threads));
+    expect_same_columns(build_proxy_columns(store.proxy, store.hosts, &pool),
+                        want, what + ", " + std::to_string(threads) +
+                                  " threads");
+  }
+}
+
+TEST(Columns, StoreColumnsMatchTheOracleForEveryFormat) {
+  const TraceStore& original = capture().store;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("wearscope_columns_oracle_" + std::to_string(::getpid()));
+  struct Format {
+    const char* name;
+    BundleFormat format;
+    std::uint16_t version;
+  };
+  for (const Format& f : {Format{"v1", BundleFormat::kBinary, 1},
+                          Format{"v2", BundleFormat::kBinary, 2},
+                          Format{"v3", BundleFormat::kBinary, 3},
+                          Format{"csv", BundleFormat::kCsv, 3}}) {
+    std::filesystem::remove_all(dir);
+    save_bundle(original, dir, f.format, f.version);
+    for (const int threads : {1, 2, 4, 8}) {
+      LoadOptions load;
+      load.threads = threads;
+      TraceStore store = load_bundle(dir, load);
+      store.sort_by_time();
+      const std::string what =
+          std::string(f.name) + " load at " + std::to_string(threads);
+      // Canonical pools: the same capture is the same rows and pools,
+      // whatever format carried it.
+      EXPECT_EQ(store.proxy, original.proxy) << what;
+      EXPECT_EQ(static_cast<const ProxyPools&>(store), original) << what;
+      expect_columns_match_oracle(store, what);
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Columns, StoreColumnsMatchTheOracleAfterMutators) {
+  {
+    TraceStore store = capture().store;
+    // Blank every 53rd host: the sanitizer drops those rows, and with
+    // them the last users of some pool entries.
+    for (std::size_t i = 0; i < store.proxy.size(); i += 53)
+      store.proxy[i].host_id = store.hosts.intern("");
+    const QuarantineStats q = sanitize_store(store);
+    ASSERT_GT(q.bad_host, 0u);
+    store.sort_by_time();
+    expect_columns_match_oracle(store, "sanitized");
+  }
+  {
+    TraceStore store = capture().store;
+    anonymize(store, AnonymizePolicy{});
+    expect_columns_match_oracle(store, "anonymized");
+  }
+  {
+    TraceStore store = capture().store;
+    const chaos::FaultPlan plan(17, chaos::FaultProfile::named("records"));
+    const chaos::FaultManifest manifest = plan.inject_records(store);
+    ASSERT_GT(manifest.expected.bad_host, 0u);
+    EXPECT_TRUE(sanitize_store(store) == manifest.expected);
+    store.sort_by_time();
+    expect_columns_match_oracle(store, "chaos-injected");
+  }
 }
 
 }  // namespace

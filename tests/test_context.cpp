@@ -6,6 +6,7 @@
 #include "core/streaming_activity.h"
 #include "live/engine.h"
 #include "util/error.h"
+#include "test_support.h"
 
 namespace wearscope::core {
 namespace {
@@ -21,13 +22,13 @@ trace::TraceStore micro_store() {
   };
   s.sectors = {{1, {40.0, -3.0}}, {2, {40.1, -3.0}}};
 
-  const auto proxy = [](util::SimTime t, trace::UserId u, trace::Tac tac,
-                        const char* host) {
+  const auto proxy = [&s](util::SimTime t, trace::UserId u, trace::Tac tac,
+                          const char* host) {
     trace::ProxyRecord r;
     r.timestamp = t;
     r.user_id = u;
     r.tac = tac;
-    r.host = host;
+    testing::set_strings(r, s, host);
     r.bytes_down = 1000;
     return r;
   };

@@ -231,7 +231,7 @@ TEST(FedMerge, ChaosQuarantineAccountingCarriesThrough) {
   // Damage the copy deterministically: blank a few proxy hosts, which the
   // sanitizer quarantines as bad_host drops.
   for (std::size_t i = 0; i < store.proxy.size(); i += 97) {
-    store.proxy[i].host.clear();
+    store.proxy[i].host_id = store.hosts.intern("");
   }
   const trace::QuarantineStats expected = trace::sanitize_store(store);
   ASSERT_GT(expected.total_dropped(), 0u);

@@ -34,17 +34,40 @@ std::span<const std::byte> blob_bytes(const std::string& blob) {
   return std::as_bytes(std::span<const char>(blob.data(), blob.size()));
 }
 
+/// The pools every proxy sample of this file interns into.  The readers
+/// below decode into the same pools, so a record read back carries the ids
+/// it was written with (garbage strings a mutated log decodes to only add
+/// entries).
+ProxyPools& fuzz_pools() {
+  static ProxyPools pools;
+  return pools;
+}
+
+/// read_binary_log into fuzz_pools().
+template <typename Record>
+std::vector<Record> read_log(std::span<const std::byte> bytes) {
+  return read_binary_log<Record>(bytes, fuzz_pools());
+}
+
+/// read_binary_log_lenient into fuzz_pools().
+template <typename Record>
+std::vector<Record> read_log_lenient(std::span<const std::byte> bytes,
+                                     QuarantineStats& quarantine) {
+  return read_binary_log_lenient<Record>(bytes, quarantine, fuzz_pools());
+}
+
 std::string valid_binary_log(std::size_t records) {
   std::ostringstream out;
-  BinaryLogWriter<ProxyRecord> writer(out);
+  BinaryLogWriter<ProxyRecord> writer(out, fuzz_pools());
   for (std::size_t i = 0; i < records; ++i) {
     ProxyRecord r;
     r.timestamp = static_cast<util::SimTime>(i * 37);
     r.user_id = 1'000'000 + i;
     r.tac = 35254208;
     r.protocol = i % 2 == 0 ? Protocol::kHttps : Protocol::kHttp;
-    r.host = "host" + std::to_string(i) + ".example";
-    r.url_path = i % 2 == 0 ? "" : "/p/" + std::to_string(i);
+    testing::set_strings(r, fuzz_pools(),
+                         "host" + std::to_string(i) + ".example",
+                         i % 2 == 0 ? "" : "/p/" + std::to_string(i));
     r.bytes_up = i * 11;
     r.bytes_down = i * 101 + 1;
     r.duration_ms = static_cast<std::uint32_t>(i + 1);
@@ -56,7 +79,7 @@ std::string valid_binary_log(std::size_t records) {
 /// Strict read of a whole log; returns the record count (may throw).
 template <typename Record>
 std::size_t drain_binary(const std::string& blob) {
-  return read_binary_log<Record>(blob_bytes(blob)).size();
+  return read_log<Record>(blob_bytes(blob)).size();
 }
 
 TEST(FuzzBinary, TruncationAtEveryOffsetIsHandled) {
@@ -193,8 +216,9 @@ std::vector<ProxyRecord> sample_proxy(std::size_t n) {
     r.user_id = 1'000'000 + i;
     r.tac = 35254208;
     r.protocol = i % 2 == 0 ? Protocol::kHttps : Protocol::kHttp;
-    r.host = "host" + std::to_string(i) + ".example";
-    r.url_path = i % 2 == 0 ? "" : "/p/" + std::to_string(i);
+    testing::set_strings(r, fuzz_pools(),
+                         "host" + std::to_string(i) + ".example",
+                         i % 2 == 0 ? "" : "/p/" + std::to_string(i));
     r.bytes_up = i * 11;
     r.bytes_down = i * 101 + 1;
     r.duration_ms = static_cast<std::uint32_t>(i + 1);
@@ -218,7 +242,7 @@ std::vector<MmeRecord> sample_mme(std::size_t n) {
 template <typename Record>
 void drive_corpus(const std::vector<Record>& sample, bool proxy_layout,
                   std::uint64_t seed) {
-  const chaos::BinaryImage image = chaos::image_of(sample);
+  const chaos::BinaryImage image = chaos::image_of(sample, fuzz_pools());
   const chaos::FaultPlan plan(seed, chaos::FaultProfile::named("io"));
   const std::vector<chaos::ByteFault> corpus =
       plan.byte_corpus(image, proxy_layout);
@@ -229,7 +253,7 @@ void drive_corpus(const std::vector<Record>& sample, bool proxy_layout,
     QuarantineStats q;
     std::vector<Record> got;
     // Lenient reads never throw — corruption lands in `q`, not exceptions.
-    ASSERT_NO_THROW(got = read_binary_log_lenient<Record>(
+    ASSERT_NO_THROW(got = read_log_lenient<Record>(
                         blob_bytes(fault.bytes), q))
         << "seed " << seed << " corpus entry " << i;
     if (fault.exact) {
@@ -270,7 +294,7 @@ std::string valid_v2_log(std::size_t records, std::size_t block_records) {
   std::ostringstream out;
   BlockWriterOptions options;
   options.max_block_records = block_records;
-  BlockLogWriter<ProxyRecord> writer(out, options);
+  BlockLogWriter<ProxyRecord> writer(out, fuzz_pools(), options);
   for (const ProxyRecord& r : sample_proxy(records)) writer.write(r);
   writer.finish();
   return out.str();
@@ -289,7 +313,7 @@ UnitIndex index_of(const std::string& blob) {
 void expect_cursor_agrees(const std::string& blob, const std::string& what) {
   std::optional<std::vector<ProxyRecord>> whole;
   try {
-    whole = read_binary_log<ProxyRecord>(blob_bytes(blob));
+    whole = read_log<ProxyRecord>(blob_bytes(blob));
   } catch (const util::ParseError&) {
   }
   std::optional<std::vector<ProxyRecord>> streamed;
@@ -298,6 +322,8 @@ void expect_cursor_agrees(const std::string& blob, const std::string& what) {
     LogCursor<ProxyRecord> cursor(in);
     std::vector<ProxyRecord> got;
     while (const ProxyRecord* r = cursor.next()) got.push_back(*r);
+    // The cursor numbers its own pools; compare what the rows say.
+    remap_ids(got, cursor.pools(), fuzz_pools());
     streamed = std::move(got);
   } catch (const util::ParseError&) {
   }
@@ -349,7 +375,7 @@ TEST(FuzzV2, TruncationAtEveryOffsetHonorsBlockAccounting) {
     QuarantineStats q;
     std::vector<ProxyRecord> got;
     ASSERT_NO_THROW(
-        got = read_binary_log_lenient<ProxyRecord>(blob_bytes(prefix), q))
+        got = read_log_lenient<ProxyRecord>(blob_bytes(prefix), q))
         << "cut " << cut;
     expect_cursor_agrees(prefix, "cut " + std::to_string(cut));
     if (cut < 8) {
@@ -383,7 +409,7 @@ TEST(FuzzV2, CorruptCrcQuarantinesExactlyThatBlock) {
     QuarantineStats q;
     std::vector<ProxyRecord> got;
     ASSERT_NO_THROW(
-        got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
+        got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "block " << k;
     expect_cursor_agrees(mutated, "block " + std::to_string(k));
     EXPECT_EQ(q.corrupt_blocks, 1u) << "block " << k;
@@ -391,7 +417,7 @@ TEST(FuzzV2, CorruptCrcQuarantinesExactlyThatBlock) {
     // Resync is exact: every OTHER block survives, in order.
     EXPECT_EQ(got, without_block(sample, index, k)) << "block " << k;
     // The strict reader must refuse what the lenient one quarantined.
-    EXPECT_THROW((void)read_binary_log<ProxyRecord>(blob_bytes(mutated)),
+    EXPECT_THROW((void)read_log<ProxyRecord>(blob_bytes(mutated)),
                  util::ParseError)
         << "block " << k;
   }
@@ -409,7 +435,7 @@ TEST(FuzzV2, OverlongByteLengthLosesOnlyTheTail) {
     QuarantineStats q;
     std::vector<ProxyRecord> got;
     ASSERT_NO_THROW(
-        got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
+        got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "block " << k;
     expect_cursor_agrees(mutated, "block " + std::to_string(k));
     // The chain is unrecoverable past a broken length: one counted block,
@@ -436,7 +462,7 @@ TEST(FuzzV2, ImpossibleRecordCountSkipsFrameAndResyncs) {
     QuarantineStats q;
     std::vector<ProxyRecord> got;
     ASSERT_NO_THROW(
-        got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
+        got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "block " << k;
     expect_cursor_agrees(mutated, "block " + std::to_string(k));
     EXPECT_EQ(q.corrupt_blocks, 1u) << "block " << k;
@@ -456,11 +482,11 @@ TEST(FuzzV2, ZeroRecordBlockParsesCleanly) {
   QuarantineStats q;
   std::vector<ProxyRecord> lenient;
   ASSERT_NO_THROW(
-      lenient = read_binary_log_lenient<ProxyRecord>(blob_bytes(spliced), q));
+      lenient = read_log_lenient<ProxyRecord>(blob_bytes(spliced), q));
   expect_cursor_agrees(spliced, "spliced");
   EXPECT_EQ(lenient, sample);
   EXPECT_FALSE(q.any());
-  EXPECT_EQ(read_binary_log<ProxyRecord>(blob_bytes(spliced)), sample);
+  EXPECT_EQ(read_log<ProxyRecord>(blob_bytes(spliced)), sample);
   const BinaryLogInfo info = probe_binary_log<ProxyRecord>(blob_bytes(spliced));
   EXPECT_EQ(info.blocks, index.units.size() + 1);
   EXPECT_EQ(info.records, sample.size());
@@ -480,12 +506,12 @@ TEST(FuzzV2, SingleByteFlipsNeverCrashLenient) {
     std::vector<ProxyRecord> got;
     // Lenient reads never throw — corruption lands in `q`, not exceptions.
     ASSERT_NO_THROW(
-        got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
+        got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "trial " << trial;
     expect_cursor_agrees(mutated, "trial " + std::to_string(trial));
     EXPECT_LE(got.size(), 48u) << "trial " << trial;
     try {
-      (void)read_binary_log<ProxyRecord>(blob_bytes(mutated));
+      (void)read_log<ProxyRecord>(blob_bytes(mutated));
     } catch (const util::ParseError&) {
       // expected for corrupted magic/frame/CRC bytes
     }
@@ -506,7 +532,7 @@ std::string valid_v3_log(std::size_t records, std::size_t group_records) {
   std::ostringstream out;
   BlockWriterOptions options;
   options.max_block_records = group_records;
-  (void)write_columnar_log(out, sample_proxy(records), options);
+  (void)write_columnar_log(out, sample_proxy(records), fuzz_pools(), options);
   return out.str();
 }
 
@@ -594,7 +620,7 @@ TEST(FuzzV3, TruncationAtEveryOffsetHonorsGroupAccounting) {
     QuarantineStats q;
     std::vector<ProxyRecord> got;
     ASSERT_NO_THROW(
-        got = read_binary_log_lenient<ProxyRecord>(blob_bytes(prefix), q))
+        got = read_log_lenient<ProxyRecord>(blob_bytes(prefix), q))
         << "cut " << cut;
     expect_cursor_agrees(prefix, "cut " + std::to_string(cut));
     if (cut < chain_start) {
@@ -634,7 +660,7 @@ TEST(FuzzV3, CorruptColumnCrcQuarantinesExactlyThatGroup) {
     QuarantineStats q;
     std::vector<ProxyRecord> got;
     ASSERT_NO_THROW(
-        got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
+        got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "group " << k;
     expect_cursor_agrees(mutated, "group " + std::to_string(k));
     EXPECT_EQ(q.corrupt_blocks, 1u) << "group " << k;
@@ -642,7 +668,7 @@ TEST(FuzzV3, CorruptColumnCrcQuarantinesExactlyThatGroup) {
     // Resync is exact: every OTHER group survives, in order.
     EXPECT_EQ(got, without_group(sample, index, k)) << "group " << k;
     // The strict reader must refuse what the lenient one quarantined.
-    EXPECT_THROW((void)read_binary_log<ProxyRecord>(blob_bytes(mutated)),
+    EXPECT_THROW((void)read_log<ProxyRecord>(blob_bytes(mutated)),
                  util::ParseError)
         << "group " << k;
   }
@@ -666,12 +692,12 @@ TEST(FuzzV3, DictIndexOutOfRangeQuarantinesTheGroup) {
     QuarantineStats q;
     std::vector<ProxyRecord> got;
     ASSERT_NO_THROW(
-        got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
+        got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "group " << k;
     expect_cursor_agrees(mutated, "group " + std::to_string(k));
     EXPECT_EQ(q.corrupt_blocks, 1u) << "group " << k;
     EXPECT_EQ(got, without_group(sample, index, k)) << "group " << k;
-    EXPECT_THROW((void)read_binary_log<ProxyRecord>(blob_bytes(mutated)),
+    EXPECT_THROW((void)read_log<ProxyRecord>(blob_bytes(mutated)),
                  util::ParseError)
         << "group " << k;
   }
@@ -697,12 +723,12 @@ TEST(FuzzV3, VarintOverrunQuarantinesTheGroup) {
     QuarantineStats q;
     std::vector<ProxyRecord> got;
     ASSERT_NO_THROW(
-        got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
+        got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "group " << k;
     expect_cursor_agrees(mutated, "group " + std::to_string(k));
     EXPECT_EQ(q.corrupt_blocks, 1u) << "group " << k;
     EXPECT_EQ(got, without_group(sample, index, k)) << "group " << k;
-    EXPECT_THROW((void)read_binary_log<ProxyRecord>(blob_bytes(mutated)),
+    EXPECT_THROW((void)read_log<ProxyRecord>(blob_bytes(mutated)),
                  util::ParseError)
         << "group " << k;
   }
@@ -718,12 +744,12 @@ TEST(FuzzV3, DictionaryDamageQuarantinesTheWholeFile) {
   QuarantineStats q;
   std::vector<ProxyRecord> got;
   ASSERT_NO_THROW(
-      got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q));
+      got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q));
   expect_cursor_agrees(mutated, "dictionary");
   EXPECT_EQ(q.corrupt_files, 1u);
   EXPECT_EQ(q.corrupt_blocks, 0u);
   EXPECT_TRUE(got.empty());
-  EXPECT_THROW((void)read_binary_log<ProxyRecord>(blob_bytes(mutated)),
+  EXPECT_THROW((void)read_log<ProxyRecord>(blob_bytes(mutated)),
                util::ParseError);
 }
 
@@ -736,7 +762,7 @@ TEST(FuzzV3, DictionaryEntryCountBombIsBounded) {
   QuarantineStats q;
   std::vector<ProxyRecord> got;
   ASSERT_NO_THROW(
-      got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q));
+      got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q));
   EXPECT_EQ(q.corrupt_files, 1u);
   EXPECT_TRUE(got.empty());
   expect_cursor_agrees(mutated, "entry-count bomb");
@@ -759,7 +785,7 @@ TEST(FuzzV3, ImpossibleRecordCountSkipsGroupAndResyncs) {
     QuarantineStats q;
     std::vector<ProxyRecord> got;
     ASSERT_NO_THROW(
-        got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
+        got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "group " << k;
     expect_cursor_agrees(mutated, "group " + std::to_string(k));
     EXPECT_EQ(q.corrupt_blocks, 1u) << "group " << k;
@@ -788,11 +814,11 @@ TEST(FuzzV3, ZeroRecordGroupParsesCleanly) {
   QuarantineStats q;
   std::vector<ProxyRecord> lenient;
   ASSERT_NO_THROW(
-      lenient = read_binary_log_lenient<ProxyRecord>(blob_bytes(spliced), q));
+      lenient = read_log_lenient<ProxyRecord>(blob_bytes(spliced), q));
   expect_cursor_agrees(spliced, "spliced");
   EXPECT_EQ(lenient, sample);
   EXPECT_FALSE(q.any());
-  EXPECT_EQ(read_binary_log<ProxyRecord>(blob_bytes(spliced)), sample);
+  EXPECT_EQ(read_log<ProxyRecord>(blob_bytes(spliced)), sample);
 }
 
 TEST(FuzzV3, SingleByteFlipsNeverCrashLenient) {
@@ -809,12 +835,12 @@ TEST(FuzzV3, SingleByteFlipsNeverCrashLenient) {
     std::vector<ProxyRecord> got;
     // Lenient reads never throw — corruption lands in `q`, not exceptions.
     ASSERT_NO_THROW(
-        got = read_binary_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
+        got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "trial " << trial;
     expect_cursor_agrees(mutated, "trial " + std::to_string(trial));
     EXPECT_LE(got.size(), 48u) << "trial " << trial;
     try {
-      (void)read_binary_log<ProxyRecord>(blob_bytes(mutated));
+      (void)read_log<ProxyRecord>(blob_bytes(mutated));
     } catch (const util::ParseError&) {
       // expected for corrupted header/dictionary/group bytes
     }
@@ -840,16 +866,19 @@ fed::PartialSnapshot sample_partial() {
     opt.capture_tallies = true;
     std::vector<DeviceRecord> devices;
     devices.push_back({35254208, "Gear S3 frontier LTE", "Samsung", "Tizen"});
+    ProxyPools pools;
     live::LiveEngine engine(devices, opt);
+    engine.bind_hosts(pools.hosts);
     static constexpr const char* kHosts[] = {
         "api.weather.example", "sync.fit.example", "voice.assist.example"};
+    for (const char* host : kHosts) (void)pools.hosts.intern(host);
     for (std::size_t i = 0; i < 160; ++i) {
       ProxyRecord p;
       p.timestamp = static_cast<util::SimTime>(i * 53);
       p.user_id = 1'000'000 + i % 9;
       p.tac = 35254208;
       p.protocol = i % 2 == 0 ? Protocol::kHttps : Protocol::kHttp;
-      p.host = kHosts[i % 3];
+      testing::set_strings(p, pools, kHosts[i % 3]);
       p.bytes_up = i * 17;
       p.bytes_down = i * 129 + 1;
       p.duration_ms = static_cast<std::uint32_t>(i + 1);
@@ -1159,7 +1188,7 @@ TEST(FuzzChaosCorpus, StrictReaderRejectsEveryExactFault) {
   // The strict reader path must refuse what the lenient path quarantines:
   // an exact fault that drops records must surface as ParseError there.
   const std::vector<ProxyRecord> sample = sample_proxy(64);
-  const chaos::BinaryImage image = chaos::image_of(sample);
+  const chaos::BinaryImage image = chaos::image_of(sample, fuzz_pools());
   const chaos::FaultPlan plan(99, chaos::FaultProfile::named("io"));
   for (const chaos::ByteFault& fault : plan.byte_corpus(image, true)) {
     if (!fault.exact || fault.expected_survivors == sample.size()) continue;

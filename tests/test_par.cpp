@@ -363,11 +363,14 @@ TEST(HostClassification, FuzzCorpusAgreesWithOldAllocatingPath) {
 TEST(HostClassification, CacheIsAPureMemo) {
   const appdb::AppCatalog catalog(40);
   const core::AppSignatureTable table(catalog);
-  core::HostClassCache cache(table);
   const std::vector<std::string> corpus = fuzz_hosts(catalog, 1000);
+  trace::StringPool hosts;
+  for (const std::string& host : corpus) (void)hosts.intern(host);
+  core::HostClassCache cache(table, hosts);
   for (int pass = 0; pass < 2; ++pass) {
     for (const std::string& host : corpus) {
-      EXPECT_EQ(cache.classify(host), table.classify_host(host)) << host;
+      EXPECT_EQ(cache.classify(hosts.intern(host)), table.classify_host(host))
+          << host;
     }
   }
   // Second pass (and repeats within the first) must have hit the memo.

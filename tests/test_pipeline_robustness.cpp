@@ -5,6 +5,7 @@
 
 #include "core/pipeline.h"
 #include "util/geo.h"
+#include "test_support.h"
 
 namespace wearscope::core {
 namespace {
@@ -52,7 +53,7 @@ TEST(PipelineRobustness, SingleWearableTransaction) {
   r.timestamp = util::day_start(20) + 3600;
   r.user_id = 1;
   r.tac = kWearTac;
-  r.host = "api.weather.com";
+  testing::set_strings(r, store, "api.weather.com");
   r.bytes_down = 1000;
   store.proxy.push_back(r);
   store.mme.push_back({util::day_start(20), 1, kWearTac,
@@ -74,7 +75,7 @@ TEST(PipelineRobustness, PhonesOnlyCapture) {
     r.timestamp = util::day_start(d) + 7200;
     r.user_id = 5;
     r.tac = kPhoneTac;
-    r.host = "graph.facebook.com";
+    testing::set_strings(r, store, "graph.facebook.com");
     r.bytes_down = 50'000;
     store.proxy.push_back(r);
     store.mme.push_back({util::day_start(d), 5, kPhoneTac,
@@ -95,7 +96,7 @@ TEST(PipelineRobustness, UnknownTacsDoNotCrash) {
   r.timestamp = util::day_start(20);
   r.user_id = 9;
   r.tac = 99999999;  // absent from the DeviceDB
-  r.host = "mystery.example";
+  testing::set_strings(r, store, "mystery.example");
   r.bytes_down = 10;
   store.proxy.push_back(r);
   store.mme.push_back({util::day_start(20), 9, 99999999,

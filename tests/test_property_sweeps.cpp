@@ -63,12 +63,13 @@ TEST_P(SeedSweep, EveryProxyRecordWellFormed) {
   const simnet::SimResult& r = result_for(GetParam());
   for (const trace::ProxyRecord& rec : r.store.proxy) {
     ASSERT_GT(rec.bytes_total(), 0u);
-    ASSERT_FALSE(rec.host.empty());
+    ASSERT_FALSE(r.store.hosts[rec.host_id].empty());
     ASSERT_NE(rec.tac, 0u);
     ASSERT_NE(rec.user_id, 0u);
     ASSERT_GT(rec.duration_ms, 0u);
     if (rec.protocol == trace::Protocol::kHttps) {
-      ASSERT_TRUE(rec.url_path.empty()) << "SNI-only records carry no path";
+      ASSERT_TRUE(r.store.paths[rec.path_id].empty())
+          << "SNI-only records carry no path";
     }
   }
 }

@@ -6,6 +6,7 @@
 #include "core/context.h"
 #include "simnet/simulator.h"
 #include "util/geo.h"
+#include "test_support.h"
 
 namespace wearscope::core {
 namespace {
@@ -23,8 +24,7 @@ trace::TraceStore micro_store() {
     r.user_id = 1;
     r.tac = kWearTac;
     r.protocol = http ? trace::Protocol::kHttp : trace::Protocol::kHttps;
-    r.host = host;
-    if (http) r.url_path = "/x";
+    testing::set_strings(r, s, host, http ? "/x" : "");
     r.bytes_down = bytes;
     s.proxy.push_back(r);
   };

@@ -13,6 +13,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -497,6 +498,52 @@ TEST(LineServer, OverlongLineIsRejectedOthersKeepServing) {
   EXPECT_EQ(ask(polite, "epochs\n"), epochs_ok);
   ::close(polite);
   server.stop_listener();
+}
+
+TEST(LineServer, FinishedConnectionThreadsAreReaped) {
+  SnapshotStore store;
+  QueryEngine engine(store);
+  live::LiveSnapshot snap;
+  snap.epoch = 1;
+  store.publish(std::move(snap));
+
+  LineServer server(engine);
+  server.start_listener(0);
+  ASSERT_NE(server.bound_port(), 0u);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.bound_port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const std::string request = "epochs\n";
+  std::size_t most_held = 0;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    const timeval timeout{5, 0};
+    ASSERT_EQ(
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout),
+        0);
+    ASSERT_EQ(
+        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+        0);
+    ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+    std::string response;
+    char buf[128];
+    while (response.find('\n') == std::string::npos) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      ASSERT_GT(n, 0) << "cycle " << cycle;
+      response.append(buf, static_cast<std::size_t>(n));
+    }
+    ASSERT_EQ(response.rfind("OK epochs", 0), 0u) << response;
+    ::close(fd);
+    most_held = std::max(most_held, server.connection_threads());
+  }
+  // Every connection was closed before the next one opened, so only the
+  // last few (finished, not yet reaped at the next accept) may be held.
+  EXPECT_LE(most_held, 8u);
+  server.stop_listener();
+  EXPECT_EQ(server.connection_threads(), 0u);
 }
 
 // ------------------------------------------------------ epoch equivalence

@@ -12,7 +12,6 @@ trace::ProxyRecord rec(util::SimTime t, std::uint64_t bytes = 100) {
   trace::ProxyRecord r;
   r.timestamp = t;
   r.user_id = 7;
-  r.host = "x.example";
   r.bytes_down = bytes;
   return r;
 }

@@ -3,19 +3,27 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
+
+#include "test_support.h"
 
 namespace wearscope::trace {
 namespace {
 
-ProxyRecord proxy_at(util::SimTime t, UserId u) {
+ProxyRecord proxy_host(ProxyPools& pools, util::SimTime t, UserId u,
+                       const char* host) {
   ProxyRecord r;
   r.timestamp = t;
   r.user_id = u;
-  r.host = "x.example";
+  testing::set_strings(r, pools, host);
   r.bytes_up = 10;
   r.bytes_down = 90;
   return r;
+}
+
+ProxyRecord proxy_at(ProxyPools& pools, util::SimTime t, UserId u) {
+  return proxy_host(pools, t, u, "x.example");
 }
 
 MmeRecord mme_at(util::SimTime t, UserId u, SectorId s) {
@@ -24,7 +32,7 @@ MmeRecord mme_at(util::SimTime t, UserId u, SectorId s) {
 
 TEST(TraceStore, SortByTimeThenUser) {
   TraceStore s;
-  s.proxy = {proxy_at(10, 2), proxy_at(5, 1), proxy_at(10, 1)};
+  s.proxy = {proxy_at(s, 10, 2), proxy_at(s, 5, 1), proxy_at(s, 10, 1)};
   s.mme = {mme_at(9, 3, 1), mme_at(1, 1, 2)};
   EXPECT_FALSE(s.is_sorted());
   s.sort_by_time();
@@ -35,19 +43,13 @@ TEST(TraceStore, SortByTimeThenUser) {
   EXPECT_EQ(s.mme[0].timestamp, 1);
 }
 
-ProxyRecord proxy_host(util::SimTime t, UserId u, const char* host) {
-  ProxyRecord r = proxy_at(t, u);
-  r.host = host;
-  return r;
-}
-
 TEST(TraceStore, SortOnSortedStoreIsIdentity) {
   // Tied (time, user) rows differ only in host / sector, so any reordering
   // among them — which a stable sort must not do — would show.
   TraceStore s;
-  s.proxy = {proxy_host(5, 1, "a.example"), proxy_host(5, 1, "b.example"),
-             proxy_host(5, 1, "c.example"), proxy_host(7, 2, "d.example"),
-             proxy_host(7, 2, "a.example")};
+  s.proxy = {proxy_host(s, 5, 1, "a.example"), proxy_host(s, 5, 1, "b.example"),
+             proxy_host(s, 5, 1, "c.example"), proxy_host(s, 7, 2, "d.example"),
+             proxy_host(s, 7, 2, "a.example")};
   s.mme = {mme_at(3, 1, 30), mme_at(3, 1, 10), mme_at(3, 1, 20),
            mme_at(4, 2, 5)};
   ASSERT_TRUE(s.is_sorted());
@@ -65,17 +67,21 @@ TEST(TraceStore, SortOnSortedStoreIsIdentity) {
 
 TEST(TraceStore, SortFixesOnlyTheUnsortedLog) {
   TraceStore s;
-  s.proxy = {proxy_host(9, 1, "late.example"), proxy_host(2, 1, "a.example"),
-             proxy_host(2, 1, "b.example")};
+  s.proxy = {proxy_host(s, 9, 1, "late.example"), proxy_host(s, 2, 1, "a.example"),
+             proxy_host(s, 2, 1, "b.example")};
   s.mme = {mme_at(1, 1, 30), mme_at(1, 1, 10), mme_at(6, 2, 5)};
   const std::vector<MmeRecord> mme_before = s.mme;
 
   s.sort_by_time();
   EXPECT_TRUE(s.is_sorted());
   ASSERT_EQ(s.proxy.size(), 3u);
-  EXPECT_EQ(s.proxy[0].host, "a.example");  // stable among the tie
-  EXPECT_EQ(s.proxy[1].host, "b.example");
-  EXPECT_EQ(s.proxy[2].host, "late.example");
+  EXPECT_EQ(s.hosts[s.proxy[0].host_id], "a.example");  // stable among the tie
+  EXPECT_EQ(s.hosts[s.proxy[1].host_id], "b.example");
+  EXPECT_EQ(s.hosts[s.proxy[2].host_id], "late.example");
+  // The pool is renumbered into first-appearance order over the sorted rows.
+  EXPECT_EQ(s.hosts.strings(),
+            (std::vector<std::string>{"a.example", "b.example",
+                                      "late.example"}));
   EXPECT_EQ(s.mme, mme_before);
 
   // The mirror case: only the MME log is out of order.
@@ -91,7 +97,7 @@ TEST(TraceStore, SortFixesOnlyTheUnsortedLog) {
 
 TEST(TraceStore, SummarizeCounts) {
   TraceStore s;
-  s.proxy = {proxy_at(5, 1), proxy_at(7, 1), proxy_at(9, 2)};
+  s.proxy = {proxy_at(s, 5, 1), proxy_at(s, 7, 1), proxy_at(s, 9, 2)};
   s.mme = {mme_at(1, 1, 3), mme_at(2, 3, 4)};
   s.devices = {{1, "m", "v", "os"}};
   s.sectors = {{3, {0, 0}}, {4, {1, 1}}};

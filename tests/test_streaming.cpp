@@ -84,7 +84,6 @@ TEST(StreamingAdoption, IgnoresNonWearableAndOutOfWindow) {
     p.timestamp = util::day_start(1);
     p.user_id = 3;
     p.tac = 35332008;  // phone proxy: ignored
-    p.host = "x.example";
     return p;
   }());
   const AdoptionResult r = streaming.finalize();

@@ -80,30 +80,30 @@ TEST(TrafficGen, WearableRecordsCarryWearableTacAndStayInDay) {
   const Subscriber* s = w.find_owner(false);
   ASSERT_NE(s, nullptr);
   util::Pcg32 rng(6);
-  std::vector<trace::ProxyRecord> out;
-  for (int day = 0; day < 120 && out.empty(); ++day) {
+  trace::TraceStore out;
+  for (int day = 0; day < 120 && out.proxy.empty(); ++day) {
     const WearableDayPlan plan = w.traffic.plan_wearable_day(*s, day, rng);
     if (!plan.active) continue;
     util::Pcg32 mob_rng(7);
     const DayItinerary it = w.mobility.build_day(*s, day, mob_rng);
     util::Pcg32 gen_rng(8);
     w.traffic.generate_wearable_day(*s, plan, it, gen_rng, out);
-    for (const trace::ProxyRecord& r : out) {
+    for (const trace::ProxyRecord& r : out.proxy) {
       EXPECT_EQ(r.user_id, s->user_id);
       EXPECT_EQ(r.tac, s->wearable_tac);
       EXPECT_GE(util::day_of(r.timestamp), day);
       // A usage that starts before midnight may finish just after it.
       EXPECT_LE(r.timestamp, util::day_start(day + 1) + 15 * 60);
       EXPECT_GT(r.bytes_total(), 0u);
-      EXPECT_FALSE(r.host.empty());
+      EXPECT_FALSE(out.hosts[r.host_id].empty());
       if (r.protocol == trace::Protocol::kHttp) {
-        EXPECT_FALSE(r.url_path.empty());
+        EXPECT_FALSE(out.paths[r.path_id].empty());
       } else {
-        EXPECT_TRUE(r.url_path.empty());
+        EXPECT_TRUE(out.paths[r.path_id].empty());
       }
     }
   }
-  EXPECT_FALSE(out.empty());
+  EXPECT_FALSE(out.proxy.empty());
 }
 
 TEST(TrafficGen, IntraUsageGapsStayUnderSessionThreshold) {
@@ -113,8 +113,8 @@ TEST(TrafficGen, IntraUsageGapsStayUnderSessionThreshold) {
   // Sessionization gap of 60 s must never split one generated usage;
   // verify consecutive same-start-hour records cluster tightly.
   util::Pcg32 rng(9);
-  std::vector<trace::ProxyRecord> out;
-  for (int day = 0; day < 200 && out.size() < 50; ++day) {
+  trace::TraceStore out;
+  for (int day = 0; day < 200 && out.proxy.size() < 50; ++day) {
     const WearableDayPlan plan =
         w.traffic.plan_wearable_day(*s, day % w.cfg.observation_days, rng);
     if (!plan.active) continue;
@@ -124,13 +124,13 @@ TEST(TrafficGen, IntraUsageGapsStayUnderSessionThreshold) {
     util::Pcg32 gen_rng(static_cast<std::uint64_t>(day));
     w.traffic.generate_wearable_day(*s, plan, it, gen_rng, out);
   }
-  ASSERT_GT(out.size(), 5u);
+  ASSERT_GT(out.proxy.size(), 5u);
   // All gaps within a generated usage are < 60 s by construction; we can't
   // see usage ids here, but gaps of (0, 60) must exist.
-  std::sort(out.begin(), out.end(), trace::ByTimeThenUser{});
+  std::sort(out.proxy.begin(), out.proxy.end(), trace::ByTimeThenUser{});
   bool saw_intra_gap = false;
-  for (std::size_t i = 1; i < out.size(); ++i) {
-    const auto gap = out[i].timestamp - out[i - 1].timestamp;
+  for (std::size_t i = 1; i < out.proxy.size(); ++i) {
+    const auto gap = out.proxy[i].timestamp - out.proxy[i - 1].timestamp;
     if (gap > 0 && gap < 60) saw_intra_gap = true;
   }
   EXPECT_TRUE(saw_intra_gap);
@@ -142,12 +142,12 @@ TEST(TrafficGen, PhoneDayUsesPhoneTac) {
   util::Pcg32 rng(11);
   util::Pcg32 mob_rng(12);
   const DayItinerary it = w.mobility.build_day(s, 140, mob_rng);
-  std::vector<trace::ProxyRecord> out;
-  for (int attempt = 0; attempt < 5 && out.empty(); ++attempt) {
+  trace::TraceStore out;
+  for (int attempt = 0; attempt < 5 && out.proxy.empty(); ++attempt) {
     w.traffic.generate_phone_day(s, 140, it, rng, out);
   }
-  ASSERT_FALSE(out.empty());
-  for (const trace::ProxyRecord& r : out) {
+  ASSERT_FALSE(out.proxy.empty());
+  for (const trace::ProxyRecord& r : out.proxy) {
     EXPECT_EQ(r.tac, s.phone_tac);
     EXPECT_EQ(util::day_of(r.timestamp), 140);
   }
@@ -176,20 +176,23 @@ TEST(TrafficGen, CompanionDomainsOnlyForFingerprintableUsers) {
 
   util::Pcg32 rng(13);
   util::Pcg32 mob_rng(14);
-  std::vector<trace::ProxyRecord> plain_out;
-  std::vector<trace::ProxyRecord> marked_out;
+  trace::TraceStore plain_out;
+  trace::TraceStore marked_out;
   for (int day = 140; day < 153; ++day) {
     const DayItinerary it_p = w.mobility.build_day(*plain, day, mob_rng);
     const DayItinerary it_m = w.mobility.build_day(*marked, day, mob_rng);
     w.traffic.generate_phone_day(*plain, day, it_p, rng, plain_out);
     w.traffic.generate_phone_day(*marked, day, it_m, rng, marked_out);
   }
-  for (const trace::ProxyRecord& r : plain_out) {
-    EXPECT_FALSE(is_companion_host(r.host)) << r.host;
+  for (const trace::ProxyRecord& r : plain_out.proxy) {
+    const std::string& host = plain_out.hosts[r.host_id];
+    EXPECT_FALSE(is_companion_host(host)) << host;
   }
   const bool marked_has_companion = std::any_of(
-      marked_out.begin(), marked_out.end(),
-      [&](const trace::ProxyRecord& r) { return is_companion_host(r.host); });
+      marked_out.proxy.begin(), marked_out.proxy.end(),
+      [&](const trace::ProxyRecord& r) {
+        return is_companion_host(marked_out.hosts[r.host_id]);
+      });
   EXPECT_TRUE(marked_has_companion);
 }
 
@@ -212,10 +215,10 @@ TEST(TrafficGen, HomeUsersTransactFromHomeSector) {
     if (!plan.active) continue;
     util::Pcg32 mob_rng(16);
     const DayItinerary it = w.mobility.build_day(*home_user, day, mob_rng);
-    std::vector<trace::ProxyRecord> out;
+    trace::TraceStore out;
     util::Pcg32 gen_rng(static_cast<std::uint64_t>(day) + 17);
     w.traffic.generate_wearable_day(*home_user, plan, it, gen_rng, out);
-    for (const trace::ProxyRecord& r : out) {
+    for (const trace::ProxyRecord& r : out.proxy) {
       ++txns;
       if (it.sector_at(r.timestamp) == home_user->home_sector) ++at_home;
     }

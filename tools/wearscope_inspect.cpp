@@ -108,16 +108,26 @@ void print_daily(const trace::TraceStore& store) {
 }
 
 void print_top_hosts(const trace::TraceStore& store, std::int64_t top) {
-  std::unordered_map<std::string, std::pair<std::size_t, std::uint64_t>> hosts;
+  // Tally per host id, then fold each pool entry into its domain once.
+  std::vector<std::pair<std::size_t, std::uint64_t>> per_host(
+      store.hosts.size());
   for (const trace::ProxyRecord& r : store.proxy) {
-    auto& [txns, bytes] = hosts[util::registrable_domain(r.host)];
+    auto& [txns, bytes] = per_host[r.host_id];
     ++txns;
     bytes += r.bytes_total();
+  }
+  std::unordered_map<std::string, std::pair<std::size_t, std::uint64_t>> hosts;
+  for (std::uint32_t id = 0; id < per_host.size(); ++id) {
+    if (per_host[id].first == 0) continue;
+    auto& [txns, bytes] = hosts[util::registrable_domain(store.hosts[id])];
+    txns += per_host[id].first;
+    bytes += per_host[id].second;
   }
   std::vector<std::pair<std::string, std::pair<std::size_t, std::uint64_t>>>
       ranked(hosts.begin(), hosts.end());
   std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    return a.second.first > b.second.first;
+    return a.second.first != b.second.first ? a.second.first > b.second.first
+                                            : a.first < b.first;
   });
   std::printf("== top endpoints by transactions (registrable domain) ==\n");
   std::vector<std::vector<std::string>> rows;
