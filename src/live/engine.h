@@ -16,12 +16,16 @@
 // user-appearance order from router-stamped stream positions (see
 // core/streaming_activity.h).
 //
-// Threading contract: exactly one thread calls push()/snapshot()/stop().
-// Worker threads are internal; all shared state is either immutable after
-// construction (DeviceClassifier, AppSignatureTable), bound once by the
-// feed thread before the first push (the host pool, bind_hosts), or owned
-// by exactly one thread (ShardStats), so the only synchronization on the
-// hot path is the SPSC ring per shard.
+// Threading contract: exactly one thread calls push()/flush()/snapshot()/
+// stop().  Worker threads are internal; all shared state is either
+// immutable after construction (DeviceClassifier, AppSignatureTable),
+// bound once by the feed thread before the first push (the host pool,
+// bind_hosts), or owned by exactly one thread (ShardStats), so the only
+// synchronization on the hot path is the SPSC ring per shard.  push()
+// stages records and commits them to the rings in batches, so a pushed
+// record may wait on the feed thread until its shard's batch fills, the
+// next snapshot()/stop(), or an explicit flush() — a feed that pauses
+// (FeedReplayer's paced replay) flushes before it sleeps.
 #pragma once
 
 #include <cstdint>
@@ -96,10 +100,14 @@ class LiveEngine {
   /// fed::replay_partition_feed bind their capture's pool.
   void bind_hosts(const trace::StringPool& hosts);
 
-  /// Feeds one record, blocking when the target shard's ring is full.
-  /// Returns false after stop().
+  /// Feeds one record: stages it for its shard, blocking when a full
+  /// batch meets a full ring.  Returns false after stop().
   bool push(trace::ProxyRecord record);
   bool push(trace::MmeRecord record);
+
+  /// Commits every staged record to its shard's ring now, so the workers
+  /// see everything pushed so far.  Same threading contract as push().
+  bool flush() { return router_.flush(); }
 
   /// Accounts a run of records owned by other partitions without routing
   /// them (IngestRouter::skip_unowned): a pre-filtered feed interleaves

@@ -3,6 +3,7 @@
 // coordinator.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 #include <variant>
@@ -32,5 +33,9 @@ static_assert(std::is_trivially_copyable_v<StampedProxy>);
 /// One element of a shard's ingest ring.
 using LiveEvent =
     std::variant<StampedProxy, trace::MmeRecord, SnapshotBarrier>;
+
+/// Events the router stages per shard before one ring commit, and the most
+/// a shard worker takes out of its ring at once.
+inline constexpr std::size_t kEventBatch = 128;
 
 }  // namespace wearscope::live

@@ -76,6 +76,7 @@ ReplayReport FeedReplayer::replay(LiveEngine& engine) const {
       while (next_snapshot <= ts) next_snapshot += opt_.snapshot_every_s;
     }
     if (paced) {
+      engine.flush();
       const double wall_target =
           static_cast<double>(ts - t0) / opt_.speedup;
       std::this_thread::sleep_until(

@@ -6,7 +6,10 @@
 // the throughput-benchmark mode).  Optionally requests an engine snapshot
 // every `snapshot_every_s` seconds of *stream* time, which makes periodic
 // snapshots deterministic: epoch boundaries depend only on record
-// timestamps, never on wall-clock scheduling.
+// timestamps, never on wall-clock scheduling.  A paced replay (speedup > 0)
+// flushes the engine's staged records before each sleep, so no record that
+// is already due waits on the feed thread for its batch to fill; the
+// full-speed replay never flushes early.
 //
 // Transient faults: a real feed tap occasionally fails a read (stalled
 // middlebox, flapping spool mount).  The replayer models that with a

@@ -7,8 +7,10 @@ namespace wearscope::live {
 IngestRouter::IngestRouter(std::size_t shards, std::size_t ring_capacity) {
   util::require(shards >= 1, "IngestRouter: need at least one shard");
   rings_.reserve(shards);
+  stages_.resize(shards);
   for (std::size_t i = 0; i < shards; ++i) {
     rings_.push_back(std::make_unique<RingBuffer<LiveEvent>>(ring_capacity));
+    stages_[i].reserve(kEventBatch);
   }
 }
 
@@ -33,8 +35,9 @@ bool IngestRouter::route(trace::ProxyRecord record) {
     return true;
   }
   const std::size_t shard = shard_of(record.user_id, rings_.size());
-  StampedProxy stamped{next_proxy_seq_, std::move(record)};
-  if (!rings_[shard]->push(LiveEvent(std::move(stamped)))) return false;
+  if (!stage(shard, LiveEvent(StampedProxy{next_proxy_seq_, record}))) {
+    return false;
+  }
   ++next_proxy_seq_;
   return true;
 }
@@ -47,7 +50,7 @@ bool IngestRouter::route(trace::MmeRecord record) {
     return true;
   }
   const std::size_t shard = shard_of(record.user_id, rings_.size());
-  return rings_[shard]->push(LiveEvent(record));
+  return stage(shard, LiveEvent(record));
 }
 
 void IngestRouter::skip_unowned(std::uint64_t proxy_records,
@@ -57,15 +60,42 @@ void IngestRouter::skip_unowned(std::uint64_t proxy_records,
   filtered_records_ += proxy_records + mme_records;
 }
 
+bool IngestRouter::stage(std::size_t shard, LiveEvent event) {
+  if (closed_) return rings_[shard]->push(event);
+  std::vector<LiveEvent>& staged = stages_[shard];
+  staged.push_back(event);
+  return staged.size() < kEventBatch || commit(shard);
+}
+
+bool IngestRouter::commit(std::size_t shard) {
+  std::vector<LiveEvent>& staged = stages_[shard];
+  if (staged.empty()) return true;
+  const bool all = rings_[shard]->push_n(staged.data(), staged.size()) ==
+                   staged.size();
+  staged.clear();
+  return all;
+}
+
 bool IngestRouter::broadcast_barrier(std::uint64_t epoch) {
   bool ok = true;
-  for (const auto& ring : rings_) {
-    ok = ring->push(LiveEvent(SnapshotBarrier{epoch})) && ok;
+  for (std::size_t shard = 0; shard < rings_.size(); ++shard) {
+    ok = stage(shard, LiveEvent(SnapshotBarrier{epoch})) && commit(shard) &&
+         ok;
+  }
+  return ok;
+}
+
+bool IngestRouter::flush() {
+  bool ok = true;
+  for (std::size_t shard = 0; shard < rings_.size(); ++shard) {
+    ok = commit(shard) && ok;
   }
   return ok;
 }
 
 void IngestRouter::close() {
+  flush();
+  closed_ = true;
   for (const auto& ring : rings_) ring->close();
 }
 

@@ -7,8 +7,14 @@
 // This is the shard-by-user invariant the whole subsystem rests on; the
 // merge paths (core::AdoptionTally, core::ActivityTally) check it.
 //
+// Events are staged per shard and committed to the shard's ring in
+// batches of kEventBatch (one ring index store per batch, not per record).
+// Every staged event is committed before a barrier and before close, so
+// each shard still sees its events in feed order and every barrier sits at
+// the same stream position it would without staging.
+//
 // Exactly one thread (the feed) may call route()/broadcast_barrier()/
-// close(): each ring is single-producer.
+// flush()/close(): each ring is single-producer.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +53,12 @@ class IngestRouter {
   /// route() call.
   void set_partition(std::size_t partition_id, std::size_t partition_count);
 
-  /// Routes one record to its user's shard, blocking on backpressure.
-  /// Returns false when the rings are already closed.  Proxy records are
-  /// stamped with their global stream position (see StampedProxy).
-  /// Records outside the owned partition are filtered and report true.
+  /// Stages one record for its user's shard; a full stage is committed to
+  /// the shard's ring, blocking on backpressure.  Returns false when the
+  /// rings are already closed (or closed during that commit).  Proxy
+  /// records are stamped with their global stream position at staging
+  /// (see StampedProxy).  Records outside the owned partition are filtered
+  /// and report true.
   bool route(trace::ProxyRecord record);
   bool route(trace::MmeRecord record);
 
@@ -61,11 +69,18 @@ class IngestRouter {
   /// the stamps owned records carry bitwise.  Feed thread only.
   void skip_unowned(std::uint64_t proxy_records, std::uint64_t mme_records);
 
-  /// Pushes a barrier for `epoch` into every ring (same stream position on
-  /// each shard). Returns false when the rings are already closed.
+  /// Commits every shard's staged events, then a barrier for `epoch`, into
+  /// every ring (same stream position on each shard).  Returns false when
+  /// the rings are already closed.
   bool broadcast_barrier(std::uint64_t epoch);
 
-  /// Closes every ring: workers drain what is buffered, then stop.
+  /// Commits every shard's staged events now, blocking on backpressure.
+  /// Returns false when a ring refused some of them (closed).
+  bool flush();
+
+  /// Commits what is staged, then closes every ring: workers drain what is
+  /// buffered, then stop.  Later route() calls go straight to the closed
+  /// rings, which reject and count them.
   void close();
 
   [[nodiscard]] std::size_t shards() const noexcept { return rings_.size(); }
@@ -89,7 +104,16 @@ class IngestRouter {
   }
 
  private:
+  /// Stages `event` for `shard`, committing the stage once it is full;
+  /// after close() the event goes straight to the ring instead.
+  bool stage(std::size_t shard, LiveEvent event);
+  /// Commits shard `shard`'s stage with one push_n.
+  bool commit(std::size_t shard);
+
   std::vector<std::unique_ptr<RingBuffer<LiveEvent>>> rings_;
+  /// Per-shard events not yet committed, in feed order.  Feed-thread only.
+  std::vector<std::vector<LiveEvent>> stages_;
+  bool closed_ = false;               ///< Feed-thread only.
   std::uint64_t next_proxy_seq_ = 0;  ///< Feed-thread only, like route().
   std::size_t partition_id_ = 0;      ///< Feed-thread only.
   std::size_t partition_count_ = 1;   ///< 1 = single-process (no filter).

@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 #include <variant>
+#include <vector>
 
 #include "util/sched_hook.h"
 
@@ -51,9 +52,9 @@ void ShardWorker::run() {
                                   self->stats_.snapshot(self->index_));
     }
   };
-  LiveEvent event;
-  while (ring_->pop(event)) {
-    std::visit(Visitor{this}, event);
+  std::vector<LiveEvent> batch(kEventBatch);
+  while (const std::size_t n = ring_->pop_n(batch.data(), batch.size())) {
+    for (std::size_t i = 0; i < n; ++i) std::visit(Visitor{this}, batch[i]);
   }
 }
 

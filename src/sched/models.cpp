@@ -323,6 +323,119 @@ Model ring_transfer_model(std::size_t items, std::size_t capacity) {
   };
 }
 
+Model ring_batch_transfer_model(std::size_t items, std::size_t capacity,
+                                std::size_t batch) {
+  return [items, capacity, batch](Scheduler& sched) {
+    live::RingBuffer<std::size_t> ring(capacity);
+    ManagedThread producer("producer", [&] {
+      std::vector<std::size_t> chunk;
+      for (std::size_t first = 1; first <= items; first += batch) {
+        chunk.clear();
+        for (std::size_t v = first; v < first + batch && v <= items; ++v) {
+          chunk.push_back(v);
+        }
+        if (ring.push_n(chunk.data(), chunk.size()) != chunk.size()) {
+          sched.fail("ring_batch_transfer: push_n rejected on an open ring");
+          return;
+        }
+      }
+    });
+    std::vector<std::size_t> received;
+    std::vector<std::size_t> out(batch > 1 ? batch - 1 : 1);
+    while (received.size() < items) {
+      const std::size_t n = ring.pop_n(out.data(), out.size());
+      if (n == 0) {
+        sched.fail("ring_batch_transfer: pop_n drained before close");
+        break;
+      }
+      received.insert(received.end(), out.begin(),
+                      out.begin() + static_cast<std::ptrdiff_t>(n));
+    }
+    producer.join();
+    ring.close();
+    if (ring.pop_n(out.data(), out.size()) != 0) {
+      sched.fail("ring_batch_transfer: pop_n returned elements after drain");
+    }
+
+    for (std::size_t i = 0; i < received.size(); ++i) {
+      if (received[i] != i + 1) {
+        sched.fail("ring_batch_transfer: FIFO order violated at element " +
+                   std::to_string(i));
+        break;
+      }
+    }
+    const live::RingStats stats = ring.stats();
+    if (received.size() != items || stats.pushed != items ||
+        stats.popped != items || stats.rejected != 0) {
+      sched.fail("ring_batch_transfer: stats mismatch received=" +
+                 std::to_string(received.size()) +
+                 " pushed=" + std::to_string(stats.pushed) +
+                 " popped=" + std::to_string(stats.popped) +
+                 " rejected=" + std::to_string(stats.rejected));
+    }
+  };
+}
+
+Model ring_batch_close_model() {
+  return [](Scheduler& sched) {
+    constexpr std::size_t kChunk = 3;
+    constexpr std::size_t kOffered = 2 * kChunk;
+    live::RingBuffer<std::size_t> ring(2);
+    std::size_t accepted = 0;
+    bool accepted_after_reject = false;
+    ManagedThread producer("producer", [&] {
+      bool rejected_one = false;
+      for (std::size_t first = 1; first <= kOffered; first += kChunk) {
+        std::size_t chunk[kChunk] = {first, first + 1, first + 2};
+        const std::size_t n = ring.push_n(chunk, kChunk);
+        if (rejected_one && n > 0) accepted_after_reject = true;
+        if (n < kChunk) rejected_one = true;
+        accepted += n;
+      }
+    });
+
+    util::sched::point(util::sched::Op::kUserPoint, &ring);
+    ring.close();
+    std::vector<std::size_t> received;
+    std::size_t out[2];
+    const auto drain = [&] {
+      while (const std::size_t n = ring.pop_n(out, 2)) {
+        received.insert(received.end(), out, out + n);
+      }
+    };
+    drain();
+    producer.join();
+    // A chunk may have been committed after the first drain saw "empty +
+    // closed"; a second drain after the join sees all that was accepted.
+    drain();
+
+    if (accepted_after_reject) {
+      sched.fail("ring_batch_close: push_n accepted after a rejection "
+                 "(closed is not sticky)");
+    }
+    for (std::size_t i = 0; i < received.size(); ++i) {
+      if (received[i] != i + 1) {
+        sched.fail("ring_batch_close: delivered element " +
+                   std::to_string(received[i]) + " out of order");
+        return;
+      }
+    }
+    const live::RingStats stats = ring.stats();
+    if (received.size() != accepted || stats.pushed != accepted ||
+        stats.popped != accepted) {
+      sched.fail("ring_batch_close: accepted " + std::to_string(accepted) +
+                 " but delivered " + std::to_string(received.size()) +
+                 " (pushed=" + std::to_string(stats.pushed) +
+                 ", popped=" + std::to_string(stats.popped) + ")");
+    }
+    if (accepted + stats.rejected != kOffered) {
+      sched.fail("ring_batch_close: accepted " + std::to_string(accepted) +
+                 " + rejected " + std::to_string(stats.rejected) +
+                 " != offered " + std::to_string(kOffered));
+    }
+  };
+}
+
 Model ring_close_producer_model() {
   return [](Scheduler& sched) {
     constexpr std::size_t kAttempts = 3;

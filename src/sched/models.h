@@ -72,6 +72,20 @@ struct LiveFixture {
 [[nodiscard]] Model ring_transfer_model(std::size_t items,
                                         std::size_t capacity);
 
+/// Batched SPSC handoff: a producer thread pushes 1..items with push_n in
+/// chunks of `batch` (larger than `capacity`, so every chunk parks), main
+/// drains with pop_n taking at most batch - 1 at once.  Asserts FIFO
+/// delivery and exact pushed/popped element counts.
+[[nodiscard]] Model ring_batch_transfer_model(std::size_t items,
+                                              std::size_t capacity,
+                                              std::size_t batch);
+
+/// close() landing mid-push_n: on a capacity-2 ring the producer offers
+/// 1..6 as two push_n calls of three while main closes and drains with
+/// pop_n.  Asserts the accepted prefix is delivered exactly once,
+/// accepted + rejected == 6, and nothing is accepted after a rejection.
+[[nodiscard]] Model ring_batch_close_model();
+
 /// close() racing a pushing (possibly parked) producer on a capacity-1
 /// ring: main closes and drains while the producer attempts 3 pushes.
 /// Asserts accepted pushes form a prefix, every accepted element is

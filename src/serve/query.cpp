@@ -1,6 +1,7 @@
 #include "serve/query.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <vector>
 
@@ -52,15 +53,12 @@ void append_field_double(std::string& out, std::string_view key, double v) {
   return tokens;
 }
 
+/// Decimal digits only (no sign, no spaces); a value above UINT64_MAX is
+/// refused, never wrapped.
 [[nodiscard]] bool parse_u64(std::string_view text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char ch : text) {
-    if (ch < '0' || ch > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  out = value;
-  return true;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 [[nodiscard]] ParsedQuery fail(std::string message) {

@@ -103,6 +103,7 @@ void LineServer::accept_loop() {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) return;  // Listener shut down (or fatal error): stop.
     std::vector<std::thread> finished;
+    bool refused = false;
     {
       util::MutexLock lock(mutex_);
       if (stopping_) {
@@ -110,8 +111,18 @@ void LineServer::accept_loop() {
         return;
       }
       finished = take_finished();
-      connection_fds_.push_back(fd);
-      connection_threads_.emplace_back([this, fd] { serve_connection(fd); });
+      refused = connection_fds_.size() >= kMaxConnections;
+      if (!refused) {
+        connection_fds_.push_back(fd);
+        connection_threads_.emplace_back(
+            [this, fd] { serve_connection(fd); });
+      }
+    }
+    if (refused) {
+      // Over the cap: one answer and the door, on the accept thread, so a
+      // connection flood costs no thread per connection.
+      send_all(fd, "ERR too many connections\n");
+      ::close(fd);
     }
     // Joined outside the lock: a finished thread only has its close() left.
     for (std::thread& thread : finished) thread.join();

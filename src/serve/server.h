@@ -44,6 +44,11 @@ class LineServer {
   /// served.
   static constexpr std::size_t kMaxLineBytes = 64 * 1024;
 
+  /// Most TCP connections served at once.  While that many are open, the
+  /// listener answers a new one with `ERR too many connections` and closes
+  /// it; the open ones keep being served.
+  static constexpr std::size_t kMaxConnections = 64;
+
   /// Starts the TCP listener on 127.0.0.1:`port` (0 = kernel-assigned;
   /// read the result back with bound_port()).  Throws util::IoError when
   /// the socket cannot be bound.

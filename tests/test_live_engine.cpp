@@ -218,6 +218,51 @@ TEST(LiveEngine, MidStreamSnapshotCoversExactPrefix) {
   EXPECT_GT(final_snap.epoch, cut.epoch);
 }
 
+TEST(LiveEngine, BarrierCommitsStagedRecords) {
+  // Fewer records than one commit batch stay staged on the feed thread;
+  // the snapshot barrier must commit them ahead of itself.
+  const simnet::SimResult& sim = capture();
+  LiveEngine engine(sim.store.devices, options_for(sim, 2));
+  ASSERT_GE(sim.store.mme.size(), 3u);
+  static_assert(3 < kEventBatch);
+  for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(engine.push(sim.store.mme[i]));
+  }
+  const LiveSnapshot cut = engine.snapshot();
+  EXPECT_EQ(cut.records, 3u);
+  EXPECT_EQ(engine.stop().records, 3u);
+}
+
+TEST(LiveEngine, PacedReplayCommitsBeforeSleeping) {
+  // A paced replay flushes before each sleep, so every record is in its
+  // shard's ring by the time the next one's read starts — none waits for
+  // a batch to fill.
+  const simnet::SimResult& sim = capture();
+  ASSERT_GE(sim.store.mme.size(), 20u);
+  trace::TraceStore store;
+  store.devices = sim.store.devices;
+  for (std::size_t i = 0; i < 20; ++i) {
+    trace::MmeRecord r = sim.store.mme[i];
+    r.timestamp = 1000 + static_cast<util::SimTime>(i);  // 1 s apart
+    store.mme.push_back(r);
+  }
+  store.sort_by_time();
+
+  LiveEngine engine(store.devices, options_for(sim, 1));
+  ReplayOptions ropt;
+  ropt.speedup = 1000.0;
+  std::uint64_t checked = 0;
+  ropt.read_faults = [&](std::uint64_t seq) -> std::uint32_t {
+    EXPECT_EQ(engine.backpressure().pushed, seq) << "record " << seq;
+    ++checked;
+    return 0;
+  };
+  const ReplayReport report = FeedReplayer(store, ropt).replay(engine);
+  EXPECT_EQ(report.records_pushed, store.mme.size());
+  EXPECT_EQ(checked, store.mme.size());
+  EXPECT_EQ(engine.stop().records, store.mme.size());
+}
+
 TEST(LiveEngine, ShardOfIsStableAndCoversAllShards) {
   // The assignment must be deterministic (snapshots reproducible across
   // runs and platforms) and must actually use every shard.

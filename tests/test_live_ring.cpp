@@ -14,6 +14,7 @@
 #include "chaos/fault_plan.h"
 #include "live/ring_buffer.h"
 #include "test_support.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -239,6 +240,93 @@ TEST(LiveRing, ChaosStallScheduleStressExactTotals) {
   // A capacity-4 ring against scheduled stalls must have parked the
   // producer at least once; otherwise the schedule exercised nothing.
   EXPECT_GT(s.producer_waits, 0u);
+}
+
+TEST(LiveRing, PushNAfterCloseReturnsZeroAndCountsRejected) {
+  RingBuffer<int> ring(4);
+  ring.close();
+  int values[5] = {1, 2, 3, 4, 5};
+  EXPECT_EQ(ring.push_n(values, 5), 0u);
+  const RingStats s = ring.stats();
+  EXPECT_EQ(s.pushed, 0u);
+  EXPECT_EQ(s.rejected, 5u);
+}
+
+TEST(LiveRing, PopNDrainsAfterCloseThenReturnsZero) {
+  RingBuffer<int> ring(4);
+  int values[3] = {7, 8, 9};
+  ASSERT_EQ(ring.push_n(values, 3), 3u);
+  ring.close();
+  int out[8] = {};
+  EXPECT_EQ(ring.pop_n(out, 2), 2u);  // at most `max`
+  EXPECT_EQ(out[0], 7);
+  EXPECT_EQ(out[1], 8);
+  EXPECT_EQ(ring.pop_n(out, 8), 1u);  // the rest, not `max`
+  EXPECT_EQ(out[0], 9);
+  EXPECT_EQ(ring.pop_n(out, 8), 0u);
+  EXPECT_EQ(ring.stats().popped, 3u);
+}
+
+TEST(LiveRing, PushNChunksWrapAroundTheRing) {
+  // A 3-slot ring, offset by one, so chunks straddle the end of the slots.
+  RingBuffer<int> ring(3);
+  int v = -1;
+  ASSERT_TRUE(ring.push(0));
+  ASSERT_TRUE(ring.pop(v));
+  int values[3] = {10, 11, 12};
+  ASSERT_EQ(ring.push_n(values, 3), 3u);
+  EXPECT_EQ(ring.size(), 3u);
+  int out[3] = {};
+  ASSERT_EQ(ring.pop_n(out, 3), 3u);
+  EXPECT_EQ(out[0], 10);
+  EXPECT_EQ(out[1], 11);
+  EXPECT_EQ(out[2], 12);
+}
+
+TEST(LiveRing, MixedBatchSizesStressKeepsFifo) {
+  // push_n sizes 1..3x capacity against pop_n limits 1..2x capacity: every
+  // chunk larger than the ring commits in pieces across parks, and the
+  // element totals still balance exactly.
+  constexpr std::uint64_t kCount = 100'000;
+  constexpr std::size_t kCapacity = 8;
+  const std::uint64_t seed = wearscope::testing::seed_or(0xBA7C);
+  WEARSCOPE_SCOPED_SEED(seed);
+  RingBuffer<std::uint64_t> ring(kCapacity);
+  std::atomic<bool> ok{true};
+  std::thread consumer([&] {
+    wearscope::util::Pcg32 rng(seed, 2);
+    std::vector<std::uint64_t> out(2 * kCapacity);
+    std::uint64_t expected = 0;
+    for (;;) {
+      const auto max = static_cast<std::size_t>(
+          rng.uniform_int(1, static_cast<std::int64_t>(out.size())));
+      const std::size_t n = ring.pop_n(out.data(), max);
+      if (n == 0) break;
+      if (n > max) ok.store(false);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (out[i] != expected++) ok.store(false);
+      }
+    }
+    if (expected != kCount) ok.store(false);
+  });
+  wearscope::util::Pcg32 rng(seed, 1);
+  std::vector<std::uint64_t> chunk;
+  for (std::uint64_t next = 0; next < kCount;) {
+    const auto size = static_cast<std::uint64_t>(
+        rng.uniform_int(1, 3 * static_cast<std::int64_t>(kCapacity)));
+    chunk.clear();
+    for (std::uint64_t i = 0; i < size && next < kCount; ++i) {
+      chunk.push_back(next++);
+    }
+    ASSERT_EQ(ring.push_n(chunk.data(), chunk.size()), chunk.size());
+  }
+  ring.close();
+  consumer.join();
+  EXPECT_TRUE(ok.load());
+  const RingStats s = ring.stats();
+  EXPECT_EQ(s.pushed, kCount);
+  EXPECT_EQ(s.popped, kCount);
+  EXPECT_EQ(s.rejected, 0u);
 }
 
 TEST(LiveRing, MoveOnlyPayload) {

@@ -1,7 +1,7 @@
 // The deterministic-interleaving gate (ctest label: sched).
 //
-// Exhaustively enumerates the bounded schedules of the ring close-races
-// and the 2-shard live barrier scenario, runs seeded random walks over
+// Exhaustively enumerates the bounded schedules of the ring close-races,
+// the batched ring commit and the 2-shard live barrier scenario, runs seeded random walks over
 // the full live+serve path, and proves the harness can actually catch
 // bugs: a seeded lost-update mutation must be FOUND, and its printed
 // schedule must replay deterministically from the decision string alone.
@@ -53,6 +53,19 @@ TEST(SchedExplorer, RingTransferRendezvousCapacityOne) {
   // capacity 1 degenerates into a rendezvous buffer: every element takes
   // the park/wake path in some schedule.
   expect_exhaustive_pass(ring_transfer_model(3, 1), /*bound=*/2, 60000);
+}
+
+// Batched commits: push_n chunks larger than the ring park mid-chunk, and
+// pop_n takes less than a chunk, yet order and element counts are exact.
+TEST(SchedExplorer, RingBatchTransferExhaustive) {
+  expect_exhaustive_pass(ring_batch_transfer_model(5, 2, 3), /*bound=*/2,
+                         60000);
+}
+
+// close() landing mid-push_n: the accepted prefix arrives exactly once,
+// the rest is counted rejected, and no later chunk gets in.
+TEST(SchedExplorer, RingBatchCloseExhaustive) {
+  expect_exhaustive_pass(ring_batch_close_model(), /*bound=*/2, 60000);
 }
 
 // Satellite: close() racing a (possibly parked) producer — no element
@@ -135,6 +148,17 @@ TEST(SchedExplorer, RingRandomWalks) {
   const ExploreStats stats =
       random_walks(ring_transfer_model(6, 2), seed, walk_budget());
   ASSERT_TRUE(stats.passed()) << stats.failure->format();
+}
+
+TEST(SchedExplorer, RingBatchRandomWalks) {
+  const std::uint64_t seed = testing::seed_or(0xBA7C4);
+  WEARSCOPE_SCOPED_SEED(seed);
+  const ExploreStats transfer =
+      random_walks(ring_batch_transfer_model(9, 2, 4), seed, walk_budget());
+  ASSERT_TRUE(transfer.passed()) << transfer.failure->format();
+  const ExploreStats close =
+      random_walks(ring_batch_close_model(), seed, walk_budget());
+  ASSERT_TRUE(close.passed()) << close.failure->format();
 }
 
 // The mutation test: a deliberately seeded lost-update race MUST be

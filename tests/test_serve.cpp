@@ -16,7 +16,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -27,6 +29,8 @@
 #include "serve/server.h"
 #include "serve/snapshot_store.h"
 #include "simnet/simulator.h"
+#include "test_support.h"
+#include "util/rng.h"
 
 namespace wearscope::serve {
 namespace {
@@ -115,6 +119,122 @@ TEST(ServeQueryParse, RejectsMalformedLines) {
   EXPECT_FALSE(parse_query("adoption @").query.has_value());
   EXPECT_FALSE(parse_query("adoption @x").query.has_value());
   EXPECT_FALSE(parse_query("epochs @1").query.has_value());
+}
+
+TEST(ServeQueryParse, OverflowingNumbersAreRejected) {
+  // UINT64_MAX is still a number; one past it is refused, never wrapped
+  // (it used to parse as @0, and 2^64 + 1 as top-apps 1).
+  const ParsedQuery max = parse_query("adoption @18446744073709551615");
+  ASSERT_TRUE(max.query.has_value());
+  EXPECT_EQ(*max.query->epoch, UINT64_MAX);
+  EXPECT_FALSE(parse_query("adoption @18446744073709551616").query.has_value());
+  EXPECT_FALSE(parse_query("top-apps 18446744073709551617").query.has_value());
+  EXPECT_FALSE(
+      parse_query("sectors 3 @99999999999999999999999999").query.has_value());
+  EXPECT_FALSE(parse_query("top-apps +3").query.has_value());
+  EXPECT_FALSE(parse_query("top-apps 3x").query.has_value());
+}
+
+// ---------------------------------------------------------------- fuzzing
+
+/// Uniform pick from a fixed table.
+std::string_view pick(util::Pcg32& rng,
+                      std::span<const std::string_view> table) {
+  return table[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(table.size()) - 1))];
+}
+
+/// A digit run of 1..40 digits: long enough to overflow 64 bits often.
+std::string digit_run(util::Pcg32& rng) {
+  std::string digits;
+  const std::int64_t len = rng.uniform_int(1, 40);
+  for (std::int64_t i = 0; i < len; ++i) {
+    digits += static_cast<char>('0' + rng.uniform_int(0, 9));
+  }
+  return digits;
+}
+
+/// One seeded hostile query line built from grammar tokens, @ selectors,
+/// long digit runs, NULs and random bytes.  Never a newline: both front
+/// ends split the stream on it before a line reaches the parser.
+std::string fuzz_line(util::Pcg32& rng) {
+  static constexpr std::string_view kTokens[] = {
+      "adoption", "activity", "top-apps", "sectors", "quarantine",
+      "epochs",   "stats",    "help",     "#",       "@",
+      "-1",       "+7",       "0"};
+  static constexpr std::string_view kSeparators[] = {" ", "  ", "\t", "",
+                                                     "\r"};
+  std::string line;
+  const std::int64_t parts = rng.uniform_int(1, 6);
+  for (std::int64_t p = 0; p < parts; ++p) {
+    switch (rng.uniform_int(0, 4)) {
+      case 0:
+        line += pick(rng, kTokens);
+        break;
+      case 1:
+        line += '@';
+        line += digit_run(rng);
+        break;
+      case 2:
+        line += digit_run(rng);
+        break;
+      case 3:
+        line.append(static_cast<std::size_t>(rng.uniform_int(1, 3)), '\0');
+        break;
+      default:
+        for (std::int64_t i = rng.uniform_int(1, 8); i > 0; --i) {
+          char byte = static_cast<char>(rng.uniform_int(0, 255));
+          if (byte == '\n') byte = '\x7f';
+          line += byte;
+        }
+        break;
+    }
+    line += pick(rng, kSeparators);
+  }
+  return line;
+}
+
+// Whatever line a client sends, the parser never throws and the engine
+// answers with exactly one line that starts with "OK " or "ERR " — or
+// nothing, for the blank and comment lines the parser declares silent.
+TEST(FuzzQuery, EveryLineGetsOneOkOrErrLine) {
+  SnapshotStore store(8);
+  replay_into(store, /*shards=*/2,
+              /*snapshot_every=*/60 * util::kSecondsPerDay);
+  ASSERT_GT(store.published(), 1u);
+  QueryEngine engine(store);
+
+  const std::uint64_t seed = wearscope::testing::seed_or(0xF422);
+  WEARSCOPE_SCOPED_SEED(seed);
+  util::Pcg32 rng(seed);
+  std::vector<std::string> corpus = {
+      "adoption @18446744073709551616", "top-apps 18446744073709551615",
+      "sectors 18446744073709551615 @18446744073709551615",
+      "sectors 1 @1 @2", "top-apps 2 3", std::string("adoption\0", 9),
+      "quarantine @0", "activity @1"};
+  for (int i = 0; i < 5000; ++i) corpus.push_back(fuzz_line(rng));
+
+  for (const std::string& line : corpus) {
+    ParsedQuery parsed;
+    ASSERT_NO_THROW(parsed = parse_query(line))
+        << ::testing::PrintToString(line);
+    std::string answer;
+    ASSERT_NO_THROW(answer = engine.answer(line))
+        << ::testing::PrintToString(line);
+    if (!parsed.query.has_value() && parsed.error.empty()) {
+      EXPECT_TRUE(answer.empty()) << ::testing::PrintToString(line);
+      continue;
+    }
+    EXPECT_EQ(answer.find('\n'), std::string::npos)
+        << ::testing::PrintToString(line);
+    const bool ok = answer.rfind("OK ", 0) == 0;
+    const bool err = answer.rfind("ERR ", 0) == 0;
+    EXPECT_TRUE(ok || err) << ::testing::PrintToString(line) << " -> "
+                           << answer;
+    if (!parsed.query.has_value()) {
+      EXPECT_TRUE(err) << ::testing::PrintToString(line);
+    }
+  }
 }
 
 // --------------------------------------------------------- snapshot store
@@ -278,6 +398,44 @@ TEST(QueryEngine, HistoricalAnswersMatchDirectRendering) {
 
 // ------------------------------------------------------------ front ends
 
+/// A client socket connected to the listener on `port`, with a receive
+/// timeout so a server that never answers fails the test instead of
+/// hanging it.
+int connect_client(std::uint16_t port, int timeout_s = 5) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  const timeval timeout{timeout_s, 0};
+  EXPECT_EQ(
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+      0);
+  return fd;
+}
+
+/// Sends `request` and reads until a newline, EOF or an error.
+std::string ask(int fd, const std::string& request) {
+  std::size_t sent = 0;
+  while (sent < request.size()) {
+    const ssize_t w = ::send(fd, request.data() + sent, request.size() - sent,
+                             MSG_NOSIGNAL);
+    if (w <= 0) break;
+    sent += static_cast<std::size_t>(w);
+  }
+  std::string response;
+  char buf[128];
+  while (response.find('\n') == std::string::npos) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  return response;
+}
+
 TEST(LineServer, ServesStreamOneResponsePerQuery) {
   SnapshotStore store;
   QueryEngine engine(store);
@@ -346,25 +504,9 @@ TEST(LineServer, TcpListenerAnswersAndStops) {
   server.start_listener(0);  // kernel-assigned port
   ASSERT_NE(server.bound_port(), 0u);
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.bound_port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  const char request[] = "epochs\n";
-  ASSERT_EQ(::send(fd, request, sizeof(request) - 1, 0),
-            static_cast<ssize_t>(sizeof(request) - 1));
-  std::string response;
-  char buf[128];
-  while (response.find('\n') == std::string::npos) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    ASSERT_GT(n, 0);
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  EXPECT_EQ(response, "OK epochs retained=2 capacity=64 published=1\n");
+  const int fd = connect_client(server.bound_port());
+  EXPECT_EQ(ask(fd, "epochs\n"),
+            "OK epochs retained=2 capacity=64 published=1\n");
   ::close(fd);
   server.stop_listener();
   EXPECT_EQ(server.bound_port(), 0u);
@@ -437,49 +579,15 @@ TEST(LineServer, OverlongLineIsRejectedOthersKeepServing) {
   LineServer server(engine);
   server.start_listener(0);
   ASSERT_NE(server.bound_port(), 0u);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.bound_port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  const auto connect_client = [&addr] {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    // A server that never answers fails the test instead of hanging it.
-    const timeval timeout{5, 0};
-    EXPECT_EQ(
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout),
-        0);
-    EXPECT_EQ(
-        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
-        0);
-    return fd;
-  };
-  // Sends `request` and reads until a newline, EOF or an error.
-  const auto ask = [](int fd, const std::string& request) {
-    std::size_t sent = 0;
-    while (sent < request.size()) {
-      const ssize_t w = ::send(fd, request.data() + sent,
-                               request.size() - sent, MSG_NOSIGNAL);
-      if (w <= 0) break;
-      sent += static_cast<std::size_t>(w);
-    }
-    std::string response;
-    char buf[128];
-    while (response.find('\n') == std::string::npos) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n <= 0) break;
-      response.append(buf, static_cast<std::size_t>(n));
-    }
-    return response;
-  };
+  const std::uint16_t port = server.bound_port();
   const std::string epochs_ok = "OK epochs retained=1 capacity=64 published=1\n";
 
-  const int polite = connect_client();
+  const int polite = connect_client(port);
   EXPECT_EQ(ask(polite, "epochs\n"), epochs_ok);
 
   // One byte over the cap and no newline: the server reads every byte,
   // answers once and closes this connection only.
-  const int rude = connect_client();
+  const int rude = connect_client(port);
   EXPECT_EQ(ask(rude, std::string(LineServer::kMaxLineBytes + 1, 'x')),
             "ERR line too long\n");
   char byte;
@@ -487,7 +595,7 @@ TEST(LineServer, OverlongLineIsRejectedOthersKeepServing) {
   ::close(rude);
 
   // A line right at the cap is still a (bogus) query, not an overflow.
-  const int edge = connect_client();
+  const int edge = connect_client(port);
   const std::string at_cap =
       ask(edge, std::string(LineServer::kMaxLineBytes, 'x') + "\n");
   EXPECT_EQ(at_cap.rfind("ERR ", 0), 0u);
@@ -510,32 +618,12 @@ TEST(LineServer, FinishedConnectionThreadsAreReaped) {
   LineServer server(engine);
   server.start_listener(0);
   ASSERT_NE(server.bound_port(), 0u);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.bound_port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  const std::string request = "epochs\n";
   std::size_t most_held = 0;
   for (int cycle = 0; cycle < 200; ++cycle) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    const timeval timeout{5, 0};
-    ASSERT_EQ(
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout),
-        0);
-    ASSERT_EQ(
-        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
-        0);
-    ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(request.size()));
-    std::string response;
-    char buf[128];
-    while (response.find('\n') == std::string::npos) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      ASSERT_GT(n, 0) << "cycle " << cycle;
-      response.append(buf, static_cast<std::size_t>(n));
-    }
-    ASSERT_EQ(response.rfind("OK epochs", 0), 0u) << response;
+    const int fd = connect_client(server.bound_port());
+    const std::string response = ask(fd, "epochs\n");
+    ASSERT_EQ(response.rfind("OK epochs", 0), 0u)
+        << "cycle " << cycle << ": " << response;
     ::close(fd);
     most_held = std::max(most_held, server.connection_threads());
   }
@@ -544,6 +632,59 @@ TEST(LineServer, FinishedConnectionThreadsAreReaped) {
   EXPECT_LE(most_held, 8u);
   server.stop_listener();
   EXPECT_EQ(server.connection_threads(), 0u);
+}
+
+TEST(LineServer, RefusesConnectionsOverTheCap) {
+  SnapshotStore store;
+  QueryEngine engine(store);
+  live::LiveSnapshot snap;
+  snap.epoch = 1;
+  store.publish(std::move(snap));
+
+  LineServer server(engine);
+  server.start_listener(0);
+  ASSERT_NE(server.bound_port(), 0u);
+  const std::uint16_t port = server.bound_port();
+  const std::string epochs_ok = "OK epochs retained=1 capacity=64 published=1\n";
+
+  // An answered query proves the listener accepted and registered the
+  // connection before the next one opens.
+  std::vector<int> open;
+  for (std::size_t i = 0; i < LineServer::kMaxConnections; ++i) {
+    open.push_back(connect_client(port));
+    ASSERT_EQ(ask(open.back(), "epochs\n"), epochs_ok) << "connection " << i;
+  }
+
+  // One over the cap: refused with one line, then closed by the server.
+  const int extra = connect_client(port, /*timeout_s=*/2);
+  EXPECT_EQ(ask(extra, ""), "ERR too many connections\n");
+  char byte;
+  EXPECT_EQ(::recv(extra, &byte, 1, 0), 0);
+  ::close(extra);
+
+  // The open connections keep being served.
+  EXPECT_EQ(ask(open.front(), "epochs\n"), epochs_ok);
+  EXPECT_EQ(ask(open.back(), "epochs\n"), epochs_ok);
+
+  // Once one closes, a new client gets in (after the server notices).
+  ::close(open.back());
+  open.pop_back();
+  bool admitted = false;
+  for (int attempt = 0; attempt < 200 && !admitted; ++attempt) {
+    const int fd = connect_client(port);
+    const std::string response = ask(fd, "epochs\n");
+    admitted = response == epochs_ok;
+    if (admitted) {
+      open.push_back(fd);
+    } else {
+      EXPECT_EQ(response, "ERR too many connections\n");
+      ::close(fd);
+      ::usleep(10'000);
+    }
+  }
+  EXPECT_TRUE(admitted);
+  for (const int fd : open) ::close(fd);
+  server.stop_listener();
 }
 
 // ------------------------------------------------------ epoch equivalence

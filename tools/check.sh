@@ -21,9 +21,11 @@
 # wearscope_merge --verify (byte-identical to the batch pipeline or the
 # gate fails).
 # With --full it additionally runs the sanitizer gates CONTRIBUTING.md
-# requires — the chaos label under ASan+UBSan and the concurrency tests
-# (live engine, batch task pool, parallel v2 trace decode, snapshot
-# serving, federation) under TSan — plus a deep random-walk interleaving
+# requires — the chaos label, the ring/engine suites (push_n/pop_n index
+# arithmetic across chunks) and the query parser fuzz under ASan+UBSan,
+# and the concurrency tests (live engine, batch task pool, parallel v2
+# trace decode, snapshot serving, federation) under TSan — plus a deep
+# random-walk interleaving
 # budget through the sched harness, and refreshes the
 # BENCH_analysis.json / BENCH_trace_io.json / BENCH_serve.json /
 # BENCH_fed.json sweeps.
@@ -114,10 +116,12 @@ echo "== interleaving mutation gate (seeded bug must be found + replay)"
   2>/dev/null
 
 if [ "$full" -eq 1 ]; then
-  echo "== chaos label under ASan+UBSan"
+  echo "== chaos label, ring/engine and query parsing under ASan+UBSan"
   cmake -B "$root/build-asan" -S "$root" -DWEARSCOPE_SANITIZE=ON >/dev/null
   cmake --build "$root/build-asan" -j "$jobs"
   ctest --test-dir "$root/build-asan" -L chaos --output-on-failure
+  ctest --test-dir "$root/build-asan" \
+    -R "LiveRing|LiveEngine|FuzzQuery|ServeQueryParse" --output-on-failure
 
   echo "== concurrency tests under TSan"
   cmake -B "$root/build-tsan" -S "$root" -DWEARSCOPE_SANITIZE=thread \
