@@ -145,6 +145,23 @@ void BM_AnalyzeThroughDevice(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeThroughDevice)->Unit(benchmark::kMillisecond);
 
+void BM_AnalyzeCohorts(benchmark::State& state) {
+  run_analysis_bench(state, core::analyze_cohorts);
+}
+BENCHMARK(BM_AnalyzeCohorts)->Unit(benchmark::kMillisecond);
+
+void BM_AnalyzeRetention(benchmark::State& state) {
+  run_analysis_bench(state, core::analyze_retention);
+}
+BENCHMARK(BM_AnalyzeRetention)->Unit(benchmark::kMillisecond);
+
+void BM_AnalyzeGeography(benchmark::State& state) {
+  run_analysis_bench(state, [](const core::AnalysisContext& ctx) {
+    return core::analyze_geography(ctx);
+  });
+}
+BENCHMARK(BM_AnalyzeGeography)->Unit(benchmark::kMillisecond);
+
 void BM_StreamingAdoption(benchmark::State& state) {
   const simnet::SimResult& sim = shared_capture();
   const core::DeviceClassifier devices(sim.store.devices);

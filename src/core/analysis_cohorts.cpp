@@ -1,84 +1,132 @@
 #include "core/analysis_cohorts.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
-#include <set>
 #include <unordered_map>
 
 namespace wearscope::core {
 
+namespace {
+
+constexpr std::uint32_t kNoModel = ~std::uint32_t{0};
+
+}  // namespace
+
 CohortResult analyze_cohorts(const AnalysisContext& ctx) {
   CohortResult res;
+  const trace::TraceStore& store = ctx.store();
+  const trace::ProxyColumns& pc = store.proxy_columns();
+  const trace::MmeColumns& mc = store.mme_columns();
 
-  struct Raw {
-    trace::Tac tac = 0;
-    std::string manufacturer;
-    std::string os;
-    std::set<trace::UserId> users;
-    std::set<trace::UserId> active_users;
-    double txns = 0.0;
-    double bytes = 0.0;
-    std::set<std::uint64_t> active_user_days;
-  };
   // Key by model name: several TACs may belong to one commercial model.
-  std::map<std::string, Raw> raw;
-
-  // TAC -> DeviceDB row index for this capture (the DeviceDB is tiny).
+  // Dense model ids follow model-name order (the DeviceDB is tiny).
+  std::vector<std::string> models;
   std::unordered_map<trace::Tac, const trace::DeviceRecord*> device_index;
-  device_index.reserve(ctx.store().devices.size());
-  for (const trace::DeviceRecord& d : ctx.store().devices) {
+  for (const trace::DeviceRecord& d : store.devices) {
+    models.push_back(d.model);
     device_index.emplace(d.tac, &d);
   }
-  const auto model_of = [&](trace::Tac tac) -> const trace::DeviceRecord* {
-    const auto it = device_index.find(tac);
-    return it == device_index.end() ? nullptr : it->second;
-  };
+  std::sort(models.begin(), models.end());
+  models.erase(std::unique(models.begin(), models.end()), models.end());
 
-  for (const UserView& u : ctx.users()) {
+  // Resolve each TAC-dictionary entry once.  Registration counts only
+  // wearable TACs; the wearable rows are wearable by construction.
+  struct Entry {
+    const trace::DeviceRecord* device = nullptr;
+    std::uint32_t model = kNoModel;
+  };
+  const auto resolve = [&](trace::Tac tac) -> Entry {
+    const auto it = device_index.find(tac);
+    if (it == device_index.end()) return {};
+    const auto m =
+        std::lower_bound(models.begin(), models.end(), it->second->model);
+    return {it->second, static_cast<std::uint32_t>(m - models.begin())};
+  };
+  std::vector<Entry> mme_entry(mc.tacs.size());
+  for (std::size_t k = 0; k < mc.tacs.size(); ++k) {
+    if (ctx.devices().is_wearable(mc.tacs[k]))
+      mme_entry[k] = resolve(mc.tacs[k]);
+  }
+  std::vector<Entry> proxy_entry(pc.tacs.size());
+  for (std::size_t k = 0; k < pc.tacs.size(); ++k)
+    proxy_entry[k] = resolve(pc.tacs[k]);
+
+  // Per-model tallies.  Users are visited one at a time, so "last user
+  // counted" stamps make every distinct count a comparison; a user's rows
+  // are time-sorted, so their active days of one model are runs.
+  constexpr std::size_t kNone = ~std::size_t{0};
+  struct Tally {
+    const trace::DeviceRecord* first = nullptr;  ///< First registration.
+    std::size_t users = 0;
+    std::size_t active_users = 0;
+    std::size_t active_days = 0;
+    double txns = 0.0;
+    double bytes = 0.0;
+    std::size_t user_stamp = kNone;
+    std::size_t active_stamp = kNone;
+    std::size_t day_stamp_user = kNone;
+    int day_stamp = 0;
+  };
+  std::vector<Tally> tally(models.size());
+
+  const std::vector<UserView>& views = ctx.users();
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const UserView& u = views[i];
     // Registration: any wearable-TAC MME event counts the user into the
     // model cohort (full window, like the adoption analysis).
     for (const trace::MmeRecord* r : u.mme) {
-      if (!ctx.devices().is_wearable(r->tac)) continue;
-      const trace::DeviceRecord* d = model_of(r->tac);
-      if (d == nullptr) continue;
-      Raw& a = raw[d->model];
-      if (a.users.empty()) {
-        a.tac = d->tac;
-        a.manufacturer = d->manufacturer;
-        a.os = d->os;
+      const Entry& e =
+          mme_entry[mc.tac_id[static_cast<std::size_t>(r - store.mme.data())]];
+      if (e.model == kNoModel) continue;
+      Tally& t = tally[e.model];
+      if (t.first == nullptr) t.first = e.device;
+      if (t.user_stamp != i) {
+        t.user_stamp = i;
+        ++t.users;
       }
-      a.users.insert(u.user_id);
     }
     // Traffic: detailed window.
-    for (const trace::ProxyRecord* r : u.wearable_txns) {
-      const trace::DeviceRecord* d = model_of(r->tac);
-      if (d == nullptr) continue;
-      Raw& a = raw[d->model];
-      a.active_users.insert(u.user_id);
-      if (!ctx.in_detailed_window(r->timestamp)) continue;
-      a.txns += 1.0;
-      a.bytes += static_cast<double>(r->bytes_total());
-      a.active_user_days.insert((u.user_id << 10) ^
-                                static_cast<std::uint64_t>(
-                                    util::day_of(r->timestamp)));
+    for (const std::uint32_t row : u.wearable_rows) {
+      const std::uint32_t m = proxy_entry[pc.tac_id[row]].model;
+      if (m == kNoModel) continue;
+      Tally& t = tally[m];
+      if (t.active_stamp != i) {
+        t.active_stamp = i;
+        ++t.active_users;
+      }
+      const util::SimTime ts = pc.timestamp[row];
+      if (!ctx.in_detailed_window(ts)) continue;
+      t.txns += 1.0;
+      t.bytes += static_cast<double>(pc.bytes_total[row]);
+      const int day = util::day_of(ts);
+      if (t.day_stamp_user != i || t.day_stamp != day) {
+        t.day_stamp_user = i;
+        t.day_stamp = day;
+        ++t.active_days;
+      }
     }
   }
 
   double total_users = 0.0;
   std::map<std::string, double> by_vendor;
-  for (auto& [model, a] : raw) {
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    const Tally& t = tally[m];
+    if (t.users == 0 && t.active_users == 0) continue;
     ModelCohort c;
-    c.tac = a.tac;
-    c.model = model;
-    c.manufacturer = a.manufacturer;
-    c.os = a.os;
-    c.users = a.users.size();
-    c.active_users = a.active_users.size();
-    c.txns = a.txns;
-    c.bytes = a.bytes;
-    if (!a.active_users.empty()) {
-      c.mean_active_days = static_cast<double>(a.active_user_days.size()) /
-                           static_cast<double>(a.active_users.size());
+    if (t.first != nullptr) {
+      c.tac = t.first->tac;
+      c.manufacturer = t.first->manufacturer;
+      c.os = t.first->os;
+    }
+    c.model = models[m];
+    c.users = t.users;
+    c.active_users = t.active_users;
+    c.txns = t.txns;
+    c.bytes = t.bytes;
+    if (t.active_users > 0) {
+      c.mean_active_days = static_cast<double>(t.active_days) /
+                           static_cast<double>(t.active_users);
     }
     total_users += static_cast<double>(c.users);
     by_vendor[c.manufacturer] += static_cast<double>(c.users);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "core/analysis_mobility.h"
 #include "util/geo.h"
 
 namespace wearscope::core {
@@ -46,26 +47,18 @@ GeographyResult analyze_geography(const AnalysisContext& ctx,
     area_of[s.sector_id] = best;
   }
 
-  // 2. Home-anchor every user to their max-dwell sector.
+  // 2. Home-anchor every user to their max-dwell sector (the first in
+  //    sector order on ties).
+  SectorDwell dwell;
   for (const UserView& u : ctx.users()) {
-    std::map<trace::SectorId, double> dwell;
-    const trace::MmeRecord* prev = nullptr;
-    for (const trace::MmeRecord* r : u.mme) {
-      if (!ctx.in_detailed_window(r->timestamp)) continue;
-      if (prev != nullptr &&
-          util::day_of(prev->timestamp) == util::day_of(r->timestamp)) {
-        dwell[prev->sector_id] +=
-            static_cast<double>(r->timestamp - prev->timestamp);
-      }
-      prev = r;
-    }
-    if (dwell.empty()) continue;
-    trace::SectorId home = dwell.begin()->first;
+    user_sector_dwell(ctx, u, dwell);
+    if (dwell.sectors.empty()) continue;
+    trace::SectorId home = dwell.sectors.front();
     double best = 0.0;
-    for (const auto& [sector, t] : dwell) {
-      if (t > best) {
-        best = t;
-        home = sector;
+    for (std::size_t k = 0; k < dwell.sectors.size(); ++k) {
+      if (dwell.seconds[k] > best) {
+        best = dwell.seconds[k];
+        home = dwell.sectors[k];
       }
     }
     const auto it = area_of.find(home);

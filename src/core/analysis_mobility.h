@@ -5,6 +5,8 @@
 //   (d) max displacement vs hourly transaction activity.
 #pragma once
 
+#include <vector>
+
 #include "core/context.h"
 #include "core/report.h"
 #include "util/stats.h"
@@ -17,10 +19,42 @@ enum class EntropyNorm {
   kVisitCount,     ///< Naive: weight by number of MME events per sector.
 };
 
+/// Seconds one user spent per sector, sectors ascending.
+struct SectorDwell {
+  std::vector<trace::SectorId> sectors;
+  std::vector<double> seconds;  ///< Parallel to `sectors`.
+};
+
+/// Same-day consecutive dwell of one user within the detailed window: each
+/// MME event's sector accrues the time until the user's next event of the
+/// same day.  Fills `out` (reusing its capacity) with one entry per sector
+/// that accrued, possibly 0 s; each sector's sum runs in time order.  The
+/// one dwell walk behind the dwell-weighted entropy and geography's home
+/// anchor.
+void user_sector_dwell(const AnalysisContext& ctx, const UserView& user,
+                       SectorDwell& out);
+
 /// Shannon entropy (bits) of one user's visited locations within the
-/// detailed window, under the chosen normalization.
+/// detailed window, under the chosen normalization (weights in sector
+/// order).
 double user_location_entropy(const AnalysisContext& ctx, const UserView& user,
                              EntropyNorm norm = EntropyNorm::kDwellWeighted);
+
+/// Fig. 4(d) inputs of one user: wearable transactions in the detailed
+/// window, the distinct (day, hour) slots they fall in, and whether all of
+/// them were made from one sector.  A transaction is placed at the sector
+/// of the user's last MME event at or before it, else of the first event;
+/// a user without MME events counts as single-location.
+struct TxnActivity {
+  std::size_t txns = 0;
+  std::size_t active_hours = 0;
+  bool single_location = true;
+};
+
+/// One forward walk over the user's time-sorted transactions and MME
+/// events.
+TxnActivity user_txn_activity(const AnalysisContext& ctx,
+                              const UserView& user);
 
 /// Structured results of the mobility analysis.
 struct MobilityResult {

@@ -1,8 +1,7 @@
 #include "core/analysis_retention.h"
 
-#include <algorithm>
-#include <map>
-#include <set>
+#include <cstdint>
+#include <vector>
 
 namespace wearscope::core {
 
@@ -11,36 +10,40 @@ RetentionResult analyze_retention(const AnalysisContext& ctx) {
   const int weeks = ctx.options().observation_days / 7;
   if (weeks <= 0) return res;
 
-  // Week-presence bitsets per wearable user.
-  struct Presence {
-    int first_week = 1 << 30;
-    std::set<int> weeks;
-  };
-  std::map<trace::UserId, Presence> users;
-  for (const trace::MmeRecord& r : ctx.store().mme) {
-    if (!ctx.devices().is_wearable(r.tac)) continue;
-    const int w = util::week_of(r.timestamp);
-    if (w < 0 || w >= weeks) continue;
-    Presence& p = users[r.user_id];
-    p.first_week = std::min(p.first_week, w);
-    p.weeks.insert(w);
-  }
+  const trace::TraceStore& store = ctx.store();
+  const trace::MmeColumns& mc = store.mme_columns();
+  std::vector<std::uint8_t> wearable(mc.tacs.size());
+  for (std::size_t k = 0; k < mc.tacs.size(); ++k)
+    wearable[k] = ctx.devices().is_wearable(mc.tacs[k]) ? 1 : 0;
 
-  // Cohort = adoption week; survival over subsequent observable weeks.
-  std::map<int, std::vector<const Presence*>> cohorts;
-  for (const auto& [id, p] : users) cohorts[p.first_week].push_back(&p);
-
-  for (const auto& [week, members] : cohorts) {
-    Cohort c;
-    c.adoption_week = week;
-    c.size = members.size();
-    const int horizon = weeks - week;
-    c.survival.resize(static_cast<std::size_t>(horizon), 0.0);
-    for (const Presence* p : members) {
-      for (const int w : p->weeks) {
-        c.survival[static_cast<std::size_t>(w - week)] += 1.0;
+  // Cohort = adoption week (the user's first week with a wearable-TAC
+  // registration); survival over the subsequent observable weeks.  A
+  // user's events are time-sorted, so their weeks arrive as ascending
+  // runs: the first run is the adoption week, each run one week present.
+  std::vector<Cohort> by_week(static_cast<std::size_t>(weeks));
+  for (const UserView& u : ctx.users()) {
+    Cohort* cohort = nullptr;
+    int last_week = -1;
+    for (const trace::MmeRecord* r : u.mme) {
+      const auto row = static_cast<std::size_t>(r - store.mme.data());
+      if (wearable[mc.tac_id[row]] == 0) continue;
+      const int w = util::week_of(mc.timestamp[row]);
+      if (w < 0 || w >= weeks || w == last_week) continue;
+      if (cohort == nullptr) {
+        cohort = &by_week[static_cast<std::size_t>(w)];
+        if (cohort->size == 0) {
+          cohort->adoption_week = w;
+          cohort->survival.resize(static_cast<std::size_t>(weeks - w), 0.0);
+        }
+        ++cohort->size;
       }
+      cohort->survival[static_cast<std::size_t>(w - cohort->adoption_week)] +=
+          1.0;
+      last_week = w;
     }
+  }
+  for (Cohort& c : by_week) {
+    if (c.size == 0) continue;
     for (double& v : c.survival) v /= static_cast<double>(c.size);
     res.cohorts.push_back(std::move(c));
   }

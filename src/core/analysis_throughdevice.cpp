@@ -1,37 +1,14 @@
 #include "core/analysis_throughdevice.h"
 
 #include <cstdint>
-#include <map>
 #include <span>
 
+#include "core/analysis_mobility.h"
 #include "util/error.h"
 #include "util/stats.h"
 #include "util/strings.h"
 
 namespace wearscope::core {
-
-namespace {
-
-/// Dwell-weighted location entropy of one user within the window.
-double entropy_of(const AnalysisContext& ctx, const UserView& u) {
-  std::map<trace::SectorId, double> dwell;
-  const trace::MmeRecord* prev = nullptr;
-  for (const trace::MmeRecord* r : u.mme) {
-    if (!ctx.in_detailed_window(r->timestamp)) continue;
-    if (prev != nullptr && util::day_of(prev->timestamp) ==
-                               util::day_of(r->timestamp)) {
-      dwell[prev->sector_id] +=
-          static_cast<double>(r->timestamp - prev->timestamp);
-    }
-    prev = r;
-  }
-  std::vector<double> w;
-  w.reserve(dwell.size());
-  for (const auto& [sector, t] : dwell) w.push_back(t);
-  return util::shannon_entropy(w);
-}
-
-}  // namespace
 
 ThroughDeviceResult analyze_throughdevice(const AnalysisContext& ctx) {
   ThroughDeviceResult res;
@@ -79,8 +56,7 @@ ThroughDeviceResult analyze_throughdevice(const AnalysisContext& ctx) {
     double bytes = 0.0;
     std::array<double, 24> hours{};
     std::uint32_t matched = 0;
-    for (const trace::ProxyRecord* r : u.phone_txns) {
-      if (!ctx.in_detailed_window(r->timestamp)) continue;
+    for (const trace::ProxyRecord* r : ctx.detailed_suffix(u.phone_txns)) {
       txns += 1.0;
       bytes += static_cast<double>(r->bytes_total());
       hours[static_cast<std::size_t>(util::hour_of(r->timestamp))] += 1.0;
@@ -91,7 +67,7 @@ ThroughDeviceResult analyze_throughdevice(const AnalysisContext& ctx) {
     if (u.has_wearable) {
       sim_txns.push_back(txns / days);
       sim_bytes.push_back(bytes / days);
-      sim_entropy.push_back(entropy_of(ctx, u));
+      sim_entropy.push_back(user_location_entropy(ctx, u));
       for (std::size_t h = 0; h < 24; ++h) sim_hours[h] += hours[h];
     } else if (matched != 0) {
       ++res.detected_users;
@@ -100,7 +76,7 @@ ThroughDeviceResult analyze_throughdevice(const AnalysisContext& ctx) {
       }
       td_txns.push_back(txns / days);
       td_bytes.push_back(bytes / days);
-      td_entropy.push_back(entropy_of(ctx, u));
+      td_entropy.push_back(user_location_entropy(ctx, u));
       for (std::size_t h = 0; h < 24; ++h) td_hours[h] += hours[h];
     }
   }

@@ -181,17 +181,4 @@ const UserView* AnalysisContext::find_user(trace::UserId id) const {
   return it == user_index_.end() ? nullptr : &users_[it->second];
 }
 
-std::optional<trace::SectorId> AnalysisContext::sector_at(
-    const UserView& user, util::SimTime t) const {
-  if (user.mme.empty()) return std::nullopt;
-  // Binary search the last event with timestamp <= t.
-  const auto it = std::upper_bound(
-      user.mme.begin(), user.mme.end(), t,
-      [](util::SimTime value, const trace::MmeRecord* r) {
-        return value < r->timestamp;
-      });
-  if (it == user.mme.begin()) return (*it)->sector_id;
-  return (*(it - 1))->sector_id;
-}
-
 }  // namespace wearscope::core

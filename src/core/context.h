@@ -7,9 +7,9 @@
 // ever sees generator ground truth.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -116,12 +116,6 @@ class AnalysisContext {
   /// User lookup; nullptr when the id never appears in the logs.
   [[nodiscard]] const UserView* find_user(trace::UserId id) const;
 
-  /// Sector the user was attached to at time `t` (nearest MME event at or
-  /// before t; falls back to the first event after). nullopt when the user
-  /// has no MME records.
-  [[nodiscard]] std::optional<trace::SectorId> sector_at(const UserView& user,
-                                                         util::SimTime t) const;
-
   /// First timestamp of the detailed-log window.
   [[nodiscard]] util::SimTime detailed_start() const noexcept {
     return util::day_start(options_.detailed_start_day);
@@ -130,6 +124,19 @@ class AnalysisContext {
   /// True when `t` falls inside the detailed window.
   [[nodiscard]] bool in_detailed_window(util::SimTime t) const noexcept {
     return t >= detailed_start();
+  }
+
+  /// The part of a user's time-sorted records (UserView::mme,
+  /// wearable_txns or phone_txns) inside the detailed window: a suffix,
+  /// found by binary search.
+  template <typename Record>
+  [[nodiscard]] std::span<const Record* const> detailed_suffix(
+      const std::vector<const Record*>& records) const {
+    return {std::partition_point(records.begin(), records.end(),
+                                 [this](const Record* r) {
+                                   return !in_detailed_window(r->timestamp);
+                                 }),
+            records.end()};
   }
 
   /// Number of whole weeks in the detailed window.

@@ -2,11 +2,18 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
+#include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+
+#include "util/geo.h"
+#include "util/stats.h"
 
 namespace wearscope::oracle {
 
@@ -236,6 +243,305 @@ ThirdPartyResult thirdparty_rows(const AnalysisContext& ctx) {
     res.app_over_thirdparty_data =
         bytes_of(TransactionClass::kApplication) / third_bytes;
   }
+  return res;
+}
+
+CohortResult cohorts_rows(const AnalysisContext& ctx) {
+  CohortResult res;
+
+  struct Raw {
+    trace::Tac tac = 0;
+    std::string manufacturer;
+    std::string os;
+    std::set<trace::UserId> users;
+    std::set<trace::UserId> active_users;
+    double txns = 0.0;
+    double bytes = 0.0;
+    std::set<std::pair<trace::UserId, int>> active_user_days;
+  };
+  // Key by model name: several TACs may belong to one commercial model.
+  std::map<std::string, Raw> raw;
+
+  std::unordered_map<trace::Tac, const trace::DeviceRecord*> device_index;
+  device_index.reserve(ctx.store().devices.size());
+  for (const trace::DeviceRecord& d : ctx.store().devices) {
+    device_index.emplace(d.tac, &d);
+  }
+  const auto model_of = [&](trace::Tac tac) -> const trace::DeviceRecord* {
+    const auto it = device_index.find(tac);
+    return it == device_index.end() ? nullptr : it->second;
+  };
+
+  for (const UserView& u : ctx.users()) {
+    for (const trace::MmeRecord* r : u.mme) {
+      if (!ctx.devices().is_wearable(r->tac)) continue;
+      const trace::DeviceRecord* d = model_of(r->tac);
+      if (d == nullptr) continue;
+      Raw& a = raw[d->model];
+      if (a.users.empty()) {
+        a.tac = d->tac;
+        a.manufacturer = d->manufacturer;
+        a.os = d->os;
+      }
+      a.users.insert(u.user_id);
+    }
+    for (const trace::ProxyRecord* r : u.wearable_txns) {
+      const trace::DeviceRecord* d = model_of(r->tac);
+      if (d == nullptr) continue;
+      Raw& a = raw[d->model];
+      a.active_users.insert(u.user_id);
+      if (!ctx.in_detailed_window(r->timestamp)) continue;
+      a.txns += 1.0;
+      a.bytes += static_cast<double>(r->bytes_total());
+      a.active_user_days.emplace(u.user_id, util::day_of(r->timestamp));
+    }
+  }
+
+  double total_users = 0.0;
+  std::map<std::string, double> by_vendor;
+  for (auto& [model, a] : raw) {
+    ModelCohort c;
+    c.tac = a.tac;
+    c.model = model;
+    c.manufacturer = a.manufacturer;
+    c.os = a.os;
+    c.users = a.users.size();
+    c.active_users = a.active_users.size();
+    c.txns = a.txns;
+    c.bytes = a.bytes;
+    if (!a.active_users.empty()) {
+      c.mean_active_days = static_cast<double>(a.active_user_days.size()) /
+                           static_cast<double>(a.active_users.size());
+    }
+    total_users += static_cast<double>(c.users);
+    by_vendor[c.manufacturer] += static_cast<double>(c.users);
+    res.models.push_back(std::move(c));
+  }
+  std::sort(res.models.begin(), res.models.end(),
+            [](const ModelCohort& a, const ModelCohort& b) {
+              return a.users > b.users;
+            });
+
+  for (const auto& [vendor, users] : by_vendor) {
+    res.manufacturer_share.emplace_back(
+        vendor, total_users > 0.0 ? users / total_users : 0.0);
+  }
+  std::sort(res.manufacturer_share.begin(), res.manufacturer_share.end(),
+            [](const auto& a, const auto& b) { return a.second > b.second; });
+  for (const auto& [vendor, share] : res.manufacturer_share) {
+    if (vendor == "Samsung" || vendor == "LG") res.samsung_lg_share += share;
+  }
+  return res;
+}
+
+RetentionResult retention_rows(const AnalysisContext& ctx) {
+  RetentionResult res;
+  const int weeks = ctx.options().observation_days / 7;
+  if (weeks <= 0) return res;
+
+  struct Presence {
+    int first_week = 1 << 30;
+    std::set<int> weeks;
+  };
+  std::map<trace::UserId, Presence> users;
+  for (const trace::MmeRecord& r : ctx.store().mme) {
+    if (!ctx.devices().is_wearable(r.tac)) continue;
+    const int w = util::week_of(r.timestamp);
+    if (w < 0 || w >= weeks) continue;
+    Presence& p = users[r.user_id];
+    p.first_week = std::min(p.first_week, w);
+    p.weeks.insert(w);
+  }
+
+  std::map<int, std::vector<const Presence*>> cohorts;
+  for (const auto& [id, p] : users) cohorts[p.first_week].push_back(&p);
+
+  for (const auto& [week, members] : cohorts) {
+    Cohort c;
+    c.adoption_week = week;
+    c.size = members.size();
+    const int horizon = weeks - week;
+    c.survival.resize(static_cast<std::size_t>(horizon), 0.0);
+    for (const Presence* p : members) {
+      for (const int w : p->weeks) {
+        c.survival[static_cast<std::size_t>(w - week)] += 1.0;
+      }
+    }
+    for (double& v : c.survival) v /= static_cast<double>(c.size);
+    res.cohorts.push_back(std::move(c));
+  }
+
+  const auto mean_survival_at = [&](int k) {
+    double sum = 0.0;
+    std::size_t n = 0;
+    for (const Cohort& c : res.cohorts) {
+      if (static_cast<int>(c.survival.size()) > k && c.size >= 5) {
+        sum += c.survival[static_cast<std::size_t>(k)];
+        ++n;
+      }
+    }
+    return n > 0 ? sum / static_cast<double>(n) : 0.0;
+  };
+  res.survival_4w = mean_survival_at(4);
+  res.survival_8w = mean_survival_at(8);
+  res.survival_12w = mean_survival_at(12);
+  return res;
+}
+
+namespace {
+
+struct UserMobility {
+  double mean_daily_max_displacement_km = 0.0;
+  double entropy_bits = 0.0;
+  bool has_mme = false;
+};
+
+UserMobility mobility_of(const AnalysisContext& ctx, const UserView& u) {
+  UserMobility out;
+  std::map<int, std::vector<const trace::MmeRecord*>> by_day;
+  for (const trace::MmeRecord* r : u.mme) {
+    if (!ctx.in_detailed_window(r->timestamp)) continue;
+    by_day[util::day_of(r->timestamp)].push_back(r);
+  }
+  if (by_day.empty()) return out;
+  out.has_mme = true;
+
+  std::unordered_map<trace::SectorId, double> dwell_s;
+  std::vector<trace::SectorId> first_seen;  // the entropy's summation order
+  util::OnlineStats daily_disp;
+  for (const auto& [day, events] : by_day) {
+    const util::SimTime day_end = util::day_start(day + 1);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const util::SimTime until =
+          i + 1 < events.size() ? events[i + 1]->timestamp : day_end;
+      const auto [it, fresh] = dwell_s.try_emplace(events[i]->sector_id, 0.0);
+      if (fresh) first_seen.push_back(events[i]->sector_id);
+      it->second += static_cast<double>(
+          std::max<util::SimTime>(0, until - events[i]->timestamp));
+    }
+    std::set<trace::SectorId> sectors;
+    for (const trace::MmeRecord* e : events) sectors.insert(e->sector_id);
+    double best = 0.0;
+    for (auto i = sectors.begin(); i != sectors.end(); ++i) {
+      const auto pi = ctx.store().find_sector(*i);
+      if (!pi) continue;
+      for (auto j = std::next(i); j != sectors.end(); ++j) {
+        const auto pj = ctx.store().find_sector(*j);
+        if (!pj) continue;
+        best = std::max(best, util::haversine_km(pi->position, pj->position));
+      }
+    }
+    daily_disp.add(best);
+  }
+  out.mean_daily_max_displacement_km = daily_disp.mean();
+
+  std::vector<double> dwells;
+  dwells.reserve(first_seen.size());
+  for (const trace::SectorId sector : first_seen)
+    dwells.push_back(dwell_s.at(sector));
+  out.entropy_bits = util::shannon_entropy(dwells);
+  return out;
+}
+
+/// The sector of the user's last MME event at or before `t`, else of the
+/// first event; nullopt without MME events.
+std::optional<trace::SectorId> sector_at(const UserView& user,
+                                         util::SimTime t) {
+  if (user.mme.empty()) return std::nullopt;
+  const auto it = std::upper_bound(
+      user.mme.begin(), user.mme.end(), t,
+      [](util::SimTime value, const trace::MmeRecord* r) {
+        return value < r->timestamp;
+      });
+  if (it == user.mme.begin()) return (*it)->sector_id;
+  return (*(it - 1))->sector_id;
+}
+
+}  // namespace
+
+MobilityResult mobility_rows(const AnalysisContext& ctx) {
+  MobilityResult res;
+
+  std::vector<double> wear_disp;
+  std::vector<double> all_disp;
+  std::vector<double> wear_disp_nonzero;
+  std::vector<double> all_disp_nonzero;
+  util::OnlineStats wear_entropy;
+  util::OnlineStats all_entropy;
+  std::vector<double> rel_disp;
+  std::vector<double> rel_txns;
+
+  std::size_t transacting = 0;
+  std::size_t single_location = 0;
+
+  for (const UserView& u : ctx.users()) {
+    const UserMobility m = mobility_of(ctx, u);
+    if (!m.has_mme) continue;
+    all_disp.push_back(m.mean_daily_max_displacement_km);
+    all_entropy.add(m.entropy_bits);
+    if (m.mean_daily_max_displacement_km > 0.0)
+      all_disp_nonzero.push_back(m.mean_daily_max_displacement_km);
+
+    if (u.has_wearable) {
+      wear_disp.push_back(m.mean_daily_max_displacement_km);
+      wear_entropy.add(m.entropy_bits);
+      if (m.mean_daily_max_displacement_km > 0.0)
+        wear_disp_nonzero.push_back(m.mean_daily_max_displacement_km);
+
+      std::set<int> active_hours;
+      std::size_t txns = 0;
+      std::set<trace::SectorId> txn_sectors;
+      for (const trace::ProxyRecord* r : u.wearable_txns) {
+        if (!ctx.in_detailed_window(r->timestamp)) continue;
+        ++txns;
+        active_hours.insert(util::day_of(r->timestamp) * 24 +
+                            util::hour_of(r->timestamp));
+        if (const auto sec = sector_at(u, r->timestamp))
+          txn_sectors.insert(*sec);
+      }
+      if (txns > 0) {
+        ++transacting;
+        if (txn_sectors.size() <= 1) ++single_location;
+        if (txns >= 5) {
+          rel_disp.push_back(m.mean_daily_max_displacement_km);
+          rel_txns.push_back(static_cast<double>(txns) /
+                             static_cast<double>(active_hours.size()));
+        }
+      }
+    }
+  }
+
+  res.wearable_displacement_km = util::Ecdf(wear_disp);
+  res.all_displacement_km = util::Ecdf(all_disp);
+  res.wearable_mean_km = res.wearable_displacement_km.mean();
+  res.all_mean_km = res.all_displacement_km.mean();
+  if (res.all_mean_km > 0.0)
+    res.displacement_ratio = res.wearable_mean_km / res.all_mean_km;
+  if (res.wearable_displacement_km.size() > 0)
+    res.frac_under_30km = res.wearable_displacement_km.at(30.0);
+
+  res.wearable_entropy_bits = wear_entropy.mean();
+  res.all_entropy_bits = all_entropy.mean();
+  if (res.all_entropy_bits > 0.0)
+    res.entropy_ratio = res.wearable_entropy_bits / res.all_entropy_bits;
+
+  if (transacting > 0) {
+    res.single_location_fraction = static_cast<double>(single_location) /
+                                   static_cast<double>(transacting);
+  }
+  const double wear_nz = util::mean(wear_disp_nonzero);
+  const double all_nz = util::mean(all_disp_nonzero);
+  if (all_nz > 0.0) res.nonstationary_ratio = wear_nz / all_nz;
+
+  res.displacement_vs_txns = util::binned_relation(rel_disp, rel_txns, 10);
+  res.mobility_activity_corr = util::spearman(rel_disp, rel_txns);
+  std::vector<double> log_txns;
+  log_txns.reserve(rel_txns.size());
+  for (const double v : rel_txns) log_txns.push_back(std::log10(1.0 + v));
+  const util::BinnedRelation log_rel =
+      util::binned_relation(rel_disp, log_txns, 10);
+  res.binned_trend_corr =
+      util::pearson(log_rel.x_centers, log_rel.y_means);
   return res;
 }
 

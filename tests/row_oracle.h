@@ -17,9 +17,23 @@
 // simulated capture.  They are test-only: nothing in the library calls
 // them.  (Adoption and activity are checked against the streaming
 // counters of core/streaming.h and core/streaming_activity.h instead.)
+//
+// analyze_cohorts, analyze_retention and analyze_mobility walk dense
+// per-model and per-week tallies and one forward pass per user.  Their
+// oracles are the tree-map versions those passes replaced: per-model
+// std::sets of users and active user-days, a std::map of week sets per
+// user, and a per-transaction binary search for the sector in use.  Two
+// deliberate differences from that older code: the cohorts oracle keys
+// active user-days on the (user, day) pair, not on a packed integer that
+// let users whose ids differ only in the top 10 bits collide; and the
+// mobility oracle sums each user's dwell entropy in first-appearance
+// sector order, where the older code followed unordered_map iteration.
 #pragma once
 
+#include "core/analysis_cohorts.h"
 #include "core/analysis_diurnal.h"
+#include "core/analysis_mobility.h"
+#include "core/analysis_retention.h"
 #include "core/analysis_thirdparty.h"
 #include "core/analysis_usage.h"
 #include "core/context.h"
@@ -43,5 +57,14 @@ core::UsageResult usage_rows(const core::AnalysisContext& ctx);
 
 /// Bitwise-identical to core::analyze_thirdparty.
 core::ThirdPartyResult thirdparty_rows(const core::AnalysisContext& ctx);
+
+/// Bitwise-identical to core::analyze_cohorts.
+core::CohortResult cohorts_rows(const core::AnalysisContext& ctx);
+
+/// Bitwise-identical to core::analyze_retention.
+core::RetentionResult retention_rows(const core::AnalysisContext& ctx);
+
+/// Bitwise-identical to core::analyze_mobility.
+core::MobilityResult mobility_rows(const core::AnalysisContext& ctx);
 
 }  // namespace wearscope::oracle

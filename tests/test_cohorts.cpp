@@ -102,6 +102,32 @@ TEST(Cohorts, SimulatedPopulationDominatedBySamsungLg) {
   EXPECT_TRUE(figure_cohorts(r).all_pass());
 }
 
+TEST(Cohorts, DistinctUsersNeverShareAnActiveDay) {
+  // Ids that differ only in their top bits (anonymized ids span all 64)
+  // are still two users, each active on the one day.
+  trace::TraceStore s;
+  s.devices = {{kGearTac, "Gear S3 frontier LTE", "Samsung", "Tizen"}};
+  s.sectors = {{1, util::GeoPoint{40.0, -3.0}}};
+  const trace::UserId ids[] = {7, trace::UserId{7} | trace::UserId{1} << 60};
+  for (const trace::UserId u : ids) {
+    s.mme.push_back({100, u, kGearTac, trace::MmeEvent::kAttach, 1});
+    trace::ProxyRecord r;
+    r.timestamp = util::day_start(3) + 1000;
+    r.user_id = u;
+    r.tac = kGearTac;
+    testing::set_strings(r, s, "api.weather.com");
+    r.bytes_down = 1000;
+    s.proxy.push_back(r);
+  }
+  s.sort_by_time();
+  const AnalysisContext ctx = micro_context(s);
+  const CohortResult r = analyze_cohorts(ctx);
+  ASSERT_EQ(r.models.size(), 1u);
+  EXPECT_EQ(r.models[0].users, 2u);
+  EXPECT_EQ(r.models[0].active_users, 2u);
+  EXPECT_DOUBLE_EQ(r.models[0].mean_active_days, 1.0);
+}
+
 TEST(Cohorts, EmptyStore) {
   trace::TraceStore store;
   store.devices = {{kGearTac, "Gear S3 frontier LTE", "Samsung", "Tizen"}};

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
+#include "core/analysis_mobility.h"
 #include "core/streaming_activity.h"
 #include "live/engine.h"
 #include "util/error.h"
@@ -89,23 +92,64 @@ TEST(Context, FindUser) {
   EXPECT_EQ(ctx.find_user(99), nullptr);
 }
 
-TEST(Context, SectorAtUsesLatestEventAtOrBefore) {
-  const trace::TraceStore store = micro_store();
-  const AnalysisContext ctx(store, micro_options());
-  const UserView& owner = *ctx.wearable_users()[0];
-  EXPECT_EQ(ctx.sector_at(owner, 49), 1u);   // before first: clamps forward
-  EXPECT_EQ(ctx.sector_at(owner, 50), 1u);
-  EXPECT_EQ(ctx.sector_at(owner, 100), 1u);
-  EXPECT_EQ(ctx.sector_at(owner, 250), 2u);
-  EXPECT_EQ(ctx.sector_at(owner, 9999), 2u);
+/// micro_store() plus user 1 wearable transactions at `times`.
+trace::TraceStore store_with_txns(std::initializer_list<util::SimTime> times) {
+  trace::TraceStore s = micro_store();
+  for (const util::SimTime t : times) {
+    trace::ProxyRecord r;
+    r.timestamp = t;
+    r.user_id = 1;
+    r.tac = kWearTac;
+    testing::set_strings(r, s, "api.weather.com");
+    r.bytes_down = 1000;
+    s.proxy.push_back(r);
+  }
+  s.sort_by_time();
+  return s;
 }
 
-TEST(Context, SectorAtWithoutMme) {
+// User 1's MME events: sector 1 at t=50, sector 2 at t=250; the store's
+// own wearable transactions (t=100, 200) both fall in sector 1.
+bool single_location(const trace::TraceStore& store) {
+  const AnalysisContext ctx(store, micro_options());
+  return user_txn_activity(ctx, *ctx.wearable_users()[0]).single_location;
+}
+
+TEST(MobilityWalk, UsesLatestEventAtOrBefore) {
+  // Before the first event: placed at the first event's sector.
+  EXPECT_TRUE(single_location(store_with_txns({49})));
+  EXPECT_TRUE(single_location(store_with_txns({50})));
+  EXPECT_TRUE(single_location(store_with_txns({249})));
+  // At an event's own second: that event's sector.
+  EXPECT_FALSE(single_location(store_with_txns({250})));
+  // After the last event: the last event's sector.
+  EXPECT_FALSE(single_location(store_with_txns({9999})));
+
+  const trace::TraceStore store = store_with_txns({49, 3700});
+  const AnalysisContext ctx(store, micro_options());
+  const TxnActivity a = user_txn_activity(ctx, *ctx.wearable_users()[0]);
+  EXPECT_EQ(a.txns, 4u);
+  EXPECT_EQ(a.active_hours, 2u);  // hour 0 (49, 100, 200) and hour 1
+  EXPECT_FALSE(a.single_location);  // 3700 is after the sector-2 event
+  // The figure counts the owner, its one transacting wearable user.
+  EXPECT_DOUBLE_EQ(analyze_mobility(ctx).single_location_fraction, 0.0);
+  const trace::TraceStore early = store_with_txns({49});
+  EXPECT_DOUBLE_EQ(
+      analyze_mobility(AnalysisContext(early, micro_options()))
+          .single_location_fraction,
+      1.0);
+}
+
+TEST(MobilityWalk, WithoutMmeIsSingleLocation) {
   trace::TraceStore store = micro_store();
   store.mme.clear();
   const AnalysisContext ctx(store, micro_options());
-  const UserView& owner = *ctx.wearable_users()[0];
-  EXPECT_FALSE(ctx.sector_at(owner, 100).has_value());
+  const TxnActivity a = user_txn_activity(ctx, *ctx.wearable_users()[0]);
+  EXPECT_EQ(a.txns, 2u);
+  EXPECT_TRUE(a.single_location);
+  // Fig. 4 only takes users with MME in the detailed window, so the
+  // owner never reaches the single-location count.
+  EXPECT_DOUBLE_EQ(analyze_mobility(ctx).single_location_fraction, 0.0);
 }
 
 TEST(Context, DetailedWindowHelpers) {
