@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "util/stats.h"
 
@@ -12,12 +11,17 @@ namespace wearscope::core {
 
 namespace {
 
+/// Users are visited one at a time and each user's transactions are
+/// time-sorted, so an app's distinct users and active (user, day) pairs
+/// are counted with "last user / last day" stamps.
 struct RawAppAgg {
-  std::unordered_set<std::uint64_t> user_days;  ///< (user, day) pairs.
-  std::unordered_set<trace::UserId> users;
+  std::size_t user_days = 0;  ///< Distinct (user, day) pairs.
+  std::size_t users = 0;
   double usages = 0.0;
   double txns = 0.0;
   double bytes = 0.0;
+  const UserView* user_stamp = nullptr;
+  int day_stamp = 0;
 };
 
 }  // namespace
@@ -47,9 +51,15 @@ AppPopularityResult analyze_apps(const AnalysisContext& ctx) {
       }
       RawAppAgg& a = agg[app];
       const int day = util::day_of(r->timestamp);
-      a.user_days.insert((u->user_id << 10) ^
-                         static_cast<std::uint64_t>(day));
-      a.users.insert(u->user_id);
+      if (a.user_stamp != u) {
+        a.user_stamp = u;
+        ++a.users;
+        a.day_stamp = day;
+        ++a.user_days;
+      } else if (a.day_stamp != day) {
+        a.day_stamp = day;
+        ++a.user_days;
+      }
       a.txns += 1.0;
       a.bytes += static_cast<double>(r->bytes_total());
       user_apps.insert(app);
@@ -78,9 +88,9 @@ AppPopularityResult analyze_apps(const AnalysisContext& ctx) {
   double total_app_txns = 0.0;
   double total_bytes = 0.0;
   for (const auto& [app, a] : agg) {
-    total_user_days += static_cast<double>(a.user_days.size());
-    total_used_days_rate += static_cast<double>(a.user_days.size()) /
-                            static_cast<double>(a.users.size());
+    total_user_days += static_cast<double>(a.user_days);
+    total_used_days_rate += static_cast<double>(a.user_days) /
+                            static_cast<double>(a.users);
     total_usages += a.usages;
     total_app_txns += a.txns;
     total_bytes += a.bytes;
@@ -92,11 +102,11 @@ AppPopularityResult analyze_apps(const AnalysisContext& ctx) {
     s.name = std::string(ctx.signatures().app_name(app));
     if (total_user_days > 0.0)
       s.user_share_pct =
-          100.0 * static_cast<double>(a.user_days.size()) / total_user_days;
+          100.0 * static_cast<double>(a.user_days) / total_user_days;
     if (total_used_days_rate > 0.0)
       s.used_days_pct = 100.0 *
-                        (static_cast<double>(a.user_days.size()) /
-                         static_cast<double>(a.users.size())) /
+                        (static_cast<double>(a.user_days) /
+                         static_cast<double>(a.users)) /
                         total_used_days_rate;
     if (total_usages > 0.0) s.usage_share_pct = 100.0 * a.usages / total_usages;
     if (total_app_txns > 0.0) s.txn_share_pct = 100.0 * a.txns / total_app_txns;

@@ -1,18 +1,22 @@
 #include "core/analysis_categories.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace wearscope::core {
 
 CategoryResult analyze_categories(const AnalysisContext& ctx) {
   CategoryResult res;
 
+  // Users are visited one at a time and each user's transactions are
+  // time-sorted, so a category's active (user, day) pairs are counted with
+  // a "last user / last day" stamp.
   struct Raw {
-    std::unordered_set<std::uint64_t> user_days;
+    std::size_t user_days = 0;  ///< Distinct (user, day) pairs.
     double usages = 0.0;
     double txns = 0.0;
     double bytes = 0.0;
+    const UserView* user_stamp = nullptr;
+    int day_stamp = 0;
   };
   std::array<Raw, appdb::kCategoryCount> raw{};
 
@@ -23,8 +27,12 @@ CategoryResult analyze_categories(const AnalysisContext& ctx) {
       const auto cat = ctx.signatures().app_category(u->wearable_classes[i].app);
       if (!cat) continue;
       Raw& a = raw[static_cast<std::size_t>(*cat)];
-      a.user_days.insert((u->user_id << 10) ^
-                         static_cast<std::uint64_t>(util::day_of(r->timestamp)));
+      const int day = util::day_of(r->timestamp);
+      if (a.user_stamp != u || a.day_stamp != day) {
+        a.user_stamp = u;
+        a.day_stamp = day;
+        ++a.user_days;
+      }
       a.txns += 1.0;
       a.bytes += static_cast<double>(r->bytes_total());
     }
@@ -41,7 +49,7 @@ CategoryResult analyze_categories(const AnalysisContext& ctx) {
   double total_txns = 0.0;
   double total_bytes = 0.0;
   for (const Raw& a : raw) {
-    total_users += static_cast<double>(a.user_days.size());
+    total_users += static_cast<double>(a.user_days);
     total_usages += a.usages;
     total_txns += a.txns;
     total_bytes += a.bytes;
@@ -53,7 +61,7 @@ CategoryResult analyze_categories(const AnalysisContext& ctx) {
     s.category = c;
     if (total_users > 0.0)
       s.user_share_pct =
-          100.0 * static_cast<double>(a.user_days.size()) / total_users;
+          100.0 * static_cast<double>(a.user_days) / total_users;
     if (total_usages > 0.0) s.usage_share_pct = 100.0 * a.usages / total_usages;
     if (total_txns > 0.0) s.txn_share_pct = 100.0 * a.txns / total_txns;
     if (total_bytes > 0.0) s.data_share_pct = 100.0 * a.bytes / total_bytes;

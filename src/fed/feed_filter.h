@@ -7,8 +7,24 @@
 // load_partition_feed instead streams the v2 or v3 logs one CRC-checked
 // block or row group at a time through trace::LogCursor (fed never parses
 // trace bytes itself), keeps only the records par::shard_of assigns to
-// this partition, and records everything else as run-length skip ops —
-// peak memory is O(owned records + one unit), not O(feed).
+// this partition, and records everything else as run-length skip ops.
+//
+// The load is a fixed three-thread pipeline, with no knob:
+//   * proxy.bin and mme.bin each get a decoder thread of its own.  It
+//     reads, CRC-checks and decodes one unit at a time (LogCursor::
+//     next_unit), merges the unit's strings into the cursor's pools,
+//     checks the (time, user) order and tags every row owned or not;
+//   * each decoder hands the rows to the caller in batches of four
+//     units (every stamp and owner flag, plus the owned rows) through a
+//     bounded, in-order live::RingBuffer four batches deep;
+//   * the calling thread merges the two streams by timestamp and builds
+//     the owned rows and the op script.
+// Peak memory is O(owned records + handoff units per log), not O(feed).
+// A decode or order error on a decoder thread travels down its handoff
+// in log order and is rethrown on the caller as the util::ParseError
+// naming the file.  However the caller leaves — return or exception —
+// both handoffs are closed and both decoders joined before the call
+// returns, so a decoder parked on a full handoff never outlives it.
 //
 // Equivalence contract: replay_partition_feed() drives a LiveEngine to a
 // state bitwise identical to FeedReplayer over the full time-sorted

@@ -324,27 +324,33 @@ void LogCursor<Record>::open() {
 }
 
 template <typename Record>
-const Record* LogCursor<Record>::next() {
+bool LogCursor<Record>::next_unit(std::vector<Record>& rows) {
   if (version_ == 0) open();
+  if (in_->peek() == std::char_traits<char>::eof()) return false;
+  scratch_.clear();
+  append(unit_header_bytes(version_), "unit header");
+  const LogUnit unit = parse_unit_header(scratch(), version_);
+  if (!unit.header_ok)
+    throw util::ParseError(log_kind(version_) + impossible_header(unit));
+  scratch_.clear();
+  append(unit.byte_length, "unit payload");
+  rows.resize(unit.record_count);
+  unit_pools_.hosts.clear();
+  unit_pools_.paths.clear();
+  if (!decode_unit(scratch(), unit, version_, dicts_, rows.data(),
+                   unit_pools_))
+    throw util::ParseError(log_kind(version_) + failed_unit(units_read_));
+  merge_unit_ids(std::span<Record>(rows), version_, dicts_, dict_hosts_,
+                 unit_pools_, pools_);
+  ++units_read_;
+  return true;
+}
+
+template <typename Record>
+const Record* LogCursor<Record>::next() {
   while (next_ == unit_.size()) {
-    if (in_->peek() == std::char_traits<char>::eof()) return nullptr;
-    scratch_.clear();
-    append(unit_header_bytes(version_), "unit header");
-    const LogUnit unit = parse_unit_header(scratch(), version_);
-    if (!unit.header_ok)
-      throw util::ParseError(log_kind(version_) + impossible_header(unit));
-    scratch_.clear();
-    append(unit.byte_length, "unit payload");
-    unit_.resize(unit.record_count);
+    if (!next_unit(unit_)) return nullptr;
     next_ = 0;
-    unit_pools_.hosts.clear();
-    unit_pools_.paths.clear();
-    if (!decode_unit(scratch(), unit, version_, dicts_, unit_.data(),
-                     unit_pools_))
-      throw util::ParseError(log_kind(version_) + failed_unit(units_read_));
-    merge_unit_ids(std::span<Record>(unit_), version_, dicts_, dict_hosts_,
-                   unit_pools_, pools_);
-    ++units_read_;
   }
   return &unit_[next_++];
 }

@@ -18,7 +18,8 @@
 //     into the caller's pools in chain order (trace/string_pool.h);
 //   * LogCursor streams a log one unit at a time from a std::istream
 //     through a reusable scratch buffer, for callers that must never hold
-//     the whole log (fed's partition feed).
+//     the whole log (fed's partition feed, which runs one cursor per log on
+//     a thread of its own and takes whole units from it).
 //
 // The per-unit decoders — the v2 block decode (CRC + v1 records) and
 // trace/columnar_io's decode_column_group plus its dictionary parse — are
@@ -141,13 +142,22 @@ class LogDecode {
 /// first), decoded by the same per-unit decoder LogDecode uses.  Nothing is
 /// mapped and at most one unit of rows is resident; the proxy strings seen
 /// so far accumulate in pools(), which every returned record's ids index.
-/// Throws util::ParseError on a v1 log (it has no units to stream) and on
-/// any damage.
+/// next_unit() is the read: it hands out one whole unit (a v2 block or a
+/// v3 row group); next() is the one-row call on top of it.  A cursor is
+/// single-threaded, but it may live on a thread other than its owner's as
+/// long as pools() is read only once that thread is done.  Throws
+/// util::ParseError on a v1 log (it has no units to stream) and on any
+/// damage.
 template <typename Record>
 class LogCursor {
  public:
-  /// Reads nothing yet: the file header is validated by the first next().
+  /// Reads nothing yet: the file header is validated by the first read.
   explicit LogCursor(std::istream& in) : in_(&in) {}
+
+  /// Replaces the contents of `rows` with the next unit's records, reusing
+  /// its capacity, and merges the unit's strings into pools().  Returns
+  /// false at a clean end of log.  A unit may hold zero records.
+  bool next_unit(std::vector<Record>& rows);
 
   /// The next record, or nullptr at a clean end of log.  The pointer stays
   /// valid until the following call.
@@ -171,8 +181,8 @@ class LogCursor {
   ProxyPools unit_pools_;  ///< The current unit's own string tables.
   ProxyPools pools_;
   std::string scratch_;
-  std::vector<Record> unit_;
-  std::size_t next_ = 0;  ///< Into unit_.
+  std::vector<Record> unit_;  ///< next()'s current unit.
+  std::size_t next_ = 0;      ///< Into unit_.
   std::uint64_t units_read_ = 0;
 };
 

@@ -4,6 +4,8 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -12,7 +14,11 @@
 #include <unordered_set>
 #include <utility>
 
+#include "par/shard.h"
+#include "trace/log_reader.h"
+#include "util/error.h"
 #include "util/geo.h"
+#include "util/mapped_file.h"
 #include "util/stats.h"
 
 namespace wearscope::oracle {
@@ -581,6 +587,102 @@ trace::ProxyColumns proxy_columns_rows(
     cols.duration_ms[i] = r.duration_ms;
   }
   return cols;
+}
+
+namespace {
+
+/// One log of the bundle streamed row by row through trace::LogCursor,
+/// checked for the (time, user) order the feed merge relies on.
+template <typename Record>
+class SortedLog {
+ public:
+  explicit SortedLog(const std::filesystem::path& path)
+      : path_(path.string()), in_(path, std::ios::binary), cursor_(in_) {
+    if (!in_.is_open()) throw util::IoError("cannot open " + path_);
+    last_.timestamp = std::numeric_limits<util::SimTime>::min();
+  }
+  /// cursor_ holds the address of in_.
+  SortedLog(const SortedLog&) = delete;
+  SortedLog& operator=(const SortedLog&) = delete;
+
+  trace::ProxyPools& pools() noexcept { return cursor_.pools(); }
+
+  /// The next record, or nullptr at a clean end of log.
+  const Record* next() {
+    const Record* r = nullptr;
+    try {
+      r = cursor_.next();
+    } catch (const util::ParseError& e) {
+      throw util::ParseError(path_ + ": " + e.what());
+    }
+    if (r == nullptr) return nullptr;
+    if (trace::ByTimeThenUser{}(*r, last_)) {
+      throw util::ParseError(path_ + ": log is not (time, user)-sorted");
+    }
+    last_.timestamp = r->timestamp;
+    last_.user_id = r->user_id;
+    return r;
+  }
+
+ private:
+  std::string path_;
+  std::ifstream in_;
+  trace::LogCursor<Record> cursor_;
+  Record last_;
+};
+
+void append_op(std::vector<std::uint32_t>& ops, fed::FeedOp kind) {
+  const std::uint32_t tag = static_cast<std::uint32_t>(kind)
+                            << fed::kFeedOpCountBits;
+  if (!ops.empty() && (ops.back() & ~fed::kFeedOpMaxRun) == tag &&
+      fed::feed_op_count(ops.back()) < fed::kFeedOpMaxRun) {
+    ++ops.back();
+    return;
+  }
+  ops.push_back(tag | 1u);
+}
+
+}  // namespace
+
+fed::PartitionFeed partition_feed_rows(const std::filesystem::path& dir,
+                                       std::size_t partition_id,
+                                       std::size_t partition_count) {
+  fed::PartitionFeed feed;
+  feed.partition_id = static_cast<std::uint32_t>(partition_id);
+  feed.partition_count = static_cast<std::uint32_t>(partition_count);
+  {
+    const util::MappedFile devices(dir / "devices.bin",
+                                   util::MapMode::kReadWholeFile);
+    feed.devices = trace::read_binary_log<trace::DeviceRecord>(
+        devices.bytes());
+  }
+  SortedLog<trace::ProxyRecord> proxy(dir / "proxy.bin");
+  SortedLog<trace::MmeRecord> mme(dir / "mme.bin");
+  const trace::ProxyRecord* p = proxy.next();
+  const trace::MmeRecord* m = mme.next();
+  while (p != nullptr || m != nullptr) {
+    // MME before proxy on equal stamps.
+    if (m != nullptr && (p == nullptr || m->timestamp <= p->timestamp)) {
+      if (par::shard_of(m->user_id, partition_count) == partition_id) {
+        feed.mme.push_back(*m);
+        append_op(feed.ops, fed::FeedOp::kPushMme);
+      } else {
+        append_op(feed.ops, fed::FeedOp::kSkipMme);
+      }
+      m = mme.next();
+    } else {
+      if (par::shard_of(p->user_id, partition_count) == partition_id) {
+        feed.proxy.push_back(*p);
+        append_op(feed.ops, fed::FeedOp::kPushProxy);
+      } else {
+        append_op(feed.ops, fed::FeedOp::kSkipProxy);
+      }
+      p = proxy.next();
+    }
+    ++feed.feed_records;
+  }
+  static_cast<trace::ProxyPools&>(feed) = std::move(proxy.pools());
+  return feed;
 }
 
 }  // namespace wearscope::oracle

@@ -28,7 +28,16 @@
 // let users whose ids differ only in the top 10 bits collide; and the
 // mobility oracle sums each user's dwell entropy in first-appearance
 // sector order, where the older code followed unordered_map iteration.
+//
+// partition_feed_rows is fed::load_partition_feed on one thread: it pulls
+// one row at a time from each log's trace::LogCursor and merges the two
+// streams in the same loop that checks their order and filters them, the
+// way the loader worked before its decoders moved onto threads of their
+// own.  test_fed.cpp checks the pipelined loader against it field by
+// field.
 #pragma once
+
+#include <filesystem>
 
 #include "core/analysis_cohorts.h"
 #include "core/analysis_diurnal.h"
@@ -37,6 +46,7 @@
 #include "core/analysis_thirdparty.h"
 #include "core/analysis_usage.h"
 #include "core/context.h"
+#include "fed/feed_filter.h"
 #include "trace/columns.h"
 #include "trace/string_pool.h"
 
@@ -66,5 +76,12 @@ core::RetentionResult retention_rows(const core::AnalysisContext& ctx);
 
 /// Bitwise-identical to core::analyze_mobility.
 core::MobilityResult mobility_rows(const core::AnalysisContext& ctx);
+
+/// Identical, field by field, to fed::load_partition_feed; throws the
+/// same exception types (util::ParseError naming the file on damage or an
+/// order violation, util::IoError on a missing file).
+fed::PartitionFeed partition_feed_rows(const std::filesystem::path& dir,
+                                       std::size_t partition_id,
+                                       std::size_t partition_count);
 
 }  // namespace wearscope::oracle

@@ -441,6 +441,39 @@ TEST_F(MicroApps, ThirdPartyShares) {
   EXPECT_NEAR(ads.user_share_pct, 100.0 / 3.0, 1e-9);
 }
 
+// Two users whose ids differ only in bit 54 (anonymized ids span all 64
+// bits) both run Weather on day 0; user 1 also runs WhatsApp that day.
+// A (user << 10) ^ day key would fold them into one active user-day.
+AnalysisContext top_bit_users(MicroTrace& t) {
+  constexpr trace::UserId kHigh = trace::UserId{1} + (trace::UserId{1} << 54);
+  t.proxy(0, 9, 0, 0, 1, kWearTac, "api.weather.com", 1000);
+  t.proxy(0, 9, 0, 0, kHigh, kWearTac, "api.weather.com", 1000);
+  t.proxy(0, 20, 0, 0, 1, kWearTac, "e1.whatsapp.net", 1000);
+  return t.context(7, 0);
+}
+
+TEST(Apps, DistinctUsersNeverShareAnActiveDay) {
+  MicroTrace t;
+  const AnalysisContext ctx = top_bit_users(t);
+  const AppPopularityResult r = analyze_apps(ctx);
+  ASSERT_EQ(r.apps.size(), 2u);
+  // User-days: Weather 2, WhatsApp 1.
+  EXPECT_EQ(r.apps[0].name, "Weather");
+  EXPECT_NEAR(r.apps[0].user_share_pct, 100.0 * 2.0 / 3.0, 1e-9);
+  EXPECT_NEAR(r.apps[1].user_share_pct, 100.0 / 3.0, 1e-9);
+  // Each app averages one active day per user.
+  EXPECT_NEAR(r.apps[0].used_days_pct, 50.0, 1e-9);
+}
+
+TEST(Categories, DistinctUsersNeverShareAnActiveDay) {
+  MicroTrace t;
+  const AnalysisContext ctx = top_bit_users(t);
+  const CategoryResult r = analyze_categories(ctx);
+  ASSERT_FALSE(r.by_users.empty());
+  EXPECT_EQ(r.by_users[0].category, appdb::Category::kWeather);
+  EXPECT_NEAR(r.by_users[0].user_share_pct, 100.0 * 2.0 / 3.0, 1e-9);
+}
+
 // ---- §6: through-device ------------------------------------------------------
 
 TEST(MicroThroughDevice, DetectsCompanionTraffic) {

@@ -9,8 +9,14 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <future>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -19,10 +25,16 @@
 #include "fed/partial_io.h"
 #include "live/engine.h"
 #include "live/replayer.h"
+#include "row_oracle.h"
 #include "serve/reference.h"
 #include "simnet/simulator.h"
+#include "trace/block_io.h"
 #include "trace/bundle.h"
+#include "trace/columnar_io.h"
+#include "trace/log_reader.h"
 #include "trace/sanitize.h"
+#include "util/byte_codec.h"
+#include "util/crc32.h"
 #include "util/error.h"
 
 namespace wearscope::fed {
@@ -92,6 +104,107 @@ struct TempDir {
     std::filesystem::remove_all(path, ec);
   }
 };
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::filesystem::path& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Rows per unit of the bundles below: small, so each log holds dozens of
+/// units, far more than a decoder may run ahead of the merge.
+constexpr std::size_t kSmallUnit = 61;
+
+template <typename Record>
+void write_small_units(const std::vector<Record>& rows,
+                       const trace::ProxyPools& pools,
+                       const std::filesystem::path& path,
+                       std::uint16_t format) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  trace::BlockWriterOptions options;
+  options.max_block_records = kSmallUnit;
+  if (format == trace::kBinaryFormatV2) {
+    trace::BlockLogWriter<Record> writer(out, pools, options);
+    for (const Record& r : rows) writer.write(r);
+    writer.finish();
+  } else {
+    (void)trace::write_columnar_log(out, rows, pools, options);
+  }
+}
+
+/// Saves `store` as a `format` bundle whose proxy and MME logs hold
+/// kSmallUnit-row units.
+void save_small_unit_bundle(const trace::TraceStore& store,
+                            const std::filesystem::path& dir,
+                            std::uint16_t format) {
+  trace::save_bundle(store, dir, trace::BundleFormat::kBinary, format);
+  write_small_units(store.proxy, store, dir / "proxy.bin", format);
+  write_small_units(store.mme, store, dir / "mme.bin", format);
+}
+
+/// Where each unit of a whole v2 or v3 log sits: its header offset in the
+/// file and its header as the chain scan read it.
+struct UnitSpan {
+  std::size_t at = 0;
+  trace::LogUnit unit;
+};
+
+std::vector<UnitSpan> units_of(const std::string& file,
+                               std::uint16_t format) {
+  const std::span<const std::byte> bytes = bytes_of(file);
+  std::size_t chain_at = 8;
+  if (format == trace::kBinaryFormatV3) {
+    util::MemorySpanDecoder dec(bytes.subspan(chain_at));
+    trace::ColumnDicts dicts;
+    (void)trace::parse_column_dicts(dec, /*lenient=*/false, dicts);
+    chain_at += static_cast<std::size_t>(dec.offset());
+  }
+  const std::size_t header = format == trace::kBinaryFormatV3
+                                 ? trace::kGroupHeaderBytes
+                                 : trace::kFrameHeaderBytes;
+  std::vector<UnitSpan> spans;
+  for (const trace::LogUnit& unit :
+       trace::scan_units(bytes.subspan(chain_at), format, false).units) {
+    spans.push_back({chain_at + unit.payload_offset - header, unit});
+  }
+  return spans;
+}
+
+/// A well-formed unit that holds no records.
+template <typename Record>
+std::string empty_unit(std::uint16_t format) {
+  std::string out;
+  util::BufferEncoder enc(out);
+  const std::uint32_t no_bytes_crc = util::crc32({});
+  enc.put_u32(0);
+  if (format == trace::kBinaryFormatV2) {
+    enc.put_u32(0);
+    enc.put_u32(no_bytes_crc);
+    return out;
+  }
+  const std::size_t columns = trace::columnar_column_count<Record>();
+  enc.put_u32(static_cast<std::uint32_t>(columns * trace::kColumnHeaderBytes));
+  for (std::size_t c = 0; c < columns; ++c) {
+    enc.put_u32(0);
+    enc.put_u32(no_bytes_crc);
+  }
+  return out;
+}
+
+/// Splices an empty unit in before the middle unit of the log at `path`.
+template <typename Record>
+void splice_empty_unit(const std::filesystem::path& path,
+                       std::uint16_t format) {
+  std::string file = read_file(path);
+  const std::vector<UnitSpan> units = units_of(file, format);
+  ASSERT_GE(units.size(), 2u);
+  file.insert(units[units.size() / 2].at, empty_unit<Record>(format));
+  write_file(path, file);
+}
 
 TEST(FedPartial, EncodeDecodeRoundTripIsBitwise) {
   const PartialSnapshot partial = run_partition(0, 2);
@@ -274,6 +387,147 @@ TEST(FedStream, StreamedFeedMatchesFullStoreBitwise) {
 
       EXPECT_EQ(encode_partial(streamed), encode_partial(materialized))
           << "v" << format << " partition " << partition;
+    }
+  }
+}
+
+/// The capture cut at its 20,000th proxy row (MME cut at the same stamp):
+/// hundreds of kSmallUnit-row units per log, and a load takes
+/// milliseconds, so the tests below can load it many times over.
+const trace::TraceStore& capture_prefix() {
+  static const trace::TraceStore store = [] {
+    const trace::TraceStore& full = capture().store;
+    trace::TraceStore s;
+    static_cast<trace::ProxyPools&>(s) = full;
+    s.devices = full.devices;
+    s.sectors = full.sectors;
+    const util::SimTime end = full.proxy.at(20000).timestamp;
+    for (const trace::ProxyRecord& r : full.proxy) {
+      if (r.timestamp < end) s.proxy.push_back(r);
+    }
+    for (const trace::MmeRecord& r : full.mme) {
+      if (r.timestamp < end) s.mme.push_back(r);
+    }
+    return s;
+  }();
+  return store;
+}
+
+TEST(FedStream, PipelinedFeedMatchesSequentialOracle) {
+  const trace::TraceStore& store = capture_prefix();
+  for (const std::uint16_t format :
+       {trace::kBinaryFormatV2, trace::kBinaryFormatV3}) {
+    const TempDir dir("oracle_v" + std::to_string(format));
+    save_small_unit_bundle(store, dir.path, format);
+    splice_empty_unit<trace::ProxyRecord>(dir.path / "proxy.bin", format);
+    splice_empty_unit<trace::MmeRecord>(dir.path / "mme.bin", format);
+    // The spliced logs are many units long and still decode to the store.
+    const std::string proxy_file = read_file(dir.path / "proxy.bin");
+    ASSERT_GT(units_of(proxy_file, format).size(), 20u);
+    trace::ProxyPools pools;
+    std::vector<trace::ProxyRecord> proxy =
+        trace::read_binary_log<trace::ProxyRecord>(bytes_of(proxy_file),
+                                                   pools);
+    trace::ProxyPools store_pools = store;  // holds every string already
+    trace::remap_ids(proxy, pools, store_pools);
+    ASSERT_EQ(proxy, store.proxy) << "v" << format;
+
+    for (const std::size_t n : {1u, 2u, 3u, 5u}) {
+      for (std::size_t id = 0; id < n; ++id) {
+        const PartitionFeed got = load_partition_feed(dir.path, id, n);
+        const PartitionFeed want =
+            oracle::partition_feed_rows(dir.path, id, n);
+        const std::string where = "v" + std::to_string(format) +
+                                  " partition " + std::to_string(id) +
+                                  " of " + std::to_string(n);
+        EXPECT_EQ(got.partition_id, want.partition_id) << where;
+        EXPECT_EQ(got.partition_count, want.partition_count) << where;
+        EXPECT_EQ(got.proxy, want.proxy) << where;
+        EXPECT_EQ(got.mme, want.mme) << where;
+        EXPECT_EQ(got.ops, want.ops) << where;
+        EXPECT_EQ(got.hosts.strings(), want.hosts.strings()) << where;
+        EXPECT_EQ(got.paths.strings(), want.paths.strings()) << where;
+        EXPECT_EQ(got.devices, want.devices) << where;
+        EXPECT_EQ(got.feed_records, want.feed_records) << where;
+        EXPECT_EQ(got.feed_records, store.proxy.size() + store.mme.size())
+            << where;
+      }
+    }
+  }
+}
+
+/// Loads partition 0 of 2 from `dir`, which must fail with a
+/// util::ParseError naming `file`.  The load runs on a worker thread: if
+/// it has not returned within a minute a decoder is stuck on its handoff,
+/// and the process aborts rather than hang the suite.
+void expect_damage_named(const std::filesystem::path& dir,
+                         const std::string& file) {
+  std::future<std::string> load = std::async(std::launch::async, [&dir] {
+    try {
+      (void)load_partition_feed(dir, 0, 2);
+    } catch (const util::ParseError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no util::ParseError");
+  });
+  if (load.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    std::fprintf(stderr, "load_partition_feed did not return after damage "
+                         "in %s\n", file.c_str());
+    std::abort();
+  }
+  const std::string what = load.get();
+  EXPECT_NE(what.find(file), std::string::npos) << what;
+}
+
+TEST(FedStream, MidStreamDamageThrowsAndJoins) {
+  // A decoder runs at most 20 units ahead of the merge (four batches of
+  // four in the handoff, one being gathered).  Past the proxy damage below
+  // half the MME log is left, and past the MME damage a fifth of the
+  // proxy log: each over 40 units, so the other decoder is parked on a
+  // full handoff when the merge throws.
+  const trace::TraceStore& store = capture_prefix();
+  ASSERT_GT(store.mme.size() / 2, 40 * kSmallUnit);
+  ASSERT_GT(store.proxy.size() / 5, 40 * kSmallUnit);
+  for (const std::uint16_t format :
+       {trace::kBinaryFormatV2, trace::kBinaryFormatV3}) {
+    const std::string tag = "damage_v" + std::to_string(format);
+    // A flipped byte at the end of a middle proxy unit's payload: a CRC
+    // mismatch while the MME decoder, dozens of units from its end, is
+    // parked on a full handoff.
+    const TempDir crc(tag + "_crc");
+    save_small_unit_bundle(store, crc.path, format);
+    {
+      std::string file = read_file(crc.path / "proxy.bin");
+      const std::vector<UnitSpan> units = units_of(file, format);
+      const UnitSpan& mid = units[units.size() / 2];
+      const std::size_t header = format == trace::kBinaryFormatV3
+                                     ? trace::kGroupHeaderBytes
+                                     : trace::kFrameHeaderBytes;
+      file[mid.at + header + mid.unit.byte_length - 1] ^= 0x20;
+      write_file(crc.path / "proxy.bin", file);
+    }
+    // One MME row four fifths in stamped after its successor: an order
+    // violation in a late unit while the proxy decoder runs ahead.
+    const TempDir order(tag + "_order");
+    {
+      trace::TraceStore bad = store;
+      const std::size_t i = bad.mme.size() * 4 / 5;
+      bad.mme[i].timestamp = bad.mme[i + 1].timestamp + 1;
+      save_small_unit_bundle(bad, order.path, format);
+    }
+    // The last proxy unit cut short.
+    const TempDir cut(tag + "_cut");
+    save_small_unit_bundle(store, cut.path, format);
+    {
+      std::string file = read_file(cut.path / "proxy.bin");
+      file.resize(file.size() - 3);
+      write_file(cut.path / "proxy.bin", file);
+    }
+    // Repeated so the sanitizers see the shutdown race many times.
+    for (int round = 0; round < 50; ++round) {
+      expect_damage_named(crc.path, "proxy.bin");
+      expect_damage_named(order.path, "mme.bin");
+      expect_damage_named(cut.path, "proxy.bin");
     }
   }
 }

@@ -116,12 +116,13 @@ echo "== interleaving mutation gate (seeded bug must be found + replay)"
   2>/dev/null
 
 if [ "$full" -eq 1 ]; then
-  echo "== chaos label, ring/engine and query parsing under ASan+UBSan"
+  echo "== chaos label, ring/engine, query parsing and fed feeds under ASan+UBSan"
   cmake -B "$root/build-asan" -S "$root" -DWEARSCOPE_SANITIZE=ON >/dev/null
   cmake --build "$root/build-asan" -j "$jobs"
   ctest --test-dir "$root/build-asan" -L chaos --output-on-failure
   ctest --test-dir "$root/build-asan" \
-    -R "LiveRing|LiveEngine|FuzzQuery|ServeQueryParse" --output-on-failure
+    -R "LiveRing|LiveEngine|FuzzQuery|ServeQueryParse|FedStream" \
+    --output-on-failure
 
   echo "== concurrency tests under TSan"
   cmake -B "$root/build-tsan" -S "$root" -DWEARSCOPE_SANITIZE=thread \
