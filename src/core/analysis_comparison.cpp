@@ -14,17 +14,17 @@ struct UserTotals {
 
 UserTotals totals_of(const AnalysisContext& ctx, const UserView& u) {
   UserTotals t;
-  for (const trace::ProxyRecord* r : u.wearable_txns) {
-    if (!ctx.in_detailed_window(r->timestamp)) continue;
-    t.bytes += static_cast<double>(r->bytes_total());
-    t.wearable_bytes += static_cast<double>(r->bytes_total());
-    t.txns += 1.0;
-  }
-  for (const trace::ProxyRecord* r : u.phone_txns) {
-    if (!ctx.in_detailed_window(r->timestamp)) continue;
-    t.bytes += static_cast<double>(r->bytes_total());
-    t.txns += 1.0;
-  }
+  for_each_record(ctx.detailed_suffix(u.wearable_txns),
+                  [&t](const trace::ProxyRecord& r) {
+                    t.bytes += static_cast<double>(r.bytes_total());
+                    t.wearable_bytes += static_cast<double>(r.bytes_total());
+                    t.txns += 1.0;
+                  });
+  for_each_record(ctx.detailed_suffix(u.phone_txns),
+                  [&t](const trace::ProxyRecord& r) {
+                    t.bytes += static_cast<double>(r.bytes_total());
+                    t.txns += 1.0;
+                  });
   return t;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <utility>
 
 #include "util/geo.h"
 
@@ -88,8 +89,9 @@ UserMobility mobility_of(const AnalysisContext& ctx, const SectorTable& sectors,
   out.has_mme = true;
 
   s.visits.clear();
-  for (const trace::MmeRecord* r : events)
-    s.visits.push_back({r->timestamp, r->sector_id});
+  for_each_record(events, [&s](const trace::MmeRecord& r) {
+    s.visits.push_back({r.timestamp, r.sector_id});
+  });
 
   // One forward walk: each day of the window is a contiguous run of
   // events, and each event holds its sector until the next event of the
@@ -143,21 +145,23 @@ void user_sector_dwell(const AnalysisContext& ctx, const UserView& user,
                        SectorDwell& out) {
   out.sectors.clear();
   out.seconds.clear();
+  const trace::MmeRecord* prev = nullptr;
   const auto events = ctx.detailed_suffix(user.mme);
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    const trace::MmeRecord& prev = *events[i - 1];
-    const trace::MmeRecord& r = *events[i];
-    if (util::day_of(prev.timestamp) != util::day_of(r.timestamp)) continue;
+  for_each_record(events, [&](const trace::MmeRecord& r) {
+    const trace::MmeRecord* const last = std::exchange(prev, &r);
+    if (last == nullptr ||
+        util::day_of(last->timestamp) != util::day_of(r.timestamp))
+      return;
     const auto it = std::lower_bound(out.sectors.begin(), out.sectors.end(),
-                                     prev.sector_id);
+                                     last->sector_id);
     const auto k = static_cast<std::size_t>(it - out.sectors.begin());
-    if (it == out.sectors.end() || *it != prev.sector_id) {
-      out.sectors.insert(it, prev.sector_id);
+    if (it == out.sectors.end() || *it != last->sector_id) {
+      out.sectors.insert(it, last->sector_id);
       out.seconds.insert(out.seconds.begin() + static_cast<std::ptrdiff_t>(k),
                          0.0);
     }
-    out.seconds[k] += static_cast<double>(r.timestamp - prev.timestamp);
-  }
+    out.seconds[k] += static_cast<double>(r.timestamp - last->timestamp);
+  });
 }
 
 double user_location_entropy(const AnalysisContext& ctx, const UserView& user,
@@ -183,7 +187,7 @@ double user_location_entropy(const AnalysisContext& ctx, const UserView& user,
 TxnActivity user_txn_activity(const AnalysisContext& ctx,
                               const UserView& user) {
   TxnActivity out;
-  const std::vector<const trace::MmeRecord*>& mme = user.mme;
+  const std::span<const trace::MmeRecord* const> mme = user.mme;
   // MME events at or before the transaction: every event before the
   // window precedes every transaction in it.
   std::size_t at_or_before =

@@ -10,86 +10,108 @@
 
 namespace wearscope::core {
 
-ThroughDeviceResult analyze_throughdevice(const AnalysisContext& ctx) {
-  ThroughDeviceResult res;
+ThroughDevicePass::ThroughDevicePass(const AnalysisContext& ctx)
+    : ctx_(&ctx) {
   const auto sigs = appdb::companion_signatures();
   util::require(sigs.size() <= 32,
                 "through-device: more than 32 companion signatures");
-  res.per_signature.assign(sigs.size(), 0);
-  for (const appdb::CompanionSignature& s : sigs)
-    res.signature_names.push_back(s.wearable);
-
-  const double days = ctx.options().observation_days -
-                      ctx.options().detailed_start_day;
-
-  // Medians rather than means: per-user traffic is heavy-tailed and the
-  // detected-TD sample is small, so a single whale would swamp a mean.
-  std::vector<double> td_txns;
-  std::vector<double> td_bytes;
-  std::vector<double> td_entropy;
-  std::vector<double> sim_txns;
-  std::vector<double> sim_bytes;
-  std::vector<double> sim_entropy;
-
-  std::array<double, 24> td_hours{};
-  std::array<double, 24> sim_hours{};
-
-  // Signature bitmask per host-dictionary entry (bit s == signature s): the
-  // suffix match runs once per distinct host instead of once per phone
-  // transaction.  A signature matches on its first matching domain.
-  const trace::TraceStore& store = ctx.store();
-  const trace::ProxyColumns& pc = store.proxy_columns();
-  std::vector<std::uint32_t> host_sigs(pc.hosts.size(), 0);
+  // The suffix match runs once per distinct host instead of once per
+  // phone transaction.  A signature matches on its first matching domain.
+  const trace::ProxyColumns& pc = ctx.store().proxy_columns();
+  host_sigs_.assign(pc.hosts.size(), 0);
   for (std::size_t k = 0; k < pc.hosts.size(); ++k) {
     for (std::size_t s = 0; s < sigs.size(); ++s) {
       for (const std::string& d : sigs[s].domains) {
         if (util::host_matches_suffix(pc.hosts[k], d)) {
-          host_sigs[k] |= std::uint32_t{1} << s;
+          host_sigs_[k] |= std::uint32_t{1} << s;
           break;
         }
       }
     }
   }
+}
 
-  for (const UserView& u : ctx.users()) {
+ThroughDevicePartial ThroughDevicePass::partial(std::size_t lo,
+                                                std::size_t hi) const {
+  const AnalysisContext& ctx = *ctx_;
+  const std::size_t signatures = appdb::companion_signatures().size();
+  ThroughDevicePartial out;
+  out.per_signature.assign(signatures, 0);
+  const double days = ctx.options().observation_days -
+                      ctx.options().detailed_start_day;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const UserView& u = ctx.users()[i];
     double txns = 0.0;
     double bytes = 0.0;
     std::array<double, 24> hours{};
     std::uint32_t matched = 0;
-    for (const trace::ProxyRecord* r : ctx.detailed_suffix(u.phone_txns)) {
-      txns += 1.0;
-      bytes += static_cast<double>(r->bytes_total());
-      hours[static_cast<std::size_t>(util::hour_of(r->timestamp))] += 1.0;
-      // phone_txns point into store.proxy, so the offset is the column row.
-      const auto row = static_cast<std::size_t>(r - store.proxy.data());
-      matched |= host_sigs[pc.host_id[row]];
-    }
+    for_each_record(ctx.detailed_suffix(u.phone_txns),
+                    [&](const trace::ProxyRecord& r) {
+                      txns += 1.0;
+                      bytes += static_cast<double>(r.bytes_total());
+                      hours[static_cast<std::size_t>(
+                          util::hour_of(r.timestamp))] += 1.0;
+                      // The row's host id indexes the host dictionary too.
+                      matched |= host_sigs_[r.host_id];
+                    });
     if (u.has_wearable) {
-      sim_txns.push_back(txns / days);
-      sim_bytes.push_back(bytes / days);
-      sim_entropy.push_back(user_location_entropy(ctx, u));
-      for (std::size_t h = 0; h < 24; ++h) sim_hours[h] += hours[h];
+      out.sim_txns.push_back(txns / days);
+      out.sim_bytes.push_back(bytes / days);
+      out.sim_entropy.push_back(user_location_entropy(ctx, u));
+      for (std::size_t h = 0; h < 24; ++h) out.sim_hours[h] += hours[h];
     } else if (matched != 0) {
-      ++res.detected_users;
-      for (std::size_t s = 0; s < sigs.size(); ++s) {
-        if ((matched >> s & 1U) != 0) ++res.per_signature[s];
+      ++out.detected_users;
+      for (std::size_t s = 0; s < signatures; ++s) {
+        if ((matched >> s & 1U) != 0) ++out.per_signature[s];
       }
-      td_txns.push_back(txns / days);
-      td_bytes.push_back(bytes / days);
-      td_entropy.push_back(user_location_entropy(ctx, u));
-      for (std::size_t h = 0; h < 24; ++h) td_hours[h] += hours[h];
+      out.td_txns.push_back(txns / days);
+      out.td_bytes.push_back(bytes / days);
+      out.td_entropy.push_back(user_location_entropy(ctx, u));
+      for (std::size_t h = 0; h < 24; ++h) out.td_hours[h] += hours[h];
+    }
+  }
+  return out;
+}
+
+ThroughDeviceResult ThroughDevicePass::finish(
+    std::span<const ThroughDevicePartial> partials) const {
+  ThroughDeviceResult res;
+  for (const appdb::CompanionSignature& s : appdb::companion_signatures())
+    res.signature_names.push_back(s.wearable);
+  res.per_signature.assign(res.signature_names.size(), 0);
+
+  // Medians rather than means: per-user traffic is heavy-tailed and the
+  // detected-TD sample is small, so a single whale would swamp a mean.
+  ThroughDevicePartial all;
+  const auto append = [](std::vector<double>& to,
+                         const std::vector<double>& from) {
+    to.insert(to.end(), from.begin(), from.end());
+  };
+  for (const ThroughDevicePartial& p : partials) {
+    res.detected_users += p.detected_users;
+    for (std::size_t s = 0; s < res.per_signature.size(); ++s)
+      res.per_signature[s] += p.per_signature[s];
+    append(all.td_txns, p.td_txns);
+    append(all.td_bytes, p.td_bytes);
+    append(all.td_entropy, p.td_entropy);
+    append(all.sim_txns, p.sim_txns);
+    append(all.sim_bytes, p.sim_bytes);
+    append(all.sim_entropy, p.sim_entropy);
+    for (std::size_t h = 0; h < 24; ++h) {
+      all.td_hours[h] += p.td_hours[h];
+      all.sim_hours[h] += p.sim_hours[h];
     }
   }
 
-  const double sim_txn_med = util::median(sim_txns);
-  const double sim_byte_med = util::median(sim_bytes);
-  const double sim_entropy_med = util::median(sim_entropy);
+  const double sim_txn_med = util::median(all.sim_txns);
+  const double sim_byte_med = util::median(all.sim_bytes);
+  const double sim_entropy_med = util::median(all.sim_entropy);
   if (sim_txn_med > 0.0)
-    res.daily_txn_ratio = util::median(td_txns) / sim_txn_med;
+    res.daily_txn_ratio = util::median(all.td_txns) / sim_txn_med;
   if (sim_byte_med > 0.0)
-    res.daily_bytes_ratio = util::median(td_bytes) / sim_byte_med;
+    res.daily_bytes_ratio = util::median(all.td_bytes) / sim_byte_med;
   if (sim_entropy_med > 0.0)
-    res.entropy_ratio = util::median(td_entropy) / sim_entropy_med;
+    res.entropy_ratio = util::median(all.td_entropy) / sim_entropy_med;
 
   // Normalize the hourly profiles to shares and correlate them.
   const auto normalize = [](std::array<double, 24>& h) {
@@ -99,14 +121,20 @@ ThroughDeviceResult analyze_throughdevice(const AnalysisContext& ctx) {
       for (double& v : h) v /= total;
     }
   };
-  normalize(td_hours);
-  normalize(sim_hours);
-  res.td_hourly = td_hours;
-  res.sim_hourly = sim_hours;
+  normalize(all.td_hours);
+  normalize(all.sim_hours);
+  res.td_hourly = all.td_hours;
+  res.sim_hourly = all.sim_hours;
   res.diurnal_similarity = util::pearson(
-      std::span<const double>(td_hours.data(), td_hours.size()),
-      std::span<const double>(sim_hours.data(), sim_hours.size()));
+      std::span<const double>(all.td_hours.data(), all.td_hours.size()),
+      std::span<const double>(all.sim_hours.data(), all.sim_hours.size()));
   return res;
+}
+
+ThroughDeviceResult analyze_throughdevice(const AnalysisContext& ctx) {
+  const ThroughDevicePass pass(ctx);
+  const ThroughDevicePartial all = pass.partial(0, ctx.users().size());
+  return pass.finish({&all, 1});
 }
 
 FigureData figure_sec6(const ThroughDeviceResult& r) {

@@ -5,6 +5,8 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,7 +33,47 @@ struct ThroughDeviceResult {
   double diurnal_similarity = 0.0;   ///< Pearson of the two profiles.
 };
 
-/// Runs the study over the detailed window.
+/// One user slice's share of the through-device study: the per-user
+/// values in user order and the slice's sums.
+struct ThroughDevicePartial {
+  std::size_t detected_users = 0;
+  std::vector<std::size_t> per_signature;
+  std::vector<double> td_txns;
+  std::vector<double> td_bytes;
+  std::vector<double> td_entropy;
+  std::vector<double> sim_txns;
+  std::vector<double> sim_bytes;
+  std::vector<double> sim_entropy;
+  std::array<double, 24> td_hours{};  ///< Phone transactions per hour.
+  std::array<double, 24> sim_hours{};
+};
+
+/// The study in parts, so the pipeline can run it as user slices.  The
+/// constructor matches the companion signatures against the host
+/// dictionary; partial() covers a slice of ctx.users() and may run
+/// concurrently with other calls; finish() merges partials that cover
+/// every user, in slice order.  Any slicing gives the same result: the
+/// per-user vectors concatenate back into user order, and the hourly sums
+/// are integer-valued doubles, exact in any grouping.
+class ThroughDevicePass {
+ public:
+  explicit ThroughDevicePass(const AnalysisContext& ctx);
+
+  /// The share of users [lo, hi).
+  [[nodiscard]] ThroughDevicePartial partial(std::size_t lo,
+                                             std::size_t hi) const;
+
+  [[nodiscard]] ThroughDeviceResult finish(
+      std::span<const ThroughDevicePartial> partials) const;
+
+ private:
+  const AnalysisContext* ctx_;
+  /// Signature bitmask per host-dictionary entry (bit s == signature s).
+  std::vector<std::uint32_t> host_sigs_;
+};
+
+/// Runs the study over the detailed window: one partial over every user,
+/// then finish().
 ThroughDeviceResult analyze_throughdevice(const AnalysisContext& ctx);
 
 /// Renders the §6 comparison with its checks.

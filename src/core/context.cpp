@@ -1,10 +1,11 @@
 #include "core/context.h"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
+#include <functional>
 #include <string>
 
-#include "par/shard.h"
 #include "par/task_pool.h"
 #include "util/error.h"
 
@@ -12,17 +13,41 @@ namespace wearscope::core {
 
 namespace {
 
-/// One shard's private view of the grouping pass.  Shards are keyed by
-/// par::shard_of(user_id), so every record of a user lands in exactly one
-/// shard and the per-user vectors are built with no cross-shard writes.
-struct UserShard {
-  std::unordered_map<trace::UserId, std::size_t> index;
-  std::vector<UserView> users;
-  /// Global first-appearance position of each user (proxy record i -> i,
-  /// mme record j -> proxy_count + j), index-aligned with `users`.  The
-  /// merge sorts on it to reproduce the sequential discovery order.
-  std::vector<std::size_t> first_pos;
+/// One row slice of a log in the grouping pass.  The count task fills
+/// `local`, `ids`, `wearable` and `rows` (rows of the slice per user and
+/// destination array); the merge turns `rows` into each user's write
+/// cursors and sets `dense`; the scatter task advances the cursors.
+struct RowSlice {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  /// User id -> local index, in first-appearance order within the slice.
+  std::unordered_map<trace::UserId, std::uint32_t> local;
+  std::vector<trace::UserId> ids;      ///< Local index -> user id.
+  std::vector<std::size_t> dense;      ///< Local index -> dense user id.
+  std::vector<std::uint8_t> wearable;  ///< Local index -> saw a wearable TAC.
+  /// Local index -> per destination array (proxy slices: wearable, phone;
+  /// MME slices: only [0]): the slice's row count, then the cursor.
+  std::vector<std::array<std::size_t, 2>> rows;
 };
+
+/// Counts the rows of `slice`: row i of `user_id` goes to destination
+/// array `array_of(i)` (0 or 1) of its user, and `wearable_of(i)` tells
+/// whether its TAC is a wearable's.
+template <typename ArrayOf, typename WearableOf>
+void count_slice(const std::vector<trace::UserId>& user_id, RowSlice& slice,
+                 ArrayOf array_of, WearableOf wearable_of) {
+  for (std::size_t i = slice.lo; i < slice.hi; ++i) {
+    const auto next = static_cast<std::uint32_t>(slice.ids.size());
+    const auto [it, inserted] = slice.local.try_emplace(user_id[i], next);
+    if (inserted) {
+      slice.ids.push_back(user_id[i]);
+      slice.wearable.push_back(0);
+      slice.rows.push_back({0, 0});
+    }
+    ++slice.rows[it->second][array_of(i)];
+    if (wearable_of(i)) slice.wearable[it->second] = 1;
+  }
+}
 
 }  // namespace
 
@@ -59,9 +84,8 @@ AnalysisContext::AnalysisContext(const trace::TraceStore& store,
       *knowledge_base_, options_.signature_coverage);
 
   par::TaskPool pool(static_cast<std::size_t>(options_.threads));
-  const std::size_t shards = pool.threads();
 
-  // Column views: the grouping pass below and the rewritten analysis
+  // Column views: the grouping passes below and the rewritten analysis
   // kernels stream these dense vectors instead of the row structs.
   store.build_columns(&pool);
   const trace::ProxyColumns& pcols = store.proxy_columns();
@@ -76,101 +100,164 @@ AnalysisContext::AnalysisContext(const trace::TraceStore& store,
   for (std::size_t k = 0; k < mcols.tacs.size(); ++k)
     mme_wearable[k] = devices_->is_wearable(mcols.tacs[k]) ? 1 : 0;
 
-  // Phase 1 — sharded per-user grouping.  Each shard scans the full
-  // time-sorted streams and keeps only its users, so per-user vectors stay
-  // time-sorted exactly as in the sequential single pass.  The scan reads
-  // only the user_id and tac_id columns; record pointers are recovered by
-  // row index.
-  std::vector<UserShard> shard_state(shards);
+  // Phase 1 — count.  Each task takes a row slice of the proxy log or of
+  // the MME log and counts its rows per user and destination array.
+  const auto row_slices = [&pool](std::size_t rows) {
+    const std::vector<std::size_t> bounds = par::slice_bounds(
+        rows, pool.threads(), [](std::size_t i) -> std::uint64_t { return i; });
+    std::vector<RowSlice> slices(bounds.size() - 1);
+    for (std::size_t s = 0; s < slices.size(); ++s) {
+      slices[s].lo = bounds[s];
+      slices[s].hi = bounds[s + 1];
+    }
+    return slices;
+  };
+  std::vector<RowSlice> proxy_slices = row_slices(pcols.size());
+  std::vector<RowSlice> mme_slices = row_slices(mcols.size());
+  const auto proxy_array = [&pcols, &proxy_wearable](std::size_t i) {
+    return proxy_wearable[pcols.tac_id[i]] != 0 ? std::size_t{0}
+                                                : std::size_t{1};
+  };
   {
     std::vector<std::function<void()>> tasks;
-    tasks.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      tasks.push_back([&store, &pcols, &mcols, &proxy_wearable, &mme_wearable,
-                       &shard_state, s, shards] {
-        UserShard& shard = shard_state[s];
-        const auto user_slot = [&shard](trace::UserId id,
-                                        std::size_t pos) -> UserView& {
-          const auto [it, inserted] = shard.index.emplace(id, shard.users.size());
-          if (inserted) {
-            shard.users.emplace_back();
-            shard.users.back().user_id = id;
-            shard.first_pos.push_back(pos);
-          }
-          return shard.users[it->second];
-        };
-        for (std::size_t i = 0; i < pcols.size(); ++i) {
-          if (par::shard_of(pcols.user_id[i], shards) != s) continue;
-          UserView& u = user_slot(pcols.user_id[i], i);
-          if (proxy_wearable[pcols.tac_id[i]] != 0) {
-            u.has_wearable = true;
-            u.wearable_txns.push_back(&store.proxy[i]);
-            u.wearable_rows.push_back(static_cast<std::uint32_t>(i));
-          } else {
-            u.phone_txns.push_back(&store.proxy[i]);
-          }
-        }
-        for (std::size_t j = 0; j < mcols.size(); ++j) {
-          if (par::shard_of(mcols.user_id[j], shards) != s) continue;
-          UserView& u = user_slot(mcols.user_id[j], store.proxy.size() + j);
-          u.mme.push_back(&store.mme[j]);
-          if (mme_wearable[mcols.tac_id[j]] != 0) u.has_wearable = true;
-        }
+    for (RowSlice& slice : proxy_slices) {
+      tasks.push_back([&pcols, &slice, &proxy_array] {
+        count_slice(pcols.user_id, slice, proxy_array,
+                    [&proxy_array](std::size_t i) {
+                      return proxy_array(i) == 0;
+                    });
+      });
+    }
+    for (RowSlice& slice : mme_slices) {
+      tasks.push_back([&mcols, &mme_wearable, &slice] {
+        count_slice(
+            mcols.user_id, slice, [](std::size_t) { return std::size_t{0}; },
+            [&mcols, &mme_wearable](std::size_t j) {
+              return mme_wearable[mcols.tac_id[j]] != 0;
+            });
       });
     }
     pool.run(std::move(tasks));
   }
 
-  // Phase 2 — ordered merge.  First-appearance positions are unique across
-  // shards (each stream position belongs to one user, hence one shard), so
-  // sorting on them reconstructs the order a single sequential scan would
-  // have discovered the users in — for ANY shard count.
-  struct MergeKey {
-    std::size_t first_pos;
-    std::size_t shard;
-    std::size_t local;
+  // Phase 2 — merge, sequential over the slices: proxy slices first, then
+  // MME slices, each in row order and each slice's users in their
+  // first-appearance order.  That visits every user's first appearance in
+  // stream order, so new users get dense ids in the order one sequential
+  // scan of proxy-then-MME would discover them.  A user's rows of one
+  // array are laid out slice after slice, so each (slice, user) cursor is
+  // the user's base plus the rows of the earlier slices.
+  // totals[user] = rows per array: wearable, phone, MME.
+  std::vector<std::array<std::size_t, 3>> totals;
+  const auto merge = [this, &totals](std::vector<RowSlice>& slices,
+                                     std::size_t first, std::size_t arrays) {
+    for (RowSlice& slice : slices) {
+      slice.dense.resize(slice.ids.size());
+      for (std::size_t l = 0; l < slice.ids.size(); ++l) {
+        const auto [it, inserted] =
+            user_index_.try_emplace(slice.ids[l], users_.size());
+        if (inserted) {
+          users_.emplace_back().user_id = slice.ids[l];
+          totals.push_back({0, 0, 0});
+        }
+        const std::size_t u = it->second;
+        slice.dense[l] = u;
+        if (slice.wearable[l] != 0) users_[u].has_wearable = true;
+        for (std::size_t a = 0; a < arrays; ++a) {
+          const std::size_t n = slice.rows[l][a];
+          slice.rows[l][a] = totals[u][first + a];
+          totals[u][first + a] += n;
+        }
+      }
+    }
   };
-  std::vector<MergeKey> order;
-  std::size_t total_users = 0;
-  for (const UserShard& shard : shard_state) total_users += shard.users.size();
-  order.reserve(total_users);
-  for (std::size_t s = 0; s < shards; ++s) {
-    for (std::size_t i = 0; i < shard_state[s].users.size(); ++i) {
-      order.push_back(MergeKey{shard_state[s].first_pos[i], s, i});
+  merge(proxy_slices, 0, 2);
+  merge(mme_slices, 2, 1);
+  std::vector<std::array<std::size_t, 3>> base(users_.size());
+  std::array<std::size_t, 3> end{0, 0, 0};
+  for (std::size_t u = 0; u < users_.size(); ++u) {
+    for (std::size_t a = 0; a < 3; ++a) {
+      base[u][a] = end[a];
+      end[a] += totals[u][a];
     }
   }
-  std::sort(order.begin(), order.end(),
-            [](const MergeKey& a, const MergeKey& b) {
-              return a.first_pos < b.first_pos;
-            });
-  users_.reserve(total_users);
-  user_index_.reserve(total_users);
-  for (const MergeKey& key : order) {
-    user_index_.emplace(shard_state[key.shard].users[key.local].user_id,
-                        users_.size());
-    users_.push_back(std::move(shard_state[key.shard].users[key.local]));
+  wearable_txns_.resize(end[0]);
+  wearable_rows_.resize(end[0]);
+  phone_txns_.resize(end[1]);
+  mme_.resize(end[2]);
+  for (std::size_t u = 0; u < users_.size(); ++u) {
+    UserView& v = users_[u];
+    v.wearable_txns = {wearable_txns_.data() + base[u][0], totals[u][0]};
+    v.wearable_rows = {wearable_rows_.data() + base[u][0], totals[u][0]};
+    v.phone_txns = {phone_txns_.data() + base[u][1], totals[u][1]};
+    v.mme = {mme_.data() + base[u][2], totals[u][2]};
   }
-  shard_state.clear();
+  const auto add_base = [&base](std::vector<RowSlice>& slices,
+                                std::size_t first, std::size_t arrays) {
+    for (RowSlice& slice : slices) {
+      for (std::size_t l = 0; l < slice.ids.size(); ++l) {
+        for (std::size_t a = 0; a < arrays; ++a)
+          slice.rows[l][a] += base[slice.dense[l]][first + a];
+      }
+    }
+  };
+  add_base(proxy_slices, 0, 2);
+  add_base(mme_slices, 2, 1);
 
-  // Phase 3 — attribution + sessionization over contiguous user slices.
-  // Each slice writes only its own users; the per-slice host cache is a
-  // pure memo over classify_host, so results match the uncached path.
-  pool.for_slices(users_.size(),
-                  [this](std::size_t lo, std::size_t hi, std::size_t) {
-                    HostClassCache cache(*signatures_, store_->hosts);
-                    for (std::size_t i = lo; i < hi; ++i) {
-                      UserView& u = users_[i];
-                      if (u.wearable_txns.empty()) continue;
-                      u.wearable_classes = attribute_user_stream(
-                          cache, u.wearable_txns,
-                          options_.attribution_window_s);
-                      u.usages = sessionize_user(u.wearable_txns,
-                                                 u.wearable_classes,
-                                                 options_.usage_gap_s);
-                    }
-                  });
+  // Phase 3 — scatter.  Each task walks its slice again and writes every
+  // row to its user's cursor; the slices' ranges of each array are
+  // disjoint, and within a slice rows land in row order, so every user's
+  // records stay time-sorted.
+  {
+    std::vector<std::function<void()>> tasks;
+    for (RowSlice& slice : proxy_slices) {
+      tasks.push_back([this, &store, &pcols, &proxy_array, &slice] {
+        for (std::size_t i = slice.lo; i < slice.hi; ++i) {
+          auto& cursor = slice.rows[slice.local.find(pcols.user_id[i])->second];
+          if (proxy_array(i) == 0) {
+            wearable_txns_[cursor[0]] = &store.proxy[i];
+            wearable_rows_[cursor[0]++] = static_cast<std::uint32_t>(i);
+          } else {
+            phone_txns_[cursor[1]++] = &store.proxy[i];
+          }
+        }
+      });
+    }
+    for (RowSlice& slice : mme_slices) {
+      tasks.push_back([this, &store, &mcols, &slice] {
+        for (std::size_t j = slice.lo; j < slice.hi; ++j) {
+          auto& cursor = slice.rows[slice.local.find(mcols.user_id[j])->second];
+          mme_[cursor[0]++] = &store.mme[j];
+        }
+      });
+    }
+    pool.run(std::move(tasks));
+  }
+  proxy_slices.clear();
+  mme_slices.clear();
 
-  // Phase 4 — population partition (order-preserving, sequential).
+  // Phase 4 — attribution + sessionization over contiguous user slices
+  // cut by wearable transactions, the work this phase does per user (the
+  // wearable owners come first in discovery order, so equal user counts
+  // would leave one slice with nearly all of it).  Each slice writes only
+  // its own users; the per-slice host cache is a pure memo over
+  // classify_host, so results match the uncached path.
+  pool.for_weighted_slices(
+      users_.size(),
+      [this](std::size_t i) { return users_[i].wearable_txns.size(); },
+      [this](std::size_t lo, std::size_t hi, std::size_t) {
+        HostClassCache cache(*signatures_, store_->hosts);
+        for (std::size_t i = lo; i < hi; ++i) {
+          UserView& u = users_[i];
+          if (u.wearable_txns.empty()) continue;
+          u.wearable_classes = attribute_user_stream(
+              cache, u.wearable_txns, options_.attribution_window_s);
+          u.usages = sessionize_user(u.wearable_txns, u.wearable_classes,
+                                     options_.usage_gap_s);
+        }
+      });
+
+  // Phase 5 — population partition (order-preserving, sequential).
   for (const UserView& u : users_) {
     (u.has_wearable ? wearable_users_ : other_users_).push_back(&u);
   }

@@ -59,31 +59,57 @@ void require_analysis_window(int observation_days, int detailed_start_day);
   return (observation_days - detailed_start_day) / 7;
 }
 
-/// Everything the analyses know about one subscriber.
+/// Everything the analyses know about one subscriber.  The record spans
+/// point into arrays the AnalysisContext owns (one array per kind, each
+/// user's records contiguous and time-sorted).
 struct UserView {
   trace::UserId user_id = 0;
   bool has_wearable = false;  ///< Observed with a wearable TAC (MME/proxy).
   /// Time-sorted wearable-TAC transactions.
-  std::vector<const trace::ProxyRecord*> wearable_txns;
+  std::span<const trace::ProxyRecord* const> wearable_txns;
   /// Row indices into the store's proxy log/columns, index-aligned with
   /// wearable_txns; the columnar kernels stream the column vectors through
   /// these instead of chasing the row pointers.
-  std::vector<std::uint32_t> wearable_rows;
+  std::span<const std::uint32_t> wearable_rows;
   /// Per-record attribution, index-aligned with wearable_txns.
   std::vector<EndpointClass> wearable_classes;
   /// Reconstructed wearable app usages (sessionized).
   std::vector<Usage> usages;
   /// Time-sorted non-wearable (phone etc.) transactions.
-  std::vector<const trace::ProxyRecord*> phone_txns;
+  std::span<const trace::ProxyRecord* const> phone_txns;
   /// Time-sorted MME events (all of the user's devices).
-  std::vector<const trace::MmeRecord*> mme;
+  std::span<const trace::MmeRecord* const> mme;
 };
+
+/// Calls `fn(record)` for each of `records` (one user's UserView span) in
+/// order.  A user's records lie scattered over the log, so each visit is
+/// likely a cache miss; the walk prefetches a few records ahead, both ends
+/// of each (a row often straddles two cache lines), so the misses overlap
+/// instead of queueing.
+template <typename Record, typename Fn>
+void for_each_record(std::span<const Record* const> records, Fn&& fn) {
+  constexpr std::size_t kAhead = 16;
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    if (k + kAhead < records.size()) {
+      const char* ahead = reinterpret_cast<const char*>(records[k + kAhead]);
+      __builtin_prefetch(ahead);
+      __builtin_prefetch(ahead + sizeof(Record) - 1);
+    }
+    fn(*records[k]);
+  }
+}
 
 /// The shared analysis state.
 class AnalysisContext {
  public:
   /// Indexes `store` (which must outlive the context).
   AnalysisContext(const trace::TraceStore& store, AnalysisOptions options);
+  /// The user views point into the context's own arrays: a copy would
+  /// share them, a move keeps them valid.
+  AnalysisContext(const AnalysisContext&) = delete;
+  AnalysisContext& operator=(const AnalysisContext&) = delete;
+  AnalysisContext(AnalysisContext&&) = default;
+  AnalysisContext& operator=(AnalysisContext&&) = default;
 
   [[nodiscard]] const trace::TraceStore& store() const noexcept {
     return *store_;
@@ -98,7 +124,9 @@ class AnalysisContext {
     return *signatures_;
   }
 
-  /// All users observed anywhere in the logs.
+  /// All users observed anywhere in the logs, in discovery order: the
+  /// proxy log's users by first row, then the users seen only in the MME
+  /// log by first row there.
   [[nodiscard]] const std::vector<UserView>& users() const noexcept {
     return users_;
   }
@@ -131,7 +159,7 @@ class AnalysisContext {
   /// found by binary search.
   template <typename Record>
   [[nodiscard]] std::span<const Record* const> detailed_suffix(
-      const std::vector<const Record*>& records) const {
+      std::span<const Record* const> records) const {
     return {std::partition_point(records.begin(), records.end(),
                                  [this](const Record* r) {
                                    return !in_detailed_window(r->timestamp);
@@ -152,6 +180,11 @@ class AnalysisContext {
   std::unique_ptr<DeviceClassifier> devices_;
   std::unique_ptr<AppSignatureTable> signatures_;
   std::vector<UserView> users_;
+  /// The arrays the users' spans cover, users in users_ order.
+  std::vector<const trace::ProxyRecord*> wearable_txns_;
+  std::vector<std::uint32_t> wearable_rows_;
+  std::vector<const trace::ProxyRecord*> phone_txns_;
+  std::vector<const trace::MmeRecord*> mme_;
   std::vector<const UserView*> wearable_users_;
   std::vector<const UserView*> other_users_;
   std::unordered_map<trace::UserId, std::size_t> user_index_;

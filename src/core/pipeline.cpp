@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <stdexcept>
+#include <vector>
 
 #include "par/task_pool.h"
 
@@ -13,11 +14,29 @@ Pipeline::Pipeline(const trace::TraceStore& store, AnalysisOptions options)
 StudyReport Pipeline::run() const {
   StudyReport rep;
   // The analyses are independent reads of the (settled) context; each task
-  // writes exactly one StudyReport field, so any execution order yields the
-  // same report.  Figures are then rendered sequentially in the canonical
-  // order below.
+  // writes exactly one StudyReport field, or one slice's partial of the
+  // through-device study (by far the largest pass), so any execution
+  // order yields the same report.  Figures are then rendered sequentially
+  // in the canonical order below.
   par::TaskPool pool(static_cast<std::size_t>(ctx_.options().threads));
-  pool.run({
+  const std::vector<UserView>& users = ctx_.users();
+  const ThroughDevicePass throughdevice(ctx_);
+  // Its work per user is the user's phone transactions.
+  const std::vector<std::size_t> bounds =
+      par::weighted_slice_bounds(users.size(), pool.threads(),
+                                 [&users](std::size_t i) {
+                                   return users[i].phone_txns.size();
+                                 });
+  std::vector<ThroughDevicePartial> partials(bounds.size() - 1);
+  std::vector<std::function<void()>> tasks;
+  // The slices go first: the pool hands out tasks in order, and the
+  // longest should start first.
+  for (std::size_t s = 0; s < partials.size(); ++s) {
+    tasks.push_back([&, s] {
+      partials[s] = throughdevice.partial(bounds[s], bounds[s + 1]);
+    });
+  }
+  tasks.insert(tasks.end(), {
       [&] { rep.adoption = analyze_adoption(ctx_); },
       [&] { rep.diurnal = analyze_diurnal(ctx_); },
       [&] { rep.activity = analyze_activity(ctx_); },
@@ -27,12 +46,13 @@ StudyReport Pipeline::run() const {
       [&] { rep.categories = analyze_categories(ctx_); },
       [&] { rep.usage = analyze_usage(ctx_); },
       [&] { rep.thirdparty = analyze_thirdparty(ctx_); },
-      [&] { rep.throughdevice = analyze_throughdevice(ctx_); },
       [&] { rep.cohorts = analyze_cohorts(ctx_); },
       [&] { rep.retention = analyze_retention(ctx_); },
       [&] { rep.protocol = analyze_protocol(ctx_); },
       [&] { rep.geography = analyze_geography(ctx_); },
   });
+  pool.run(std::move(tasks));
+  rep.throughdevice = throughdevice.finish(partials);
 
   rep.figures.push_back(figure2a(rep.adoption));
   rep.figures.push_back(figure2b(rep.adoption));

@@ -53,6 +53,7 @@ class LogDecoder {
         in_(path, std::ios::binary),
         cursor_(in_) {
     if (!in_.is_open()) throw util::IoError("cannot open " + path_);
+    claimed_ = trace::claimed_records<Record>(in_);
     thread_ = std::thread([this] { run(); });
   }
   /// The thread holds `this`.
@@ -63,17 +64,18 @@ class LogDecoder {
     if (thread_.joinable()) thread_.join();
   }
 
+  /// The record count the log's unit headers claim, owned or not
+  /// (trace::claimed_records): read before the decoder starts.
+  [[nodiscard]] std::uint64_t claimed() const noexcept { return claimed_; }
+
   /// Replaces `batch` with the next batch and appends its owned rows to
   /// `feed_rows`, or returns false at the end of the log.  Rethrows the
   /// decoder's error, in log order.
   bool pop(DecodedBatch<Record>& batch, std::vector<Record>& feed_rows) {
     if (!handoff_.pop(batch)) return false;
     if (batch.error) std::rethrow_exception(batch.error);
-    // Row by row, not a range insert: capacity then only ever doubles, so
-    // the peak while the largest vector reallocates is that of a load that
-    // pushes one row at a time.  A range insert that runs out grows to
-    // twice the current size, which can land far above it.
-    for (const Record& r : batch.owned_rows) feed_rows.push_back(r);
+    feed_rows.insert(feed_rows.end(), batch.owned_rows.begin(),
+                     batch.owned_rows.end());
     return true;
   }
 
@@ -147,6 +149,7 @@ class LogDecoder {
   }
 
   std::string path_;
+  std::uint64_t claimed_ = 0;
   std::size_t partition_id_ = 0;
   std::size_t partition_count_ = 1;
   std::ifstream in_;
@@ -222,6 +225,10 @@ PartitionFeed load_partition_feed(const std::filesystem::path& dir,
                                            partition_count);
   LogDecoder<trace::MmeRecord> mme_log(dir / "mme.bin", partition_id,
                                        partition_count);
+  // One allocation per log, never a reallocation: room for every row the
+  // headers claim, of which only the owned rows' pages are ever touched.
+  feed.proxy.reserve(proxy_log.claimed());
+  feed.mme.reserve(mme_log.claimed());
   LogPosition<trace::ProxyRecord> p;
   LogPosition<trace::MmeRecord> m;
   p.live = proxy_log.pop(p.batch, feed.proxy);

@@ -29,8 +29,8 @@ namespace wearscope::live {
 
 /// Stable user -> shard assignment (split-mix finalizer; identical on every
 /// platform and for every run, so snapshots are reproducible).  Shared with
-/// the batch context build (par::shard_of), so live and batch partition
-/// users identically.
+/// fed's partition cover (par::shard_of), so live shards and fed
+/// partitions split users by one rule.
 [[nodiscard]] constexpr std::size_t shard_of(trace::UserId user,
                                              std::size_t shards) noexcept {
   return par::shard_of(user, shards);

@@ -2,9 +2,9 @@
 //
 // The split-mix finalizer gives an identical assignment on every platform
 // and for every run, so sharded builds are reproducible; live::IngestRouter
-// partitions its rings with it and core::AnalysisContext shards its
-// per-user indexing the same way (the shard-by-user discipline: all state
-// of one user lives on exactly one shard, so workers share nothing).
+// partitions its rings with it and fed partitions a cover the same way
+// (the shard-by-user discipline: all state of one user lives on exactly
+// one shard, so workers share nothing).
 #pragma once
 
 #include <cstddef>

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <thread>
@@ -27,6 +28,69 @@
 #include "util/thread_annotations.h"
 
 namespace wearscope::par {
+
+/// Cuts [0, n) into at most `max_slices` contiguous, non-empty slices of
+/// near-equal weight and returns their bounds: slice s is
+/// [bounds[s], bounds[s + 1]), bounds.front() == 0, bounds.back() == n
+/// (just {0} when n == 0).  `prefix(i)` is the total weight of items
+/// [0, i): non-decreasing, prefix(0) == 0.  Each slice closes at the first
+/// item that brings it to its fair share of the weight still unassigned
+/// (that weight over the slices still to cut), keeping one item for each
+/// of them, so a heavy item ends its slice and the items after it spread
+/// over the rest.  All-zero weights split by count.  Pure: the bounds
+/// depend only on n, max_slices and the weights.
+template <typename Prefix>
+[[nodiscard]] std::vector<std::size_t> slice_bounds(std::size_t n,
+                                                    std::size_t max_slices,
+                                                    Prefix&& prefix) {
+  const std::size_t slices = std::min(std::max<std::size_t>(max_slices, 1), n);
+  std::vector<std::size_t> bounds{0};
+  if (slices == 0) return bounds;
+  if (slices == 1) return {0, n};
+  // All-zero weights weigh every item 1.
+  const bool by_count = prefix(n) == 0;
+  const auto weight_before = [&prefix, by_count](std::size_t i) {
+    return by_count ? static_cast<std::uint64_t>(i)
+                    : static_cast<std::uint64_t>(prefix(i));
+  };
+  const std::uint64_t total = weight_before(n);
+  std::size_t lo = 0;
+  for (std::size_t left = slices; left > 1; --left) {
+    const std::uint64_t base = weight_before(lo);
+    const std::uint64_t share = (total - base + left - 1) / left;
+    // Smallest hi in [lo + 1, n - (left - 1)] with prefix(hi) - base >=
+    // share, else that range's end.
+    std::size_t a = lo + 1;
+    std::size_t b = n - (left - 1);
+    while (a < b) {
+      const std::size_t mid = a + (b - a) / 2;
+      if (weight_before(mid) - base >= share) {
+        b = mid;
+      } else {
+        a = mid + 1;
+      }
+    }
+    bounds.push_back(a);
+    lo = a;
+  }
+  bounds.push_back(n);
+  return bounds;
+}
+
+/// slice_bounds over per-item weights: `weight(i)` is item i's cost.
+template <typename Weight>
+[[nodiscard]] std::vector<std::size_t> weighted_slice_bounds(
+    std::size_t n, std::size_t max_slices, Weight&& weight) {
+  if (std::min(max_slices, n) <= 1) {
+    return n == 0 ? std::vector<std::size_t>{0}
+                  : std::vector<std::size_t>{0, n};
+  }
+  std::vector<std::uint64_t> prefix(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i)
+    prefix[i + 1] = prefix[i] + static_cast<std::uint64_t>(weight(i));
+  return slice_bounds(n, max_slices,
+                      [&prefix](std::size_t i) { return prefix[i]; });
+}
 
 /// Fixed-size thread pool executing explicit batches of independent tasks.
 class TaskPool {
@@ -48,29 +112,43 @@ class TaskPool {
   /// drains.
   void run(std::vector<std::function<void()>> tasks);
 
-  /// Splits [0, n) into at most threads() contiguous slices and runs
-  /// `fn(begin, end, slice)` for each non-empty one.  `slice` indexes the
-  /// slice (dense, in range order) so callers can keep per-slice scratch
-  /// state; slices never overlap.
+  /// Splits [0, n) into at most threads() contiguous slices of near-equal
+  /// weight and runs `fn(begin, end, slice)` for each; `weight(i)` is item
+  /// i's cost (see slice_bounds).  `slice` indexes the slice (dense, in
+  /// range order) so callers can keep per-slice scratch state; slices
+  /// never overlap.  With threads() == 1 the one slice runs inline.
+  template <typename Weight, typename Fn>
+  void for_weighted_slices(std::size_t n, Weight&& weight, Fn&& fn) {
+    run_slices(weighted_slice_bounds(n, threads_, weight), fn);
+  }
+
+  /// for_weighted_slices with every item weighing the same.
   template <typename Fn>
   void for_slices(std::size_t n, Fn&& fn) {
-    const std::size_t slices = std::min(threads_, std::max<std::size_t>(n, 1));
-    if (slices <= 1) {
-      if (n > 0) fn(std::size_t{0}, n, std::size_t{0});
+    run_slices(slice_bounds(n, threads_,
+                            [](std::size_t i) -> std::uint64_t { return i; }),
+               fn);
+  }
+
+ private:
+  /// Runs `fn(bounds[s], bounds[s + 1], s)` for every slice s, as one
+  /// batch (inline when there is a single slice).
+  template <typename Fn>
+  void run_slices(const std::vector<std::size_t>& bounds, Fn& fn) {
+    const std::size_t slices = bounds.size() - 1;
+    if (slices == 1) {
+      fn(bounds[0], bounds[1], std::size_t{0});
       return;
     }
     std::vector<std::function<void()>> tasks;
     tasks.reserve(slices);
     for (std::size_t s = 0; s < slices; ++s) {
-      const std::size_t lo = s * n / slices;
-      const std::size_t hi = (s + 1) * n / slices;
-      if (lo == hi) continue;
-      tasks.push_back([&fn, lo, hi, s] { fn(lo, hi, s); });
+      tasks.push_back(
+          [&fn, lo = bounds[s], hi = bounds[s + 1], s] { fn(lo, hi, s); });
     }
     run(std::move(tasks));
   }
 
- private:
   void worker_loop();
 
   /// Runs one claimed task, records its exception (first wins) and

@@ -22,30 +22,36 @@ void run_batch(std::vector<std::function<void()>> batch,
   pool->run(std::move(batch));
 }
 
+/// Dictionary-codes the rows' TACs in first-appearance order.
+/// try_emplace, not emplace: libstdc++'s emplace builds (and frees) a
+/// node before it looks the key up, one allocation per row.
+template <typename Record>
+void code_tacs(const std::vector<Record>& rows, std::vector<std::uint32_t>& ids,
+               std::vector<Tac>& dict) {
+  ids.resize(rows.size());
+  std::unordered_map<Tac, std::uint32_t> index;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto next = static_cast<std::uint32_t>(dict.size());
+    const auto [it, inserted] = index.try_emplace(rows[i].tac, next);
+    if (inserted) dict.push_back(rows[i].tac);
+    ids[i] = it->second;
+  }
+}
+
 }  // namespace
 
-ProxyColumns build_proxy_columns(const std::vector<ProxyRecord>& rows,
-                                 const StringPool& hosts,
-                                 par::TaskPool* pool) {
-  ProxyColumns cols;
+void schedule_proxy_columns(const std::vector<ProxyRecord>& rows,
+                            const StringPool& hosts, ProxyColumns& cols,
+                            std::vector<std::function<void()>>& batch) {
   const std::size_t n = rows.size();
-  std::vector<std::function<void()>> batch;
+  // The hashing task first: it is the longest, so it starts first.
+  batch.push_back([&rows, &cols] { code_tacs(rows, cols.tac_id, cols.tacs); });
   batch.push_back([&rows, &cols, n] {
     cols.timestamp.resize(n);
     cols.user_id.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       cols.timestamp[i] = rows[i].timestamp;
       cols.user_id[i] = rows[i].user_id;
-    }
-  });
-  batch.push_back([&rows, &cols, n] {
-    cols.tac_id.resize(n);
-    std::unordered_map<Tac, std::uint32_t> ids;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto next = static_cast<std::uint32_t>(cols.tacs.size());
-      const auto [it, inserted] = ids.emplace(rows[i].tac, next);
-      if (inserted) cols.tacs.push_back(rows[i].tac);
-      cols.tac_id[i] = it->second;
     }
   });
   batch.push_back([&rows, &hosts, &cols, n] {
@@ -71,31 +77,18 @@ ProxyColumns build_proxy_columns(const std::vector<ProxyRecord>& rows,
       cols.bytes_total[i] = rows[i].bytes_total();
     }
   });
-  run_batch(std::move(batch), pool);
-  return cols;
 }
 
-MmeColumns build_mme_columns(const std::vector<MmeRecord>& rows,
-                             par::TaskPool* pool) {
-  MmeColumns cols;
+void schedule_mme_columns(const std::vector<MmeRecord>& rows, MmeColumns& cols,
+                          std::vector<std::function<void()>>& batch) {
   const std::size_t n = rows.size();
-  std::vector<std::function<void()>> batch;
+  batch.push_back([&rows, &cols] { code_tacs(rows, cols.tac_id, cols.tacs); });
   batch.push_back([&rows, &cols, n] {
     cols.timestamp.resize(n);
     cols.user_id.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       cols.timestamp[i] = rows[i].timestamp;
       cols.user_id[i] = rows[i].user_id;
-    }
-  });
-  batch.push_back([&rows, &cols, n] {
-    cols.tac_id.resize(n);
-    std::unordered_map<Tac, std::uint32_t> ids;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto next = static_cast<std::uint32_t>(cols.tacs.size());
-      const auto [it, inserted] = ids.emplace(rows[i].tac, next);
-      if (inserted) cols.tacs.push_back(rows[i].tac);
-      cols.tac_id[i] = it->second;
     }
   });
   batch.push_back([&rows, &cols, n] {
@@ -106,6 +99,23 @@ MmeColumns build_mme_columns(const std::vector<MmeRecord>& rows,
       cols.sector_id[i] = rows[i].sector_id;
     }
   });
+}
+
+ProxyColumns build_proxy_columns(const std::vector<ProxyRecord>& rows,
+                                 const StringPool& hosts,
+                                 par::TaskPool* pool) {
+  ProxyColumns cols;
+  std::vector<std::function<void()>> batch;
+  schedule_proxy_columns(rows, hosts, cols, batch);
+  run_batch(std::move(batch), pool);
+  return cols;
+}
+
+MmeColumns build_mme_columns(const std::vector<MmeRecord>& rows,
+                             par::TaskPool* pool) {
+  MmeColumns cols;
+  std::vector<std::function<void()>> batch;
+  schedule_mme_columns(rows, cols, batch);
   run_batch(std::move(batch), pool);
   return cols;
 }

@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,16 @@ struct MmeColumns {
 
   [[nodiscard]] std::size_t size() const noexcept { return timestamp.size(); }
 };
+
+/// Append the tasks that fill `cols` with the transpose of `rows` to
+/// `batch`, each task owning whole columns, so the result is the same
+/// however the batch runs.  `rows`, `hosts` and `cols` must outlive it.
+/// TraceStore::build_columns runs both logs' tasks as one batch.
+void schedule_proxy_columns(const std::vector<ProxyRecord>& rows,
+                            const StringPool& hosts, ProxyColumns& cols,
+                            std::vector<std::function<void()>>& batch);
+void schedule_mme_columns(const std::vector<MmeRecord>& rows, MmeColumns& cols,
+                          std::vector<std::function<void()>>& batch);
 
 /// Builds the transpose of `rows`, whose host ids index `hosts`.  The
 /// independent columns fill as separate tasks on `pool` when given

@@ -1,6 +1,7 @@
 #include "trace/log_reader.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "par/task_pool.h"
@@ -442,6 +443,52 @@ BinaryLogInfo probe_binary_log(std::span<const std::byte> bytes) {
   return info;
 }
 
+template <typename Record>
+std::uint64_t claimed_records(std::istream& in) {
+  const std::istream::pos_type start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(start);
+  std::array<char, 12> buf{};
+  // Reads the next n <= 12 stream bytes into buf.
+  const auto next = [&in, &buf](std::size_t n) {
+    in.read(buf.data(), static_cast<std::streamsize>(n));
+    return in.gcount() == static_cast<std::streamsize>(n);
+  };
+  const auto bytes = [&buf](std::size_t n) {
+    return std::as_bytes(std::span<const char>(buf.data(), n));
+  };
+  std::uint64_t claimed = 0;
+  if (next(8)) {
+    util::MemorySpanDecoder header(bytes(8));
+    const bool magic_ok = header.get_u32() == magic_of<Record>();
+    const std::uint16_t version = header.get_u16();
+    bool ok = magic_ok &&
+              (version == kBinaryFormatV2 || version == kBinaryFormatV3);
+    for (int section = 0; ok && version == kBinaryFormatV3 && section < 3;
+         ++section) {
+      ok = next(kDictHeaderBytes);
+      if (ok) {
+        util::MemorySpanDecoder dict(bytes(kDictHeaderBytes));
+        (void)dict.get_u32();  // entry_count
+        in.seekg(dict.get_u32(), std::ios::cur);
+      }
+    }
+    const std::size_t header_bytes = unit_header_bytes(version);
+    while (ok && next(header_bytes)) {
+      const LogUnit unit = parse_unit_header(bytes(header_bytes), version);
+      if (!unit.header_ok) break;
+      claimed += unit.record_count;
+      in.seekg(unit.byte_length, std::ios::cur);
+    }
+  }
+  in.clear();
+  in.seekg(start);
+  return end > start
+             ? std::min(claimed, static_cast<std::uint64_t>(end - start))
+             : 0;
+}
+
 template class LogDecode<ProxyRecord>;
 template class LogDecode<MmeRecord>;
 template class LogDecode<DeviceRecord>;
@@ -476,6 +523,9 @@ template std::uint16_t read_log_header<MmeRecord>(std::span<const std::byte>);
 template std::uint16_t read_log_header<DeviceRecord>(
     std::span<const std::byte>);
 template std::uint16_t read_log_header<SectorInfo>(std::span<const std::byte>);
+
+template std::uint64_t claimed_records<ProxyRecord>(std::istream&);
+template std::uint64_t claimed_records<MmeRecord>(std::istream&);
 
 template BinaryLogInfo probe_binary_log<ProxyRecord>(
     std::span<const std::byte>);

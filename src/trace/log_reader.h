@@ -186,6 +186,17 @@ class LogCursor {
   std::uint64_t units_read_ = 0;
 };
 
+/// The record count the v2 or v3 log in `in` claims, summed over its unit
+/// headers: reads the file header, the v3 dictionary section headers and
+/// every unit header, seeking past the payloads, then puts the stream back
+/// where it was (the start of the log).  A pre-size hint, not a check:
+/// the walk stops quietly at the first header it cannot use (0 for a v1
+/// log or a wrong header; damage is the reader's to report), and the sum
+/// never exceeds the stream's byte count, since every record costs at
+/// least one payload byte.  `in` must be seekable.
+template <typename Record>
+[[nodiscard]] std::uint64_t claimed_records(std::istream& in);
+
 /// Summary of one binary log file for operator audits (wearscope_inspect).
 struct BinaryLogInfo {
   std::uint16_t version = 0;   ///< 1, 2 or 3.

@@ -1,7 +1,10 @@
 #include "trace/store.h"
 
 #include <algorithm>
+#include <functional>
 #include <unordered_set>
+
+#include "par/task_pool.h"
 
 namespace wearscope::trace {
 
@@ -90,8 +93,16 @@ std::optional<SectorInfo> TraceStore::find_sector(SectorId id) const {
 
 void TraceStore::build_columns(par::TaskPool* pool) const {
   if (columns_built_) return;
-  proxy_columns_ = build_proxy_columns(proxy, hosts, pool);
-  mme_columns_ = build_mme_columns(mme, pool);
+  proxy_columns_ = ProxyColumns{};
+  mme_columns_ = MmeColumns{};
+  std::vector<std::function<void()>> batch;
+  schedule_proxy_columns(proxy, hosts, proxy_columns_, batch);
+  schedule_mme_columns(mme, mme_columns_, batch);
+  if (pool != nullptr) {
+    pool->run(std::move(batch));
+  } else {
+    for (std::function<void()>& task : batch) task();
+  }
   columns_built_ = true;
 }
 

@@ -66,10 +66,10 @@ class TraceStore : public ProxyPools {
   void rebuild_indexes() const;
 
   /// Builds the struct-of-arrays views over both event logs (see
-  /// trace/columns.h) unless already built.  Independent columns fill as
-  /// separate tasks on `pool` when given; any pool size produces the same
-  /// columns.  Lazy/mutable like rebuild_indexes: build after the rows
-  /// reach their final order (sort_by_time invalidates).
+  /// trace/columns.h) unless already built.  Independent columns of both
+  /// logs fill as one batch of tasks on `pool` when given; any pool size
+  /// produces the same columns.  Lazy/mutable like rebuild_indexes: build
+  /// after the rows reach their final order (sort_by_time invalidates).
   void build_columns(par::TaskPool* pool = nullptr) const;
 
   /// True once build_columns has run against the current row order.

@@ -9,6 +9,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -20,6 +21,7 @@
 #include "util/geo.h"
 #include "util/mapped_file.h"
 #include "util/stats.h"
+#include "util/strings.h"
 
 namespace wearscope::oracle {
 
@@ -683,6 +685,78 @@ fed::PartitionFeed partition_feed_rows(const std::filesystem::path& dir,
   }
   static_cast<trace::ProxyPools&>(feed) = std::move(proxy.pools());
   return feed;
+}
+
+core::ThroughDeviceResult throughdevice_rows(const AnalysisContext& ctx) {
+  ThroughDeviceResult res;
+  const auto sigs = appdb::companion_signatures();
+  res.per_signature.assign(sigs.size(), 0);
+  for (const appdb::CompanionSignature& s : sigs)
+    res.signature_names.push_back(s.wearable);
+  const double days = ctx.options().observation_days -
+                      ctx.options().detailed_start_day;
+  std::vector<double> td_txns, td_bytes, td_entropy;
+  std::vector<double> sim_txns, sim_bytes, sim_entropy;
+  std::array<double, 24> td_hours{};
+  std::array<double, 24> sim_hours{};
+  for (const UserView& u : ctx.users()) {
+    double txns = 0.0;
+    double bytes = 0.0;
+    std::array<double, 24> hours{};
+    std::vector<bool> matched(sigs.size(), false);
+    for (const trace::ProxyRecord* r : u.phone_txns) {
+      if (!ctx.in_detailed_window(r->timestamp)) continue;
+      txns += 1.0;
+      bytes += static_cast<double>(r->bytes_total());
+      hours[static_cast<std::size_t>(util::hour_of(r->timestamp))] += 1.0;
+      const std::string& host = ctx.store().hosts[r->host_id];
+      for (std::size_t s = 0; s < sigs.size(); ++s) {
+        for (const std::string& d : sigs[s].domains) {
+          if (util::host_matches_suffix(host, d)) matched[s] = true;
+        }
+      }
+    }
+    const bool any = std::find(matched.begin(), matched.end(), true) !=
+                     matched.end();
+    if (u.has_wearable) {
+      sim_txns.push_back(txns / days);
+      sim_bytes.push_back(bytes / days);
+      sim_entropy.push_back(user_location_entropy(ctx, u));
+      for (std::size_t h = 0; h < 24; ++h) sim_hours[h] += hours[h];
+    } else if (any) {
+      ++res.detected_users;
+      for (std::size_t s = 0; s < sigs.size(); ++s) {
+        if (matched[s]) ++res.per_signature[s];
+      }
+      td_txns.push_back(txns / days);
+      td_bytes.push_back(bytes / days);
+      td_entropy.push_back(user_location_entropy(ctx, u));
+      for (std::size_t h = 0; h < 24; ++h) td_hours[h] += hours[h];
+    }
+  }
+  const double sim_txn_med = util::median(sim_txns);
+  const double sim_byte_med = util::median(sim_bytes);
+  const double sim_entropy_med = util::median(sim_entropy);
+  if (sim_txn_med > 0.0)
+    res.daily_txn_ratio = util::median(td_txns) / sim_txn_med;
+  if (sim_byte_med > 0.0)
+    res.daily_bytes_ratio = util::median(td_bytes) / sim_byte_med;
+  if (sim_entropy_med > 0.0)
+    res.entropy_ratio = util::median(td_entropy) / sim_entropy_med;
+  const auto shares = [](std::array<double, 24> h) {
+    double total = 0.0;
+    for (const double v : h) total += v;
+    if (total > 0.0) {
+      for (double& v : h) v /= total;
+    }
+    return h;
+  };
+  res.td_hourly = shares(td_hours);
+  res.sim_hourly = shares(sim_hours);
+  res.diurnal_similarity = util::pearson(
+      std::span<const double>(res.td_hourly.data(), res.td_hourly.size()),
+      std::span<const double>(res.sim_hourly.data(), res.sim_hourly.size()));
+  return res;
 }
 
 }  // namespace wearscope::oracle

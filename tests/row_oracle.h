@@ -29,6 +29,11 @@
 // mobility oracle sums each user's dwell entropy in first-appearance
 // sector order, where the older code followed unordered_map iteration.
 //
+// throughdevice_rows is analyze_throughdevice as one sequential loop over
+// every user, matching each in-window phone transaction's host string
+// against every companion signature (the pass itself matches each host
+// dictionary entry once and runs as user slices in the pipeline).
+//
 // partition_feed_rows is fed::load_partition_feed on one thread: it pulls
 // one row at a time from each log's trace::LogCursor and merges the two
 // streams in the same loop that checks their order and filters them, the
@@ -44,6 +49,7 @@
 #include "core/analysis_mobility.h"
 #include "core/analysis_retention.h"
 #include "core/analysis_thirdparty.h"
+#include "core/analysis_throughdevice.h"
 #include "core/analysis_usage.h"
 #include "core/context.h"
 #include "fed/feed_filter.h"
@@ -76,6 +82,10 @@ core::RetentionResult retention_rows(const core::AnalysisContext& ctx);
 
 /// Bitwise-identical to core::analyze_mobility.
 core::MobilityResult mobility_rows(const core::AnalysisContext& ctx);
+
+/// Bitwise-identical to core::analyze_throughdevice and to the pipeline's
+/// sliced run of it.
+core::ThroughDeviceResult throughdevice_rows(const core::AnalysisContext& ctx);
 
 /// Identical, field by field, to fed::load_partition_feed; throws the
 /// same exception types (util::ParseError naming the file on damage or an

@@ -1,13 +1,21 @@
-// Unit tests for the shared AnalysisContext indexing.
+// Unit tests for the shared AnalysisContext indexing.  ContextIndex checks
+// the parallel user index against one sequential scan at several thread
+// counts.
 #include "core/context.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <initializer_list>
+#include <unordered_map>
+#include <vector>
 
 #include "core/analysis_mobility.h"
 #include "core/streaming_activity.h"
 #include "live/engine.h"
+#include "simnet/simulator.h"
+#include "trace/anonymize.h"
 #include "util/error.h"
 #include "test_support.h"
 
@@ -217,6 +225,165 @@ TEST(Context, SignatureCoverageOptionPropagates) {
   for (const EndpointClass& c : owner.wearable_classes) {
     EXPECT_EQ(c.app, kUnknownApp);
   }
+}
+
+// ---- ContextIndex: the user index against one sequential scan -----------
+
+/// The user index by its definition: one sequential scan of the proxy log
+/// then the MME log, users in order of discovery.
+struct ScannedUser {
+  trace::UserId user_id = 0;
+  bool has_wearable = false;
+  std::vector<const trace::ProxyRecord*> wearable_txns;
+  std::vector<std::uint32_t> wearable_rows;
+  std::vector<const trace::ProxyRecord*> phone_txns;
+  std::vector<const trace::MmeRecord*> mme;
+};
+
+std::vector<ScannedUser> scan_users(const trace::TraceStore& store,
+                                    const DeviceClassifier& devices) {
+  std::vector<ScannedUser> users;
+  std::unordered_map<trace::UserId, std::size_t> index;
+  const auto user = [&](trace::UserId id) -> ScannedUser& {
+    const auto [it, inserted] = index.try_emplace(id, users.size());
+    if (inserted) users.emplace_back().user_id = id;
+    return users[it->second];
+  };
+  for (std::size_t i = 0; i < store.proxy.size(); ++i) {
+    const trace::ProxyRecord& r = store.proxy[i];
+    ScannedUser& u = user(r.user_id);
+    if (devices.is_wearable(r.tac)) {
+      u.has_wearable = true;
+      u.wearable_txns.push_back(&r);
+      u.wearable_rows.push_back(static_cast<std::uint32_t>(i));
+    } else {
+      u.phone_txns.push_back(&r);
+    }
+  }
+  for (const trace::MmeRecord& r : store.mme) {
+    ScannedUser& u = user(r.user_id);
+    u.mme.push_back(&r);
+    if (devices.is_wearable(r.tac)) u.has_wearable = true;
+  }
+  return users;
+}
+
+void expect_index_matches_scan(const trace::TraceStore& store,
+                               AnalysisOptions options) {
+  const DeviceClassifier devices(store.devices);
+  const std::vector<ScannedUser> want = scan_users(store, devices);
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    options.threads = threads;
+    const AnalysisContext ctx(store, options);
+    ASSERT_EQ(ctx.users().size(), want.size()) << threads << " threads";
+    std::size_t wearable = 0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const UserView& got = ctx.users()[i];
+      const ScannedUser& w = want[i];
+      ASSERT_EQ(got.user_id, w.user_id)
+          << "user order, position " << i << ", " << threads << " threads";
+      EXPECT_EQ(got.has_wearable, w.has_wearable) << w.user_id;
+      EXPECT_TRUE(std::ranges::equal(got.wearable_txns, w.wearable_txns))
+          << w.user_id;
+      EXPECT_TRUE(std::ranges::equal(got.wearable_rows, w.wearable_rows))
+          << w.user_id;
+      EXPECT_TRUE(std::ranges::equal(got.phone_txns, w.phone_txns))
+          << w.user_id;
+      EXPECT_TRUE(std::ranges::equal(got.mme, w.mme)) << w.user_id;
+      EXPECT_EQ(ctx.find_user(w.user_id), &got);
+      if (w.has_wearable) {
+        ASSERT_LT(wearable, ctx.wearable_users().size());
+        EXPECT_EQ(ctx.wearable_users()[wearable++], &got);
+      }
+    }
+    EXPECT_EQ(wearable, ctx.wearable_users().size());
+    EXPECT_EQ(ctx.other_users().size(), want.size() - wearable);
+  }
+}
+
+/// A sparse 64-bit user id (the shape anonymized ids take).
+trace::UserId sparse_id(std::uint64_t k) {
+  return 0xF000000000000000ull ^ (k * 0x9E3779B97F4A7C15ull);
+}
+
+TEST(ContextIndex, SparseIdsAndEveryKindOfUserMatchTheSequentialScan) {
+  trace::TraceStore s = micro_store();
+  s.proxy.clear();
+  s.mme.clear();
+  // Users 0-11 transact; user k's kind is k % 4: 0 wearable + phone,
+  // 1 phone only, 2 wearable only, 3 wearable in MME only.  Users 12-15
+  // appear only in MME, 12 first (before any proxy user's MME row) and
+  // 15 with a wearable TAC.
+  for (int step = 0; step < 240; ++step) {
+    const std::uint64_t k = static_cast<std::uint64_t>(step * 7 % 12);
+    trace::ProxyRecord r;
+    r.timestamp = 1000 + step;
+    r.user_id = sparse_id(k);
+    const bool wearable_kind = k % 4 == 2 || (k % 4 == 0 && step % 3 == 0);
+    r.tac = wearable_kind ? kWearTac : kPhoneTac;
+    testing::set_strings(r, s, step % 3 == 0 ? "api.weather.com"
+                                              : "graph.facebook.com");
+    r.bytes_down = 100;
+    s.proxy.push_back(r);
+  }
+  for (int step = 0; step < 90; ++step) {
+    const std::uint64_t k = static_cast<std::uint64_t>(
+        step == 0 ? 12 : 15 - step % 16);
+    const bool wearable = k == 15 || (k < 12 && k % 4 != 1);
+    s.mme.push_back({900 + step, sparse_id(k), wearable ? kWearTac : kPhoneTac,
+                     trace::MmeEvent::kAttach, 1});
+  }
+  s.sort_by_time();
+  expect_index_matches_scan(s, micro_options());
+
+  const AnalysisContext ctx(s, micro_options());
+  ASSERT_EQ(ctx.users().size(), 16u);
+  // MME-only users follow every proxy user, in MME discovery order.
+  EXPECT_EQ(ctx.users()[12].user_id, sparse_id(12));
+  for (std::size_t i = 12; i < 16; ++i) {
+    EXPECT_TRUE(ctx.users()[i].wearable_txns.empty());
+    EXPECT_TRUE(ctx.users()[i].phone_txns.empty());
+    EXPECT_FALSE(ctx.users()[i].mme.empty());
+  }
+  EXPECT_TRUE(ctx.find_user(sparse_id(15))->has_wearable);
+  EXPECT_FALSE(ctx.find_user(sparse_id(13))->has_wearable);
+  const UserView& phone_only = *ctx.find_user(sparse_id(1));
+  EXPECT_TRUE(phone_only.wearable_txns.empty());
+  EXPECT_FALSE(phone_only.has_wearable);
+  const UserView& wearable_only = *ctx.find_user(sparse_id(2));
+  EXPECT_TRUE(wearable_only.phone_txns.empty());
+  EXPECT_EQ(wearable_only.wearable_txns.size(), 20u);
+  const UserView& mme_wearable = *ctx.find_user(sparse_id(3));
+  EXPECT_TRUE(mme_wearable.wearable_txns.empty());
+  EXPECT_TRUE(mme_wearable.has_wearable);
+}
+
+TEST(ContextIndex, EmptyLogs) {
+  trace::TraceStore s = micro_store();
+  s.proxy.clear();
+  s.sort_by_time();
+  expect_index_matches_scan(s, micro_options());
+  s.mme.clear();
+  s.sort_by_time();
+  expect_index_matches_scan(s, micro_options());
+  const AnalysisContext ctx(s, micro_options());
+  EXPECT_TRUE(ctx.users().empty());
+}
+
+TEST(ContextIndex, AnonymizedSimulatedCaptureMatchesTheSequentialScan) {
+  simnet::SimConfig cfg = simnet::SimConfig::small();
+  cfg.seed = 5;
+  const simnet::SimResult sim = simnet::Simulator(cfg).run();
+  trace::TraceStore store = sim.store;
+  trace::AnonymizePolicy policy;
+  policy.key = 0xC5A1ull;
+  trace::anonymize(store, policy);
+  store.sort_by_time();
+  AnalysisOptions o;
+  o.observation_days = sim.observation_days;
+  o.detailed_start_day = sim.detailed_start_day;
+  o.long_tail_apps = sim.config.long_tail_apps;
+  expect_index_matches_scan(store, o);
 }
 
 }  // namespace

@@ -309,16 +309,23 @@ UnitIndex index_of(const std::string& blob) {
 /// The strict streaming cursor and the strict whole-log reader must agree
 /// on `blob`: both throw util::ParseError or both return the same records.
 /// A header that (after mutation) says v1 has no units to stream, so there
-/// only the cursor's refusal is checked.
+/// only the cursor's refusal is checked.  The claimed-record walk the
+/// partition feed pre-sizes with runs first on the cursor's stream: it
+/// never throws, never claims more records than the blob has bytes, leaves
+/// the cursor reading from the start, and claims exactly what an intact
+/// log holds.
 void expect_cursor_agrees(const std::string& blob, const std::string& what) {
   std::optional<std::vector<ProxyRecord>> whole;
   try {
     whole = read_log<ProxyRecord>(blob_bytes(blob));
   } catch (const util::ParseError&) {
   }
+  std::uint64_t claimed = 0;
   std::optional<std::vector<ProxyRecord>> streamed;
   try {
     std::istringstream in(blob);
+    claimed = claimed_records<ProxyRecord>(in);
+    EXPECT_LE(claimed, blob.size()) << what;
     LogCursor<ProxyRecord> cursor(in);
     std::vector<ProxyRecord> got;
     while (const ProxyRecord* r = cursor.next()) got.push_back(*r);
@@ -337,7 +344,10 @@ void expect_cursor_agrees(const std::string& blob, const std::string& what) {
     return;
   }
   ASSERT_EQ(whole.has_value(), streamed.has_value()) << what;
-  if (whole.has_value()) EXPECT_EQ(*whole, *streamed) << what;
+  if (whole.has_value()) {
+    EXPECT_EQ(*whole, *streamed) << what;
+    EXPECT_EQ(claimed, whole->size()) << what;
+  }
 }
 
 /// `sample` minus the records of block `skip` (order otherwise preserved).

@@ -2,9 +2,11 @@
 //
 // Three suites:
 //  - TaskPool: the scheduler itself (inline single-thread path, full batch
-//    execution, exception propagation, slice coverage).
+//    execution, exception propagation, slice coverage, and the weighted
+//    slice bounds: a heavy head item alone, all-zero weights, fewer items
+//    than slices).
 //  - ParPipeline: the determinism contract — the serialized StudyReport is
-//    byte-identical for --threads 1/2/4/8 on a seeded capture, and the
+//    byte-identical for --threads 1/2/3/4/8 on a seeded capture, and the
 //    context's user order/attribution matches the sequential reference.
 //  - HostClassification: the allocation-free lookup path agrees with a
 //    reimplementation of the old allocating classifier over a seeded fuzz
@@ -16,8 +18,10 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -104,6 +108,145 @@ TEST(TaskPool, ForSlicesCoversRangeExactlyOnce) {
   }
 }
 
+/// slice_bounds over explicit per-item weights.
+std::vector<std::size_t> bounds_of(const std::vector<std::uint64_t>& weights,
+                                   std::size_t max_slices) {
+  return par::weighted_slice_bounds(
+      weights.size(), max_slices,
+      [&weights](std::size_t i) { return weights[i]; });
+}
+
+/// Checks that `bounds` cut [0, n) into at most `max_slices` non-empty
+/// slices, in order.
+void expect_valid_bounds(const std::vector<std::size_t>& bounds,
+                         std::size_t n, std::size_t max_slices) {
+  ASSERT_FALSE(bounds.empty());
+  EXPECT_EQ(bounds.front(), 0u);
+  EXPECT_EQ(bounds.back(), n);
+  EXPECT_LE(bounds.size() - 1, std::max<std::size_t>(max_slices, 1));
+  for (std::size_t s = 0; s + 1 < bounds.size(); ++s)
+    EXPECT_LT(bounds[s], bounds[s + 1]) << "slice " << s << " is empty";
+}
+
+TEST(TaskPool, SliceBoundsCoverEveryWeightingInOrder) {
+  util::Pcg32 rng(0x511CE);
+  for (int round = 0; round < 200; ++round) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 40));
+    const auto max_slices = static_cast<std::size_t>(rng.uniform_int(0, 9));
+    std::vector<std::uint64_t> weights(n);
+    for (std::uint64_t& w : weights)
+      w = rng.uniform_int(0, 3) == 0 ? 0 : static_cast<std::uint64_t>(
+                                               rng.uniform_int(1, 1000));
+    const std::vector<std::size_t> bounds = bounds_of(weights, max_slices);
+    expect_valid_bounds(bounds, n, max_slices);
+    EXPECT_EQ(bounds.size() - 1,
+              std::min(std::max<std::size_t>(max_slices, 1), n))
+        << "every slice the pool can use holds an item";
+    EXPECT_EQ(bounds, bounds_of(weights, max_slices)) << "pure";
+  }
+}
+
+TEST(TaskPool, SliceBoundsGiveAHeavyHeadItsOwnSlice) {
+  // The wearable owners come first in discovery order and carry nearly
+  // all of the attribution work.
+  std::vector<std::uint64_t> weights(100, 1);
+  weights[0] = 1000;
+  const std::vector<std::size_t> bounds = bounds_of(weights, 4);
+  expect_valid_bounds(bounds, 100, 4);
+  ASSERT_EQ(bounds.size(), 5u);
+  EXPECT_EQ(bounds[1], 1u) << "the heavy item is a slice of its own";
+  // The light rest spreads evenly over the other three slices.
+  for (std::size_t s = 1; s < 4; ++s)
+    EXPECT_EQ(bounds[s + 1] - bounds[s], 33u) << "slice " << s;
+}
+
+TEST(TaskPool, SliceBoundsCloseEachSliceAtItsFairShare) {
+  // Weights 8, 1 x 8, 8 (24 in all) in three slices.  The first slice's
+  // share is 24 / 3 = 8, so the heavy head closes it alone; the second's
+  // is what is left over the slices left, 16 / 2 = 8: the eight light
+  // items; the heavy tail is the third.
+  const std::vector<std::uint64_t> weights = {8, 1, 1, 1, 1, 1, 1, 1, 1, 8};
+  const std::vector<std::size_t> bounds = bounds_of(weights, 3);
+  expect_valid_bounds(bounds, weights.size(), 3);
+  const std::vector<std::size_t> expected = {0, 1, 9, 10};
+  EXPECT_EQ(bounds, expected);
+  // With four slices: 24 / 4 = 6 still takes the head alone, then
+  // 16 / 3 -> 6 light items, 10 / 2 -> the last two light items (a slice
+  // keeps the heavy tail for the last slice), and the tail.
+  const std::vector<std::size_t> four = {0, 1, 7, 9, 10};
+  EXPECT_EQ(bounds_of(weights, 4), four);
+}
+
+TEST(TaskPool, SliceBoundsSplitAllZeroWeightsByCount) {
+  const std::vector<std::uint64_t> zeros(12, 0);
+  const std::vector<std::size_t> expected = {0, 3, 6, 9, 12};
+  EXPECT_EQ(bounds_of(zeros, 4), expected);
+  const std::vector<std::uint64_t> ones(12, 1);
+  EXPECT_EQ(bounds_of(ones, 4), expected);
+}
+
+TEST(TaskPool, SliceBoundsWithFewerItemsThanSlices) {
+  const std::vector<std::uint64_t> weights = {5, 0, 7};
+  const std::vector<std::size_t> one_each = {0, 1, 2, 3};
+  EXPECT_EQ(bounds_of(weights, 8), one_each);
+  EXPECT_EQ(bounds_of({}, 8), std::vector<std::size_t>{0});
+  EXPECT_EQ(bounds_of({3}, 8), (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(bounds_of(weights, 1), (std::vector<std::size_t>{0, 3}));
+  EXPECT_EQ(bounds_of(weights, 0), (std::vector<std::size_t>{0, 3}));
+}
+
+TEST(TaskPool, ForWeightedSlicesCoversRangeExactlyOnceInSliceOrder) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3},
+                                    std::size_t{4}, std::size_t{8}}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                std::size_t{2}, std::size_t{97}}) {
+      par::TaskPool pool(threads);
+      const auto weight = [](std::size_t i) { return i == 0 ? 500 : i % 3; };
+      std::vector<std::atomic<int>> hits(n);
+      std::vector<std::pair<std::size_t, std::size_t>> ranges(threads);
+      std::atomic<std::size_t> slices{0};
+      pool.for_weighted_slices(
+          n, weight,
+          [&](std::size_t lo, std::size_t hi, std::size_t slice) {
+            EXPECT_LT(lo, hi);
+            ASSERT_LT(slice, threads);
+            ranges[slice] = {lo, hi};
+            ++slices;
+            for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+          });
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
+      // Slice s is the s-th range of the weighted bounds.
+      const std::vector<std::size_t> bounds =
+          par::weighted_slice_bounds(n, threads, weight);
+      ASSERT_EQ(slices.load(), bounds.size() - 1);
+      for (std::size_t s = 0; s + 1 < bounds.size(); ++s) {
+        EXPECT_EQ(ranges[s].first, bounds[s]);
+        EXPECT_EQ(ranges[s].second, bounds[s + 1]);
+      }
+      if (threads > 1 && n > 1) {
+        EXPECT_EQ(bounds[1], 1u) << "heavy head item alone";
+      }
+    }
+  }
+}
+
+TEST(TaskPool, ForWeightedSlicesRunsInlineOnOneThread) {
+  par::TaskPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  pool.for_weighted_slices(
+      50, [](std::size_t i) { return i; },
+      [&](std::size_t lo, std::size_t hi, std::size_t slice) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_EQ(lo, 0u);
+        EXPECT_EQ(hi, 50u);
+        EXPECT_EQ(slice, 0u);
+        ++calls;
+      });
+  EXPECT_EQ(calls, 1);
+}
+
 TEST(TaskPool, ShardOfIsStableAndInRange) {
   for (const std::size_t shards : {std::size_t{1}, std::size_t{4},
                                    std::size_t{7}}) {
@@ -142,7 +285,7 @@ TEST(ParPipeline, ReportBytesIdenticalForEveryThreadCount) {
   const core::Pipeline reference(sim.store, options_with_threads(1));
   const std::string expected = reference.run().to_text();
   ASSERT_FALSE(expected.empty());
-  for (const int threads : {2, 4, 8}) {
+  for (const int threads : {2, 3, 4, 8}) {
     const core::Pipeline pipeline(sim.store, options_with_threads(threads));
     EXPECT_EQ(pipeline.run().to_text(), expected)
         << "report diverged at threads=" << threads;
@@ -152,7 +295,7 @@ TEST(ParPipeline, ReportBytesIdenticalForEveryThreadCount) {
 TEST(ParPipeline, ContextMatchesSequentialReference) {
   const simnet::SimResult& sim = shared_capture();
   const core::AnalysisContext ref(sim.store, options_with_threads(1));
-  for (const int threads : {2, 4, 8}) {
+  for (const int threads : {2, 3, 4, 8}) {
     const core::AnalysisContext ctx(sim.store, options_with_threads(threads));
     ASSERT_EQ(ctx.users().size(), ref.users().size());
     for (std::size_t i = 0; i < ref.users().size(); ++i) {
@@ -160,9 +303,10 @@ TEST(ParPipeline, ContextMatchesSequentialReference) {
       const core::UserView& b = ctx.users()[i];
       ASSERT_EQ(a.user_id, b.user_id) << "user order diverged at " << i;
       EXPECT_EQ(a.has_wearable, b.has_wearable);
-      EXPECT_EQ(a.wearable_txns, b.wearable_txns);
-      EXPECT_EQ(a.phone_txns, b.phone_txns);
-      EXPECT_EQ(a.mme, b.mme);
+      EXPECT_TRUE(std::ranges::equal(a.wearable_txns, b.wearable_txns));
+      EXPECT_TRUE(std::ranges::equal(a.wearable_rows, b.wearable_rows));
+      EXPECT_TRUE(std::ranges::equal(a.phone_txns, b.phone_txns));
+      EXPECT_TRUE(std::ranges::equal(a.mme, b.mme));
       EXPECT_EQ(a.wearable_classes, b.wearable_classes);
       ASSERT_EQ(a.usages.size(), b.usages.size());
     }

@@ -1,8 +1,10 @@
-// TailOracle: the dense-id cohorts, retention and mobility passes against
-// the tree-map oracles of row_oracle.h, field by field and exact on
-// doubles (bit patterns, so even a NaN must match), on simulated captures
-// at 1 and 4 threads, on anonymized and chaos-damaged stores, and on micro
-// stores built around each pass's edge cases.
+// TailOracle: the dense-id cohorts, retention and mobility passes and the
+// through-device pass against the oracles of row_oracle.h, field by field
+// and exact on doubles (bit patterns, so even a NaN must match), on
+// simulated captures at 1, 3, 4 and 8 threads, on anonymized and
+// chaos-damaged stores, and on micro stores built around each pass's edge
+// cases.  The through-device pass is also checked as the pipeline runs
+// it, in user slices, and under arbitrary slicings.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -15,6 +17,7 @@
 #include "core/analysis_cohorts.h"
 #include "core/analysis_mobility.h"
 #include "core/analysis_retention.h"
+#include "core/analysis_throughdevice.h"
 #include "core/context.h"
 #include "core/pipeline.h"
 #include "row_oracle.h"
@@ -107,6 +110,24 @@ void expect_same(const MobilityResult& a, const MobilityResult& b,
   expect_bits(a.binned_trend_corr, b.binned_trend_corr, what + " trend");
 }
 
+void expect_same(const ThroughDeviceResult& a, const ThroughDeviceResult& b,
+                 const std::string& what) {
+  EXPECT_EQ(a.detected_users, b.detected_users) << what;
+  EXPECT_EQ(a.per_signature, b.per_signature) << what;
+  EXPECT_EQ(a.signature_names, b.signature_names) << what;
+  expect_bits(a.daily_txn_ratio, b.daily_txn_ratio, what + " txn ratio");
+  expect_bits(a.daily_bytes_ratio, b.daily_bytes_ratio, what + " byte ratio");
+  expect_bits(a.entropy_ratio, b.entropy_ratio, what + " entropy ratio");
+  expect_bits(std::vector<double>(a.td_hourly.begin(), a.td_hourly.end()),
+              std::vector<double>(b.td_hourly.begin(), b.td_hourly.end()),
+              what + " td hourly");
+  expect_bits(std::vector<double>(a.sim_hourly.begin(), a.sim_hourly.end()),
+              std::vector<double>(b.sim_hourly.begin(), b.sim_hourly.end()),
+              what + " sim hourly");
+  expect_bits(a.diurnal_similarity, b.diurnal_similarity,
+              what + " diurnal similarity");
+}
+
 void expect_tail_matches(const AnalysisContext& ctx, const std::string& what) {
   expect_same(analyze_cohorts(ctx), oracle::cohorts_rows(ctx),
               what + ", cohorts");
@@ -114,6 +135,8 @@ void expect_tail_matches(const AnalysisContext& ctx, const std::string& what) {
               what + ", retention");
   expect_same(analyze_mobility(ctx), oracle::mobility_rows(ctx),
               what + ", mobility");
+  expect_same(analyze_throughdevice(ctx), oracle::throughdevice_rows(ctx),
+              what + ", throughdevice");
 }
 
 const simnet::SimResult& small_capture(std::uint64_t seed) {
@@ -147,6 +170,15 @@ TEST_P(TailOracleSeed, SimulatedSmallPresetAtOneAndFourThreads) {
   }
 }
 
+TEST_P(TailOracleSeed, SimulatedSmallPresetAtThreeAndEightThreads) {
+  const simnet::SimResult& sim = small_capture(GetParam());
+  for (const int threads : {3, 8}) {
+    const AnalysisContext ctx(sim.store, options_of(sim, threads));
+    expect_tail_matches(ctx, "seed " + std::to_string(GetParam()) + " at " +
+                                 std::to_string(threads) + " threads");
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(TailOracle, TailOracleSeed,
                          ::testing::Values(1u, 2u, 3u));
 
@@ -160,6 +192,36 @@ TEST(TailOracle, PipelineRunsThePassesConcurrently) {
   expect_same(report.cohorts, oracle::cohorts_rows(ctx), "cohorts");
   expect_same(report.retention, oracle::retention_rows(ctx), "retention");
   expect_same(report.mobility, oracle::mobility_rows(ctx), "mobility");
+}
+
+TEST(TailOracle, ThroughDeviceSlicedByThePipeline) {
+  // The pipeline cuts the through-device pass into one user slice per
+  // thread, weighted by phone transactions, and merges the partials.
+  const simnet::SimResult& sim = small_capture(2);
+  for (const int threads : {1, 3, 4, 8}) {
+    const Pipeline pipeline(sim.store, options_of(sim, threads));
+    expect_same(pipeline.run().throughdevice,
+                oracle::throughdevice_rows(pipeline.context()),
+                std::to_string(threads) + " threads");
+  }
+}
+
+TEST(TailOracle, ThroughDeviceUnderAnySlicing) {
+  const simnet::SimResult& sim = small_capture(1);
+  const AnalysisContext ctx(sim.store, options_of(sim));
+  const ThroughDeviceResult want = oracle::throughdevice_rows(ctx);
+  const ThroughDevicePass pass(ctx);
+  const std::size_t n = ctx.users().size();
+  ASSERT_GT(n, 10u);
+  // Every user alone, uneven cuts, and empty slices at both ends.
+  std::vector<ThroughDevicePartial> singles;
+  for (std::size_t i = 0; i < n; ++i) singles.push_back(pass.partial(i, i + 1));
+  expect_same(pass.finish(singles), want, "one user per slice");
+  const std::vector<std::size_t> cuts = {0, 0, 1, 7, n / 2, n - 3, n, n};
+  std::vector<ThroughDevicePartial> uneven;
+  for (std::size_t s = 0; s + 1 < cuts.size(); ++s)
+    uneven.push_back(pass.partial(cuts[s], cuts[s + 1]));
+  expect_same(pass.finish(uneven), want, "uneven slices");
 }
 
 TEST(TailOracle, AnonymizedStore) {

@@ -52,11 +52,12 @@ if(csv_count LESS 30)
 endif()
 
 run_step(${ANALYZE} --trace ${WORK}/trace_anon
-         --observation-days 153 --detailed-start-day 139)
+         --observation-days 153 --detailed-start-day 139
+         --report ${WORK}/report_anon.txt)
 
 # 3b. Thread-sweep equivalence gate: the parallel batch pipeline must
 #     produce a byte-identical report for every thread count.
-foreach(t 2 4 8)
+foreach(t 2 3 4 8)
   run_step(${ANALYZE} --trace ${WORK}/trace --threads ${t}
            --report ${WORK}/report_t${t}.txt)
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
@@ -65,6 +66,16 @@ foreach(t 2 4 8)
   if(NOT diff_rc EQUAL 0)
     message(FATAL_ERROR
             "report diverges at --threads ${t} (determinism contract broken)")
+  endif()
+  # Anonymized ids are sparse 64-bit hashes: the same gate on them.
+  run_step(${ANALYZE} --trace ${WORK}/trace_anon --threads ${t}
+           --observation-days 153 --detailed-start-day 139
+           --report ${WORK}/report_anon_t${t}.txt)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                  ${WORK}/report_anon.txt ${WORK}/report_anon_t${t}.txt
+                  RESULT_VARIABLE diff_rc)
+  if(NOT diff_rc EQUAL 0)
+    message(FATAL_ERROR "anonymized report diverges at --threads ${t}")
   endif()
 endforeach()
 
@@ -86,7 +97,7 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
 if(NOT diff_rc EQUAL 0)
   message(FATAL_ERROR "v1-format bundle analyzes differently from v2")
 endif()
-foreach(t 1 2 4 8)
+foreach(t 1 2 3 4 8)
   run_step(${ANALYZE} --trace ${WORK}/trace_v2 --threads ${t}
            --report ${WORK}/report_v2_t${t}.txt)
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
@@ -106,7 +117,7 @@ endforeach()
 run_step(${INSPECT} --trace ${WORK}/trace_v2
          --convert ${WORK}/trace_v3 --format binary --trace-format v3)
 file(COPY ${WORK}/trace_v1/generator.cfg DESTINATION ${WORK}/trace_v3)
-foreach(t 1 2 4 8)
+foreach(t 1 2 3 4 8)
   run_step(${ANALYZE} --trace ${WORK}/trace_v3 --threads ${t}
            --report ${WORK}/report_v3_t${t}.txt)
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
