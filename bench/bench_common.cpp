@@ -28,24 +28,6 @@ std::size_t peak_rss_bytes() {
 
 }  // namespace
 
-std::size_t own_peak_rss_bytes() {
-#if defined(__linux__)
-  std::FILE* status = std::fopen("/proc/self/status", "r");
-  if (status != nullptr) {
-    char line[256];
-    while (std::fgets(line, sizeof line, status) != nullptr) {
-      unsigned long long kb = 0;
-      if (std::sscanf(line, "VmHWM: %llu", &kb) == 1) {
-        std::fclose(status);
-        return static_cast<std::size_t>(kb) * 1024;
-      }
-    }
-    std::fclose(status);
-  }
-#endif
-  return peak_rss_bytes();
-}
-
 unsigned emit_hardware_concurrency(std::FILE* out) {
   const unsigned hc = std::thread::hardware_concurrency();
   std::fprintf(out, "  \"hardware_concurrency\": %u,\n", hc);

@@ -18,13 +18,4 @@ namespace wearscope::bench {
 /// (getrusage), so call this after the measured work ran.
 unsigned emit_hardware_concurrency(std::FILE* out);
 
-/// Peak RSS of THIS address space in bytes.  getrusage's ru_maxrss is a
-/// per-task high-water mark that survives execve, so a worker forked from
-/// a parent that held a large capture inherits the parent's peak — on
-/// Linux this reads VmHWM from /proc/self/status instead, which exec
-/// resets with the address space.  Falls back to the getrusage peak
-/// elsewhere (0 where unavailable).  Use for re-exec'ed measurement
-/// workers (perf_fed).
-std::size_t own_peak_rss_bytes();
-
 }  // namespace wearscope::bench

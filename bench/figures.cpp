@@ -530,7 +530,7 @@ void ablation_entropy_norm(const simnet::SimConfig&,
     util::OnlineStats wearable;
     util::OnlineStats all;
     for (const core::UserView& u : ctx.users()) {
-      if (u.mme.empty()) continue;
+      if (u.mme_rows.empty()) continue;
       const double h = core::user_location_entropy(ctx, u, norm);
       all.add(h);
       if (u.has_wearable) wearable.add(h);

@@ -4,7 +4,7 @@
 //
 // `--emit-json[=PATH]` skips google-benchmark and writes a thread-sweep
 // summary (context build + analysis wall clock at 1/2/4/8 threads) to
-// BENCH_analysis.json — the batch-path twin of perf_live's shard sweep.
+// BENCH_analysis.json.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -17,6 +17,7 @@
 #include "core/pipeline.h"
 #include "core/streaming.h"
 #include "simnet/simulator.h"
+#include "util/sched_hook.h"
 
 namespace {
 
@@ -192,6 +193,20 @@ void BM_FullPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_FullPipeline)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+void BM_SchedHookPassthrough(benchmark::State& state) {
+  // The entire production cost of the deterministic-scheduler hook layer
+  // (util/sched_hook.h) is one atomic null load per choice point; this
+  // guards the "zero cost when no scheduler is attached" claim.  The
+  // batch task pool's mutex and condition variable cross such points.
+  int probe = 0;
+  for (auto _ : state) {
+    util::sched::point(util::sched::Op::kUserPoint, &probe);
+    benchmark::DoNotOptimize(probe);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedHookPassthrough);
 
 /// --emit-json mode: thread sweep over the batch pipeline, best of `kReps`
 /// runs per point.  Context build and analysis passes are timed separately

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     util::OnlineStats wear;
     util::OnlineStats all;
     for (const core::UserView& u : ctx.users()) {
-      if (u.mme.empty()) continue;
+      if (u.mme_rows.empty()) continue;
       const double h = core::user_location_entropy(ctx, u, norm);
       all.add(h);
       if (u.has_wearable) wear.add(h);

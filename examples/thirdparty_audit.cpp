@@ -58,11 +58,11 @@ int main(int argc, char** argv) {
   };
   std::map<std::string, AppAudit> audit;
   for (const core::UserView* u : ctx.wearable_users()) {
-    for (std::size_t i = 0; i < u->wearable_txns.size(); ++i) {
+    for (std::size_t i = 0; i < u->wearable_rows.size(); ++i) {
       const core::EndpointClass& e = u->wearable_classes[i];
       if (e.app == core::kUnknownApp) continue;
-      const double bytes =
-          static_cast<double>(u->wearable_txns[i]->bytes_total());
+      const double bytes = static_cast<double>(
+          ctx.store().proxy[u->wearable_rows[i]].bytes_total());
       AppAudit& a = audit[std::string(ctx.signatures().app_name(e.app))];
       switch (e.cls) {
         case appdb::TransactionClass::kApplication:

@@ -107,7 +107,7 @@ AdoptionResult analyze_adoption(const AnalysisContext& ctx) {
   // wearable_users() holds each user once, so the transacted "set" is a
   // plain count.
   for (const UserView* u : ctx.wearable_users())
-    if (!u->wearable_txns.empty()) ++t.ever_transacted;
+    if (!u->wearable_rows.empty()) ++t.ever_transacted;
   return t.finalize();
 }
 

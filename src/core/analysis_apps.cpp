@@ -37,12 +37,13 @@ AppPopularityResult analyze_apps(const AnalysisContext& ctx) {
   std::size_t day_count = 0;
   std::size_t one_app_days = 0;
 
+  const std::vector<trace::ProxyRecord>& log = ctx.store().proxy;
   for (const UserView* u : ctx.wearable_users()) {
     std::set<appdb::AppId> user_apps;
     std::map<int, std::set<appdb::AppId>> apps_by_day;
-    for (std::size_t i = 0; i < u->wearable_txns.size(); ++i) {
-      const trace::ProxyRecord* r = u->wearable_txns[i];
-      if (!ctx.in_detailed_window(r->timestamp)) continue;
+    for (std::size_t i = 0; i < u->wearable_rows.size(); ++i) {
+      const trace::ProxyRecord& r = log[u->wearable_rows[i]];
+      if (!ctx.in_detailed_window(r.timestamp)) continue;
       total_txns += 1.0;
       const appdb::AppId app = u->wearable_classes[i].app;
       if (app == kUnknownApp) {
@@ -50,7 +51,7 @@ AppPopularityResult analyze_apps(const AnalysisContext& ctx) {
         continue;
       }
       RawAppAgg& a = agg[app];
-      const int day = util::day_of(r->timestamp);
+      const int day = util::day_of(r.timestamp);
       if (a.user_stamp != u) {
         a.user_stamp = u;
         ++a.users;
@@ -61,7 +62,7 @@ AppPopularityResult analyze_apps(const AnalysisContext& ctx) {
         ++a.user_days;
       }
       a.txns += 1.0;
-      a.bytes += static_cast<double>(r->bytes_total());
+      a.bytes += static_cast<double>(r.bytes_total());
       user_apps.insert(app);
       apps_by_day[day].insert(app);
     }

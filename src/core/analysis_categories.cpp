@@ -20,21 +20,22 @@ CategoryResult analyze_categories(const AnalysisContext& ctx) {
   };
   std::array<Raw, appdb::kCategoryCount> raw{};
 
+  const std::vector<trace::ProxyRecord>& log = ctx.store().proxy;
   for (const UserView* u : ctx.wearable_users()) {
-    for (std::size_t i = 0; i < u->wearable_txns.size(); ++i) {
-      const trace::ProxyRecord* r = u->wearable_txns[i];
-      if (!ctx.in_detailed_window(r->timestamp)) continue;
+    for (std::size_t i = 0; i < u->wearable_rows.size(); ++i) {
+      const trace::ProxyRecord& r = log[u->wearable_rows[i]];
+      if (!ctx.in_detailed_window(r.timestamp)) continue;
       const auto cat = ctx.signatures().app_category(u->wearable_classes[i].app);
       if (!cat) continue;
       Raw& a = raw[static_cast<std::size_t>(*cat)];
-      const int day = util::day_of(r->timestamp);
+      const int day = util::day_of(r.timestamp);
       if (a.user_stamp != u || a.day_stamp != day) {
         a.user_stamp = u;
         a.day_stamp = day;
         ++a.user_days;
       }
       a.txns += 1.0;
-      a.bytes += static_cast<double>(r->bytes_total());
+      a.bytes += static_cast<double>(r.bytes_total());
     }
     for (const Usage& usage : u->usages) {
       if (!ctx.in_detailed_window(usage.start)) continue;

@@ -75,9 +75,8 @@ CohortResult analyze_cohorts(const AnalysisContext& ctx) {
     const UserView& u = views[i];
     // Registration: any wearable-TAC MME event counts the user into the
     // model cohort (full window, like the adoption analysis).
-    for (const trace::MmeRecord* r : u.mme) {
-      const Entry& e =
-          mme_entry[mc.tac_id[static_cast<std::size_t>(r - store.mme.data())]];
+    for (const std::uint32_t row : u.mme_rows) {
+      const Entry& e = mme_entry[mc.tac_id[row]];
       if (e.model == kNoModel) continue;
       Tally& t = tally[e.model];
       if (t.first == nullptr) t.first = e.device;

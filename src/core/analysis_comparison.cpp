@@ -14,17 +14,18 @@ struct UserTotals {
 
 UserTotals totals_of(const AnalysisContext& ctx, const UserView& u) {
   UserTotals t;
-  for_each_record(ctx.detailed_suffix(u.wearable_txns),
-                  [&t](const trace::ProxyRecord& r) {
-                    t.bytes += static_cast<double>(r.bytes_total());
-                    t.wearable_bytes += static_cast<double>(r.bytes_total());
-                    t.txns += 1.0;
-                  });
-  for_each_record(ctx.detailed_suffix(u.phone_txns),
-                  [&t](const trace::ProxyRecord& r) {
-                    t.bytes += static_cast<double>(r.bytes_total());
-                    t.txns += 1.0;
-                  });
+  const std::vector<trace::ProxyRecord>& log = ctx.store().proxy;
+  for_each_row(log, ctx.detailed_suffix(log, u.wearable_rows),
+               [&t](const trace::ProxyRecord& r) {
+                 t.bytes += static_cast<double>(r.bytes_total());
+                 t.wearable_bytes += static_cast<double>(r.bytes_total());
+                 t.txns += 1.0;
+               });
+  for_each_row(log, ctx.detailed_suffix(log, u.phone_rows),
+               [&t](const trace::ProxyRecord& r) {
+                 t.bytes += static_cast<double>(r.bytes_total());
+                 t.txns += 1.0;
+               });
   return t;
 }
 

@@ -84,12 +84,13 @@ struct MobilityScratch {
 UserMobility mobility_of(const AnalysisContext& ctx, const SectorTable& sectors,
                          const UserView& u, MobilityScratch& s) {
   UserMobility out;
-  const auto events = ctx.detailed_suffix(u.mme);
+  const std::vector<trace::MmeRecord>& log = ctx.store().mme;
+  const auto events = ctx.detailed_suffix(log, u.mme_rows);
   if (events.empty()) return out;
   out.has_mme = true;
 
   s.visits.clear();
-  for_each_record(events, [&s](const trace::MmeRecord& r) {
+  for_each_row(log, events, [&s](const trace::MmeRecord& r) {
     s.visits.push_back({r.timestamp, r.sector_id});
   });
 
@@ -146,8 +147,8 @@ void user_sector_dwell(const AnalysisContext& ctx, const UserView& user,
   out.sectors.clear();
   out.seconds.clear();
   const trace::MmeRecord* prev = nullptr;
-  const auto events = ctx.detailed_suffix(user.mme);
-  for_each_record(events, [&](const trace::MmeRecord& r) {
+  const std::vector<trace::MmeRecord>& log = ctx.store().mme;
+  const auto walk = [&](const trace::MmeRecord& r) {
     const trace::MmeRecord* const last = std::exchange(prev, &r);
     if (last == nullptr ||
         util::day_of(last->timestamp) != util::day_of(r.timestamp))
@@ -161,7 +162,8 @@ void user_sector_dwell(const AnalysisContext& ctx, const UserView& user,
                          0.0);
     }
     out.seconds[k] += static_cast<double>(r.timestamp - last->timestamp);
-  });
+  };
+  for_each_row(log, ctx.detailed_suffix(log, user.mme_rows), walk);
 }
 
 double user_location_entropy(const AnalysisContext& ctx, const UserView& user,
@@ -171,9 +173,10 @@ double user_location_entropy(const AnalysisContext& ctx, const UserView& user,
     user_sector_dwell(ctx, user, dwell);
     return util::shannon_entropy(dwell.seconds);
   }
+  const std::vector<trace::MmeRecord>& log = ctx.store().mme;
   std::vector<trace::SectorId> visits;
-  for (const trace::MmeRecord* r : ctx.detailed_suffix(user.mme))
-    visits.push_back(r->sector_id);
+  for (const std::uint32_t row : ctx.detailed_suffix(log, user.mme_rows))
+    visits.push_back(log[row].sector_id);
   std::sort(visits.begin(), visits.end());
   std::vector<double> w;
   for (auto i = visits.begin(); i != visits.end();) {
@@ -187,26 +190,29 @@ double user_location_entropy(const AnalysisContext& ctx, const UserView& user,
 TxnActivity user_txn_activity(const AnalysisContext& ctx,
                               const UserView& user) {
   TxnActivity out;
-  const std::span<const trace::MmeRecord* const> mme = user.mme;
+  const std::vector<trace::MmeRecord>& mme_log = ctx.store().mme;
+  const std::vector<trace::ProxyRecord>& proxy_log = ctx.store().proxy;
+  const std::span<const std::uint32_t> mme = user.mme_rows;
   // MME events at or before the transaction: every event before the
   // window precedes every transaction in it.
   std::size_t at_or_before =
-      mme.size() - ctx.detailed_suffix(user.mme).size();
+      mme.size() - ctx.detailed_suffix(mme_log, mme).size();
   int last_slot = 0;
   trace::SectorId first_sector = 0;
-  for (const trace::ProxyRecord* r : ctx.detailed_suffix(user.wearable_txns)) {
+  for (const std::uint32_t row :
+       ctx.detailed_suffix(proxy_log, user.wearable_rows)) {
+    const util::SimTime t = proxy_log[row].timestamp;
     ++out.txns;
-    const int slot =
-        util::day_of(r->timestamp) * 24 + util::hour_of(r->timestamp);
+    const int slot = util::day_of(t) * 24 + util::hour_of(t);
     if (out.txns == 1 || slot != last_slot) ++out.active_hours;
     last_slot = slot;
     if (mme.empty()) continue;
     while (at_or_before < mme.size() &&
-           mme[at_or_before]->timestamp <= r->timestamp) {
+           mme_log[mme[at_or_before]].timestamp <= t) {
       ++at_or_before;
     }
     const trace::SectorId sector =
-        mme[at_or_before == 0 ? 0 : at_or_before - 1]->sector_id;
+        mme_log[mme[at_or_before == 0 ? 0 : at_or_before - 1]].sector_id;
     if (out.txns == 1) {
       first_sector = sector;
     } else if (sector != first_sector) {

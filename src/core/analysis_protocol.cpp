@@ -16,12 +16,13 @@ ProtocolResult analyze_protocol(const AnalysisContext& ctx) {
   std::array<Raw, appdb::kCategoryCount> per_category{};
   Raw total;
 
+  const std::vector<trace::ProxyRecord>& log = ctx.store().proxy;
   for (const UserView* u : ctx.wearable_users()) {
-    for (std::size_t i = 0; i < u->wearable_txns.size(); ++i) {
-      const trace::ProxyRecord* r = u->wearable_txns[i];
-      if (!ctx.in_detailed_window(r->timestamp)) continue;
-      const bool http = r->protocol == trace::Protocol::kHttp;
-      const auto bytes = static_cast<double>(r->bytes_total());
+    for (std::size_t i = 0; i < u->wearable_rows.size(); ++i) {
+      const trace::ProxyRecord& r = log[u->wearable_rows[i]];
+      if (!ctx.in_detailed_window(r.timestamp)) continue;
+      const bool http = r.protocol == trace::Protocol::kHttp;
+      const auto bytes = static_cast<double>(r.bytes_total());
       (http ? total.http_txns : total.https_txns) += 1.0;
       (http ? total.http_bytes : total.https_bytes) += bytes;
       const auto cat =

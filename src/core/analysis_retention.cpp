@@ -24,8 +24,7 @@ RetentionResult analyze_retention(const AnalysisContext& ctx) {
   for (const UserView& u : ctx.users()) {
     Cohort* cohort = nullptr;
     int last_week = -1;
-    for (const trace::MmeRecord* r : u.mme) {
-      const auto row = static_cast<std::size_t>(r - store.mme.data());
+    for (const std::uint32_t row : u.mme_rows) {
       if (wearable[mc.tac_id[row]] == 0) continue;
       const int w = util::week_of(mc.timestamp[row]);
       if (w < 0 || w >= weeks || w == last_week) continue;

@@ -39,21 +39,22 @@ ThroughDevicePartial ThroughDevicePass::partial(std::size_t lo,
   out.per_signature.assign(signatures, 0);
   const double days = ctx.options().observation_days -
                       ctx.options().detailed_start_day;
+  const std::vector<trace::ProxyRecord>& log = ctx.store().proxy;
   for (std::size_t i = lo; i < hi; ++i) {
     const UserView& u = ctx.users()[i];
     double txns = 0.0;
     double bytes = 0.0;
     std::array<double, 24> hours{};
     std::uint32_t matched = 0;
-    for_each_record(ctx.detailed_suffix(u.phone_txns),
-                    [&](const trace::ProxyRecord& r) {
-                      txns += 1.0;
-                      bytes += static_cast<double>(r.bytes_total());
-                      hours[static_cast<std::size_t>(
-                          util::hour_of(r.timestamp))] += 1.0;
-                      // The row's host id indexes the host dictionary too.
-                      matched |= host_sigs_[r.host_id];
-                    });
+    for_each_row(log, ctx.detailed_suffix(log, u.phone_rows),
+                 [&](const trace::ProxyRecord& r) {
+                   txns += 1.0;
+                   bytes += static_cast<double>(r.bytes_total());
+                   hours[static_cast<std::size_t>(
+                       util::hour_of(r.timestamp))] += 1.0;
+                   // The row's host id indexes the host dictionary too.
+                   matched |= host_sigs_[r.host_id];
+                 });
     if (u.has_wearable) {
       out.sim_txns.push_back(txns / days);
       out.sim_bytes.push_back(bytes / days);

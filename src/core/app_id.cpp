@@ -180,18 +180,13 @@ EndpointClass HostClassCache::classify(std::uint32_t host_id) {
   return *slot;
 }
 
-namespace {
-
-/// Shared attribution pass, parameterized on the host classifier so the
-/// cached and uncached entry points stay byte-identical in behavior.
-template <typename ClassifyFn>
-std::vector<EndpointClass> attribute_stream_impl(
-    std::span<const trace::ProxyRecord* const> records,
-    util::SimTime proximity_window_s, ClassifyFn&& classify) {
+std::vector<EndpointClass> attribute_user_stream(
+    HostClassCache& cache, const std::vector<trace::ProxyRecord>& log,
+    std::span<const std::uint32_t> rows, util::SimTime proximity_window_s) {
   std::vector<EndpointClass> out;
-  out.reserve(records.size());
-  for (const trace::ProxyRecord* r : records) {
-    out.push_back(classify(r->host_id));
+  out.reserve(rows.size());
+  for (const std::uint32_t row : rows) {
+    out.push_back(cache.classify(log[row].host_id));
   }
   // Temporal-proximity attribution pass: third-party transactions inherit
   // the app of the nearest direct signature match within the window
@@ -202,43 +197,22 @@ std::vector<EndpointClass> attribute_stream_impl(
     if (out[i].app != kUnknownApp) anchors.push_back(i);
   }
   if (anchors.empty()) return out;
+  const auto time_of = [&log, rows](std::size_t i) {
+    return log[rows[i]].timestamp;
+  };
   std::size_t a = 0;
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (out[i].app != kUnknownApp) continue;
     if (out[i].cls == appdb::TransactionClass::kApplication) continue;
     while (a + 1 < anchors.size() &&
-           std::llabs(records[anchors[a + 1]]->timestamp -
-                      records[i]->timestamp) <=
-               std::llabs(records[anchors[a]]->timestamp -
-                          records[i]->timestamp)) {
+           std::llabs(time_of(anchors[a + 1]) - time_of(i)) <=
+               std::llabs(time_of(anchors[a]) - time_of(i))) {
       ++a;
     }
-    const util::SimTime gap = std::llabs(records[anchors[a]]->timestamp -
-                                         records[i]->timestamp);
+    const util::SimTime gap = std::llabs(time_of(anchors[a]) - time_of(i));
     if (gap <= proximity_window_s) out[i].app = out[anchors[a]].app;
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<EndpointClass> attribute_user_stream(
-    const AppSignatureTable& table, const trace::StringPool& hosts,
-    std::span<const trace::ProxyRecord* const> records,
-    util::SimTime proximity_window_s) {
-  return attribute_stream_impl(
-      records, proximity_window_s, [&table, &hosts](std::uint32_t host_id) {
-        return table.classify_host(hosts[host_id]);
-      });
-}
-
-std::vector<EndpointClass> attribute_user_stream(
-    HostClassCache& cache,
-    std::span<const trace::ProxyRecord* const> records,
-    util::SimTime proximity_window_s) {
-  return attribute_stream_impl(
-      records, proximity_window_s,
-      [&cache](std::uint32_t host_id) { return cache.classify(host_id); });
 }
 
 }  // namespace wearscope::core

@@ -137,20 +137,14 @@ class HostClassCache {
 /// Attributes every proxy record of one user to an app id, combining direct
 /// signature matches with temporal proximity for third-party endpoints.
 ///
-/// `records` must be the time-sorted proxy records of a single user, their
-/// host ids indexing `hosts`.  Returns one EndpointClass per record,
+/// `rows` must be the rows of `log` holding a single user's time-sorted
+/// proxy records, their host ids indexing the pool `cache` was built over.
+/// Host classification goes through `cache`, which persists across calls
+/// (one cache per shard/worker).  Returns one EndpointClass per row,
 /// index-aligned.
 std::vector<EndpointClass> attribute_user_stream(
-    const AppSignatureTable& table, const trace::StringPool& hosts,
-    std::span<const trace::ProxyRecord* const> records,
-    util::SimTime proximity_window_s = 120);
-
-/// Cached overload: identical output, but host classification goes through
-/// `cache` (and the pool it was built over), which persists across calls
-/// (one cache per shard/worker).
-std::vector<EndpointClass> attribute_user_stream(
-    HostClassCache& cache,
-    std::span<const trace::ProxyRecord* const> records,
+    HostClassCache& cache, const std::vector<trace::ProxyRecord>& log,
+    std::span<const std::uint32_t> rows,
     util::SimTime proximity_window_s = 120);
 
 }  // namespace wearscope::core

@@ -73,6 +73,8 @@ AnalysisContext::AnalysisContext(const trace::TraceStore& store,
                 "analysis context requires time-sorted logs");
   util::require(store.proxy.size() <= 0xffffffffull,
                 "analysis context: proxy log exceeds 2^32 rows");
+  util::require(store.mme.size() <= 0xffffffffull,
+                "analysis context: MME log exceeds 2^32 rows");
   // The store's lookup indexes build lazily on first find_*; force them now
   // so concurrent analyses only ever read them.
   store.rebuild_indexes();
@@ -181,16 +183,14 @@ AnalysisContext::AnalysisContext(const trace::TraceStore& store,
       end[a] += totals[u][a];
     }
   }
-  wearable_txns_.resize(end[0]);
   wearable_rows_.resize(end[0]);
-  phone_txns_.resize(end[1]);
-  mme_.resize(end[2]);
+  phone_rows_.resize(end[1]);
+  mme_rows_.resize(end[2]);
   for (std::size_t u = 0; u < users_.size(); ++u) {
     UserView& v = users_[u];
-    v.wearable_txns = {wearable_txns_.data() + base[u][0], totals[u][0]};
     v.wearable_rows = {wearable_rows_.data() + base[u][0], totals[u][0]};
-    v.phone_txns = {phone_txns_.data() + base[u][1], totals[u][1]};
-    v.mme = {mme_.data() + base[u][2], totals[u][2]};
+    v.phone_rows = {phone_rows_.data() + base[u][1], totals[u][1]};
+    v.mme_rows = {mme_rows_.data() + base[u][2], totals[u][2]};
   }
   const auto add_base = [&base](std::vector<RowSlice>& slices,
                                 std::size_t first, std::size_t arrays) {
@@ -205,29 +205,26 @@ AnalysisContext::AnalysisContext(const trace::TraceStore& store,
   add_base(mme_slices, 2, 1);
 
   // Phase 3 — scatter.  Each task walks its slice again and writes every
-  // row to its user's cursor; the slices' ranges of each array are
+  // row index to its user's cursor; the slices' ranges of each array are
   // disjoint, and within a slice rows land in row order, so every user's
-  // records stay time-sorted.
+  // rows stay time-sorted.
   {
     std::vector<std::function<void()>> tasks;
     for (RowSlice& slice : proxy_slices) {
-      tasks.push_back([this, &store, &pcols, &proxy_array, &slice] {
+      tasks.push_back([this, &pcols, &proxy_array, &slice] {
         for (std::size_t i = slice.lo; i < slice.hi; ++i) {
           auto& cursor = slice.rows[slice.local.find(pcols.user_id[i])->second];
-          if (proxy_array(i) == 0) {
-            wearable_txns_[cursor[0]] = &store.proxy[i];
-            wearable_rows_[cursor[0]++] = static_cast<std::uint32_t>(i);
-          } else {
-            phone_txns_[cursor[1]++] = &store.proxy[i];
-          }
+          const std::size_t a = proxy_array(i);
+          (a == 0 ? wearable_rows_ : phone_rows_)[cursor[a]++] =
+              static_cast<std::uint32_t>(i);
         }
       });
     }
     for (RowSlice& slice : mme_slices) {
-      tasks.push_back([this, &store, &mcols, &slice] {
+      tasks.push_back([this, &mcols, &slice] {
         for (std::size_t j = slice.lo; j < slice.hi; ++j) {
           auto& cursor = slice.rows[slice.local.find(mcols.user_id[j])->second];
-          mme_[cursor[0]++] = &store.mme[j];
+          mme_rows_[cursor[0]++] = static_cast<std::uint32_t>(j);
         }
       });
     }
@@ -241,19 +238,20 @@ AnalysisContext::AnalysisContext(const trace::TraceStore& store,
   // wearable owners come first in discovery order, so equal user counts
   // would leave one slice with nearly all of it).  Each slice writes only
   // its own users; the per-slice host cache is a pure memo over
-  // classify_host, so results match the uncached path.
+  // classify_host, so a user's classes do not depend on their slice.
   pool.for_weighted_slices(
       users_.size(),
-      [this](std::size_t i) { return users_[i].wearable_txns.size(); },
+      [this](std::size_t i) { return users_[i].wearable_rows.size(); },
       [this](std::size_t lo, std::size_t hi, std::size_t) {
         HostClassCache cache(*signatures_, store_->hosts);
         for (std::size_t i = lo; i < hi; ++i) {
           UserView& u = users_[i];
-          if (u.wearable_txns.empty()) continue;
-          u.wearable_classes = attribute_user_stream(
-              cache, u.wearable_txns, options_.attribution_window_s);
-          u.usages = sessionize_user(u.wearable_txns, u.wearable_classes,
-                                     options_.usage_gap_s);
+          if (u.wearable_rows.empty()) continue;
+          u.wearable_classes =
+              attribute_user_stream(cache, store_->proxy, u.wearable_rows,
+                                    options_.attribution_window_s);
+          u.usages = sessionize_user(store_->proxy, u.wearable_rows,
+                                     u.wearable_classes, options_.usage_gap_s);
         }
       });
 

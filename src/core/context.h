@@ -59,43 +59,41 @@ void require_analysis_window(int observation_days, int detailed_start_day);
   return (observation_days - detailed_start_day) / 7;
 }
 
-/// Everything the analyses know about one subscriber.  The record spans
-/// point into arrays the AnalysisContext owns (one array per kind, each
-/// user's records contiguous and time-sorted).
+/// Everything the analyses know about one subscriber.  A record is named
+/// by its row in the store's log (and in that log's column view): the row
+/// spans point into arrays the AnalysisContext owns (one array per kind,
+/// each user's rows contiguous and time-sorted).
 struct UserView {
   trace::UserId user_id = 0;
   bool has_wearable = false;  ///< Observed with a wearable TAC (MME/proxy).
-  /// Time-sorted wearable-TAC transactions.
-  std::span<const trace::ProxyRecord* const> wearable_txns;
-  /// Row indices into the store's proxy log/columns, index-aligned with
-  /// wearable_txns; the columnar kernels stream the column vectors through
-  /// these instead of chasing the row pointers.
+  /// Proxy rows of the time-sorted wearable-TAC transactions.
   std::span<const std::uint32_t> wearable_rows;
-  /// Per-record attribution, index-aligned with wearable_txns.
+  /// Per-record attribution, index-aligned with wearable_rows.
   std::vector<EndpointClass> wearable_classes;
   /// Reconstructed wearable app usages (sessionized).
   std::vector<Usage> usages;
-  /// Time-sorted non-wearable (phone etc.) transactions.
-  std::span<const trace::ProxyRecord* const> phone_txns;
-  /// Time-sorted MME events (all of the user's devices).
-  std::span<const trace::MmeRecord* const> mme;
+  /// Proxy rows of the time-sorted non-wearable (phone etc.) transactions.
+  std::span<const std::uint32_t> phone_rows;
+  /// MME rows of the time-sorted events (all of the user's devices).
+  std::span<const std::uint32_t> mme_rows;
 };
 
-/// Calls `fn(record)` for each of `records` (one user's UserView span) in
+/// Calls `fn(log[row])` for each of `rows` (one user's UserView span) in
 /// order.  A user's records lie scattered over the log, so each visit is
 /// likely a cache miss; the walk prefetches a few records ahead, both ends
 /// of each (a row often straddles two cache lines), so the misses overlap
 /// instead of queueing.
 template <typename Record, typename Fn>
-void for_each_record(std::span<const Record* const> records, Fn&& fn) {
+void for_each_row(const std::vector<Record>& log,
+                  std::span<const std::uint32_t> rows, Fn&& fn) {
   constexpr std::size_t kAhead = 16;
-  for (std::size_t k = 0; k < records.size(); ++k) {
-    if (k + kAhead < records.size()) {
-      const char* ahead = reinterpret_cast<const char*>(records[k + kAhead]);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    if (k + kAhead < rows.size()) {
+      const char* ahead = reinterpret_cast<const char*>(&log[rows[k + kAhead]]);
       __builtin_prefetch(ahead);
       __builtin_prefetch(ahead + sizeof(Record) - 1);
     }
-    fn(*records[k]);
+    fn(log[rows[k]]);
   }
 }
 
@@ -154,17 +152,19 @@ class AnalysisContext {
     return t >= detailed_start();
   }
 
-  /// The part of a user's time-sorted records (UserView::mme,
-  /// wearable_txns or phone_txns) inside the detailed window: a suffix,
-  /// found by binary search.
+  /// The part of a user's time-sorted rows of `log` (UserView::mme_rows
+  /// over the MME log, wearable_rows or phone_rows over the proxy log)
+  /// inside the detailed window: a suffix, found by binary search.
   template <typename Record>
-  [[nodiscard]] std::span<const Record* const> detailed_suffix(
-      std::span<const Record* const> records) const {
-    return {std::partition_point(records.begin(), records.end(),
-                                 [this](const Record* r) {
-                                   return !in_detailed_window(r->timestamp);
+  [[nodiscard]] std::span<const std::uint32_t> detailed_suffix(
+      const std::vector<Record>& log,
+      std::span<const std::uint32_t> rows) const {
+    return {std::partition_point(rows.begin(), rows.end(),
+                                 [this, &log](std::uint32_t row) {
+                                   return !in_detailed_window(
+                                       log[row].timestamp);
                                  }),
-            records.end()};
+            rows.end()};
   }
 
   /// Number of whole weeks in the detailed window.
@@ -180,11 +180,10 @@ class AnalysisContext {
   std::unique_ptr<DeviceClassifier> devices_;
   std::unique_ptr<AppSignatureTable> signatures_;
   std::vector<UserView> users_;
-  /// The arrays the users' spans cover, users in users_ order.
-  std::vector<const trace::ProxyRecord*> wearable_txns_;
+  /// The row arrays the users' spans cover, users in users_ order.
   std::vector<std::uint32_t> wearable_rows_;
-  std::vector<const trace::ProxyRecord*> phone_txns_;
-  std::vector<const trace::MmeRecord*> mme_;
+  std::vector<std::uint32_t> phone_rows_;
+  std::vector<std::uint32_t> mme_rows_;
   std::vector<const UserView*> wearable_users_;
   std::vector<const UserView*> other_users_;
   std::unordered_map<trace::UserId, std::size_t> user_index_;

@@ -25,7 +25,7 @@ StudyReport Pipeline::run() const {
   const std::vector<std::size_t> bounds =
       par::weighted_slice_bounds(users.size(), pool.threads(),
                                  [&users](std::size_t i) {
-                                   return users[i].phone_txns.size();
+                                   return users[i].phone_rows.size();
                                  });
   std::vector<ThroughDevicePartial> partials(bounds.size() - 1);
   std::vector<std::function<void()>> tasks;

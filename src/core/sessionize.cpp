@@ -8,16 +8,17 @@
 namespace wearscope::core {
 
 std::vector<Usage> sessionize_user(
-    std::span<const trace::ProxyRecord* const> records,
-    std::span<const EndpointClass> apps, util::SimTime gap_s) {
-  util::require(records.size() == apps.size(),
-                "sessionize_user: records/apps size mismatch");
+    const std::vector<trace::ProxyRecord>& log,
+    std::span<const std::uint32_t> rows, std::span<const EndpointClass> apps,
+    util::SimTime gap_s) {
+  util::require(rows.size() == apps.size(),
+                "sessionize_user: rows/apps size mismatch");
   std::vector<Usage> closed;
   // One open usage per app (usages of different apps may interleave).
   std::unordered_map<appdb::AppId, Usage> open;
 
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const trace::ProxyRecord& r = *records[i];
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const trace::ProxyRecord& r = log[rows[i]];
     const appdb::AppId app = apps[i].app;
     auto it = open.find(app);
     if (it != open.end() && r.timestamp - it->second.end > gap_s) {

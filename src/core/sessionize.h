@@ -37,14 +37,14 @@ inline constexpr util::SimTime kDefaultUsageGapS = 60;
 
 /// Groups one user's time-sorted records into usages.
 ///
-/// `records` are the user's proxy records in timestamp order;
-/// `apps` the per-record attribution (index-aligned, from
+/// `rows` are the rows of `log` holding the user's proxy records in
+/// timestamp order; `apps` the per-record attribution (index-aligned, from
 /// attribute_user_stream).  Transactions attributed to different apps open
 /// separate concurrent usages; unknown-app transactions form their own
 /// usages under kUnknownApp.
 std::vector<Usage> sessionize_user(
-    std::span<const trace::ProxyRecord* const> records,
-    std::span<const EndpointClass> apps,
+    const std::vector<trace::ProxyRecord>& log,
+    std::span<const std::uint32_t> rows, std::span<const EndpointClass> apps,
     util::SimTime gap_s = kDefaultUsageGapS);
 
 }  // namespace wearscope::core

@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -102,6 +103,10 @@ void LineServer::accept_loop() {
     const int listen_fd = listen_fd_.load(std::memory_order_acquire);
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) return;  // Listener shut down (or fatal error): stop.
+    // Each answer is one small write: without this, Nagle holds it back
+    // until the client's delayed ACK of the previous one.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     std::vector<std::thread> finished;
     bool refused = false;
     {

@@ -82,7 +82,8 @@ DiurnalResult diurnal_rows(const AnalysisContext& ctx) {
   std::array<double, 7> dow_user_days{};  // Mon..Sun distinct active users
 
   for (const UserView* u : ctx.wearable_users()) {
-    for (const trace::ProxyRecord* r : u->wearable_txns) {
+    for (const std::uint32_t row : u->wearable_rows) {
+      const trace::ProxyRecord* r = &ctx.store().proxy[row];
       if (!ctx.in_detailed_window(r->timestamp)) continue;
       const int day = util::day_of(r->timestamp);
       const int hour = util::hour_of(r->timestamp);
@@ -212,8 +213,8 @@ ThirdPartyResult thirdparty_rows(const AnalysisContext& ctx) {
   std::array<Raw, appdb::kTransactionClassCount> sets{};
 
   for (const UserView* u : ctx.wearable_users()) {
-    for (std::size_t i = 0; i < u->wearable_txns.size(); ++i) {
-      const trace::ProxyRecord* r = u->wearable_txns[i];
+    for (std::size_t i = 0; i < u->wearable_rows.size(); ++i) {
+      const trace::ProxyRecord* r = &ctx.store().proxy[u->wearable_rows[i]];
       if (!ctx.in_detailed_window(r->timestamp)) continue;
       Raw& a = sets[static_cast<std::size_t>(u->wearable_classes[i].cls)];
       a.users.insert(u->user_id);
@@ -281,7 +282,8 @@ CohortResult cohorts_rows(const AnalysisContext& ctx) {
   };
 
   for (const UserView& u : ctx.users()) {
-    for (const trace::MmeRecord* r : u.mme) {
+    for (const std::uint32_t row : u.mme_rows) {
+      const trace::MmeRecord* r = &ctx.store().mme[row];
       if (!ctx.devices().is_wearable(r->tac)) continue;
       const trace::DeviceRecord* d = model_of(r->tac);
       if (d == nullptr) continue;
@@ -293,7 +295,8 @@ CohortResult cohorts_rows(const AnalysisContext& ctx) {
       }
       a.users.insert(u.user_id);
     }
-    for (const trace::ProxyRecord* r : u.wearable_txns) {
+    for (const std::uint32_t row : u.wearable_rows) {
+      const trace::ProxyRecord* r = &ctx.store().proxy[row];
       const trace::DeviceRecord* d = model_of(r->tac);
       if (d == nullptr) continue;
       Raw& a = raw[d->model];
@@ -407,7 +410,8 @@ struct UserMobility {
 UserMobility mobility_of(const AnalysisContext& ctx, const UserView& u) {
   UserMobility out;
   std::map<int, std::vector<const trace::MmeRecord*>> by_day;
-  for (const trace::MmeRecord* r : u.mme) {
+  for (const std::uint32_t row : u.mme_rows) {
+    const trace::MmeRecord* r = &ctx.store().mme[row];
     if (!ctx.in_detailed_window(r->timestamp)) continue;
     by_day[util::day_of(r->timestamp)].push_back(r);
   }
@@ -453,16 +457,18 @@ UserMobility mobility_of(const AnalysisContext& ctx, const UserView& u) {
 
 /// The sector of the user's last MME event at or before `t`, else of the
 /// first event; nullopt without MME events.
-std::optional<trace::SectorId> sector_at(const UserView& user,
+std::optional<trace::SectorId> sector_at(const AnalysisContext& ctx,
+                                         const UserView& user,
                                          util::SimTime t) {
-  if (user.mme.empty()) return std::nullopt;
+  const std::vector<trace::MmeRecord>& mme = ctx.store().mme;
+  if (user.mme_rows.empty()) return std::nullopt;
   const auto it = std::upper_bound(
-      user.mme.begin(), user.mme.end(), t,
-      [](util::SimTime value, const trace::MmeRecord* r) {
-        return value < r->timestamp;
+      user.mme_rows.begin(), user.mme_rows.end(), t,
+      [&mme](util::SimTime value, std::uint32_t row) {
+        return value < mme[row].timestamp;
       });
-  if (it == user.mme.begin()) return (*it)->sector_id;
-  return (*(it - 1))->sector_id;
+  if (it == user.mme_rows.begin()) return mme[*it].sector_id;
+  return mme[*(it - 1)].sector_id;
 }
 
 }  // namespace
@@ -499,12 +505,13 @@ MobilityResult mobility_rows(const AnalysisContext& ctx) {
       std::set<int> active_hours;
       std::size_t txns = 0;
       std::set<trace::SectorId> txn_sectors;
-      for (const trace::ProxyRecord* r : u.wearable_txns) {
+      for (const std::uint32_t row : u.wearable_rows) {
+        const trace::ProxyRecord* r = &ctx.store().proxy[row];
         if (!ctx.in_detailed_window(r->timestamp)) continue;
         ++txns;
         active_hours.insert(util::day_of(r->timestamp) * 24 +
                             util::hour_of(r->timestamp));
-        if (const auto sec = sector_at(u, r->timestamp))
+        if (const auto sec = sector_at(ctx, u, r->timestamp))
           txn_sectors.insert(*sec);
       }
       if (txns > 0) {
@@ -704,7 +711,8 @@ core::ThroughDeviceResult throughdevice_rows(const AnalysisContext& ctx) {
     double bytes = 0.0;
     std::array<double, 24> hours{};
     std::vector<bool> matched(sigs.size(), false);
-    for (const trace::ProxyRecord* r : u.phone_txns) {
+    for (const std::uint32_t row : u.phone_rows) {
+      const trace::ProxyRecord* r = &ctx.store().proxy[row];
       if (!ctx.in_detailed_window(r->timestamp)) continue;
       txns += 1.0;
       bytes += static_cast<double>(r->bytes_total());

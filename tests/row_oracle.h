@@ -12,7 +12,7 @@
 // analyze_diurnal, analyze_usage and analyze_thirdparty stream the proxy
 // columns with per-user run dedup and dense per-app arrays.  The oracles
 // below compute the same figures the straightforward way — global hash
-// sets and hash maps over the record pointers — so test_columns.cpp can
+// sets and hash maps over each user's row structs — so test_columns.cpp can
 // check each kernel against an independent implementation on a full
 // simulated capture.  They are test-only: nothing in the library calls
 // them.  (Adoption and activity are checked against the streaming

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <numeric>
+#include <vector>
+
 namespace wearscope::core {
 namespace {
 
@@ -117,15 +121,24 @@ trace::ProxyRecord rec(util::SimTime t, const char* host) {
   return r;
 }
 
+/// Attributes `recs` as one user's whole stream, hosts classified through
+/// a fresh cache over the pools the rows intern into.
+std::vector<EndpointClass> attribute(
+    const AppSignatureTable& table,
+    const std::vector<trace::ProxyRecord>& recs) {
+  HostClassCache cache(table, rec_pools().hosts);
+  std::vector<std::uint32_t> rows(recs.size());
+  std::iota(rows.begin(), rows.end(), 0u);
+  return attribute_user_stream(cache, recs, rows, 120);
+}
+
 TEST_F(AppIdTest, ThirdPartyInheritsNearbyAppWithinWindow) {
   const std::vector<trace::ProxyRecord> recs = {
       rec(1000, "api.weather.com"),
       rec(1010, "pubads.doubleclick.net"),
       rec(1020, "ssl.google-analytics.com"),
   };
-  std::vector<const trace::ProxyRecord*> ptrs;
-  for (const auto& r : recs) ptrs.push_back(&r);
-  const auto classes = attribute_user_stream(table_, rec_pools().hosts, ptrs, 120);
+  const auto classes = attribute(table_, recs);
   ASSERT_EQ(classes.size(), 3u);
   EXPECT_EQ(table_.app_name(classes[0].app), "Weather");
   EXPECT_EQ(table_.app_name(classes[1].app), "Weather");
@@ -138,9 +151,7 @@ TEST_F(AppIdTest, ThirdPartyOutsideWindowStaysUnknown) {
       rec(1000, "api.weather.com"),
       rec(5000, "pubads.doubleclick.net"),  // 4000 s away
   };
-  std::vector<const trace::ProxyRecord*> ptrs;
-  for (const auto& r : recs) ptrs.push_back(&r);
-  const auto classes = attribute_user_stream(table_, rec_pools().hosts, ptrs, 120);
+  const auto classes = attribute(table_, recs);
   EXPECT_EQ(classes[1].app, kUnknownApp);
   EXPECT_EQ(classes[1].cls, appdb::TransactionClass::kAdvertising);
 }
@@ -151,9 +162,7 @@ TEST_F(AppIdTest, NearestAnchorWins) {
       rec(1100, "pubads.doubleclick.net"),
       rec(1110, "e1.whatsapp.net"),
   };
-  std::vector<const trace::ProxyRecord*> ptrs;
-  for (const auto& r : recs) ptrs.push_back(&r);
-  const auto classes = attribute_user_stream(table_, rec_pools().hosts, ptrs, 120);
+  const auto classes = attribute(table_, recs);
   EXPECT_EQ(table_.app_name(classes[1].app), "WhatsApp");  // 10 s vs 100 s
 }
 
@@ -164,9 +173,7 @@ TEST_F(AppIdTest, UnknownFirstPartyIsNotReattributed) {
       rec(1000, "api.weather.com"),
       rec(1010, "api.obscureapp.example"),
   };
-  std::vector<const trace::ProxyRecord*> ptrs;
-  for (const auto& r : recs) ptrs.push_back(&r);
-  const auto classes = attribute_user_stream(table_, rec_pools().hosts, ptrs, 120);
+  const auto classes = attribute(table_, recs);
   EXPECT_EQ(classes[1].app, kUnknownApp);
 }
 
@@ -175,14 +182,12 @@ TEST_F(AppIdTest, StreamWithNoAnchorsStaysUnknown) {
       rec(1000, "pubads.doubleclick.net"),
       rec(1010, "ssl.google-analytics.com"),
   };
-  std::vector<const trace::ProxyRecord*> ptrs;
-  for (const auto& r : recs) ptrs.push_back(&r);
-  const auto classes = attribute_user_stream(table_, rec_pools().hosts, ptrs, 120);
+  const auto classes = attribute(table_, recs);
   for (const EndpointClass& c : classes) EXPECT_EQ(c.app, kUnknownApp);
 }
 
 TEST_F(AppIdTest, EmptyStream) {
-  const auto classes = attribute_user_stream(table_, rec_pools().hosts, {}, 120);
+  const auto classes = attribute(table_, {});
   EXPECT_TRUE(classes.empty());
 }
 

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/analysis_mobility.h"
@@ -75,9 +77,9 @@ TEST(Context, GroupsUsersAndClassifiesWearables) {
   ASSERT_EQ(ctx.other_users().size(), 1u);
   const UserView& owner = *ctx.wearable_users()[0];
   EXPECT_EQ(owner.user_id, 1u);
-  EXPECT_EQ(owner.wearable_txns.size(), 2u);
-  EXPECT_EQ(owner.phone_txns.size(), 1u);
-  EXPECT_EQ(owner.mme.size(), 2u);
+  EXPECT_EQ(owner.wearable_rows.size(), 2u);
+  EXPECT_EQ(owner.phone_rows.size(), 1u);
+  EXPECT_EQ(owner.mme_rows.size(), 2u);
   EXPECT_EQ(ctx.other_users()[0]->user_id, 2u);
 }
 
@@ -161,7 +163,28 @@ TEST(MobilityWalk, WithoutMmeIsSingleLocation) {
 }
 
 TEST(Context, DetailedWindowHelpers) {
-  const trace::TraceStore store = micro_store();
+  trace::TraceStore store = micro_store();
+  // Users 10, 11 and 12 have records all before, across and all after the
+  // window's start (day 14) in each of their three row spans.
+  const std::vector<std::pair<trace::UserId, std::vector<int>>> days = {
+      {10, {2, 5, 13}}, {11, {6, 13, 14, 20}}, {12, {14, 15, 27}}};
+  for (const auto& [user, user_days] : days) {
+    for (const int d : user_days) {
+      const util::SimTime t = util::day_start(d) + 600;
+      trace::ProxyRecord r;
+      r.timestamp = t;
+      r.user_id = user;
+      r.tac = kWearTac;
+      testing::set_strings(r, store, "api.weather.com");
+      store.proxy.push_back(r);
+      r.timestamp = t + 1;
+      r.tac = kPhoneTac;
+      store.proxy.push_back(r);
+      store.mme.push_back(
+          {t + 2, user, kWearTac, trace::MmeEvent::kAttach, 1});
+    }
+  }
+  store.sort_by_time();
   AnalysisOptions o = micro_options();
   o.detailed_start_day = 14;
   const AnalysisContext ctx(store, o);
@@ -169,6 +192,31 @@ TEST(Context, DetailedWindowHelpers) {
   EXPECT_FALSE(ctx.in_detailed_window(util::day_start(13)));
   EXPECT_TRUE(ctx.in_detailed_window(util::day_start(14)));
   EXPECT_EQ(ctx.detailed_weeks(), 2);
+
+  // The suffix equals a linear filter of the rows and ends where they end.
+  const auto expect_suffix = [&ctx](const auto& log,
+                                    std::span<const std::uint32_t> rows,
+                                    std::size_t want_size) {
+    std::vector<std::uint32_t> want;
+    for (const std::uint32_t row : rows)
+      if (ctx.in_detailed_window(log[row].timestamp)) want.push_back(row);
+    const std::span<const std::uint32_t> got = ctx.detailed_suffix(log, rows);
+    EXPECT_TRUE(std::ranges::equal(got, want));
+    EXPECT_EQ(got.size(), want_size);
+    EXPECT_EQ(got.data() + got.size(), rows.data() + rows.size());
+  };
+  for (const auto& [user, user_days] : days) {
+    SCOPED_TRACE(user);
+    const UserView& u = *ctx.find_user(user);
+    ASSERT_EQ(u.wearable_rows.size(), user_days.size());
+    ASSERT_EQ(u.phone_rows.size(), user_days.size());
+    ASSERT_EQ(u.mme_rows.size(), user_days.size());
+    const auto inside = static_cast<std::size_t>(std::ranges::count_if(
+        user_days, [](int d) { return d >= 14; }));
+    expect_suffix(store.proxy, u.wearable_rows, inside);
+    expect_suffix(store.proxy, u.phone_rows, inside);
+    expect_suffix(store.mme, u.mme_rows, inside);
+  }
 }
 
 TEST(Context, RequiresSortedStore) {
@@ -234,10 +282,9 @@ TEST(Context, SignatureCoverageOptionPropagates) {
 struct ScannedUser {
   trace::UserId user_id = 0;
   bool has_wearable = false;
-  std::vector<const trace::ProxyRecord*> wearable_txns;
   std::vector<std::uint32_t> wearable_rows;
-  std::vector<const trace::ProxyRecord*> phone_txns;
-  std::vector<const trace::MmeRecord*> mme;
+  std::vector<std::uint32_t> phone_rows;
+  std::vector<std::uint32_t> mme_rows;
 };
 
 std::vector<ScannedUser> scan_users(const trace::TraceStore& store,
@@ -254,15 +301,15 @@ std::vector<ScannedUser> scan_users(const trace::TraceStore& store,
     ScannedUser& u = user(r.user_id);
     if (devices.is_wearable(r.tac)) {
       u.has_wearable = true;
-      u.wearable_txns.push_back(&r);
       u.wearable_rows.push_back(static_cast<std::uint32_t>(i));
     } else {
-      u.phone_txns.push_back(&r);
+      u.phone_rows.push_back(static_cast<std::uint32_t>(i));
     }
   }
-  for (const trace::MmeRecord& r : store.mme) {
+  for (std::size_t j = 0; j < store.mme.size(); ++j) {
+    const trace::MmeRecord& r = store.mme[j];
     ScannedUser& u = user(r.user_id);
-    u.mme.push_back(&r);
+    u.mme_rows.push_back(static_cast<std::uint32_t>(j));
     if (devices.is_wearable(r.tac)) u.has_wearable = true;
   }
   return users;
@@ -283,13 +330,11 @@ void expect_index_matches_scan(const trace::TraceStore& store,
       ASSERT_EQ(got.user_id, w.user_id)
           << "user order, position " << i << ", " << threads << " threads";
       EXPECT_EQ(got.has_wearable, w.has_wearable) << w.user_id;
-      EXPECT_TRUE(std::ranges::equal(got.wearable_txns, w.wearable_txns))
-          << w.user_id;
       EXPECT_TRUE(std::ranges::equal(got.wearable_rows, w.wearable_rows))
           << w.user_id;
-      EXPECT_TRUE(std::ranges::equal(got.phone_txns, w.phone_txns))
+      EXPECT_TRUE(std::ranges::equal(got.phone_rows, w.phone_rows))
           << w.user_id;
-      EXPECT_TRUE(std::ranges::equal(got.mme, w.mme)) << w.user_id;
+      EXPECT_TRUE(std::ranges::equal(got.mme_rows, w.mme_rows)) << w.user_id;
       EXPECT_EQ(ctx.find_user(w.user_id), &got);
       if (w.has_wearable) {
         ASSERT_LT(wearable, ctx.wearable_users().size());
@@ -341,20 +386,20 @@ TEST(ContextIndex, SparseIdsAndEveryKindOfUserMatchTheSequentialScan) {
   // MME-only users follow every proxy user, in MME discovery order.
   EXPECT_EQ(ctx.users()[12].user_id, sparse_id(12));
   for (std::size_t i = 12; i < 16; ++i) {
-    EXPECT_TRUE(ctx.users()[i].wearable_txns.empty());
-    EXPECT_TRUE(ctx.users()[i].phone_txns.empty());
-    EXPECT_FALSE(ctx.users()[i].mme.empty());
+    EXPECT_TRUE(ctx.users()[i].wearable_rows.empty());
+    EXPECT_TRUE(ctx.users()[i].phone_rows.empty());
+    EXPECT_FALSE(ctx.users()[i].mme_rows.empty());
   }
   EXPECT_TRUE(ctx.find_user(sparse_id(15))->has_wearable);
   EXPECT_FALSE(ctx.find_user(sparse_id(13))->has_wearable);
   const UserView& phone_only = *ctx.find_user(sparse_id(1));
-  EXPECT_TRUE(phone_only.wearable_txns.empty());
+  EXPECT_TRUE(phone_only.wearable_rows.empty());
   EXPECT_FALSE(phone_only.has_wearable);
   const UserView& wearable_only = *ctx.find_user(sparse_id(2));
-  EXPECT_TRUE(wearable_only.phone_txns.empty());
-  EXPECT_EQ(wearable_only.wearable_txns.size(), 20u);
+  EXPECT_TRUE(wearable_only.phone_rows.empty());
+  EXPECT_EQ(wearable_only.wearable_rows.size(), 20u);
   const UserView& mme_wearable = *ctx.find_user(sparse_id(3));
-  EXPECT_TRUE(mme_wearable.wearable_txns.empty());
+  EXPECT_TRUE(mme_wearable.wearable_rows.empty());
   EXPECT_TRUE(mme_wearable.has_wearable);
 }
 

@@ -303,10 +303,9 @@ TEST(ParPipeline, ContextMatchesSequentialReference) {
       const core::UserView& b = ctx.users()[i];
       ASSERT_EQ(a.user_id, b.user_id) << "user order diverged at " << i;
       EXPECT_EQ(a.has_wearable, b.has_wearable);
-      EXPECT_TRUE(std::ranges::equal(a.wearable_txns, b.wearable_txns));
       EXPECT_TRUE(std::ranges::equal(a.wearable_rows, b.wearable_rows));
-      EXPECT_TRUE(std::ranges::equal(a.phone_txns, b.phone_txns));
-      EXPECT_TRUE(std::ranges::equal(a.mme, b.mme));
+      EXPECT_TRUE(std::ranges::equal(a.phone_rows, b.phone_rows));
+      EXPECT_TRUE(std::ranges::equal(a.mme_rows, b.mme_rows));
       EXPECT_EQ(a.wearable_classes, b.wearable_classes);
       ASSERT_EQ(a.usages.size(), b.usages.size());
     }

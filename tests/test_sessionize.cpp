@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <numeric>
+#include <vector>
+
 #include "util/error.h"
 
 namespace wearscope::core {
@@ -23,9 +27,9 @@ EndpointClass app(appdb::AppId id) {
 std::vector<Usage> run(const std::vector<trace::ProxyRecord>& recs,
                        const std::vector<EndpointClass>& apps,
                        util::SimTime gap = kDefaultUsageGapS) {
-  std::vector<const trace::ProxyRecord*> ptrs;
-  for (const auto& r : recs) ptrs.push_back(&r);
-  return sessionize_user(ptrs, apps, gap);
+  std::vector<std::uint32_t> rows(recs.size());
+  std::iota(rows.begin(), rows.end(), 0u);
+  return sessionize_user(recs, rows, apps, gap);
 }
 
 TEST(Sessionize, SingleUsageWithinGap) {
@@ -84,8 +88,8 @@ TEST(Sessionize, EmptyInput) {
 
 TEST(Sessionize, SizeMismatchThrows) {
   const std::vector<trace::ProxyRecord> recs = {rec(0)};
-  std::vector<const trace::ProxyRecord*> ptrs = {&recs[0]};
-  EXPECT_THROW(sessionize_user(ptrs, {}, 60), util::ConfigError);
+  const std::vector<std::uint32_t> rows = {0};
+  EXPECT_THROW(sessionize_user(recs, rows, {}, 60), util::ConfigError);
 }
 
 TEST(Sessionize, ManyUsagesSortedByStart) {

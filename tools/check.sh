@@ -27,8 +27,8 @@
 # trace decode, snapshot serving, federation) under TSan — plus a deep
 # random-walk interleaving
 # budget through the sched harness, and refreshes the
-# BENCH_analysis.json / BENCH_trace_io.json / BENCH_serve.json /
-# BENCH_fed.json sweeps.
+# BENCH_analysis.json / BENCH_trace_io.json sweeps.  The live, serve and
+# federation paths are timed end to end by perfbench/run.py instead.
 set -eu
 
 root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -141,12 +141,6 @@ if [ "$full" -eq 1 ]; then
 
   echo "== trace-IO v1/v2 sweep (BENCH_trace_io.json)"
   "$build/bench/perf_trace_io" --emit-json="$root/BENCH_trace_io.json"
-
-  echo "== query-serving reader sweep (BENCH_serve.json)"
-  "$build/bench/perf_serve" --emit-json="$root/BENCH_serve.json"
-
-  echo "== federated partition sweep (BENCH_fed.json)"
-  "$build/bench/perf_fed" --emit-json="$root/BENCH_fed.json"
 fi
 
 echo "== OK"
