@@ -9,22 +9,33 @@
 // trace bytes itself), keeps only the records par::shard_of assigns to
 // this partition, and records everything else as run-length skip ops.
 //
-// The load is a fixed three-thread pipeline, with no knob:
-//   * proxy.bin and mme.bin each get a decoder thread of its own.  It
-//     reads, CRC-checks and decodes one unit at a time (LogCursor::
-//     next_unit), merges the unit's strings into the cursor's pools,
-//     checks the (time, user) order and tags every row owned or not;
-//   * each decoder hands the rows to the caller in batches of four
-//     units (every stamp and owner flag, plus the owned rows) through a
-//     bounded, in-order live::RingBuffer four batches deep;
-//   * the calling thread merges the two streams by timestamp and builds
-//     the owned rows and the op script.
-// Peak memory is O(owned records + handoff units per log), not O(feed).
-// A decode or order error on a decoder thread travels down its handoff
-// in log order and is rethrown on the caller as the util::ParseError
-// naming the file.  However the caller leaves — return or exception —
-// both handoffs are closed and both decoders joined before the call
-// returns, so a decoder parked on a full handoff never outlives it.
+// The load runs each log on decode lanes: L threads per log, where L
+// comes from std::thread::hardware_concurrency() (detail::
+// default_feed_lanes; there is no option).  Lane k of a log
+//   * reads, CRC-checks and decodes the log's units k, k + L, k + 2L, ...
+//     (a strided trace::LogCursor on a stream of its own, which seeks past
+//     the other lanes' payloads), checks the (time, user) order inside each
+//     unit and tags every row owned or not;
+//   * hands each unit over (every stamp, the runs of owned and unowned
+//     rows, the owned rows and the strings its pools gained) through an
+//     in-order live::RingBuffer of its own, filling unit buffers that are
+//     sized once from the unit headers and reused.
+// The calling thread pops the lanes round-robin, so it sees each log in
+// unit order.  It checks the order across each unit boundary, merges each
+// unit's new strings into the feed pools (which therefore list every
+// string in first-use order over the whole log, whatever L is), appends
+// the owned rows, and merges the two logs' stamps into the op script a
+// run at a time.  One lane per log is the same code with a stride of one.
+// A log's handoffs hold at most 16 units together, however many lanes
+// share them (plus the unit each lane is filling), so peak memory is the
+// owned records and the op script plus that window, never a whole log.
+// Errors surface in log order: a lane that hits damage hands over the
+// rows before it and then the util::ParseError naming the file and unit,
+// and the merge reaches it only after every earlier unit, so a damaged
+// unit on one lane is never reported before an earlier one on another.
+// However the caller leaves — return or exception — every handoff is
+// closed and every lane joined before the call returns, so a lane parked
+// on a full handoff never outlives it.
 //
 // Equivalence contract: replay_partition_feed() drives a LiveEngine to a
 // state bitwise identical to FeedReplayer over the full time-sorted
@@ -102,6 +113,29 @@ struct PartitionFeed : trace::ProxyPools {
 [[nodiscard]] PartitionFeed load_partition_feed(
     const std::filesystem::path& dir, std::size_t partition_id,
     std::size_t partition_count);
+
+namespace detail {
+
+/// Decode lanes per log: lane k of L reads, CRC-checks and decodes the
+/// log's units k, k + L, k + 2L, ... on a thread of its own.
+struct FeedLanes {
+  std::size_t proxy = 1;
+  std::size_t mme = 1;
+};
+
+/// The lanes load_partition_feed uses, from the machine's
+/// std::thread::hardware_concurrency(): the MME log is a fraction of the
+/// proxy log's size and gets one lane; the proxy log gets a lane per
+/// core beyond the merge's, up to the point where the merge is the floor.
+[[nodiscard]] FeedLanes default_feed_lanes();
+
+/// load_partition_feed with explicit lane counts (each >= 1).  The feed is
+/// identical for every count.
+[[nodiscard]] PartitionFeed load_partition_feed(
+    const std::filesystem::path& dir, std::size_t partition_id,
+    std::size_t partition_count, FeedLanes lanes);
+
+}  // namespace detail
 
 /// Binds the feed's host pool to `engine` and replays the filtered feed
 /// into it; the engine must be configured with the same

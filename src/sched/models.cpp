@@ -2,8 +2,11 @@
 
 #include <atomic>
 #include <cstddef>
+#include <memory>
+#include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "chaos/fault_plan.h"
 #include "live/engine.h"
@@ -487,6 +490,58 @@ Model ring_close_producer_model() {
       sched.fail("ring_close/producer: rejected=" +
                  std::to_string(stats.rejected) + ", want " +
                  std::to_string(kAttempts - accepted));
+    }
+  };
+}
+
+Model lane_handoff_model(bool close_after_first) {
+  return [close_after_first](Scheduler& sched) {
+    constexpr std::size_t kLanes = 2;
+    constexpr std::size_t kUnits = 5;
+    std::vector<std::unique_ptr<live::RingBuffer<std::size_t>>> rings;
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      rings.push_back(std::make_unique<live::RingBuffer<std::size_t>>(1));
+    }
+    std::vector<std::unique_ptr<ManagedThread>> lanes;
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      lanes.push_back(std::make_unique<ManagedThread>(
+          "lane" + std::to_string(k), [&rings, k] {
+            live::RingBuffer<std::size_t>& ring = *rings[k];
+            for (std::size_t unit = k; unit < kUnits; unit += kLanes) {
+              if (!ring.push(unit)) return;  // main gave up
+            }
+            ring.close();
+          }));
+    }
+
+    std::vector<std::size_t> received;
+    for (std::size_t unit = 0;; ++unit) {
+      std::size_t got = 0;
+      if (!rings[unit % kLanes]->pop(got)) break;
+      received.push_back(got);
+      if (close_after_first) {
+        util::sched::point(util::sched::Op::kUserPoint, &rings);
+        break;
+      }
+    }
+    // However main leaves, it closes every ring before it joins, as the
+    // feed's destructor does; with close_after_first that is the only
+    // close a parked lane sees.
+    for (const auto& ring : rings) ring->close();
+    for (const auto& lane : lanes) lane->join();
+
+    for (std::size_t i = 0; i < received.size(); ++i) {
+      if (received[i] != i) {
+        sched.fail("lane_handoff: unit " + std::to_string(received[i]) +
+                   " delivered at position " + std::to_string(i));
+        return;
+      }
+    }
+    const std::size_t want = close_after_first ? 1 : kUnits;
+    if (received.size() != want) {
+      sched.fail("lane_handoff: delivered " +
+                 std::to_string(received.size()) + " units, want " +
+                 std::to_string(want));
     }
   };
 }

@@ -97,6 +97,18 @@ struct LiveFixture {
 /// Asserts the element is delivered exactly once and the consumer exits.
 [[nodiscard]] Model ring_close_consumer_model();
 
+/// The partition feed's decode-lane handoff: two producer lanes, each with
+/// a capacity-1 ring of its own, push units k, k + 2, ... of a 5-unit log
+/// (lane 0 the even ones, lane 1 the odd ones) and close their ring; main
+/// pops the lanes round-robin until one says the log ended, then closes
+/// every ring and joins, as the feed's destructor does.  With
+/// `close_after_first`, main stops after the first element, as the feed's
+/// error path does.  Asserts that what main got is
+/// a prefix of the units in global order (each unit exactly once), the
+/// whole log when nothing was closed early, and that every producer exits
+/// (a producer left parked is a deadlock).
+[[nodiscard]] Model lane_handoff_model(bool close_after_first);
+
 /// SnapshotStore publish/read race: main publishes `publishes` epochs
 /// into a store retaining `retain`, a reader thread interleaves latest /
 /// at_epoch / retained_epochs.  Asserts checksums (no torn publication),

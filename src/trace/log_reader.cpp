@@ -281,6 +281,13 @@ QuarantineStats LogDecode<Record>::finalize(std::vector<Record>& out,
 // ---------------------------------------------------------------------------
 
 template <typename Record>
+LogCursor<Record>::LogCursor(std::istream& in, std::size_t lane,
+                             std::size_t lanes)
+    : in_(&in), lane_(lane), lanes_(lanes) {
+  util::require(lane < lanes, "LogCursor: lane out of range");
+}
+
+template <typename Record>
 void LogCursor<Record>::append(std::size_t n, const char* what) {
   // Grow as bytes arrive, so a hostile length cannot force a huge
   // allocation before the stream runs dry.
@@ -327,24 +334,32 @@ void LogCursor<Record>::open() {
 template <typename Record>
 bool LogCursor<Record>::next_unit(std::vector<Record>& rows) {
   if (version_ == 0) open();
-  if (in_->peek() == std::char_traits<char>::eof()) return false;
-  scratch_.clear();
-  append(unit_header_bytes(version_), "unit header");
-  const LogUnit unit = parse_unit_header(scratch(), version_);
-  if (!unit.header_ok)
-    throw util::ParseError(log_kind(version_) + impossible_header(unit));
-  scratch_.clear();
-  append(unit.byte_length, "unit payload");
-  rows.resize(unit.record_count);
-  unit_pools_.hosts.clear();
-  unit_pools_.paths.clear();
-  if (!decode_unit(scratch(), unit, version_, dicts_, rows.data(),
-                   unit_pools_))
-    throw util::ParseError(log_kind(version_) + failed_unit(units_read_));
-  merge_unit_ids(std::span<Record>(rows), version_, dicts_, dict_hosts_,
-                 unit_pools_, pools_);
-  ++units_read_;
-  return true;
+  for (;;) {
+    if (in_->peek() == std::char_traits<char>::eof()) return false;
+    scratch_.clear();
+    append(unit_header_bytes(version_), "unit header");
+    const LogUnit unit = parse_unit_header(scratch(), version_);
+    if (!unit.header_ok)
+      throw util::ParseError(log_kind(version_) + impossible_header(unit));
+    const std::uint64_t number = units_seen_++;
+    if (number % lanes_ == lane_) {
+      scratch_.clear();
+      append(unit.byte_length, "unit payload");
+      rows.resize(unit.record_count);
+      unit_pools_.hosts.clear();
+      unit_pools_.paths.clear();
+      if (!decode_unit(scratch(), unit, version_, dicts_, rows.data(),
+                       unit_pools_))
+        throw util::ParseError(log_kind(version_) + failed_unit(number));
+      merge_unit_ids(std::span<Record>(rows), version_, dicts_, dict_hosts_,
+                     unit_pools_, pools_);
+      return true;
+    }
+    // Another lane's unit.  A seek past the end is not noticed here: the
+    // next read finds the end of the stream, and the unit's own lane
+    // reports the truncation at the unit's place in the log.
+    in_->seekg(static_cast<std::streamoff>(unit.byte_length), std::ios::cur);
+  }
 }
 
 template <typename Record>
@@ -444,11 +459,13 @@ BinaryLogInfo probe_binary_log(std::span<const std::byte> bytes) {
 }
 
 template <typename Record>
-std::uint64_t claimed_records(std::istream& in) {
+ClaimedRecords claimed_records(std::istream& in) {
   const std::istream::pos_type start = in.tellg();
   in.seekg(0, std::ios::end);
   const std::istream::pos_type end = in.tellg();
   in.seekg(start);
+  const std::uint64_t stream_bytes =
+      end > start ? static_cast<std::uint64_t>(end - start) : 0;
   std::array<char, 12> buf{};
   // Reads the next n <= 12 stream bytes into buf.
   const auto next = [&in, &buf](std::size_t n) {
@@ -458,7 +475,7 @@ std::uint64_t claimed_records(std::istream& in) {
   const auto bytes = [&buf](std::size_t n) {
     return std::as_bytes(std::span<const char>(buf.data(), n));
   };
-  std::uint64_t claimed = 0;
+  ClaimedRecords claimed;
   if (next(8)) {
     util::MemorySpanDecoder header(bytes(8));
     const bool magic_ok = header.get_u32() == magic_of<Record>();
@@ -478,15 +495,20 @@ std::uint64_t claimed_records(std::istream& in) {
     while (ok && next(header_bytes)) {
       const LogUnit unit = parse_unit_header(bytes(header_bytes), version);
       if (!unit.header_ok) break;
-      claimed += unit.record_count;
+      claimed.records += unit.record_count;
+      const std::istream::pos_type payload = in.tellg();
+      if (payload != std::istream::pos_type(-1) &&
+          end - payload >= static_cast<std::streamoff>(unit.byte_length)) {
+        claimed.largest_unit =
+            std::max<std::uint64_t>(claimed.largest_unit, unit.record_count);
+      }
       in.seekg(unit.byte_length, std::ios::cur);
     }
   }
   in.clear();
   in.seekg(start);
-  return end > start
-             ? std::min(claimed, static_cast<std::uint64_t>(end - start))
-             : 0;
+  claimed.records = std::min(claimed.records, stream_bytes);
+  return claimed;
 }
 
 template class LogDecode<ProxyRecord>;
@@ -524,8 +546,8 @@ template std::uint16_t read_log_header<DeviceRecord>(
     std::span<const std::byte>);
 template std::uint16_t read_log_header<SectorInfo>(std::span<const std::byte>);
 
-template std::uint64_t claimed_records<ProxyRecord>(std::istream&);
-template std::uint64_t claimed_records<MmeRecord>(std::istream&);
+template ClaimedRecords claimed_records<ProxyRecord>(std::istream&);
+template ClaimedRecords claimed_records<MmeRecord>(std::istream&);
 
 template BinaryLogInfo probe_binary_log<ProxyRecord>(
     std::span<const std::byte>);

@@ -18,8 +18,9 @@
 //     into the caller's pools in chain order (trace/string_pool.h);
 //   * LogCursor streams a log one unit at a time from a std::istream
 //     through a reusable scratch buffer, for callers that must never hold
-//     the whole log (fed's partition feed, which runs one cursor per log on
-//     a thread of its own and takes whole units from it).
+//     the whole log.  A strided cursor reads every L-th unit and seeks past
+//     the others' payloads, so L cursors on L streams of one file split
+//     its decode (fed's partition feed runs one per decode lane).
 //
 // The per-unit decoders — the v2 block decode (CRC + v1 records) and
 // trace/columnar_io's decode_column_group plus its dictionary parse — are
@@ -143,20 +144,33 @@ class LogDecode {
 /// mapped and at most one unit of rows is resident; the proxy strings seen
 /// so far accumulate in pools(), which every returned record's ids index.
 /// next_unit() is the read: it hands out one whole unit (a v2 block or a
-/// v3 row group); next() is the one-row call on top of it.  A cursor is
-/// single-threaded, but it may live on a thread other than its owner's as
-/// long as pools() is read only once that thread is done.  Throws
-/// util::ParseError on a v1 log (it has no units to stream) and on any
-/// damage.
+/// v3 row group); next() is the one-row call on top of it.
+///
+/// Strided reading: lane `lane` of `lanes` reads units lane, lane + lanes,
+/// lane + 2 * lanes, ... (numbered from 0 in log order).  It still reads
+/// and checks every unit header, but seeks past the payloads of the units
+/// it does not read, so a skipped unit is neither CRC-checked nor decoded
+/// (its own lane does that) and costs no allocation; the stream must then
+/// be seekable.  pools() then hold the strings of this lane's units only,
+/// in first-use order over them.  With one lane (the default) every unit
+/// is read.
+///
+/// A cursor is single-threaded, but it may live on a thread other than its
+/// owner's as long as pools() is read only once that thread is done.
+/// Throws util::ParseError on a v1 log (it has no units to stream) and on
+/// any damage it reads, naming the unit by its number in the log.
 template <typename Record>
 class LogCursor {
  public:
   /// Reads nothing yet: the file header is validated by the first read.
-  explicit LogCursor(std::istream& in) : in_(&in) {}
+  /// `lane` must be below `lanes`.
+  explicit LogCursor(std::istream& in, std::size_t lane = 0,
+                     std::size_t lanes = 1);
 
-  /// Replaces the contents of `rows` with the next unit's records, reusing
-  /// its capacity, and merges the unit's strings into pools().  Returns
-  /// false at a clean end of log.  A unit may hold zero records.
+  /// Replaces the contents of `rows` with the next unit's records (the
+  /// next of this lane's units), reusing its capacity, and merges the
+  /// unit's strings into pools().  Returns false at a clean end of log.  A
+  /// unit may hold zero records.
   bool next_unit(std::vector<Record>& rows);
 
   /// The next record, or nullptr at a clean end of log.  The pointer stays
@@ -175,6 +189,8 @@ class LogCursor {
   [[nodiscard]] std::span<const std::byte> scratch() const noexcept;
 
   std::istream* in_ = nullptr;
+  std::uint64_t lane_ = 0;
+  std::uint64_t lanes_ = 1;
   std::uint16_t version_ = 0;  ///< 0 until open().
   ColumnDicts dicts_;
   IdRemap dict_hosts_;     ///< v3 host dictionary -> pools_.hosts.
@@ -183,19 +199,27 @@ class LogCursor {
   std::string scratch_;
   std::vector<Record> unit_;  ///< next()'s current unit.
   std::size_t next_ = 0;      ///< Into unit_.
-  std::uint64_t units_read_ = 0;
+  std::uint64_t units_seen_ = 0;  ///< Headers read, this lane's or not.
 };
 
-/// The record count the v2 or v3 log in `in` claims, summed over its unit
-/// headers: reads the file header, the v3 dictionary section headers and
-/// every unit header, seeking past the payloads, then puts the stream back
-/// where it was (the start of the log).  A pre-size hint, not a check:
-/// the walk stops quietly at the first header it cannot use (0 for a v1
-/// log or a wrong header; damage is the reader's to report), and the sum
-/// never exceeds the stream's byte count, since every record costs at
-/// least one payload byte.  `in` must be seekable.
+/// What the unit headers of one v2 or v3 log claim.
+struct ClaimedRecords {
+  /// Records summed over the unit headers; never above the stream's byte
+  /// count, since every record costs at least one payload byte.
+  std::uint64_t records = 0;
+  /// The largest record count of one unit whose payload lies within the
+  /// stream (so it too stays below the byte count).
+  std::uint64_t largest_unit = 0;
+};
+
+/// The record counts the v2 or v3 log in `in` claims: reads the file
+/// header, the v3 dictionary section headers and every unit header,
+/// seeking past the payloads, then puts the stream back where it was (the
+/// start of the log).  A pre-size hint, not a check: the walk stops quietly
+/// at the first header it cannot use (zeros for a v1 log or a wrong
+/// header; damage is the reader's to report).  `in` must be seekable.
 template <typename Record>
-[[nodiscard]] std::uint64_t claimed_records(std::istream& in);
+[[nodiscard]] ClaimedRecords claimed_records(std::istream& in);
 
 /// Summary of one binary log file for operator audits (wearscope_inspect).
 struct BinaryLogInfo {

@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -413,6 +414,12 @@ const trace::TraceStore& capture_prefix() {
   return store;
 }
 
+/// Decode-lane counts the tests sweep: one lane (the pipeline every other
+/// count shares), the 4-core default, and more lanes than any log needs.
+constexpr std::size_t kLaneCounts[] = {1, 2, 3, 8};
+
+detail::FeedLanes lanes_of(std::size_t lanes) { return {lanes, lanes}; }
+
 TEST(FedStream, PipelinedFeedMatchesSequentialOracle) {
   const trace::TraceStore& store = capture_prefix();
   for (const std::uint16_t format :
@@ -434,85 +441,113 @@ TEST(FedStream, PipelinedFeedMatchesSequentialOracle) {
 
     for (const std::size_t n : {1u, 2u, 3u, 5u}) {
       for (std::size_t id = 0; id < n; ++id) {
-        const PartitionFeed got = load_partition_feed(dir.path, id, n);
         const PartitionFeed want =
             oracle::partition_feed_rows(dir.path, id, n);
-        const std::string where = "v" + std::to_string(format) +
-                                  " partition " + std::to_string(id) +
-                                  " of " + std::to_string(n);
-        EXPECT_EQ(got.partition_id, want.partition_id) << where;
-        EXPECT_EQ(got.partition_count, want.partition_count) << where;
-        EXPECT_EQ(got.proxy, want.proxy) << where;
-        EXPECT_EQ(got.mme, want.mme) << where;
-        EXPECT_EQ(got.ops, want.ops) << where;
-        EXPECT_EQ(got.hosts.strings(), want.hosts.strings()) << where;
-        EXPECT_EQ(got.paths.strings(), want.paths.strings()) << where;
-        EXPECT_EQ(got.devices, want.devices) << where;
-        EXPECT_EQ(got.feed_records, want.feed_records) << where;
-        EXPECT_EQ(got.feed_records, store.proxy.size() + store.mme.size())
-            << where;
+        for (const std::size_t lanes : kLaneCounts) {
+          const PartitionFeed got =
+              detail::load_partition_feed(dir.path, id, n, lanes_of(lanes));
+          const std::string where =
+              "v" + std::to_string(format) + " partition " +
+              std::to_string(id) + " of " + std::to_string(n) + ", " +
+              std::to_string(lanes) + " lanes";
+          EXPECT_EQ(got.partition_id, want.partition_id) << where;
+          EXPECT_EQ(got.partition_count, want.partition_count) << where;
+          EXPECT_EQ(got.proxy, want.proxy) << where;
+          EXPECT_EQ(got.mme, want.mme) << where;
+          EXPECT_EQ(got.ops, want.ops) << where;
+          EXPECT_EQ(got.hosts.strings(), want.hosts.strings()) << where;
+          EXPECT_EQ(got.paths.strings(), want.paths.strings()) << where;
+          EXPECT_EQ(got.devices, want.devices) << where;
+          EXPECT_EQ(got.feed_records, want.feed_records) << where;
+          EXPECT_EQ(got.feed_records, store.proxy.size() + store.mme.size())
+              << where;
+        }
       }
     }
   }
 }
 
-/// Loads partition 0 of 2 from `dir`, which must fail with a
-/// util::ParseError naming `file`.  The load runs on a worker thread: if
-/// it has not returned within a minute a decoder is stuck on its handoff,
-/// and the process aborts rather than hang the suite.
-void expect_damage_named(const std::filesystem::path& dir,
-                         const std::string& file) {
-  std::future<std::string> load = std::async(std::launch::async, [&dir] {
-    try {
-      (void)load_partition_feed(dir, 0, 2);
-    } catch (const util::ParseError& e) {
-      return std::string(e.what());
-    }
-    return std::string("no util::ParseError");
-  });
+/// Loads partition 0 of 2 from `dir` on `lanes` decode lanes per log; it
+/// must fail with a util::ParseError whose message holds every one of
+/// `needles`.  The load runs on a worker thread: if it has not returned
+/// within a minute a lane is stuck on its handoff, and the process aborts
+/// rather than hang the suite.
+void expect_damage_named(const std::filesystem::path& dir, std::size_t lanes,
+                         const std::vector<std::string>& needles) {
+  std::future<std::string> load =
+      std::async(std::launch::async, [&dir, lanes] {
+        try {
+          (void)detail::load_partition_feed(dir, 0, 2, lanes_of(lanes));
+        } catch (const util::ParseError& e) {
+          return std::string(e.what());
+        }
+        return std::string("no util::ParseError");
+      });
   if (load.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
     std::fprintf(stderr, "load_partition_feed did not return after damage "
-                         "in %s\n", file.c_str());
+                         "in %s\n", needles.front().c_str());
     std::abort();
   }
   const std::string what = load.get();
-  EXPECT_NE(what.find(file), std::string::npos) << what;
+  for (const std::string& needle : needles) {
+    EXPECT_NE(what.find(needle), std::string::npos)
+        << what << " (" << lanes << " lanes)";
+  }
+}
+
+/// Flips the last payload byte of unit `unit` of the log in `file`: a CRC
+/// mismatch (a v2 block's, or a v3 group's last column segment's).
+void flip_unit_tail(std::string& file, std::uint16_t format,
+                    std::size_t unit) {
+  const std::vector<UnitSpan> units = units_of(file, format);
+  ASSERT_LT(unit, units.size());
+  const UnitSpan& span = units[unit];
+  const std::size_t header = format == trace::kBinaryFormatV3
+                                 ? trace::kGroupHeaderBytes
+                                 : trace::kFrameHeaderBytes;
+  file[span.at + header + span.unit.byte_length - 1] ^= 0x20;
 }
 
 TEST(FedStream, MidStreamDamageThrowsAndJoins) {
-  // A decoder runs at most 20 units ahead of the merge (four batches of
-  // four in the handoff, one being gathered).  Past the proxy damage below
-  // half the MME log is left, and past the MME damage a fifth of the
-  // proxy log: each over 40 units, so the other decoder is parked on a
-  // full handoff when the merge throws.
+  // A log's handoffs hold 16 units over all its lanes, and each lane also
+  // holds the unit it is filling and the one the merge reads: at most
+  // 16 + 2L units ahead of the merge per log (18 at L = 1, 22 at L = 3, 32
+  // at L = 8).  Each damage below leaves over 40 units of both logs past
+  // the row where the merge throws, so every lane of both logs, the
+  // damaged log's other lanes included, can be parked on a full handoff
+  // then.
   const trace::TraceStore& store = capture_prefix();
-  ASSERT_GT(store.mme.size() / 2, 40 * kSmallUnit);
-  ASSERT_GT(store.proxy.size() / 5, 40 * kSmallUnit);
+  constexpr std::size_t kAhead = 40 * kSmallUnit;
+  ASSERT_GT(store.proxy.size() / 2, kAhead);
+  ASSERT_GT(store.mme.size() / 2, kAhead);
+  // The MME order damage sits at the middle MME row; the proxy rows
+  // stamped after it are what the proxy lanes have left.
+  const std::size_t mme_mid = store.mme.size() / 2;
+  const util::SimTime mme_mid_at = store.mme[mme_mid].timestamp;
+  ASSERT_GT(static_cast<std::size_t>(std::count_if(
+                store.proxy.begin(), store.proxy.end(),
+                [mme_mid_at](const trace::ProxyRecord& r) {
+                  return r.timestamp > mme_mid_at;
+                })),
+            kAhead);
   for (const std::uint16_t format :
        {trace::kBinaryFormatV2, trace::kBinaryFormatV3}) {
     const std::string tag = "damage_v" + std::to_string(format);
-    // A flipped byte at the end of a middle proxy unit's payload: a CRC
-    // mismatch while the MME decoder, dozens of units from its end, is
-    // parked on a full handoff.
+    // A flipped byte at the end of the middle proxy unit's payload: a CRC
+    // mismatch while the other lanes are dozens of units from their end.
     const TempDir crc(tag + "_crc");
     save_small_unit_bundle(store, crc.path, format);
     {
       std::string file = read_file(crc.path / "proxy.bin");
-      const std::vector<UnitSpan> units = units_of(file, format);
-      const UnitSpan& mid = units[units.size() / 2];
-      const std::size_t header = format == trace::kBinaryFormatV3
-                                     ? trace::kGroupHeaderBytes
-                                     : trace::kFrameHeaderBytes;
-      file[mid.at + header + mid.unit.byte_length - 1] ^= 0x20;
+      flip_unit_tail(file, format, units_of(file, format).size() / 2);
       write_file(crc.path / "proxy.bin", file);
     }
-    // One MME row four fifths in stamped after its successor: an order
-    // violation in a late unit while the proxy decoder runs ahead.
+    // The middle MME row stamped after its successor: an order violation
+    // while the proxy lanes run ahead.
     const TempDir order(tag + "_order");
     {
       trace::TraceStore bad = store;
-      const std::size_t i = bad.mme.size() * 4 / 5;
-      bad.mme[i].timestamp = bad.mme[i + 1].timestamp + 1;
+      bad.mme[mme_mid].timestamp = bad.mme[mme_mid + 1].timestamp + 1;
       save_small_unit_bundle(bad, order.path, format);
     }
     // The last proxy unit cut short.
@@ -523,11 +558,26 @@ TEST(FedStream, MidStreamDamageThrowsAndJoins) {
       file.resize(file.size() - 3);
       write_file(cut.path / "proxy.bin", file);
     }
+    // Proxy units 10 and 11 both fail their CRC.  Above one lane they sit
+    // on different lanes, and the lane holding 11 may fail first; the load
+    // must still report unit 10.
+    const TempDir two(tag + "_two");
+    save_small_unit_bundle(store, two.path, format);
+    {
+      std::string file = read_file(two.path / "proxy.bin");
+      flip_unit_tail(file, format, 10);
+      flip_unit_tail(file, format, 11);
+      write_file(two.path / "proxy.bin", file);
+    }
     // Repeated so the sanitizers see the shutdown race many times.
-    for (int round = 0; round < 50; ++round) {
-      expect_damage_named(crc.path, "proxy.bin");
-      expect_damage_named(order.path, "mme.bin");
-      expect_damage_named(cut.path, "proxy.bin");
+    for (const std::size_t lanes : {1u, 3u, 8u}) {
+      for (int round = 0; round < 50; ++round) {
+        expect_damage_named(crc.path, lanes, {"proxy.bin"});
+        expect_damage_named(order.path, lanes, {"mme.bin"});
+        expect_damage_named(cut.path, lanes, {"proxy.bin"});
+        expect_damage_named(two.path, lanes,
+                            {"proxy.bin", "unit 10 failed CRC"});
+      }
     }
   }
 }

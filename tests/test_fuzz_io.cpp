@@ -306,8 +306,37 @@ UnitIndex index_of(const std::string& blob) {
                     /*lenient=*/true);
 }
 
+/// Reads `blob` through `lanes` strided cursors, one stream each, taking
+/// their units round-robin (unit k from lane k % lanes) as a partition
+/// feed's merge does; nullopt when a cursor throws util::ParseError before
+/// the end of the log.  Row ids are remapped into fuzz_pools().
+std::optional<std::vector<ProxyRecord>> read_strided(const std::string& blob,
+                                                     std::size_t lanes) {
+  std::vector<std::istringstream> streams;
+  streams.reserve(lanes);
+  std::vector<LogCursor<ProxyRecord>> cursors;
+  cursors.reserve(lanes);
+  for (std::size_t k = 0; k < lanes; ++k) {
+    streams.emplace_back(blob);
+    cursors.emplace_back(streams.back(), k, lanes);
+  }
+  std::vector<ProxyRecord> out;
+  std::vector<ProxyRecord> unit;
+  try {
+    for (std::size_t k = 0;; ++k) {
+      LogCursor<ProxyRecord>& cursor = cursors[k % lanes];
+      if (!cursor.next_unit(unit)) return out;
+      remap_ids(unit, cursor.pools(), fuzz_pools());
+      out.insert(out.end(), unit.begin(), unit.end());
+    }
+  } catch (const util::ParseError&) {
+    return std::nullopt;
+  }
+}
+
 /// The strict streaming cursor and the strict whole-log reader must agree
-/// on `blob`: both throw util::ParseError or both return the same records.
+/// on `blob`: both throw util::ParseError or both return the same records,
+/// and so do two and three strided cursors read round-robin.
 /// A header that (after mutation) says v1 has no units to stream, so there
 /// only the cursor's refusal is checked.  The claimed-record walk the
 /// partition feed pre-sizes with runs first on the cursor's stream: it
@@ -324,8 +353,10 @@ void expect_cursor_agrees(const std::string& blob, const std::string& what) {
   std::optional<std::vector<ProxyRecord>> streamed;
   try {
     std::istringstream in(blob);
-    claimed = claimed_records<ProxyRecord>(in);
+    const ClaimedRecords walk = claimed_records<ProxyRecord>(in);
+    claimed = walk.records;
     EXPECT_LE(claimed, blob.size()) << what;
+    EXPECT_LE(walk.largest_unit, blob.size()) << what;
     LogCursor<ProxyRecord> cursor(in);
     std::vector<ProxyRecord> got;
     while (const ProxyRecord* r = cursor.next()) got.push_back(*r);
@@ -347,6 +378,13 @@ void expect_cursor_agrees(const std::string& blob, const std::string& what) {
   if (whole.has_value()) {
     EXPECT_EQ(*whole, *streamed) << what;
     EXPECT_EQ(claimed, whole->size()) << what;
+  }
+  for (const std::size_t lanes : {2u, 3u}) {
+    const std::optional<std::vector<ProxyRecord>> strided =
+        read_strided(blob, lanes);
+    ASSERT_EQ(whole.has_value(), strided.has_value())
+        << what << " (" << lanes << " lanes)";
+    if (whole.has_value()) EXPECT_EQ(*whole, *strided) << what;
   }
 }
 

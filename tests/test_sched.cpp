@@ -80,6 +80,18 @@ TEST(SchedExplorer, RingCloseVsConsumerExhaustive) {
   expect_exhaustive_pass(ring_close_consumer_model(), /*bound=*/2, 60000);
 }
 
+// The partition feed's decode lanes: two producers with a capacity-1 ring
+// each, popped round-robin, deliver the units in global order exactly
+// once; closing every ring after the first unit (the error path) leaves
+// no producer parked.
+TEST(SchedExplorer, LaneHandoffExhaustive) {
+  expect_exhaustive_pass(lane_handoff_model(false), /*bound=*/2, 60000);
+}
+
+TEST(SchedExplorer, LaneHandoffCloseExhaustive) {
+  expect_exhaustive_pass(lane_handoff_model(true), /*bound=*/2, 60000);
+}
+
 // Satellite: a query racing eviction in a retain=1 store — checksums
 // intact, publish_seq monotone, held references survive eviction.
 TEST(SchedExplorer, StorePublishReadExhaustive) {
@@ -159,6 +171,16 @@ TEST(SchedExplorer, RingBatchRandomWalks) {
   const ExploreStats close =
       random_walks(ring_batch_close_model(), seed, walk_budget());
   ASSERT_TRUE(close.passed()) << close.failure->format();
+}
+
+TEST(SchedExplorer, LaneHandoffRandomWalks) {
+  const std::uint64_t seed = testing::seed_or(0x1A2E5);
+  WEARSCOPE_SCOPED_SEED(seed);
+  for (const bool close_after_first : {false, true}) {
+    const ExploreStats stats = random_walks(
+        lane_handoff_model(close_after_first), seed, walk_budget());
+    ASSERT_TRUE(stats.passed()) << stats.failure->format();
+  }
 }
 
 // The mutation test: a deliberately seeded lost-update race MUST be

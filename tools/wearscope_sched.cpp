@@ -39,6 +39,10 @@ sched::Model make_ring_close_producer() {
 sched::Model make_ring_close_consumer() {
   return sched::ring_close_consumer_model();
 }
+sched::Model make_lane_handoff() { return sched::lane_handoff_model(false); }
+sched::Model make_lane_handoff_close() {
+  return sched::lane_handoff_model(true);
+}
 sched::Model make_store() { return sched::store_publish_read_model(1, 3); }
 sched::Model make_live() { return sched::live_barrier_model(); }
 sched::Model make_live_serve() { return sched::live_serve_model(); }
@@ -50,6 +54,10 @@ constexpr Scenario kScenarios[] = {
      make_ring_close_producer},
     {"ring-close-consumer", "close() racing a draining consumer",
      make_ring_close_consumer},
+    {"lane-handoff", "two decode lanes popped round-robin (unit order)",
+     make_lane_handoff},
+    {"lane-handoff-close", "lane handoff closed after the first unit",
+     make_lane_handoff_close},
     {"store", "SnapshotStore publish/read race (retain=1)", make_store},
     {"live", "2-shard engine vs sequential reference (tiny)", make_live},
     {"live-serve", "engine + snapshot store + racing reader",
