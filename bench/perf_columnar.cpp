@@ -1,5 +1,6 @@
-// Google-benchmark performance suite for the columnar work: the v3
-// struct-of-arrays analysis kernels, v2-vs-v3 encode/decode throughput,
+// Google-benchmark performance suite for the columnar work: the analysis
+// kernels that gather each user's rows by index, v2-vs-v3 encode/decode
+// throughput,
 // and the bounded-memory sketch aggregates against their exact
 // counterparts.
 //
@@ -59,8 +60,8 @@ const simnet::SimResult& shared_capture() {
   return sim;
 }
 
-/// One shared context with the column views already materialized, so the
-/// kernel timings measure the scans, not lazy build cost.
+/// One shared context, built once, so the kernel timings measure the
+/// passes over the rows, not the context build.
 const core::AnalysisContext& shared_context() {
   static const core::AnalysisContext& ctx = []() -> const auto& {
     const simnet::SimResult& sim = shared_capture();
@@ -69,13 +70,12 @@ const core::AnalysisContext& shared_context() {
     opt.detailed_start_day = sim.detailed_start_day;
     opt.long_tail_apps = sim.config.long_tail_apps;
     static const core::AnalysisContext context(sim.store, opt);
-    context.store().build_columns();
     return context;
   }();
   return ctx;
 }
 
-/// The five columnar kernels BM_KernelColumnar sweeps.
+/// The five analysis kernels BM_KernelColumnar sweeps.
 struct Kernel {
   const char* name;
   void (*run)(const core::AnalysisContext&);

@@ -53,7 +53,7 @@ ActivityResult ActivityFinisher::finish(std::vector<double> txn_sizes) && {
 }
 
 ActivityResult analyze_activity(const AnalysisContext& ctx) {
-  const trace::ProxyColumns& pc = ctx.store().proxy_columns();
+  const std::vector<trace::ProxyRecord>& log = ctx.store().proxy;
   ActivityFinisher finisher(ctx.detailed_weeks());
   std::vector<double> txn_sizes;
 
@@ -61,11 +61,9 @@ ActivityResult analyze_activity(const AnalysisContext& ctx) {
   // time-sorted, so the (day, hour) slot is nondecreasing along them: the
   // per-slot totals are run accumulation, and slots complete already in
   // the sorted order the finisher needs.  The detailed window is a
-  // time-suffix of each user's rows, so one binary search replaces the
-  // per-row window test — rows before the window are never touched.
+  // time-suffix of each user's rows, so rows before it are never touched.
   std::vector<double> slot_txns;
   std::vector<double> slot_bytes;
-  const util::SimTime window_start = ctx.detailed_start();
 
   for (const UserView* u : ctx.wearable_users()) {
     slot_txns.clear();
@@ -73,29 +71,26 @@ ActivityResult analyze_activity(const AnalysisContext& ctx) {
     std::int64_t prev_slot = -1;
     int prev_day = -1;
     std::size_t distinct_days = 0;
-    const auto first_in_window = std::partition_point(
-        u->wearable_rows.begin(), u->wearable_rows.end(),
-        [&](std::uint32_t row) { return pc.timestamp[row] < window_start; });
-    for (auto it = first_in_window; it != u->wearable_rows.end(); ++it) {
-      const std::uint32_t row = *it;
-      const util::SimTime t = pc.timestamp[row];
-      const int day = util::day_of(t);
-      const std::int64_t slot =
-          static_cast<std::int64_t>(day) * 24 + util::hour_of(t);
-      if (slot != prev_slot) {
-        prev_slot = slot;
-        slot_txns.push_back(0.0);
-        slot_bytes.push_back(0.0);
-        if (day != prev_day) {
-          prev_day = day;
-          ++distinct_days;
-        }
-      }
-      const double bytes = static_cast<double>(pc.bytes_total[row]);
-      slot_txns.back() += 1.0;
-      slot_bytes.back() += bytes;
-      txn_sizes.push_back(bytes);
-    }
+    for_each_row(log, ctx.detailed_suffix(log, u->wearable_rows),
+                 [&](const trace::ProxyRecord& r) {
+                   const int day = util::day_of(r.timestamp);
+                   const std::int64_t slot =
+                       static_cast<std::int64_t>(day) * 24 +
+                       util::hour_of(r.timestamp);
+                   if (slot != prev_slot) {
+                     prev_slot = slot;
+                     slot_txns.push_back(0.0);
+                     slot_bytes.push_back(0.0);
+                     if (day != prev_day) {
+                       prev_day = day;
+                       ++distinct_days;
+                     }
+                   }
+                   const double bytes = static_cast<double>(r.bytes_total());
+                   slot_txns.back() += 1.0;
+                   slot_bytes.back() += bytes;
+                   txn_sizes.push_back(bytes);
+                 });
     finisher.add_user(distinct_days, slot_txns, slot_bytes);
   }
   return std::move(finisher).finish(std::move(txn_sizes));

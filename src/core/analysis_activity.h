@@ -67,7 +67,7 @@ class ActivityFinisher {
 };
 
 /// Runs the analysis over the detailed window (wearable traffic only;
-/// columnar kernel: monotone-slot run accumulation, no per-user maps).
+/// monotone-slot run accumulation over each user's rows, no per-user maps).
 ActivityResult analyze_activity(const AnalysisContext& ctx);
 
 /// Renders Fig. 3(b) with its checks.

@@ -34,8 +34,8 @@ struct AdoptionResult {
 };
 
 /// Runs the analysis over the full observation window: fills an
-/// AdoptionTally (core/streaming.h) from the MME columns with day-segmented
-/// distinct-user counts and returns its finalize().
+/// AdoptionTally (core/streaming.h) from each wearable user's MME rows
+/// with per-day distinct-user counts and returns its finalize().
 AdoptionResult analyze_adoption(const AnalysisContext& ctx);
 
 /// Renders Fig. 2(a) with its checks.

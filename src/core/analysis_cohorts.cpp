@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <unordered_map>
 
 namespace wearscope::core {
@@ -16,41 +17,44 @@ constexpr std::uint32_t kNoModel = ~std::uint32_t{0};
 CohortResult analyze_cohorts(const AnalysisContext& ctx) {
   CohortResult res;
   const trace::TraceStore& store = ctx.store();
-  const trace::ProxyColumns& pc = store.proxy_columns();
-  const trace::MmeColumns& mc = store.mme_columns();
 
   // Key by model name: several TACs may belong to one commercial model.
   // Dense model ids follow model-name order (the DeviceDB is tiny).
   std::vector<std::string> models;
-  std::unordered_map<trace::Tac, const trace::DeviceRecord*> device_index;
-  for (const trace::DeviceRecord& d : store.devices) {
-    models.push_back(d.model);
-    device_index.emplace(d.tac, &d);
-  }
+  for (const trace::DeviceRecord& d : store.devices) models.push_back(d.model);
   std::sort(models.begin(), models.end());
   models.erase(std::unique(models.begin(), models.end()), models.end());
 
-  // Resolve each TAC-dictionary entry once.  Registration counts only
-  // wearable TACs; the wearable rows are wearable by construction.
+  // Each DeviceDB entry resolves to its model once (a TAC listed twice
+  // keeps its first row).
   struct Entry {
     const trace::DeviceRecord* device = nullptr;
     std::uint32_t model = kNoModel;
   };
-  const auto resolve = [&](trace::Tac tac) -> Entry {
-    const auto it = device_index.find(tac);
-    if (it == device_index.end()) return {};
-    const auto m =
-        std::lower_bound(models.begin(), models.end(), it->second->model);
-    return {it->second, static_cast<std::uint32_t>(m - models.begin())};
-  };
-  std::vector<Entry> mme_entry(mc.tacs.size());
-  for (std::size_t k = 0; k < mc.tacs.size(); ++k) {
-    if (ctx.devices().is_wearable(mc.tacs[k]))
-      mme_entry[k] = resolve(mc.tacs[k]);
+  std::unordered_map<trace::Tac, Entry> by_tac;
+  for (const trace::DeviceRecord& d : store.devices) {
+    const auto m = std::lower_bound(models.begin(), models.end(), d.model);
+    by_tac.try_emplace(
+        d.tac, Entry{&d, static_cast<std::uint32_t>(m - models.begin())});
   }
-  std::vector<Entry> proxy_entry(pc.tacs.size());
-  for (std::size_t k = 0; k < pc.tacs.size(); ++k)
-    proxy_entry[k] = resolve(pc.tacs[k]);
+  // A user's wearable rows mostly repeat one TAC (their own watch), so
+  // each log's walk looks a TAC up only when it differs from the previous
+  // wearable row's.
+  struct Memo {
+    trace::Tac tac = 0;
+    Entry entry;
+    bool valid = false;
+  };
+  const auto entry_of = [&by_tac](Memo& memo, trace::Tac tac) -> const Entry& {
+    if (!memo.valid || memo.tac != tac) {
+      const auto it = by_tac.find(tac);
+      memo = {tac, it != by_tac.end() ? it->second : Entry{}, true};
+    }
+    return memo.entry;
+  };
+  const DeviceClassifier& devices = ctx.devices();
+  Memo mme_memo;
+  Memo proxy_memo;
 
   // Per-model tallies.  Users are visited one at a time, so "last user
   // counted" stamps make every distinct count a comparison; a user's rows
@@ -70,41 +74,44 @@ CohortResult analyze_cohorts(const AnalysisContext& ctx) {
   };
   std::vector<Tally> tally(models.size());
 
-  const std::vector<UserView>& views = ctx.users();
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    const UserView& u = views[i];
+  // Only wearable users have wearable-TAC registrations or wearable rows.
+  const std::span<const UserView* const> owners = ctx.wearable_users();
+  for (std::size_t i = 0; i < owners.size(); ++i) {
+    const UserView& u = *owners[i];
     // Registration: any wearable-TAC MME event counts the user into the
     // model cohort (full window, like the adoption analysis).
-    for (const std::uint32_t row : u.mme_rows) {
-      const Entry& e = mme_entry[mc.tac_id[row]];
-      if (e.model == kNoModel) continue;
+    for_each_row(store.mme, u.mme_rows, [&](const trace::MmeRecord& r) {
+      if (!devices.is_wearable(r.tac)) return;
+      const Entry& e = entry_of(mme_memo, r.tac);
+      if (e.model == kNoModel) return;
       Tally& t = tally[e.model];
       if (t.first == nullptr) t.first = e.device;
       if (t.user_stamp != i) {
         t.user_stamp = i;
         ++t.users;
       }
-    }
-    // Traffic: detailed window.
-    for (const std::uint32_t row : u.wearable_rows) {
-      const std::uint32_t m = proxy_entry[pc.tac_id[row]].model;
-      if (m == kNoModel) continue;
+    });
+    // Traffic: detailed window (the wearable rows are wearable by
+    // construction).
+    for_each_row(store.proxy, u.wearable_rows,
+                 [&](const trace::ProxyRecord& r) {
+      const std::uint32_t m = entry_of(proxy_memo, r.tac).model;
+      if (m == kNoModel) return;
       Tally& t = tally[m];
       if (t.active_stamp != i) {
         t.active_stamp = i;
         ++t.active_users;
       }
-      const util::SimTime ts = pc.timestamp[row];
-      if (!ctx.in_detailed_window(ts)) continue;
+      if (!ctx.in_detailed_window(r.timestamp)) return;
       t.txns += 1.0;
-      t.bytes += static_cast<double>(pc.bytes_total[row]);
-      const int day = util::day_of(ts);
+      t.bytes += static_cast<double>(r.bytes_total());
+      const int day = util::day_of(r.timestamp);
       if (t.day_stamp_user != i || t.day_stamp != day) {
         t.day_stamp_user = i;
         t.day_stamp = day;
         ++t.active_days;
       }
-    }
+    });
   }
 
   double total_users = 0.0;

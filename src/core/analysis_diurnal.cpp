@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 namespace wearscope::core {
 
@@ -51,7 +52,7 @@ Series to_series(const char* name, const HourProfile& p) {
 DiurnalResult analyze_diurnal(const AnalysisContext& ctx) {
   DiurnalResult res;
   const int weeks = ctx.detailed_weeks();
-  const trace::ProxyColumns& pc = ctx.store().proxy_columns();
+  const std::vector<trace::ProxyRecord>& log = ctx.store().proxy;
 
   HourAccumulator users_acc;
   HourAccumulator data_acc;
@@ -79,9 +80,9 @@ DiurnalResult analyze_diurnal(const AnalysisContext& ctx) {
     std::int64_t prev_slot = -1;
     int prev_day = -1;
     int prev_week = -1;
-    for (const std::uint32_t row : u->wearable_rows) {
-      const util::SimTime t = pc.timestamp[row];
-      if (!ctx.in_detailed_window(t)) continue;
+    for_each_row(log, ctx.detailed_suffix(log, u->wearable_rows),
+                 [&](const trace::ProxyRecord& r) {
+      const util::SimTime t = r.timestamp;
       const int day = util::day_of(t);
       const std::int64_t slot =
           static_cast<std::int64_t>(day) * 24 + util::hour_of(t);
@@ -100,20 +101,23 @@ DiurnalResult analyze_diurnal(const AnalysisContext& ctx) {
         prev_week = week;
         ++user_weeks;
       }
-      const std::uint64_t bytes = pc.bytes_total[row];
+      const std::uint64_t bytes = r.bytes_total();
       data_acc.add(t, static_cast<double>(bytes));
       txns_acc.add(t, 1.0);
       weekly_bytes[util::is_weekend(t) ? 1 : 0] += bytes;
       dow_txns[static_cast<std::size_t>(util::weekday_of(t))] += 1.0;
-    }
+    });
   }
   // Total traffic (wearable + everything else) for the relative-usage
-  // comparison of §4.2, straight off the timestamp and byte columns.
-  for (std::size_t i = 0; i < pc.size(); ++i) {
-    if (!ctx.in_detailed_window(pc.timestamp[i])) continue;
-    weekly_bytes_all[util::is_weekend(pc.timestamp[i]) ? 1 : 0] +=
-        pc.bytes_total[i];
-  }
+  // comparison of §4.2: the log is time-sorted, so the detailed window is
+  // its suffix.
+  const auto window = std::partition_point(
+      log.begin(), log.end(), [&ctx](const trace::ProxyRecord& r) {
+        return !ctx.in_detailed_window(r.timestamp);
+      });
+  for (auto it = window; it != log.end(); ++it)
+    weekly_bytes_all[util::is_weekend(it->timestamp) ? 1 : 0] +=
+        it->bytes_total();
 
   users_acc.finalize(weeks);
   data_acc.finalize(weeks);

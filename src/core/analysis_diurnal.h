@@ -39,8 +39,8 @@ struct DiurnalResult {
   std::array<double, 7> dow_txn_share{};
 };
 
-/// Runs the analysis over the detailed window (columnar kernel: per-user
-/// monotone slot/day/week dedup instead of global hash sets).
+/// Runs the analysis over the detailed window (per-user monotone
+/// slot/day/week dedup instead of global hash sets).
 DiurnalResult analyze_diurnal(const AnalysisContext& ctx);
 
 /// Renders Fig. 3(a) with its checks.

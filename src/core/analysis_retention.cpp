@@ -10,24 +10,21 @@ RetentionResult analyze_retention(const AnalysisContext& ctx) {
   const int weeks = ctx.options().observation_days / 7;
   if (weeks <= 0) return res;
 
-  const trace::TraceStore& store = ctx.store();
-  const trace::MmeColumns& mc = store.mme_columns();
-  std::vector<std::uint8_t> wearable(mc.tacs.size());
-  for (std::size_t k = 0; k < mc.tacs.size(); ++k)
-    wearable[k] = ctx.devices().is_wearable(mc.tacs[k]) ? 1 : 0;
-
   // Cohort = adoption week (the user's first week with a wearable-TAC
-  // registration); survival over the subsequent observable weeks.  A
-  // user's events are time-sorted, so their weeks arrive as ascending
-  // runs: the first run is the adoption week, each run one week present.
+  // registration); survival over the subsequent observable weeks.  Only
+  // wearable users have such registrations.  A user's events are
+  // time-sorted, so their weeks arrive as ascending runs: the first run is
+  // the adoption week, each run one week present.
+  const std::vector<trace::MmeRecord>& log = ctx.store().mme;
+  const DeviceClassifier& devices = ctx.devices();
   std::vector<Cohort> by_week(static_cast<std::size_t>(weeks));
-  for (const UserView& u : ctx.users()) {
+  for (const UserView* u : ctx.wearable_users()) {
     Cohort* cohort = nullptr;
     int last_week = -1;
-    for (const std::uint32_t row : u.mme_rows) {
-      if (wearable[mc.tac_id[row]] == 0) continue;
-      const int w = util::week_of(mc.timestamp[row]);
-      if (w < 0 || w >= weeks || w == last_week) continue;
+    for_each_row(log, u->mme_rows, [&](const trace::MmeRecord& r) {
+      if (!devices.is_wearable(r.tac)) return;
+      const int w = util::week_of(r.timestamp);
+      if (w < 0 || w >= weeks || w == last_week) return;
       if (cohort == nullptr) {
         cohort = &by_week[static_cast<std::size_t>(w)];
         if (cohort->size == 0) {
@@ -39,7 +36,7 @@ RetentionResult analyze_retention(const AnalysisContext& ctx) {
       cohort->survival[static_cast<std::size_t>(w - cohort->adoption_week)] +=
           1.0;
       last_week = w;
-    }
+    });
   }
   for (Cohort& c : by_week) {
     if (c.size == 0) continue;

@@ -1,14 +1,17 @@
 #include "core/analysis_thirdparty.h"
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 namespace wearscope::core {
 
 ThirdPartyResult analyze_thirdparty(const AnalysisContext& ctx) {
   // Each user appears once in wearable_users(), so per-class distinct-user
-  // sets collapse into a per-user seen flag per class: the inner loop reads
-  // only the timestamp/byte columns and the attribution array.
-  const trace::ProxyColumns& pc = ctx.store().proxy_columns();
+  // sets collapse into a per-user seen flag per class.  The detailed
+  // window is a suffix of each user's time-sorted rows, and the
+  // attribution array is index-aligned with the whole row span.
+  const std::vector<trace::ProxyRecord>& log = ctx.store().proxy;
   struct RawClass {
     std::size_t users = 0;
     double txns = 0.0;
@@ -18,18 +21,19 @@ ThirdPartyResult analyze_thirdparty(const AnalysisContext& ctx) {
 
   for (const UserView* u : ctx.wearable_users()) {
     std::array<bool, appdb::kTransactionClassCount> seen{};
-    for (std::size_t i = 0; i < u->wearable_rows.size(); ++i) {
-      const std::uint32_t row = u->wearable_rows[i];
-      if (!ctx.in_detailed_window(pc.timestamp[row])) continue;
-      const auto c = static_cast<std::size_t>(u->wearable_classes[i].cls);
+    const std::span<const std::uint32_t> rows =
+        ctx.detailed_suffix(log, u->wearable_rows);
+    std::size_t i = u->wearable_rows.size() - rows.size();
+    for_each_row(log, rows, [&](const trace::ProxyRecord& r) {
+      const auto c = static_cast<std::size_t>(u->wearable_classes[i++].cls);
       RawClass& a = raw[c];
       if (!seen[c]) {
         seen[c] = true;
         ++a.users;
       }
       a.txns += 1.0;
-      a.bytes += static_cast<double>(pc.bytes_total[row]);
-    }
+      a.bytes += static_cast<double>(r.bytes_total());
+    });
   }
 
   ThirdPartyResult res;

@@ -28,7 +28,7 @@ struct ThirdPartyResult {
 };
 
 /// Runs the analysis over the detailed window (wearable traffic only;
-/// columnar kernel: per-user class flags instead of per-class user sets).
+/// per-user class flags instead of per-class user sets).
 ThirdPartyResult analyze_thirdparty(const AnalysisContext& ctx);
 
 /// Renders Fig. 8 with its checks.

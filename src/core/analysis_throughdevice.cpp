@@ -17,12 +17,12 @@ ThroughDevicePass::ThroughDevicePass(const AnalysisContext& ctx)
                 "through-device: more than 32 companion signatures");
   // The suffix match runs once per distinct host instead of once per
   // phone transaction.  A signature matches on its first matching domain.
-  const trace::ProxyColumns& pc = ctx.store().proxy_columns();
-  host_sigs_.assign(pc.hosts.size(), 0);
-  for (std::size_t k = 0; k < pc.hosts.size(); ++k) {
+  const trace::StringPool& hosts = ctx.store().hosts;
+  host_sigs_.assign(hosts.size(), 0);
+  for (std::uint32_t k = 0; k < hosts.size(); ++k) {
     for (std::size_t s = 0; s < sigs.size(); ++s) {
       for (const std::string& d : sigs[s].domains) {
-        if (util::host_matches_suffix(pc.hosts[k], d)) {
+        if (util::host_matches_suffix(hosts[k], d)) {
           host_sigs_[k] |= std::uint32_t{1} << s;
           break;
         }
@@ -52,7 +52,6 @@ ThroughDevicePartial ThroughDevicePass::partial(std::size_t lo,
                    bytes += static_cast<double>(r.bytes_total());
                    hours[static_cast<std::size_t>(
                        util::hour_of(r.timestamp))] += 1.0;
-                   // The row's host id indexes the host dictionary too.
                    matched |= host_sigs_[r.host_id];
                  });
     if (u.has_wearable) {

@@ -49,8 +49,8 @@ struct ThroughDevicePartial {
 };
 
 /// The study in parts, so the pipeline can run it as user slices.  The
-/// constructor matches the companion signatures against the host
-/// dictionary; partial() covers a slice of ctx.users() and may run
+/// constructor matches the companion signatures against the store's host
+/// pool; partial() covers a slice of ctx.users() and may run
 /// concurrently with other calls; finish() merges partials that cover
 /// every user, in slice order.  Any slicing gives the same result: the
 /// per-user vectors concatenate back into user order, and the hourly sums
@@ -68,7 +68,7 @@ class ThroughDevicePass {
 
  private:
   const AnalysisContext* ctx_;
-  /// Signature bitmask per host-dictionary entry (bit s == signature s).
+  /// Signature bitmask per host-pool id (bit s == signature s).
   std::vector<std::uint32_t> host_sigs_;
 };
 

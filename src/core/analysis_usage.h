@@ -26,8 +26,8 @@ struct UsageResult {
   std::vector<PerUsageStats> apps;
 };
 
-/// Runs the analysis over the detailed window (columnar kernel: dense
-/// app-id-indexed accumulation instead of a hash map).
+/// Runs the analysis over the detailed window (dense app-id-indexed
+/// accumulation instead of a hash map).
 UsageResult analyze_usage(const AnalysisContext& ctx);
 
 /// Renders Fig. 7 with its checks.

@@ -30,22 +30,23 @@ struct RowSlice {
   std::vector<std::array<std::size_t, 2>> rows;
 };
 
-/// Counts the rows of `slice`: row i of `user_id` goes to destination
-/// array `array_of(i)` (0 or 1) of its user, and `wearable_of(i)` tells
-/// whether its TAC is a wearable's.
-template <typename ArrayOf, typename WearableOf>
-void count_slice(const std::vector<trace::UserId>& user_id, RowSlice& slice,
+/// Counts the rows of `slice` of `log`: row i goes to destination array
+/// `array_of(log[i])` (0 or 1) of its user, and `wearable_of(log[i])`
+/// tells whether its TAC is a wearable's.
+template <typename Record, typename ArrayOf, typename WearableOf>
+void count_slice(const std::vector<Record>& log, RowSlice& slice,
                  ArrayOf array_of, WearableOf wearable_of) {
   for (std::size_t i = slice.lo; i < slice.hi; ++i) {
+    const Record& r = log[i];
     const auto next = static_cast<std::uint32_t>(slice.ids.size());
-    const auto [it, inserted] = slice.local.try_emplace(user_id[i], next);
+    const auto [it, inserted] = slice.local.try_emplace(r.user_id, next);
     if (inserted) {
-      slice.ids.push_back(user_id[i]);
+      slice.ids.push_back(r.user_id);
       slice.wearable.push_back(0);
       slice.rows.push_back({0, 0});
     }
-    ++slice.rows[it->second][array_of(i)];
-    if (wearable_of(i)) slice.wearable[it->second] = 1;
+    ++slice.rows[it->second][array_of(r)];
+    if (wearable_of(r)) slice.wearable[it->second] = 1;
   }
 }
 
@@ -87,21 +88,6 @@ AnalysisContext::AnalysisContext(const trace::TraceStore& store,
 
   par::TaskPool pool(static_cast<std::size_t>(options_.threads));
 
-  // Column views: the grouping passes below and the rewritten analysis
-  // kernels stream these dense vectors instead of the row structs.
-  store.build_columns(&pool);
-  const trace::ProxyColumns& pcols = store.proxy_columns();
-  const trace::MmeColumns& mcols = store.mme_columns();
-
-  // Wearable classification per TAC-dictionary entry: one DeviceDB hash
-  // lookup per distinct TAC instead of one per record.
-  std::vector<std::uint8_t> proxy_wearable(pcols.tacs.size());
-  for (std::size_t k = 0; k < pcols.tacs.size(); ++k)
-    proxy_wearable[k] = devices_->is_wearable(pcols.tacs[k]) ? 1 : 0;
-  std::vector<std::uint8_t> mme_wearable(mcols.tacs.size());
-  for (std::size_t k = 0; k < mcols.tacs.size(); ++k)
-    mme_wearable[k] = devices_->is_wearable(mcols.tacs[k]) ? 1 : 0;
-
   // Phase 1 — count.  Each task takes a row slice of the proxy log or of
   // the MME log and counts its rows per user and destination array.
   const auto row_slices = [&pool](std::size_t rows) {
@@ -114,28 +100,30 @@ AnalysisContext::AnalysisContext(const trace::TraceStore& store,
     }
     return slices;
   };
-  std::vector<RowSlice> proxy_slices = row_slices(pcols.size());
-  std::vector<RowSlice> mme_slices = row_slices(mcols.size());
-  const auto proxy_array = [&pcols, &proxy_wearable](std::size_t i) {
-    return proxy_wearable[pcols.tac_id[i]] != 0 ? std::size_t{0}
-                                                : std::size_t{1};
+  const std::vector<trace::ProxyRecord>& proxy = store.proxy;
+  const std::vector<trace::MmeRecord>& mme = store.mme;
+  std::vector<RowSlice> proxy_slices = row_slices(proxy.size());
+  std::vector<RowSlice> mme_slices = row_slices(mme.size());
+  const DeviceClassifier& devices = *devices_;
+  const auto proxy_array = [&devices](const trace::ProxyRecord& r) {
+    return devices.is_wearable(r.tac) ? std::size_t{0} : std::size_t{1};
   };
   {
     std::vector<std::function<void()>> tasks;
     for (RowSlice& slice : proxy_slices) {
-      tasks.push_back([&pcols, &slice, &proxy_array] {
-        count_slice(pcols.user_id, slice, proxy_array,
-                    [&proxy_array](std::size_t i) {
-                      return proxy_array(i) == 0;
+      tasks.push_back([&proxy, &slice, &proxy_array] {
+        count_slice(proxy, slice, proxy_array,
+                    [&proxy_array](const trace::ProxyRecord& r) {
+                      return proxy_array(r) == 0;
                     });
       });
     }
     for (RowSlice& slice : mme_slices) {
-      tasks.push_back([&mcols, &mme_wearable, &slice] {
+      tasks.push_back([&mme, &devices, &slice] {
         count_slice(
-            mcols.user_id, slice, [](std::size_t) { return std::size_t{0}; },
-            [&mcols, &mme_wearable](std::size_t j) {
-              return mme_wearable[mcols.tac_id[j]] != 0;
+            mme, slice, [](const trace::MmeRecord&) { return std::size_t{0}; },
+            [&devices](const trace::MmeRecord& r) {
+              return devices.is_wearable(r.tac);
             });
       });
     }
@@ -211,19 +199,20 @@ AnalysisContext::AnalysisContext(const trace::TraceStore& store,
   {
     std::vector<std::function<void()>> tasks;
     for (RowSlice& slice : proxy_slices) {
-      tasks.push_back([this, &pcols, &proxy_array, &slice] {
+      tasks.push_back([this, &proxy, &proxy_array, &slice] {
         for (std::size_t i = slice.lo; i < slice.hi; ++i) {
-          auto& cursor = slice.rows[slice.local.find(pcols.user_id[i])->second];
-          const std::size_t a = proxy_array(i);
+          const trace::ProxyRecord& r = proxy[i];
+          auto& cursor = slice.rows[slice.local.find(r.user_id)->second];
+          const std::size_t a = proxy_array(r);
           (a == 0 ? wearable_rows_ : phone_rows_)[cursor[a]++] =
               static_cast<std::uint32_t>(i);
         }
       });
     }
     for (RowSlice& slice : mme_slices) {
-      tasks.push_back([this, &mcols, &slice] {
+      tasks.push_back([this, &mme, &slice] {
         for (std::size_t j = slice.lo; j < slice.hi; ++j) {
-          auto& cursor = slice.rows[slice.local.find(mcols.user_id[j])->second];
+          auto& cursor = slice.rows[slice.local.find(mme[j].user_id)->second];
           mme_rows_[cursor[0]++] = static_cast<std::uint32_t>(j);
         }
       });

@@ -60,9 +60,9 @@ void require_analysis_window(int observation_days, int detailed_start_day);
 }
 
 /// Everything the analyses know about one subscriber.  A record is named
-/// by its row in the store's log (and in that log's column view): the row
-/// spans point into arrays the AnalysisContext owns (one array per kind,
-/// each user's rows contiguous and time-sorted).
+/// by its row in the store's log: the row spans point into arrays the
+/// AnalysisContext owns (one array per kind, each user's rows contiguous
+/// and time-sorted).
 struct UserView {
   trace::UserId user_id = 0;
   bool has_wearable = false;  ///< Observed with a wearable TAC (MME/proxy).

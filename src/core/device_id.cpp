@@ -1,5 +1,6 @@
 #include "core/device_id.h"
 
+#include <algorithm>
 #include <array>
 
 #include "util/strings.h"
@@ -39,11 +40,12 @@ DeviceClassifier::DeviceClassifier(
       if (util::to_lower(row.manufacturer) ==
               util::to_lower(entry.manufacturer) &&
           util::to_lower(row.model) == util::to_lower(entry.model)) {
-        wearable_tacs_.insert(row.tac);
+        wearable_tacs_.push_back(row.tac);
         break;
       }
     }
   }
+  finish_wearable_tacs();
 }
 
 DeviceClassifier DeviceClassifier::from_manufacturers(
@@ -53,16 +55,24 @@ DeviceClassifier DeviceClassifier::from_manufacturers(
   for (const trace::DeviceRecord& row : devices) {
     for (const std::string_view m : manufacturers) {
       if (util::to_lower(row.manufacturer) == util::to_lower(m)) {
-        c.wearable_tacs_.insert(row.tac);
+        c.wearable_tacs_.push_back(row.tac);
         break;
       }
     }
   }
+  c.finish_wearable_tacs();
   return c;
 }
 
+void DeviceClassifier::finish_wearable_tacs() {
+  std::sort(wearable_tacs_.begin(), wearable_tacs_.end());
+  wearable_tacs_.erase(
+      std::unique(wearable_tacs_.begin(), wearable_tacs_.end()),
+      wearable_tacs_.end());
+}
+
 DeviceKind DeviceClassifier::classify(trace::Tac tac) const {
-  if (wearable_tacs_.contains(tac)) return DeviceKind::kSimWearable;
+  if (is_wearable(tac)) return DeviceKind::kSimWearable;
   if (known_tacs_.contains(tac)) return DeviceKind::kOther;
   return DeviceKind::kUnknown;
 }

@@ -9,9 +9,9 @@
 // itself carries no wearable flag.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -57,13 +57,16 @@ class DeviceClassifier {
   /// Classifies one TAC.
   [[nodiscard]] DeviceKind classify(trace::Tac tac) const;
 
-  /// True when `tac` belongs to a curated wearable model.
+  /// True when `tac` belongs to a curated wearable model.  The analyses
+  /// and the live shards ask this once per record; the DeviceDB holds a
+  /// handful of wearable TACs, so a binary search over them beats hashing.
   [[nodiscard]] bool is_wearable(trace::Tac tac) const {
-    return classify(tac) == DeviceKind::kSimWearable;
+    return std::binary_search(wearable_tacs_.begin(), wearable_tacs_.end(),
+                              tac);
   }
 
-  /// All wearable TACs found in the DeviceDB.
-  [[nodiscard]] const std::unordered_set<trace::Tac>& wearable_tacs()
+  /// All wearable TACs found in the DeviceDB, sorted and unique.
+  [[nodiscard]] const std::vector<trace::Tac>& wearable_tacs()
       const noexcept {
     return wearable_tacs_;
   }
@@ -74,7 +77,10 @@ class DeviceClassifier {
   }
 
  private:
-  std::unordered_set<trace::Tac> wearable_tacs_;
+  /// Sorts and dedups wearable_tacs_ once the rows are in.
+  void finish_wearable_tacs();
+
+  std::vector<trace::Tac> wearable_tacs_;
   std::unordered_set<trace::Tac> known_tacs_;
 };
 

@@ -6,8 +6,8 @@
 // header provides those counters: feed StreamingAdoption time-ordered
 // records one at a time (e.g. straight from a trace::LogCursor) and
 // finalize at the end of the window.  Batch is one more way of feeding
-// them — analyze_adoption() fills an AdoptionTally from the in-memory
-// columns — so AdoptionTally::finalize() is the only Fig. 2 arithmetic.
+// them — analyze_adoption() fills an AdoptionTally from the users' MME
+// rows — so AdoptionTally::finalize() is the only Fig. 2 arithmetic.
 //
 // Memory: O(users) for the presence sets plus O(days) counters — never
 // O(records).

@@ -1,6 +1,8 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "util/error.h"
@@ -249,11 +251,16 @@ bool Scheduler::reschedule_locked(std::unique_lock<std::mutex>& lk,
       if (rec->st != ThreadRec::St::kFinished) unfinished = true;
     }
     if (unfinished) {
+      // Free run would park the blocked threads natively for good (see
+      // kDeadlockExitCode), so report the schedule and end the process.
       trace_.deadlock = true;
-      enter_free_run_locked("");
-    } else {
-      running_ = nullptr;
+      trace_.seed = seed_;
+      const std::string report = trace_.report();
+      std::fwrite(report.data(), 1, report.size(), stderr);
+      std::fflush(stderr);
+      std::_Exit(kDeadlockExitCode);
     }
+    running_ = nullptr;
     return true;
   }
 

@@ -39,6 +39,13 @@
 
 namespace wearscope::sched {
 
+/// Exit status of a process whose model deadlocked under the scheduler.
+/// A deadlock cannot be unwound: every unfinished thread waits on an
+/// object no thread will touch, so the model could never join them.  The
+/// scheduler prints the schedule and its replay recipe to stderr and ends
+/// the process with this status instead of hanging.
+inline constexpr int kDeadlockExitCode = 3;
+
 /// Picks which candidate proceeds at each choice point.  choose() is
 /// always called with a non-empty candidate list ordered by thread index,
 /// under the scheduler's serialization (no locking needed inside).
@@ -151,9 +158,9 @@ class Scheduler final : public util::sched::Hook {
                         bool self_eligible);
   /// Parks the calling thread until granted the token (or free-run).
   void wait_for_token(std::unique_lock<std::mutex>& lk, ThreadRec* self);
-  /// Abandons deterministic control (deadlock/step overflow/model bug):
-  /// records why, wakes everyone, and lets all hooks fall through so the
-  /// run can finish natively instead of hanging the test process.
+  /// Abandons deterministic control (step overflow/model bug): records
+  /// why, wakes everyone, and lets all hooks fall through so the run can
+  /// finish natively instead of hanging the test process.
   void enter_free_run_locked(const std::string& why);
 
   DecisionSource* source_ = nullptr;

@@ -51,6 +51,10 @@ std::string ScheduleTrace::format(std::size_t max_steps) const {
   return out;
 }
 
+std::string ScheduleTrace::report() const {
+  return format() + "replay with: --replay \"" + decision_string() + "\"\n";
+}
+
 std::vector<int> parse_decisions(const std::string& text) {
   std::vector<int> decisions;
   if (text.empty()) return decisions;

@@ -62,6 +62,11 @@ struct ScheduleTrace {
   /// and the failure messages.  This is what a failing sched test prints;
   /// the header carries everything --replay needs.
   [[nodiscard]] std::string format(std::size_t max_steps = 120) const;
+
+  /// format() followed by the replay recipe line
+  ///   replay with: --replay "0.2.1.0"
+  /// — what a failing `wearscope_sched` run or deadlock prints.
+  [[nodiscard]] std::string report() const;
 };
 
 /// Parses a dotted decision string back into positions.  Throws

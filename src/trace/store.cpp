@@ -1,10 +1,7 @@
 #include "trace/store.h"
 
 #include <algorithm>
-#include <functional>
 #include <unordered_set>
-
-#include "par/task_pool.h"
 
 namespace wearscope::trace {
 
@@ -16,11 +13,6 @@ void TraceStore::sort_by_time() {
   if (!std::is_sorted(mme.begin(), mme.end(), ByTimeThenUser{}))
     std::stable_sort(mme.begin(), mme.end(), ByTimeThenUser{});
   canonicalize_pools(proxy, *this);
-  // Row indices may have shifted, and a caller may have edited rows without
-  // breaking the order: any column transpose is stale either way.
-  proxy_columns_ = ProxyColumns{};
-  mme_columns_ = MmeColumns{};
-  columns_built_ = false;
 }
 
 bool TraceStore::is_sorted() const noexcept {
@@ -89,31 +81,6 @@ std::optional<SectorInfo> TraceStore::find_sector(SectorId id) const {
   const auto it = sector_index_.find(id);
   if (it == sector_index_.end()) return std::nullopt;
   return sectors[it->second];
-}
-
-void TraceStore::build_columns(par::TaskPool* pool) const {
-  if (columns_built_) return;
-  proxy_columns_ = ProxyColumns{};
-  mme_columns_ = MmeColumns{};
-  std::vector<std::function<void()>> batch;
-  schedule_proxy_columns(proxy, hosts, proxy_columns_, batch);
-  schedule_mme_columns(mme, mme_columns_, batch);
-  if (pool != nullptr) {
-    pool->run(std::move(batch));
-  } else {
-    for (std::function<void()>& task : batch) task();
-  }
-  columns_built_ = true;
-}
-
-const ProxyColumns& TraceStore::proxy_columns() const {
-  if (!columns_built_) build_columns();
-  return proxy_columns_;
-}
-
-const MmeColumns& TraceStore::mme_columns() const {
-  if (!columns_built_) build_columns();
-  return mme_columns_;
 }
 
 }  // namespace wearscope::trace

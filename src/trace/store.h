@@ -6,13 +6,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "trace/columns.h"
 #include "trace/records.h"
 #include "trace/string_pool.h"
-
-namespace wearscope::par {
-class TaskPool;
-}  // namespace wearscope::par
 
 namespace wearscope::trace {
 
@@ -44,9 +39,9 @@ class TraceStore : public ProxyPools {
   /// Sorts both event logs into canonical (time, user) order, stably, then
   /// makes the pools canonical over the sorted proxy rows (first-appearance
   /// order, no unused entry; see trace/string_pool.h).  A log or pool
-  /// already canonical is left untouched after one linear check.  Always
-  /// discards previously built column views: row indices may shift, and
-  /// rows may have been edited in place without breaking the order.
+  /// already canonical is left untouched after one linear check.  The
+  /// rows are the only in-memory form of the logs: the analyses name a
+  /// record by its row index, so sort before building an AnalysisContext.
   void sort_by_time();
 
   /// True when both event logs are in canonical order and the pools are
@@ -65,27 +60,10 @@ class TraceStore : public ProxyPools {
   /// Builds (or rebuilds) the lookup indexes after mutating devices/sectors.
   void rebuild_indexes() const;
 
-  /// Builds the struct-of-arrays views over both event logs (see
-  /// trace/columns.h) unless already built.  Independent columns of both
-  /// logs fill as one batch of tasks on `pool` when given; any pool size
-  /// produces the same columns.  Lazy/mutable like rebuild_indexes: build
-  /// after the rows reach their final order (sort_by_time invalidates).
-  void build_columns(par::TaskPool* pool = nullptr) const;
-
-  /// True once build_columns has run against the current row order.
-  [[nodiscard]] bool columns_built() const noexcept { return columns_built_; }
-
-  /// The column views; build_columns() is called on demand when needed.
-  [[nodiscard]] const ProxyColumns& proxy_columns() const;
-  [[nodiscard]] const MmeColumns& mme_columns() const;
-
  private:
   mutable std::unordered_map<Tac, std::size_t> device_index_;
   mutable std::unordered_map<SectorId, std::size_t> sector_index_;
   mutable bool indexes_built_ = false;
-  mutable ProxyColumns proxy_columns_;
-  mutable MmeColumns mme_columns_;
-  mutable bool columns_built_ = false;
 };
 
 }  // namespace wearscope::trace

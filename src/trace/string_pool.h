@@ -12,8 +12,7 @@
 // the order they first appear over the rows.  TraceStore::sort_by_time()
 // establishes it (a no-op check for a generator-written bundle), so two
 // stores holding the same capture carry equal rows AND equal pools
-// whatever format they were loaded from, and the host column's
-// dictionary (trace/columns.h) is a plain copy of the host pool.
+// whatever format they were loaded from, and so identical reports.
 #pragma once
 
 #include <concepts>

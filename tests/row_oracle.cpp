@@ -560,44 +560,6 @@ MobilityResult mobility_rows(const AnalysisContext& ctx) {
   return res;
 }
 
-trace::ProxyColumns proxy_columns_rows(
-    const std::vector<trace::ProxyRecord>& rows,
-    const trace::StringPool& hosts) {
-  trace::ProxyColumns cols;
-  const std::size_t n = rows.size();
-  cols.timestamp.resize(n);
-  cols.user_id.resize(n);
-  cols.tac_id.resize(n);
-  cols.protocol.resize(n);
-  cols.host_id.resize(n);
-  cols.bytes_up.resize(n);
-  cols.bytes_down.resize(n);
-  cols.bytes_total.resize(n);
-  cols.duration_ms.resize(n);
-  std::unordered_map<trace::Tac, std::uint32_t> tac_ids;
-  std::unordered_map<std::string, std::uint32_t> host_ids;
-  for (std::size_t i = 0; i < n; ++i) {
-    const trace::ProxyRecord& r = rows[i];
-    cols.timestamp[i] = r.timestamp;
-    cols.user_id[i] = r.user_id;
-    const auto next_tac = static_cast<std::uint32_t>(cols.tacs.size());
-    const auto [tac, new_tac] = tac_ids.emplace(r.tac, next_tac);
-    if (new_tac) cols.tacs.push_back(r.tac);
-    cols.tac_id[i] = tac->second;
-    cols.protocol[i] = static_cast<std::uint8_t>(r.protocol);
-    const std::string& name = hosts[r.host_id];
-    const auto next_host = static_cast<std::uint32_t>(cols.hosts.size());
-    const auto [host, new_host] = host_ids.emplace(name, next_host);
-    if (new_host) cols.hosts.push_back(name);
-    cols.host_id[i] = host->second;
-    cols.bytes_up[i] = r.bytes_up;
-    cols.bytes_down[i] = r.bytes_down;
-    cols.bytes_total[i] = r.bytes_total();
-    cols.duration_ms[i] = r.duration_ms;
-  }
-  return cols;
-}
-
 namespace {
 
 /// One log of the bundle streamed row by row through trace::LogCursor,

@@ -1,15 +1,19 @@
-// Tests for the in-memory columnar transpose (trace/columns.h) and the
-// columnar kernels' equivalence with independent references on the same
-// capture: adoption and activity against the streaming counters fed
-// record by record (hash sets and maps, the live shards' code), diurnal,
-// usage and third-party against the row oracles of row_oracle.h.
-#include "trace/columns.h"
-
+// Tests for the proxy rows as the one in-memory record representation, and
+// the analysis kernels' equivalence with independent references on the
+// same capture.
+//
+// The rows and their canonical pools are the store: the same capture
+// yields the same rows and pools whatever format carried it and after
+// every mutator (sanitize, anonymize, chaos injection).  The kernels
+// gather each user's rows by index; adoption and activity are checked
+// against the streaming counters fed record by record (hash sets and
+// maps, the live shards' code), diurnal, usage and third-party against
+// the row oracles of row_oracle.h.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <initializer_list>
 #include <string>
 #include <type_traits>
 #include <unistd.h>
@@ -23,7 +27,6 @@
 #include "core/context.h"
 #include "core/streaming.h"
 #include "core/streaming_activity.h"
-#include "par/task_pool.h"
 #include "chaos/fault_plan.h"
 #include "live/event.h"
 #include "row_oracle.h"
@@ -36,159 +39,6 @@
 
 namespace wearscope::trace {
 namespace {
-
-/// Four proxy rows (hosts interned into `pools` in row order).
-std::vector<ProxyRecord> sample_proxy_rows(ProxyPools& pools) {
-  std::vector<ProxyRecord> rows;
-  const char* hosts[] = {"api.weather.com", "gw.gear.samsung.com",
-                         "api.weather.com", "ads.example.net"};
-  const Tac tacs[] = {35254208u, 35332008u, 35254208u, 35254208u};
-  for (int i = 0; i < 4; ++i) {
-    ProxyRecord r;
-    r.timestamp = 1000 + i * 60;
-    r.user_id = 100 + static_cast<UserId>(i % 2);
-    r.tac = tacs[i];
-    r.protocol = i % 2 == 0 ? Protocol::kHttps : Protocol::kHttp;
-    testing::set_strings(r, pools, hosts[i], "/p" + std::to_string(i));
-    r.bytes_up = 10u * static_cast<std::uint64_t>(i + 1);
-    r.bytes_down = 100u * static_cast<std::uint64_t>(i + 1);
-    r.duration_ms = 250u + static_cast<std::uint32_t>(i);
-    rows.push_back(r);
-  }
-  return rows;
-}
-
-/// Every column and dictionary of `a` equals `b`'s.
-void expect_same_columns(const ProxyColumns& a, const ProxyColumns& b,
-                         const std::string& what) {
-  EXPECT_EQ(a.timestamp, b.timestamp) << what;
-  EXPECT_EQ(a.user_id, b.user_id) << what;
-  EXPECT_EQ(a.tac_id, b.tac_id) << what;
-  EXPECT_EQ(a.protocol, b.protocol) << what;
-  EXPECT_EQ(a.host_id, b.host_id) << what;
-  EXPECT_EQ(a.bytes_up, b.bytes_up) << what;
-  EXPECT_EQ(a.bytes_down, b.bytes_down) << what;
-  EXPECT_EQ(a.bytes_total, b.bytes_total) << what;
-  EXPECT_EQ(a.duration_ms, b.duration_ms) << what;
-  EXPECT_EQ(a.hosts, b.hosts) << what;
-  EXPECT_EQ(a.tacs, b.tacs) << what;
-}
-
-TEST(Columns, ProxyTransposeMatchesRows) {
-  ProxyPools pools;
-  const std::vector<ProxyRecord> rows = sample_proxy_rows(pools);
-  const ProxyColumns cols = build_proxy_columns(rows, pools.hosts);
-  ASSERT_EQ(cols.size(), rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(cols.timestamp[i], rows[i].timestamp) << i;
-    EXPECT_EQ(cols.user_id[i], rows[i].user_id) << i;
-    EXPECT_EQ(cols.tacs[cols.tac_id[i]], rows[i].tac) << i;
-    EXPECT_EQ(cols.protocol[i], static_cast<std::uint8_t>(rows[i].protocol))
-        << i;
-    EXPECT_EQ(cols.hosts[cols.host_id[i]], pools.hosts[rows[i].host_id]) << i;
-    EXPECT_EQ(cols.bytes_up[i], rows[i].bytes_up) << i;
-    EXPECT_EQ(cols.bytes_down[i], rows[i].bytes_down) << i;
-    EXPECT_EQ(cols.bytes_total[i], rows[i].bytes_total()) << i;
-    EXPECT_EQ(cols.duration_ms[i], rows[i].duration_ms) << i;
-  }
-  expect_same_columns(cols, oracle::proxy_columns_rows(rows, pools.hosts),
-                      "oracle");
-}
-
-TEST(Columns, DictionariesAreFirstAppearanceOrder) {
-  ProxyPools pools;
-  const ProxyColumns cols =
-      build_proxy_columns(sample_proxy_rows(pools), pools.hosts);
-  // Hosts: weather first, gear gateway second, ads third (repeat reuses).
-  ASSERT_EQ(cols.hosts.size(), 3u);
-  EXPECT_EQ(cols.hosts[0], "api.weather.com");
-  EXPECT_EQ(cols.hosts[1], "gw.gear.samsung.com");
-  EXPECT_EQ(cols.hosts[2], "ads.example.net");
-  EXPECT_EQ(cols.host_id[2], 0u);  // repeat of row 0's host
-  ASSERT_EQ(cols.tacs.size(), 2u);
-  EXPECT_EQ(cols.tacs[0], 35254208u);
-  EXPECT_EQ(cols.tacs[1], 35332008u);
-}
-
-TEST(Columns, MmeTransposeMatchesRows) {
-  std::vector<MmeRecord> rows;
-  for (int i = 0; i < 6; ++i) {
-    rows.push_back({static_cast<util::SimTime>(500 + i),
-                    static_cast<UserId>(7 + i % 3),
-                    i % 2 == 0 ? 35254208u : 35909306u, MmeEvent::kAttach,
-                    static_cast<SectorId>(40 + i)});
-  }
-  const MmeColumns cols = build_mme_columns(rows);
-  ASSERT_EQ(cols.size(), rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(cols.timestamp[i], rows[i].timestamp) << i;
-    EXPECT_EQ(cols.user_id[i], rows[i].user_id) << i;
-    EXPECT_EQ(cols.tacs[cols.tac_id[i]], rows[i].tac) << i;
-    EXPECT_EQ(cols.event[i], static_cast<std::uint8_t>(rows[i].event)) << i;
-    EXPECT_EQ(cols.sector_id[i], rows[i].sector_id) << i;
-  }
-  ASSERT_EQ(cols.tacs.size(), 2u);
-}
-
-TEST(Columns, EmptyInputBuildsEmptyColumns) {
-  const ProxyColumns p = build_proxy_columns({}, StringPool{});
-  EXPECT_EQ(p.size(), 0u);
-  EXPECT_TRUE(p.hosts.empty());
-  const MmeColumns m = build_mme_columns({});
-  EXPECT_EQ(m.size(), 0u);
-}
-
-TEST(Columns, PoolSizeDoesNotChangeTheColumns) {
-  TraceStore store;
-  for (int i = 0; i < 2000; ++i) {
-    ProxyRecord r;
-    r.timestamp = i;
-    r.user_id = static_cast<UserId>(i % 37);
-    r.tac = 35254208u + static_cast<Tac>(i % 5);
-    testing::set_strings(r, store, "host" + std::to_string(i % 61));
-    r.bytes_up = static_cast<std::uint64_t>(i);
-    r.bytes_down = static_cast<std::uint64_t>(2 * i);
-    store.proxy.push_back(r);
-  }
-  ASSERT_TRUE(store.is_sorted());
-  const ProxyColumns seq = build_proxy_columns(store.proxy, store.hosts);
-  expect_same_columns(seq, oracle::proxy_columns_rows(store.proxy, store.hosts),
-                      "oracle");
-  for (int threads : {2, 4, 8}) {
-    par::TaskPool pool(threads);
-    expect_same_columns(build_proxy_columns(store.proxy, store.hosts, &pool),
-                        seq, std::to_string(threads) + " threads");
-  }
-}
-
-TEST(Columns, StoreBuildIsLazyAndSortInvalidates) {
-  TraceStore store;
-  ProxyRecord r;
-  r.timestamp = 10;
-  r.user_id = 1;
-  r.tac = 35254208u;
-  testing::set_strings(r, store, "a.example");
-  store.proxy.push_back(r);
-  r.timestamp = 5;
-  testing::set_strings(r, store, "b.example");
-  store.proxy.push_back(r);
-
-  EXPECT_FALSE(store.columns_built());
-  store.build_columns();
-  EXPECT_TRUE(store.columns_built());
-  EXPECT_EQ(store.proxy_columns().timestamp[0], 10);
-
-  store.sort_by_time();
-  EXPECT_FALSE(store.columns_built());
-  // On-demand rebuild reflects the new row order, and the sort renumbered
-  // the host pool into first-appearance order over it.
-  EXPECT_EQ(store.proxy_columns().timestamp[0], 5);
-  EXPECT_TRUE(store.columns_built());
-  EXPECT_EQ(store.proxy_columns().hosts,
-            (std::vector<std::string>{"b.example", "a.example"}));
-  EXPECT_EQ(store.proxy_columns().host_id,
-            (std::vector<std::uint32_t>{0, 1}));
-}
 
 static_assert(std::is_trivially_copyable_v<ProxyRecord>);
 static_assert(std::is_trivially_copyable_v<live::StampedProxy>);
@@ -266,9 +116,8 @@ TEST(ColumnarKernels, AdoptionMatchesStreamingReference) {
   }
 }
 
-// The adoption kernel's dense last-seen-stamp fast path only engages for
-// compact user-id spaces; ids spread across the 64-bit range must take
-// the sort+unique fallback and still match the streaming counter exactly.
+// User ids spread across the 64-bit range (as anonymization leaves them)
+// must match the streaming counter exactly too.
 TEST(ColumnarKernels, AdoptionSparseUserIdsMatchStreamingReference) {
   constexpr Tac kWearTac = 35254208u;  // Gear S3 frontier LTE
   TraceStore store;
@@ -403,29 +252,34 @@ TEST(ColumnarKernels, ThreadCountDoesNotChangeTheAnswer) {
                    core::analyze_activity(eight).txn_size_bytes, "txn bytes");
 }
 
-// ---- Store columns vs the string-hashing oracle ----------------------------
+// ---- Rows and canonical pools across formats and mutators -----------------
 
-/// The store's column build at 1, 2, 4 and 8 threads equals the oracle's
-/// string-hashing transpose of the same rows.
-void expect_columns_match_oracle(const TraceStore& store,
-                                 const std::string& what) {
+/// `store`'s pools are canonical over its sorted rows: re-interning every
+/// row's host and path strings, row by row, into fresh pools rebuilds
+/// exactly its pools and ids (each string once, in first-use order).
+void expect_canonical_pools(const TraceStore& store, const std::string& what) {
   ASSERT_TRUE(store.is_sorted()) << what;
-  const ProxyColumns want = oracle::proxy_columns_rows(store.proxy, store.hosts);
-  expect_same_columns(build_proxy_columns(store.proxy, store.hosts, nullptr),
-                      want, what + ", inline");
-  for (const int threads : {1, 2, 4, 8}) {
-    par::TaskPool pool(static_cast<std::size_t>(threads));
-    expect_same_columns(build_proxy_columns(store.proxy, store.hosts, &pool),
-                        want, what + ", " + std::to_string(threads) +
-                                  " threads");
+  ProxyPools fresh;
+  for (std::size_t i = 0; i < store.proxy.size(); ++i) {
+    const ProxyRecord& r = store.proxy[i];
+    ASSERT_EQ(fresh.hosts.intern(store.hosts[r.host_id]), r.host_id)
+        << what << ", row " << i;
+    ASSERT_EQ(fresh.paths.intern(store.paths[r.path_id]), r.path_id)
+        << what << ", row " << i;
   }
+  EXPECT_EQ(fresh, static_cast<const ProxyPools&>(store)) << what;
 }
 
-TEST(Columns, StoreColumnsMatchTheOracleForEveryFormat) {
-  const TraceStore& original = capture().store;
+/// Saves `store` in every bundle format, loads each back at every thread
+/// count of `threads` and sorts it: the result has the same rows and
+/// pools as `store`, and they are canonical.
+void expect_same_store_in_every_format(const TraceStore& store,
+                                       const std::string& what,
+                                       std::initializer_list<int> threads) {
+  expect_canonical_pools(store, what);
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
-      ("wearscope_columns_oracle_" + std::to_string(::getpid()));
+      ("wearscope_columns_rows_" + std::to_string(::getpid()));
   struct Format {
     const char* name;
     BundleFormat format;
@@ -436,22 +290,28 @@ TEST(Columns, StoreColumnsMatchTheOracleForEveryFormat) {
                           Format{"v3", BundleFormat::kBinary, 3},
                           Format{"csv", BundleFormat::kCsv, 3}}) {
     std::filesystem::remove_all(dir);
-    save_bundle(original, dir, f.format, f.version);
-    for (const int threads : {1, 2, 4, 8}) {
+    save_bundle(store, dir, f.format, f.version);
+    for (const int t : threads) {
       LoadOptions load;
-      load.threads = threads;
-      TraceStore store = load_bundle(dir, load);
-      store.sort_by_time();
-      const std::string what =
-          std::string(f.name) + " load at " + std::to_string(threads);
-      // Canonical pools: the same capture is the same rows and pools,
-      // whatever format carried it.
-      EXPECT_EQ(store.proxy, original.proxy) << what;
-      EXPECT_EQ(static_cast<const ProxyPools&>(store), original) << what;
-      expect_columns_match_oracle(store, what);
+      load.threads = t;
+      TraceStore loaded = load_bundle(dir, load);
+      loaded.sort_by_time();
+      const std::string at =
+          what + ", " + f.name + " load at " + std::to_string(t);
+      EXPECT_EQ(loaded.proxy, store.proxy) << at;
+      EXPECT_EQ(loaded.mme, store.mme) << at;
+      EXPECT_EQ(static_cast<const ProxyPools&>(loaded),
+                static_cast<const ProxyPools&>(store))
+          << at;
+      expect_canonical_pools(loaded, at);
     }
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(Columns, StoreColumnsMatchTheOracleForEveryFormat) {
+  expect_same_store_in_every_format(capture().store, "simulated",
+                                    {1, 2, 4, 8});
 }
 
 TEST(Columns, StoreColumnsMatchTheOracleAfterMutators) {
@@ -464,12 +324,12 @@ TEST(Columns, StoreColumnsMatchTheOracleAfterMutators) {
     const QuarantineStats q = sanitize_store(store);
     ASSERT_GT(q.bad_host, 0u);
     store.sort_by_time();
-    expect_columns_match_oracle(store, "sanitized");
+    expect_same_store_in_every_format(store, "sanitized", {4});
   }
   {
     TraceStore store = capture().store;
     anonymize(store, AnonymizePolicy{});
-    expect_columns_match_oracle(store, "anonymized");
+    expect_same_store_in_every_format(store, "anonymized", {4});
   }
   {
     TraceStore store = capture().store;
@@ -478,7 +338,7 @@ TEST(Columns, StoreColumnsMatchTheOracleAfterMutators) {
     ASSERT_GT(manifest.expected.bad_host, 0u);
     EXPECT_TRUE(sanitize_store(store) == manifest.expected);
     store.sort_by_time();
-    expect_columns_match_oracle(store, "chaos-injected");
+    expect_same_store_in_every_format(store, "chaos-injected", {4});
   }
 }
 

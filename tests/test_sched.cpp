@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "live/ring_buffer.h"
 #include "sched/explorer.h"
 #include "sched/models.h"
 #include "sched/trace.h"
@@ -232,6 +233,36 @@ TEST(SchedExplorer, TraceFormatCarriesReplayRecipe) {
   EXPECT_NE(text.find("decisions=" + stats.failure->decision_string()),
             std::string::npos);
   EXPECT_NE(text.find("lost update"), std::string::npos);
+}
+
+// A deadlock cannot be unwound: the scheduler prints the schedule with its
+// replay recipe and ends the process.  Each thread waits on a ring the
+// other fills only after its own wait, so both park and main's join can
+// never return.  Threadsafe style: the child re-executes the binary rather
+// than forking a process that already runs threads.
+TEST(SchedDeathTest, DeadlockEndsTheProcessWithItsReplayRecipe) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Model crossed_waits = [](Scheduler&) {
+    live::RingBuffer<std::size_t> to_a(1);
+    live::RingBuffer<std::size_t> to_b(1);
+    ManagedThread a("wait-a", [&] {
+      std::size_t v = 0;
+      if (to_a.pop(v)) (void)to_b.push(v);
+    });
+    ManagedThread b("wait-b", [&] {
+      std::size_t v = 0;
+      if (to_b.pop(v)) (void)to_a.push(v);
+    });
+    a.join();
+    b.join();
+  };
+  EXPECT_EXIT(
+      {
+        FifoSource fifo;
+        (void)run_once(crossed_waits, fifo);
+      },
+      ::testing::ExitedWithCode(kDeadlockExitCode),
+      "DEADLOCK.*replay with: --replay \"[0-9.]+\"");
 }
 
 TEST(SchedTrace, DecisionStringRoundTrip) {

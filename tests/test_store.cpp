@@ -55,14 +55,10 @@ TEST(TraceStore, SortOnSortedStoreIsIdentity) {
   ASSERT_TRUE(s.is_sorted());
   const std::vector<ProxyRecord> proxy_before = s.proxy;
   const std::vector<MmeRecord> mme_before = s.mme;
-  s.build_columns();
-  ASSERT_TRUE(s.columns_built());
 
   s.sort_by_time();
   EXPECT_EQ(s.proxy, proxy_before);
   EXPECT_EQ(s.mme, mme_before);
-  // The column views are discarded even though no row moved.
-  EXPECT_FALSE(s.columns_built());
 }
 
 TEST(TraceStore, SortFixesOnlyTheUnsortedLog) {

@@ -129,7 +129,7 @@ if [ "$full" -eq 1 ]; then
     >/dev/null
   cmake --build "$root/build-tsan" -j "$jobs"
   ctest --test-dir "$root/build-tsan" \
-    -R "LiveRing|LiveEngine|TaskPool|ParPipeline|ContextIndex|TraceV2|BundleParallel|BundleTest|ColumnarIo|Columns|TailOracle|ServeStress|ServeEquivalence|QueryEngine|SnapshotStore|LineServer|FedPartial|FedMerge|FedStream|FedSweep" \
+    -R "LiveRing|LiveEngine|TaskPool|ParPipeline|ContextIndex|TraceV2|BundleParallel|BundleTest|ColumnarIo|Columns|ColumnarKernels|TailOracle|ServeStress|ServeEquivalence|QueryEngine|SnapshotStore|LineServer|FedPartial|FedMerge|FedStream|FedSweep" \
     --output-on-failure
 
   echo "== deep interleaving walks (WEARSCOPE_SCHED_WALKS=${WEARSCOPE_SCHED_WALKS:-2000})"

@@ -11,7 +11,9 @@
 // preemptions, partial-order reduction) or as seeded random walks.  A
 // failing schedule prints its full replayable trace; feed the decision
 // string back through --replay to re-execute the identical interleaving
-// (e.g. under a debugger).  Exit status 1 on any invariant violation.
+// (e.g. under a debugger).  Exit status 1 on any invariant violation;
+// a deadlocked schedule prints its trace the same way and ends the
+// process with status 3 (sched::kDeadlockExitCode).
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -67,10 +69,7 @@ constexpr Scenario kScenarios[] = {
 
 int report(const sched::ScheduleTrace& trace) {
   if (trace.passed()) return 0;
-  std::fputs(trace.format().c_str(), stderr);
-  const std::string hint =
-      "replay with: --replay \"" + trace.decision_string() + "\"\n";
-  std::fputs(hint.c_str(), stderr);
+  std::fputs(trace.report().c_str(), stderr);
   return 1;
 }
 
