@@ -71,11 +71,6 @@ class DeviceClassifier {
     return wearable_tacs_;
   }
 
-  /// Number of DeviceDB rows inspected.
-  [[nodiscard]] std::size_t device_rows() const noexcept {
-    return known_tacs_.size();
-  }
-
  private:
   /// Sorts and dedups wearable_tacs_ once the rows are in.
   void finish_wearable_tacs();

@@ -2,6 +2,8 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -9,7 +11,8 @@
 #include <cerrno>
 #include <cstring>
 #include <string>
-#include <utility>
+#include <string_view>
+#include <vector>
 
 #include "util/error.h"
 
@@ -17,18 +20,92 @@ namespace wearscope::serve {
 
 namespace {
 
-/// Writes all of `bytes` to socket `fd`; false once the peer is gone.
-/// MSG_NOSIGNAL: a peer that resets mid-answer must cost its connection,
-/// never the process (SIGPIPE's default action is to terminate).
-bool send_all(int fd, const std::string& bytes) {
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t w = ::send(fd, bytes.data() + written,
-                             bytes.size() - written, MSG_NOSIGNAL);
-    if (w <= 0) return false;
-    written += static_cast<std::size_t>(w);
+using Clock = std::chrono::steady_clock;
+
+/// One session's state: the stdio stream's, or one TCP connection's.
+struct Session {
+  std::string in;           ///< Received bytes; in[0, start) are answered.
+  std::size_t start = 0;
+  std::size_t scanned = 0;  ///< in[start, scanned) holds no newline.
+  std::string out;          ///< Answer bytes not yet written.
+  std::uint64_t responses = 0;
+  bool eof = false;      ///< The peer has sent its last byte.
+  bool refused = false;  ///< An overlong line was refused: nothing follows.
+  int fd = -1;           ///< TCP only: the socket and its idle deadline.
+  Clock::time_point deadline;
+
+  void take(const char* bytes, std::size_t n) {
+    in.erase(0, start);
+    scanned -= start;
+    start = 0;
+    in.append(bytes, n);
+  }
+  /// No line is left to answer; the session ends once `out` is written.
+  [[nodiscard]] bool done() const {
+    return refused || (eof && start == in.size());
+  }
+  /// Nothing to write and no unscanned byte that may end a line.
+  [[nodiscard]] bool wants_input() const {
+    return out.empty() && scanned == in.size() && !done();
+  }
+};
+
+/// The one line framer of both front ends: answers the next whole line
+/// buffered in `s`, appending its response line (none for blank and
+/// comment lines) to `s.out`.  At EOF an unterminated last line counts as
+/// whole.  Returns false when no whole line is buffered; an unterminated
+/// tail over kMaxLineBytes is then refused instead and ends the session.
+bool answer_next(QueryEngine& engine, Session& s) {
+  if (s.refused) return false;
+  std::size_t end = s.in.find('\n', s.scanned);
+  if (end == std::string::npos) {
+    s.scanned = end = s.in.size();
+    if (end - s.start > LineServer::kMaxLineBytes) {
+      s.out += "ERR line too long\n";
+      ++s.responses;
+      s.refused = true;
+      return false;
+    }
+    if (!s.eof || end == s.start) return false;
+  }
+  const std::string response =
+      engine.answer(std::string_view(s.in).substr(s.start, end - s.start));
+  s.start = s.scanned = std::min(end + 1, s.in.size());
+  if (!response.empty()) {
+    s.out += response;
+    s.out += '\n';
+    ++s.responses;
   }
   return true;
+}
+
+/// Gives a ready connection one turn: reads when it wants input, answers
+/// at most one line (so one client's burst cannot hold the loop) and
+/// writes what the kernel takes.  Returns false once the connection is
+/// finished or broken.
+bool serve_ready(QueryEngine& engine, Session& c, Clock::time_point now) {
+  if (c.wants_input()) {
+    char buf[4096];
+    const ssize_t n = ::recv(c.fd, buf, sizeof buf, 0);
+    if (n > 0) {
+      c.take(buf, static_cast<std::size_t>(n));
+    } else if (n == 0) {
+      c.eof = true;
+    } else if (errno != EAGAIN && errno != EINTR) {
+      return false;
+    }
+  }
+  if (c.out.empty() && answer_next(engine, c)) {
+    c.deadline = now + LineServer::kIdleTimeout;
+  }
+  if (c.out.empty()) return !c.done();
+  // MSG_NOSIGNAL: a peer that resets mid-answer must cost its connection,
+  // never the process (SIGPIPE's default action).
+  const ssize_t w = ::send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
+  if (w < 0) return errno == EAGAIN || errno == EINTR;
+  c.out.erase(0, static_cast<std::size_t>(w));
+  c.deadline = now + LineServer::kIdleTimeout;
+  return !c.out.empty() || !c.done();
 }
 
 }  // namespace
@@ -36,41 +113,32 @@ bool send_all(int fd, const std::string& bytes) {
 LineServer::~LineServer() { stop_listener(); }
 
 std::uint64_t LineServer::serve_stream(std::FILE* in, std::FILE* out) {
-  std::uint64_t responses = 0;
-  std::string line;
-  int ch;
-  while (true) {
-    line.clear();
-    while ((ch = std::fgetc(in)) != EOF && ch != '\n') {
-      if (line.size() == kMaxLineBytes) {
-        // Same cap as a TCP connection: refuse the line and end the
-        // session rather than grow without bound.
-        std::fputs("ERR line too long\n", out);
-        std::fflush(out);
-        return responses + 1;
-      }
-      line += static_cast<char>(ch);
+  Session s;
+  char buf[4096];
+  while (!s.done()) {
+    // read(2), not fread: a line on a pipe is answered when it arrives,
+    // not when a buffer fills.
+    const ssize_t n = ::read(::fileno(in), buf, sizeof buf);
+    if (n < 0 && errno == EINTR) continue;
+    if (n > 0) {
+      s.take(buf, static_cast<std::size_t>(n));
+    } else {
+      s.eof = true;
     }
-    if (line.empty() && ch == EOF) break;
-    const std::string response = engine_->answer(line);
-    if (!response.empty()) {
-      std::fputs(response.c_str(), out);
-      std::fputc('\n', out);
+    while (answer_next(*engine_, s) || !s.out.empty()) {
+      std::fwrite(s.out.data(), 1, s.out.size(), out);
       std::fflush(out);
-      ++responses;
+      s.out.clear();
     }
-    if (ch == EOF) break;
   }
-  return responses;
+  return s.responses;
 }
 
 void LineServer::start_listener(std::uint16_t port) {
-  {
-    util::MutexLock lock(mutex_);
-    util::require(listen_fd_.load(std::memory_order_relaxed) < 0 && !stopping_,
-                  "LineServer: listener already started");
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  util::require(!loop_thread_.joinable(),
+                "LineServer: listener already started");
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) throw util::IoError("socket(): " + std::string(strerror(errno)));
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -80,7 +148,7 @@ void LineServer::start_listener(std::uint16_t port) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0 ||
-      ::listen(fd, 16) < 0) {
+      ::listen(fd, 16) < 0 || (wake_fd_ = ::eventfd(0, EFD_CLOEXEC)) < 0) {
     const std::string why = strerror(errno);
     ::close(fd);
     throw util::IoError("bind/listen 127.0.0.1:" + std::to_string(port) +
@@ -89,137 +157,80 @@ void LineServer::start_listener(std::uint16_t port) {
   sockaddr_in bound{};
   socklen_t len = sizeof bound;
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    bound_port_.store(ntohs(bound.sin_port), std::memory_order_relaxed);
+    bound_port_ = ntohs(bound.sin_port);
   }
-  listen_fd_.store(fd, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  loop_thread_ = std::thread([this, fd] { poll_loop(fd); });
 }
 
-void LineServer::accept_loop() {
+void LineServer::poll_loop(int listen_fd) {
+  std::vector<Session> connections;
+  std::vector<pollfd> fds;
   while (true) {
-    // Re-read each iteration: stop_listener() retires the descriptor to
-    // -1 before closing it, so a post-stop iteration fails fast instead
-    // of accepting on a possibly-recycled fd number.
-    const int listen_fd = listen_fd_.load(std::memory_order_acquire);
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) return;  // Listener shut down (or fatal error): stop.
-    // Each answer is one small write: without this, Nagle holds it back
-    // until the client's delayed ACK of the previous one.
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    std::vector<std::thread> finished;
-    bool refused = false;
-    {
-      util::MutexLock lock(mutex_);
-      if (stopping_) {
+    fds.assign({{wake_fd_, POLLIN, 0}, {listen_fd, POLLIN, 0}});
+    Clock::time_point next_deadline = Clock::time_point::max();
+    for (const Session& c : connections) {
+      // Room, not input, while output or buffered lines are pending.
+      const short events = c.wants_input() ? POLLIN : POLLOUT;
+      fds.push_back({c.fd, events, 0});
+      next_deadline = std::min(next_deadline, c.deadline);
+    }
+    int timeout_ms = -1;
+    if (!connections.empty()) {
+      const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+          next_deadline - Clock::now());
+      timeout_ms = static_cast<int>(std::max<std::int64_t>(wait.count(), 0));
+    }
+    ::poll(fds.data(), fds.size(), timeout_ms);  // EINTR: just go round
+    if (fds[0].revents != 0) break;
+
+    const Clock::time_point now = Clock::now();
+    for (std::size_t i = 0; i < connections.size(); ++i) {
+      Session& c = connections[i];
+      const bool open =
+          (fds[i + 2].revents == 0 || serve_ready(*engine_, c, now)) &&
+          now < c.deadline;
+      if (!open) {
+        ::close(c.fd);
+        c.fd = -1;
+      }
+    }
+    std::erase_if(connections, [](const Session& c) { return c.fd < 0; });
+
+    if (fds[1].revents == 0) continue;
+    // Any accept failure (EAGAIN, a client that reset before the accept,
+    // out of descriptors) ends this round only.
+    int fd;
+    while ((fd = ::accept4(listen_fd, nullptr, nullptr,
+                           SOCK_NONBLOCK | SOCK_CLOEXEC)) >= 0) {
+      if (connections.size() >= kMaxConnections) {
+        // Over the cap: one answer and the door.  A fresh socket's send
+        // buffer always has room for the line.
+        constexpr std::string_view kRefusal = "ERR too many connections\n";
+        ::send(fd, kRefusal.data(), kRefusal.size(), MSG_NOSIGNAL);
         ::close(fd);
-        return;
+        continue;
       }
-      finished = take_finished();
-      refused = connection_fds_.size() >= kMaxConnections;
-      if (!refused) {
-        connection_fds_.push_back(fd);
-        connection_threads_.emplace_back(
-            [this, fd] { serve_connection(fd); });
-      }
-    }
-    if (refused) {
-      // Over the cap: one answer and the door, on the accept thread, so a
-      // connection flood costs no thread per connection.
-      send_all(fd, "ERR too many connections\n");
-      ::close(fd);
-    }
-    // Joined outside the lock: a finished thread only has its close() left.
-    for (std::thread& thread : finished) thread.join();
-  }
-}
-
-std::vector<std::thread> LineServer::take_finished() {
-  std::vector<std::thread> done;
-  std::vector<std::thread> running;
-  for (std::thread& thread : connection_threads_) {
-    const bool finished = std::find(finished_.begin(), finished_.end(),
-                                    thread.get_id()) != finished_.end();
-    (finished ? done : running).push_back(std::move(thread));
-  }
-  connection_threads_.swap(running);
-  finished_.clear();
-  return done;
-}
-
-std::size_t LineServer::connection_threads() const {
-  util::MutexLock lock(mutex_);
-  return connection_threads_.size();
-}
-
-void LineServer::serve_connection(int fd) {
-  // A connection is a byte stream of query lines; answer line by line.
-  // `pending[0, scanned)` is known to hold no newline, so every byte is
-  // scanned once however many reads a line spans.
-  std::string pending;
-  std::size_t scanned = 0;
-  char buf[4096];
-  bool peer_alive = true;
-  while (peer_alive) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n <= 0) break;
-    pending.append(buf, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    std::size_t nl;
-    while (peer_alive &&
-           (nl = pending.find('\n', scanned)) != std::string::npos) {
-      std::string response =
-          engine_->answer(std::string_view(pending).substr(start, nl - start));
-      start = nl + 1;
-      scanned = start;
-      if (response.empty()) continue;
-      response += '\n';
-      peer_alive = send_all(fd, response);  // a failed write ends it
-    }
-    pending.erase(0, start);
-    scanned = pending.size();
-    if (pending.size() > kMaxLineBytes) {
-      // Refuse the line and end only this connection; a client that never
-      // sends a newline must not grow the server's memory.
-      send_all(fd, "ERR line too long\n");
-      break;
+      // Each answer is one small write: without this, Nagle holds it back
+      // until the client's delayed ACK of the previous one.
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      Session& c = connections.emplace_back();
+      c.fd = fd;
+      c.deadline = now + kIdleTimeout;
     }
   }
-  {
-    // Deregister before close so stop_listener() never shuts down a
-    // recycled descriptor, and offer this thread to the next reap.
-    util::MutexLock lock(mutex_);
-    std::erase(connection_fds_, fd);
-    finished_.push_back(std::this_thread::get_id());
-  }
-  ::close(fd);
+  for (const Session& c : connections) ::close(c.fd);
+  ::close(listen_fd);
 }
 
 void LineServer::stop_listener() {
-  {
-    util::MutexLock lock(mutex_);
-    if (stopping_) return;
-    stopping_ = true;
-    // Wake blocked reads so connection threads notice shutdown.
-    for (const int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  const int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) {
-    // shutdown() wakes the accept thread if it is parked in accept();
-    // the exchange above already hid the fd from further iterations.
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    util::MutexLock lock(mutex_);
-    threads.swap(connection_threads_);
-    connection_fds_.clear();
-    finished_.clear();
-  }
-  for (std::thread& thread : threads) thread.join();
-  bound_port_.store(0, std::memory_order_relaxed);
+  if (!loop_thread_.joinable()) return;
+  const std::uint64_t one = 1;  // an eventfd write of 1 cannot fail
+  [[maybe_unused]] const ssize_t w = ::write(wake_fd_, &one, sizeof one);
+  loop_thread_.join();
+  ::close(wake_fd_);
+  wake_fd_ = -1;
+  bound_port_ = 0;
 }
 
 }  // namespace wearscope::serve

@@ -2,23 +2,23 @@
 // stdio streams, and an optional localhost TCP listener speaking the same
 // protocol (one query line in, one response line out).
 //
-// Threading: serve_stream() runs on the caller's thread.  The listener
-// owns one accept thread plus one thread per connection; every connection
-// shares the same QueryEngine, which is safe because answering only takes
-// lock-free/immutable paths (see query_engine.h).  Ingest keeps running
-// underneath — that is the point of the subsystem.
+// Threading: serve_stream() runs on the caller's thread.  The listener is
+// one poll() thread that owns every socket and every connection's buffers,
+// so the server holds no lock; it answers queries inline, on the shared
+// QueryEngine, whose answers take only lock-free/immutable paths (see
+// query_engine.h).  Ingest keeps running underneath.  While a connection
+// has answer bytes the kernel has not taken, the loop reads nothing more
+// from it, so a client that never reads holds about one answer and
+// stalls no one else.
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <thread>
-#include <vector>
 
 #include "serve/query_engine.h"
-#include "util/sync.h"
-#include "util/thread_annotations.h"
 
 namespace wearscope::serve {
 
@@ -32,10 +32,12 @@ class LineServer {
   LineServer& operator=(const LineServer&) = delete;
 
   /// Reads query lines from `in` until EOF, writing one response line per
-  /// query to `out` (flushed per response — callers may be pipes).  Blank
-  /// and "#"-comment lines produce no output.  A line over kMaxLineBytes
-  /// is answered with `ERR line too long` and ends the session.  Returns
-  /// responses written.
+  /// query to `out` (flushed per response — callers may be pipes).  Reads
+  /// the descriptor behind `in` directly, so each line is answered as soon
+  /// as it arrives; bytes already in `in`'s stdio buffer are not seen.
+  /// Blank and "#"-comment lines produce no output; an unterminated last
+  /// line is answered at EOF.  A line over kMaxLineBytes is answered with
+  /// `ERR line too long` and ends the session.  Returns responses written.
   std::uint64_t serve_stream(std::FILE* in, std::FILE* out);
 
   /// Longest query line a session may hold without a newline.  A longer
@@ -49,47 +51,32 @@ class LineServer {
   /// it; the open ones keep being served.
   static constexpr std::size_t kMaxConnections = 64;
 
+  /// A TCP connection that reads no whole query line and has no answer
+  /// byte taken by the kernel for this long is closed.
+  static constexpr std::chrono::seconds kIdleTimeout{10};
+
   /// Starts the TCP listener on 127.0.0.1:`port` (0 = kernel-assigned;
   /// read the result back with bound_port()).  Throws util::IoError when
   /// the socket cannot be bound.
-  void start_listener(std::uint16_t port) WS_EXCLUDES(mutex_);
+  void start_listener(std::uint16_t port);
 
-  /// Stops accepting, shuts down open connections and joins all listener
-  /// threads.  Idempotent; also runs from the destructor.
-  void stop_listener() WS_EXCLUDES(mutex_);
+  /// Stops accepting, closes open connections and joins the listener
+  /// thread.  Idempotent; also runs from the destructor.
+  void stop_listener();
 
   /// Port the listener is bound to (0 when not listening).
   [[nodiscard]] std::uint16_t bound_port() const noexcept {
-    return bound_port_.load(std::memory_order_relaxed);
+    return bound_port_;
   }
 
-  /// Connection threads the listener still holds: the open connections
-  /// plus finished ones not yet joined.  The accept loop joins finished
-  /// threads whenever a connection arrives, so a long-running listener
-  /// holds about as many threads as it has open connections, not one per
-  /// connection it ever served.
-  [[nodiscard]] std::size_t connection_threads() const WS_EXCLUDES(mutex_);
-
  private:
-  void accept_loop();
-  void serve_connection(int fd);
-  /// Takes the finished connection threads out of connection_threads_;
-  /// the caller joins them after releasing the lock.
-  [[nodiscard]] std::vector<std::thread> take_finished() WS_REQUIRES(mutex_);
+  void poll_loop(int listen_fd);
 
   QueryEngine* engine_ = nullptr;
-  /// Atomic: the accept thread re-reads it each iteration while
-  /// stop_listener() retires it from the caller's thread.
-  std::atomic<int> listen_fd_{-1};
-  std::atomic<std::uint16_t> bound_port_{0};
-  std::thread accept_thread_;
-
-  mutable util::Mutex mutex_;
-  std::vector<int> connection_fds_ WS_GUARDED_BY(mutex_);
-  std::vector<std::thread> connection_threads_ WS_GUARDED_BY(mutex_);
-  /// Connection threads that have deregistered and are about to return.
-  std::vector<std::thread::id> finished_ WS_GUARDED_BY(mutex_);
-  bool stopping_ WS_GUARDED_BY(mutex_) = false;
+  std::uint16_t bound_port_ = 0;
+  /// Written by stop_listener() to wake the loop thread.
+  int wake_fd_ = -1;
+  std::thread loop_thread_;
 };
 
 }  // namespace wearscope::serve

@@ -67,7 +67,6 @@ TEST(DeviceClassifier, EmptyDb) {
   const DeviceClassifier c({});
   EXPECT_EQ(c.classify(1), DeviceKind::kUnknown);
   EXPECT_TRUE(c.wearable_tacs().empty());
-  EXPECT_EQ(c.device_rows(), 0u);
 }
 
 TEST(DeviceClassifier, FromManufacturersOverMatches) {

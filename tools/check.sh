@@ -116,12 +116,12 @@ echo "== interleaving mutation gate (seeded bug must be found + replay)"
   2>/dev/null
 
 if [ "$full" -eq 1 ]; then
-  echo "== chaos label, ring/engine, query parsing and fed feeds under ASan+UBSan"
+  echo "== chaos label, ring/engine, query parsing, TCP front end and fed feeds under ASan+UBSan"
   cmake -B "$root/build-asan" -S "$root" -DWEARSCOPE_SANITIZE=ON >/dev/null
   cmake --build "$root/build-asan" -j "$jobs"
   ctest --test-dir "$root/build-asan" -L chaos --output-on-failure
   ctest --test-dir "$root/build-asan" \
-    -R "LiveRing|LiveEngine|FuzzQuery|ServeQueryParse|FedStream" \
+    -R "LiveRing|LiveEngine|FuzzQuery|ServeQueryParse|LineServer|FedStream" \
     --output-on-failure
 
   echo "== concurrency tests under TSan"
