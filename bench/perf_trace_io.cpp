@@ -53,7 +53,7 @@ const trace::TraceStore& sample_store() {
   return store;
 }
 
-const std::vector<trace::ProxyRecord>& sample_records() {
+const trace::Rows<trace::ProxyRecord>& sample_records() {
   return sample_store().proxy;
 }
 
@@ -119,7 +119,7 @@ std::size_t drain_v1_mmap() {
 }
 
 /// The v2 production load path: mmap + frame scan + (parallel) block
-/// decode into a pre-sized vector.
+/// decode into a log sized without writing (trace::Rows).
 std::size_t drain_v2_mmap(par::TaskPool* pool) {
   const util::MappedFile file(v2_file(), util::MapMode::kAuto);
   trace::ProxyPools pools;
@@ -240,7 +240,7 @@ BENCHMARK(BM_StoreSort)->Unit(benchmark::kMillisecond);
 /// The same rows already in canonical order: the case every generated
 /// bundle hits on load, where sort_by_time only checks the order.
 void BM_StoreSortSorted(benchmark::State& state) {
-  std::vector<trace::ProxyRecord> sorted = sample_records();
+  trace::Rows<trace::ProxyRecord> sorted = sample_records();
   std::stable_sort(sorted.begin(), sorted.end(), trace::ByTimeThenUser{});
   for (auto _ : state) {
     state.PauseTiming();

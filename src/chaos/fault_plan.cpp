@@ -67,7 +67,7 @@ struct Insertion {
 /// count.  `invalid` entries are anchored anywhere — they are quarantined
 /// before they can influence dedup or reorder bookkeeping.
 template <typename Record>
-void corrupt_log(std::vector<Record>& log, util::Pcg32& rng,
+void corrupt_log(trace::Rows<Record>& log, util::Pcg32& rng,
                  std::uint32_t swaps, std::uint32_t dups,
                  std::uint32_t regressions, std::vector<Record> invalid,
                  std::size_t reorder_window, std::uint64_t& regression_salt,
@@ -133,7 +133,7 @@ void corrupt_log(std::vector<Record>& log, util::Pcg32& rng,
                    [](const Insertion<Record>& a, const Insertion<Record>& b) {
                      return a.anchor < b.anchor;
                    });
-  std::vector<Record> out;
+  trace::Rows<Record> out;
   out.reserve(n + insertions.size());
   std::size_t next = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -215,7 +215,7 @@ std::vector<std::string> FaultProfile::names() {
 }
 
 template <typename Record>
-BinaryImage image_of(const std::vector<Record>& records,
+BinaryImage image_of(const trace::Rows<Record>& records,
                      const trace::ProxyPools& pools) {
   std::ostringstream out(std::ios::binary);
   trace::BinaryLogWriter<Record> writer(out, pools);
@@ -230,9 +230,9 @@ BinaryImage image_of(const std::vector<Record>& records,
 }
 
 template BinaryImage image_of<trace::ProxyRecord>(
-    const std::vector<trace::ProxyRecord>&, const trace::ProxyPools&);
+    const trace::Rows<trace::ProxyRecord>&, const trace::ProxyPools&);
 template BinaryImage image_of<trace::MmeRecord>(
-    const std::vector<trace::MmeRecord>&, const trace::ProxyPools&);
+    const trace::Rows<trace::MmeRecord>&, const trace::ProxyPools&);
 
 ByteFault inject_bytes(const BinaryImage& image, ByteFaultKind kind,
                        util::Pcg32& rng, bool proxy_layout) {
@@ -366,13 +366,14 @@ FaultManifest FaultPlan::inject_records(trace::TraceStore& store) const {
     }
   }
 
-  corrupt_log(store.proxy, rng, split_hi(profile_.reorder_swaps),
-              split_hi(profile_.duplicates), split_hi(profile_.regressions),
-              std::move(bad_proxy), window, regression_salt,
-              manifest.expected);
-  corrupt_log(store.mme, rng, split_lo(profile_.reorder_swaps),
-              split_lo(profile_.duplicates), split_lo(profile_.regressions),
-              std::move(bad_mme), window, regression_salt, manifest.expected);
+  corrupt_log<trace::ProxyRecord>(
+      store.proxy, rng, split_hi(profile_.reorder_swaps),
+      split_hi(profile_.duplicates), split_hi(profile_.regressions),
+      std::move(bad_proxy), window, regression_salt, manifest.expected);
+  corrupt_log<trace::MmeRecord>(
+      store.mme, rng, split_lo(profile_.reorder_swaps),
+      split_lo(profile_.duplicates), split_lo(profile_.regressions),
+      std::move(bad_mme), window, regression_salt, manifest.expected);
   return manifest;
 }
 

@@ -108,11 +108,11 @@ struct BinaryImage {
 /// Serializes `records` as a v1 log (trace::BinaryLogWriter), tracking
 /// offsets.  Proxy records' ids resolve through `pools`.
 template <typename Record>
-BinaryImage image_of(const std::vector<Record>& records,
+BinaryImage image_of(const trace::Rows<Record>& records,
                      const trace::ProxyPools& pools);
 template <trace::PoolFree Record>
-BinaryImage image_of(const std::vector<Record>& records) {
-  return image_of(records, trace::ProxyPools{});
+BinaryImage image_of(const trace::Rows<Record>& records) {
+  return image_of<Record>(records, trace::ProxyPools{});
 }
 
 /// The byte-level injector kinds.

@@ -53,7 +53,7 @@ ActivityResult ActivityFinisher::finish(std::vector<double> txn_sizes) && {
 }
 
 ActivityResult analyze_activity(const AnalysisContext& ctx) {
-  const std::vector<trace::ProxyRecord>& log = ctx.store().proxy;
+  const auto& log = ctx.store().proxy;
   ActivityFinisher finisher(ctx.detailed_weeks());
   std::vector<double> txn_sizes;
 

@@ -21,7 +21,7 @@ AdoptionResult analyze_adoption(const AnalysisContext& ctx) {
   // counts every day once, and the ever/first-week/last-week presence
   // bits are the exact cardinalities the streaming counter's sets hold.
   const int days = t.observation_days;
-  const std::vector<trace::MmeRecord>& log = ctx.store().mme;
+  const auto& log = ctx.store().mme;
   const DeviceClassifier& devices = ctx.devices();
   for (const UserView* u : ctx.wearable_users()) {
     int last_day = -1;

@@ -37,7 +37,7 @@ AppPopularityResult analyze_apps(const AnalysisContext& ctx) {
   std::size_t day_count = 0;
   std::size_t one_app_days = 0;
 
-  const std::vector<trace::ProxyRecord>& log = ctx.store().proxy;
+  const auto& log = ctx.store().proxy;
   for (const UserView* u : ctx.wearable_users()) {
     std::set<appdb::AppId> user_apps;
     std::map<int, std::set<appdb::AppId>> apps_by_day;

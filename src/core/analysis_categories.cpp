@@ -20,7 +20,7 @@ CategoryResult analyze_categories(const AnalysisContext& ctx) {
   };
   std::array<Raw, appdb::kCategoryCount> raw{};
 
-  const std::vector<trace::ProxyRecord>& log = ctx.store().proxy;
+  const auto& log = ctx.store().proxy;
   for (const UserView* u : ctx.wearable_users()) {
     for (std::size_t i = 0; i < u->wearable_rows.size(); ++i) {
       const trace::ProxyRecord& r = log[u->wearable_rows[i]];

@@ -14,7 +14,7 @@ struct UserTotals {
 
 UserTotals totals_of(const AnalysisContext& ctx, const UserView& u) {
   UserTotals t;
-  const std::vector<trace::ProxyRecord>& log = ctx.store().proxy;
+  const auto& log = ctx.store().proxy;
   for_each_row(log, ctx.detailed_suffix(log, u.wearable_rows),
                [&t](const trace::ProxyRecord& r) {
                  t.bytes += static_cast<double>(r.bytes_total());

@@ -52,7 +52,7 @@ Series to_series(const char* name, const HourProfile& p) {
 DiurnalResult analyze_diurnal(const AnalysisContext& ctx) {
   DiurnalResult res;
   const int weeks = ctx.detailed_weeks();
-  const std::vector<trace::ProxyRecord>& log = ctx.store().proxy;
+  const auto& log = ctx.store().proxy;
 
   HourAccumulator users_acc;
   HourAccumulator data_acc;

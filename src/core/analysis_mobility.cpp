@@ -84,7 +84,7 @@ struct MobilityScratch {
 UserMobility mobility_of(const AnalysisContext& ctx, const SectorTable& sectors,
                          const UserView& u, MobilityScratch& s) {
   UserMobility out;
-  const std::vector<trace::MmeRecord>& log = ctx.store().mme;
+  const auto& log = ctx.store().mme;
   const auto events = ctx.detailed_suffix(log, u.mme_rows);
   if (events.empty()) return out;
   out.has_mme = true;
@@ -147,7 +147,7 @@ void user_sector_dwell(const AnalysisContext& ctx, const UserView& user,
   out.sectors.clear();
   out.seconds.clear();
   const trace::MmeRecord* prev = nullptr;
-  const std::vector<trace::MmeRecord>& log = ctx.store().mme;
+  const auto& log = ctx.store().mme;
   const auto walk = [&](const trace::MmeRecord& r) {
     const trace::MmeRecord* const last = std::exchange(prev, &r);
     if (last == nullptr ||
@@ -173,7 +173,7 @@ double user_location_entropy(const AnalysisContext& ctx, const UserView& user,
     user_sector_dwell(ctx, user, dwell);
     return util::shannon_entropy(dwell.seconds);
   }
-  const std::vector<trace::MmeRecord>& log = ctx.store().mme;
+  const auto& log = ctx.store().mme;
   std::vector<trace::SectorId> visits;
   for (const std::uint32_t row : ctx.detailed_suffix(log, user.mme_rows))
     visits.push_back(log[row].sector_id);
@@ -190,8 +190,8 @@ double user_location_entropy(const AnalysisContext& ctx, const UserView& user,
 TxnActivity user_txn_activity(const AnalysisContext& ctx,
                               const UserView& user) {
   TxnActivity out;
-  const std::vector<trace::MmeRecord>& mme_log = ctx.store().mme;
-  const std::vector<trace::ProxyRecord>& proxy_log = ctx.store().proxy;
+  const auto& mme_log = ctx.store().mme;
+  const auto& proxy_log = ctx.store().proxy;
   const std::span<const std::uint32_t> mme = user.mme_rows;
   // MME events at or before the transaction: every event before the
   // window precedes every transaction in it.

@@ -16,7 +16,7 @@ ProtocolResult analyze_protocol(const AnalysisContext& ctx) {
   std::array<Raw, appdb::kCategoryCount> per_category{};
   Raw total;
 
-  const std::vector<trace::ProxyRecord>& log = ctx.store().proxy;
+  const auto& log = ctx.store().proxy;
   for (const UserView* u : ctx.wearable_users()) {
     for (std::size_t i = 0; i < u->wearable_rows.size(); ++i) {
       const trace::ProxyRecord& r = log[u->wearable_rows[i]];

@@ -15,7 +15,7 @@ RetentionResult analyze_retention(const AnalysisContext& ctx) {
   // wearable users have such registrations.  A user's events are
   // time-sorted, so their weeks arrive as ascending runs: the first run is
   // the adoption week, each run one week present.
-  const std::vector<trace::MmeRecord>& log = ctx.store().mme;
+  const auto& log = ctx.store().mme;
   const DeviceClassifier& devices = ctx.devices();
   std::vector<Cohort> by_week(static_cast<std::size_t>(weeks));
   for (const UserView* u : ctx.wearable_users()) {

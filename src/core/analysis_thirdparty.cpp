@@ -11,7 +11,7 @@ ThirdPartyResult analyze_thirdparty(const AnalysisContext& ctx) {
   // sets collapse into a per-user seen flag per class.  The detailed
   // window is a suffix of each user's time-sorted rows, and the
   // attribution array is index-aligned with the whole row span.
-  const std::vector<trace::ProxyRecord>& log = ctx.store().proxy;
+  const auto& log = ctx.store().proxy;
   struct RawClass {
     std::size_t users = 0;
     double txns = 0.0;

@@ -39,7 +39,7 @@ ThroughDevicePartial ThroughDevicePass::partial(std::size_t lo,
   out.per_signature.assign(signatures, 0);
   const double days = ctx.options().observation_days -
                       ctx.options().detailed_start_day;
-  const std::vector<trace::ProxyRecord>& log = ctx.store().proxy;
+  const auto& log = ctx.store().proxy;
   for (std::size_t i = lo; i < hi; ++i) {
     const UserView& u = ctx.users()[i];
     double txns = 0.0;

@@ -181,7 +181,7 @@ EndpointClass HostClassCache::classify(std::uint32_t host_id) {
 }
 
 std::vector<EndpointClass> attribute_user_stream(
-    HostClassCache& cache, const std::vector<trace::ProxyRecord>& log,
+    HostClassCache& cache, std::span<const trace::ProxyRecord> log,
     std::span<const std::uint32_t> rows, util::SimTime proximity_window_s) {
   std::vector<EndpointClass> out;
   out.reserve(rows.size());

@@ -143,7 +143,7 @@ class HostClassCache {
 /// (one cache per shard/worker).  Returns one EndpointClass per row,
 /// index-aligned.
 std::vector<EndpointClass> attribute_user_stream(
-    HostClassCache& cache, const std::vector<trace::ProxyRecord>& log,
+    HostClassCache& cache, std::span<const trace::ProxyRecord> log,
     std::span<const std::uint32_t> rows,
     util::SimTime proximity_window_s = 120);
 

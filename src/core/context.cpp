@@ -33,11 +33,11 @@ struct RowSlice {
 /// Counts the rows of `slice` of `log`: row i goes to destination array
 /// `array_of(log[i])` (0 or 1) of its user, and `wearable_of(log[i])`
 /// tells whether its TAC is a wearable's.
-template <typename Record, typename ArrayOf, typename WearableOf>
-void count_slice(const std::vector<Record>& log, RowSlice& slice,
-                 ArrayOf array_of, WearableOf wearable_of) {
+template <typename Log, typename ArrayOf, typename WearableOf>
+void count_slice(const Log& log, RowSlice& slice, ArrayOf array_of,
+                 WearableOf wearable_of) {
   for (std::size_t i = slice.lo; i < slice.hi; ++i) {
-    const Record& r = log[i];
+    const auto& r = log[i];
     const auto next = static_cast<std::uint32_t>(slice.ids.size());
     const auto [it, inserted] = slice.local.try_emplace(r.user_id, next);
     if (inserted) {
@@ -100,8 +100,8 @@ AnalysisContext::AnalysisContext(const trace::TraceStore& store,
     }
     return slices;
   };
-  const std::vector<trace::ProxyRecord>& proxy = store.proxy;
-  const std::vector<trace::MmeRecord>& mme = store.mme;
+  const auto& proxy = store.proxy;
+  const auto& mme = store.mme;
   std::vector<RowSlice> proxy_slices = row_slices(proxy.size());
   std::vector<RowSlice> mme_slices = row_slices(mme.size());
   const DeviceClassifier& devices = *devices_;

@@ -83,9 +83,10 @@ struct UserView {
 /// likely a cache miss; the walk prefetches a few records ahead, both ends
 /// of each (a row often straddles two cache lines), so the misses overlap
 /// instead of queueing.
-template <typename Record, typename Fn>
-void for_each_row(const std::vector<Record>& log,
-                  std::span<const std::uint32_t> rows, Fn&& fn) {
+template <typename Log, typename Fn>
+void for_each_row(const Log& log, std::span<const std::uint32_t> rows,
+                  Fn&& fn) {
+  using Record = typename Log::value_type;
   constexpr std::size_t kAhead = 16;
   for (std::size_t k = 0; k < rows.size(); ++k) {
     if (k + kAhead < rows.size()) {
@@ -155,9 +156,9 @@ class AnalysisContext {
   /// The part of a user's time-sorted rows of `log` (UserView::mme_rows
   /// over the MME log, wearable_rows or phone_rows over the proxy log)
   /// inside the detailed window: a suffix, found by binary search.
-  template <typename Record>
+  template <typename Log>
   [[nodiscard]] std::span<const std::uint32_t> detailed_suffix(
-      const std::vector<Record>& log,
+      const Log& log,
       std::span<const std::uint32_t> rows) const {
     return {std::partition_point(rows.begin(), rows.end(),
                                  [this, &log](std::uint32_t row) {

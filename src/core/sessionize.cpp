@@ -8,7 +8,7 @@
 namespace wearscope::core {
 
 std::vector<Usage> sessionize_user(
-    const std::vector<trace::ProxyRecord>& log,
+    std::span<const trace::ProxyRecord> log,
     std::span<const std::uint32_t> rows, std::span<const EndpointClass> apps,
     util::SimTime gap_s) {
   util::require(rows.size() == apps.size(),

@@ -43,7 +43,7 @@ inline constexpr util::SimTime kDefaultUsageGapS = 60;
 /// separate concurrent usages; unknown-app transactions form their own
 /// usages under kUnknownApp.
 std::vector<Usage> sessionize_user(
-    const std::vector<trace::ProxyRecord>& log,
+    std::span<const trace::ProxyRecord> log,
     std::span<const std::uint32_t> rows, std::span<const EndpointClass> apps,
     util::SimTime gap_s = kDefaultUsageGapS);
 

@@ -35,8 +35,8 @@ ReplayReport FeedReplayer::replay(LiveEngine& engine) const {
   using Clock = std::chrono::steady_clock;
   ReplayReport report;
 
-  const std::vector<trace::ProxyRecord>& proxy = store_->proxy;
-  const std::vector<trace::MmeRecord>& mme = store_->mme;
+  const auto& proxy = store_->proxy;
+  const auto& mme = store_->mme;
   engine.bind_hosts(store_->hosts);
   std::size_t pi = 0;
   std::size_t mi = 0;

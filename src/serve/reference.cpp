@@ -16,8 +16,8 @@ namespace {
 template <typename OnMme, typename OnProxy>
 void walk_merge_order(const trace::TraceStore& store, std::uint64_t records,
                       OnMme&& on_mme, OnProxy&& on_proxy) {
-  const std::vector<trace::ProxyRecord>& proxy = store.proxy;
-  const std::vector<trace::MmeRecord>& mme = store.mme;
+  const auto& proxy = store.proxy;
+  const auto& mme = store.mme;
   std::size_t pi = 0;
   std::size_t mi = 0;
   std::uint64_t taken = 0;

@@ -138,7 +138,7 @@ DayItinerary MobilityModel::build_day(const Subscriber& sub, int day,
 
 void MobilityModel::emit_mme(const DayItinerary& itinerary,
                              const Subscriber& sub, trace::Tac tac,
-                             std::vector<trace::MmeRecord>& out,
+                             trace::Rows<trace::MmeRecord>& out,
                              util::SimTime tau_interval_s) const {
   bool first = true;
   trace::SectorId prev = 0;

@@ -55,7 +55,7 @@ class MobilityModel {
   /// and periodic tracking-area updates (TAU keep-alives) every
   /// `tau_interval_s` of stationary dwell, as a real MME would log.
   void emit_mme(const DayItinerary& itinerary, const Subscriber& sub,
-                trace::Tac tac, std::vector<trace::MmeRecord>& out,
+                trace::Tac tac, trace::Rows<trace::MmeRecord>& out,
                 util::SimTime tau_interval_s = 6 * util::kSecondsPerHour) const;
 
   /// Max displacement (km) across the itinerary's sectors — ground-truth

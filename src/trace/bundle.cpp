@@ -33,11 +33,13 @@ namespace {
   throw util::IoError(msg);
 }
 
-/// Writes one log; proxy ids resolve through `pools` (the store's).
-template <typename Record>
-void save_log(const std::vector<Record>& records, const ProxyPools& pools,
+/// Writes one log (a std::vector or trace::Rows); proxy ids resolve
+/// through `pools` (the store's).
+template <typename Records>
+void save_log(const Records& records, const ProxyPools& pools,
               const std::filesystem::path& path, BundleFormat format,
               std::uint16_t binary_version) {
+  using Record = typename Records::value_type;
   errno = 0;
   std::ofstream out(path, std::ios::binary);
   if (!out) fail_io("cannot open for writing", path);
@@ -106,11 +108,12 @@ class LogLoad {
 
   /// Merges this log's quarantine counters into `quarantine` (lenient
   /// loads only) and its proxy strings into `pools`, and hands over the
-  /// records.
-  std::vector<Record> finalize(QuarantineStats* quarantine,
-                               ProxyPools& pools) {
+  /// records.  A v2/v3 proxy log rewrites its rows' ids on `pool`, one
+  /// task per unit.
+  Rows<Record> finalize(QuarantineStats* quarantine, ProxyPools& pools,
+                        par::TaskPool& pool) {
     if (decode_.has_value()) {
-      local_ += decode_->finalize(out_, pools);
+      local_ += decode_->finalize(out_, pools, &pool);
     } else if constexpr (!PoolFree<Record>) {
       remap_ids(out_, log_pools_, pools);
     }
@@ -172,7 +175,7 @@ class LogLoad {
 
   std::optional<util::MappedFile> file_;
   std::optional<LogDecode<Record>> decode_;
-  std::vector<Record> out_;
+  Rows<Record> out_;
   ProxyPools log_pools_;  ///< A whole-log (v1/CSV) unit's string tables.
   QuarantineStats local_;
   std::filesystem::path csv_path_;
@@ -188,9 +191,10 @@ TraceStore load_bundle_impl(const std::filesystem::path& dir,
   LogLoad<DeviceRecord> devices;
   LogLoad<SectorInfo> sectors;
   // Phase 1 (sequential): map files, validate headers, scan v2/v3 unit
-  // chains, pre-size destinations — and collect EVERY decode task of all
-  // four logs into one flat batch, so a pool thread never idles while
-  // another log still has blocks left.
+  // chains, size the destinations (the event logs' rows stay unwritten:
+  // each decode task is the first to touch its own slice) — and collect
+  // EVERY decode task of all four logs into one flat batch, so a pool
+  // thread never idles while another log still has blocks left.
   std::vector<std::function<void()>> batch;
   proxy.prepare(dir, "proxy", lenient, batch);
   mme.prepare(dir, "mme", lenient, batch);
@@ -200,13 +204,14 @@ TraceStore load_bundle_impl(const std::filesystem::path& dir,
   // per-log counters), so any thread count produces the same bytes.
   par::TaskPool pool(static_cast<std::size_t>(options.threads));
   pool.run(std::move(batch));
-  // Phase 3 (sequential, fixed order): compact failed units and merge
-  // quarantine accounting.
+  // Phase 3 (fixed log order): merge each log's strings sequentially,
+  // rewrite the proxy rows' ids as a second batch of one task per unit,
+  // compact failed units and merge quarantine accounting.
   TraceStore store;
-  store.proxy = proxy.finalize(quarantine, store);
-  store.mme = mme.finalize(quarantine, store);
-  store.devices = devices.finalize(quarantine, store);
-  store.sectors = sectors.finalize(quarantine, store);
+  store.proxy = proxy.finalize(quarantine, store, pool);
+  store.mme = mme.finalize(quarantine, store, pool);
+  store.devices = devices.finalize(quarantine, store, pool);
+  store.sectors = sectors.finalize(quarantine, store, pool);
   return store;
 }
 

@@ -429,7 +429,7 @@ bool decode_column_group(std::span<const std::byte> payload,
 
 template <typename Record>
 ColumnarWriteInfo write_columnar_log(std::ostream& out,
-                                     const std::vector<Record>& records,
+                                     std::span<const Record> records,
                                      const ProxyPools& pools,
                                      BlockWriterOptions options) {
   util::require(options.max_block_records > 0,
@@ -528,16 +528,16 @@ ColumnarLayoutInfo probe_columnar_layout(std::span<const std::byte> body) {
 }
 
 template ColumnarWriteInfo write_columnar_log<ProxyRecord>(
-    std::ostream&, const std::vector<ProxyRecord>&, const ProxyPools&,
+    std::ostream&, std::span<const ProxyRecord>, const ProxyPools&,
     BlockWriterOptions);
 template ColumnarWriteInfo write_columnar_log<MmeRecord>(
-    std::ostream&, const std::vector<MmeRecord>&, const ProxyPools&,
+    std::ostream&, std::span<const MmeRecord>, const ProxyPools&,
     BlockWriterOptions);
 template ColumnarWriteInfo write_columnar_log<DeviceRecord>(
-    std::ostream&, const std::vector<DeviceRecord>&, const ProxyPools&,
+    std::ostream&, std::span<const DeviceRecord>, const ProxyPools&,
     BlockWriterOptions);
 template ColumnarWriteInfo write_columnar_log<SectorInfo>(
-    std::ostream&, const std::vector<SectorInfo>&, const ProxyPools&,
+    std::ostream&, std::span<const SectorInfo>, const ProxyPools&,
     BlockWriterOptions);
 template bool decode_column_group<ProxyRecord>(
     std::span<const std::byte>, std::uint32_t, const ColumnDicts&,

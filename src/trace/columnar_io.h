@@ -45,6 +45,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
+#include <ranges>
 #include <span>
 #include <string>
 #include <vector>
@@ -104,12 +105,21 @@ struct ColumnarWriteInfo {
 /// into first-appearance order.  Throws util::IoError on write failure.
 template <typename Record>
 ColumnarWriteInfo write_columnar_log(std::ostream& out,
-                                     const std::vector<Record>& records,
+                                     std::span<const Record> records,
                                      const ProxyPools& pools,
                                      BlockWriterOptions options = {});
-template <PoolFree Record>
-ColumnarWriteInfo write_columnar_log(std::ostream& out,
-                                     const std::vector<Record>& records,
+/// The same over a whole std::vector or trace::Rows.
+template <std::ranges::contiguous_range Records>
+ColumnarWriteInfo write_columnar_log(std::ostream& out, const Records& records,
+                                     const ProxyPools& pools,
+                                     BlockWriterOptions options = {}) {
+  using Record = std::ranges::range_value_t<Records>;
+  return write_columnar_log(out, std::span<const Record>(records), pools,
+                            options);
+}
+template <std::ranges::contiguous_range Records>
+  requires PoolFree<std::ranges::range_value_t<Records>>
+ColumnarWriteInfo write_columnar_log(std::ostream& out, const Records& records,
                                      BlockWriterOptions options = {}) {
   return write_columnar_log(out, records, ProxyPools{}, options);
 }
@@ -156,16 +166,16 @@ template <typename Record>
     std::span<const std::byte> body);
 
 extern template ColumnarWriteInfo write_columnar_log<ProxyRecord>(
-    std::ostream&, const std::vector<ProxyRecord>&, const ProxyPools&,
+    std::ostream&, std::span<const ProxyRecord>, const ProxyPools&,
     BlockWriterOptions);
 extern template ColumnarWriteInfo write_columnar_log<MmeRecord>(
-    std::ostream&, const std::vector<MmeRecord>&, const ProxyPools&,
+    std::ostream&, std::span<const MmeRecord>, const ProxyPools&,
     BlockWriterOptions);
 extern template ColumnarWriteInfo write_columnar_log<DeviceRecord>(
-    std::ostream&, const std::vector<DeviceRecord>&, const ProxyPools&,
+    std::ostream&, std::span<const DeviceRecord>, const ProxyPools&,
     BlockWriterOptions);
 extern template ColumnarWriteInfo write_columnar_log<SectorInfo>(
-    std::ostream&, const std::vector<SectorInfo>&, const ProxyPools&,
+    std::ostream&, std::span<const SectorInfo>, const ProxyPools&,
     BlockWriterOptions);
 extern template ColumnarLayoutInfo probe_columnar_layout<ProxyRecord>(
     std::span<const std::byte>);

@@ -223,10 +223,10 @@ bool CsvLogReader<Record>::next(Record& out) {
 }
 
 template <typename Record>
-std::vector<Record> read_csv_log_lenient(std::istream& in,
-                                         QuarantineStats& quarantine,
-                                         ProxyPools& pools) {
-  std::vector<Record> records;
+Rows<Record> read_csv_log_lenient(std::istream& in,
+                                  QuarantineStats& quarantine,
+                                  ProxyPools& pools) {
+  Rows<Record> records;
   std::optional<CsvLogReader<Record>> reader;
   try {
     reader.emplace(in, pools);
@@ -248,13 +248,13 @@ std::vector<Record> read_csv_log_lenient(std::istream& in,
   return records;
 }
 
-template std::vector<ProxyRecord> read_csv_log_lenient<ProxyRecord>(
+template Rows<ProxyRecord> read_csv_log_lenient<ProxyRecord>(
     std::istream&, QuarantineStats&, ProxyPools&);
-template std::vector<MmeRecord> read_csv_log_lenient<MmeRecord>(
+template Rows<MmeRecord> read_csv_log_lenient<MmeRecord>(
     std::istream&, QuarantineStats&, ProxyPools&);
-template std::vector<DeviceRecord> read_csv_log_lenient<DeviceRecord>(
+template Rows<DeviceRecord> read_csv_log_lenient<DeviceRecord>(
     std::istream&, QuarantineStats&, ProxyPools&);
-template std::vector<SectorInfo> read_csv_log_lenient<SectorInfo>(
+template Rows<SectorInfo> read_csv_log_lenient<SectorInfo>(
     std::istream&, QuarantineStats&, ProxyPools&);
 
 template class CsvLogWriter<ProxyRecord>;

@@ -57,12 +57,12 @@ class CsvLogReader {
 /// file (one `corrupt_files`).  Never throws ParseError.  Proxy hosts and
 /// paths are interned into `pools`; a skipped row interns nothing.
 template <typename Record>
-std::vector<Record> read_csv_log_lenient(std::istream& in,
-                                         QuarantineStats& quarantine,
-                                         ProxyPools& pools);
+Rows<Record> read_csv_log_lenient(std::istream& in,
+                                  QuarantineStats& quarantine,
+                                  ProxyPools& pools);
 template <PoolFree Record>
-std::vector<Record> read_csv_log_lenient(std::istream& in,
-                                         QuarantineStats& quarantine) {
+Rows<Record> read_csv_log_lenient(std::istream& in,
+                                  QuarantineStats& quarantine) {
   ProxyPools unused;
   return read_csv_log_lenient<Record>(in, quarantine, unused);
 }

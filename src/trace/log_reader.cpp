@@ -86,15 +86,35 @@ bool decode_block(std::span<const std::byte> payload, const LogUnit& unit,
   }
 }
 
+/// Appends to `order` the host-dictionary indices `rows` use, in the order
+/// they first use them.
+void note_dict_hosts(std::span<const ProxyRecord> rows, std::size_t dict_size,
+                     std::vector<std::uint32_t>& order) {
+  std::vector<std::uint8_t> seen(dict_size, 0);
+  for (const ProxyRecord& r : rows) {
+    if (seen[r.host_id] != 0) continue;
+    seen[r.host_id] = 1;
+    order.push_back(r.host_id);
+  }
+}
+
 /// The per-unit decoder of `version`: proxy strings go to the unit-local
-/// `pools` (v3 host ids index `dicts.hosts` instead).
+/// `strings` (v3 host ids index `dicts.hosts` instead, and their first-use
+/// order goes to `strings.dict_hosts`).
 template <typename Record>
 bool decode_unit(std::span<const std::byte> payload, const LogUnit& unit,
                  std::uint16_t version, const ColumnDicts& dicts, Record* out,
-                 ProxyPools& pools) noexcept {
-  if (version == kBinaryFormatV3)
-    return decode_column_group(payload, unit.record_count, dicts, out, pools);
-  return decode_block(payload, unit, out, pools);
+                 UnitStrings& strings) noexcept {
+  if (version != kBinaryFormatV3)
+    return decode_block(payload, unit, out, strings.pools);
+  if (!decode_column_group(payload, unit.record_count, dicts, out,
+                           strings.pools))
+    return false;
+  if constexpr (!PoolFree<Record>) {
+    note_dict_hosts(std::span<const Record>(out, unit.record_count),
+                    dicts.hosts.size(), strings.dict_hosts);
+  }
+  return true;
 }
 
 /// remap_ids for proxy rows; a no-op for pool-free records.
@@ -104,31 +124,58 @@ void merge_ids(std::span<Record> rows, const ProxyPools& from,
   if constexpr (!PoolFree<Record>) remap_ids(rows, from, to);
 }
 
-/// Moves the ids of one decoded unit's proxy rows from the unit's own
-/// tables into `pools`, in row order: v3 host ids index the file
-/// dictionary (through `dict_hosts`, shared by every group of the file),
-/// everything else the unit-local `unit` pools.
-template <typename Record>
-void merge_unit_ids(std::span<Record> rows, std::uint16_t version,
-                    const ColumnDicts& dicts, IdRemap& dict_hosts,
-                    const ProxyPools& unit, ProxyPools& pools) {
-  if constexpr (!PoolFree<Record>) {
-    if (version != kBinaryFormatV3) {
-      remap_ids(rows, unit, pools);
-      return;
-    }
-    IdRemap paths(unit.paths.size());
-    for (ProxyRecord& r : rows) {
-      r.host_id = dict_hosts(r.host_id, dicts.hosts, pools.hosts);
-      r.path_id = paths(r.path_id, unit.paths.strings(), pools.paths);
-    }
+/// Where one unit's ids go in the caller's pools: entry k of a table is
+/// the pool id of the unit's id k.  v3 units keep `hosts` empty; their
+/// host ids index the file dictionary, whose table every unit shares.
+struct UnitIds {
+  IdRemap hosts;
+  IdRemap paths;
+};
+
+/// Interns the strings of one decoded unit into `pools` in the order its
+/// rows first use them, which is the order a row-by-row IdRemap over the
+/// rows would intern them: the unit's own tables already list their
+/// entries in that order, and v3 hosts go in `strings.dict_hosts` order
+/// through `dict_hosts`, shared by every group of the file.  Touches no
+/// row, so the units merge one after another in chain order while the
+/// rewrite of their rows (rewrite_unit_ids) runs in parallel after.
+UnitIds merge_unit_strings(std::uint16_t version, const ColumnDicts& dicts,
+                           IdRemap& dict_hosts, const UnitStrings& strings,
+                           ProxyPools& pools) {
+  const auto intern_all = [](const StringPool& from, StringPool& to) {
+    IdRemap remap(from.size());
+    for (std::uint32_t id = 0; id < from.size(); ++id)
+      (void)remap(id, from.strings(), to);
+    return remap;
+  };
+  UnitIds ids;
+  if (version == kBinaryFormatV3) {
+    for (const std::uint32_t id : strings.dict_hosts)
+      (void)dict_hosts(id, dicts.hosts, pools.hosts);
+  } else {
+    ids.hosts = intern_all(strings.pools.hosts, pools.hosts);
+  }
+  ids.paths = intern_all(strings.pools.paths, pools.paths);
+  return ids;
+}
+
+/// Rewrites one unit's proxy rows from unit ids into pool ids, through
+/// the tables merge_unit_strings built.
+void rewrite_unit_ids(std::span<ProxyRecord> rows, std::uint16_t version,
+                      const UnitIds& ids, const IdRemap& dict_hosts) noexcept {
+  const std::span<const std::uint32_t> hosts =
+      version == kBinaryFormatV3 ? dict_hosts.table() : ids.hosts.table();
+  const std::span<const std::uint32_t> paths = ids.paths.table();
+  for (ProxyRecord& r : rows) {
+    r.host_id = hosts[r.host_id];
+    r.path_id = paths[r.path_id];
   }
 }
 
 /// Sequential v1 body decode (records until EOF), shared by the strict
 /// and lenient span readers.  Proxy strings are interned into `pools`.
 template <typename Record>
-void decode_v1_body(util::MemorySpanDecoder& dec, std::vector<Record>& out,
+void decode_v1_body(util::MemorySpanDecoder& dec, Rows<Record>& out,
                     ProxyPools& pools) {
   Record r;
   while (!dec.at_eof()) {
@@ -137,19 +184,25 @@ void decode_v1_body(util::MemorySpanDecoder& dec, std::vector<Record>& out,
   }
 }
 
-/// Schedules `decode` into `out`, runs the batch on `pool` (or inline when
-/// pool is null) and returns what finalize() lost.
-template <typename Record>
-QuarantineStats decode_all(LogDecode<Record>& decode, std::vector<Record>& out,
-                           ProxyPools& pools, par::TaskPool* pool) {
-  std::vector<std::function<void()>> batch;
-  decode.schedule(out, batch);
+/// Runs `batch` on `pool`, or inline in order when pool is null.
+void run_batch(std::vector<std::function<void()>>& batch,
+               par::TaskPool* pool) {
   if (pool == nullptr || batch.empty()) {
     for (std::function<void()>& task : batch) task();
   } else {
     pool->run(std::move(batch));
   }
-  return decode.finalize(out, pools);
+}
+
+/// Schedules `decode` into `out`, runs the batch on `pool` (or inline when
+/// pool is null) and returns what finalize() lost.
+template <typename Record>
+QuarantineStats decode_all(LogDecode<Record>& decode, Rows<Record>& out,
+                           ProxyPools& pools, par::TaskPool* pool) {
+  std::vector<std::function<void()>> batch;
+  decode.schedule(out, batch);
+  run_batch(batch, pool);
+  return decode.finalize(out, pools, pool);
 }
 
 }  // namespace
@@ -217,11 +270,11 @@ LogDecode<Record>::LogDecode(std::span<const std::byte> body,
     if (unit.header_ok) base += unit.record_count;
   }
   unit_done_.assign(index_.units.size(), 0);
-  unit_pools_.resize(index_.units.size());
+  unit_strings_.resize(index_.units.size());
 }
 
 template <typename Record>
-void LogDecode<Record>::schedule(std::vector<Record>& out,
+void LogDecode<Record>::schedule(Rows<Record>& out,
                                  std::vector<std::function<void()>>& batch) {
   out.resize(static_cast<std::size_t>(index_.total_records));
   for (std::size_t i = 0; i < index_.units.size(); ++i) {
@@ -232,7 +285,7 @@ void LogDecode<Record>::schedule(std::vector<Record>& out,
     Record* slice = out.data() + unit_base_[i];
     batch.push_back([this, i, &unit, payload, slice] {
       const bool ok =
-          decode_unit(payload, unit, version_, dicts_, slice, unit_pools_[i]);
+          decode_unit(payload, unit, version_, dicts_, slice, unit_strings_[i]);
       if (!ok && !lenient_)
         throw util::ParseError(log_kind(version_) + failed_unit(i));
       unit_done_[i] = ok ? 1 : 0;
@@ -241,22 +294,42 @@ void LogDecode<Record>::schedule(std::vector<Record>& out,
 }
 
 template <typename Record>
-QuarantineStats LogDecode<Record>::finalize(std::vector<Record>& out,
-                                            ProxyPools& pools) {
+QuarantineStats LogDecode<Record>::finalize(Rows<Record>& out,
+                                            ProxyPools& pools,
+                                            par::TaskPool* pool) {
   QuarantineStats lost;
   if (!dicts_ok_) {
     ++lost.corrupt_files;  // indices are meaningless without dicts
     return lost;
   }
   lost.corrupt_blocks = index_.corrupt_blocks;
-  // Units merge their strings in chain order, whatever order the batch
-  // decoded them in: the pools come out the same for any thread count.
-  IdRemap dict_hosts(dicts_.hosts.size());
+  const auto kept = [this](std::size_t i) {
+    return index_.units[i].header_ok && unit_done_[i] != 0;
+  };
+  if constexpr (!PoolFree<Record>) {
+    // Units merge their strings in chain order, whatever order the batch
+    // decoded them in: the pools come out the same for any thread count.
+    // Each unit's rows are then rewritten in place by a task of its own.
+    IdRemap dict_hosts(dicts_.hosts.size());
+    std::vector<UnitIds> ids(index_.units.size());
+    std::vector<std::function<void()>> rewrites;
+    for (std::size_t i = 0; i < index_.units.size(); ++i) {
+      if (!kept(i)) continue;
+      ids[i] = merge_unit_strings(version_, dicts_, dict_hosts,
+                                  unit_strings_[i], pools);
+      const std::span<Record> rows = std::span<Record>(out).subspan(
+          unit_base_[i], index_.units[i].record_count);
+      rewrites.push_back([this, rows, &unit = ids[i], &dict_hosts] {
+        rewrite_unit_ids(rows, version_, unit, dict_hosts);
+      });
+    }
+    run_batch(rewrites, pool);
+  }
   std::uint64_t write_pos = 0;
   for (std::size_t i = 0; i < index_.units.size(); ++i) {
     const LogUnit& unit = index_.units[i];
     if (!unit.header_ok) continue;
-    if (unit_done_[i] == 0) {
+    if (!kept(i)) {
       ++lost.corrupt_blocks;
       continue;
     }
@@ -267,12 +340,10 @@ QuarantineStats LogDecode<Record>::finalize(std::vector<Record>& out,
                     static_cast<std::ptrdiff_t>(base + unit.record_count),
                 out.begin() + static_cast<std::ptrdiff_t>(write_pos));
     }
-    merge_unit_ids(std::span<Record>(out).subspan(write_pos, unit.record_count),
-                   version_, dicts_, dict_hosts, unit_pools_[i], pools);
     write_pos += unit.record_count;
   }
   out.resize(static_cast<std::size_t>(write_pos));
-  unit_pools_.clear();
+  unit_strings_.clear();
   return lost;
 }
 
@@ -346,13 +417,17 @@ bool LogCursor<Record>::next_unit(std::vector<Record>& rows) {
       scratch_.clear();
       append(unit.byte_length, "unit payload");
       rows.resize(unit.record_count);
-      unit_pools_.hosts.clear();
-      unit_pools_.paths.clear();
+      unit_strings_.pools.hosts.clear();
+      unit_strings_.pools.paths.clear();
+      unit_strings_.dict_hosts.clear();
       if (!decode_unit(scratch(), unit, version_, dicts_, rows.data(),
-                       unit_pools_))
+                       unit_strings_))
         throw util::ParseError(log_kind(version_) + failed_unit(number));
-      merge_unit_ids(std::span<Record>(rows), version_, dicts_, dict_hosts_,
-                     unit_pools_, pools_);
+      if constexpr (!PoolFree<Record>) {
+        const UnitIds ids = merge_unit_strings(version_, dicts_, dict_hosts_,
+                                               unit_strings_, pools_);
+        rewrite_unit_ids(rows, version_, ids, dict_hosts_);
+      }
       return true;
     }
     // Another lane's unit.  A seek past the end is not noticed here: the
@@ -376,14 +451,14 @@ const Record* LogCursor<Record>::next() {
 // ---------------------------------------------------------------------------
 
 template <typename Record>
-std::vector<Record> read_binary_log(std::span<const std::byte> bytes,
-                                    ProxyPools& pools, par::TaskPool* pool) {
+Rows<Record> read_binary_log(std::span<const std::byte> bytes,
+                             ProxyPools& pools, par::TaskPool* pool) {
   util::MemorySpanDecoder dec(bytes);
   const std::uint16_t version = parse_file_header<Record>(dec);
-  std::vector<Record> out;
+  Rows<Record> out;
   if (version == 1) {
     ProxyPools local;
-    decode_v1_body(dec, out, local);
+    decode_v1_body<Record>(dec, out, local);
     merge_ids(std::span<Record>(out), local, pools);
   } else {
     LogDecode<Record> decode(bytes.subspan(8), version, /*lenient=*/false);
@@ -393,11 +468,10 @@ std::vector<Record> read_binary_log(std::span<const std::byte> bytes,
 }
 
 template <typename Record>
-std::vector<Record> read_binary_log_lenient(std::span<const std::byte> bytes,
-                                            QuarantineStats& quarantine,
-                                            ProxyPools& pools,
-                                            par::TaskPool* pool) {
-  std::vector<Record> out;
+Rows<Record> read_binary_log_lenient(std::span<const std::byte> bytes,
+                                     QuarantineStats& quarantine,
+                                     ProxyPools& pools, par::TaskPool* pool) {
+  Rows<Record> out;
   std::uint16_t version = 0;
   util::MemorySpanDecoder dec(bytes);
   try {
@@ -411,7 +485,7 @@ std::vector<Record> read_binary_log_lenient(std::span<const std::byte> bytes,
     // may have interned its host, and must leave nothing in `pools`.
     ProxyPools local;
     try {
-      decode_v1_body(dec, out, local);
+      decode_v1_body<Record>(dec, out, local);
     } catch (const util::ParseError&) {
       // v1 records carry no framing: the tail is unrecoverable past the
       // first bad byte.
@@ -518,25 +592,25 @@ template class LogDecode<SectorInfo>;
 template class LogCursor<ProxyRecord>;
 template class LogCursor<MmeRecord>;
 
-template std::vector<ProxyRecord> read_binary_log<ProxyRecord>(
+template Rows<ProxyRecord> read_binary_log<ProxyRecord>(
     std::span<const std::byte>, ProxyPools&, par::TaskPool*);
-template std::vector<MmeRecord> read_binary_log<MmeRecord>(
+template Rows<MmeRecord> read_binary_log<MmeRecord>(
     std::span<const std::byte>, ProxyPools&, par::TaskPool*);
-template std::vector<DeviceRecord> read_binary_log<DeviceRecord>(
+template Rows<DeviceRecord> read_binary_log<DeviceRecord>(
     std::span<const std::byte>, ProxyPools&, par::TaskPool*);
-template std::vector<SectorInfo> read_binary_log<SectorInfo>(
+template Rows<SectorInfo> read_binary_log<SectorInfo>(
     std::span<const std::byte>, ProxyPools&, par::TaskPool*);
 
-template std::vector<ProxyRecord> read_binary_log_lenient<ProxyRecord>(
+template Rows<ProxyRecord> read_binary_log_lenient<ProxyRecord>(
     std::span<const std::byte>, QuarantineStats&, ProxyPools&,
     par::TaskPool*);
-template std::vector<MmeRecord> read_binary_log_lenient<MmeRecord>(
+template Rows<MmeRecord> read_binary_log_lenient<MmeRecord>(
     std::span<const std::byte>, QuarantineStats&, ProxyPools&,
     par::TaskPool*);
-template std::vector<DeviceRecord> read_binary_log_lenient<DeviceRecord>(
+template Rows<DeviceRecord> read_binary_log_lenient<DeviceRecord>(
     std::span<const std::byte>, QuarantineStats&, ProxyPools&,
     par::TaskPool*);
-template std::vector<SectorInfo> read_binary_log_lenient<SectorInfo>(
+template Rows<SectorInfo> read_binary_log_lenient<SectorInfo>(
     std::span<const std::byte>, QuarantineStats&, ProxyPools&,
     par::TaskPool*);
 

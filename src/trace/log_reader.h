@@ -10,12 +10,14 @@
 //     byte_length; every record costs at least one payload byte) skips
 //     that unit and resyncs at the next one, a truncated header or an
 //     overlong byte_length breaks the chain and ends the scan;
-//   * LogDecode pre-sizes the destination and schedules one decode task
-//     per unit, each writing its own contiguous slice and interning proxy
-//     strings into pools of its own, so the result is bitwise identical
-//     for any thread count; finalize() compacts the units that failed,
-//     reports them as quarantine, and merges the surviving units' strings
-//     into the caller's pools in chain order (trace/string_pool.h);
+//   * LogDecode sizes the destination without writing it (trace::Rows)
+//     and schedules one decode task per unit; each task is the first
+//     writer of its own contiguous slice and interns proxy strings into
+//     pools of its own, so the result is bitwise identical for any thread
+//     count.  finalize() merges the surviving units' strings into the
+//     caller's pools in chain order (trace/string_pool.h), rewrites each
+//     unit's ids in a second batch of one task per unit, then compacts
+//     the units that failed away and reports them as quarantine;
 //   * LogCursor streams a log one unit at a time from a std::istream
 //     through a reusable scratch buffer, for callers that must never hold
 //     the whole log.  A strided cursor reads every L-th unit and seeks past
@@ -62,7 +64,8 @@ struct LogUnit {
 /// to give up on.
 struct UnitIndex {
   std::vector<LogUnit> units;
-  /// Sum of record_count over units with header_ok (the pre-size target).
+  /// Sum of record_count over units with header_ok (the size
+  /// LogDecode::schedule() gives the destination).
   std::uint64_t total_records = 0;
   /// Units lost at scan time: impossible headers plus one for a broken
   /// chain (truncated header or payload at the tail).
@@ -77,11 +80,21 @@ struct UnitIndex {
 [[nodiscard]] UnitIndex scan_units(std::span<const std::byte> chain,
                                    std::uint16_t version, bool lenient);
 
+/// The strings one decoded unit of proxy rows names, before they merge
+/// into the caller's pools: the unit's own tables (v2 hosts and paths, v3
+/// paths), each listing its entries in the order the unit's rows first
+/// use them, and for v3 the host-dictionary indices in that order too.
+struct UnitStrings {
+  ProxyPools pools;
+  std::vector<std::uint32_t> dict_hosts;  ///< v3 only.
+};
+
 /// A v2 or v3 log body being decoded: the constructor — sequential —
 /// parses the v3 dictionaries and scans the chain; schedule() appends one
 /// decode task per unit to a caller-owned batch (load_bundle puts the
-/// units of all four logs in one batch); finalize() — sequential, after
-/// the batch ran — compacts failed units out of `out` in chain order.
+/// units of all four logs in one batch); finalize(), after the batch ran,
+/// merges the units' strings, rewrites their ids and compacts failed
+/// units out of `out` in chain order.
 template <typename Record>
 class LogDecode {
  public:
@@ -95,7 +108,7 @@ class LogDecode {
   LogDecode(const LogDecode&) = delete;
   LogDecode& operator=(const LogDecode&) = delete;
 
-  /// Claimed record total (the pre-size target).
+  /// Claimed record total (the size schedule() gives the destination).
   [[nodiscard]] std::uint64_t total_records() const noexcept {
     return index_.total_records;
   }
@@ -104,20 +117,27 @@ class LogDecode {
   /// The v3 file-level dictionaries (empty for v2).
   [[nodiscard]] const ColumnDicts& dicts() const noexcept { return dicts_; }
 
-  /// Resizes `out` and appends the per-unit decode tasks to `batch`.
-  void schedule(std::vector<Record>& out,
-                std::vector<std::function<void()>>& batch);
+  /// Sizes `out` to total_records() rows — for the event logs without
+  /// writing them (trace::Rows) — and appends the per-unit decode tasks to
+  /// `batch`.  Each task is the first writer of its unit's slice.
+  void schedule(Rows<Record>& out, std::vector<std::function<void()>>& batch);
 
-  /// Compacts `out` (stable, chain order) and returns what was lost: one
-  /// `corrupt_blocks` per unit lost to the scan or to its decode, or one
-  /// `corrupt_files` when lenient mode found the v3 dictionaries damaged
-  /// (every index in the file is meaningless without them).  Strict mode
-  /// always returns zeros — failures have already thrown.  Proxy rows'
-  /// ids are rewritten into `pools`, which gain exactly the strings the
-  /// surviving rows use, in first-use order: a repeated dictionary entry
-  /// and a string already in `pools` each map to one id.
-  QuarantineStats finalize(std::vector<Record>& out, ProxyPools& pools);
-  QuarantineStats finalize(std::vector<Record>& out)
+  /// Returns what was lost: one `corrupt_blocks` per unit lost to the scan
+  /// or to its decode, or one `corrupt_files` when lenient mode found the
+  /// v3 dictionaries damaged (every index in the file is meaningless
+  /// without them).  Strict mode always returns zeros — failures have
+  /// already thrown.  Proxy rows' ids are rewritten into `pools`, which
+  /// gain exactly the strings the surviving rows use, in first-use order:
+  /// a repeated dictionary entry and a string already in `pools` each map
+  /// to one id.  The string merge runs on the calling thread in chain
+  /// order; the per-row rewrite is one task per unit on `pool` (inline
+  /// when null); then failed units are compacted out of `out` (stable,
+  /// chain order), sequentially, since a moved range may overlap an
+  /// earlier unit's.  No unwritten row survives: every kept row lies in a
+  /// unit whose decode wrote all of it.
+  QuarantineStats finalize(Rows<Record>& out, ProxyPools& pools,
+                           par::TaskPool* pool = nullptr);
+  QuarantineStats finalize(Rows<Record>& out)
     requires PoolFree<Record>
   {
     ProxyPools unused;
@@ -134,8 +154,8 @@ class LogDecode {
   std::vector<std::uint64_t> unit_base_;  ///< Slice start per unit.
   /// Written concurrently, one slot per unit, by the decode tasks.
   std::vector<std::uint8_t> unit_done_;
-  /// Unit-local proxy string tables, one per unit, same ownership rule.
-  std::vector<ProxyPools> unit_pools_;
+  /// Unit-local proxy strings, one per unit, same ownership rule.
+  std::vector<UnitStrings> unit_strings_;
 };
 
 /// Sequential, strict reader of one v2 or v3 log from a stream: one unit
@@ -193,8 +213,8 @@ class LogCursor {
   std::uint64_t lanes_ = 1;
   std::uint16_t version_ = 0;  ///< 0 until open().
   ColumnDicts dicts_;
-  IdRemap dict_hosts_;     ///< v3 host dictionary -> pools_.hosts.
-  ProxyPools unit_pools_;  ///< The current unit's own string tables.
+  IdRemap dict_hosts_;         ///< v3 host dictionary -> pools_.hosts.
+  UnitStrings unit_strings_;   ///< The current unit's own strings.
   ProxyPools pools_;
   std::string scratch_;
   std::vector<Record> unit_;  ///< next()'s current unit.
@@ -247,11 +267,11 @@ template <typename Record>
 /// Proxy hosts and paths are interned into `pools` (see
 /// LogDecode::finalize).  Throws util::ParseError on any corruption.
 template <typename Record>
-[[nodiscard]] std::vector<Record> read_binary_log(
-    std::span<const std::byte> bytes, ProxyPools& pools,
-    par::TaskPool* pool = nullptr);
+[[nodiscard]] Rows<Record> read_binary_log(std::span<const std::byte> bytes,
+                                           ProxyPools& pools,
+                                           par::TaskPool* pool = nullptr);
 template <PoolFree Record>
-[[nodiscard]] std::vector<Record> read_binary_log(
+[[nodiscard]] Rows<Record> read_binary_log(
     std::span<const std::byte> bytes, par::TaskPool* pool = nullptr) {
   ProxyPools unused;
   return read_binary_log<Record>(bytes, unused, pool);
@@ -266,11 +286,11 @@ template <PoolFree Record>
 /// hosts and paths are interned into `pools`; a lost unit or tail
 /// interns nothing.
 template <typename Record>
-[[nodiscard]] std::vector<Record> read_binary_log_lenient(
+[[nodiscard]] Rows<Record> read_binary_log_lenient(
     std::span<const std::byte> bytes, QuarantineStats& quarantine,
     ProxyPools& pools, par::TaskPool* pool = nullptr);
 template <PoolFree Record>
-[[nodiscard]] std::vector<Record> read_binary_log_lenient(
+[[nodiscard]] Rows<Record> read_binary_log_lenient(
     std::span<const std::byte> bytes, QuarantineStats& quarantine,
     par::TaskPool* pool = nullptr) {
   ProxyPools unused;

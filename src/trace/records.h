@@ -15,9 +15,13 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "util/geo.h"
 #include "util/sim_time.h"
@@ -105,6 +109,54 @@ struct SectorInfo {
 
   friend bool operator==(const SectorInfo&, const SectorInfo&) = default;
 };
+
+/// The allocator of the event logs' rows.  Its no-argument construct()
+/// does nothing, so `resize(n)` and `Rows(n)` size a log without writing
+/// it: each decode task is the first writer of its own slice, on its own
+/// thread, instead of the caller zero-filling every row first.  Only the
+/// trivially copyable records use it (they are implicit-lifetime types,
+/// so the allocation holds them); a row sized this way holds unspecified
+/// values until written, and nothing reads rows as raw bytes (padding
+/// stays unwritten).  Every other construct() is the usual one.
+template <typename T>
+struct UnwrittenRowAllocator {
+  static_assert(std::is_trivially_copyable_v<T>);
+  using value_type = T;
+
+  UnwrittenRowAllocator() = default;
+  template <typename U>
+  UnwrittenRowAllocator(const UnwrittenRowAllocator<U>&) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return std::allocator<T>{}.allocate(n);
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    std::allocator<T>{}.deallocate(p, n);
+  }
+  template <typename U>
+  void construct(U*) noexcept {}
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
+  }
+
+  template <typename U>
+  friend bool operator==(const UnwrittenRowAllocator&,
+                         const UnwrittenRowAllocator<U>&) noexcept {
+    return true;
+  }
+};
+
+/// The rows of one log as readers return them and TraceStore holds them:
+/// sized without writing for the two event logs, a plain std::vector for
+/// the DeviceDB and the sector list (their records hold strings or are
+/// small, and keep real construction).
+template <typename Record>
+using Rows =
+    std::conditional_t<std::is_same_v<Record, ProxyRecord> ||
+                           std::is_same_v<Record, MmeRecord>,
+                       std::vector<Record, UnwrittenRowAllocator<Record>>,
+                       std::vector<Record>>;
 
 /// Orders records by (timestamp, user) — the canonical log order.
 struct ByTimeThenUser {

@@ -63,9 +63,8 @@ class DedupSet {
 /// Sanitizes one event log.  `validate` returns the quarantine counter to
 /// bump for a structurally invalid record, or nullptr when it is fine.
 template <typename Record, typename Validate>
-std::vector<Record> sanitize_log(std::vector<Record>&& in,
-                                 const SanitizeOptions& opt,
-                                 QuarantineStats& q, Validate validate) {
+Rows<Record> sanitize_log(Rows<Record>&& in, const SanitizeOptions& opt,
+                          QuarantineStats& q, Validate validate) {
   struct Pending {
     util::SimTime ts = 0;
     std::uint64_t seq = 0;
@@ -87,7 +86,7 @@ std::vector<Record> sanitize_log(std::vector<Record>&& in,
     return rec;
   };
   DedupSet<Record> seen;
-  std::vector<Record> out;
+  Rows<Record> out;
   out.reserve(in.size());
   std::optional<util::SimTime> last_emitted;
   std::optional<util::SimTime> max_arrival;
@@ -148,7 +147,7 @@ QuarantineStats sanitize_store(TraceStore& store,
   for (std::uint32_t id = 0; id < store.hosts.size(); ++id)
     host_ok[id] = host_is_valid(store.hosts[id]) ? 1 : 0;
 
-  store.proxy = sanitize_log(
+  store.proxy = sanitize_log<ProxyRecord>(
       std::move(store.proxy), options, q,
       [&](const ProxyRecord& r) -> std::uint64_t* {
         if (options.drop_bad_host && host_ok[r.host_id] == 0)
@@ -156,7 +155,7 @@ QuarantineStats sanitize_store(TraceStore& store,
         if (check_tac && !known_tacs.contains(r.tac)) return &q.unknown_tac;
         return nullptr;
       });
-  store.mme = sanitize_log(std::move(store.mme), options, q,
+  store.mme = sanitize_log<MmeRecord>(std::move(store.mme), options, q,
                            [&](const MmeRecord& r) -> std::uint64_t* {
                              if (check_tac && !known_tacs.contains(r.tac))
                                return &q.unknown_tac;

@@ -1,6 +1,7 @@
 // In-memory trace container shared by generator, serializers and analyses.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -31,22 +32,28 @@ struct TraceSummary {
 /// analyses take it by const reference.
 class TraceStore : public ProxyPools {
  public:
-  std::vector<ProxyRecord> proxy;    ///< Transparent-proxy transaction log.
-  std::vector<MmeRecord> mme;        ///< MME mobility log.
+  Rows<ProxyRecord> proxy;           ///< Transparent-proxy transaction log.
+  Rows<MmeRecord> mme;               ///< MME mobility log.
   std::vector<DeviceRecord> devices; ///< DeviceDB snapshot.
   std::vector<SectorInfo> sectors;   ///< Antenna-sector positions.
 
   /// Sorts both event logs into canonical (time, user) order, stably, then
   /// makes the pools canonical over the sorted proxy rows (first-appearance
-  /// order, no unused entry; see trace/string_pool.h).  A log or pool
-  /// already canonical is left untouched after one linear check.  The
-  /// rows are the only in-memory form of the logs: the analyses name a
-  /// record by its row index, so sort before building an AnalysisContext.
+  /// order, no unused entry; see trace/string_pool.h).  The fast path is
+  /// is_sorted(): a store already canonical (every bundle gen writes) is
+  /// left untouched after that one parallel check.  The rows are the only
+  /// in-memory form of the logs: the analyses name a record by its row
+  /// index, so sort before building an AnalysisContext.  May start
+  /// threads (see is_sorted()).
   void sort_by_time();
 
   /// True when both event logs are in canonical order and the pools are
   /// canonical over the proxy rows — what sort_by_time() establishes.
-  [[nodiscard]] bool is_sorted() const noexcept;
+  /// One stream over the rows, cut into row slices that run on up to
+  /// std::thread::hardware_concurrency() threads (one slice, inline, for
+  /// a small store); the answer does not depend on the slice count.
+  /// Throws std::system_error when a thread cannot be started.
+  [[nodiscard]] bool is_sorted() const;
 
   /// Computes aggregate counters (distinct users, volumes, time span).
   [[nodiscard]] TraceSummary summarize() const;
@@ -65,5 +72,13 @@ class TraceStore : public ProxyPools {
   mutable std::unordered_map<SectorId, std::size_t> sector_index_;
   mutable bool indexes_built_ = false;
 };
+
+/// is_sorted() over `slices` row slices of each event log (fewer when a
+/// log has fewer rows), run on `slices` threads.  Each slice checks its
+/// rows' order, starting from the row before it, and notes where it first
+/// uses each pool id; the merge checks the first uses in O(slices x pool
+/// size).  The answer is is_sorted()'s for every `slices` >= 1.
+[[nodiscard]] bool is_sorted_in_slices(const TraceStore& store,
+                                       std::size_t slices);
 
 }  // namespace wearscope::trace

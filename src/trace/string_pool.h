@@ -92,6 +92,12 @@ class IdRemap {
     return slot;
   }
 
+  /// The translation so far: entry `id` of the source table holds its id
+  /// in the pool, for every source entry translated.
+  [[nodiscard]] std::span<const std::uint32_t> table() const noexcept {
+    return ids_;
+  }
+
  private:
   static constexpr std::uint32_t kUnmapped =
       std::numeric_limits<std::uint32_t>::max();

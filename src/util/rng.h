@@ -66,9 +66,9 @@ class Pcg32 {
   /// Linear scan; use DiscreteSampler for repeated draws from one table.
   std::size_t weighted_index(std::span<const double> weights) noexcept;
 
-  /// Fisher-Yates shuffle of `values`.
-  template <typename T>
-  void shuffle(std::vector<T>& values) noexcept {
+  /// Fisher-Yates shuffle of `values` (a std::vector or trace::Rows).
+  template <typename Values>
+  void shuffle(Values& values) noexcept {
     for (std::size_t i = values.size(); i > 1; --i) {
       const auto j = static_cast<std::size_t>(
           uniform_int(0, static_cast<std::int64_t>(i) - 1));

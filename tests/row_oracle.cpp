@@ -460,7 +460,7 @@ UserMobility mobility_of(const AnalysisContext& ctx, const UserView& u) {
 std::optional<trace::SectorId> sector_at(const AnalysisContext& ctx,
                                          const UserView& user,
                                          util::SimTime t) {
-  const std::vector<trace::MmeRecord>& mme = ctx.store().mme;
+  const auto& mme = ctx.store().mme;
   if (user.mme_rows.empty()) return std::nullopt;
   const auto it = std::upper_bound(
       user.mme_rows.begin(), user.mme_rows.end(), t,
@@ -727,6 +727,14 @@ core::ThroughDeviceResult throughdevice_rows(const AnalysisContext& ctx) {
       std::span<const double>(res.td_hourly.data(), res.td_hourly.size()),
       std::span<const double>(res.sim_hourly.data(), res.sim_hourly.size()));
   return res;
+}
+
+bool sorted_rows(const trace::TraceStore& store) {
+  return std::is_sorted(store.proxy.begin(), store.proxy.end(),
+                        trace::ByTimeThenUser{}) &&
+         std::is_sorted(store.mme.begin(), store.mme.end(),
+                        trace::ByTimeThenUser{}) &&
+         trace::pools_canonical(store.proxy, store);
 }
 
 }  // namespace wearscope::oracle

@@ -25,6 +25,12 @@
 // against every companion signature (the pass itself matches each host
 // pool entry once and runs as user slices in the pipeline).
 //
+// sorted_rows is TraceStore::is_sorted as one sequential check: the two
+// logs' std::is_sorted and one pools_canonical pass over the proxy rows,
+// where the store cuts the rows into slices checked on threads of their
+// own and merges what each slice saw.  test_store.cpp checks the sliced
+// check against it at several slice counts.
+//
 // partition_feed_rows is fed::load_partition_feed on one thread: it pulls
 // one row at a time from each log's trace::LogCursor and merges the two
 // streams in the same loop that checks their order and filters them, the
@@ -44,6 +50,7 @@
 #include "core/analysis_usage.h"
 #include "core/context.h"
 #include "fed/feed_filter.h"
+#include "trace/store.h"
 #include "trace/string_pool.h"
 
 namespace wearscope::oracle {
@@ -70,6 +77,9 @@ core::MobilityResult mobility_rows(const core::AnalysisContext& ctx);
 /// Bitwise-identical to core::analyze_throughdevice and to the pipeline's
 /// sliced run of it.
 core::ThroughDeviceResult throughdevice_rows(const core::AnalysisContext& ctx);
+
+/// Equal to trace::TraceStore::is_sorted() on every store.
+bool sorted_rows(const trace::TraceStore& store);
 
 /// Identical, field by field, to fed::load_partition_feed; throws the
 /// same exception types (util::ParseError naming the file on damage or an

@@ -125,7 +125,7 @@ trace::ProxyRecord rec(util::SimTime t, const char* host) {
 /// a fresh cache over the pools the rows intern into.
 std::vector<EndpointClass> attribute(
     const AppSignatureTable& table,
-    const std::vector<trace::ProxyRecord>& recs) {
+    const trace::Rows<trace::ProxyRecord>& recs) {
   HostClassCache cache(table, rec_pools().hosts);
   std::vector<std::uint32_t> rows(recs.size());
   std::iota(rows.begin(), rows.end(), 0u);
@@ -133,7 +133,7 @@ std::vector<EndpointClass> attribute(
 }
 
 TEST_F(AppIdTest, ThirdPartyInheritsNearbyAppWithinWindow) {
-  const std::vector<trace::ProxyRecord> recs = {
+  const trace::Rows<trace::ProxyRecord> recs = {
       rec(1000, "api.weather.com"),
       rec(1010, "pubads.doubleclick.net"),
       rec(1020, "ssl.google-analytics.com"),
@@ -147,7 +147,7 @@ TEST_F(AppIdTest, ThirdPartyInheritsNearbyAppWithinWindow) {
 }
 
 TEST_F(AppIdTest, ThirdPartyOutsideWindowStaysUnknown) {
-  const std::vector<trace::ProxyRecord> recs = {
+  const trace::Rows<trace::ProxyRecord> recs = {
       rec(1000, "api.weather.com"),
       rec(5000, "pubads.doubleclick.net"),  // 4000 s away
   };
@@ -157,7 +157,7 @@ TEST_F(AppIdTest, ThirdPartyOutsideWindowStaysUnknown) {
 }
 
 TEST_F(AppIdTest, NearestAnchorWins) {
-  const std::vector<trace::ProxyRecord> recs = {
+  const trace::Rows<trace::ProxyRecord> recs = {
       rec(1000, "api.weather.com"),
       rec(1100, "pubads.doubleclick.net"),
       rec(1110, "e1.whatsapp.net"),
@@ -169,7 +169,7 @@ TEST_F(AppIdTest, NearestAnchorWins) {
 TEST_F(AppIdTest, UnknownFirstPartyIsNotReattributed) {
   // First-party traffic of unmapped apps must NOT be stolen by proximity:
   // it belongs to a different (unknown) app, not to a nearby known one.
-  const std::vector<trace::ProxyRecord> recs = {
+  const trace::Rows<trace::ProxyRecord> recs = {
       rec(1000, "api.weather.com"),
       rec(1010, "api.obscureapp.example"),
   };
@@ -178,7 +178,7 @@ TEST_F(AppIdTest, UnknownFirstPartyIsNotReattributed) {
 }
 
 TEST_F(AppIdTest, StreamWithNoAnchorsStaysUnknown) {
-  const std::vector<trace::ProxyRecord> recs = {
+  const trace::Rows<trace::ProxyRecord> recs = {
       rec(1000, "pubads.doubleclick.net"),
       rec(1010, "ssl.google-analytics.com"),
   };

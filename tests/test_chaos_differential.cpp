@@ -217,12 +217,13 @@ TEST(DiffQuarantine, EveryCounterIsCompared) {
 
 TEST(FaultPlan, ByteCorpusAccountingIsExact) {
   const simnet::SimResult& sim = capture();
-  std::vector<trace::ProxyRecord> sample(
+  trace::Rows<trace::ProxyRecord> sample(
       sim.store.proxy.begin(),
       sim.store.proxy.begin() +
           static_cast<std::ptrdiff_t>(
               std::min<std::size_t>(200, sim.store.proxy.size())));
-  const chaos::BinaryImage image = chaos::image_of(sample, sim.store);
+  const chaos::BinaryImage image =
+      chaos::image_of<trace::ProxyRecord>(sample, sim.store);
 
   const chaos::FaultPlan plan(31, chaos::FaultProfile::named("io"));
   const std::vector<chaos::ByteFault> corpus = plan.byte_corpus(image, true);
@@ -234,7 +235,7 @@ TEST(FaultPlan, ByteCorpusAccountingIsExact) {
     // Decoding into a copy of the capture's pools maps every intact string
     // back to the id it was written with.
     trace::ProxyPools pools = sim.store;
-    const std::vector<trace::ProxyRecord> got =
+    const trace::Rows<trace::ProxyRecord> got =
         trace::read_binary_log_lenient<trace::ProxyRecord>(
             std::as_bytes(std::span(fault.bytes.data(), fault.bytes.size())),
             q, pools);

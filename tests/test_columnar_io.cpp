@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <unistd.h>
 #include <vector>
 
@@ -33,8 +35,8 @@ namespace {
 
 /// `n` proxy rows whose strings are interned into `pools` in row order
 /// (so `pools` is canonical over them).
-std::vector<ProxyRecord> make_proxy(int n, ProxyPools& pools) {
-  std::vector<ProxyRecord> rows;
+Rows<ProxyRecord> make_proxy(int n, ProxyPools& pools) {
+  Rows<ProxyRecord> rows;
   for (int i = 0; i < n; ++i) {
     ProxyRecord r;
     r.timestamp = 1000 + 7 * i;
@@ -52,8 +54,8 @@ std::vector<ProxyRecord> make_proxy(int n, ProxyPools& pools) {
   return rows;
 }
 
-std::vector<MmeRecord> make_mme(int n) {
-  std::vector<MmeRecord> rows;
+Rows<MmeRecord> make_mme(int n) {
+  Rows<MmeRecord> rows;
   for (int i = 0; i < n; ++i) {
     rows.push_back({2000 + 3 * i, 2'000'000 + static_cast<UserId>(i % 53),
                     35254208u + static_cast<Tac>(i % 7),
@@ -67,11 +69,10 @@ std::vector<MmeRecord> make_mme(int n) {
 /// canonical over them) as a v3 log and decodes the body back (optionally
 /// on a pool) into fresh pools, asserting zero corruption and that the
 /// fresh pools equal `pools`.
-template <typename Record>
-std::vector<Record> v3_round_trip(const std::vector<Record>& records,
-                                  const ProxyPools& pools = {},
-                                  int threads = 1,
-                                  BlockWriterOptions wopt = {}) {
+template <typename Records>
+auto v3_round_trip(const Records& records, const ProxyPools& pools = {},
+                   int threads = 1, BlockWriterOptions wopt = {}) {
+  using Record = typename Records::value_type;
   std::stringstream buf;
   const ColumnarWriteInfo info =
       write_columnar_log(buf, records, pools, wopt);
@@ -83,7 +84,7 @@ std::vector<Record> v3_round_trip(const std::vector<Record>& records,
   LogDecode<Record> decode(bytes.subspan(8), kBinaryFormatV3,
                            /*lenient=*/false);
   EXPECT_EQ(decode.total_records(), records.size());
-  std::vector<Record> out;
+  Rows<Record> out;
   std::vector<std::function<void()>> batch;
   decode.schedule(out, batch);
   if (threads > 1) {
@@ -100,12 +101,12 @@ std::vector<Record> v3_round_trip(const std::vector<Record>& records,
 
 TEST(ColumnarIo, ProxyRoundTrip) {
   ProxyPools pools;
-  const std::vector<ProxyRecord> in = make_proxy(1000, pools);
+  const Rows<ProxyRecord> in = make_proxy(1000, pools);
   EXPECT_EQ(v3_round_trip(in, pools), in);
 }
 
 TEST(ColumnarIo, MmeRoundTrip) {
-  const std::vector<MmeRecord> in = make_mme(1000);
+  const Rows<MmeRecord> in = make_mme(1000);
   EXPECT_EQ(v3_round_trip(in), in);
 }
 
@@ -123,12 +124,12 @@ TEST(ColumnarIo, DeviceAndSectorRoundTrip) {
 }
 
 TEST(ColumnarIo, EmptyLogRoundTrips) {
-  EXPECT_TRUE(v3_round_trip(std::vector<ProxyRecord>{}).empty());
+  EXPECT_TRUE(v3_round_trip(Rows<ProxyRecord>{}).empty());
 }
 
 TEST(ColumnarIo, ThreadCountDoesNotChangeTheDecode) {
   ProxyPools pools;
-  const std::vector<ProxyRecord> in = make_proxy(5000, pools);
+  const Rows<ProxyRecord> in = make_proxy(5000, pools);
   for (int threads : {1, 2, 4, 8}) {
     EXPECT_EQ(v3_round_trip(in, pools, threads), in) << "threads=" << threads;
   }
@@ -140,7 +141,7 @@ TEST(ColumnarIo, SmallGroupsChainCorrectly) {
   BlockWriterOptions wopt;
   wopt.max_block_records = 17;
   ProxyPools pools;
-  const std::vector<ProxyRecord> in = make_proxy(400, pools);
+  const Rows<ProxyRecord> in = make_proxy(400, pools);
   EXPECT_EQ(v3_round_trip(in, pools, 4, wopt), in);
 }
 
@@ -157,7 +158,7 @@ TEST(ColumnarIo, HeaderSaysVersionThree) {
 
 TEST(ColumnarIo, DictionariesAreFirstAppearanceAndShared) {
   ProxyPools pools;
-  const std::vector<ProxyRecord> in = make_proxy(200, pools);
+  const Rows<ProxyRecord> in = make_proxy(200, pools);
   std::stringstream buf;
   (void)write_columnar_log(buf, in, pools);
   const std::string data = buf.str();
@@ -203,7 +204,7 @@ TEST(ColumnarIo, ScanSkipsImpossibleGroupHeader) {
 
 TEST(ColumnarIo, ProbeLayoutCountsDictsAndColumns) {
   ProxyPools pools;
-  const std::vector<ProxyRecord> in = make_proxy(500, pools);
+  const Rows<ProxyRecord> in = make_proxy(500, pools);
   std::stringstream buf;
   (void)write_columnar_log(buf, in, pools);
   const std::string data = buf.str();
@@ -373,27 +374,35 @@ TEST(ColumnarIo, RepeatedDictionaryEntryLoadsLikeTheDeduplicatedFile) {
   patch_host_entry(log, b, store.hosts[a]);
   write_file(base / "repeat" / "proxy.bin", log);
 
-  LoadOptions lopt;
-  lopt.threads = 4;
-  TraceStore dedup = load_bundle(base / "dedup", lopt);
-  TraceStore repeat = load_bundle(base / "repeat", lopt);
-  dedup.sort_by_time();
-  repeat.sort_by_time();
-  EXPECT_EQ(repeat.hosts, dedup.hosts);
-  EXPECT_EQ(repeat.paths, dedup.paths);
-  EXPECT_EQ(repeat.proxy, dedup.proxy);
-  // Every row's host id agrees too, so the analyses see one host where
-  // the file listed it twice.
-  ASSERT_EQ(repeat.proxy.size(), dedup.proxy.size());
-  for (std::size_t i = 0; i < repeat.proxy.size(); ++i)
-    ASSERT_EQ(repeat.proxy[i].host_id, dedup.proxy[i].host_id) << "row " << i;
-
   core::AnalysisOptions opt;
   opt.observation_days = sim.observation_days;
   opt.detailed_start_day = sim.detailed_start_day;
   opt.long_tail_apps = cfg.long_tail_apps;
-  EXPECT_EQ(core::Pipeline(repeat, opt).run().to_text(),
-            core::Pipeline(dedup, opt).run().to_text());
+  std::string report;
+  // Every thread count: each unit's rows are rewritten by a task of their
+  // own, through the unit's table and the file's shared host table.
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    LoadOptions lopt;
+    lopt.threads = threads;
+    TraceStore dedup = load_bundle(base / "dedup", lopt);
+    TraceStore repeat = load_bundle(base / "repeat", lopt);
+    dedup.sort_by_time();
+    repeat.sort_by_time();
+    EXPECT_EQ(repeat.hosts, dedup.hosts) << threads;
+    EXPECT_EQ(repeat.paths, dedup.paths) << threads;
+    EXPECT_EQ(repeat.proxy, dedup.proxy) << threads;
+    // Every row's host id agrees too, so the analyses see one host where
+    // the file listed it twice.
+    ASSERT_EQ(repeat.proxy.size(), dedup.proxy.size());
+    for (std::size_t i = 0; i < repeat.proxy.size(); ++i) {
+      ASSERT_EQ(repeat.proxy[i].host_id, dedup.proxy[i].host_id)
+          << "row " << i << ", " << threads << " threads";
+    }
+    const std::string text = core::Pipeline(repeat, opt).run().to_text();
+    EXPECT_EQ(text, core::Pipeline(dedup, opt).run().to_text()) << threads;
+    if (report.empty()) report = text;
+    EXPECT_EQ(text, report) << threads;
+  }
   std::filesystem::remove_all(base);
 }
 
@@ -443,6 +452,92 @@ TEST(ColumnarIo, QuarantinedGroupLeavesNoUnusedPoolEntry) {
         << threads;
     EXPECT_EQ(loaded.paths.strings(), std::vector<std::string>{"/kept"})
         << threads;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// One proxy row with its host and path spelled out, so rows of stores
+/// whose pools number the strings differently compare by content.
+using SpelledProxy =
+    std::tuple<util::SimTime, UserId, Tac, Protocol, std::string, std::string,
+               std::uint64_t, std::uint64_t, std::uint32_t>;
+
+std::vector<SpelledProxy> spelled(const TraceStore& store) {
+  std::vector<SpelledProxy> rows;
+  for (const ProxyRecord& r : store.proxy) {
+    rows.emplace_back(r.timestamp, r.user_id, r.tac, r.protocol,
+                      store.hosts[r.host_id], store.paths[r.path_id],
+                      r.bytes_up, r.bytes_down, r.duration_ms);
+  }
+  return rows;
+}
+
+/// `rows` without the rows of the units listed in `lost`, for units of
+/// `unit` rows each.
+template <typename Row>
+std::vector<Row> without_units(const std::vector<Row>& rows, std::size_t unit,
+                               std::initializer_list<std::size_t> lost) {
+  std::vector<Row> kept;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (std::find(lost.begin(), lost.end(), i / unit) == lost.end())
+      kept.push_back(rows[i]);
+  }
+  return kept;
+}
+
+/// Flips one payload byte of each listed row group of the whole v3 log at
+/// `path`: the group's first column CRC fails.
+void corrupt_groups(const std::filesystem::path& path,
+                    std::initializer_list<std::size_t> groups) {
+  std::string log = read_file(path);
+  const std::size_t chain = chain_offset(log);
+  const UnitIndex index = scan_units(as_bytes_of(log).subspan(chain),
+                                     kBinaryFormatV3, /*lenient=*/true);
+  for (const std::size_t g : groups) {
+    ASSERT_LT(g, index.units.size());
+    log[chain + index.units[g].payload_offset + kColumnHeaderBytes] ^= 0x01;
+  }
+  write_file(path, log);
+}
+
+TEST(ColumnarIo, LenientLoadKeepsNoUnwrittenRow) {
+  // The loader sizes the event logs without writing them; each decode
+  // task is the first writer of its group's rows.  A group that fails
+  // leaves its slice unwritten, so the load must drop exactly those rows:
+  // the first, a middle and the last proxy group and one MME group here.
+  const std::size_t group = BlockWriterOptions{}.max_block_records;
+  TraceStore store;
+  store.proxy = make_proxy(static_cast<int>(5 * group), store);
+  store.mme = make_mme(static_cast<int>(3 * group));
+  ASSERT_TRUE(store.is_sorted());
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("wearscope_v3_unwritten_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  save_bundle(store, dir, BundleFormat::kBinary, kBinaryFormatV3);
+  const TraceStore clean = load_bundle(dir);
+  ASSERT_EQ(clean.proxy.size(), 5 * group);
+  const std::vector<SpelledProxy> proxy_kept =
+      without_units(spelled(clean), group, {0, 2, 4});
+  const std::vector<MmeRecord> mme_kept = without_units(
+      std::vector<MmeRecord>(clean.mme.begin(), clean.mme.end()), group, {1});
+  corrupt_groups(dir / "proxy.bin", {0, 2, 4});
+  corrupt_groups(dir / "mme.bin", {1});
+
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    QuarantineStats q;
+    LoadOptions lopt;
+    lopt.threads = threads;
+    const TraceStore loaded = load_bundle(dir, q, lopt);
+    QuarantineStats expected;
+    expected.corrupt_blocks = 4;
+    EXPECT_EQ(q, expected) << threads;
+    EXPECT_EQ(spelled(loaded), proxy_kept) << threads;
+    EXPECT_TRUE(std::equal(loaded.mme.begin(), loaded.mme.end(),
+                           mme_kept.begin(), mme_kept.end()))
+        << threads;
+    EXPECT_TRUE(pools_canonical(loaded.proxy, loaded)) << threads;
+    EXPECT_TRUE(loaded.is_sorted()) << threads;
   }
   std::filesystem::remove_all(dir);
 }

@@ -85,7 +85,7 @@ core::ActivityResult streamed_activity(const core::AnalysisContext& ctx) {
   core::StreamingActivity streaming(ctx.devices(),
                                     ctx.options().observation_days,
                                     ctx.options().detailed_start_day);
-  const std::vector<ProxyRecord>& proxy = ctx.store().proxy;
+  const Rows<ProxyRecord>& proxy = ctx.store().proxy;
   for (std::size_t i = 0; i < proxy.size(); ++i) {
     streaming.on_proxy(proxy[i], i);
   }

@@ -120,11 +120,11 @@ void write_file(const std::filesystem::path& path, const std::string& bytes) {
 /// units, far more than a decoder may run ahead of the merge.
 constexpr std::size_t kSmallUnit = 61;
 
-template <typename Record>
-void write_small_units(const std::vector<Record>& rows,
-                       const trace::ProxyPools& pools,
+template <typename Log>
+void write_small_units(const Log& rows, const trace::ProxyPools& pools,
                        const std::filesystem::path& path,
                        std::uint16_t format) {
+  using Record = typename Log::value_type;
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   trace::BlockWriterOptions options;
   options.max_block_records = kSmallUnit;
@@ -432,7 +432,7 @@ TEST(FedStream, PipelinedFeedMatchesSequentialOracle) {
     const std::string proxy_file = read_file(dir.path / "proxy.bin");
     ASSERT_GT(units_of(proxy_file, format).size(), 20u);
     trace::ProxyPools pools;
-    std::vector<trace::ProxyRecord> proxy =
+    trace::Rows<trace::ProxyRecord> proxy =
         trace::read_binary_log<trace::ProxyRecord>(bytes_of(proxy_file),
                                                    pools);
     trace::ProxyPools store_pools = store;  // holds every string already

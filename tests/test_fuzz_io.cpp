@@ -45,14 +45,14 @@ ProxyPools& fuzz_pools() {
 
 /// read_binary_log into fuzz_pools().
 template <typename Record>
-std::vector<Record> read_log(std::span<const std::byte> bytes) {
+Rows<Record> read_log(std::span<const std::byte> bytes) {
   return read_binary_log<Record>(bytes, fuzz_pools());
 }
 
 /// read_binary_log_lenient into fuzz_pools().
 template <typename Record>
-std::vector<Record> read_log_lenient(std::span<const std::byte> bytes,
-                                     QuarantineStats& quarantine) {
+Rows<Record> read_log_lenient(std::span<const std::byte> bytes,
+                              QuarantineStats& quarantine) {
   return read_binary_log_lenient<Record>(bytes, quarantine, fuzz_pools());
 }
 
@@ -207,8 +207,8 @@ TEST(FuzzCsv, ArbitraryTextLinesAreRejected) {
 // corpus's own accounting promise (chaos::ByteFault::expected).
 // ---------------------------------------------------------------------------
 
-std::vector<ProxyRecord> sample_proxy(std::size_t n) {
-  std::vector<ProxyRecord> records;
+Rows<ProxyRecord> sample_proxy(std::size_t n) {
+  Rows<ProxyRecord> records;
   records.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     ProxyRecord r;
@@ -227,8 +227,8 @@ std::vector<ProxyRecord> sample_proxy(std::size_t n) {
   return records;
 }
 
-std::vector<MmeRecord> sample_mme(std::size_t n) {
-  std::vector<MmeRecord> records;
+Rows<MmeRecord> sample_mme(std::size_t n) {
+  Rows<MmeRecord> records;
   records.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     records.push_back({static_cast<util::SimTime>(i * 60),
@@ -239,10 +239,11 @@ std::vector<MmeRecord> sample_mme(std::size_t n) {
   return records;
 }
 
-template <typename Record>
-void drive_corpus(const std::vector<Record>& sample, bool proxy_layout,
-                  std::uint64_t seed) {
-  const chaos::BinaryImage image = chaos::image_of(sample, fuzz_pools());
+template <typename Log>
+void drive_corpus(const Log& sample, bool proxy_layout, std::uint64_t seed) {
+  using Record = typename Log::value_type;
+  const chaos::BinaryImage image =
+      chaos::image_of<Record>(sample, fuzz_pools());
   const chaos::FaultPlan plan(seed, chaos::FaultProfile::named("io"));
   const std::vector<chaos::ByteFault> corpus =
       plan.byte_corpus(image, proxy_layout);
@@ -251,7 +252,7 @@ void drive_corpus(const std::vector<Record>& sample, bool proxy_layout,
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     const chaos::ByteFault& fault = corpus[i];
     QuarantineStats q;
-    std::vector<Record> got;
+    Rows<Record> got;
     // Lenient reads never throw — corruption lands in `q`, not exceptions.
     ASSERT_NO_THROW(got = read_log_lenient<Record>(
                         blob_bytes(fault.bytes), q))
@@ -270,14 +271,14 @@ void drive_corpus(const std::vector<Record>& sample, bool proxy_layout,
 }
 
 TEST(FuzzChaosCorpus, ProxyCorpusHonorsExactAccounting) {
-  const std::vector<ProxyRecord> sample = sample_proxy(96);
+  const Rows<ProxyRecord> sample = sample_proxy(96);
   for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
     drive_corpus(sample, /*proxy_layout=*/true, seed);
   }
 }
 
 TEST(FuzzChaosCorpus, MmeCorpusHonorsExactAccounting) {
-  const std::vector<MmeRecord> sample = sample_mme(128);
+  const Rows<MmeRecord> sample = sample_mme(128);
   for (const std::uint64_t seed : {21u, 22u, 23u, 24u}) {
     drive_corpus(sample, /*proxy_layout=*/false, seed);
   }
@@ -310,8 +311,8 @@ UnitIndex index_of(const std::string& blob) {
 /// their units round-robin (unit k from lane k % lanes) as a partition
 /// feed's merge does; nullopt when a cursor throws util::ParseError before
 /// the end of the log.  Row ids are remapped into fuzz_pools().
-std::optional<std::vector<ProxyRecord>> read_strided(const std::string& blob,
-                                                     std::size_t lanes) {
+std::optional<Rows<ProxyRecord>> read_strided(const std::string& blob,
+                                              std::size_t lanes) {
   std::vector<std::istringstream> streams;
   streams.reserve(lanes);
   std::vector<LogCursor<ProxyRecord>> cursors;
@@ -320,7 +321,7 @@ std::optional<std::vector<ProxyRecord>> read_strided(const std::string& blob,
     streams.emplace_back(blob);
     cursors.emplace_back(streams.back(), k, lanes);
   }
-  std::vector<ProxyRecord> out;
+  Rows<ProxyRecord> out;
   std::vector<ProxyRecord> unit;
   try {
     for (std::size_t k = 0;; ++k) {
@@ -344,13 +345,13 @@ std::optional<std::vector<ProxyRecord>> read_strided(const std::string& blob,
 /// the cursor reading from the start, and claims exactly what an intact
 /// log holds.
 void expect_cursor_agrees(const std::string& blob, const std::string& what) {
-  std::optional<std::vector<ProxyRecord>> whole;
+  std::optional<Rows<ProxyRecord>> whole;
   try {
     whole = read_log<ProxyRecord>(blob_bytes(blob));
   } catch (const util::ParseError&) {
   }
   std::uint64_t claimed = 0;
-  std::optional<std::vector<ProxyRecord>> streamed;
+  std::optional<Rows<ProxyRecord>> streamed;
   try {
     std::istringstream in(blob);
     const ClaimedRecords walk = claimed_records<ProxyRecord>(in);
@@ -358,7 +359,7 @@ void expect_cursor_agrees(const std::string& blob, const std::string& what) {
     EXPECT_LE(claimed, blob.size()) << what;
     EXPECT_LE(walk.largest_unit, blob.size()) << what;
     LogCursor<ProxyRecord> cursor(in);
-    std::vector<ProxyRecord> got;
+    Rows<ProxyRecord> got;
     while (const ProxyRecord* r = cursor.next()) got.push_back(*r);
     // The cursor numbers its own pools; compare what the rows say.
     remap_ids(got, cursor.pools(), fuzz_pools());
@@ -380,7 +381,7 @@ void expect_cursor_agrees(const std::string& blob, const std::string& what) {
     EXPECT_EQ(claimed, whole->size()) << what;
   }
   for (const std::size_t lanes : {2u, 3u}) {
-    const std::optional<std::vector<ProxyRecord>> strided =
+    const std::optional<Rows<ProxyRecord>> strided =
         read_strided(blob, lanes);
     ASSERT_EQ(whole.has_value(), strided.has_value())
         << what << " (" << lanes << " lanes)";
@@ -389,10 +390,9 @@ void expect_cursor_agrees(const std::string& blob, const std::string& what) {
 }
 
 /// `sample` minus the records of block `skip` (order otherwise preserved).
-std::vector<ProxyRecord> without_block(const std::vector<ProxyRecord>& sample,
-                                       const UnitIndex& index,
-                                       std::size_t skip) {
-  std::vector<ProxyRecord> expect;
+Rows<ProxyRecord> without_block(const Rows<ProxyRecord>& sample,
+                                const UnitIndex& index, std::size_t skip) {
+  Rows<ProxyRecord> expect;
   std::size_t base = 0;
   for (std::size_t i = 0; i < index.units.size(); ++i) {
     const std::size_t n = index.units[i].record_count;
@@ -421,7 +421,7 @@ TEST(FuzzV2, TruncationAtEveryOffsetHonorsBlockAccounting) {
   for (std::size_t cut = 0; cut < blob.size(); ++cut) {
     const std::string prefix = blob.substr(0, cut);
     QuarantineStats q;
-    std::vector<ProxyRecord> got;
+    Rows<ProxyRecord> got;
     ASSERT_NO_THROW(
         got = read_log_lenient<ProxyRecord>(blob_bytes(prefix), q))
         << "cut " << cut;
@@ -448,14 +448,14 @@ TEST(FuzzV2, TruncationAtEveryOffsetHonorsBlockAccounting) {
 }
 
 TEST(FuzzV2, CorruptCrcQuarantinesExactlyThatBlock) {
-  const std::vector<ProxyRecord> sample = sample_proxy(64);
+  const Rows<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v2_log(64, 8);
   const UnitIndex index = index_of(blob);
   for (std::size_t k = 0; k < index.units.size(); ++k) {
     std::string mutated = blob;
     mutated[8 + index.units[k].payload_offset] ^= 0x01;
     QuarantineStats q;
-    std::vector<ProxyRecord> got;
+    Rows<ProxyRecord> got;
     ASSERT_NO_THROW(
         got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "block " << k;
@@ -472,7 +472,7 @@ TEST(FuzzV2, CorruptCrcQuarantinesExactlyThatBlock) {
 }
 
 TEST(FuzzV2, OverlongByteLengthLosesOnlyTheTail) {
-  const std::vector<ProxyRecord> sample = sample_proxy(64);
+  const Rows<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v2_log(64, 8);
   const UnitIndex index = index_of(blob);
   for (const std::size_t k : {std::size_t{0}, std::size_t{3}, std::size_t{7}}) {
@@ -481,7 +481,7 @@ TEST(FuzzV2, OverlongByteLengthLosesOnlyTheTail) {
     const std::size_t at = 8 + index.units[k].payload_offset - 8;
     for (std::size_t i = 0; i < 4; ++i) mutated[at + i] = '\xff';
     QuarantineStats q;
-    std::vector<ProxyRecord> got;
+    Rows<ProxyRecord> got;
     ASSERT_NO_THROW(
         got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "block " << k;
@@ -496,7 +496,7 @@ TEST(FuzzV2, OverlongByteLengthLosesOnlyTheTail) {
 }
 
 TEST(FuzzV2, ImpossibleRecordCountSkipsFrameAndResyncs) {
-  const std::vector<ProxyRecord> sample = sample_proxy(64);
+  const Rows<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v2_log(64, 8);
   const UnitIndex index = index_of(blob);
   for (std::size_t k = 0; k < index.units.size(); ++k) {
@@ -508,7 +508,7 @@ TEST(FuzzV2, ImpossibleRecordCountSkipsFrameAndResyncs) {
     for (std::size_t i = 0; i < 4; ++i)
       mutated[at + i] = static_cast<char>((bogus >> (8 * i)) & 0xff);
     QuarantineStats q;
-    std::vector<ProxyRecord> got;
+    Rows<ProxyRecord> got;
     ASSERT_NO_THROW(
         got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "block " << k;
@@ -519,7 +519,7 @@ TEST(FuzzV2, ImpossibleRecordCountSkipsFrameAndResyncs) {
 }
 
 TEST(FuzzV2, ZeroRecordBlockParsesCleanly) {
-  const std::vector<ProxyRecord> sample = sample_proxy(64);
+  const Rows<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v2_log(64, 8);
   const UnitIndex index = index_of(blob);
   // Splice an empty frame (0 records, 0 bytes, crc32("") == 0, i.e. twelve
@@ -528,7 +528,7 @@ TEST(FuzzV2, ZeroRecordBlockParsesCleanly) {
   std::string spliced = blob.substr(0, at) + std::string(12, '\0') +
                         blob.substr(at);
   QuarantineStats q;
-  std::vector<ProxyRecord> lenient;
+  Rows<ProxyRecord> lenient;
   ASSERT_NO_THROW(
       lenient = read_log_lenient<ProxyRecord>(blob_bytes(spliced), q));
   expect_cursor_agrees(spliced, "spliced");
@@ -551,7 +551,7 @@ TEST(FuzzV2, SingleByteFlipsNeverCrashLenient) {
         0, static_cast<std::int64_t>(mutated.size()) - 1));
     mutated[pos] = static_cast<char>(rng.uniform_int(0, 255));
     QuarantineStats q;
-    std::vector<ProxyRecord> got;
+    Rows<ProxyRecord> got;
     // Lenient reads never throw — corruption lands in `q`, not exceptions.
     ASSERT_NO_THROW(
         got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
@@ -633,10 +633,9 @@ void v3_restamp_crc(std::string& blob, const ColumnSegment& segment) {
 }
 
 /// `sample` minus the records of row group `skip`.
-std::vector<ProxyRecord> without_group(const std::vector<ProxyRecord>& sample,
-                                       const UnitIndex& index,
-                                       std::size_t skip) {
-  std::vector<ProxyRecord> expect;
+Rows<ProxyRecord> without_group(const Rows<ProxyRecord>& sample,
+                                const UnitIndex& index, std::size_t skip) {
+  Rows<ProxyRecord> expect;
   std::size_t base = 0;
   for (std::size_t i = 0; i < index.units.size(); ++i) {
     const std::size_t n = index.units[i].record_count;
@@ -666,7 +665,7 @@ TEST(FuzzV3, TruncationAtEveryOffsetHonorsGroupAccounting) {
   for (std::size_t cut = 0; cut < blob.size(); ++cut) {
     const std::string prefix = blob.substr(0, cut);
     QuarantineStats q;
-    std::vector<ProxyRecord> got;
+    Rows<ProxyRecord> got;
     ASSERT_NO_THROW(
         got = read_log_lenient<ProxyRecord>(blob_bytes(prefix), q))
         << "cut " << cut;
@@ -694,7 +693,7 @@ TEST(FuzzV3, TruncationAtEveryOffsetHonorsGroupAccounting) {
 }
 
 TEST(FuzzV3, CorruptColumnCrcQuarantinesExactlyThatGroup) {
-  const std::vector<ProxyRecord> sample = sample_proxy(64);
+  const Rows<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v3_log(64, 8);
   const UnitIndex index = v3_index_of(blob);
   const std::size_t columns = columnar_column_count<ProxyRecord>();
@@ -706,7 +705,7 @@ TEST(FuzzV3, CorruptColumnCrcQuarantinesExactlyThatGroup) {
     std::string mutated = blob;
     mutated[segments[k % columns].payload_offset] ^= 0x01;
     QuarantineStats q;
-    std::vector<ProxyRecord> got;
+    Rows<ProxyRecord> got;
     ASSERT_NO_THROW(
         got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "group " << k;
@@ -723,7 +722,7 @@ TEST(FuzzV3, CorruptColumnCrcQuarantinesExactlyThatGroup) {
 }
 
 TEST(FuzzV3, DictIndexOutOfRangeQuarantinesTheGroup) {
-  const std::vector<ProxyRecord> sample = sample_proxy(64);
+  const Rows<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v3_log(64, 8);
   const UnitIndex index = v3_index_of(blob);
   for (const std::size_t k : {std::size_t{0}, std::size_t{3}, std::size_t{7}}) {
@@ -738,7 +737,7 @@ TEST(FuzzV3, DictIndexOutOfRangeQuarantinesTheGroup) {
     mutated[segments[2].payload_offset] = '\x7f';
     v3_restamp_crc(mutated, segments[2]);
     QuarantineStats q;
-    std::vector<ProxyRecord> got;
+    Rows<ProxyRecord> got;
     ASSERT_NO_THROW(
         got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "group " << k;
@@ -752,7 +751,7 @@ TEST(FuzzV3, DictIndexOutOfRangeQuarantinesTheGroup) {
 }
 
 TEST(FuzzV3, VarintOverrunQuarantinesTheGroup) {
-  const std::vector<ProxyRecord> sample = sample_proxy(64);
+  const Rows<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v3_log(64, 8);
   const UnitIndex index = v3_index_of(blob);
   for (const std::size_t k : {std::size_t{0}, std::size_t{4}, std::size_t{7}}) {
@@ -769,7 +768,7 @@ TEST(FuzzV3, VarintOverrunQuarantinesTheGroup) {
         static_cast<char>(0x80);
     v3_restamp_crc(mutated, users);
     QuarantineStats q;
-    std::vector<ProxyRecord> got;
+    Rows<ProxyRecord> got;
     ASSERT_NO_THROW(
         got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "group " << k;
@@ -790,7 +789,7 @@ TEST(FuzzV3, DictionaryDamageQuarantinesTheWholeFile) {
   std::string mutated = blob;
   mutated[8 + kDictHeaderBytes] ^= 0x01;
   QuarantineStats q;
-  std::vector<ProxyRecord> got;
+  Rows<ProxyRecord> got;
   ASSERT_NO_THROW(
       got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q));
   expect_cursor_agrees(mutated, "dictionary");
@@ -808,7 +807,7 @@ TEST(FuzzV3, DictionaryEntryCountBombIsBounded) {
   const std::uint32_t bomb = 0xffffffffu;
   std::memcpy(mutated.data() + 8, &bomb, 4);
   QuarantineStats q;
-  std::vector<ProxyRecord> got;
+  Rows<ProxyRecord> got;
   ASSERT_NO_THROW(
       got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q));
   EXPECT_EQ(q.corrupt_files, 1u);
@@ -817,7 +816,7 @@ TEST(FuzzV3, DictionaryEntryCountBombIsBounded) {
 }
 
 TEST(FuzzV3, ImpossibleRecordCountSkipsGroupAndResyncs) {
-  const std::vector<ProxyRecord> sample = sample_proxy(64);
+  const Rows<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v3_log(64, 8);
   const std::size_t chain_start = v3_chain_start(blob);
   const UnitIndex index = v3_index_of(blob);
@@ -831,7 +830,7 @@ TEST(FuzzV3, ImpossibleRecordCountSkipsGroupAndResyncs) {
         chain_start + index.units[k].payload_offset - kGroupHeaderBytes;
     std::memcpy(mutated.data() + at, &bogus, 4);
     QuarantineStats q;
-    std::vector<ProxyRecord> got;
+    Rows<ProxyRecord> got;
     ASSERT_NO_THROW(
         got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "group " << k;
@@ -842,7 +841,7 @@ TEST(FuzzV3, ImpossibleRecordCountSkipsGroupAndResyncs) {
 }
 
 TEST(FuzzV3, ZeroRecordGroupParsesCleanly) {
-  const std::vector<ProxyRecord> sample = sample_proxy(64);
+  const Rows<ProxyRecord> sample = sample_proxy(64);
   const std::string blob = valid_v3_log(64, 8);
   const std::size_t chain_start = v3_chain_start(blob);
   const UnitIndex index = v3_index_of(blob);
@@ -860,7 +859,7 @@ TEST(FuzzV3, ZeroRecordGroupParsesCleanly) {
   const std::string spliced =
       blob.substr(0, at) + empty_group + blob.substr(at);
   QuarantineStats q;
-  std::vector<ProxyRecord> lenient;
+  Rows<ProxyRecord> lenient;
   ASSERT_NO_THROW(
       lenient = read_log_lenient<ProxyRecord>(blob_bytes(spliced), q));
   expect_cursor_agrees(spliced, "spliced");
@@ -880,7 +879,7 @@ TEST(FuzzV3, SingleByteFlipsNeverCrashLenient) {
         0, static_cast<std::int64_t>(mutated.size()) - 1));
     mutated[pos] = static_cast<char>(rng.uniform_int(0, 255));
     QuarantineStats q;
-    std::vector<ProxyRecord> got;
+    Rows<ProxyRecord> got;
     // Lenient reads never throw — corruption lands in `q`, not exceptions.
     ASSERT_NO_THROW(
         got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
@@ -1235,8 +1234,9 @@ TEST(FuzzFed, AdoptionTallyMustCoverItsWindow) {
 TEST(FuzzChaosCorpus, StrictReaderRejectsEveryExactFault) {
   // The strict reader path must refuse what the lenient path quarantines:
   // an exact fault that drops records must surface as ParseError there.
-  const std::vector<ProxyRecord> sample = sample_proxy(64);
-  const chaos::BinaryImage image = chaos::image_of(sample, fuzz_pools());
+  const Rows<ProxyRecord> sample = sample_proxy(64);
+  const chaos::BinaryImage image =
+      chaos::image_of<ProxyRecord>(sample, fuzz_pools());
   const chaos::FaultPlan plan(99, chaos::FaultProfile::named("io"));
   for (const chaos::ByteFault& fault : plan.byte_corpus(image, true)) {
     if (!fault.exact || fault.expected_survivors == sample.size()) continue;

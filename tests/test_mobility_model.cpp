@@ -89,7 +89,7 @@ TEST(MobilityModel, EmitMmeStartsWithAttachThenHandoversAndTaus) {
   util::Pcg32 rng(6);
   const Subscriber& sub = w.owner();
   const DayItinerary it = w.mobility.build_day(sub, 3, rng);
-  std::vector<trace::MmeRecord> mme;
+  trace::Rows<trace::MmeRecord> mme;
   w.mobility.emit_mme(it, sub, sub.phone_tac, mme);
   ASSERT_FALSE(mme.empty());
   EXPECT_EQ(mme.front().event, trace::MmeEvent::kAttach);
@@ -115,7 +115,7 @@ TEST(MobilityModel, TauKeepAlivesCoverStationaryStretches) {
   DayItinerary it;
   it.day = 0;
   it.legs = {{util::day_start(0), sub.home_sector}};  // static all day
-  std::vector<trace::MmeRecord> mme;
+  trace::Rows<trace::MmeRecord> mme;
   w.mobility.emit_mme(it, sub, sub.phone_tac, mme,
                       /*tau_interval_s=*/6 * util::kSecondsPerHour);
   // Attach at 00:00 plus TAUs at 06:00, 12:00, 18:00.
@@ -136,7 +136,7 @@ TEST(MobilityModel, TauDisabledWithZeroInterval) {
   DayItinerary it;
   it.day = 0;
   it.legs = {{util::day_start(0), sub.home_sector}};
-  std::vector<trace::MmeRecord> mme;
+  trace::Rows<trace::MmeRecord> mme;
   w.mobility.emit_mme(it, sub, sub.phone_tac, mme, /*tau_interval_s=*/0);
   EXPECT_EQ(mme.size(), 1u);
 }

@@ -24,7 +24,7 @@ EndpointClass app(appdb::AppId id) {
   return EndpointClass{appdb::TransactionClass::kApplication, id};
 }
 
-std::vector<Usage> run(const std::vector<trace::ProxyRecord>& recs,
+std::vector<Usage> run(const trace::Rows<trace::ProxyRecord>& recs,
                        const std::vector<EndpointClass>& apps,
                        util::SimTime gap = kDefaultUsageGapS) {
   std::vector<std::uint32_t> rows(recs.size());
@@ -87,13 +87,13 @@ TEST(Sessionize, EmptyInput) {
 }
 
 TEST(Sessionize, SizeMismatchThrows) {
-  const std::vector<trace::ProxyRecord> recs = {rec(0)};
+  const trace::Rows<trace::ProxyRecord> recs = {rec(0)};
   const std::vector<std::uint32_t> rows = {0};
   EXPECT_THROW(sessionize_user(recs, rows, {}, 60), util::ConfigError);
 }
 
 TEST(Sessionize, ManyUsagesSortedByStart) {
-  std::vector<trace::ProxyRecord> recs;
+  trace::Rows<trace::ProxyRecord> recs;
   std::vector<EndpointClass> apps_v;
   for (int u = 0; u < 10; ++u) {
     recs.push_back(rec(u * 1000));

@@ -67,8 +67,9 @@ std::span<const std::byte> blob_bytes(const std::string& blob) {
   return std::as_bytes(std::span<const char>(blob.data(), blob.size()));
 }
 
-template <typename Record>
-std::string v1_blob(const std::vector<Record>& records) {
+template <typename Log>
+std::string v1_blob(const Log& records) {
+  using Record = typename Log::value_type;
   std::ostringstream out;
   BinaryLogWriter<Record> writer(out, sample_pools());
   for (const Record& r : records) writer.write(r);
@@ -77,15 +78,15 @@ std::string v1_blob(const std::vector<Record>& records) {
 
 /// read_binary_log into sample_pools().
 template <typename Record>
-std::vector<Record> read_log(std::span<const std::byte> bytes,
-                             par::TaskPool* pool = nullptr) {
+Rows<Record> read_log(std::span<const std::byte> bytes,
+                      par::TaskPool* pool = nullptr) {
   return read_binary_log<Record>(bytes, sample_pools(), pool);
 }
 
 template <typename Record>
 Record binary_round_trip(const Record& in) {
-  const std::string blob = v1_blob(std::vector<Record>{in});
-  const std::vector<Record> out = read_log<Record>(blob_bytes(blob));
+  const std::string blob = v1_blob(Rows<Record>{in});
+  const Rows<Record> out = read_log<Record>(blob_bytes(blob));
   EXPECT_EQ(out.size(), 1u);
   return out.empty() ? Record{} : out.front();
 }
@@ -107,7 +108,7 @@ TEST(BinaryIo, SectorRoundTrip) {
 }
 
 TEST(BinaryIo, ManyRecordsPreserveOrder) {
-  std::vector<ProxyRecord> records;
+  Rows<ProxyRecord> records;
   for (int i = 0; i < 500; ++i) {
     ProxyRecord r = sample_proxy();
     r.timestamp = i;
@@ -120,13 +121,13 @@ TEST(BinaryIo, ManyRecordsPreserveOrder) {
 }
 
 TEST(BinaryIo, WrongMagicRejected) {
-  const std::string blob = v1_blob(std::vector<MmeRecord>{});
+  const std::string blob = v1_blob(Rows<MmeRecord>{});
   EXPECT_THROW((void)read_log<ProxyRecord>(blob_bytes(blob)),
                util::ParseError);
 }
 
 TEST(BinaryIo, TruncatedRecordRejected) {
-  std::string blob = v1_blob(std::vector<ProxyRecord>{sample_proxy()});
+  std::string blob = v1_blob(Rows<ProxyRecord>{sample_proxy()});
   blob.resize(blob.size() - 3);  // chop the tail
   EXPECT_THROW((void)read_log<ProxyRecord>(blob_bytes(blob)),
                util::ParseError);
@@ -290,9 +291,9 @@ TEST_F(BundleTest, MissingDirectoryThrows) {
 // Blocked v2 format (trace/block_io)
 // ---------------------------------------------------------------------------
 
-template <typename Record>
-std::string v2_blob(const std::vector<Record>& records,
-                    BlockWriterOptions options = {}) {
+template <typename Log>
+std::string v2_blob(const Log& records, BlockWriterOptions options = {}) {
+  using Record = typename Log::value_type;
   std::ostringstream out;
   BlockLogWriter<Record> writer(out, sample_pools(), options);
   for (const Record& r : records) writer.write(r);
@@ -300,9 +301,9 @@ std::string v2_blob(const std::vector<Record>& records,
   return out.str();
 }
 
-std::vector<ProxyRecord> many_proxy(std::size_t n,
-                                    ProxyPools& pools = sample_pools()) {
-  std::vector<ProxyRecord> records;
+Rows<ProxyRecord> many_proxy(std::size_t n,
+                             ProxyPools& pools = sample_pools()) {
+  Rows<ProxyRecord> records;
   records.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     ProxyRecord r = sample_fields();
@@ -337,8 +338,8 @@ TEST(TraceV2, Crc32MatchesKnownVectors) {
 }
 
 TEST(TraceV2, RoundTripAllRecordTypes) {
-  const std::vector<ProxyRecord> proxy = {sample_proxy()};
-  const std::vector<MmeRecord> mme = {sample_mme()};
+  const Rows<ProxyRecord> proxy = {sample_proxy()};
+  const Rows<MmeRecord> mme = {sample_mme()};
   const std::vector<DeviceRecord> devices = {sample_device()};
   const std::vector<SectorInfo> sectors = {sample_sector()};
   EXPECT_EQ(read_log<ProxyRecord>(blob_bytes(v2_blob(proxy))), proxy);
@@ -350,7 +351,7 @@ TEST(TraceV2, RoundTripAllRecordTypes) {
 }
 
 TEST(TraceV2, MultiBlockPreservesOrderAndCounts) {
-  const std::vector<ProxyRecord> records = many_proxy(1000);
+  const Rows<ProxyRecord> records = many_proxy(1000);
   BlockWriterOptions options;
   options.max_block_records = 64;
   std::ostringstream out;
@@ -369,18 +370,18 @@ TEST(TraceV2, MultiBlockPreservesOrderAndCounts) {
 }
 
 TEST(TraceV2, ParallelDecodeIsBitwiseIdentical) {
-  const std::vector<ProxyRecord> records = many_proxy(2000);
+  const Rows<ProxyRecord> records = many_proxy(2000);
   BlockWriterOptions options;
   options.max_block_records = 100;
   const std::string blob = v2_blob(records, options);
-  const std::vector<ProxyRecord> sequential =
+  const Rows<ProxyRecord> sequential =
       read_log<ProxyRecord>(blob_bytes(blob));
   EXPECT_EQ(sequential, records);
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     par::TaskPool pool(threads);
     // Fresh pools too: the unit merge must number them identically.
     ProxyPools fresh;
-    std::vector<ProxyRecord> parallel =
+    Rows<ProxyRecord> parallel =
         read_binary_log<ProxyRecord>(blob_bytes(blob), fresh, &pool);
     ProxyPools fresh_sequential;
     EXPECT_EQ(parallel, read_binary_log<ProxyRecord>(blob_bytes(blob),
@@ -394,7 +395,7 @@ TEST(TraceV2, ParallelDecodeIsBitwiseIdentical) {
 }
 
 TEST(TraceV2, V1LogsReadableThroughSpanReader) {
-  const std::vector<ProxyRecord> records = many_proxy(50);
+  const Rows<ProxyRecord> records = many_proxy(50);
   const std::string blob = v1_blob(records);
   EXPECT_EQ(read_log<ProxyRecord>(blob_bytes(blob)), records);
   const BinaryLogInfo info = probe_binary_log<ProxyRecord>(blob_bytes(blob));
@@ -404,7 +405,7 @@ TEST(TraceV2, V1LogsReadableThroughSpanReader) {
 }
 
 TEST(TraceV2, EmptyLogRoundTrips) {
-  const std::string blob = v2_blob(std::vector<ProxyRecord>{});
+  const std::string blob = v2_blob(Rows<ProxyRecord>{});
   EXPECT_EQ(blob.size(), 8u);  // header only: no empty trailing block
   EXPECT_TRUE(read_log<ProxyRecord>(blob_bytes(blob)).empty());
   const BinaryLogInfo info = probe_binary_log<ProxyRecord>(blob_bytes(blob));

@@ -121,7 +121,7 @@ if [ "$full" -eq 1 ]; then
   cmake --build "$root/build-asan" -j "$jobs"
   ctest --test-dir "$root/build-asan" -L chaos --output-on-failure
   ctest --test-dir "$root/build-asan" \
-    -R "LiveRing|LiveEngine|FuzzQuery|ServeQueryParse|LineServer|FedStream" \
+    -R "LiveRing|LiveEngine|FuzzQuery|ServeQueryParse|LineServer|FedStream|BundleParallel|ColumnarIo|FuzzV2|FuzzV3|CodecGolden|TraceStore" \
     --output-on-failure
 
   echo "== concurrency tests under TSan"
@@ -129,7 +129,7 @@ if [ "$full" -eq 1 ]; then
     >/dev/null
   cmake --build "$root/build-tsan" -j "$jobs"
   ctest --test-dir "$root/build-tsan" \
-    -R "LiveRing|LiveEngine|TaskPool|ParPipeline|ContextIndex|TraceV2|BundleParallel|BundleTest|ColumnarIo|Columns|ColumnarKernels|TailOracle|ServeStress|ServeEquivalence|QueryEngine|SnapshotStore|LineServer|FedPartial|FedMerge|FedStream|FedSweep" \
+    -R "LiveRing|LiveEngine|TaskPool|ParPipeline|ContextIndex|TraceV2|TraceStore|BundleParallel|BundleTest|ColumnarIo|Columns|ColumnarKernels|TailOracle|ServeStress|ServeEquivalence|QueryEngine|SnapshotStore|LineServer|FedPartial|FedMerge|FedStream|FedSweep" \
     --output-on-failure
 
   echo "== deep interleaving walks (WEARSCOPE_SCHED_WALKS=${WEARSCOPE_SCHED_WALKS:-2000})"
