@@ -1,10 +1,9 @@
 // Google-benchmark performance suite for the columnar work: the analysis
-// kernels that gather each user's rows by index, v2-vs-v3 encode/decode
-// throughput,
-// and the bounded-memory sketch aggregates against their exact
+// kernels that gather each user's rows by index, v3 encode/decode
+// throughput, and the bounded-memory sketch aggregates against their exact
 // counterparts.
 //
-// `--emit-json[=PATH]` skips google-benchmark and writes the v2/v3
+// `--emit-json[=PATH]` skips google-benchmark and writes the v3
 // encode/decode sweep and the sketch-vs-exact deltas to
 // BENCH_columnar.json.
 #include <benchmark/benchmark.h>
@@ -34,7 +33,6 @@
 #include "sketch/countmin.h"
 #include "sketch/hll.h"
 #include "sketch/tdigest.h"
-#include "trace/block_io.h"
 #include "trace/columnar_io.h"
 #include "trace/log_reader.h"
 #include "util/sim_time.h"
@@ -104,31 +102,16 @@ constexpr Kernel kKernels[] = {
      }},
 };
 
-trace::BlockWriterOptions bench_block_options() {
-  trace::BlockWriterOptions options;
-  options.max_block_records = 1024;
-  return options;
-}
-
-const std::string& v2_blob() {
-  static const std::string blob = [] {
-    std::ostringstream out;
-    trace::BlockLogWriter<trace::ProxyRecord> writer(
-        out, shared_capture().store, bench_block_options());
-    for (const trace::ProxyRecord& r : shared_capture().store.proxy)
-      writer.write(r);
-    writer.finish();
-    return out.str();
-  }();
-  return blob;
-}
+/// Rows per row group: small enough that an 8-thread decode sweep has
+/// work on every thread for this capture.
+constexpr std::size_t kBenchGroupRecords = 1024;
 
 const std::string& v3_blob() {
   static const std::string blob = [] {
     std::ostringstream out;
     (void)trace::write_columnar_log(out, shared_capture().store.proxy,
                                     shared_capture().store,
-                                    bench_block_options());
+                                    kBenchGroupRecords);
     return out.str();
   }();
   return blob;
@@ -151,7 +134,7 @@ void BM_V3Encode(benchmark::State& state) {
   for (auto _ : state) {
     std::ostringstream out;
     (void)trace::write_columnar_log(out, records, shared_capture().store,
-                                    bench_block_options());
+                                    kBenchGroupRecords);
     benchmark::DoNotOptimize(out.str().size());
   }
   state.SetItemsProcessed(
@@ -287,9 +270,8 @@ SketchDeltas sketch_vs_exact() {
   return d;
 }
 
-/// --emit-json mode: the v2/v3 encode/decode comparison (with a v3
-/// decoder thread sweep) and the sketch-vs-exact deltas, best of `kReps`
-/// runs per timed point.
+/// --emit-json mode: the v3 encode time, the v3 decoder thread sweep and
+/// the sketch-vs-exact deltas, best of `kReps` runs per timed point.
 int emit_json(const std::string& path) {
   using Clock = std::chrono::steady_clock;
   constexpr int kReps = 5;
@@ -319,53 +301,32 @@ int emit_json(const std::string& path) {
                static_cast<unsigned long long>(sim.store.proxy.size() +
                                                sim.store.mme.size()));
 
-  const double v2_encode_ms = best_of([&] {
-    std::ostringstream enc;
-    trace::BlockLogWriter<trace::ProxyRecord> writer(enc, sim.store,
-                                                     bench_block_options());
-    for (const trace::ProxyRecord& r : sim.store.proxy) writer.write(r);
-    writer.finish();
-    benchmark::DoNotOptimize(enc.str().size());
-  });
   const double v3_encode_ms = best_of([&] {
     std::ostringstream enc;
     (void)trace::write_columnar_log(enc, sim.store.proxy, sim.store,
-                                    bench_block_options());
+                                    kBenchGroupRecords);
     benchmark::DoNotOptimize(enc.str().size());
   });
-  std::fprintf(out,
-               "  \"encode\": {\"v2_ms\": %.2f, \"v3_ms\": %.2f, "
-               "\"v2_bytes\": %llu, \"v3_bytes\": %llu},\n",
-               v2_encode_ms, v3_encode_ms,
-               static_cast<unsigned long long>(v2_blob().size()),
+  std::fprintf(out, "  \"encode\": {\"v3_ms\": %.2f, \"v3_bytes\": %llu},\n",
+               v3_encode_ms,
                static_cast<unsigned long long>(v3_blob().size()));
-  std::printf("encode: v2 %.2f ms (%zu bytes), v3 %.2f ms (%zu bytes)\n",
-              v2_encode_ms, v2_blob().size(), v3_encode_ms, v3_blob().size());
+  std::printf("encode: v3 %.2f ms (%zu bytes)\n", v3_encode_ms,
+              v3_blob().size());
 
   std::fprintf(out, "  \"decode\": [\n");
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
     const std::size_t threads = thread_counts[i];
     par::TaskPool pool(threads);
     par::TaskPool* pool_ptr = threads > 1 ? &pool : nullptr;
-    const double v2_ms = best_of([&] {
-      trace::ProxyPools pools;
-      benchmark::DoNotOptimize(trace::read_binary_log<trace::ProxyRecord>(
-                                   blob_bytes(v2_blob()), pools, pool_ptr)
-                                   .size());
-    });
     const double v3_ms = best_of([&] {
       trace::ProxyPools pools;
       benchmark::DoNotOptimize(trace::read_binary_log<trace::ProxyRecord>(
                                    blob_bytes(v3_blob()), pools, pool_ptr)
                                    .size());
     });
-    std::fprintf(out,
-                 "    {\"threads\": %zu, \"v2_ms\": %.2f, \"v3_ms\": %.2f, "
-                 "\"v3_speedup_vs_v2\": %.2f}%s\n",
-                 threads, v2_ms, v3_ms, v3_ms > 0.0 ? v2_ms / v3_ms : 0.0,
-                 i + 1 < thread_counts.size() ? "," : "");
-    std::printf("decode, %zu thread(s): v2 %.2f ms, v3 %.2f ms\n", threads,
-                v2_ms, v3_ms);
+    std::fprintf(out, "    {\"threads\": %zu, \"v3_ms\": %.2f}%s\n", threads,
+                 v3_ms, i + 1 < thread_counts.size() ? "," : "");
+    std::printf("decode, %zu thread(s): v3 %.2f ms\n", threads, v3_ms);
   }
   std::fprintf(out, "  ],\n");
 

@@ -2,14 +2,16 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
-#include "trace/block_io.h"
+#include "trace/log_reader.h"
+#include "trace/record_codec.h"
 #include "trace/sanitize.h"
+#include "util/byte_codec.h"
 #include "util/error.h"
 
 namespace wearscope::chaos {
@@ -215,24 +217,25 @@ std::vector<std::string> FaultProfile::names() {
 }
 
 template <typename Record>
-BinaryImage image_of(const trace::Rows<Record>& records,
-                     const trace::ProxyPools& pools) {
-  std::ostringstream out(std::ios::binary);
-  trace::BinaryLogWriter<Record> writer(out, pools);
+BinaryImage image_of(std::string v1_log) {
+  const std::span<const std::byte> bytes =
+      std::as_bytes(std::span<const char>(v1_log.data(), v1_log.size()));
+  if (trace::read_log_header<Record>(bytes) != trace::kBinaryFormatV1)
+    throw util::ParseError("image_of: not a v1 log");
   BinaryImage image;
-  image.record_offsets.reserve(records.size());
-  for (const Record& r : records) {
-    image.record_offsets.push_back(static_cast<std::size_t>(out.tellp()));
-    writer.write(r);
+  util::MemorySpanDecoder dec(bytes.subspan(8));
+  trace::ProxyPools scratch;
+  Record r;
+  while (!dec.at_eof()) {
+    image.record_offsets.push_back(8 + static_cast<std::size_t>(dec.offset()));
+    trace::decode_record(dec, r, scratch);
   }
-  image.bytes = out.str();
+  image.bytes = std::move(v1_log);
   return image;
 }
 
-template BinaryImage image_of<trace::ProxyRecord>(
-    const trace::Rows<trace::ProxyRecord>&, const trace::ProxyPools&);
-template BinaryImage image_of<trace::MmeRecord>(
-    const trace::Rows<trace::MmeRecord>&, const trace::ProxyPools&);
+template BinaryImage image_of<trace::ProxyRecord>(std::string);
+template BinaryImage image_of<trace::MmeRecord>(std::string);
 
 ByteFault inject_bytes(const BinaryImage& image, ByteFaultKind kind,
                        util::Pcg32& rng, bool proxy_layout) {

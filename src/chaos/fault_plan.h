@@ -3,9 +3,11 @@
 // A FaultPlan turns (seed, profile) into a reproducible set of faults at
 // three levels of the ingest stack:
 //
-//   * byte level     — corrupted binary log images (truncation, length
+//   * byte level     — corrupted v1 log images (truncation, length
 //                      bombs, bad magic, bit flips) for the v1 reader in
-//                      trace/log_reader;
+//                      trace/log_reader, made from v1 log bytes the caller
+//                      supplies (the checked-in fixtures: no v1 writer
+//                      remains);
 //   * record level   — duplicates, bounded reordering, timestamp
 //                      regressions, unknown TACs and hostile SNIs spliced
 //                      into a clean capture, for trace/sanitize;
@@ -98,22 +100,20 @@ struct FaultManifest {
 // Byte level
 // ---------------------------------------------------------------------------
 
-/// A serialized binary log plus the offset of every record, so injectors
-/// can aim at structure instead of guessing.
+/// A v1 binary log plus the offset of every record, so injectors can aim
+/// at structure instead of guessing.
 struct BinaryImage {
   std::string bytes;
   std::vector<std::size_t> record_offsets;  ///< First record at offset 8.
 };
 
-/// Serializes `records` as a v1 log (trace::BinaryLogWriter), tracking
-/// offsets.  Proxy records' ids resolve through `pools`.
+/// Indexes the v1 `Record` log `v1_log`: finds each record's offset by
+/// walking the log with the reader's own record decoder
+/// (trace::decode_record).  Throws util::ParseError unless the bytes are
+/// a clean v1 log of `Record`s: a wrong header, another version, or a
+/// record cut short.
 template <typename Record>
-BinaryImage image_of(const trace::Rows<Record>& records,
-                     const trace::ProxyPools& pools);
-template <trace::PoolFree Record>
-BinaryImage image_of(const trace::Rows<Record>& records) {
-  return image_of<Record>(records, trace::ProxyPools{});
-}
+BinaryImage image_of(std::string v1_log);
 
 /// The byte-level injector kinds.
 enum class ByteFaultKind {

@@ -84,7 +84,7 @@ WearableDayPlan TrafficModel::plan_wearable_day(const Subscriber& sub,
       std::clamp(0.5 * std::sqrt(sub.engagement), 0.05, 0.9);
   util::Pcg32 week_rng(util::splitmix64(
                            sub.rng_key ^
-                           (static_cast<std::uint64_t>(day / 7) * 0x77EE4BULL)),
+                           (static_cast<std::uint64_t>(day / 7) * std::uint64_t{0x77EE4B})),
                        0x7EE6ULL);
   if (!week_rng.bernoulli(week_active_p)) return plan;
 

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "par/task_pool.h"
-#include "trace/block_io.h"
 #include "trace/csv_io.h"
 #include "trace/log_reader.h"
 #include "util/error.h"
@@ -37,23 +36,13 @@ namespace {
 /// through `pools` (the store's).
 template <typename Records>
 void save_log(const Records& records, const ProxyPools& pools,
-              const std::filesystem::path& path, BundleFormat format,
-              std::uint16_t binary_version) {
+              const std::filesystem::path& path, BundleFormat format) {
   using Record = typename Records::value_type;
   errno = 0;
   std::ofstream out(path, std::ios::binary);
   if (!out) fail_io("cannot open for writing", path);
   if (format == BundleFormat::kBinary) {
-    if (binary_version == kBinaryFormatV3) {
-      (void)write_columnar_log(out, records, pools);
-    } else if (binary_version == kBinaryFormatV2) {
-      BlockLogWriter<Record> writer(out, pools);
-      for (const Record& r : records) writer.write(r);
-      writer.finish();
-    } else {
-      BinaryLogWriter<Record> writer(out, pools);
-      for (const Record& r : records) writer.write(r);
-    }
+    (void)write_columnar_log(out, records, pools);
   } else {
     CsvLogWriter<Record> writer(out, pools);
     for (const Record& r : records) writer.write(r);
@@ -140,7 +129,7 @@ class LogLoad {
     } else {
       version = read_log_header<Record>(bytes);
     }
-    if (version != 1) {
+    if (version != kBinaryFormatV1) {
       decode_.emplace(bytes.subspan(8), version, lenient);
       decode_->schedule(out_, batch);
       return;
@@ -252,32 +241,21 @@ const char* extension(BundleFormat format) {
 
 }  // namespace
 
-std::uint16_t trace_format_version(const std::string& name) {
-  if (name == "v1") return 1;
-  if (name == "v2") return kBinaryFormatV2;
-  if (name == "v3") return kBinaryFormatV3;
-  throw util::ConfigError("unknown trace-format '" + name +
-                          "' (expected v1|v2|v3)");
-}
-
 void save_bundle(const TraceStore& store, const std::filesystem::path& dir,
                  BundleFormat format, std::uint16_t binary_version) {
-  util::require(binary_version == 1 || binary_version == kBinaryFormatV2 ||
-                    binary_version == kBinaryFormatV3,
-                "save_bundle: binary version must be 1, 2 or 3");
+  util::require(binary_version == kBinaryFormatV3,
+                "save_bundle: v3 is the only binary version written (v1 "
+                "and v2 are read-only)");
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec)
     throw util::IoError("cannot create directory: " + dir.string() + " (" +
                         ec.message() + ")");
   const std::string ext = extension(format);
-  save_log(store.proxy, store, dir / ("proxy" + ext), format,
-           binary_version);
-  save_log(store.mme, store, dir / ("mme" + ext), format, binary_version);
-  save_log(store.devices, store, dir / ("devices" + ext), format,
-           binary_version);
-  save_log(store.sectors, store, dir / ("sectors" + ext), format,
-           binary_version);
+  save_log(store.proxy, store, dir / ("proxy" + ext), format);
+  save_log(store.mme, store, dir / ("mme" + ext), format);
+  save_log(store.devices, store, dir / ("devices" + ext), format);
+  save_log(store.sectors, store, dir / ("sectors" + ext), format);
 }
 
 TraceStore load_bundle(const std::filesystem::path& dir,

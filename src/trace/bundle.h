@@ -6,10 +6,11 @@
 //   <dir>/devices.(bin|csv)  DeviceDB snapshot
 //   <dir>/sectors.(bin|csv)  antenna-sector positions
 //
-// Binary logs are written in the columnar v3 format by default
-// (trace/columnar_io: dictionary-coded, CRC-framed row groups).  v1 streams
-// and v2 blocks (trace/block_io) remain fully readable — trace/log_reader is
-// the one reader of all three — and can still be written on request.
+// Binary logs are written in the columnar v3 format (trace/columnar_io:
+// dictionary-coded, CRC-framed row groups), the one binary version
+// written.  v1 record streams and v2 blocks stay readable — trace/log_reader
+// is the one reader of all three — so old captures still load, and
+// `wearscope_inspect --convert OUT --format binary` rewrites them as v3.
 // When both <stem>.bin and <stem>.csv exist, the binary file wins and the
 // loader says so on stderr — a silent preference bit us in the field.
 #pragma once
@@ -27,22 +28,19 @@ namespace wearscope::trace {
 
 /// Serialization format of a saved bundle.
 enum class BundleFormat {
-  kBinary,  ///< Compact length-delimited binary (default).
+  kBinary,  ///< Columnar v3 binary (default).
   kCsv,     ///< Header-validated CSV, one file per log.
 };
 
-/// Writes all four logs of `store` into `dir` (created if absent).
-/// `binary_version` selects the on-disk binary layout (3 = columnar v3,
-/// 2 = blocked v2, 1 = legacy stream; ignored for CSV).  Throws
-/// util::IoError on filesystem failures, with the OS errno explanation in
-/// the message.
+/// Writes all four logs of `store` into `dir` (created if absent), as v3
+/// binary logs or as CSV.  `binary_version` must be kBinaryFormatV3 (any
+/// other value throws util::ConfigError): v3 is the only version written,
+/// and the parameter stays only because existing callers name the version
+/// explicitly.  Throws util::IoError on filesystem failures, with the OS
+/// errno explanation in the message.
 void save_bundle(const TraceStore& store, const std::filesystem::path& dir,
                  BundleFormat format = BundleFormat::kBinary,
                  std::uint16_t binary_version = kBinaryFormatV3);
-
-/// The binary version a `--trace-format` name selects: "v1", "v2" or "v3".
-/// Throws util::ConfigError on any other name.
-[[nodiscard]] std::uint16_t trace_format_version(const std::string& name);
 
 /// Knobs for load_bundle.  With `threads > 1` every v2 block and v3 row
 /// group of every log joins ONE task batch on a par::TaskPool (v1/CSV logs

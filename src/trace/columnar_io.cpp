@@ -431,9 +431,9 @@ template <typename Record>
 ColumnarWriteInfo write_columnar_log(std::ostream& out,
                                      std::span<const Record> records,
                                      const ProxyPools& pools,
-                                     BlockWriterOptions options) {
-  util::require(options.max_block_records > 0,
-                "columnar writer: max_block_records must be positive");
+                                     std::size_t group_records) {
+  util::require(group_records > 0,
+                "columnar writer: group_records must be positive");
   std::string header;
   util::BufferEncoder enc(header);
   enc.put_u32(magic_of<Record>());
@@ -453,9 +453,8 @@ ColumnarWriteInfo write_columnar_log(std::ostream& out,
   info.records = records.size();
   std::vector<std::string> cols(columnar_column_count<Record>());
   for (std::size_t at = 0; at < records.size();
-       at += options.max_block_records) {
-    const std::size_t n =
-        std::min(options.max_block_records, records.size() - at);
+       at += group_records) {
+    const std::size_t n = std::min(group_records, records.size() - at);
     for (std::string& col : cols) col.clear();
     encode_columns(records.data() + at, n, builder, cols);
     std::uint64_t group_bytes = 0;
@@ -529,16 +528,16 @@ ColumnarLayoutInfo probe_columnar_layout(std::span<const std::byte> body) {
 
 template ColumnarWriteInfo write_columnar_log<ProxyRecord>(
     std::ostream&, std::span<const ProxyRecord>, const ProxyPools&,
-    BlockWriterOptions);
+    std::size_t);
 template ColumnarWriteInfo write_columnar_log<MmeRecord>(
     std::ostream&, std::span<const MmeRecord>, const ProxyPools&,
-    BlockWriterOptions);
+    std::size_t);
 template ColumnarWriteInfo write_columnar_log<DeviceRecord>(
     std::ostream&, std::span<const DeviceRecord>, const ProxyPools&,
-    BlockWriterOptions);
+    std::size_t);
 template ColumnarWriteInfo write_columnar_log<SectorInfo>(
     std::ostream&, std::span<const SectorInfo>, const ProxyPools&,
-    BlockWriterOptions);
+    std::size_t);
 template bool decode_column_group<ProxyRecord>(
     std::span<const std::byte>, std::uint32_t, const ColumnDicts&,
     ProxyRecord*, ProxyPools&) noexcept;

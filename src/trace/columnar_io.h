@@ -1,9 +1,9 @@
 // Columnar binary log format (on-disk version 3).
 //
-// v2 (trace/block_io) framed the v1 row encoding into CRC-checked blocks;
-// the bytes inside a block are still one record after another, so a scan
-// that wants only timestamps and byte counts drags every url_path through
-// the cache with them.  v3 keeps the same 8-byte file header and the same
+// v2 framed the v1 row encoding into CRC-checked blocks; the bytes inside
+// a block are still one record after another, so a scan that wants only
+// timestamps and byte counts drags every url_path through the cache with
+// them.  v3 keeps the same 8-byte file header and the same
 // block-granular quarantine contract but stores each row group as a
 // struct-of-arrays: one contiguous, individually CRC-framed segment per
 // column, with the repetitive columns squeezed down before they ever hit
@@ -50,15 +50,28 @@
 #include <string>
 #include <vector>
 
-#include "trace/block_io.h"
 #include "trace/records.h"
 #include "trace/string_pool.h"
 #include "util/byte_codec.h"
 
 namespace wearscope::trace {
 
-/// On-disk version written by write_columnar_log.
+/// On-disk versions of a binary log.  write_columnar_log writes v3, the
+/// only version written; v1 (a bare record stream) and v2 (records framed
+/// into CRC-checked blocks) stay readable by trace/log_reader, so old
+/// captures still load.
+inline constexpr std::uint16_t kBinaryFormatV1 = 1;
+inline constexpr std::uint16_t kBinaryFormatV2 = 2;
 inline constexpr std::uint16_t kBinaryFormatV3 = 3;
+
+/// Bytes of one v2 frame header: record_count + byte_length + crc32.
+inline constexpr std::size_t kFrameHeaderBytes = 12;
+
+/// Rows per v3 row group unless the writer's caller asks otherwise: big
+/// enough to amortize the segment headers, small enough that an 8-thread
+/// decode of any real log has work for every thread and a corrupt group
+/// loses little.
+inline constexpr std::size_t kRowGroupRecords = 4096;
 
 /// Bytes of one dictionary section header: entry_count + byte_length + crc.
 inline constexpr std::size_t kDictHeaderBytes = 12;
@@ -91,7 +104,7 @@ struct ColumnDicts {
   std::vector<std::uint32_t> sectors;
 };
 
-/// What write_columnar_log produced (mirrors BlockLogWriter's counters).
+/// What write_columnar_log produced.
 struct ColumnarWriteInfo {
   std::uint64_t records = 0;
   std::uint64_t blocks = 0;  ///< Row groups written.
@@ -99,29 +112,31 @@ struct ColumnarWriteInfo {
 
 /// Writes `records` as one v3 log: two passes, the first building the
 /// dictionaries in first-appearance order, the second encoding row groups
-/// of up to `options.max_block_records` records (the byte target does not
-/// apply: columns are encoded a whole group at a time).  Proxy records'
+/// of up to `group_records` records (positive).  Proxy records'
 /// ids resolve through `pools`; the host dictionary is the pool remapped
 /// into first-appearance order.  Throws util::IoError on write failure.
 template <typename Record>
 ColumnarWriteInfo write_columnar_log(std::ostream& out,
                                      std::span<const Record> records,
                                      const ProxyPools& pools,
-                                     BlockWriterOptions options = {});
+                                     std::size_t group_records =
+                                         kRowGroupRecords);
 /// The same over a whole std::vector or trace::Rows.
 template <std::ranges::contiguous_range Records>
 ColumnarWriteInfo write_columnar_log(std::ostream& out, const Records& records,
                                      const ProxyPools& pools,
-                                     BlockWriterOptions options = {}) {
+                                     std::size_t group_records =
+                                         kRowGroupRecords) {
   using Record = std::ranges::range_value_t<Records>;
   return write_columnar_log(out, std::span<const Record>(records), pools,
-                            options);
+                            group_records);
 }
 template <std::ranges::contiguous_range Records>
   requires PoolFree<std::ranges::range_value_t<Records>>
 ColumnarWriteInfo write_columnar_log(std::ostream& out, const Records& records,
-                                     BlockWriterOptions options = {}) {
-  return write_columnar_log(out, records, ProxyPools{}, options);
+                                     std::size_t group_records =
+                                         kRowGroupRecords) {
+  return write_columnar_log(out, records, ProxyPools{}, group_records);
 }
 
 /// Parses the three dictionary sections at the front of a v3 body,
@@ -167,16 +182,16 @@ template <typename Record>
 
 extern template ColumnarWriteInfo write_columnar_log<ProxyRecord>(
     std::ostream&, std::span<const ProxyRecord>, const ProxyPools&,
-    BlockWriterOptions);
+    std::size_t);
 extern template ColumnarWriteInfo write_columnar_log<MmeRecord>(
     std::ostream&, std::span<const MmeRecord>, const ProxyPools&,
-    BlockWriterOptions);
+    std::size_t);
 extern template ColumnarWriteInfo write_columnar_log<DeviceRecord>(
     std::ostream&, std::span<const DeviceRecord>, const ProxyPools&,
-    BlockWriterOptions);
+    std::size_t);
 extern template ColumnarWriteInfo write_columnar_log<SectorInfo>(
     std::ostream&, std::span<const SectorInfo>, const ProxyPools&,
-    BlockWriterOptions);
+    std::size_t);
 extern template ColumnarLayoutInfo probe_columnar_layout<ProxyRecord>(
     std::span<const std::byte>);
 extern template ColumnarLayoutInfo probe_columnar_layout<MmeRecord>(

@@ -27,7 +27,7 @@ std::uint16_t parse_file_header(util::MemorySpanDecoder& dec) {
   if (magic != magic_of<Record>())
     throw util::ParseError("binary log: wrong magic (different record type?)");
   const std::uint16_t version = dec.get_u16();
-  if (version != 1 && version != kBinaryFormatV2 &&
+  if (version != kBinaryFormatV1 && version != kBinaryFormatV2 &&
       version != kBinaryFormatV3)
     throw util::ParseError("binary log: unsupported format version " +
                            std::to_string(version));
@@ -383,9 +383,10 @@ template <typename Record>
 void LogCursor<Record>::open() {
   append(8, "file header");
   const std::uint16_t version = read_log_header<Record>(scratch());
-  if (version == 1)
+  if (version == kBinaryFormatV1)
     throw util::ParseError(
-        "binary log: v1 logs have no units to stream (rewrite as v2 or v3)");
+        "binary log: v1 logs have no units to stream (rewrite the bundle as "
+        "v3: wearscope_inspect --trace DIR --convert OUT --format binary)");
   version_ = version;
   scratch_.clear();
   if (version_ != kBinaryFormatV3) return;
@@ -456,7 +457,7 @@ Rows<Record> read_binary_log(std::span<const std::byte> bytes,
   util::MemorySpanDecoder dec(bytes);
   const std::uint16_t version = parse_file_header<Record>(dec);
   Rows<Record> out;
-  if (version == 1) {
+  if (version == kBinaryFormatV1) {
     ProxyPools local;
     decode_v1_body<Record>(dec, out, local);
     merge_ids(std::span<Record>(out), local, pools);
@@ -480,7 +481,7 @@ Rows<Record> read_binary_log_lenient(std::span<const std::byte> bytes,
     ++quarantine.corrupt_files;
     return out;
   }
-  if (version == 1) {
+  if (version == kBinaryFormatV1) {
     // Strings go to a log-local table first: a record abandoned mid-decode
     // may have interned its host, and must leave nothing in `pools`.
     ProxyPools local;
@@ -510,7 +511,7 @@ BinaryLogInfo probe_binary_log(std::span<const std::byte> bytes) {
   util::MemorySpanDecoder dec(bytes);
   BinaryLogInfo info;
   info.version = parse_file_header<Record>(dec);
-  if (info.version != 1) {
+  if (info.version != kBinaryFormatV1) {
     const LogDecode<Record> decode(bytes.subspan(8), info.version,
                                    /*lenient=*/true);
     info.blocks = decode.index().units.size();

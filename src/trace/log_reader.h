@@ -1,5 +1,7 @@
-// The one reader of binary logs: v1 record streams and v2 framed blocks
-// (both written by trace/block_io) and v3 row groups (trace/columnar_io).
+// The one reader of binary logs: v3 row groups (written by
+// trace/columnar_io) and the read-only legacy versions, v1 record streams
+// and v2 framed blocks (no writer of those remains; the fixtures under
+// tests/data/legacy pin what they look like).
 //
 // v2 and v3 bodies share one shape — a chain of framed units, each
 // `record_count u32 | byte_length u32 [| crc32 u32 for v2] | payload` —

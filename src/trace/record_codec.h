@@ -1,13 +1,14 @@
-// Field-level record codec shared by the v1 and v2 trace formats.
+// Field-level record decoder of the v1 and v2 trace formats, plus the
+// per-record-type file magic every binary version shares.
 //
-// The byte layout of one record is defined exactly once here, over the one
-// byte codec (util/byte_codec.h), so the writers (trace/block_io) and the
-// reader (trace/log_reader) can never disagree about what a record looks
-// like on disk.  All integers little-endian, strings u16-length-prefixed
-// UTF-8.  A proxy record's host and URL path are written out in full:
-// encoding resolves its ids through the caller's pools, decoding interns
-// the strings into them.  The other record types take the pools too, so
-// the generic readers and writers call one signature, and ignore them.
+// v1 and v2 are read-only: v3 (trace/columnar_io) is the one version
+// written, and the checked-in fixtures under tests/data/legacy are the
+// compatibility contract for these decoders.  The byte layout of one
+// record is defined here, over the one byte codec (util/byte_codec.h):
+// all integers little-endian, strings u16-length-prefixed UTF-8.  A proxy
+// record's host and URL path are stored in full and decoding interns them
+// into the caller's pools.  The other record types take the pools too, so
+// the generic readers call one signature, and ignore them.
 #pragma once
 
 #include <cstdint>
@@ -40,19 +41,6 @@ constexpr std::uint32_t magic_of<SectorInfo>() {
   return 0x57534543;  // "WSEC"
 }
 
-inline void encode_record(util::BufferEncoder& enc, const ProxyRecord& r,
-                          const ProxyPools& pools) {
-  enc.put_i64(r.timestamp);
-  enc.put_u64(r.user_id);
-  enc.put_u32(r.tac);
-  enc.put_u8(static_cast<std::uint8_t>(r.protocol));
-  enc.put_string(pools.hosts[r.host_id]);
-  enc.put_string(pools.paths[r.path_id]);
-  enc.put_u64(r.bytes_up);
-  enc.put_u64(r.bytes_down);
-  enc.put_u32(r.duration_ms);
-}
-
 inline void decode_record(util::MemorySpanDecoder& dec, ProxyRecord& r,
                           ProxyPools& pools) {
   r.timestamp = dec.get_i64();
@@ -68,15 +56,6 @@ inline void decode_record(util::MemorySpanDecoder& dec, ProxyRecord& r,
   r.duration_ms = dec.get_u32();
 }
 
-inline void encode_record(util::BufferEncoder& enc, const MmeRecord& r,
-                          const ProxyPools&) {
-  enc.put_i64(r.timestamp);
-  enc.put_u64(r.user_id);
-  enc.put_u32(r.tac);
-  enc.put_u8(static_cast<std::uint8_t>(r.event));
-  enc.put_u32(r.sector_id);
-}
-
 inline void decode_record(util::MemorySpanDecoder& dec, MmeRecord& r,
                           ProxyPools&) {
   r.timestamp = dec.get_i64();
@@ -88,27 +67,12 @@ inline void decode_record(util::MemorySpanDecoder& dec, MmeRecord& r,
   r.sector_id = dec.get_u32();
 }
 
-inline void encode_record(util::BufferEncoder& enc, const DeviceRecord& r,
-                          const ProxyPools&) {
-  enc.put_u32(r.tac);
-  enc.put_string(r.model);
-  enc.put_string(r.manufacturer);
-  enc.put_string(r.os);
-}
-
 inline void decode_record(util::MemorySpanDecoder& dec, DeviceRecord& r,
                           ProxyPools&) {
   r.tac = dec.get_u32();
   r.model = dec.get_string();
   r.manufacturer = dec.get_string();
   r.os = dec.get_string();
-}
-
-inline void encode_record(util::BufferEncoder& enc, const SectorInfo& r,
-                          const ProxyPools&) {
-  enc.put_u32(r.sector_id);
-  enc.put_f64(r.position.lat_deg);
-  enc.put_f64(r.position.lon_deg);
 }
 
 inline void decode_record(util::MemorySpanDecoder& dec, SectorInfo& r,

@@ -1,9 +1,10 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over byte spans.
 //
-// Used by the blocked trace format (trace/block_io) to frame-check every
-// block payload: a flipped bit anywhere in a block fails its checksum, so
-// the lenient reader can quarantine exactly one block and resync at the
-// next frame header instead of abandoning the whole file tail.
+// Used by the framed trace formats (v2 blocks, v3 column segments; read by
+// trace/log_reader) to check every payload: a flipped bit anywhere in a
+// unit fails its checksum, so the lenient reader can quarantine exactly
+// one unit and resync at the next header instead of abandoning the whole
+// file tail.
 #pragma once
 
 #include <cstddef>

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "chaos/fault_plan.h"
+#include "legacy_fixtures.h"
 #include "simnet/simulator.h"
 #include "trace/log_reader.h"
 #include "trace/sanitize.h"
@@ -216,14 +217,12 @@ TEST(DiffQuarantine, EveryCounterIsCompared) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultPlan, ByteCorpusAccountingIsExact) {
-  const simnet::SimResult& sim = capture();
-  trace::Rows<trace::ProxyRecord> sample(
-      sim.store.proxy.begin(),
-      sim.store.proxy.begin() +
-          static_cast<std::ptrdiff_t>(
-              std::min<std::size_t>(200, sim.store.proxy.size())));
-  const chaos::BinaryImage image =
-      chaos::image_of<trace::ProxyRecord>(sample, sim.store);
+  // The v1 proxy fixture: a clean v1 log of fixed_store()'s rows.
+  const trace::TraceStore fixed = testing::fixed_store();
+  const trace::Rows<trace::ProxyRecord>& sample = fixed.proxy;
+  const chaos::BinaryImage image = chaos::image_of<trace::ProxyRecord>(
+      testing::slurp(testing::legacy_dir() / "v1" / "proxy.bin"));
+  ASSERT_EQ(image.record_offsets.size(), sample.size());
 
   const chaos::FaultPlan plan(31, chaos::FaultProfile::named("io"));
   const std::vector<chaos::ByteFault> corpus = plan.byte_corpus(image, true);
@@ -232,9 +231,9 @@ TEST(FaultPlan, ByteCorpusAccountingIsExact) {
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     const chaos::ByteFault& fault = corpus[i];
     trace::QuarantineStats q;
-    // Decoding into a copy of the capture's pools maps every intact string
-    // back to the id it was written with.
-    trace::ProxyPools pools = sim.store;
+    // Decoding into a copy of the fixture's pools maps every intact string
+    // back to its id there.
+    trace::ProxyPools pools = fixed;
     const trace::Rows<trace::ProxyRecord> got =
         trace::read_binary_log_lenient<trace::ProxyRecord>(
             std::as_bytes(std::span(fault.bytes.data(), fault.bytes.size())),
@@ -251,6 +250,24 @@ TEST(FaultPlan, ByteCorpusAccountingIsExact) {
       ASSERT_EQ(got[k], sample[k]) << "corpus entry " << i << " record " << k;
     }
   }
+}
+
+TEST(FaultPlan, ImageOfAcceptsOnlyACleanV1Log) {
+  const std::filesystem::path legacy = testing::legacy_dir();
+  const std::string v1 = testing::slurp(legacy / "v1" / "mme.bin");
+  const chaos::BinaryImage image = chaos::image_of<trace::MmeRecord>(v1);
+  ASSERT_EQ(image.record_offsets.size(), 30u);
+  EXPECT_EQ(image.record_offsets.front(), 8u);
+  EXPECT_EQ(image.bytes, v1);
+  // Another record type, another version, a record cut short.
+  EXPECT_THROW((void)chaos::image_of<trace::ProxyRecord>(v1),
+               util::ParseError);
+  EXPECT_THROW((void)chaos::image_of<trace::MmeRecord>(
+                   testing::slurp(legacy / "v2" / "mme.bin")),
+               util::ParseError);
+  EXPECT_THROW((void)chaos::image_of<trace::MmeRecord>(
+                   v1.substr(0, v1.size() - 1)),
+               util::ParseError);
 }
 
 }  // namespace

@@ -1,22 +1,21 @@
-// Golden bytes of every binary writer: the v1/v2/v3 trace logs of a fixed
-// record set and the WSFD encoding of a fixed partial snapshot, pinned by
-// size and CRC32.  Round-trip tests cannot see a layout change that the
-// writer and reader make together; these constants can.
+// Golden bytes of every binary format: the v3 trace logs the writer makes
+// of a fixed record set, the checked-in v1/v2 fixtures of the same records
+// (tests/data/legacy), and the WSFD encoding of a fixed partial snapshot,
+// pinned by size and CRC32.  Round-trip tests cannot see a layout change
+// that the writer and reader make together; these constants can.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <span>
 #include <string>
 
 #include "fed/partial_io.h"
 #include "trace/bundle.h"
 #include "util/crc32.h"
-#include "test_support.h"
+#include "legacy_fixtures.h"
 
 namespace wearscope {
 namespace {
@@ -38,56 +37,33 @@ void expect_golden(const std::string& bytes, Golden want,
   EXPECT_EQ(got.crc, want.crc) << what << std::hex << " crc 0x" << got.crc;
 }
 
-trace::TraceStore fixed_store() {
-  trace::TraceStore store;
-  for (std::uint32_t i = 0; i < 40; ++i) {
-    trace::ProxyRecord r;
-    r.timestamp = static_cast<util::SimTime>(1000 + i * 37);
-    r.user_id = 1'000'000 + i % 7;
-    r.tac = 35254208 + i % 3;
-    r.protocol = i % 2 == 0 ? trace::Protocol::kHttps : trace::Protocol::kHttp;
-    testing::set_strings(r, store, "host" + std::to_string(i % 5) + ".example",
-                         i % 3 == 0 ? "" : "/p/" + std::to_string(i));
-    r.bytes_up = i * 11;
-    r.bytes_down = i * 101 + 1;
-    r.duration_ms = i + 1;
-    store.proxy.push_back(r);
-  }
-  for (std::uint32_t i = 0; i < 30; ++i) {
-    store.mme.push_back({static_cast<util::SimTime>(500 + i * 60),
-                         1'000'000 + i % 6, 35254208 + i % 2,
-                         static_cast<trace::MmeEvent>(i % 4), 1 + i % 5});
-  }
-  store.devices.push_back({35254208, "Gear S3 frontier LTE", "Samsung",
-                           "Tizen"});
-  store.devices.push_back({35254209, "Watch Series 3", "Apple", "watchOS"});
-  for (std::uint32_t s = 1; s <= 5; ++s) {
-    store.sectors.push_back({s, {40.0 + s * 0.125, -3.5 - s * 0.25}});
-  }
-  return store;
-}
-
-std::string slurp(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-/// Saves the fixed store at `version` and checks each log's bytes.
-void expect_bundle_golden(std::uint16_t version, const Golden (&want)[4]) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
-      ("wearscope_codec_golden_v" + std::to_string(version) + "_" +
-       std::to_string(::getpid()));
-  trace::save_bundle(fixed_store(), dir, trace::BundleFormat::kBinary,
-                     version);
+/// Checks the four logs of the bundle in `dir` against `want`.
+void expect_bundle_files(const std::filesystem::path& dir,
+                         const Golden (&want)[4], const std::string& what) {
   const char* stems[] = {"proxy", "mme", "devices", "sectors"};
   for (int i = 0; i < 4; ++i) {
-    expect_golden(slurp(dir / (std::string(stems[i]) + ".bin")), want[i],
-                  "v" + std::to_string(version) + " " + stems[i]);
+    expect_golden(testing::slurp(dir / (std::string(stems[i]) + ".bin")),
+                  want[i], what + " " + stems[i]);
   }
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
 }
+
+/// A scratch directory for one saved bundle, removed on scope exit.
+struct ScratchDir {
+  std::filesystem::path path;
+  explicit ScratchDir(const std::string& tag)
+      : path(std::filesystem::temp_directory_path() /
+             ("wearscope_codec_golden_" + tag + "_" +
+              std::to_string(::getpid()))) {}
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
+constexpr Golden kV3Golden[4] = {{882, 0x0410527b},
+                                 {331, 0x6dd4ff31},
+                                 {162, 0xb134175a},
+                                 {161, 0x6106878d}};
 
 fed::PartialSnapshot fixed_partial(bool sketch) {
   fed::PartialSnapshot p;
@@ -160,25 +136,52 @@ fed::PartialSnapshot fixed_partial(bool sketch) {
   return p;
 }
 
+// v1 and v2 are read-only: these pin the checked-in fixtures to the bytes
+// the deleted writers produced for fixed_store(), which is what proves
+// where the fixtures came from.
 TEST(CodecGolden, V1LogBytesArePinned) {
-  expect_bundle_golden(1, {{2452, 0xc955396d},
-                           {758, 0x17f79cc5},
-                           {86, 0x0bf91aa2},
-                           {108, 0xdda76fee}});
+  expect_bundle_files(testing::legacy_dir() / "v1",
+                      {{2452, 0xc955396d},
+                       {758, 0x17f79cc5},
+                       {86, 0x0bf91aa2},
+                       {108, 0xdda76fee}},
+                      "v1");
 }
 
 TEST(CodecGolden, V2LogBytesArePinned) {
-  expect_bundle_golden(2, {{2464, 0xdbf47a2c},
-                           {770, 0xeb62dc64},
-                           {98, 0x269d6394},
-                           {120, 0x2fe64d94}});
+  expect_bundle_files(testing::legacy_dir() / "v2",
+                      {{2464, 0xdbf47a2c},
+                       {770, 0xeb62dc64},
+                       {98, 0x269d6394},
+                       {120, 0x2fe64d94}},
+                      "v2");
 }
 
 TEST(CodecGolden, V3LogBytesArePinned) {
-  expect_bundle_golden(3, {{882, 0x0410527b},
-                           {331, 0x6dd4ff31},
-                           {162, 0xb134175a},
-                           {161, 0x6106878d}});
+  const ScratchDir dir("v3");
+  trace::save_bundle(testing::fixed_store(), dir.path);
+  expect_bundle_files(dir.path, kV3Golden, "v3");
+}
+
+TEST(CodecGolden, LegacyFixturesResaveAsTheV3Golden) {
+  // A legacy bundle loaded (at any thread count), put in canonical order
+  // and saved again is the v3 golden: rewriting old captures as v3 loses
+  // and reorders nothing.
+  for (const char* version : {"v1", "v2"}) {
+    for (const int threads : {1, 4}) {
+      trace::LoadOptions load;
+      load.threads = threads;
+      trace::TraceStore store =
+          trace::load_bundle(testing::legacy_dir() / version, load);
+      store.sort_by_time();
+      const std::string what =
+          std::string(version) + " at " + std::to_string(threads);
+      const ScratchDir dir(std::string(version) + "_t" +
+                           std::to_string(threads));
+      trace::save_bundle(store, dir.path);
+      expect_bundle_files(dir.path, kV3Golden, what + " re-saved as v3");
+    }
+  }
 }
 
 TEST(CodecGolden, PartialBytesArePinnedWithoutSketch) {

@@ -1,7 +1,7 @@
 // Unit tests for the v3 columnar on-disk format (trace/columnar_io):
 // write/decode round trips for all four record types, dictionary coding,
 // group chaining, layout probing, and bundle-level v3 save/load equality
-// against v1/v2.  Hostile-input behaviour (truncation, CRC flips, dict
+// with the legacy v1/v2 fixtures.  Hostile-input behaviour (truncation, CRC flips, dict
 // damage) lives with the other fuzzers in test_fuzz_io.cpp.
 #include "trace/columnar_io.h"
 
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "legacy_fixtures.h"
 #include "par/task_pool.h"
 #include "simnet/simulator.h"
 #include "test_support.h"
@@ -71,11 +72,12 @@ Rows<MmeRecord> make_mme(int n) {
 /// fresh pools equal `pools`.
 template <typename Records>
 auto v3_round_trip(const Records& records, const ProxyPools& pools = {},
-                   int threads = 1, BlockWriterOptions wopt = {}) {
+                   int threads = 1,
+                   std::size_t group_records = kRowGroupRecords) {
   using Record = typename Records::value_type;
   std::stringstream buf;
   const ColumnarWriteInfo info =
-      write_columnar_log(buf, records, pools, wopt);
+      write_columnar_log(buf, records, pools, group_records);
   EXPECT_EQ(info.records, records.size());
   const std::string data = buf.str();
   const std::span<const std::byte> bytes(
@@ -138,11 +140,9 @@ TEST(ColumnarIo, ThreadCountDoesNotChangeTheDecode) {
 TEST(ColumnarIo, SmallGroupsChainCorrectly) {
   // Force many row groups; every group must decode independently (the
   // timestamp deltas restart per group).
-  BlockWriterOptions wopt;
-  wopt.max_block_records = 17;
   ProxyPools pools;
   const Rows<ProxyRecord> in = make_proxy(400, pools);
-  EXPECT_EQ(v3_round_trip(in, pools, 4, wopt), in);
+  EXPECT_EQ(v3_round_trip(in, pools, 4, 17), in);
 }
 
 TEST(ColumnarIo, HeaderSaysVersionThree) {
@@ -238,26 +238,45 @@ TEST(ColumnarIo, BundleRoundTripsAcrossAllThreeVersions) {
   store.sort_by_time();
 
   const std::filesystem::path base =
-      std::filesystem::temp_directory_path() / "wearscope_v3_bundle_test";
+      std::filesystem::temp_directory_path() /
+      ("wearscope_v3_bundle_test_" + std::to_string(::getpid()));
   std::filesystem::remove_all(base);
+  LoadOptions lopt;
+  lopt.threads = 4;
+  const auto expect_same = [](const TraceStore& got, const TraceStore& want,
+                              const std::string& what) {
+    EXPECT_EQ(got.proxy, want.proxy) << what;
+    EXPECT_EQ(static_cast<const ProxyPools&>(got),
+              static_cast<const ProxyPools&>(want))
+        << what;
+    EXPECT_EQ(got.mme, want.mme) << what;
+    EXPECT_EQ(got.devices, want.devices) << what;
+    EXPECT_EQ(got.sectors, want.sectors) << what;
+  };
+  save_bundle(store, base / "v3", BundleFormat::kBinary, kBinaryFormatV3);
+  expect_same(load_bundle(base / "v3", lopt), store, "v3");
+  // v1 and v2 are read-only: their fixtures load as the store they hold
+  // (CodecGolden.LegacyFixturesResaveAsTheV3Golden saves it as v3).
+  const TraceStore fixed = testing::fixed_store();
+  for (const char* version : {"v1", "v2"}) {
+    expect_same(load_bundle(testing::legacy_dir() / version, lopt), fixed,
+                version);
+  }
+  std::filesystem::remove_all(base);
+}
 
-  TraceStore loaded[3];
-  for (std::uint16_t version : {1, 2, 3}) {
-    const std::filesystem::path dir = base / ("v" + std::to_string(version));
-    save_bundle(store, dir, BundleFormat::kBinary, version);
-    LoadOptions lopt;
-    lopt.threads = 4;
-    loaded[version - 1] = load_bundle(dir, lopt);
+TEST(ColumnarIo, SaveBundleWritesOnlyV3) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("wearscope_v3_only_" + std::to_string(::getpid()));
+  for (const std::uint16_t version : {kBinaryFormatV1, kBinaryFormatV2,
+                                      std::uint16_t{4}}) {
+    EXPECT_THROW(save_bundle(testing::fixed_store(), dir,
+                             BundleFormat::kBinary, version),
+                 util::ConfigError)
+        << version;
   }
-  for (int v = 0; v < 3; ++v) {
-    EXPECT_EQ(loaded[v].proxy, store.proxy) << "v" << (v + 1);
-    EXPECT_EQ(static_cast<const ProxyPools&>(loaded[v]), store)
-        << "v" << (v + 1);
-    EXPECT_EQ(loaded[v].mme, store.mme) << "v" << (v + 1);
-    EXPECT_EQ(loaded[v].devices, store.devices) << "v" << (v + 1);
-    EXPECT_EQ(loaded[v].sectors, store.sectors) << "v" << (v + 1);
-  }
-  std::filesystem::remove_all(base);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ColumnarIo, AuditReportsColumnarLayout) {
@@ -410,7 +429,7 @@ TEST(ColumnarIo, QuarantinedGroupLeavesNoUnusedPoolEntry) {
   // Three row groups under the default writer options; the host and the
   // paths of the middle group appear nowhere else.
   TraceStore store;
-  const int group = static_cast<int>(BlockWriterOptions{}.max_block_records);
+  const int group = static_cast<int>(kRowGroupRecords);
   for (int i = 0; i < 3 * group; ++i) {
     ProxyRecord r;
     r.timestamp = i;
@@ -505,7 +524,7 @@ TEST(ColumnarIo, LenientLoadKeepsNoUnwrittenRow) {
   // task is the first writer of its group's rows.  A group that fails
   // leaves its slice unwritten, so the load must drop exactly those rows:
   // the first, a middle and the last proxy group and one MME group here.
-  const std::size_t group = BlockWriterOptions{}.max_block_records;
+  const std::size_t group = kRowGroupRecords;
   TraceStore store;
   store.proxy = make_proxy(static_cast<int>(5 * group), store);
   store.mme = make_mme(static_cast<int>(3 * group));

@@ -24,12 +24,12 @@
 
 #include "fed/feed_filter.h"
 #include "fed/partial_io.h"
+#include "legacy_fixtures.h"
 #include "live/engine.h"
 #include "live/replayer.h"
 #include "row_oracle.h"
 #include "serve/reference.h"
 #include "simnet/simulator.h"
-#include "trace/block_io.h"
 #include "trace/bundle.h"
 #include "trace/columnar_io.h"
 #include "trace/log_reader.h"
@@ -116,35 +116,30 @@ void write_file(const std::filesystem::path& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Rows per unit of the bundles below: small, so each log holds dozens of
-/// units, far more than a decoder may run ahead of the merge.
+/// Rows per row group of the v3 bundles below: small, so each log holds
+/// dozens of units, far more than a decoder may run ahead of the merge.
 constexpr std::size_t kSmallUnit = 61;
 
 template <typename Log>
 void write_small_units(const Log& rows, const trace::ProxyPools& pools,
-                       const std::filesystem::path& path,
-                       std::uint16_t format) {
-  using Record = typename Log::value_type;
+                       const std::filesystem::path& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  trace::BlockWriterOptions options;
-  options.max_block_records = kSmallUnit;
-  if (format == trace::kBinaryFormatV2) {
-    trace::BlockLogWriter<Record> writer(out, pools, options);
-    for (const Record& r : rows) writer.write(r);
-    writer.finish();
-  } else {
-    (void)trace::write_columnar_log(out, rows, pools, options);
-  }
+  (void)trace::write_columnar_log(out, rows, pools, kSmallUnit);
 }
 
-/// Saves `store` as a `format` bundle whose proxy and MME logs hold
-/// kSmallUnit-row units.
+/// Saves `store` as a v3 bundle whose proxy and MME logs hold
+/// kSmallUnit-row groups.
 void save_small_unit_bundle(const trace::TraceStore& store,
-                            const std::filesystem::path& dir,
-                            std::uint16_t format) {
-  trace::save_bundle(store, dir, trace::BundleFormat::kBinary, format);
-  write_small_units(store.proxy, store, dir / "proxy.bin", format);
-  write_small_units(store.mme, store, dir / "mme.bin", format);
+                            const std::filesystem::path& dir) {
+  trace::save_bundle(store, dir);
+  write_small_units(store.proxy, store, dir / "proxy.bin");
+  write_small_units(store.mme, store, dir / "mme.bin");
+}
+
+/// The store the legacy fixtures hold (legacy_fixtures.h).
+const trace::TraceStore& fixed_store() {
+  static const trace::TraceStore store = testing::fixed_store();
+  return store;
 }
 
 /// Where each unit of a whole v2 or v3 log sits: its header offset in the
@@ -364,32 +359,39 @@ TEST(FedMerge, ChaosQuarantineAccountingCarriesThrough) {
   EXPECT_EQ(merged.snapshot.quarantine, expected);
 }
 
-TEST(FedStream, StreamedFeedMatchesFullStoreBitwise) {
-  const simnet::SimResult& sim = capture();
-  ASSERT_TRUE(sim.store.is_sorted());
-  for (const std::uint16_t format :
-       {trace::kBinaryFormatV2, trace::kBinaryFormatV3}) {
-    const TempDir dir("stream_v" + std::to_string(format));
-    trace::save_bundle(sim.store, dir.path, trace::BundleFormat::kBinary,
-                       format);
-    for (std::size_t partition = 0; partition < 3; ++partition) {
-      const live::LiveOptions opt = partition_options(partition, 3);
-      const PartitionFeed feed = load_partition_feed(dir.path, partition, 3);
-      EXPECT_EQ(feed.feed_records,
-                sim.store.proxy.size() + sim.store.mme.size());
-      live::LiveEngine engine(feed.devices, opt);
-      replay_partition_feed(feed, engine);
-      const PartialSnapshot streamed = make_partial(engine.stop(), opt);
+/// Streams every partition of 3 from the bundle in `dir`, which holds
+/// `store`, and checks each partial against a full-store replay of it.
+void expect_streamed_matches_full(const std::filesystem::path& dir,
+                                  const trace::TraceStore& store,
+                                  const std::string& what) {
+  ASSERT_TRUE(store.is_sorted()) << what;
+  for (std::size_t partition = 0; partition < 3; ++partition) {
+    const live::LiveOptions opt = partition_options(partition, 3);
+    const PartitionFeed feed = load_partition_feed(dir, partition, 3);
+    EXPECT_EQ(feed.feed_records, store.proxy.size() + store.mme.size())
+        << what;
+    live::LiveEngine engine(feed.devices, opt);
+    replay_partition_feed(feed, engine);
+    const PartialSnapshot streamed = make_partial(engine.stop(), opt);
 
-      live::LiveEngine full(sim.store.devices, opt);
-      const live::FeedReplayer replayer(sim.store, live::ReplayOptions{});
-      (void)replayer.replay(full);
-      const PartialSnapshot materialized = make_partial(full.stop(), opt);
+    live::LiveEngine full(store.devices, opt);
+    const live::FeedReplayer replayer(store, live::ReplayOptions{});
+    (void)replayer.replay(full);
+    const PartialSnapshot materialized = make_partial(full.stop(), opt);
 
-      EXPECT_EQ(encode_partial(streamed), encode_partial(materialized))
-          << "v" << format << " partition " << partition;
-    }
+    EXPECT_EQ(encode_partial(streamed), encode_partial(materialized))
+        << what << " partition " << partition;
   }
+}
+
+TEST(FedStream, StreamedFeedMatchesFullStoreBitwise) {
+  const TempDir dir("stream_v3");
+  trace::save_bundle(capture().store, dir.path);
+  expect_streamed_matches_full(dir.path, capture().store, "v3");
+  // The v2 reader's cursor: the v2_units fixture bundle.
+  const TempDir v2("stream_v2");
+  testing::copy_units_bundle(v2.path);
+  expect_streamed_matches_full(v2.path, fixed_store(), "v2");
 }
 
 /// The capture cut at its 20,000th proxy row (MME cut at the same stamp):
@@ -414,6 +416,20 @@ const trace::TraceStore& capture_prefix() {
   return store;
 }
 
+/// Fills `dir` with a `format` bundle of many small units per event log and
+/// returns the store it holds: for v3, capture_prefix() in kSmallUnit-row
+/// groups; for v2, the v2_units fixture bundle (fixed_store(), one row per
+/// block: 40 proxy and 30 MME units).
+const trace::TraceStore& units_bundle(const std::filesystem::path& dir,
+                                      std::uint16_t format) {
+  if (format == trace::kBinaryFormatV2) {
+    testing::copy_units_bundle(dir);
+    return fixed_store();
+  }
+  save_small_unit_bundle(capture_prefix(), dir);
+  return capture_prefix();
+}
+
 /// Decode-lane counts the tests sweep: one lane (the pipeline every other
 /// count shares), the 4-core default, and more lanes than any log needs.
 constexpr std::size_t kLaneCounts[] = {1, 2, 3, 8};
@@ -421,11 +437,10 @@ constexpr std::size_t kLaneCounts[] = {1, 2, 3, 8};
 detail::FeedLanes lanes_of(std::size_t lanes) { return {lanes, lanes}; }
 
 TEST(FedStream, PipelinedFeedMatchesSequentialOracle) {
-  const trace::TraceStore& store = capture_prefix();
   for (const std::uint16_t format :
        {trace::kBinaryFormatV2, trace::kBinaryFormatV3}) {
     const TempDir dir("oracle_v" + std::to_string(format));
-    save_small_unit_bundle(store, dir.path, format);
+    const trace::TraceStore& store = units_bundle(dir.path, format);
     splice_empty_unit<trace::ProxyRecord>(dir.path / "proxy.bin", format);
     splice_empty_unit<trace::MmeRecord>(dir.path / "mme.bin", format);
     // The spliced logs are many units long and still decode to the store.
@@ -508,26 +523,56 @@ void flip_unit_tail(std::string& file, std::uint16_t format,
   file[span.at + header + span.unit.byte_length - 1] ^= 0x20;
 }
 
+/// Stamps MME row `row` of the `format` bundle in `dir`, which holds
+/// `store`, one second after row `row + 1`: an order violation.  v3
+/// rewrites the bundle; the v2 fixture log (one row per block) gets the
+/// timestamp, the first field of the block payload, edited in place and
+/// the block's CRC resealed.
+void break_mme_order(const std::filesystem::path& dir, std::uint16_t format,
+                     const trace::TraceStore& store, std::size_t row) {
+  const util::SimTime late = store.mme[row + 1].timestamp + 1;
+  if (format == trace::kBinaryFormatV3) {
+    trace::TraceStore bad = store;
+    bad.mme[row].timestamp = late;
+    save_small_unit_bundle(bad, dir);
+    return;
+  }
+  std::string file = read_file(dir / "mme.bin");
+  const UnitSpan span = units_of(file, format).at(row);
+  const std::size_t payload = span.at + trace::kFrameHeaderBytes;
+  std::string field;
+  util::BufferEncoder enc(field);
+  enc.put_i64(late);
+  file.replace(payload, 8, field);
+  field.clear();
+  enc.put_u32(util::crc32(
+      bytes_of(file).subspan(payload, span.unit.byte_length)));
+  file.replace(span.at + 8, 4, field);  // the frame header's crc32
+  write_file(dir / "mme.bin", file);
+}
+
 TEST(FedStream, MidStreamDamageThrowsAndJoins) {
   // A log's handoffs hold 16 units over all its lanes, and each lane also
   // holds the unit it is filling and the one the merge reads: at most
   // 16 + 2L units ahead of the merge per log (18 at L = 1, 22 at L = 3, 32
-  // at L = 8).  Each damage below leaves over 40 units of both logs past
-  // the row where the merge throws, so every lane of both logs, the
-  // damaged log's other lanes included, can be parked on a full handoff
-  // then.
-  const trace::TraceStore& store = capture_prefix();
+  // at L = 8).  In the v3 bundle each damage below leaves over 40 units of
+  // both logs past the row where the merge throws, so every lane of both
+  // logs, the damaged log's other lanes included, can be parked on a full
+  // handoff then.  The v2 fixture (40 proxy and 30 MME units) fills the
+  // window at one lane only; at three and eight lanes it checks the same
+  // errors and joins with fewer lanes parked.
+  const trace::TraceStore& prefix = capture_prefix();
   constexpr std::size_t kAhead = 40 * kSmallUnit;
-  ASSERT_GT(store.proxy.size() / 2, kAhead);
-  ASSERT_GT(store.mme.size() / 2, kAhead);
+  ASSERT_GT(prefix.proxy.size() / 2, kAhead);
+  ASSERT_GT(prefix.mme.size() / 2, kAhead);
   // The MME order damage sits at the middle MME row; the proxy rows
   // stamped after it are what the proxy lanes have left.
-  const std::size_t mme_mid = store.mme.size() / 2;
-  const util::SimTime mme_mid_at = store.mme[mme_mid].timestamp;
+  const util::SimTime prefix_mid_at =
+      prefix.mme[prefix.mme.size() / 2].timestamp;
   ASSERT_GT(static_cast<std::size_t>(std::count_if(
-                store.proxy.begin(), store.proxy.end(),
-                [mme_mid_at](const trace::ProxyRecord& r) {
-                  return r.timestamp > mme_mid_at;
+                prefix.proxy.begin(), prefix.proxy.end(),
+                [prefix_mid_at](const trace::ProxyRecord& r) {
+                  return r.timestamp > prefix_mid_at;
                 })),
             kAhead);
   for (const std::uint16_t format :
@@ -536,7 +581,7 @@ TEST(FedStream, MidStreamDamageThrowsAndJoins) {
     // A flipped byte at the end of the middle proxy unit's payload: a CRC
     // mismatch while the other lanes are dozens of units from their end.
     const TempDir crc(tag + "_crc");
-    save_small_unit_bundle(store, crc.path, format);
+    (void)units_bundle(crc.path, format);
     {
       std::string file = read_file(crc.path / "proxy.bin");
       flip_unit_tail(file, format, units_of(file, format).size() / 2);
@@ -545,14 +590,11 @@ TEST(FedStream, MidStreamDamageThrowsAndJoins) {
     // The middle MME row stamped after its successor: an order violation
     // while the proxy lanes run ahead.
     const TempDir order(tag + "_order");
-    {
-      trace::TraceStore bad = store;
-      bad.mme[mme_mid].timestamp = bad.mme[mme_mid + 1].timestamp + 1;
-      save_small_unit_bundle(bad, order.path, format);
-    }
+    const trace::TraceStore& store = units_bundle(order.path, format);
+    break_mme_order(order.path, format, store, store.mme.size() / 2);
     // The last proxy unit cut short.
     const TempDir cut(tag + "_cut");
-    save_small_unit_bundle(store, cut.path, format);
+    (void)units_bundle(cut.path, format);
     {
       std::string file = read_file(cut.path / "proxy.bin");
       file.resize(file.size() - 3);
@@ -562,7 +604,7 @@ TEST(FedStream, MidStreamDamageThrowsAndJoins) {
     // on different lanes, and the lane holding 11 may fail first; the load
     // must still report unit 10.
     const TempDir two(tag + "_two");
-    save_small_unit_bundle(store, two.path, format);
+    (void)units_bundle(two.path, format);
     {
       std::string file = read_file(two.path / "proxy.bin");
       flip_unit_tail(file, format, 10);
@@ -592,11 +634,16 @@ TEST(FedStream, RejectsUnsortedBundle) {
 }
 
 TEST(FedStream, RejectsV1AndCsvBundles) {
-  // v1 logs have no units to stream; a CSV bundle has no binary logs.
-  const TempDir v1("v1");
-  trace::save_bundle(capture().store, v1.path, trace::BundleFormat::kBinary,
-                     1);
-  EXPECT_THROW((void)load_partition_feed(v1.path, 0, 2), util::ParseError);
+  // v1 logs have no units to stream, and the error names the rewrite that
+  // gives them units; a CSV bundle has no binary logs.
+  try {
+    (void)load_partition_feed(testing::legacy_dir() / "v1", 0, 2);
+    ADD_FAILURE() << "a v1 bundle streamed";
+  } catch (const util::ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--convert"), std::string::npos) << what;
+    EXPECT_NE(what.find("--format binary"), std::string::npos) << what;
+  }
   const TempDir csv("csv");
   trace::save_bundle(capture().store, csv.path, trace::BundleFormat::kCsv);
   EXPECT_THROW((void)load_partition_feed(csv.path, 0, 2), util::IoError);

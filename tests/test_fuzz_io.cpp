@@ -17,8 +17,8 @@
 #include "chaos/fault_plan.h"
 #include "fed/merge.h"
 #include "live/engine.h"
+#include "legacy_fixtures.h"
 #include "test_support.h"
-#include "trace/block_io.h"
 #include "trace/columnar_io.h"
 #include "trace/csv_io.h"
 #include "trace/log_reader.h"
@@ -56,24 +56,19 @@ Rows<Record> read_log_lenient(std::span<const std::byte> bytes,
   return read_binary_log_lenient<Record>(bytes, quarantine, fuzz_pools());
 }
 
-std::string valid_binary_log(std::size_t records) {
-  std::ostringstream out;
-  BinaryLogWriter<ProxyRecord> writer(out, fuzz_pools());
-  for (std::size_t i = 0; i < records; ++i) {
-    ProxyRecord r;
-    r.timestamp = static_cast<util::SimTime>(i * 37);
-    r.user_id = 1'000'000 + i;
-    r.tac = 35254208;
-    r.protocol = i % 2 == 0 ? Protocol::kHttps : Protocol::kHttp;
-    testing::set_strings(r, fuzz_pools(),
-                         "host" + std::to_string(i) + ".example",
-                         i % 2 == 0 ? "" : "/p/" + std::to_string(i));
-    r.bytes_up = i * 11;
-    r.bytes_down = i * 101 + 1;
-    r.duration_ms = static_cast<std::uint32_t>(i + 1);
-    writer.write(r);
-  }
-  return out.str();
+/// The v1 or v2 fixture log `file` of legacy directory `dir`
+/// (legacy_fixtures.h): a clean log of testing::fixed_store()'s rows.
+std::string legacy_log(const std::string& dir, const std::string& file) {
+  return testing::slurp(testing::legacy_dir() / dir / file);
+}
+
+/// testing::fixed_store()'s proxy rows, renumbered into fuzz_pools(): what
+/// a clean read of a proxy fixture into fuzz_pools() gives.
+Rows<ProxyRecord> fixed_proxy() {
+  const TraceStore fixed = testing::fixed_store();
+  Rows<ProxyRecord> rows = fixed.proxy;
+  remap_ids(rows, fixed, fuzz_pools());
+  return rows;
 }
 
 /// Strict read of a whole log; returns the record count (may throw).
@@ -83,12 +78,12 @@ std::size_t drain_binary(const std::string& blob) {
 }
 
 TEST(FuzzBinary, TruncationAtEveryOffsetIsHandled) {
-  const std::string blob = valid_binary_log(8);
+  const std::string blob = legacy_log("v1", "proxy.bin");
   for (std::size_t cut = 0; cut <= blob.size(); ++cut) {
     const std::string prefix = blob.substr(0, cut);
     try {
       const std::size_t n = drain_binary<ProxyRecord>(prefix);
-      EXPECT_LE(n, 8u);
+      EXPECT_LE(n, 40u);
     } catch (const util::ParseError&) {
       // acceptable: truncated header or record
     }
@@ -96,7 +91,7 @@ TEST(FuzzBinary, TruncationAtEveryOffsetIsHandled) {
 }
 
 TEST(FuzzBinary, SingleByteFlipsNeverCrash) {
-  const std::string blob = valid_binary_log(6);
+  const std::string blob = legacy_log("v1", "proxy.bin");
   const std::uint64_t seed = testing::seed_or(0xF122);
   WEARSCOPE_SCOPED_SEED(seed);
   util::Pcg32 rng(seed);
@@ -131,17 +126,11 @@ TEST(FuzzBinary, RandomGarbageIsRejectedOrEmpty) {
 TEST(FuzzBinary, LengthPrefixBombIsBounded) {
   // A corrupted string length must fail with ParseError, not allocate
   // unbounded memory: the u16 prefix bounds strings to 64 KiB by design.
-  std::string blob;
-  util::BufferEncoder enc(blob);
-  enc.put_u32(0x57505258);  // proxy magic
-  enc.put_u16(1);           // version
-  enc.put_u16(0);
-  enc.put_i64(1);           // timestamp
-  enc.put_u64(2);           // user
-  enc.put_u32(3);           // tac
-  enc.put_u8(0);            // protocol
-  enc.put_u16(0xFFFF);      // host length claims 65535 bytes...
-  blob += "short";          // ...but only 5 follow
+  // The v1 fixture's file header and first record up to its host length
+  // prefix (i64 ts + u64 user + u32 tac + u8 protocol = 21 bytes)...
+  std::string blob = legacy_log("v1", "proxy.bin").substr(0, 8 + 21);
+  blob += "\xff\xff";  // ...then a host length claiming 65535 bytes...
+  blob += "short";     // ...of which only 5 follow
   EXPECT_THROW(drain_binary<ProxyRecord>(blob), util::ParseError);
 }
 
@@ -207,6 +196,7 @@ TEST(FuzzCsv, ArbitraryTextLinesAreRejected) {
 // corpus's own accounting promise (chaos::ByteFault::expected).
 // ---------------------------------------------------------------------------
 
+/// `n` proxy rows interned into fuzz_pools(), for the v3 writer.
 Rows<ProxyRecord> sample_proxy(std::size_t n) {
   Rows<ProxyRecord> records;
   records.reserve(n);
@@ -227,23 +217,16 @@ Rows<ProxyRecord> sample_proxy(std::size_t n) {
   return records;
 }
 
-Rows<MmeRecord> sample_mme(std::size_t n) {
-  Rows<MmeRecord> records;
-  records.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    records.push_back({static_cast<util::SimTime>(i * 60),
-                       static_cast<UserId>(100 + i), 35254208,
-                       i % 2 == 0 ? MmeEvent::kAttach : MmeEvent::kDetach,
-                       static_cast<SectorId>(i + 1)});
-  }
-  return records;
-}
-
+/// Feeds the seeded "io" corpus of the clean v1 log `log` to the lenient
+/// reader; exact entries must keep exactly the promised prefix of `rows`
+/// (the log's rows, ids in fuzz_pools()) and count exactly the promised
+/// quarantine.
 template <typename Log>
-void drive_corpus(const Log& sample, bool proxy_layout, std::uint64_t seed) {
+void drive_corpus(std::string log, const Log& rows, bool proxy_layout,
+                  std::uint64_t seed) {
   using Record = typename Log::value_type;
-  const chaos::BinaryImage image =
-      chaos::image_of<Record>(sample, fuzz_pools());
+  const chaos::BinaryImage image = chaos::image_of<Record>(std::move(log));
+  ASSERT_EQ(image.record_offsets.size(), rows.size());
   const chaos::FaultPlan plan(seed, chaos::FaultProfile::named("io"));
   const std::vector<chaos::ByteFault> corpus =
       plan.byte_corpus(image, proxy_layout);
@@ -262,25 +245,27 @@ void drive_corpus(const Log& sample, bool proxy_layout, std::uint64_t seed) {
           << "seed " << seed << " corpus entry " << i;
       EXPECT_TRUE(q == fault.expected)
           << "seed " << seed << " corpus entry " << i;
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), rows.begin()))
+          << "seed " << seed << " corpus entry " << i;
     } else {
       // Bit flips only promise survival: no crash, no unbounded growth.
-      EXPECT_LE(got.size(), sample.size())
+      EXPECT_LE(got.size(), rows.size())
           << "seed " << seed << " corpus entry " << i;
     }
   }
 }
 
 TEST(FuzzChaosCorpus, ProxyCorpusHonorsExactAccounting) {
-  const Rows<ProxyRecord> sample = sample_proxy(96);
   for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
-    drive_corpus(sample, /*proxy_layout=*/true, seed);
+    drive_corpus(legacy_log("v1", "proxy.bin"), fixed_proxy(),
+                 /*proxy_layout=*/true, seed);
   }
 }
 
 TEST(FuzzChaosCorpus, MmeCorpusHonorsExactAccounting) {
-  const Rows<MmeRecord> sample = sample_mme(128);
   for (const std::uint64_t seed : {21u, 22u, 23u, 24u}) {
-    drive_corpus(sample, /*proxy_layout=*/false, seed);
+    drive_corpus(legacy_log("v1", "mme.bin"), testing::fixed_store().mme,
+                 /*proxy_layout=*/false, seed);
   }
 }
 
@@ -288,18 +273,12 @@ TEST(FuzzChaosCorpus, MmeCorpusHonorsExactAccounting) {
 // Blocked v2 frame corpus: corruption must stay block-granular.  Every test
 // here asserts EXACT QuarantineStats accounting (one counted block per
 // injected fault) and that the reader resyncs at the next frame header.
+// The corpus is the v2_units proxy fixture: 40 blocks of one record each,
+// more than a strided cursor's handoff window.
 // ---------------------------------------------------------------------------
 
-/// A v2 proxy log of `records` records in blocks of `block_records`.
-std::string valid_v2_log(std::size_t records, std::size_t block_records) {
-  std::ostringstream out;
-  BlockWriterOptions options;
-  options.max_block_records = block_records;
-  BlockLogWriter<ProxyRecord> writer(out, fuzz_pools(), options);
-  for (const ProxyRecord& r : sample_proxy(records)) writer.write(r);
-  writer.finish();
-  return out.str();
-}
+/// The 40-block v2 proxy fixture.
+std::string v2_units_log() { return legacy_log("v2_units", "proxy.bin"); }
 
 /// Frame index of a complete v2 blob (file header included).
 UnitIndex index_of(const std::string& blob) {
@@ -406,9 +385,9 @@ Rows<ProxyRecord> without_block(const Rows<ProxyRecord>& sample,
 }
 
 TEST(FuzzV2, TruncationAtEveryOffsetHonorsBlockAccounting) {
-  const std::string blob = valid_v2_log(64, 8);
+  const std::string blob = v2_units_log();
   const UnitIndex index = index_of(blob);
-  ASSERT_EQ(index.units.size(), 8u);
+  ASSERT_EQ(index.units.size(), 40u);
   // File offset where each frame ends, and records recovered up to it.
   std::vector<std::size_t> frame_end;
   std::vector<std::size_t> records_before;
@@ -448,8 +427,8 @@ TEST(FuzzV2, TruncationAtEveryOffsetHonorsBlockAccounting) {
 }
 
 TEST(FuzzV2, CorruptCrcQuarantinesExactlyThatBlock) {
-  const Rows<ProxyRecord> sample = sample_proxy(64);
-  const std::string blob = valid_v2_log(64, 8);
+  const Rows<ProxyRecord> sample = fixed_proxy();
+  const std::string blob = v2_units_log();
   const UnitIndex index = index_of(blob);
   for (std::size_t k = 0; k < index.units.size(); ++k) {
     std::string mutated = blob;
@@ -472,10 +451,11 @@ TEST(FuzzV2, CorruptCrcQuarantinesExactlyThatBlock) {
 }
 
 TEST(FuzzV2, OverlongByteLengthLosesOnlyTheTail) {
-  const Rows<ProxyRecord> sample = sample_proxy(64);
-  const std::string blob = valid_v2_log(64, 8);
+  const Rows<ProxyRecord> sample = fixed_proxy();
+  const std::string blob = v2_units_log();
   const UnitIndex index = index_of(blob);
-  for (const std::size_t k : {std::size_t{0}, std::size_t{3}, std::size_t{7}}) {
+  for (const std::size_t k :
+       {std::size_t{0}, std::size_t{19}, std::size_t{39}}) {
     std::string mutated = blob;
     // byte_length lives 8 bytes before the payload (after record_count u32).
     const std::size_t at = 8 + index.units[k].payload_offset - 8;
@@ -489,15 +469,15 @@ TEST(FuzzV2, OverlongByteLengthLosesOnlyTheTail) {
     // The chain is unrecoverable past a broken length: one counted block,
     // every frame before it intact.
     EXPECT_EQ(q.corrupt_blocks, 1u) << "block " << k;
-    EXPECT_EQ(got.size(), k * 8) << "block " << k;
+    EXPECT_EQ(got.size(), k) << "block " << k;  // one record per block
     EXPECT_TRUE(std::equal(got.begin(), got.end(), sample.begin()))
         << "block " << k;
   }
 }
 
 TEST(FuzzV2, ImpossibleRecordCountSkipsFrameAndResyncs) {
-  const Rows<ProxyRecord> sample = sample_proxy(64);
-  const std::string blob = valid_v2_log(64, 8);
+  const Rows<ProxyRecord> sample = fixed_proxy();
+  const std::string blob = v2_units_log();
   const UnitIndex index = index_of(blob);
   for (std::size_t k = 0; k < index.units.size(); ++k) {
     std::string mutated = blob;
@@ -519,8 +499,8 @@ TEST(FuzzV2, ImpossibleRecordCountSkipsFrameAndResyncs) {
 }
 
 TEST(FuzzV2, ZeroRecordBlockParsesCleanly) {
-  const Rows<ProxyRecord> sample = sample_proxy(64);
-  const std::string blob = valid_v2_log(64, 8);
+  const Rows<ProxyRecord> sample = fixed_proxy();
+  const std::string blob = v2_units_log();
   const UnitIndex index = index_of(blob);
   // Splice an empty frame (0 records, 0 bytes, crc32("") == 0, i.e. twelve
   // zero bytes) between two real frames: a valid no-op, not corruption.
@@ -541,7 +521,7 @@ TEST(FuzzV2, ZeroRecordBlockParsesCleanly) {
 }
 
 TEST(FuzzV2, SingleByteFlipsNeverCrashLenient) {
-  const std::string blob = valid_v2_log(48, 8);
+  const std::string blob = v2_units_log();
   const std::uint64_t seed = testing::seed_or(0xB10C);
   WEARSCOPE_SCOPED_SEED(seed);
   util::Pcg32 rng(seed);
@@ -557,7 +537,7 @@ TEST(FuzzV2, SingleByteFlipsNeverCrashLenient) {
         got = read_log_lenient<ProxyRecord>(blob_bytes(mutated), q))
         << "trial " << trial;
     expect_cursor_agrees(mutated, "trial " + std::to_string(trial));
-    EXPECT_LE(got.size(), 48u) << "trial " << trial;
+    EXPECT_LE(got.size(), 40u) << "trial " << trial;
     try {
       (void)read_log<ProxyRecord>(blob_bytes(mutated));
     } catch (const util::ParseError&) {
@@ -578,9 +558,8 @@ TEST(FuzzV2, SingleByteFlipsNeverCrashLenient) {
 /// A v3 proxy log of `records` records in row groups of `group_records`.
 std::string valid_v3_log(std::size_t records, std::size_t group_records) {
   std::ostringstream out;
-  BlockWriterOptions options;
-  options.max_block_records = group_records;
-  (void)write_columnar_log(out, sample_proxy(records), fuzz_pools(), options);
+  (void)write_columnar_log(out, sample_proxy(records), fuzz_pools(),
+                           group_records);
   return out.str();
 }
 
@@ -1234,12 +1213,13 @@ TEST(FuzzFed, AdoptionTallyMustCoverItsWindow) {
 TEST(FuzzChaosCorpus, StrictReaderRejectsEveryExactFault) {
   // The strict reader path must refuse what the lenient path quarantines:
   // an exact fault that drops records must surface as ParseError there.
-  const Rows<ProxyRecord> sample = sample_proxy(64);
   const chaos::BinaryImage image =
-      chaos::image_of<ProxyRecord>(sample, fuzz_pools());
+      chaos::image_of<ProxyRecord>(legacy_log("v1", "proxy.bin"));
   const chaos::FaultPlan plan(99, chaos::FaultProfile::named("io"));
   for (const chaos::ByteFault& fault : plan.byte_corpus(image, true)) {
-    if (!fault.exact || fault.expected_survivors == sample.size()) continue;
+    if (!fault.exact ||
+        fault.expected_survivors == image.record_offsets.size())
+      continue;
     EXPECT_THROW((void)drain_binary<ProxyRecord>(fault.bytes),
                  util::ParseError);
   }

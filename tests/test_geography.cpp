@@ -90,10 +90,10 @@ TEST(Geography, SampleSectorNearRespectsRadiusOrFallsBack) {
 
 TEST(Geography, UnknownSectorThrows) {
   const Geography geo(test_config(), util::Pcg32(11));
-  EXPECT_THROW(geo.sector_position(0), util::ConfigError);
-  EXPECT_THROW(
-      geo.sector_position(static_cast<trace::SectorId>(geo.sectors().size() + 1)),
-      util::ConfigError);
+  EXPECT_THROW((void)geo.sector_position(0), util::ConfigError);
+  EXPECT_THROW((void)geo.sector_position(
+                   static_cast<trace::SectorId>(geo.sectors().size() + 1)),
+               util::ConfigError);
 }
 
 TEST(Geography, DeterministicForEqualSeeds) {

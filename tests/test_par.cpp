@@ -321,12 +321,12 @@ TEST(ParPipeline, FigureLookupIsConsistentWithLinearScan) {
   for (const core::FigureData& f : rep.figures) {
     EXPECT_EQ(&rep.figure(f.id), &f) << f.id;
   }
-  EXPECT_THROW(rep.figure("no-such-figure"), std::out_of_range);
+  EXPECT_THROW((void)rep.figure("no-such-figure"), std::out_of_range);
   // Repeated lookups hit the cached index; same addresses, same misses.
   for (const core::FigureData& f : rep.figures) {
     EXPECT_EQ(&rep.figure(f.id), &f) << f.id;
   }
-  EXPECT_THROW(rep.figure("no-such-figure"), std::out_of_range);
+  EXPECT_THROW((void)rep.figure("no-such-figure"), std::out_of_range);
 }
 
 // --- HostClassification: fuzz oracle ---------------------------------------

@@ -52,9 +52,9 @@ TEST_F(PipelineIntegration, AllFiguresPresent) {
   for (const core::FigureData& f : rep.figures) ids.insert(f.id);
   for (const std::string& id : expected) {
     EXPECT_TRUE(ids.contains(id)) << "missing figure " << id;
-    EXPECT_NO_THROW(rep.figure(id));
+    EXPECT_NO_THROW((void)rep.figure(id));
   }
-  EXPECT_THROW(rep.figure("fig99"), std::out_of_range);
+  EXPECT_THROW((void)rep.figure("fig99"), std::out_of_range);
 }
 
 TEST_F(PipelineIntegration, EveryFigureHasChecksAndSeries) {

@@ -1,4 +1,6 @@
-// Unit tests for binary/CSV trace serialization and bundle persistence.
+// Unit tests for trace serialization and bundle persistence: the legacy
+// v1/v2 readers against the checked-in fixtures (legacy_fixtures.h), CSV
+// round trips, and bundle save/load/audit.
 #include <algorithm>
 #include <cstddef>
 #include <filesystem>
@@ -8,8 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/fault_plan.h"
 #include "par/task_pool.h"
-#include "trace/block_io.h"
 #include "trace/bundle.h"
 #include "trace/csv_io.h"
 #include "trace/log_reader.h"
@@ -17,6 +19,7 @@
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/mapped_file.h"
+#include "legacy_fixtures.h"
 #include "test_support.h"
 
 namespace wearscope::trace {
@@ -25,8 +28,8 @@ namespace {
 using testing::set_strings;
 
 /// The pools the free-standing proxy rows of this file intern into.  The
-/// readers below decode into the same pools, so a string read back maps to
-/// the id it was written with and rows compare equal id for id.
+/// CSV round trips below decode into the same pools, so a string read back
+/// maps to the id it was written with and rows compare equal id for id.
 ProxyPools& sample_pools() {
   static ProxyPools pools;
   return pools;
@@ -67,74 +70,114 @@ std::span<const std::byte> blob_bytes(const std::string& blob) {
   return std::as_bytes(std::span<const char>(blob.data(), blob.size()));
 }
 
-template <typename Log>
-std::string v1_blob(const Log& records) {
-  using Record = typename Log::value_type;
-  std::ostringstream out;
-  BinaryLogWriter<Record> writer(out, sample_pools());
-  for (const Record& r : records) writer.write(r);
-  return out.str();
+// ---------------------------------------------------------------------------
+// Legacy binary logs (v1 and v2): read-only, read from the fixtures.  Each
+// fixture holds testing::fixed_store(), whose pools are canonical, so a
+// read into fresh pools must give its rows id for id and its pools.
+// ---------------------------------------------------------------------------
+
+using testing::fixed_store;
+using testing::legacy_dir;
+using testing::slurp;
+
+/// The thread counts every fixture read and load runs at.
+constexpr int kThreadCounts[] = {1, 2, 3, 4, 8};
+
+/// `Record`'s log in `store`, and the file that holds it in a bundle.
+template <typename Record>
+const Rows<Record>& log_of(const TraceStore& store) {
+  if constexpr (std::is_same_v<Record, ProxyRecord>) return store.proxy;
+  else if constexpr (std::is_same_v<Record, MmeRecord>) return store.mme;
+  else if constexpr (std::is_same_v<Record, DeviceRecord>)
+    return store.devices;
+  else return store.sectors;
+}
+template <typename Record>
+std::string file_of() {
+  if constexpr (std::is_same_v<Record, ProxyRecord>) return "proxy.bin";
+  else if constexpr (std::is_same_v<Record, MmeRecord>) return "mme.bin";
+  else if constexpr (std::is_same_v<Record, DeviceRecord>)
+    return "devices.bin";
+  else return "sectors.bin";
 }
 
-/// read_binary_log into sample_pools().
+/// Reads `bytes` as a `Record` log into fresh pools at every thread count;
+/// each read must give fixed_store()'s rows and (for proxy logs) pools.
 template <typename Record>
-Rows<Record> read_log(std::span<const std::byte> bytes,
-                      par::TaskPool* pool = nullptr) {
-  return read_binary_log<Record>(bytes, sample_pools(), pool);
+void expect_fixed_rows(const std::string& bytes, const std::string& what) {
+  const TraceStore want = fixed_store();
+  for (const int threads : kThreadCounts) {
+    par::TaskPool pool(static_cast<std::size_t>(threads));
+    ProxyPools pools;
+    EXPECT_EQ(read_binary_log<Record>(blob_bytes(bytes), pools, &pool),
+              log_of<Record>(want))
+        << what << " at " << threads << " threads";
+    if constexpr (!PoolFree<Record>) {
+      EXPECT_EQ(pools, static_cast<const ProxyPools&>(want))
+          << what << " at " << threads << " threads";
+    }
+  }
 }
 
+/// The fixture log of `Record` in legacy directory `dir`.
 template <typename Record>
-Record binary_round_trip(const Record& in) {
-  const std::string blob = v1_blob(Rows<Record>{in});
-  const Rows<Record> out = read_log<Record>(blob_bytes(blob));
-  EXPECT_EQ(out.size(), 1u);
-  return out.empty() ? Record{} : out.front();
+std::string fixture(const std::string& dir) {
+  return slurp(legacy_dir() / dir / file_of<Record>());
 }
 
 TEST(BinaryIo, ProxyRoundTrip) {
-  EXPECT_EQ(binary_round_trip(sample_proxy()), sample_proxy());
+  // Also the order check: 40 records, every field and both strings.
+  expect_fixed_rows<ProxyRecord>(fixture<ProxyRecord>("v1"), "v1 proxy");
 }
 
 TEST(BinaryIo, MmeRoundTrip) {
-  EXPECT_EQ(binary_round_trip(sample_mme()), sample_mme());
+  expect_fixed_rows<MmeRecord>(fixture<MmeRecord>("v1"), "v1 mme");
 }
 
 TEST(BinaryIo, DeviceRoundTrip) {
-  EXPECT_EQ(binary_round_trip(sample_device()), sample_device());
+  expect_fixed_rows<DeviceRecord>(fixture<DeviceRecord>("v1"), "v1 devices");
 }
 
 TEST(BinaryIo, SectorRoundTrip) {
-  EXPECT_EQ(binary_round_trip(sample_sector()), sample_sector());
+  expect_fixed_rows<SectorInfo>(fixture<SectorInfo>("v1"), "v1 sectors");
 }
 
 TEST(BinaryIo, ManyRecordsPreserveOrder) {
-  Rows<ProxyRecord> records;
-  for (int i = 0; i < 500; ++i) {
-    ProxyRecord r = sample_proxy();
-    r.timestamp = i;
-    set_strings(r, sample_pools(), "host" + std::to_string(i) + ".example",
-                "/v1/forecast?loc=x,y");
-    records.push_back(r);
+  // v1 has no framing: a log cut on a record boundary reads as the records
+  // before the cut, in order.  chaos::image_of finds the boundaries.
+  const chaos::BinaryImage image =
+      chaos::image_of<ProxyRecord>(fixture<ProxyRecord>("v1"));
+  ASSERT_EQ(image.record_offsets.size(), 40u);
+  const Rows<ProxyRecord> all = fixed_store().proxy;
+  for (std::size_t k = 0; k < image.record_offsets.size(); ++k) {
+    const std::string prefix = image.bytes.substr(0, image.record_offsets[k]);
+    ProxyPools pools;
+    const Rows<ProxyRecord> got =
+        read_binary_log<ProxyRecord>(blob_bytes(prefix), pools);
+    // The pools are canonical, so a prefix's fresh ids are the full log's.
+    ASSERT_EQ(got.size(), k);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), all.begin())) << k;
   }
-  const std::string blob = v1_blob(records);
-  EXPECT_EQ(read_log<ProxyRecord>(blob_bytes(blob)), records);
 }
 
 TEST(BinaryIo, WrongMagicRejected) {
-  const std::string blob = v1_blob(Rows<MmeRecord>{});
-  EXPECT_THROW((void)read_log<ProxyRecord>(blob_bytes(blob)),
+  const std::string mme = fixture<MmeRecord>("v1");
+  EXPECT_THROW((void)read_binary_log<ProxyRecord>(blob_bytes(mme),
+                                                  sample_pools()),
                util::ParseError);
 }
 
 TEST(BinaryIo, TruncatedRecordRejected) {
-  std::string blob = v1_blob(Rows<ProxyRecord>{sample_proxy()});
+  std::string blob = fixture<ProxyRecord>("v1");
   blob.resize(blob.size() - 3);  // chop the tail
-  EXPECT_THROW((void)read_log<ProxyRecord>(blob_bytes(blob)),
+  EXPECT_THROW((void)read_binary_log<ProxyRecord>(blob_bytes(blob),
+                                                  sample_pools()),
                util::ParseError);
 }
 
 TEST(BinaryIo, EmptyStreamRejected) {
-  EXPECT_THROW((void)read_log<ProxyRecord>(blob_bytes("")),
+  EXPECT_THROW((void)read_binary_log<ProxyRecord>(blob_bytes(""),
+                                                  sample_pools()),
                util::ParseError);
 }
 
@@ -151,9 +194,18 @@ TEST(BinaryIo, PrimitivesLittleEndian) {
 }
 
 TEST(BinaryIo, NegativeTimestampSurvives) {
-  ProxyRecord r = sample_proxy();
-  r.timestamp = -42;
-  EXPECT_EQ(binary_round_trip(r).timestamp, -42);
+  // The first record's timestamp, an i64 right after the 8-byte file
+  // header, edited to -42.
+  std::string blob = fixture<ProxyRecord>("v1");
+  const auto minus_42 = static_cast<std::uint64_t>(std::int64_t{-42});
+  for (std::size_t i = 0; i < 8; ++i)
+    blob[8 + i] = static_cast<char>((minus_42 >> (8 * i)) & 0xff);
+  ProxyPools pools;
+  const Rows<ProxyRecord> got =
+      read_binary_log<ProxyRecord>(blob_bytes(blob), pools);
+  ASSERT_EQ(got.size(), 40u);
+  EXPECT_EQ(got.front().timestamp, -42);
+  EXPECT_EQ(got[1], fixed_store().proxy[1]);
 }
 
 template <typename Record>
@@ -288,34 +340,9 @@ TEST_F(BundleTest, MissingDirectoryThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked v2 format (trace/block_io)
+// Blocked v2 logs: the v2 fixtures (one block per log) and the v2_units
+// fixtures (one record per block: 40 proxy and 30 MME blocks)
 // ---------------------------------------------------------------------------
-
-template <typename Log>
-std::string v2_blob(const Log& records, BlockWriterOptions options = {}) {
-  using Record = typename Log::value_type;
-  std::ostringstream out;
-  BlockLogWriter<Record> writer(out, sample_pools(), options);
-  for (const Record& r : records) writer.write(r);
-  writer.finish();
-  return out.str();
-}
-
-Rows<ProxyRecord> many_proxy(std::size_t n,
-                             ProxyPools& pools = sample_pools()) {
-  Rows<ProxyRecord> records;
-  records.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ProxyRecord r = sample_fields();
-    r.timestamp = static_cast<util::SimTime>(i * 13);
-    r.user_id = 1'000'000 + i;
-    set_strings(r, pools, "host" + std::to_string(i % 97) + ".example",
-                i % 3 == 0 ? "" : "/p/" + std::to_string(i));
-    r.bytes_down = i * 17 + 1;
-    records.push_back(r);
-  }
-  return records;
-}
 
 TEST(TraceV2, Crc32MatchesKnownVectors) {
   // The standard check value for the reflected 0xEDB88320 polynomial with
@@ -338,76 +365,58 @@ TEST(TraceV2, Crc32MatchesKnownVectors) {
 }
 
 TEST(TraceV2, RoundTripAllRecordTypes) {
-  const Rows<ProxyRecord> proxy = {sample_proxy()};
-  const Rows<MmeRecord> mme = {sample_mme()};
-  const std::vector<DeviceRecord> devices = {sample_device()};
-  const std::vector<SectorInfo> sectors = {sample_sector()};
-  EXPECT_EQ(read_log<ProxyRecord>(blob_bytes(v2_blob(proxy))), proxy);
-  EXPECT_EQ(read_binary_log<MmeRecord>(blob_bytes(v2_blob(mme))), mme);
-  EXPECT_EQ(read_binary_log<DeviceRecord>(blob_bytes(v2_blob(devices))),
-            devices);
-  EXPECT_EQ(read_binary_log<SectorInfo>(blob_bytes(v2_blob(sectors))),
-            sectors);
+  expect_fixed_rows<ProxyRecord>(fixture<ProxyRecord>("v2"), "v2 proxy");
+  expect_fixed_rows<MmeRecord>(fixture<MmeRecord>("v2"), "v2 mme");
+  expect_fixed_rows<DeviceRecord>(fixture<DeviceRecord>("v2"), "v2 devices");
+  expect_fixed_rows<SectorInfo>(fixture<SectorInfo>("v2"), "v2 sectors");
 }
 
 TEST(TraceV2, MultiBlockPreservesOrderAndCounts) {
-  const Rows<ProxyRecord> records = many_proxy(1000);
-  BlockWriterOptions options;
-  options.max_block_records = 64;
-  std::ostringstream out;
-  BlockLogWriter<ProxyRecord> writer(out, sample_pools(), options);
-  for (const ProxyRecord& r : records) writer.write(r);
-  writer.finish();
-  writer.finish();  // idempotent
-  EXPECT_EQ(writer.count(), records.size());
-  EXPECT_GT(writer.block_count(), 1u);
-  const std::string blob = out.str();
-  EXPECT_EQ(read_log<ProxyRecord>(blob_bytes(blob)), records);
-  const BinaryLogInfo info = probe_binary_log<ProxyRecord>(blob_bytes(blob));
-  EXPECT_EQ(info.version, kBinaryFormatV2);
-  EXPECT_EQ(info.blocks, writer.block_count());
-  EXPECT_EQ(info.records, records.size());
+  const std::string proxy = fixture<ProxyRecord>("v2_units");
+  const std::string mme = fixture<MmeRecord>("v2_units");
+  expect_fixed_rows<ProxyRecord>(proxy, "v2_units proxy");
+  expect_fixed_rows<MmeRecord>(mme, "v2_units mme");
+  const BinaryLogInfo proxy_info =
+      probe_binary_log<ProxyRecord>(blob_bytes(proxy));
+  EXPECT_EQ(proxy_info.version, kBinaryFormatV2);
+  EXPECT_EQ(proxy_info.blocks, 40u);
+  EXPECT_EQ(proxy_info.records, 40u);
+  const BinaryLogInfo mme_info = probe_binary_log<MmeRecord>(blob_bytes(mme));
+  EXPECT_EQ(mme_info.blocks, 30u);
+  EXPECT_EQ(mme_info.records, 30u);
 }
 
 TEST(TraceV2, ParallelDecodeIsBitwiseIdentical) {
-  const Rows<ProxyRecord> records = many_proxy(2000);
-  BlockWriterOptions options;
-  options.max_block_records = 100;
-  const std::string blob = v2_blob(records, options);
+  // Every block interns into pools of its own; the unit merge must number
+  // the strings as the inline read does, for every pool size.
+  const std::string blob = fixture<ProxyRecord>("v2_units");
+  ProxyPools sequential_pools;
   const Rows<ProxyRecord> sequential =
-      read_log<ProxyRecord>(blob_bytes(blob));
-  EXPECT_EQ(sequential, records);
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    par::TaskPool pool(threads);
-    // Fresh pools too: the unit merge must number them identically.
+      read_binary_log<ProxyRecord>(blob_bytes(blob), sequential_pools);
+  EXPECT_EQ(sequential, fixed_store().proxy);
+  for (const int threads : kThreadCounts) {
+    par::TaskPool pool(static_cast<std::size_t>(threads));
     ProxyPools fresh;
-    Rows<ProxyRecord> parallel =
-        read_binary_log<ProxyRecord>(blob_bytes(blob), fresh, &pool);
-    ProxyPools fresh_sequential;
-    EXPECT_EQ(parallel, read_binary_log<ProxyRecord>(blob_bytes(blob),
-                                                     fresh_sequential))
+    EXPECT_EQ(read_binary_log<ProxyRecord>(blob_bytes(blob), fresh, &pool),
+              sequential)
         << threads << " threads";
-    EXPECT_EQ(fresh, fresh_sequential) << threads << " threads";
-    // Renumbered into the writer's pools, the rows are the written ones.
-    remap_ids(parallel, fresh, sample_pools());
-    EXPECT_EQ(parallel, sequential) << threads << " threads";
+    EXPECT_EQ(fresh, sequential_pools) << threads << " threads";
   }
 }
 
 TEST(TraceV2, V1LogsReadableThroughSpanReader) {
-  const Rows<ProxyRecord> records = many_proxy(50);
-  const std::string blob = v1_blob(records);
-  EXPECT_EQ(read_log<ProxyRecord>(blob_bytes(blob)), records);
+  const std::string blob = fixture<ProxyRecord>("v1");
   const BinaryLogInfo info = probe_binary_log<ProxyRecord>(blob_bytes(blob));
-  EXPECT_EQ(info.version, 1);
+  EXPECT_EQ(info.version, kBinaryFormatV1);
   EXPECT_EQ(info.blocks, 0u);
-  EXPECT_EQ(info.records, records.size());
+  EXPECT_EQ(info.records, 40u);
 }
 
 TEST(TraceV2, EmptyLogRoundTrips) {
-  const std::string blob = v2_blob(Rows<ProxyRecord>{});
-  EXPECT_EQ(blob.size(), 8u);  // header only: no empty trailing block
-  EXPECT_TRUE(read_log<ProxyRecord>(blob_bytes(blob)).empty());
+  // The file header alone: an empty log, not a damaged one.
+  const std::string blob = fixture<ProxyRecord>("v2").substr(0, 8);
+  EXPECT_TRUE(read_binary_log<ProxyRecord>(blob_bytes(blob), sample_pools())
+                  .empty());
   const BinaryLogInfo info = probe_binary_log<ProxyRecord>(blob_bytes(blob));
   EXPECT_EQ(info.version, kBinaryFormatV2);
   EXPECT_EQ(info.blocks, 0u);
@@ -433,7 +442,7 @@ class MappedFileTest : public ::testing::Test {
 };
 
 TEST_F(MappedFileTest, AutoAndFallbackSeeSameBytes) {
-  const std::string content = v2_blob(many_proxy(300));
+  const std::string content = fixture<ProxyRecord>("v2_units");
   write_file(content);
   const util::MappedFile mapped(path_, util::MapMode::kAuto);
   const util::MappedFile copied(path_, util::MapMode::kReadWholeFile);
@@ -442,8 +451,8 @@ TEST_F(MappedFileTest, AutoAndFallbackSeeSameBytes) {
   ASSERT_EQ(copied.size(), content.size());
   EXPECT_TRUE(std::equal(mapped.bytes().begin(), mapped.bytes().end(),
                          copied.bytes().begin()));
-  EXPECT_EQ(read_log<ProxyRecord>(mapped.bytes()),
-            read_log<ProxyRecord>(copied.bytes()));
+  EXPECT_EQ(read_binary_log<ProxyRecord>(mapped.bytes(), sample_pools()),
+            read_binary_log<ProxyRecord>(copied.bytes(), sample_pools()));
 }
 
 TEST_F(MappedFileTest, EmptyFileYieldsEmptySpan) {
@@ -463,32 +472,10 @@ TEST_F(MappedFileTest, MissingFileThrowsIoError) {
 
 class BundleParallel : public BundleTest {
  protected:
-  /// Big enough that every log spans several v2 blocks under the default
-  /// writer options (4096 records/block).
-  TraceStore make_big_store() {
-    TraceStore s;
-    s.proxy = many_proxy(10'000, s);
-    for (std::size_t i = 0; i < 9'000; ++i) {
-      MmeRecord r = sample_mme();
-      r.timestamp = static_cast<util::SimTime>(i * 7);
-      r.user_id = 1'000'000 + (i % 500);
-      s.mme.push_back(r);
-    }
-    s.devices = {sample_device()};
-    s.sectors = {sample_sector()};
-    return s;
-  }
-
-  /// Flips one payload byte of the given v2 block of <dir>/proxy.bin.
+  /// Flips one payload byte of v2 block `block` of <dir>/proxy.bin.
   void corrupt_proxy_block(std::size_t block) {
     const std::filesystem::path bin = dir_ / "proxy.bin";
-    std::string blob;
-    {
-      std::ifstream in(bin, std::ios::binary);
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      blob = buf.str();
-    }
+    std::string blob = slurp(bin);
     const UnitIndex index = scan_units(blob_bytes(blob).subspan(8),
                                        kBinaryFormatV2, /*lenient=*/true);
     ASSERT_GT(index.units.size(), block);
@@ -498,52 +485,60 @@ class BundleParallel : public BundleTest {
   }
 };
 
+/// Checks `got` against fixed_store(): rows, pools, DeviceDB and sectors.
+void expect_fixed_store(const TraceStore& got, const std::string& what) {
+  const TraceStore want = fixed_store();
+  EXPECT_EQ(got.proxy, want.proxy) << what;
+  EXPECT_EQ(static_cast<const ProxyPools&>(got),
+            static_cast<const ProxyPools&>(want))
+      << what;
+  EXPECT_EQ(got.mme, want.mme) << what;
+  EXPECT_EQ(got.devices, want.devices) << what;
+  EXPECT_EQ(got.sectors, want.sectors) << what;
+}
+
 TEST_F(BundleParallel, ThreadCountsProduceIdenticalStores) {
-  const TraceStore in = make_big_store();
-  save_bundle(in, dir_, BundleFormat::kBinary, kBinaryFormatV2);
-  const TraceStore sequential = load_bundle(dir_, LoadOptions{});
-  EXPECT_EQ(sequential.proxy, in.proxy);
-  EXPECT_EQ(static_cast<const ProxyPools&>(sequential), in);
-  EXPECT_EQ(sequential.mme, in.mme);
-  for (const int threads : {2, 4, 8}) {
+  // One record per block: every thread count splits the logs' units.
+  testing::copy_units_bundle(dir_);
+  for (const int threads : kThreadCounts) {
     LoadOptions options;
     options.threads = threads;
-    const TraceStore parallel = load_bundle(dir_, options);
-    EXPECT_EQ(parallel.proxy, sequential.proxy) << threads << " threads";
-    EXPECT_EQ(static_cast<const ProxyPools&>(parallel), sequential)
-        << threads << " threads";
-    EXPECT_EQ(parallel.mme, sequential.mme) << threads << " threads";
-    EXPECT_EQ(parallel.devices, sequential.devices) << threads << " threads";
-    EXPECT_EQ(parallel.sectors, sequential.sectors) << threads << " threads";
+    expect_fixed_store(load_bundle(dir_, options),
+                       std::to_string(threads) + " threads");
   }
 }
 
 TEST_F(BundleParallel, V2ParallelLoadMatchesV1SequentialLoad) {
-  const TraceStore in = make_big_store();
-  const std::filesystem::path v1_dir = dir_ / "v1";
-  const std::filesystem::path v2_dir = dir_ / "v2";
-  save_bundle(in, v1_dir, BundleFormat::kBinary, 1);
-  save_bundle(in, v2_dir, BundleFormat::kBinary, kBinaryFormatV2);
-  const TraceStore from_v1 = load_bundle(v1_dir, LoadOptions{});
+  const TraceStore from_v1 = load_bundle(legacy_dir() / "v1", LoadOptions{});
   LoadOptions eight;
   eight.threads = 8;
-  const TraceStore from_v2 = load_bundle(v2_dir, eight);
+  const TraceStore from_v2 = load_bundle(legacy_dir() / "v2", eight);
   EXPECT_EQ(from_v1.proxy, from_v2.proxy);
   EXPECT_EQ(static_cast<const ProxyPools&>(from_v1), from_v2);
   EXPECT_EQ(from_v1.mme, from_v2.mme);
   EXPECT_EQ(from_v1.devices, from_v2.devices);
   EXPECT_EQ(from_v1.sectors, from_v2.sectors);
-  EXPECT_EQ(from_v1.proxy, in.proxy);
+  expect_fixed_store(from_v1, "v1");
 }
 
 TEST_F(BundleParallel, LenientAccountingIdenticalForEveryThreadCount) {
-  save_bundle(make_big_store(), dir_, BundleFormat::kBinary, kBinaryFormatV2);
+  testing::copy_units_bundle(dir_);
   corrupt_proxy_block(1);
   QuarantineStats baseline;
   const TraceStore sequential = load_bundle(dir_, baseline, LoadOptions{});
   EXPECT_EQ(baseline.corrupt_blocks, 1u);
   EXPECT_EQ(baseline.total_dropped(), 1u);
-  for (const int threads : {2, 4, 8}) {
+  // Block 1 holds row 1 alone: every other row survives, in order.
+  const TraceStore fixed = fixed_store();
+  ASSERT_EQ(sequential.proxy.size(), fixed.proxy.size() - 1);
+  for (std::size_t i = 0; i < sequential.proxy.size(); ++i) {
+    const ProxyRecord& r = sequential.proxy[i];
+    const ProxyRecord& w = fixed.proxy[i < 1 ? i : i + 1];
+    EXPECT_EQ(r.timestamp, w.timestamp) << "row " << i;
+    EXPECT_EQ(sequential.hosts[r.host_id], fixed.hosts[w.host_id]) << i;
+    EXPECT_EQ(sequential.paths[r.path_id], fixed.paths[w.path_id]) << i;
+  }
+  for (const int threads : kThreadCounts) {
     LoadOptions options;
     options.threads = threads;
     QuarantineStats q;
@@ -557,30 +552,28 @@ TEST_F(BundleParallel, LenientAccountingIdenticalForEveryThreadCount) {
 }
 
 TEST_F(BundleTest, V1BundleRoundTrips) {
-  const TraceStore in = make_store();
-  save_bundle(in, dir_, BundleFormat::kBinary, 1);
-  const TraceStore out = load_bundle(dir_);
-  EXPECT_EQ(out.proxy, in.proxy);
-  EXPECT_EQ(out.mme, in.mme);
-  const std::vector<BundleLogAudit> audits = audit_bundle(dir_);
+  const std::filesystem::path v1 = legacy_dir() / "v1";
+  expect_fixed_store(load_bundle(v1), "v1");
+  const std::vector<BundleLogAudit> audits = audit_bundle(v1);
   ASSERT_EQ(audits.size(), 4u);
-  for (const BundleLogAudit& a : audits) {
-    EXPECT_EQ(a.version, 1);
-    EXPECT_EQ(a.blocks, 0u);
-    EXPECT_EQ(a.records, 1u);
+  const std::uint64_t records[] = {40, 30, 2, 5};
+  for (std::size_t i = 0; i < audits.size(); ++i) {
+    EXPECT_EQ(audits[i].version, kBinaryFormatV1);
+    EXPECT_EQ(audits[i].blocks, 0u);
+    EXPECT_EQ(audits[i].records, records[i]) << audits[i].stem;
   }
 }
 
 TEST_F(BundleTest, AuditReportsV2Layout) {
-  save_bundle(make_store(), dir_, BundleFormat::kBinary, kBinaryFormatV2);
-  const std::vector<BundleLogAudit> audits = audit_bundle(dir_);
+  const std::vector<BundleLogAudit> audits = audit_bundle(legacy_dir() / "v2");
   ASSERT_EQ(audits.size(), 4u);
   EXPECT_EQ(audits[0].stem, "proxy");
   EXPECT_EQ(audits[0].file, "proxy.bin");
-  for (const BundleLogAudit& a : audits) {
-    EXPECT_EQ(a.version, kBinaryFormatV2);
-    EXPECT_EQ(a.blocks, 1u);
-    EXPECT_EQ(a.records, 1u);
+  const std::uint64_t records[] = {40, 30, 2, 5};
+  for (std::size_t i = 0; i < audits.size(); ++i) {
+    EXPECT_EQ(audits[i].version, kBinaryFormatV2);
+    EXPECT_EQ(audits[i].blocks, 1u);
+    EXPECT_EQ(audits[i].records, records[i]) << audits[i].stem;
   }
 }
 

@@ -12,7 +12,7 @@
 # analysis over the tree and writes BENCH_lint.json (wall time plus
 # file/rule/finding counts) — the fast pre-commit loop, no ctest.
 # With --trace-bench it builds the columnar perf suite and refreshes
-# BENCH_columnar.json: the v2/v3 encode/decode sweep and the
+# BENCH_columnar.json: the v3 encode/decode sweep and the
 # sketch-vs-exact deltas — the numbers behind the v3 format's and the
 # sketch mode's claims.
 # With --fed it builds the federation path only and drives the
@@ -22,13 +22,13 @@
 # gate fails).
 # With --full it additionally runs the sanitizer gates CONTRIBUTING.md
 # requires — the chaos label, the ring/engine suites (push_n/pop_n index
-# arithmetic across chunks) and the query parser fuzz under ASan+UBSan,
-# and the concurrency tests (live engine, batch task pool, parallel v2
-# trace decode, snapshot serving, federation) under TSan — plus a deep
-# random-walk interleaving
-# budget through the sched harness, and refreshes the
-# BENCH_analysis.json / BENCH_trace_io.json sweeps.  The live, serve and
-# federation paths are timed end to end by perfbench/run.py instead.
+# arithmetic across chunks), the query parser fuzz and the readers of the
+# checked-in legacy trace fixtures under ASan+UBSan, and the concurrency
+# tests (live engine, batch task pool, parallel trace decode, snapshot
+# serving, federation) under TSan — plus a deep random-walk interleaving
+# budget through the sched harness, and refreshes the BENCH_analysis.json
+# sweep.  The live, serve and federation paths are timed end to end by
+# perfbench/run.py instead.
 set -eu
 
 root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -96,7 +96,7 @@ fi
 if [ "$trace_bench" -eq 1 ]; then
   echo "== build (columnar perf suite)"
   cmake --build "$build" -j "$jobs" --target perf_columnar
-  echo "== v2/v3 IO + sketch deltas (BENCH_columnar.json)"
+  echo "== v3 IO + sketch deltas (BENCH_columnar.json)"
   "$build/bench/perf_columnar" --emit-json="$root/BENCH_columnar.json"
   echo "== OK"
   exit 0
@@ -116,12 +116,12 @@ echo "== interleaving mutation gate (seeded bug must be found + replay)"
   2>/dev/null
 
 if [ "$full" -eq 1 ]; then
-  echo "== chaos label, ring/engine, query parsing, TCP front end and fed feeds under ASan+UBSan"
+  echo "== chaos label, ring/engine, query parsing, TCP front end, fed feeds and trace readers under ASan+UBSan"
   cmake -B "$root/build-asan" -S "$root" -DWEARSCOPE_SANITIZE=ON >/dev/null
   cmake --build "$root/build-asan" -j "$jobs"
   ctest --test-dir "$root/build-asan" -L chaos --output-on-failure
   ctest --test-dir "$root/build-asan" \
-    -R "LiveRing|LiveEngine|FuzzQuery|ServeQueryParse|LineServer|FedStream|BundleParallel|ColumnarIo|FuzzV2|FuzzV3|CodecGolden|TraceStore" \
+    -R "LiveRing|LiveEngine|FuzzQuery|ServeQueryParse|LineServer|FedStream|BundleParallel|ColumnarIo|BinaryIo|FuzzBinary|FuzzChaosCorpus|TraceV2|FuzzV2|FuzzV3|CodecGolden|TraceStore" \
     --output-on-failure
 
   echo "== concurrency tests under TSan"
@@ -138,9 +138,6 @@ if [ "$full" -eq 1 ]; then
 
   echo "== analysis thread sweep (BENCH_analysis.json)"
   "$build/bench/perf_analysis" --emit-json="$root/BENCH_analysis.json"
-
-  echo "== trace-IO v1/v2 sweep (BENCH_trace_io.json)"
-  "$build/bench/perf_trace_io" --emit-json="$root/BENCH_trace_io.json"
 fi
 
 echo "== OK"

@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
     std::string config_path;
     std::string out_dir = "wearscope-trace";
     std::string format = "binary";
-    std::string trace_format = "v3";
     std::string write_config_path;
     std::int64_t seed = 42;
 
@@ -37,11 +36,8 @@ int main(int argc, char** argv) {
                      "load all generator knobs from this file");
     flags.add_int("seed", &seed, "generator seed (overrides config file)");
     flags.add_string("out", &out_dir, "output bundle directory");
-    flags.add_string("format", &format, "bundle format: binary|csv");
-    flags.add_string("trace-format", &trace_format,
-                     "binary layout: v3 (columnar), v2 (blocked, parallel "
-                     "decode) or v1 (legacy stream); ignored with "
-                     "--format csv");
+    flags.add_string("format", &format,
+                     "bundle format: binary (columnar v3) or csv");
     flags.add_string("write-config", &write_config_path,
                      "also write the effective config to this path and exit "
                      "without generating when --out is empty");
@@ -67,8 +63,6 @@ int main(int argc, char** argv) {
       throw util::ConfigError("unknown format '" + format +
                               "' (expected binary|csv)");
     }
-    const std::uint16_t binary_version =
-        trace::trace_format_version(trace_format);
 
     const auto t0 = std::chrono::steady_clock::now();
     const simnet::SimResult sim = simnet::Simulator(cfg).run();
@@ -76,7 +70,7 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
 
-    trace::save_bundle(sim.store, out_dir, bundle_format, binary_version);
+    trace::save_bundle(sim.store, out_dir, bundle_format);
     simnet::save_config_file(cfg, std::filesystem::path(out_dir) /
                                       "generator.cfg");
 
@@ -93,8 +87,8 @@ int main(int argc, char** argv) {
                 "%d)\n",
                 sim.observation_days - 1, sim.detailed_start_day);
     if (format == "binary") {
-      std::printf("bundle + generator.cfg written to %s (binary %s)\n",
-                  out_dir.c_str(), trace_format.c_str());
+      std::printf("bundle + generator.cfg written to %s (binary v3)\n",
+                  out_dir.c_str());
     } else {
       std::printf("bundle + generator.cfg written to %s (%s)\n",
                   out_dir.c_str(), format.c_str());

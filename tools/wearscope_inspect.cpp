@@ -5,6 +5,8 @@
 //   wearscope_inspect --trace d --top-hosts 20     # busiest endpoints
 //   wearscope_inspect --trace d --devices          # DeviceDB + TAC usage
 //   wearscope_inspect --trace d --convert e --format csv   # transcode
+//   wearscope_inspect --trace old --convert new --format binary
+//                                                  # v1/v2 bundle -> v3
 //   wearscope_inspect --partials p/                # audit partial files
 #include <algorithm>
 #include <cstdio>
@@ -243,7 +245,6 @@ int main(int argc, char** argv) {
     std::int64_t anon_key = 1;
     std::int64_t anon_quantum = 1;
     std::string format = "csv";
-    std::string trace_format = "v3";
     bool daily = false;
     bool devices = false;
     std::int64_t top_hosts = 0;
@@ -270,9 +271,8 @@ int main(int argc, char** argv) {
     flags.add_int("anon-quantum", &anon_quantum,
                   "timestamp quantization in seconds");
     flags.add_string("format", &format,
-                     "target format for --convert: binary|csv");
-    flags.add_string("trace-format", &trace_format,
-                     "binary layout for --convert/--anonymize: v1|v2|v3");
+                     "target format for --convert: binary (columnar v3) or "
+                     "csv; --anonymize always writes binary");
     flags.add_int("threads", &threads,
                   "decoder threads for loading v2/v3 bundles");
     if (!flags.parse(argc, argv)) return 0;
@@ -284,8 +284,6 @@ int main(int argc, char** argv) {
     }
     util::require(!trace_dir.empty(), "--trace is required");
     util::require(threads >= 1, "--threads must be >= 1");
-    const std::uint16_t binary_version =
-        trace::trace_format_version(trace_format);
 
     trace::LoadOptions load_options;
     load_options.threads = static_cast<int>(threads);
@@ -303,8 +301,7 @@ int main(int argc, char** argv) {
       policy.key = static_cast<std::uint64_t>(anon_key);
       policy.time_quantum_s = anon_quantum;
       trace::anonymize(anon, policy);
-      trace::save_bundle(anon, anonymize_dir, trace::BundleFormat::kBinary,
-                         binary_version);
+      trace::save_bundle(anon, anonymize_dir);
       std::printf("anonymized bundle written to %s\n",
                   anonymize_dir.c_str());
     }
@@ -314,7 +311,7 @@ int main(int argc, char** argv) {
                                         : trace::BundleFormat::kCsv;
       util::require(format == "binary" || format == "csv",
                     "unknown --format (expected binary|csv)");
-      trace::save_bundle(store, convert_dir, f, binary_version);
+      trace::save_bundle(store, convert_dir, f);
       std::printf("bundle transcoded to %s (%s)\n", convert_dir.c_str(),
                   format.c_str());
     }
