@@ -30,12 +30,12 @@ struct RowSlice {
   std::vector<std::array<std::size_t, 2>> rows;
 };
 
-/// Counts the rows of `slice` of `log`: row i goes to destination array
-/// `array_of(log[i])` (0 or 1) of its user, and `wearable_of(log[i])`
-/// tells whether its TAC is a wearable's.
-template <typename Log, typename ArrayOf, typename WearableOf>
-void count_slice(const Log& log, RowSlice& slice, ArrayOf array_of,
-                 WearableOf wearable_of) {
+/// Counts the rows of `slice` of `log` per user.  `wearable_of(log[i])`
+/// tells whether row i's TAC is a wearable's; with `kSplitByWearable` the
+/// row goes to destination array 0 (wearable) or 1 (phone) by that same
+/// test, otherwise always to array 0.
+template <bool kSplitByWearable, typename Log, typename WearableOf>
+void count_slice(const Log& log, RowSlice& slice, WearableOf wearable_of) {
   for (std::size_t i = slice.lo; i < slice.hi; ++i) {
     const auto& r = log[i];
     const auto next = static_cast<std::uint32_t>(slice.ids.size());
@@ -45,8 +45,9 @@ void count_slice(const Log& log, RowSlice& slice, ArrayOf array_of,
       slice.wearable.push_back(0);
       slice.rows.push_back({0, 0});
     }
-    ++slice.rows[it->second][array_of(r)];
-    if (wearable_of(r)) slice.wearable[it->second] = 1;
+    const bool wearable = wearable_of(r);
+    ++slice.rows[it->second][kSplitByWearable && !wearable ? 1 : 0];
+    if (wearable) slice.wearable[it->second] = 1;
   }
 }
 
@@ -105,26 +106,22 @@ AnalysisContext::AnalysisContext(const trace::TraceStore& store,
   std::vector<RowSlice> proxy_slices = row_slices(proxy.size());
   std::vector<RowSlice> mme_slices = row_slices(mme.size());
   const DeviceClassifier& devices = *devices_;
-  const auto proxy_array = [&devices](const trace::ProxyRecord& r) {
-    return devices.is_wearable(r.tac) ? std::size_t{0} : std::size_t{1};
+  const auto wearable_of = [&devices](const auto& r) {
+    return devices.is_wearable(r.tac);
+  };
+  const auto proxy_array = [&wearable_of](const trace::ProxyRecord& r) {
+    return wearable_of(r) ? std::size_t{0} : std::size_t{1};
   };
   {
     std::vector<std::function<void()>> tasks;
     for (RowSlice& slice : proxy_slices) {
-      tasks.push_back([&proxy, &slice, &proxy_array] {
-        count_slice(proxy, slice, proxy_array,
-                    [&proxy_array](const trace::ProxyRecord& r) {
-                      return proxy_array(r) == 0;
-                    });
+      tasks.push_back([&proxy, &slice, &wearable_of] {
+        count_slice<true>(proxy, slice, wearable_of);
       });
     }
     for (RowSlice& slice : mme_slices) {
-      tasks.push_back([&mme, &devices, &slice] {
-        count_slice(
-            mme, slice, [](const trace::MmeRecord&) { return std::size_t{0}; },
-            [&devices](const trace::MmeRecord& r) {
-              return devices.is_wearable(r.tac);
-            });
+      tasks.push_back([&mme, &slice, &wearable_of] {
+        count_slice<false>(mme, slice, wearable_of);
       });
     }
     pool.run(std::move(tasks));

@@ -9,66 +9,60 @@ namespace wearscope::core {
 
 StreamingAdoption::StreamingAdoption(const DeviceClassifier& devices,
                                      int observation_days)
-    : devices_(&devices), observation_days_(observation_days) {
+    : devices_(&devices) {
   util::require(observation_days > 0,
                 "StreamingAdoption: observation_days must be positive");
-  daily_counts_.assign(static_cast<std::size_t>(observation_days), 0);
-}
-
-void StreamingAdoption::roll_to(int day) {
-  if (day == current_day_) return;
-  util::require(day > current_day_,
-                "StreamingAdoption: records must arrive in day order");
-  if (current_day_ >= 0 && current_day_ < observation_days_) {
-    daily_counts_[static_cast<std::size_t>(current_day_)] =
-        current_day_users_.size();
-  }
-  current_day_users_.clear();
-  current_day_ = day;
+  tally_.observation_days = observation_days;
+  tally_.daily_counts.assign(static_cast<std::size_t>(observation_days), 0);
 }
 
 void StreamingAdoption::on_mme(const trace::MmeRecord& record) {
-  ++consumed_;
-  if (!devices_->is_wearable(record.tac)) return;
-  const int day = util::day_of(record.timestamp);
-  if (day < 0 || day >= observation_days_) return;
-  roll_to(day);
-  current_day_users_.insert(record.user_id);
-  ever_registered_.insert(record.user_id);
-  if (day < 7) first_week_.insert(record.user_id);
-  if (day >= observation_days_ - 7) last_week_.insert(record.user_id);
+  on_mme(users_[record.user_id], record, devices_->is_wearable(record.tac));
 }
 
 void StreamingAdoption::on_proxy(const trace::ProxyRecord& record) {
-  ++consumed_;
-  if (!devices_->is_wearable(record.tac)) return;
-  ever_transacted_.insert(record.user_id);
+  on_proxy(users_[record.user_id], devices_->is_wearable(record.tac));
 }
 
-AdoptionTally StreamingAdoption::tally() const {
-  AdoptionTally t;
-  t.observation_days = observation_days_;
-  t.consumed = consumed_;
-  t.daily_counts = daily_counts_;
-  if (current_day_ >= 0 && current_day_ < observation_days_) {
-    t.daily_counts[static_cast<std::size_t>(current_day_)] =
-        current_day_users_.size();
+void StreamingAdoption::on_mme(UserState& user,
+                               const trace::MmeRecord& record,
+                               bool wearable) {
+  ++tally_.consumed;
+  if (!wearable) return;
+  const int days = tally_.observation_days;
+  const int day = util::day_of(record.timestamp);
+  if (day < 0 || day >= days) return;
+  util::require(day >= current_day_,
+                "StreamingAdoption: records must arrive in day order");
+  current_day_ = day;
+  if (user.last_day != day) {
+    user.last_day = day;
+    ++tally_.daily_counts[static_cast<std::size_t>(day)];
   }
-  t.ever_registered = ever_registered_.size();
-  t.ever_transacted = ever_transacted_.size();
-  t.first_week = first_week_.size();
-  t.last_week = last_week_.size();
-  // Set-intersection count is commutative: iteration order cannot reach
-  // the emitted value.
-  // wearscope-lint: allow(unordered-flow)
-  for (const trace::UserId u : first_week_) {
-    if (last_week_.contains(u)) ++t.both_weeks;
+  const std::uint8_t seen = user.flags;
+  user.flags |= kRegistered;
+  if (day < 7) user.flags |= kFirstWeek;
+  if (day >= days - 7) user.flags |= kLastWeek;
+  const auto added = static_cast<std::uint8_t>(user.flags & ~seen);
+  if (added == 0) return;
+  if ((added & kRegistered) != 0) ++tally_.ever_registered;
+  if ((added & kFirstWeek) != 0) ++tally_.first_week;
+  if ((added & kLastWeek) != 0) ++tally_.last_week;
+  constexpr std::uint8_t kBoth = kFirstWeek | kLastWeek;
+  if ((added & kBoth) != 0 && (user.flags & kBoth) == kBoth) {
+    ++tally_.both_weeks;
   }
-  return t;
+}
+
+void StreamingAdoption::on_proxy(UserState& user, bool wearable) {
+  ++tally_.consumed;
+  if (!wearable || (user.flags & kTransacted) != 0) return;
+  user.flags |= kTransacted;
+  ++tally_.ever_transacted;
 }
 
 AdoptionResult StreamingAdoption::finalize() const {
-  return tally().finalize();
+  return tally_.finalize();
 }
 
 void AdoptionTally::merge(const AdoptionTally& other) {

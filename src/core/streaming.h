@@ -9,15 +9,18 @@
 // them — analyze_adoption() fills an AdoptionTally from the users' MME
 // rows — so AdoptionTally::finalize() is the only Fig. 2 arithmetic.
 //
-// Memory: O(users) for the presence sets plus O(days) counters — never
-// O(records).
+// Memory: one 8-byte UserState per user (core/user_slots.h)
+// plus O(days) counters — never O(records).  Every distinct count is an
+// integer bumped at the first sighting of its (user, key) pair, so a
+// tally is a copy of counters: no presence set is kept or walked.
 #pragma once
 
-#include <unordered_set>
+#include <cstdint>
 #include <vector>
 
 #include "core/analysis_adoption.h"
 #include "core/device_id.h"
+#include "core/user_slots.h"
 #include "trace/records.h"
 
 namespace wearscope::core {
@@ -52,8 +55,20 @@ struct AdoptionTally {
 /// Online Fig. 2 counters. Records may arrive in any order within a day,
 /// but days must not interleave backwards by more than the out-of-order
 /// tolerance of the feeding reader (our logs are fully time-sorted).
+///
+/// Two ways in: the record-only on_*() calls resolve the user's state in
+/// a UserSlots table of their own, and the slot calls take a UserState
+/// the caller keeps (live::ShardStats holds one per user beside its other
+/// per-user state, so one table probe serves every counter of the shard).
+/// Both run the same slot path; do not mix them on one instance.
 class StreamingAdoption {
  public:
+  /// Per-user state of the slot path.
+  struct UserState {
+    int last_day = -1;       ///< Last day this user was counted on.
+    std::uint8_t flags = 0;  ///< kRegistered | kTransacted | k*Week bits.
+  };
+
   /// `devices` must outlive the counter. `observation_days` bounds the
   /// per-day vectors.
   StreamingAdoption(const DeviceClassifier& devices, int observation_days);
@@ -64,37 +79,38 @@ class StreamingAdoption {
   /// Feeds one proxy transaction (any device; only wearable TACs count).
   void on_proxy(const trace::ProxyRecord& record);
 
+  /// Slot path of on_mme: `user` is the record's user's state and
+  /// `wearable` the DeviceClassifier::is_wearable test of its TAC.
+  void on_mme(UserState& user, const trace::MmeRecord& record,
+              bool wearable);
+
+  /// Slot path of on_proxy (the record itself is not needed).
+  void on_proxy(UserState& user, bool wearable);
+
   /// tally().finalize(): the AdoptionResult analyze_adoption() computes
   /// from the same capture held in memory.
   [[nodiscard]] AdoptionResult finalize() const;
 
   /// Snapshots the counters into a mergeable tally (shard workers call
   /// this at snapshot barriers; the coordinator merges across shards).
-  [[nodiscard]] AdoptionTally tally() const;
+  [[nodiscard]] const AdoptionTally& tally() const noexcept { return tally_; }
 
   /// Number of records consumed (both feeds).
   [[nodiscard]] std::uint64_t records_consumed() const noexcept {
-    return consumed_;
+    return tally_.consumed;
   }
 
  private:
+  static constexpr std::uint8_t kRegistered = 1;
+  static constexpr std::uint8_t kTransacted = 2;
+  static constexpr std::uint8_t kFirstWeek = 4;
+  static constexpr std::uint8_t kLastWeek = 8;
+
   const DeviceClassifier* devices_;
-  int observation_days_;
-  std::uint64_t consumed_ = 0;
+  int current_day_ = -1;  ///< Latest day counted (days never go back).
+  AdoptionTally tally_;
 
-  // Per-day distinct-user tracking with one rolling set: logs are
-  // time-sorted, so once the day advances the previous day's set is frozen
-  // into a plain count.
-  int current_day_ = -1;
-  std::unordered_set<trace::UserId> current_day_users_;
-  std::vector<std::size_t> daily_counts_;
-
-  std::unordered_set<trace::UserId> first_week_;
-  std::unordered_set<trace::UserId> last_week_;
-  std::unordered_set<trace::UserId> ever_registered_;
-  std::unordered_set<trace::UserId> ever_transacted_;
-
-  void roll_to(int day);
+  UserSlots<UserState> users_;  ///< The record-only path's states.
 };
 
 }  // namespace wearscope::core

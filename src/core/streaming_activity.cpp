@@ -21,18 +21,45 @@ StreamingActivity::StreamingActivity(const DeviceClassifier& devices,
 
 void StreamingActivity::on_proxy(const trace::ProxyRecord& record,
                                  std::uint64_t seq) {
+  on_proxy(users_[record.user_id], record, seq,
+           devices_->is_wearable(record.tac));
+}
+
+void StreamingActivity::on_proxy(UserState& user,
+                                 const trace::ProxyRecord& record,
+                                 std::uint64_t seq, bool wearable) {
   // Every proxy record slots its user, exactly like the batch context —
   // the iteration order of finalize() depends on it.
-  tally_.first_seen.try_emplace(record.user_id, seq);
-  if (!devices_->is_wearable(record.tac)) return;
+  if (!user.seen) {
+    user.seen = true;
+    tally_.first_seen.emplace(record.user_id, seq);
+  }
+  if (!wearable) return;
   if (record.timestamp < detailed_start_) return;
   const int day = util::day_of(record.timestamp);
   const int hour = util::hour_of(record.timestamp);
-  ActivityTally::UserActivity& u = tally_.users[record.user_id];
-  u.day_hours[day].insert(hour);
-  u.hour_txns[day * 24 + hour] += 1.0;
-  u.hour_bytes[day * 24 + hour] += static_cast<double>(record.bytes_total());
-  tally_.txn_sizes.push_back(static_cast<double>(record.bytes_total()));
+  const int slot = day * 24 + hour;
+  if (slot != user.slot) {
+    if (user.activity == nullptr) user.activity = &tally_.users[record.user_id];
+    ActivityTally::UserActivity& u = *user.activity;
+    u.day_hours[day].insert(hour);
+    user.slot = slot;
+    user.slot_txns = &u.hour_txns[slot];
+    user.slot_bytes = &u.hour_bytes[slot];
+  }
+  const auto bytes = static_cast<double>(record.bytes_total());
+  *user.slot_txns += 1.0;
+  *user.slot_bytes += bytes;
+  tally_.txn_sizes.push_back(bytes);
+}
+
+const ActivityTally& StreamingActivity::tally() {
+  std::vector<double>& sizes = tally_.txn_sizes;
+  const auto fresh = sizes.begin() + static_cast<std::ptrdiff_t>(sorted_sizes_);
+  std::sort(fresh, sizes.end());
+  std::inplace_merge(sizes.begin(), fresh, sizes.end());
+  sorted_sizes_ = sizes.size();
+  return tally_;
 }
 
 void ActivityTally::merge(ActivityTally other) {
@@ -56,8 +83,16 @@ void ActivityTally::merge(ActivityTally other) {
                   "ActivityTally::merge: user present in two partitions "
                   "(shard-by-user invariant broken)");
   }
+  const bool sorted =
+      std::is_sorted(txn_sizes.begin(), txn_sizes.end()) &&
+      std::is_sorted(other.txn_sizes.begin(), other.txn_sizes.end());
+  const auto mid = static_cast<std::ptrdiff_t>(txn_sizes.size());
   txn_sizes.insert(txn_sizes.end(), other.txn_sizes.begin(),
                    other.txn_sizes.end());
+  if (sorted) {
+    std::inplace_merge(txn_sizes.begin(), txn_sizes.begin() + mid,
+                       txn_sizes.end());
+  }
 }
 
 ActivityResult ActivityTally::finalize() const {

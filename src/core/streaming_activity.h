@@ -13,10 +13,14 @@
 // users were partitioned across instances.
 //
 // Memory: O(users x active day-hours in the detailed window), one sequence
-// number per distinct proxy user, plus one double per detailed-window
+// number per distinct proxy user, one small UserState per user
+// (core/user_slots.h), plus one double per detailed-window
 // transaction for the exact size ECDF.  A deployment that cannot afford
 // the latter would swap in a quantile sketch; we keep the exact sample so
-// streaming/batch equivalence stays testable to the bit.
+// streaming/batch equivalence stays testable to the bit.  tally() keeps
+// that sample sorted: it sorts only the sizes that arrived since the
+// previous call and merges them into the sorted prefix, so neither a
+// snapshot nor Ecdf re-sorts the whole history.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +31,7 @@
 
 #include "core/analysis_activity.h"
 #include "core/device_id.h"
+#include "core/user_slots.h"
 #include "trace/records.h"
 
 namespace wearscope::core {
@@ -52,10 +57,14 @@ struct ActivityTally {
   /// window — mirroring how the batch context slots users).  Drives the
   /// finalize() iteration order.
   std::unordered_map<trace::UserId, std::uint64_t> first_seen;
-  /// Size of every detailed-window wearable transaction, in bytes.
+  /// Size of every detailed-window wearable transaction, in bytes
+  /// (ascending in every tally StreamingActivity hands out; a partial
+  /// written before that held them in arrival order, which still merges).
   std::vector<double> txn_sizes;
 
-  /// Adds a user-disjoint partition's tally into this one.
+  /// Adds a user-disjoint partition's tally into this one.  Two sorted
+  /// size samples merge in one linear pass and stay sorted; if either is
+  /// unsorted they are concatenated.
   /// Throws util::ConfigError on window mismatch or a shared user id
   /// (which would mean the partitioner broke the shard-by-user invariant).
   void merge(ActivityTally other);
@@ -65,14 +74,37 @@ struct ActivityTally {
   [[nodiscard]] ActivityResult finalize() const;
 };
 
-/// Online Fig. 3b/c/d counters for one user partition.
+/// Online Fig. 3b/c/d counters for one user partition.  Like
+/// StreamingAdoption it has a record-only on_proxy() that resolves the
+/// user's state in a UserSlots table of its own and a slot on_proxy() for
+/// callers that keep the UserState themselves; both run the same slot
+/// path.  A UserState points into the tally, so the counter moves but
+/// never copies.
 class StreamingActivity {
  public:
+  /// Per-user state of the slot path.
+  struct UserState {
+    /// The user's entry in tally().users, once they have a wearable
+    /// transaction in the detailed window.
+    ActivityTally::UserActivity* activity = nullptr;
+    /// The (day, hour) slot the user was last active in, day*24+hour, and
+    /// its two accumulators in `activity`: consecutive transactions of one
+    /// hour touch no map.
+    int slot = -1;
+    double* slot_txns = nullptr;
+    double* slot_bytes = nullptr;
+    bool seen = false;  ///< tally().first_seen holds the user.
+  };
+
   /// `devices` must outlive the counter.  `detailed_start_day` and
   /// `observation_days` describe the analysis window exactly as
   /// AnalysisOptions does.
   StreamingActivity(const DeviceClassifier& devices, int observation_days,
                     int detailed_start_day);
+  StreamingActivity(StreamingActivity&&) = default;
+  StreamingActivity& operator=(StreamingActivity&&) = default;
+  StreamingActivity(const StreamingActivity&) = delete;
+  StreamingActivity& operator=(const StreamingActivity&) = delete;
 
   /// Feeds one proxy transaction (non-wearable TACs and records before the
   /// detailed window are ignored, mirroring the batch analysis).  `seq` is
@@ -81,10 +113,14 @@ class StreamingActivity {
   /// the batch context does.
   void on_proxy(const trace::ProxyRecord& record, std::uint64_t seq);
 
-  /// Snapshots the counters into a mergeable tally.
-  [[nodiscard]] const ActivityTally& tally() const noexcept {
-    return tally_;
-  }
+  /// Slot path of on_proxy: `user` is the record's user's state and
+  /// `wearable` the DeviceClassifier::is_wearable test of its TAC.
+  void on_proxy(UserState& user, const trace::ProxyRecord& record,
+                std::uint64_t seq, bool wearable);
+
+  /// Snapshots the counters into a mergeable tally, first merging the
+  /// sizes that arrived since the previous call into the sorted sample.
+  [[nodiscard]] const ActivityTally& tally();
 
   /// Convenience: finalize the local partition alone.
   [[nodiscard]] ActivityResult finalize() const { return tally_.finalize(); }
@@ -93,6 +129,10 @@ class StreamingActivity {
   const DeviceClassifier* devices_;
   util::SimTime detailed_start_ = 0;
   ActivityTally tally_;
+  /// tally_.txn_sizes[0, sorted_sizes_) is sorted.
+  std::size_t sorted_sizes_ = 0;
+
+  UserSlots<UserState> users_;  ///< The record-only path's states.
 };
 
 }  // namespace wearscope::core

@@ -2,7 +2,7 @@
 //
 // Partitions the incoming record stream across N shard rings by hashed
 // UserId, so every user's records — and therefore all per-user state
-// (presence sets, the incremental 60 s sessionizer, activity counters) —
+// (the per-user slots: adoption flags, sessionizer, activity counters) —
 // live on exactly one shard and never need cross-thread synchronization.
 // This is the shard-by-user invariant the whole subsystem rests on; the
 // merge paths (core::AdoptionTally, core::ActivityTally) check it.

@@ -1,5 +1,7 @@
 #include "live/shard_stats.h"
 
+#include <utility>
+
 #include "util/error.h"
 #include "util/sim_time.h"
 
@@ -59,15 +61,56 @@ ShardStats::ShardStats(const core::DeviceClassifier& devices,
   sketch_.enabled = sketch_mode;
 }
 
+namespace {
+
+/// The entry of `visits` whose `key` is `want`, or null.  Searches newest
+/// first and moves a hit to the back: a user's events keep returning to
+/// the same few sectors and apps, so most finds take one or two probes.
+template <typename Visit, typename Key>
+Visit* find_recent(std::vector<Visit>& visits, Key Visit::*key, Key want) {
+  for (std::size_t i = visits.size(); i-- > 0;) {
+    if (visits[i].*key == want) {
+      std::swap(visits[i], visits.back());
+      return &visits.back();
+    }
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+ShardStats::SectorVisit& ShardStats::visit_sector(UserSlot& user,
+                                                  trace::SectorId sector) {
+  if (SectorVisit* seen = find_recent(user.sectors, &SectorVisit::sector,
+                                      sector)) {
+    return *seen;
+  }
+  SectorTally::Counter& counter = sector_tally_.sectors[sector];
+  counter.distinct_users += 1;
+  return user.sectors.emplace_back(SectorVisit{sector, false, &counter});
+}
+
+ShardStats::AppVisit& ShardStats::visit_app(UserSlot& user, appdb::AppId app) {
+  if (AppVisit* seen = find_recent(user.apps, &AppVisit::app, app)) {
+    return *seen;
+  }
+  AppTally::Counter& counter = app_tally_.apps[app];
+  counter.distinct_users += 1;
+  return user.apps.emplace_back(AppVisit{app, -1, &counter});
+}
+
 void ShardStats::on_proxy(const trace::ProxyRecord& record,
                           std::uint64_t seq) {
   ++consumed_;
+  const bool wearable = devices_->is_wearable(record.tac);
+  UserSlot* user = nullptr;
   if (!sketch_mode_) {
-    adoption_.on_proxy(record);
-    activity_.on_proxy(record, seq);
+    user = &users_[record.user_id];
+    adoption_.on_proxy(user->adoption, wearable);
+    activity_.on_proxy(user->activity, record, seq, wearable);
   }
 
-  if (!devices_->is_wearable(record.tac)) return;
+  if (!wearable) return;
   if (!host_classes_.has_value()) {
     util::require(hosts_->pool != nullptr,
                   "live: proxy record pushed before a host pool was bound");
@@ -85,69 +128,59 @@ void ShardStats::on_proxy(const trace::ProxyRecord& record,
   }
   if (cls.cls != appdb::TransactionClass::kApplication) return;
 
-  AppTally::Counter& counter = app_tally_.apps[cls.app];
-  counter.transactions += 1;
-  counter.bytes += record.bytes_total();
   if (sketch_mode_) {
     // Bounded tracking only: the app heavy-hitter table replaces the
-    // per-app user sets and the per-(user, app) sessionizer state.
+    // per-(user, app) distinct-user and sessionizer state.
+    AppTally::Counter& counter = app_tally_.apps[cls.app];
+    counter.transactions += 1;
+    counter.bytes += record.bytes_total();
     sketch_.apps.add(signatures_->app_name(cls.app));
     return;
   }
-  app_users_[cls.app].insert(record.user_id);
-
+  AppVisit& visit = visit_app(*user, cls.app);
+  AppTally::Counter& counter = *visit.counter;
+  counter.transactions += 1;
+  counter.bytes += record.bytes_total();
   // Incremental sessionization: a transaction more than `usage_gap_s_`
   // after the same (user, app)'s previous one opens a new usage.
-  util::SimTime& last = last_txn_[record.user_id]
-                            .try_emplace(cls.app, util::SimTime{-1})
-                            .first->second;
-  if (last < 0 || record.timestamp - last > usage_gap_s_) {
+  if (visit.last_txn < 0 || record.timestamp - visit.last_txn > usage_gap_s_) {
     counter.usages += 1;
   }
-  last = record.timestamp;
+  visit.last_txn = record.timestamp;
 }
 
 void ShardStats::on_mme(const trace::MmeRecord& record) {
   ++consumed_;
-  if (!sketch_mode_) adoption_.on_mme(record);
-
-  SectorTally::Counter& sector = sector_tally_.sectors[record.sector_id];
-  sector.events += 1;
-  if (record.event == trace::MmeEvent::kAttach) sector.attaches += 1;
-  if (record.event == trace::MmeEvent::kHandover) sector.handovers += 1;
-  if (devices_->is_wearable(record.tac)) {
-    sector.wearable_events += 1;
-    if (sketch_mode_) sketch_.registered_users.add(record.user_id);
+  const bool wearable = devices_->is_wearable(record.tac);
+  SectorTally::Counter* sector = nullptr;
+  if (sketch_mode_) {
+    // No distinct-user counts: they would need per-user state.
+    sector = &sector_tally_.sectors[record.sector_id];
+    if (wearable) sketch_.registered_users.add(record.user_id);
+  } else {
+    UserSlot& user = users_[record.user_id];
+    adoption_.on_mme(user.adoption, record, wearable);
+    SectorVisit& visit = visit_sector(user, record.sector_id);
+    sector = visit.counter;
+    if (wearable && !visit.wearable) {
+      visit.wearable = true;
+      sector->wearable_users += 1;
+    }
   }
-  if (sketch_mode_) return;  // distinct-user sets are O(users)
-  sector_users_[record.sector_id].insert(record.user_id);
-  if (devices_->is_wearable(record.tac)) {
-    sector_wearable_users_[record.sector_id].insert(record.user_id);
-  }
+  sector->events += 1;
+  if (record.event == trace::MmeEvent::kAttach) sector->attaches += 1;
+  if (record.event == trace::MmeEvent::kHandover) sector->handovers += 1;
+  if (wearable) sector->wearable_events += 1;
 }
 
-ShardSnapshot ShardStats::snapshot(std::size_t shard) const {
+ShardSnapshot ShardStats::snapshot(std::size_t shard) {
   ShardSnapshot snap;
   snap.shard = shard;
   snap.records = consumed_;
   snap.adoption = adoption_.tally();
   snap.activity = activity_.tally();
   snap.apps = app_tally_;
-  // Keyed writes into the (ordered) tally maps: each key is visited once,
-  // so hash-map iteration order cannot reach the emitted value.
-  // wearscope-lint: allow(unordered-flow)
-  for (const auto& [app, users] : app_users_) {
-    snap.apps.apps[app].distinct_users = users.size();
-  }
   snap.sectors = sector_tally_;
-  // Same keyed-write shape as above.  wearscope-lint: allow(unordered-flow)
-  for (const auto& [sector, users] : sector_users_) {
-    snap.sectors.sectors[sector].distinct_users = users.size();
-  }
-  // Same keyed-write shape as above.  wearscope-lint: allow(unordered-flow)
-  for (const auto& [sector, users] : sector_wearable_users_) {
-    snap.sectors.sectors[sector].wearable_users = users.size();
-  }
   snap.sketch = sketch_;
   return snap;
 }

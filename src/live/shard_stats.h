@@ -5,25 +5,37 @@
 // partitioning makes every per-user structure single-writer by
 // construction, which is why none of this needs a lock.
 //
-// It wraps the core single-pass counters (StreamingAdoption for Fig. 2,
-// StreamingActivity for Fig. 3b/c/d) and adds live-only app-popularity
-// counters: per-app transactions/bytes/distinct-users plus an incremental
-// 60 s sessionizer that counts app usages online (the paper's §5.1 usage
+// It drives the core single-pass counters (StreamingAdoption for Fig. 2,
+// StreamingActivity for Fig. 3b/c/d) and adds live-only counters:
+// per-app transactions/bytes/distinct-users plus an incremental 60 s
+// sessionizer that counts app usages online (the paper's §5.1 usage
 // definition, maintained with one "last transaction time" per (user, app)
-// instead of a buffered record window).
+// instead of a buffered record window), and per-sector events and
+// distinct users.
+//
+// Per event the shard probes its UserSlots once and tests the TAC once.
+// The user's slot holds everything per-user: the adoption and
+// activity UserStates, the sectors the user was seen at (with a
+// wearable bit) and the apps they used (with the last transaction time).
+// Each list entry points at its counter, so a repeat visit touches no
+// map, and a distinct-user count is bumped when its (user, key) pair is
+// first seen — snapshot() copies counters and walks no per-user state.
+// Memory: O(users + (user, sector) + (user, app) pairs), no presence sets.
+#pragma once
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "appdb/third_party.h"
 #include "core/app_id.h"
 #include "core/device_id.h"
 #include "core/streaming.h"
 #include "core/streaming_activity.h"
+#include "core/user_slots.h"
 #include "sketch/countmin.h"
 #include "sketch/hll.h"
 #include "sketch/tdigest.h"
@@ -42,8 +54,8 @@ struct SectorTally {
     std::uint64_t attaches = 0;
     std::uint64_t handovers = 0;
     std::uint64_t wearable_events = 0; ///< Events from wearable TACs.
-    std::uint64_t distinct_users = 0;  ///< Filled at snapshot time.
-    std::uint64_t wearable_users = 0;  ///< Filled at snapshot time.
+    std::uint64_t distinct_users = 0;
+    std::uint64_t wearable_users = 0;  ///< Users with a wearable event.
   };
   std::unordered_map<trace::SectorId, Counter> sectors;
 
@@ -135,15 +147,44 @@ class ShardStats {
   /// Feeds one MME event.
   void on_mme(const trace::MmeRecord& record);
 
-  /// Copies the current state into a mergeable snapshot.
-  [[nodiscard]] ShardSnapshot snapshot(std::size_t shard) const;
+  /// Copies the current state into a mergeable snapshot (sorting the
+  /// transaction sizes that arrived since the previous one).
+  [[nodiscard]] ShardSnapshot snapshot(std::size_t shard);
 
   /// Records consumed so far (both feeds).
   [[nodiscard]] std::uint64_t records_consumed() const noexcept {
     return consumed_;
   }
 
+  /// Users holding a per-user slot (always 0 in sketch mode).
+  [[nodiscard]] std::size_t tracked_users() const noexcept {
+    return users_.size();
+  }
+
  private:
+  /// A sector the user was seen at.
+  struct SectorVisit {
+    trace::SectorId sector = 0;
+    bool wearable = false;  ///< Counted in counter->wearable_users.
+    SectorTally::Counter* counter = nullptr;
+  };
+  /// An app the user transacted with.
+  struct AppVisit {
+    appdb::AppId app = core::kUnknownApp;
+    util::SimTime last_txn = -1;  ///< The incremental sessionizer's state.
+    AppTally::Counter* counter = nullptr;
+  };
+  /// Everything the shard keeps per user.
+  struct UserSlot {
+    core::StreamingAdoption::UserState adoption;
+    core::StreamingActivity::UserState activity;
+    std::vector<SectorVisit> sectors;
+    std::vector<AppVisit> apps;
+  };
+
+  SectorVisit& visit_sector(UserSlot& user, trace::SectorId sector);
+  AppVisit& visit_app(UserSlot& user, appdb::AppId app);
+
   const core::DeviceClassifier* devices_ = nullptr;
   const core::AppSignatureTable* signatures_ = nullptr;
   const HostBinding* hosts_ = nullptr;
@@ -159,21 +200,13 @@ class ShardStats {
   core::StreamingAdoption adoption_;
   core::StreamingActivity activity_;
 
+  /// The counters' list entries point into these maps (node-based, so the
+  /// pointers survive rehashing); snapshot() copies them whole.
   AppTally app_tally_;
   SectorTally sector_tally_;
-  /// Distinct users per app (sizes exported into AppTally at snapshot).
-  std::unordered_map<appdb::AppId, std::unordered_set<trace::UserId>>
-      app_users_;
-  /// Distinct users per sector: all users and the wearable subset (sizes
-  /// exported into SectorTally at snapshot).
-  std::unordered_map<trace::SectorId, std::unordered_set<trace::UserId>>
-      sector_users_;
-  std::unordered_map<trace::SectorId, std::unordered_set<trace::UserId>>
-      sector_wearable_users_;
-  /// Incremental sessionizer: (user, app) -> last transaction timestamp.
-  std::unordered_map<trace::UserId,
-                     std::unordered_map<appdb::AppId, util::SimTime>>
-      last_txn_;
+
+  /// Empty in sketch mode, which keeps no per-user state.
+  core::UserSlots<UserSlot> users_;
 };
 
 }  // namespace wearscope::live

@@ -68,7 +68,7 @@ class MemorySpanDecoder {
   [[nodiscard]] std::uint16_t get_u16() {
     need(2, "u16");
     const std::uint16_t v = static_cast<std::uint16_t>(
-        byte_at(0) | (static_cast<std::uint16_t>(byte_at(1)) << 8));
+        byte_at(0) | (static_cast<std::uint32_t>(byte_at(1)) << 8));
     offset_ += 2;
     return v;
   }

@@ -65,7 +65,12 @@ double mean(std::span<const double> values) noexcept {
 double median(std::vector<double> values) { return quantile(std::move(values), 0.5); }
 
 Ecdf::Ecdf(std::vector<double> sample) : sorted_(std::move(sample)) {
-  std::sort(sorted_.begin(), sorted_.end());
+  // An ascending sample is already what the sort produces: equal values
+  // are interchangeable (only ±0 differ in bits, and the sort never fixed
+  // their order), so skipping it keeps sorted_ and mean_ bitwise.
+  if (!std::is_sorted(sorted_.begin(), sorted_.end())) {
+    std::sort(sorted_.begin(), sorted_.end());
+  }
   mean_ = util::mean(sorted_);
 }
 

@@ -64,7 +64,8 @@ double median(std::vector<double> values);
 class Ecdf {
  public:
   Ecdf() = default;
-  /// Builds the ECDF from an arbitrary-order sample.
+  /// Builds the ECDF from an arbitrary-order sample (an ascending one is
+  /// taken as is, without a sort).
   explicit Ecdf(std::vector<double> sample);
 
   /// Fraction of the sample <= x. 0 for empty ECDFs.

@@ -18,6 +18,7 @@
 #include <fstream>
 #include <future>
 #include <iterator>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
@@ -263,6 +264,36 @@ TEST(FedMerge, FederatedEqualsSingleProcessAcrossPartitionCounts) {
                     << m.serve << " batch=" << m.batch;
     }
   }
+}
+
+TEST(FedMerge, MergesAPartialWithUnsortedTxnSizes) {
+  // Partials from before the shards kept their size samples sorted hold
+  // them in arrival order; the merge concatenates such a side and finalize
+  // sorts, so the answer stays the single-process one bitwise.
+  const simnet::SimResult& sim = capture();
+  std::vector<LoadedPartial> parts = cover(2);
+  std::vector<double>& sizes = parts[0].partial.tallies.activity.txn_sizes;
+  ASSERT_GT(sizes.size(), 1u);
+  ASSERT_TRUE(std::is_sorted(sizes.begin(), sizes.end()));
+  std::mt19937_64 rng(3);
+  std::shuffle(sizes.begin(), sizes.end(), rng);
+  ASSERT_FALSE(std::is_sorted(sizes.begin(), sizes.end()));
+  // Written and read back, as a partial file on disk would be.
+  parts[0].partial = decode_partial(bytes_of(encode_partial(parts[0].partial)));
+
+  const MergeResult merged = merge_partials(std::move(parts));
+  const std::vector<serve::VerifyMismatch> mismatches =
+      serve::verify_responses(merged.snapshot, sim.store, merged.options,
+                              trace::QuarantineStats{});
+  for (const serve::VerifyMismatch& m : mismatches) {
+    ADD_FAILURE() << m.query << ": federated=" << m.serve
+                  << " batch=" << m.batch;
+  }
+  const MergeResult sorted = merge_partials(cover(2));
+  EXPECT_EQ(merged.snapshot.activity.txn_size_bytes.sorted(),
+            sorted.snapshot.activity.txn_size_bytes.sorted());
+  EXPECT_EQ(merged.snapshot.activity.mean_txn_bytes,
+            sorted.snapshot.activity.mean_txn_bytes);
 }
 
 TEST(FedMerge, RejectsIncompleteCover) {

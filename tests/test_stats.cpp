@@ -1,7 +1,10 @@
 // Unit tests for the descriptive-statistics helpers.
 #include "util/stats.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -101,6 +104,35 @@ TEST(EcdfTest, Empty) {
   EXPECT_DOUBLE_EQ(e.at(1.0), 0.0);
   EXPECT_DOUBLE_EQ(e.quantile(0.5), 0.0);
   EXPECT_EQ(e.size(), 0u);
+}
+
+TEST(EcdfTest, SortedInputEqualsShuffledInputBitwise) {
+  // Transaction-size-like values with duplicates and zeros; a sorted input
+  // skips the sort, which must not change a bit of the sample or the mean.
+  std::mt19937_64 rng(11);
+  std::vector<double> sample;
+  for (int i = 0; i < 5000; ++i) {
+    sample.push_back(static_cast<double>(rng() % 700) * 13.25);
+  }
+  sample.insert(sample.end(), {0.0, 0.0, 0.1, 0.1, 1e12});
+  std::vector<double> sorted = sample;
+  std::sort(sorted.begin(), sorted.end());
+  std::shuffle(sample.begin(), sample.end(), rng);
+  ASSERT_FALSE(std::is_sorted(sample.begin(), sample.end()));
+
+  const Ecdf from_sorted(sorted);
+  const Ecdf from_shuffled(sample);
+  ASSERT_EQ(from_sorted.size(), from_shuffled.size());
+  EXPECT_EQ(std::memcmp(from_sorted.sorted().data(),
+                        from_shuffled.sorted().data(),
+                        sorted.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(&from_sorted.sorted().front(), &sorted.front(),
+                        sorted.size() * sizeof(double)),
+            0);
+  const double a = from_sorted.mean();
+  const double b = from_shuffled.mean();
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0);
 }
 
 TEST(HistogramTest, BinningAndClamping) {
