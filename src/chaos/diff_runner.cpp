@@ -133,7 +133,7 @@ void compare_snapshots(Mismatches& m, const std::string& label,
 }
 
 /// The survivors minus the plan's permanent feed drops, removed in exactly
-/// the order FeedReplayer walks the feed (ties: MME before proxy).
+/// the order FeedReplayer walks the feed (live::walk_feed).
 trace::TraceStore drop_permanent(const trace::TraceStore& canon,
                                  const std::vector<std::uint64_t>& seqs) {
   const std::unordered_set<std::uint64_t> drop(seqs.begin(), seqs.end());
@@ -143,24 +143,14 @@ trace::TraceStore drop_permanent(const trace::TraceStore& canon,
   static_cast<trace::ProxyPools&>(out) = canon;
   out.proxy.reserve(canon.proxy.size());
   out.mme.reserve(canon.mme.size());
-  std::size_t pi = 0;
-  std::size_t mi = 0;
-  std::uint64_t seq = 0;
-  while (pi < canon.proxy.size() || mi < canon.mme.size()) {
-    const bool take_mme =
-        mi < canon.mme.size() &&
-        (pi >= canon.proxy.size() ||
-         canon.mme[mi].timestamp <= canon.proxy[pi].timestamp);
-    if (!drop.contains(seq)) {
-      if (take_mme) {
-        out.mme.push_back(canon.mme[mi]);
-      } else {
-        out.proxy.push_back(canon.proxy[pi]);
-      }
+  live::walk_feed(canon, [&](const live::FeedEvent& event) {
+    if (drop.contains(event.seq)) return;
+    if (event.mme != nullptr) {
+      out.mme.push_back(*event.mme);
+    } else {
+      out.proxy.push_back(*event.proxy);
     }
-    take_mme ? ++mi : ++pi;
-    ++seq;
-  }
+  });
   // Dropped records may have been the last users of a host or path.
   trace::canonicalize_pools(out.proxy, out);
   return out;

@@ -12,7 +12,7 @@
 // Memory: one 8-byte UserState per user (core/user_slots.h)
 // plus O(days) counters — never O(records).  Every distinct count is an
 // integer bumped at the first sighting of its (user, key) pair, so a
-// tally is a copy of counters: no presence set is kept or walked.
+// tally is just the counters: no presence set is kept or walked.
 #pragma once
 
 #include <cstdint>
@@ -91,8 +91,8 @@ class StreamingAdoption {
   /// from the same capture held in memory.
   [[nodiscard]] AdoptionResult finalize() const;
 
-  /// Snapshots the counters into a mergeable tally (shard workers call
-  /// this at snapshot barriers; the coordinator merges across shards).
+  /// The mergeable counters, always current (live::assemble reads each
+  /// shard's in place at snapshot barriers and merges across shards).
   [[nodiscard]] const AdoptionTally& tally() const noexcept { return tally_; }
 
   /// Number of records consumed (both feeds).

@@ -53,13 +53,12 @@ void StreamingActivity::on_proxy(UserState& user,
   tally_.txn_sizes.push_back(bytes);
 }
 
-const ActivityTally& StreamingActivity::tally() {
+void StreamingActivity::sort_new_sizes() {
   std::vector<double>& sizes = tally_.txn_sizes;
   const auto fresh = sizes.begin() + static_cast<std::ptrdiff_t>(sorted_sizes_);
   std::sort(fresh, sizes.end());
   std::inplace_merge(sizes.begin(), fresh, sizes.end());
   sorted_sizes_ = sizes.size();
-  return tally_;
 }
 
 void ActivityTally::merge(ActivityTally other) {
@@ -96,28 +95,59 @@ void ActivityTally::merge(ActivityTally other) {
 }
 
 ActivityResult ActivityTally::finalize() const {
+  const ActivityTally* self = this;
+  return finalize_activity({&self, 1});
+}
+
+ActivityResult finalize_activity(std::span<const ActivityTally* const> parts) {
+  util::require(!parts.empty(), "finalize_activity: no parts");
+  const ActivityTally& first = *parts.front();
   // Replays the batch user order: analyze_activity() walks users by first
   // appearance in the proxy log, and the shared finisher's Fig. 3d
   // scalars depend on that order, so sort on the first_seen stamps (user
   // id breaks the never-occurring tie, keeping the order total either way).
-  std::vector<std::pair<std::uint64_t, trace::UserId>> order;
-  order.reserve(users.size());
-  for (const auto& [id, activity] : users) {
-    const auto it = first_seen.find(id);
-    order.emplace_back(it != first_seen.end()
-                           ? it->second
-                           : std::numeric_limits<std::uint64_t>::max(),
-                       id);
+  struct Entry {
+    std::uint64_t seq = 0;
+    trace::UserId user = 0;
+    const ActivityTally::UserActivity* activity = nullptr;
+  };
+  std::vector<Entry> order;
+  // Ecdf sorts an unsorted sample itself, so any arrangement of the same
+  // multiset finishes bitwise alike; sorted parts merge in linear passes.
+  std::vector<double> txn_sizes;
+  bool sorted = true;
+  for (const ActivityTally* part : parts) {
+    util::require(part->observation_days == first.observation_days &&
+                      part->detailed_start_day == first.detailed_start_day,
+                  "finalize_activity: mismatched observation windows");
+    for (const auto& [id, activity] : part->users) {
+      const auto it = part->first_seen.find(id);
+      order.push_back(Entry{it != part->first_seen.end()
+                                ? it->second
+                                : std::numeric_limits<std::uint64_t>::max(),
+                            id, &activity});
+    }
+    const auto mid = static_cast<std::ptrdiff_t>(txn_sizes.size());
+    txn_sizes.insert(txn_sizes.end(), part->txn_sizes.begin(),
+                     part->txn_sizes.end());
+    sorted = sorted &&
+             std::is_sorted(part->txn_sizes.begin(), part->txn_sizes.end());
+    if (sorted) {
+      std::inplace_merge(txn_sizes.begin(), txn_sizes.begin() + mid,
+                         txn_sizes.end());
+    }
   }
-  std::sort(order.begin(), order.end());
+  std::sort(order.begin(), order.end(), [](const Entry& a, const Entry& b) {
+    return a.seq != b.seq ? a.seq < b.seq : a.user < b.user;
+  });
 
   ActivityFinisher finisher(
-      detailed_window_weeks(observation_days, detailed_start_day));
+      detailed_window_weeks(first.observation_days, first.detailed_start_day));
   std::vector<int> slots;
   std::vector<double> slot_txns;
   std::vector<double> slot_bytes;
-  for (const auto& [seq, id] : order) {
-    const UserActivity& u = users.at(id);
+  for (const Entry& entry : order) {
+    const ActivityTally::UserActivity& u = *entry.activity;
     // Per-slot values in slot order, not hash order, exactly as the batch
     // kernel's run accumulation emits them.
     slots.clear();
@@ -131,7 +161,8 @@ ActivityResult ActivityTally::finalize() const {
     }
     finisher.add_user(u.day_hours.size(), slot_txns, slot_bytes);
   }
-  return std::move(finisher).finish(txn_sizes);
+
+  return std::move(finisher).finish(std::move(txn_sizes));
 }
 
 }  // namespace wearscope::core

@@ -17,8 +17,8 @@
 // (core/user_slots.h), plus one double per detailed-window
 // transaction for the exact size ECDF.  A deployment that cannot afford
 // the latter would swap in a quantile sketch; we keep the exact sample so
-// streaming/batch equivalence stays testable to the bit.  tally() keeps
-// that sample sorted: it sorts only the sizes that arrived since the
+// streaming/batch equivalence stays testable to the bit.  sort_new_sizes()
+// keeps that sample sorted: it sorts only the sizes that arrived since the
 // previous call and merges them into the sorted prefix, so neither a
 // snapshot nor Ecdf re-sorts the whole history.
 #pragma once
@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -70,9 +71,19 @@ struct ActivityTally {
   void merge(ActivityTally other);
 
   /// Finishes everything consumed so far through the ActivityFinisher
-  /// analyze_activity() uses.
+  /// analyze_activity() uses (finalize_activity() over this one part).
   [[nodiscard]] ActivityResult finalize() const;
 };
+
+/// Finalizes the union of user-disjoint parts in place, without merging
+/// them: bitwise the ActivityResult of merging the parts in order and
+/// calling finalize().  Users are visited in (first_seen, user) order over
+/// all parts, each user's activity read from its own part; sorted size
+/// samples are merged, and if any part's sample is unsorted the samples
+/// are concatenated and left to Ecdf, which sorts.
+/// Throws util::ConfigError on mismatched observation windows.
+[[nodiscard]] ActivityResult finalize_activity(
+    std::span<const ActivityTally* const> parts);
 
 /// Online Fig. 3b/c/d counters for one user partition.  Like
 /// StreamingAdoption it has a record-only on_proxy() that resolves the
@@ -118,9 +129,13 @@ class StreamingActivity {
   void on_proxy(UserState& user, const trace::ProxyRecord& record,
                 std::uint64_t seq, bool wearable);
 
-  /// Snapshots the counters into a mergeable tally, first merging the
-  /// sizes that arrived since the previous call into the sorted sample.
-  [[nodiscard]] const ActivityTally& tally();
+  /// Sorts the sizes that arrived since the previous call and merges them
+  /// into the sorted sample, so tally() hands out an ascending one.
+  void sort_new_sizes();
+
+  /// The mergeable counters (tally().txn_sizes is ascending up to the
+  /// last sort_new_sizes()).
+  [[nodiscard]] const ActivityTally& tally() const noexcept { return tally_; }
 
   /// Convenience: finalize the local partition alone.
   [[nodiscard]] ActivityResult finalize() const { return tally_.finalize(); }

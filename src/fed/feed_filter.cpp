@@ -376,7 +376,8 @@ PartitionFeed load_partition_feed(const std::filesystem::path& dir,
   bool p_live = p.advance(feed.proxy, pools);
   bool m_live = m.advance(feed.mme, pools);
   while (p_live || m_live) {
-    // FeedReplayer's merge rule exactly: MME before proxy on equal stamps.
+    // live::walk_feed's order exactly (MME before proxy on equal stamps),
+    // applied to runs of the on-disk units instead of an in-memory store.
     if (m_live && (!p_live || m.head() <= p.head())) {
       const util::SimTime p_head =
           p_live ? p.head() : std::numeric_limits<util::SimTime>::max();

@@ -130,27 +130,27 @@ MergeResult merge_partials(std::vector<LoadedPartial> parts) {
     check_ownership(parts[i]);
   }
 
-  // Merge in canonical order into one shard contribution and finalize it
-  // through the exact assemble path the engine runs.
-  live::ShardSnapshot merged;
-  merged.shard = 0;
-  for (LoadedPartial& part : parts) {
-    live::LiveSnapshot::TallySet& tallies = part.partial.tallies;
-    merged.records += part.partial.header.records;
-    merged.adoption.merge(tallies.adoption);
-    merged.activity.merge(std::move(tallies.activity));
-    merged.apps.merge(tallies.apps);
-    merged.sectors.merge(tallies.sectors);
-    merged.sketch.merge(tallies.sketch);
+  // Canonical order, read in place: assemble() combines the decoded
+  // tallies through the exact path the engine runs.
+  std::vector<live::TallyView> views;
+  views.reserve(parts.size());
+  std::uint64_t owned = 0;
+  for (const LoadedPartial& part : parts) {
+    const live::LiveSnapshot::TallySet& tallies = part.partial.tallies;
+    views.push_back(live::TallyView{part.partial.header.records,
+                                    &tallies.adoption, &tallies.activity,
+                                    &tallies.apps, &tallies.sectors,
+                                    &tallies.sketch});
+    owned += part.partial.header.records;
   }
   // Completeness: the owned ranges must tile the feed exactly.  Together
   // with the per-user ownership check above this rejects overlapping and
   // gapped covers even when their per-partition counts look plausible.
-  if (merged.records != first.feed_records) {
+  if (owned != first.feed_records) {
     throw util::ConfigError(
-        "partition cover: owned records sum to " +
-        std::to_string(merged.records) + " but the feed offered " +
-        std::to_string(first.feed_records) + " (incomplete or overlapping)");
+        "partition cover: owned records sum to " + std::to_string(owned) +
+        " but the feed offered " + std::to_string(first.feed_records) +
+        " (incomplete or overlapping)");
   }
 
   MergeResult result;
@@ -167,9 +167,7 @@ MergeResult merge_partials(std::vector<LoadedPartial> parts) {
   const appdb::AppCatalog catalog(result.options.long_tail_apps);
   const core::AppSignatureTable signatures(catalog,
                                            result.options.signature_coverage);
-  live::SnapshotCoordinator coordinator(1, signatures);
-  coordinator.deposit(first.epoch, std::move(merged));
-  result.snapshot = coordinator.wait_for(first.epoch);
+  result.snapshot = live::assemble(first.epoch, views, signatures);
   result.snapshot.feed_records = first.feed_records;
   result.snapshot.quarantine = parts.front().partial.feed_quarantine;
   return result;

@@ -13,8 +13,8 @@
 //   * shared feed — every partition replays the same sanitized feed, so
 //     the feed-side quarantine accounting is identical across partials
 //     (validated; one copy rides into the merged snapshot);
-//   * canonical order — partials merge in ascending partition id through
-//     the same SnapshotCoordinator::assemble path the engine runs, so the
+//   * canonical order — partials are assembled in ascending partition id,
+//     in place, through the same live::assemble the engine runs, so the
 //     result cannot depend on load order or thread count.
 // The only non-exact state is the sketch estimates (HLL/t-digest/
 // count-min): merges are lossless as algebra but the t-digest centroid
@@ -64,8 +64,8 @@ struct MergeResult {
 
 /// Validates the partition cover of `parts` (complete, disjoint, same
 /// feed/window/epoch/quarantine) and merges them in canonical partition
-/// order through SnapshotCoordinator::assemble.  Throws util::ConfigError
-/// on any cover violation.
+/// order through live::assemble.  Throws util::ConfigError on any cover
+/// violation.
 [[nodiscard]] MergeResult merge_partials(std::vector<LoadedPartial> parts);
 
 }  // namespace wearscope::fed

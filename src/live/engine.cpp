@@ -12,7 +12,7 @@ LiveEngine::LiveEngine(const std::vector<trace::DeviceRecord>& devices,
       devices_(devices),
       signatures_(catalog_, options.signature_coverage),
       router_(options.shards, options.ring_capacity),
-      coordinator_(options.shards, signatures_, options.capture_tallies) {
+      arrivals_(options.shards) {
   core::require_analysis_window(opt_.observation_days,
                                 opt_.detailed_start_day);
   util::require(opt_.partition_count >= 1 &&
@@ -26,13 +26,13 @@ LiveEngine::LiveEngine(const std::vector<trace::DeviceRecord>& devices,
         ShardStats(devices_, signatures_, hosts_, opt_.observation_days,
                    opt_.detailed_start_day, opt_.usage_gap_s,
                    opt_.sketch_aggregates),
-        coordinator_));
+        arrivals_));
   }
   for (const auto& worker : workers_) worker->start();
 }
 
 LiveEngine::~LiveEngine() {
-  if (!stopped_) stop();
+  if (!final_snapshot_.has_value()) stop();
 }
 
 void LiveEngine::bind_hosts(const trace::StringPool& hosts) {
@@ -49,29 +49,33 @@ bool LiveEngine::push(trace::MmeRecord record) {
   return router_.route(record);
 }
 
-LiveSnapshot LiveEngine::snapshot() {
-  util::require(!stopped_, "LiveEngine::snapshot: engine already stopped");
-  const std::uint64_t epoch = next_epoch_++;
-  router_.broadcast_barrier(epoch);
-  LiveSnapshot snap = coordinator_.wait_for(epoch);
+LiveSnapshot LiveEngine::assemble_epoch() {
+  arrivals_.wait();
+  std::vector<TallyView> parts;
+  parts.reserve(workers_.size());
+  for (const auto& worker : workers_) parts.push_back(worker->stats().view());
+  LiveSnapshot snap =
+      assemble(next_epoch_++, parts, signatures_, opt_.capture_tallies);
   snap.feed_records = router_.feed_records();
   snap.backpressure = router_.total_stats();
   snap.quarantine = quarantine_;
   return snap;
 }
 
+LiveSnapshot LiveEngine::snapshot() {
+  util::require(!final_snapshot_.has_value(),
+                "LiveEngine::snapshot: engine already stopped");
+  router_.broadcast_barrier();
+  return assemble_epoch();
+}
+
 LiveSnapshot LiveEngine::stop() {
-  if (stopped_) return *final_snapshot_;
-  const std::uint64_t epoch = next_epoch_++;
-  router_.broadcast_barrier(epoch);
+  if (final_snapshot_.has_value()) return *final_snapshot_;
+  router_.broadcast_barrier();
   router_.close();
-  LiveSnapshot snap = coordinator_.wait_for(epoch);
+  // Joined first, so the ring totals include the workers' last waits.
   for (const auto& worker : workers_) worker->join();
-  snap.feed_records = router_.feed_records();
-  snap.backpressure = router_.total_stats();
-  snap.quarantine = quarantine_;
-  stopped_ = true;
-  final_snapshot_ = std::move(snap);
+  final_snapshot_ = assemble_epoch();
   return *final_snapshot_;
 }
 

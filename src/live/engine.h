@@ -5,9 +5,9 @@
 // *online* against a tier-1 ISP's traffic.  LiveEngine is that online
 // counterpart: a single feed thread pushes time-ordered records, an
 // IngestRouter hash-partitions them by UserId across N shard workers, each
-// worker maintains single-pass statistics for its user partition, and a
-// SnapshotCoordinator merges the shards into consistent epoch snapshots on
-// demand (or periodically, driven by FeedReplayer).
+// worker maintains single-pass statistics for its user partition, and
+// epoch snapshots combine the shards' statistics into consistent results
+// on demand (or periodically, driven by FeedReplayer).
 //
 // Equivalence contract: after stop(), the final snapshot's AdoptionResult
 // and ActivityResult are bit-identical to core::Pipeline's over the same
@@ -26,6 +26,16 @@
 // record may wait on the feed thread until its shard's batch fills, the
 // next snapshot()/stop(), or an explicit flush() — a feed that pauses
 // (FeedReplayer's paced replay) flushes before it sleeps.
+//
+// Snapshot contract: snapshot()/stop() broadcast a barrier, wait until
+// every worker has popped it (ArrivalBarrier), and then read each shard's
+// stats in place on the feed thread, with no copy.  This is safe because
+// (1) the feed thread is the only producer and pushes nothing until
+// assembly returns, and (2) a worker writes its stats only after popping
+// an event, so the next ring hand-off orders the feed thread's reads
+// before the worker's next writes — the same ordering HostBinding relies
+// on.  A change that lets the feed push during assembly breaks (1) and
+// would need per-epoch copies of the shard state again.
 #pragma once
 
 #include <cstdint>
@@ -119,7 +129,7 @@ class LiveEngine {
   }
 
   /// Takes a consistent snapshot covering every record pushed so far:
-  /// broadcasts a barrier, blocks until all shards deposited, merges.
+  /// broadcasts a barrier, blocks until all shards arrived, assembles.
   /// Must not be called after stop().
   [[nodiscard]] LiveSnapshot snapshot();
 
@@ -135,9 +145,9 @@ class LiveEngine {
   }
 
   /// Graceful drain-and-shutdown: barriers the final epoch, closes the
-  /// rings, joins the workers, and returns the final snapshot (covering
-  /// every record ever pushed). Idempotent — later calls return the same
-  /// snapshot.
+  /// rings, joins the workers, assembles, and returns the final snapshot
+  /// (covering every record ever pushed). Idempotent — later calls return
+  /// the same snapshot.
   LiveSnapshot stop();
 
   [[nodiscard]] const LiveOptions& options() const noexcept { return opt_; }
@@ -162,18 +172,22 @@ class LiveEngine {
   }
 
  private:
+  /// Waits for every shard to arrive at the barrier, then assembles the
+  /// shards' stats in place as the next epoch and adds the feed-side
+  /// fields.
+  [[nodiscard]] LiveSnapshot assemble_epoch();
+
   LiveOptions opt_;
   appdb::AppCatalog catalog_;
   core::DeviceClassifier devices_;
   core::AppSignatureTable signatures_;
   HostBinding hosts_;
   IngestRouter router_;
-  SnapshotCoordinator coordinator_;
+  ArrivalBarrier arrivals_;
   std::vector<std::unique_ptr<ShardWorker>> workers_;
   std::uint64_t next_epoch_ = 0;
-  bool stopped_ = false;
   trace::QuarantineStats quarantine_;
-  std::optional<LiveSnapshot> final_snapshot_;
+  std::optional<LiveSnapshot> final_snapshot_;  ///< Set by stop().
 };
 
 }  // namespace wearscope::live

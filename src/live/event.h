@@ -1,6 +1,6 @@
 // The unit of work flowing through the live-ingest engine: one vantage
-// point record, or one control barrier injected by the snapshot
-// coordinator.
+// point record, or one control barrier injected by an epoch snapshot
+// (LiveEngine::snapshot/stop).
 #pragma once
 
 #include <cstddef>
@@ -12,13 +12,12 @@
 
 namespace wearscope::live {
 
-/// Control event: "publish your state as epoch `epoch`, then continue".
-/// The router broadcasts one barrier to every shard at the same stream
-/// position, so the union of the shard states at a barrier is a consistent
-/// prefix of the input stream (shard rings are FIFO).
-struct SnapshotBarrier {
-  std::uint64_t epoch = 0;
-};
+/// Control event: "mark your arrival, then continue".  The router
+/// broadcasts one barrier to every shard at the same stream position, so
+/// the union of the shard states at a barrier is a consistent prefix of
+/// the input stream (shard rings are FIFO).  One epoch is in flight at a
+/// time, so the barrier needs no epoch label.
+struct SnapshotBarrier {};
 
 /// A proxy record plus its position in the global proxy stream.  The router
 /// (single feed thread) stamps `seq` so shards can reconstruct the exact

@@ -34,37 +34,22 @@ void backoff_sleep(const RetryPolicy& policy, std::uint32_t attempt) {
 ReplayReport FeedReplayer::replay(LiveEngine& engine) const {
   using Clock = std::chrono::steady_clock;
   ReplayReport report;
-
-  const auto& proxy = store_->proxy;
-  const auto& mme = store_->mme;
   engine.bind_hosts(store_->hosts);
-  std::size_t pi = 0;
-  std::size_t mi = 0;
   const bool paced = opt_.speedup > 0.0;
 
-  // Stream-time origin: the earliest record of either log.
+  // Stream-time origin: the first event's timestamp, the earliest record
+  // of either log.
   util::SimTime t0 = 0;
-  if (!proxy.empty() && !mme.empty()) {
-    t0 = std::min(proxy.front().timestamp, mme.front().timestamp);
-  } else if (!proxy.empty()) {
-    t0 = proxy.front().timestamp;
-  } else if (!mme.empty()) {
-    t0 = mme.front().timestamp;
-  }
-  util::SimTime next_snapshot =
-      opt_.snapshot_every_s > 0 ? t0 + opt_.snapshot_every_s : 0;
+  util::SimTime next_snapshot = 0;
 
   const Clock::time_point wall0 = Clock::now();
-  std::uint64_t seq = 0;  // Feed position in merge order, both logs.
-  while (pi < proxy.size() || mi < mme.size()) {
-    // Ties replay the MME event first: a device registers with the network
-    // before its traffic shows up at the proxy.
-    const bool take_mme =
-        mi < mme.size() &&
-        (pi >= proxy.size() ||
-         mme[mi].timestamp <= proxy[pi].timestamp);
+  walk_feed(*store_, [&](const FeedEvent& event) {
     const util::SimTime ts =
-        take_mme ? mme[mi].timestamp : proxy[pi].timestamp;
+        event.mme != nullptr ? event.mme->timestamp : event.proxy->timestamp;
+    if (event.seq == 0) {
+      t0 = ts;
+      next_snapshot = t0 + opt_.snapshot_every_s;
+    }
 
     if (opt_.snapshot_every_s > 0 && ts >= next_snapshot) {
       if (opt_.on_snapshot) {
@@ -85,7 +70,7 @@ ReplayReport FeedReplayer::replay(LiveEngine& engine) const {
     }
 
     if (opt_.read_faults) {
-      const std::uint32_t faults = opt_.read_faults(seq);
+      const std::uint32_t faults = opt_.read_faults(event.seq);
       if (faults > 0) {
         trace::QuarantineStats delta;
         if (faults >= opt_.retry.max_attempts) {
@@ -96,13 +81,7 @@ ReplayReport FeedReplayer::replay(LiveEngine& engine) const {
           delta.dropped_after_retry = 1;
           report.quarantine += delta;
           engine.add_quarantine(delta);
-          if (take_mme) {
-            ++mi;
-          } else {
-            ++pi;
-          }
-          ++seq;
-          continue;
+          return;
         }
         // Transient: the read succeeds on attempt `faults`.
         for (std::uint32_t a = 0; a < faults; ++a) backoff_sleep(opt_.retry, a);
@@ -112,11 +91,10 @@ ReplayReport FeedReplayer::replay(LiveEngine& engine) const {
       }
     }
 
-    const bool accepted =
-        take_mme ? engine.push(mme[mi++]) : engine.push(proxy[pi++]);
+    const bool accepted = event.mme != nullptr ? engine.push(*event.mme)
+                                               : engine.push(*event.proxy);
     if (accepted) ++report.records_pushed;
-    ++seq;
-  }
+  });
   report.wall_seconds =
       std::chrono::duration<double>(Clock::now() - wall0).count();
   return report;

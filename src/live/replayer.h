@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "live/engine.h"
@@ -76,6 +77,46 @@ struct ReplayReport {
   /// retry budget (also accumulated into the engine's snapshots).
   trace::QuarantineStats quarantine;
 };
+
+/// One event of a capture's feed: exactly one of `mme` / `proxy` is set.
+struct FeedEvent {
+  const trace::MmeRecord* mme = nullptr;
+  const trace::ProxyRecord* proxy = nullptr;
+  std::uint64_t seq = 0;        ///< Position in the feed, both logs.
+  std::uint64_t proxy_seq = 0;  ///< Position in the proxy log (proxy only),
+                                ///< the seq the router stamps.
+};
+
+/// Calls `visit(event)` for the first `limit` events of `store` in feed
+/// order — ascending timestamp, MME before proxy on ties (a device
+/// registers with the network before its traffic shows up at the proxy) —
+/// and returns how many it visited.  Both logs must be time-sorted.  The
+/// replayer, the sequential reference and the chaos and sched harnesses
+/// all walk a store through here; fed/feed_filter.cpp applies the same
+/// rule to whole units of the on-disk logs.
+template <typename Visit>
+std::uint64_t walk_feed(
+    const trace::TraceStore& store, Visit&& visit,
+    std::uint64_t limit = std::numeric_limits<std::uint64_t>::max()) {
+  const auto& proxy = store.proxy;
+  const auto& mme = store.mme;
+  std::size_t pi = 0;
+  std::size_t mi = 0;
+  std::uint64_t seq = 0;
+  for (; seq < limit && (pi < proxy.size() || mi < mme.size()); ++seq) {
+    FeedEvent event;
+    event.seq = seq;
+    if (mi < mme.size() &&
+        (pi >= proxy.size() || mme[mi].timestamp <= proxy[pi].timestamp)) {
+      event.mme = &mme[mi++];
+    } else {
+      event.proxy_seq = pi;
+      event.proxy = &proxy[pi++];
+    }
+    visit(event);
+  }
+  return seq;
+}
 
 /// Replays one capture. The store must stay alive during replay() and must
 /// be time-sorted (trace::TraceStore::sort_by_time).

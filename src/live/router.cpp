@@ -76,10 +76,10 @@ bool IngestRouter::commit(std::size_t shard) {
   return all;
 }
 
-bool IngestRouter::broadcast_barrier(std::uint64_t epoch) {
+bool IngestRouter::broadcast_barrier() {
   bool ok = true;
   for (std::size_t shard = 0; shard < rings_.size(); ++shard) {
-    ok = stage(shard, LiveEvent(SnapshotBarrier{epoch})) && commit(shard) &&
+    ok = stage(shard, LiveEvent(SnapshotBarrier{})) && commit(shard) &&
          ok;
   }
   return ok;

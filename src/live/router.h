@@ -69,10 +69,10 @@ class IngestRouter {
   /// the stamps owned records carry bitwise.  Feed thread only.
   void skip_unowned(std::uint64_t proxy_records, std::uint64_t mme_records);
 
-  /// Commits every shard's staged events, then a barrier for `epoch`, into
-  /// every ring (same stream position on each shard).  Returns false when
-  /// the rings are already closed.
-  bool broadcast_barrier(std::uint64_t epoch);
+  /// Commits every shard's staged events, then a barrier, into every ring
+  /// (same stream position on each shard).  Returns false when the rings
+  /// are already closed.
+  bool broadcast_barrier();
 
   /// Commits every shard's staged events now, blocking on backpressure.
   /// Returns false when a ring refused some of them (closed).

@@ -173,16 +173,9 @@ void ShardStats::on_mme(const trace::MmeRecord& record) {
   if (wearable) sector->wearable_events += 1;
 }
 
-ShardSnapshot ShardStats::snapshot(std::size_t shard) {
-  ShardSnapshot snap;
-  snap.shard = shard;
-  snap.records = consumed_;
-  snap.adoption = adoption_.tally();
-  snap.activity = activity_.tally();
-  snap.apps = app_tally_;
-  snap.sectors = sector_tally_;
-  snap.sketch = sketch_;
-  return snap;
+TallyView ShardStats::view() const {
+  return TallyView{consumed_, &adoption_.tally(), &activity_.tally(),
+                   &app_tally_, &sector_tally_, &sketch_};
 }
 
 }  // namespace wearscope::live

@@ -19,9 +19,9 @@
 // wearable bit) and the apps they used (with the last transaction time).
 // Each list entry points at its counter, so a repeat visit touches no
 // map, and a distinct-user count is bumped when its (user, key) pair is
-// first seen — snapshot() copies counters and walks no per-user state.
+// first seen — so the tallies are always current, and an epoch snapshot
+// reads them in place through view() without walking per-user state.
 // Memory: O(users + (user, sector) + (user, app) pairs), no presence sets.
-#pragma once
 #pragma once
 
 #include <array>
@@ -56,6 +56,8 @@ struct SectorTally {
     std::uint64_t wearable_events = 0; ///< Events from wearable TACs.
     std::uint64_t distinct_users = 0;
     std::uint64_t wearable_users = 0;  ///< Users with a wearable event.
+
+    friend bool operator==(const Counter&, const Counter&) = default;
   };
   std::unordered_map<trace::SectorId, Counter> sectors;
 
@@ -70,6 +72,8 @@ struct AppTally {
     std::uint64_t bytes = 0;
     std::uint64_t usages = 0;
     std::uint64_t distinct_users = 0;
+
+    friend bool operator==(const Counter&, const Counter&) = default;
   };
   /// Per first-party app (core::kUnknownApp buckets unattributed traffic).
   std::unordered_map<appdb::AppId, Counter> apps;
@@ -102,17 +106,16 @@ struct SketchTally {
   [[nodiscard]] std::size_t memory_bytes() const;
 };
 
-/// One shard's contribution to an epoch snapshot. Cheap value type: the
-/// worker copies its tallies at a barrier and hands them to the
-/// SnapshotCoordinator.
-struct ShardSnapshot {
-  std::size_t shard = 0;
-  std::uint64_t records = 0;  ///< Records this shard consumed so far.
-  core::AdoptionTally adoption;
-  core::ActivityTally activity;
-  AppTally apps;
-  SectorTally sectors;
-  SketchTally sketch;
+/// Read-only view of one part's mergeable tallies: a shard's, read in
+/// place at a barrier, or a decoded federation partial's.  live::assemble
+/// combines the views of user-disjoint parts into one snapshot.
+struct TallyView {
+  std::uint64_t records = 0;  ///< Records the part consumed.
+  const core::AdoptionTally* adoption = nullptr;
+  const core::ActivityTally* activity = nullptr;
+  const AppTally* apps = nullptr;
+  const SectorTally* sectors = nullptr;
+  const SketchTally* sketch = nullptr;
 };
 
 /// Where a live feed's host pool is published.  The feed thread sets
@@ -147,9 +150,16 @@ class ShardStats {
   /// Feeds one MME event.
   void on_mme(const trace::MmeRecord& record);
 
-  /// Copies the current state into a mergeable snapshot (sorting the
-  /// transaction sizes that arrived since the previous one).
-  [[nodiscard]] ShardSnapshot snapshot(std::size_t shard);
+  /// Sorts the transaction sizes that arrived since the previous call, so
+  /// view() shows an ascending sample.  The owning thread calls it at each
+  /// barrier.
+  void sort_new_sizes() { activity_.sort_new_sizes(); }
+
+  /// The current tallies, in place.  The view stays valid for the life of
+  /// the stats and shows later events as they are consumed, so a reader
+  /// on another thread must be ordered between two of them (LiveEngine's
+  /// arrival barrier does that).
+  [[nodiscard]] TallyView view() const;
 
   /// Records consumed so far (both feeds).
   [[nodiscard]] std::uint64_t records_consumed() const noexcept {
@@ -201,7 +211,7 @@ class ShardStats {
   core::StreamingActivity activity_;
 
   /// The counters' list entries point into these maps (node-based, so the
-  /// pointers survive rehashing); snapshot() copies them whole.
+  /// pointers survive rehashing).
   AppTally app_tally_;
   SectorTally sector_tally_;
 

@@ -9,12 +9,25 @@
 
 namespace wearscope::live {
 
+void ArrivalBarrier::arrive() {
+  util::sched::point(util::sched::Op::kBarrierDeposit, this);
+  util::MutexLock lock(mutex_);
+  if (++arrived_ == shards_) all_arrived_.notify_one();  // the feed thread
+}
+
+void ArrivalBarrier::wait() {
+  util::sched::point(util::sched::Op::kBarrierWait, this);
+  util::MutexLock lock(mutex_);
+  all_arrived_.wait(mutex_, [&] { return arrived_ == shards_; });
+  arrived_ = 0;
+}
+
 ShardWorker::ShardWorker(std::size_t index, RingBuffer<LiveEvent>& ring,
-                         ShardStats stats, SnapshotCoordinator& coordinator)
+                         ShardStats stats, ArrivalBarrier& arrivals)
     : index_(index),
       ring_(&ring),
       stats_(std::move(stats)),
-      coordinator_(&coordinator) {}
+      arrivals_(&arrivals) {}
 
 ShardWorker::~ShardWorker() { join(); }
 
@@ -47,9 +60,11 @@ void ShardWorker::run() {
       self->stats_.on_proxy(p.record, p.seq);
     }
     void operator()(const trace::MmeRecord& r) { self->stats_.on_mme(r); }
-    void operator()(const SnapshotBarrier& b) {
-      self->coordinator_->deposit(b.epoch,
-                                  self->stats_.snapshot(self->index_));
+    void operator()(const SnapshotBarrier&) {
+      // The one write a snapshot needs stays on this thread; the feed
+      // thread then reads the stats in place.
+      self->stats_.sort_new_sizes();
+      self->arrivals_->arrive();
     }
   };
   std::vector<LiveEvent> batch(kEventBatch);

@@ -1,94 +1,51 @@
 #include "live/snapshot.h"
 
 #include <algorithm>
-
-#include "util/error.h"
-#include "util/sched_hook.h"
+#include <optional>
 
 namespace wearscope::live {
 
-SnapshotCoordinator::SnapshotCoordinator(
-    std::size_t shards, const core::AppSignatureTable& signatures,
-    bool capture_tallies)
-    : shards_(shards),
-      signatures_(&signatures),
-      capture_tallies_(capture_tallies) {
-  util::require(shards >= 1, "SnapshotCoordinator: need at least one shard");
-}
-
-void SnapshotCoordinator::deposit(std::uint64_t epoch, ShardSnapshot snap) {
-  util::sched::point(util::sched::Op::kBarrierDeposit, this);
-  util::MutexLock lock(mutex_);
-  std::vector<ShardSnapshot>& parts = pending_[epoch];
-  parts.push_back(std::move(snap));
-  util::ensure(parts.size() <= shards_,
-               "SnapshotCoordinator: more deposits than shards for an epoch");
-  if (parts.size() == shards_) {
-    LiveSnapshot merged = assemble(epoch, parts);
-    pending_.erase(epoch);
-    latest_ = merged;
-    completed_.emplace(epoch, std::move(merged));
-    assembled_.notify_all();
-  }
-}
-
-LiveSnapshot SnapshotCoordinator::wait_for(std::uint64_t epoch) {
-  util::sched::point(util::sched::Op::kBarrierWait, this);
-  util::MutexLock lock(mutex_);
-  assembled_.wait(mutex_, [&] { return completed_.contains(epoch); });
-  const auto it = completed_.find(epoch);
-  LiveSnapshot snap = std::move(it->second);
-  completed_.erase(it);
-  return snap;
-}
-
-std::optional<LiveSnapshot> SnapshotCoordinator::latest() const {
-  util::MutexLock lock(mutex_);
-  return latest_;
-}
-
-LiveSnapshot SnapshotCoordinator::assemble(
-    std::uint64_t epoch, std::vector<ShardSnapshot>& parts) const {
-  // Merge in shard order so the result is independent of deposit order.
-  std::sort(parts.begin(), parts.end(),
-            [](const ShardSnapshot& a, const ShardSnapshot& b) {
-              return a.shard < b.shard;
-            });
-
+LiveSnapshot assemble(std::uint64_t epoch, std::span<const TallyView> parts,
+                      const core::AppSignatureTable& signatures,
+                      bool capture_tallies) {
   LiveSnapshot snap;
   snap.epoch = epoch;
   core::AdoptionTally adoption;
-  core::ActivityTally activity;
+  std::vector<const core::ActivityTally*> activity;
   AppTally apps;
   SectorTally sectors;
-  SketchTally sketch;
-  for (ShardSnapshot& part : parts) {
+  std::optional<SketchTally> sketch;  // Exact mode builds none.
+  activity.reserve(parts.size());
+  for (const TallyView& part : parts) {
     snap.records += part.records;
-    adoption.merge(part.adoption);
-    activity.merge(std::move(part.activity));
-    apps.merge(part.apps);
-    sectors.merge(part.sectors);
-    sketch.merge(part.sketch);
+    adoption.merge(*part.adoption);
+    activity.push_back(part.activity);
+    apps.merge(*part.apps);
+    sectors.merge(*part.sectors);
+    if (part.sketch->enabled) {
+      if (!sketch.has_value()) sketch.emplace();
+      sketch->merge(*part.sketch);
+    }
   }
   snap.adoption = adoption.finalize();
-  snap.activity = activity.finalize();
+  snap.activity = core::finalize_activity(activity);
   snap.class_txns = apps.class_txns;
-  if (sketch.enabled) {
+  if (sketch.has_value()) {
     snap.sketch.enabled = true;
-    snap.sketch.registered_users = sketch.registered_users.estimate();
-    snap.sketch.transacting_users = sketch.transacting_users.estimate();
-    snap.sketch.txn_size_p50 = sketch.txn_sizes.quantile(0.50);
-    snap.sketch.txn_size_p95 = sketch.txn_sizes.quantile(0.95);
-    snap.sketch.txn_size_p99 = sketch.txn_sizes.quantile(0.99);
-    snap.sketch.top_apps = sketch.apps.top(10);
-    snap.sketch.memory_bytes = sketch.memory_bytes();
+    snap.sketch.registered_users = sketch->registered_users.estimate();
+    snap.sketch.transacting_users = sketch->transacting_users.estimate();
+    snap.sketch.txn_size_p50 = sketch->txn_sizes.quantile(0.50);
+    snap.sketch.txn_size_p95 = sketch->txn_sizes.quantile(0.95);
+    snap.sketch.txn_size_p99 = sketch->txn_sizes.quantile(0.99);
+    snap.sketch.top_apps = sketch->apps.top(10);
+    snap.sketch.memory_bytes = sketch->memory_bytes();
   }
 
   snap.apps.reserve(apps.apps.size());
   for (const auto& [app, counter] : apps.apps) {
     LiveSnapshot::AppRow row;
     row.app = app;
-    row.name = std::string(signatures_->app_name(app));
+    row.name = std::string(signatures.app_name(app));
     row.counter = counter;
     snap.apps.push_back(std::move(row));
   }
@@ -111,13 +68,15 @@ LiveSnapshot SnapshotCoordinator::assemble(
                          : a.sector < b.sector;
             });
 
-  if (capture_tallies_) {
+  if (capture_tallies) {
     auto tallies = std::make_shared<LiveSnapshot::TallySet>();
     tallies->adoption = std::move(adoption);
-    tallies->activity = std::move(activity);
+    for (const core::ActivityTally* part : activity) {
+      tallies->activity.merge(*part);  // copies: the parts stay in place
+    }
     tallies->apps = std::move(apps);
     tallies->sectors = std::move(sectors);
-    tallies->sketch = std::move(sketch);
+    if (sketch.has_value()) tallies->sketch = std::move(*sketch);
     snap.tallies = std::move(tallies);
   }
   return snap;

@@ -1,19 +1,20 @@
-// Epoch snapshots: consistent merged views of all shard states.
+// Epoch snapshots: consistent, finalized views of user-disjoint parts.
 //
 // The engine broadcasts a SnapshotBarrier for epoch E through every shard
-// ring (single producer => same stream position on each shard).  When a
-// worker pops the barrier it deposits a copy of its state here; once all
-// shards have deposited, the coordinator merges the user-disjoint tallies
-// and finalizes them into the same result structures the batch pipeline
-// produces.  The merged snapshot therefore corresponds to an exact prefix
-// of the input stream — the records routed before the barrier — no matter
-// how far individual shards had drained their rings when it was taken.
+// ring (single producer => same stream position on each shard).  Once
+// every shard has popped it, the feed thread reads the shards' tallies in
+// place and assemble() combines them and finalizes them into the same
+// result structures the batch pipeline produces.  The snapshot therefore
+// corresponds to an exact prefix of the input stream — the records routed
+// before the barrier — no matter how far individual shards had drained
+// their rings when it was taken.  The same assemble() serves the
+// sequential reference (serve/reference.h, one part) and the federated
+// merge (fed/merge.h, one part per partition).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,8 +24,6 @@
 #include "live/ring_buffer.h"
 #include "live/shard_stats.h"
 #include "trace/quarantine.h"
-#include "util/sync.h"
-#include "util/thread_annotations.h"
 
 namespace wearscope::live {
 
@@ -35,7 +34,7 @@ struct LiveSnapshot {
   /// Records the feed offered to the router up to the cut — equals
   /// `records` in a single process; in partitioned mode it is the full
   /// feed's position while `records` counts only the owned partition
-  /// (filled by the engine, not the merge).  The federated merge requires
+  /// (filled by the engine, not assemble()).  The federated merge requires
   /// the owned counts of a cover to sum to exactly this.
   std::uint64_t feed_records = 0;
   core::AdoptionResult adoption;
@@ -74,17 +73,17 @@ struct LiveSnapshot {
     std::size_t memory_bytes = 0;
   };
   SketchSummary sketch;
-  /// Ring totals at assembly time (filled by the engine, not the merge).
+  /// Ring totals at assembly time (filled by the engine, not assemble()).
   RingStats backpressure;
   /// Records the feed side quarantined before they ever reached a ring
-  /// (filled by the engine from add_quarantine(), not the merge).
+  /// (filled by the engine from add_quarantine(), not assemble()).
   trace::QuarantineStats quarantine;
 
   /// The *mergeable* state behind the finalized figures above: the
   /// shard-merged tallies, before finalize().  Federation serializes these
   /// (fed/partial_io) so partial snapshots from user-disjoint partitions
-  /// can be combined exactly.  Only captured when the coordinator was
-  /// built with capture_tallies (null otherwise — serving pays nothing).
+  /// can be combined exactly.  Only captured when assemble() is asked to
+  /// (null otherwise — serving pays nothing).
   struct TallySet {
     core::AdoptionTally adoption;
     core::ActivityTally activity;
@@ -95,49 +94,16 @@ struct LiveSnapshot {
   std::shared_ptr<const TallySet> tallies;
 };
 
-/// Collects per-shard deposits and assembles epoch snapshots.
-/// deposit() is called from worker threads, wait_for() from the control
-/// thread; both are thread-safe.
-class SnapshotCoordinator {
- public:
-  /// `shards` contributions complete an epoch. `signatures` resolves app
-  /// display names and must outlive the coordinator.  With
-  /// `capture_tallies` every assembled snapshot keeps its merged
-  /// pre-finalize tallies (LiveSnapshot::tallies) for partial-snapshot
-  /// serialization.
-  SnapshotCoordinator(std::size_t shards,
-                      const core::AppSignatureTable& signatures,
-                      bool capture_tallies = false);
-
-  /// Adds one shard's contribution to `epoch`. The last deposit assembles
-  /// the snapshot and wakes waiters.
-  void deposit(std::uint64_t epoch, ShardSnapshot snap) WS_EXCLUDES(mutex_);
-
-  /// Blocks until `epoch` is fully assembled and returns it (consuming the
-  /// stored copy; latest() keeps serving it afterwards).
-  [[nodiscard]] LiveSnapshot wait_for(std::uint64_t epoch)
-      WS_EXCLUDES(mutex_);
-
-  /// Most recently assembled snapshot, if any.
-  [[nodiscard]] std::optional<LiveSnapshot> latest() const
-      WS_EXCLUDES(mutex_);
-
- private:
-  /// Runs under mutex_ (from the last deposit of an epoch).
-  [[nodiscard]] LiveSnapshot assemble(std::uint64_t epoch,
-                                      std::vector<ShardSnapshot>& parts) const
-      WS_REQUIRES(mutex_);
-
-  std::size_t shards_ = 0;
-  const core::AppSignatureTable* signatures_ = nullptr;
-  bool capture_tallies_ = false;
-
-  mutable util::Mutex mutex_;
-  util::CondVar assembled_;
-  std::map<std::uint64_t, std::vector<ShardSnapshot>> pending_
-      WS_GUARDED_BY(mutex_);
-  std::map<std::uint64_t, LiveSnapshot> completed_ WS_GUARDED_BY(mutex_);
-  std::optional<LiveSnapshot> latest_ WS_GUARDED_BY(mutex_);
-};
+/// Combines user-disjoint parts, in the given order, into the finalized
+/// snapshot of `epoch`: counters add, activity finalizes over the parts in
+/// place (core::finalize_activity), and sketches merge only when enabled.
+/// `signatures` resolves app display names.  With `capture_tallies` the
+/// snapshot also keeps the merged pre-finalize tallies
+/// (LiveSnapshot::tallies), copied out of the parts.  The parts are only
+/// read, so they must not change until assemble() returns.
+[[nodiscard]] LiveSnapshot assemble(std::uint64_t epoch,
+                                    std::span<const TallyView> parts,
+                                    const core::AppSignatureTable& signatures,
+                                    bool capture_tallies = false);
 
 }  // namespace wearscope::live

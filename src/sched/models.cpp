@@ -10,6 +10,7 @@
 
 #include "chaos/fault_plan.h"
 #include "live/engine.h"
+#include "live/replayer.h"
 #include "live/ring_buffer.h"
 #include "live/router.h"
 #include "serve/reference.h"
@@ -73,24 +74,18 @@ constexpr trace::Tac kPhoneTac = 99100200;
   return opt;
 }
 
-/// Extracts `store`'s events in feed-merge order (timestamp order, MME
-/// before proxy on ties) — the order the models push them.
+/// Extracts `store`'s events in feed order (live::walk_feed) — the order
+/// the models push them.
 [[nodiscard]] std::vector<std::variant<trace::ProxyRecord, trace::MmeRecord>>
 merge_order(const trace::TraceStore& store) {
   std::vector<std::variant<trace::ProxyRecord, trace::MmeRecord>> feed;
-  std::size_t pi = 0;
-  std::size_t mi = 0;
-  while (pi < store.proxy.size() || mi < store.mme.size()) {
-    const bool take_mme =
-        mi < store.mme.size() &&
-        (pi >= store.proxy.size() ||
-         store.mme[mi].timestamp <= store.proxy[pi].timestamp);
-    if (take_mme) {
-      feed.emplace_back(store.mme[mi++]);
+  live::walk_feed(store, [&](const live::FeedEvent& event) {
+    if (event.mme != nullptr) {
+      feed.emplace_back(*event.mme);
     } else {
-      feed.emplace_back(store.proxy[pi++]);
+      feed.emplace_back(*event.proxy);
     }
-  }
+  });
   return feed;
 }
 
@@ -719,9 +714,9 @@ void run_live_model(Scheduler& sched, const LiveFixture& fx,
 
 Model live_barrier_model() {
   // Bind the fixture here, in the factory: constructing it lazily inside
-  // the first schedule would run reference_snapshot's (hooked) barrier
-  // under the scheduler, giving run #1 a different step timeline than
-  // every later run — and schedules must be pure functions of decisions.
+  // the first schedule would build it under the scheduler, giving run #1
+  // a different step timeline than every later run — and schedules must
+  // be pure functions of decisions.
   const LiveFixture& fx = tiny_live_fixture();
   return [&fx](Scheduler& sched) { run_live_model(sched, fx, nullptr); };
 }

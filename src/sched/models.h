@@ -39,7 +39,7 @@ namespace wearscope::sched {
 struct LiveFixture {
   /// The sanitized capture (time-sorted survivors of fault injection).
   trace::TraceStore survivors;
-  /// survivors' events in feed-merge order (what the model pushes).
+  /// survivors' events in feed order (what the model pushes).
   std::vector<std::variant<trace::ProxyRecord, trace::MmeRecord>> feed;
   /// What the sanitizer quarantined == what the chaos plan injected.
   trace::QuarantineStats quarantine;

@@ -2,7 +2,7 @@
 //
 // Scheduler implements util::sched::Hook: once installed, every thread
 // that enters a hooked primitive (util::Mutex, util::SpinLock,
-// util::CondVar, live::RingBuffer, SnapshotCoordinator, SnapshotStore)
+// util::CondVar, live::RingBuffer, ArrivalBarrier, SnapshotStore)
 // becomes *managed*.  Exactly one managed thread holds the run token at a
 // time; at every choice point the token holder asks a DecisionSource
 // which runnable thread proceeds, and blocking operations park on the

@@ -2,43 +2,11 @@
 
 #include "appdb/app_catalog.h"
 #include "core/pipeline.h"
+#include "live/replayer.h"
 #include "serve/query.h"
 #include "util/error.h"
 
 namespace wearscope::serve {
-
-namespace {
-
-/// Walks `store` in feed-merge order (timestamp order, MME before proxy on
-/// ties — FeedReplayer's order), calling `on_mme` / `on_proxy` for each of
-/// the first `records` events.  `on_proxy` receives the record's position
-/// in the proxy stream, which is the seq the router would have stamped.
-template <typename OnMme, typename OnProxy>
-void walk_merge_order(const trace::TraceStore& store, std::uint64_t records,
-                      OnMme&& on_mme, OnProxy&& on_proxy) {
-  const auto& proxy = store.proxy;
-  const auto& mme = store.mme;
-  std::size_t pi = 0;
-  std::size_t mi = 0;
-  std::uint64_t taken = 0;
-  while (taken < records && (pi < proxy.size() || mi < mme.size())) {
-    const bool take_mme =
-        mi < mme.size() &&
-        (pi >= proxy.size() || mme[mi].timestamp <= proxy[pi].timestamp);
-    if (take_mme) {
-      on_mme(mme[mi]);
-      ++mi;
-    } else {
-      on_proxy(proxy[pi], static_cast<std::uint64_t>(pi));
-      ++pi;
-    }
-    ++taken;
-  }
-  util::require(taken == records,
-                "prefix cut asks for more records than the store holds");
-}
-
-}  // namespace
 
 trace::TraceStore prefix_store(const trace::TraceStore& store,
                                std::uint64_t records) {
@@ -48,12 +16,18 @@ trace::TraceStore prefix_store(const trace::TraceStore& store,
   prefix.devices = store.devices;
   prefix.sectors = store.sectors;
   static_cast<trace::ProxyPools&>(prefix) = store;
-  walk_merge_order(
-      store, records,
-      [&](const trace::MmeRecord& record) { prefix.mme.push_back(record); },
-      [&](const trace::ProxyRecord& record, std::uint64_t) {
-        prefix.proxy.push_back(record);
-      });
+  const std::uint64_t taken = live::walk_feed(
+      store,
+      [&](const live::FeedEvent& event) {
+        if (event.mme != nullptr) {
+          prefix.mme.push_back(*event.mme);
+        } else {
+          prefix.proxy.push_back(*event.proxy);
+        }
+      },
+      records);
+  util::require(taken == records,
+                "prefix cut asks for more records than the store holds");
   // The cut drops the pool entries only later records use.
   trace::canonicalize_pools(prefix.proxy, prefix);
   return prefix;
@@ -78,15 +52,19 @@ live::LiveSnapshot reference_snapshot(const trace::TraceStore& store,
   const live::HostBinding hosts{&store.hosts};
   live::ShardStats stats(devices, signatures, hosts, options.observation_days,
                          options.detailed_start_day, options.usage_gap_s);
-  walk_merge_order(
-      store, cut,
-      [&](const trace::MmeRecord& record) { stats.on_mme(record); },
-      [&](const trace::ProxyRecord& record, std::uint64_t seq) {
-        stats.on_proxy(record, seq);
-      });
-  live::SnapshotCoordinator coordinator(1, signatures);
-  coordinator.deposit(epoch, stats.snapshot(0));
-  live::LiveSnapshot snap = coordinator.wait_for(epoch);
+  live::walk_feed(
+      store,
+      [&](const live::FeedEvent& event) {
+        if (event.mme != nullptr) {
+          stats.on_mme(*event.mme);
+        } else {
+          stats.on_proxy(*event.proxy, event.proxy_seq);
+        }
+      },
+      cut);
+  stats.sort_new_sizes();
+  const live::TallyView part = stats.view();
+  live::LiveSnapshot snap = live::assemble(epoch, {&part, 1}, signatures);
   snap.quarantine = quarantine;
   return snap;
 }

@@ -3,10 +3,10 @@
 // Two independent references pin down what a serve answer must equal:
 //
 //  * reference_snapshot() — a sequential, thread-free replay of the same
-//    ShardStats/assemble machinery the concurrent engine runs (one shard,
-//    fed in feed-merge order on the calling thread).  Any divergence from
-//    a LiveEngine snapshot isolates a concurrency bug, because every
-//    other ingredient is shared code.
+//    ShardStats/live::assemble machinery the concurrent engine runs (one
+//    shard, fed in feed order by live::walk_feed on the calling thread).
+//    Any divergence from a LiveEngine snapshot isolates a concurrency bug,
+//    because every other ingredient is shared code.
 //
 //  * core::Pipeline (what wearscope_analyze runs) — the batch ground
 //    truth for the figures both sides compute (adoption, activity,
@@ -15,7 +15,7 @@
 //    formatters, and compares strings.
 //
 // prefix_store() cuts the capture at an epoch boundary (the first
-// `records` events in feed-merge order), which is exactly the stream
+// `records` events in feed order), which is exactly the stream
 // prefix a barrier snapshot covers — that is what makes per-epoch
 // equivalence testable against the batch pipeline.
 //
@@ -24,8 +24,8 @@
 // interleaving harness (src/sched) compare concurrent snapshots against
 // it, so there is exactly one definition of "what a barrier cut at N
 // records must contain".  Its `records` parameter applies the same
-// feed-merge-order prefix cut prefix_store() materializes, without
-// copying the capture.
+// feed-order prefix cut prefix_store() materializes, without copying the
+// capture.
 #pragma once
 
 #include <cstdint>
@@ -43,16 +43,15 @@ inline constexpr std::uint64_t kAllRecords =
     std::numeric_limits<std::uint64_t>::max();
 
 /// The capture prefix a barrier at `records` covers: the first `records`
-/// events of `store` in feed-merge order (timestamp order, MME before
-/// proxy on ties — FeedReplayer's order), plus the full device/sector
-/// databases.  `store` must be time-sorted.
+/// events of `store` in feed order (live::walk_feed), plus the full
+/// device/sector databases.  `store` must be time-sorted.
 [[nodiscard]] trace::TraceStore prefix_store(const trace::TraceStore& store,
                                              std::uint64_t records);
 
 /// Sequential reference snapshot over the first `records` events of
-/// `store` in feed-merge order (kAllRecords = the whole capture): one
+/// `store` in feed order (kAllRecords = the whole capture): one
 /// ShardStats instance fed on the calling thread, assembled through the
-/// same SnapshotCoordinator merge the engine uses.  `epoch` labels the
+/// same live::assemble the engine uses.  `epoch` labels the
 /// result; `quarantine` rides into the snapshot like
 /// LiveEngine::add_quarantine.  This is the single sequential reference
 /// the serving verify gate and the sched harness both compare against.

@@ -3,7 +3,7 @@
 // The concurrency primitives in util/sync.h, live/ring_buffer.h and the
 // snapshot/serving layers call these hooks at every named choice point
 // (mutex acquire, condvar park/notify, ring push/pop/close, barrier
-// deposit, snapshot publish/read).  In production nothing is installed:
+// arrival/wait, snapshot publish/read).  In production nothing is installed:
 // current() is a single relaxed-ish atomic load of a null pointer and the
 // inline helpers fall through — the hot paths are untouched.
 //
@@ -37,8 +37,8 @@ enum class Op : std::uint8_t {
   kSpinLock,        ///< util::SpinLock acquire.
   kCvWait,          ///< CondVar park (virtualized wait).
   kCvNotify,        ///< CondVar notify releasing parked waiters.
-  kBarrierDeposit,  ///< SnapshotCoordinator::deposit entry.
-  kBarrierWait,     ///< SnapshotCoordinator::wait_for entry.
+  kBarrierDeposit,  ///< live::ArrivalBarrier::arrive entry (a shard).
+  kBarrierWait,     ///< live::ArrivalBarrier::wait entry (the feed).
   kStorePublish,    ///< SnapshotStore::publish entry / slot swap.
   kStoreRead,       ///< SnapshotStore::latest/at_epoch/retained_epochs.
   kJoin,            ///< join_gate park awaiting a managed thread's exit.

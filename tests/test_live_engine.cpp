@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -361,6 +364,151 @@ TEST(LiveEngine, ActivityMergeWithAnUnsortedSideConcatenates) {
   }
 }
 
+/// Bit pattern of a double: the comparisons below are bitwise.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_bitwise_activity(const core::ActivityResult& a,
+                             const core::ActivityResult& b,
+                             const std::string& what) {
+  EXPECT_EQ(a.active_days_per_week.sorted(), b.active_days_per_week.sorted())
+      << what;
+  EXPECT_EQ(a.active_hours_per_day.sorted(), b.active_hours_per_day.sorted())
+      << what;
+  EXPECT_EQ(a.txn_size_bytes.sorted(), b.txn_size_bytes.sorted()) << what;
+  EXPECT_EQ(a.hourly_txns_per_user.sorted(), b.hourly_txns_per_user.sorted())
+      << what;
+  EXPECT_EQ(a.hourly_bytes_per_user.sorted(),
+            b.hourly_bytes_per_user.sorted())
+      << what;
+  EXPECT_EQ(bits(a.mean_active_days), bits(b.mean_active_days)) << what;
+  EXPECT_EQ(bits(a.mean_active_hours), bits(b.mean_active_hours)) << what;
+  EXPECT_EQ(bits(a.frac_over_10h), bits(b.frac_over_10h)) << what;
+  EXPECT_EQ(bits(a.frac_under_5h), bits(b.frac_under_5h)) << what;
+  EXPECT_EQ(bits(a.mean_txn_bytes), bits(b.mean_txn_bytes)) << what;
+  EXPECT_EQ(bits(a.median_txn_bytes), bits(b.median_txn_bytes)) << what;
+  EXPECT_EQ(bits(a.frac_txn_under_10kb), bits(b.frac_txn_under_10kb))
+      << what;
+  EXPECT_EQ(a.txns_vs_hours.x_centers, b.txns_vs_hours.x_centers) << what;
+  EXPECT_EQ(a.txns_vs_hours.y_means, b.txns_vs_hours.y_means) << what;
+  EXPECT_EQ(a.txns_vs_hours.n, b.txns_vs_hours.n) << what;
+  EXPECT_EQ(bits(a.correlation), bits(b.correlation)) << what;
+  EXPECT_EQ(bits(a.binned_trend_corr), bits(b.binned_trend_corr)) << what;
+}
+
+TEST(LiveEngine, ActivityFinalizeOverPartsEqualsMergedFinalize) {
+  // Split the capture's proxy log by user into 1-4 streaming instances,
+  // exactly as shards would, and finalize the parts in place.
+  const simnet::SimResult& sim = capture();
+  const core::DeviceClassifier devices(sim.store.devices);
+  std::optional<core::ActivityResult> one_part;
+  for (const std::size_t k : {1u, 2u, 3u, 4u}) {
+    std::vector<core::StreamingActivity> streams;
+    for (std::size_t i = 0; i < k; ++i) {
+      streams.emplace_back(devices, sim.observation_days,
+                           sim.detailed_start_day);
+    }
+    std::uint64_t seq = 0;
+    for (const trace::ProxyRecord& r : sim.store.proxy) {
+      streams[shard_of(r.user_id, k)].on_proxy(r, seq++);
+    }
+    std::vector<core::ActivityTally> parts;
+    for (core::StreamingActivity& stream : streams) {
+      stream.sort_new_sizes();
+      parts.push_back(stream.tally());
+    }
+    // With one part unsorted (a partial from before the sorted samples),
+    // the in-place finalize concatenates where the merge did.
+    for (const bool unsorted : {false, true}) {
+      const std::string what = std::to_string(k) + " part(s), " +
+                               (unsorted ? "one unsorted" : "all sorted");
+      if (unsorted) {
+        std::vector<double>& sizes = parts[k / 2].txn_sizes;
+        ASSERT_GT(sizes.size(), 1u) << what;
+        std::mt19937_64 rng(k);
+        std::shuffle(sizes.begin(), sizes.end(), rng);
+        ASSERT_FALSE(std::is_sorted(sizes.begin(), sizes.end())) << what;
+      }
+      std::vector<const core::ActivityTally*> views;
+      core::ActivityTally merged;
+      for (const core::ActivityTally& part : parts) {
+        views.push_back(&part);
+        merged.merge(part);
+      }
+      const core::ActivityResult in_place = core::finalize_activity(views);
+      expect_bitwise_activity(in_place, merged.finalize(), what);
+      if (!one_part.has_value()) one_part = in_place;
+      expect_bitwise_activity(in_place, *one_part, what + " vs 1 part");
+    }
+  }
+}
+
+void expect_bitwise_snapshot(const LiveSnapshot& a, const LiveSnapshot& b,
+                             const std::string& what) {
+  EXPECT_EQ(a.records, b.records) << what;
+  const core::AdoptionResult& x = a.adoption;
+  const core::AdoptionResult& y = b.adoption;
+  EXPECT_EQ(x.daily_registered_norm, y.daily_registered_norm) << what;
+  EXPECT_EQ(bits(x.total_growth), bits(y.total_growth)) << what;
+  EXPECT_EQ(bits(x.monthly_growth), bits(y.monthly_growth)) << what;
+  EXPECT_EQ(bits(x.ever_transacting_fraction),
+            bits(y.ever_transacting_fraction))
+      << what;
+  EXPECT_EQ(bits(x.still_active_share), bits(y.still_active_share)) << what;
+  EXPECT_EQ(bits(x.gone_share), bits(y.gone_share)) << what;
+  EXPECT_EQ(bits(x.new_share), bits(y.new_share)) << what;
+  EXPECT_EQ(bits(x.churned_of_initial), bits(y.churned_of_initial)) << what;
+  EXPECT_EQ(x.ever_registered, y.ever_registered) << what;
+  EXPECT_EQ(x.ever_transacted, y.ever_transacted) << what;
+  expect_bitwise_activity(a.activity, b.activity, what);
+  ASSERT_EQ(a.apps.size(), b.apps.size()) << what;
+  for (std::size_t i = 0; i < a.apps.size(); ++i) {
+    EXPECT_EQ(a.apps[i].app, b.apps[i].app) << what << " app row " << i;
+    EXPECT_EQ(a.apps[i].name, b.apps[i].name) << what << " app row " << i;
+    EXPECT_TRUE(a.apps[i].counter == b.apps[i].counter)
+        << what << " app row " << i;
+  }
+  ASSERT_EQ(a.sectors.size(), b.sectors.size()) << what;
+  for (std::size_t i = 0; i < a.sectors.size(); ++i) {
+    EXPECT_EQ(a.sectors[i].sector, b.sectors[i].sector)
+        << what << " sector row " << i;
+    EXPECT_TRUE(a.sectors[i].counter == b.sectors[i].counter)
+        << what << " sector row " << i;
+  }
+  EXPECT_EQ(a.class_txns, b.class_txns) << what;
+}
+
+/// Pushes the whole capture in feed order, taking a snapshot before every
+/// `every`-th record (0 = none), and returns the final snapshot.
+LiveSnapshot run_with_epochs(std::size_t shards, std::uint64_t every) {
+  const simnet::SimResult& sim = capture();
+  LiveEngine engine(sim.store.devices, options_for(sim, shards));
+  engine.bind_hosts(sim.store.hosts);
+  walk_feed(sim.store, [&](const FeedEvent& event) {
+    if (every != 0 && event.seq != 0 && event.seq % every == 0) {
+      EXPECT_EQ(engine.snapshot().records, event.seq);
+    }
+    EXPECT_TRUE(event.mme != nullptr ? engine.push(*event.mme)
+                                     : engine.push(*event.proxy));
+  });
+  return engine.stop();
+}
+
+TEST(LiveEngine, FinalSnapshotDoesNotDependOnEpochsTaken) {
+  // Assembly reads the shards in place between two events: an assembly
+  // that changed shard state, or read it before a shard arrived, would
+  // make the final answer depend on the epochs taken on the way.
+  const LiveSnapshot baseline = run_with_epochs(1, 0);
+  EXPECT_EQ(baseline.records,
+            capture().store.proxy.size() + capture().store.mme.size());
+  for (const std::size_t shards : {1u, 2u, 3u, 4u, 8u}) {
+    const std::string label = std::to_string(shards) + " shard(s)";
+    expect_bitwise_snapshot(run_with_epochs(shards, 0), baseline,
+                            label + ", no epochs");
+    expect_bitwise_snapshot(run_with_epochs(shards, 1000), baseline,
+                            label + ", an epoch every 1000 records");
+  }
+}
+
 TEST(LiveEngine, SketchModeKeepsNoPerUserSlots) {
   const simnet::SimResult& sim = capture();
   const LiveOptions opt = options_for(sim, 1);
@@ -376,23 +524,24 @@ TEST(LiveEngine, SketchModeKeepsNoPerUserSlots) {
     for (const trace::ProxyRecord& r : sim.store.proxy) {
       stats.on_proxy(r, seq++);
     }
-    const ShardSnapshot snap = stats.snapshot(0);
-    ASSERT_FALSE(snap.apps.apps.empty());
-    ASSERT_FALSE(snap.sectors.sectors.empty());
+    const TallyView view = stats.view();
+    ASSERT_FALSE(view.apps->apps.empty());
+    ASSERT_FALSE(view.sectors->sectors.empty());
+    EXPECT_EQ(view.sketch->enabled, sketch);
     if (!sketch) {
       EXPECT_GT(stats.tracked_users(), 0u);
       continue;
     }
     EXPECT_EQ(stats.tracked_users(), 0u);
-    EXPECT_TRUE(snap.activity.first_seen.empty());
-    EXPECT_TRUE(snap.activity.txn_sizes.empty());
-    EXPECT_EQ(snap.adoption.ever_registered, 0u);
-    for (const auto& [app, counter] : snap.apps.apps) {
+    EXPECT_TRUE(view.activity->first_seen.empty());
+    EXPECT_TRUE(view.activity->txn_sizes.empty());
+    EXPECT_EQ(view.adoption->ever_registered, 0u);
+    for (const auto& [app, counter] : view.apps->apps) {
       EXPECT_GT(counter.transactions, 0u) << "app " << app;
       EXPECT_EQ(counter.distinct_users, 0u) << "app " << app;
       EXPECT_EQ(counter.usages, 0u) << "app " << app;
     }
-    for (const auto& [sector, counter] : snap.sectors.sectors) {
+    for (const auto& [sector, counter] : view.sectors->sectors) {
       EXPECT_GT(counter.events, 0u) << "sector " << sector;
       EXPECT_EQ(counter.distinct_users, 0u) << "sector " << sector;
       EXPECT_EQ(counter.wearable_users, 0u) << "sector " << sector;

@@ -109,7 +109,8 @@ if(DEFINED COMPARE)
 endif()
 
 # 5. Live replay: the sharded online engine must reproduce the batch
-#    pipeline's adoption result exactly (--verify enforces it).
+#    pipeline exactly — adoption, activity, apps, sectors and quarantine
+#    (--verify enforces it).
 if(DEFINED LIVE)
   run_step(${LIVE} --bundle ${WORK}/trace --shards 4 --snapshot-every 1d
            --verify)

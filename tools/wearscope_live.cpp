@@ -24,12 +24,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "chaos/fault_plan.h"
-#include "core/pipeline.h"
 #include "fed/partial_io.h"
 #include "live/engine.h"
 #include "live/replayer.h"
+#include "serve/reference.h"
 #include "simnet/config_io.h"
 #include "trace/bundle.h"
 #include "trace/sanitize.h"
@@ -105,42 +106,6 @@ void print_snapshot(const live::LiveSnapshot& snap, const char* label) {
   }
 }
 
-/// Exact comparison of the live final snapshot against the batch pipeline.
-bool verify_against_batch(const trace::TraceStore& store,
-                          const live::LiveSnapshot& snap,
-                          const core::AnalysisOptions& opt) {
-  const core::Pipeline pipeline(store, opt);
-  const core::AdoptionResult batch = pipeline.run().adoption;
-  const core::AdoptionResult& online = snap.adoption;
-
-  std::size_t mismatches = 0;
-  const auto check = [&](const char* what, double a, double b) {
-    if (a != b) {
-      std::printf("  MISMATCH %-24s live=%.17g batch=%.17g\n", what, a, b);
-      ++mismatches;
-    }
-  };
-  check("ever_registered", static_cast<double>(online.ever_registered),
-        static_cast<double>(batch.ever_registered));
-  check("ever_transacted", static_cast<double>(online.ever_transacted),
-        static_cast<double>(batch.ever_transacted));
-  check("ever_transacting_fraction", online.ever_transacting_fraction,
-        batch.ever_transacting_fraction);
-  check("total_growth", online.total_growth, batch.total_growth);
-  check("monthly_growth", online.monthly_growth, batch.monthly_growth);
-  check("still_active_share", online.still_active_share,
-        batch.still_active_share);
-  check("gone_share", online.gone_share, batch.gone_share);
-  check("new_share", online.new_share, batch.new_share);
-  check("churned_of_initial", online.churned_of_initial,
-        batch.churned_of_initial);
-  if (online.daily_registered_norm != batch.daily_registered_norm) {
-    std::printf("  MISMATCH daily_registered_norm series\n");
-    ++mismatches;
-  }
-  return mismatches == 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -172,8 +137,8 @@ int main(int argc, char** argv) {
     flags.add_double("speedup", &speedup,
                      "stream-time/wall-time ratio (0 = as fast as possible)");
     flags.add_bool("verify", &verify,
-                   "also run the batch pipeline and require an exact "
-                   "adoption match");
+                   "also run the batch pipeline and require the final "
+                   "snapshot to match it exactly");
     flags.add_bool("sketch", &sketch,
                    "bounded-memory mode: approximate distinct users, "
                    "transaction-size quantiles and heavy-hitter apps via "
@@ -318,16 +283,22 @@ int main(int argc, char** argv) {
     print_snapshot(final_snap, "final snapshot");
 
     if (verify) {
-      core::AnalysisOptions aopt;
-      aopt.observation_days = opt.observation_days;
-      aopt.detailed_start_day = opt.detailed_start_day;
-      aopt.long_tail_apps = opt.long_tail_apps;
-      if (!verify_against_batch(store, final_snap, aopt)) {
+      // The feed-side accounting tracked here, apart from the engine's.
+      trace::QuarantineStats expected = pre_quarantine;
+      expected += report.quarantine;
+      const std::vector<serve::VerifyMismatch> mismatches =
+          serve::verify_responses(final_snap, store, opt, expected);
+      for (const serve::VerifyMismatch& m : mismatches) {
+        std::printf("  MISMATCH %s\n    live : %s\n    batch: %s\n",
+                    m.query.c_str(), m.serve.c_str(), m.batch.c_str());
+      }
+      if (!mismatches.empty()) {
         std::fprintf(stderr,
                      "error: live snapshot diverges from batch pipeline\n");
         return 1;
       }
-      std::printf("verify: live adoption == batch adoption (exact)\n");
+      std::printf("verify: live snapshot == batch pipeline (exact adoption, "
+                  "activity, apps, sectors and quarantine)\n");
     }
     return 0;
   } catch (const std::exception& e) {
